@@ -21,7 +21,7 @@ from .capacity import (
     verify_g_monotone,
 )
 from .channel import ChannelRound, classify_indices, transmit
-from .infotheory import JointDistribution
+from .infotheory import JointDistribution, OtpLemmaReport, otp_lemma_check
 from .model import (
     CapacityShortfall,
     ConfigurationError,
@@ -45,11 +45,9 @@ from .multifile import (
 )
 from .oracle import (
     LeakageReport,
-    OtpLemmaReport,
     StateBudgetExceeded,
     audit,
     enumerate_protocol,
-    otp_lemma_check,
 )
 from .protocol import (
     MUTATIONS,

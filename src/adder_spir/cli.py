@@ -4,7 +4,7 @@ Output is line-delimited JSON: one versioned header record (its
 ``generated_at`` field is the only non-deterministic value, so golden
 comparisons skip the header line) followed by one record per session,
 sweep cell, or report.  Exit codes: 0 all checks pass, 1 check failure,
-2 configuration error, 3 resource/budget error.
+2 configuration error, 3 resource/budget error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import capacity as cap
+from .infotheory import MAX_PAD_WIDTH, otp_lemma_check
 from .model import (
     ConfigurationError,
     ProtocolParams,
@@ -30,7 +32,7 @@ from .model import (
     trial_seeds,
 )
 from .multifile import run_multifile
-from .oracle import StateBudgetExceeded, audit, otp_lemma_check, DEFAULT_STATE_BUDGET
+from .oracle import StateBudgetExceeded, audit, DEFAULT_STATE_BUDGET
 from .protocol import run_session, run_session_adaptive
 
 __all__ = ["main", "build_parser"]
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _default_workers() -> int:
@@ -313,6 +316,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
         exact_rational=args.exact_rational,
     )
     _emit([_header("audit", config), report.to_record()], args.out)
+    print(
+        f"audit: {report.state_count} states, enumerated in {report.enumeration_s:.3f} s; "
+        f"mutual information in {report.information_s:.3f} s",
+        file=sys.stderr,
+    )
     return EXIT_OK if report.all_zero(1e-9) else EXIT_CHECK_FAILED
 
 
@@ -368,6 +376,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_otp_check(args: argparse.Namespace) -> int:
+    if args.pad_width > MAX_PAD_WIDTH:
+        raise ConfigurationError(f"--pad-width must be at most {MAX_PAD_WIDTH}")
     records = [_header("otp-check", {"pad_width": args.pad_width})]
     all_ok = True
     for width in range(1, args.pad_width + 1):
@@ -395,9 +405,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except StateBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigurationError, ValueError, OSError) as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

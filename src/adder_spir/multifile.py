@@ -34,7 +34,6 @@ from .model import (
 from .protocol import Transcript, client_partitioner, execute_session
 
 __all__ = [
-    "ChainedPairs",
     "FileSplit",
     "MultifileTranscript",
     "build_chain",
@@ -49,14 +48,6 @@ __all__ = [
 
 Symbol = tuple[str, int, int]  # ("file" | "mask", chain index, part index)
 SymbolSet = frozenset[Symbol]
-
-
-@dataclass(frozen=True)
-class ChainedPairs:
-    """The per-round value pairs one server derives from one part index."""
-
-    server_id: int
-    pairs: tuple[tuple[BitString, BitString], ...]
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,51 @@
 """Exhaustive-enumeration leakage auditing on tiny protocol instances.
 
-Every random input of a session (channel inputs, files, chaining masks, and
-the client's selection pair) is enumerated with its exact probability and
-the deterministic protocol logic is replayed on each assignment, yielding
-the exact joint distribution of everything any party ever sees.  Leakage is
-then a plain mutual-information computation on that table; no sampling and
-no estimation are involved, so a secure instance must audit to exact zeros
+Every random input of a session (channel inputs, the client's share
+partitions, files, chaining masks, and the selection pair) is enumerated
+with its exact probability, yielding the exact joint distribution of
+everything any party ever sees.  Leakage is then a plain
+mutual-information computation on that table; no sampling and no
+estimation are involved, so a secure instance must audit to exact zeros
 (up to float accumulation, well below 1e-10).
 
-Also houses the one-time-pad lemma checker: an exhaustive catalog of small
-dependent/independent variable constructions verifying that XOR with a
-fresh uniform pad adds no information.
+The real protocol is the thing audited, but it is not replayed for every
+assignment.  A *skeleton* fixes the channel inputs of every executed round,
+one partition per round that did not abort, and the selection.  Within a
+skeleton all other public values are constant, and the messages and the
+recovered files are affine over GF(2) in the B free file and mask bits: a
+replay with all of them zero gives the offset, one replay per bit (cached
+per selection and round pattern) the linear part, a replay with all of
+them set checks the two, and numpy expands the 2^B assignments by XOR.
+Two files per server is the L1 = L2 = 2 case of the multi-file reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .bits import BitString
 from .channel import classify_indices, transmit
 from .infotheory import JointDistribution
-from .model import (
-    CapacityShortfall,
-    ConfigurationError,
-    FileStore,
-    ProtocolParams,
-    Selection,
-)
+from .model import CapacityShortfall, ConfigurationError, FileStore, ProtocolParams, Selection
 from .multifile import execute_multifile
-from .protocol import Transcript, abort_check, execute_session, partition_choices
+# The oracle looks its protocol entry points up in this namespace at call
+# time, so tracing tools can wrap them here; execute_session, reached through
+# execute_multifile, stays bound with them.
+from .protocol import Transcript, abort_check, execute_session, partition_choices, shares_fit  # noqa: F401
 
 __all__ = [
     "StateBudgetExceeded",
     "LeakageReport",
-    "OtpLemmaReport",
     "enumerate_protocol",
+    "required_states",
     "audit",
-    "otp_lemma_check",
     "DEFAULT_STATE_BUDGET",
 ]
 
@@ -57,38 +61,32 @@ DEFAULT_STATE_BUDGET = 2**28
 # function of the peer's files; the oracle measures exactly 1 bit on the
 # smallest instance.)
 VARIABLES = (
-    "z1",
-    "z2",
-    "files1",
-    "files2",
-    "masks1",
-    "masks2",
-    "x1",
-    "x2",
-    "y",
-    "sets",
-    "msgs1",
-    "msgs2",
-    "leak",
-    "abort",
-    "ok",
-    "unsel",
-    "u0",
+    "z1", "z2", "files1", "files2", "masks1", "masks2", "x1", "x2", "y",
+    "sets", "msgs1", "msgs2", "leak", "abort", "ok", "unsel", "u0",
 )
+# Skeleton constants coded by interned ids.
+_INTERNED = ("x1", "x2", "y", "sets", "leak", "u0")
+# Free bits of an assignment, packed in this order from the most significant end.
+_FREE = ("files1", "files2", "masks1", "masks2")
+# Packed codes (free bits plus a round-pattern tag) must fit an int64.
+_MAX_CODE_BITS = 62
 
 
 class StateBudgetExceeded(Exception):
     def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"enumeration needs {required} weighted assignments, budget is {budget}"
-        )
+        super().__init__(f"enumeration needs {required} rows, budget is {budget}")
         self.required = required
         self.budget = budget
 
 
 @dataclass(frozen=True)
 class LeakageReport:
-    """All six audited quantities for one instance, in bits."""
+    """All six audited quantities for one instance, in bits.
+
+    ``enumeration_s`` and ``information_s`` split ``wall_time_s`` into the
+    enumeration and the mutual-information passes; like it, they are
+    timings and stay out of the deterministic part of the record.
+    """
 
     params: ProtocolParams
     mode: str
@@ -100,8 +98,12 @@ class LeakageReport:
     servers_vs_client: float
     reliability_error: float
     state_count: int
+    required_states: int
+    budget: int
     wall_time_s: float
     mutation: Optional[str] = None
+    enumeration_s: float = 0.0
+    information_s: float = 0.0
 
     @property
     def leakages(self) -> dict[str, float]:
@@ -119,12 +121,7 @@ class LeakageReport:
     def to_record(self) -> dict:
         return {
             "record": "leakage-report",
-            "n": self.params.n,
-            "L1": self.params.L1,
-            "L2": self.params.L2,
-            "ell1": self.params.ell1,
-            "ell2": self.params.ell2,
-            "alpha": self.params.alpha,
+            **{k: getattr(self.params, k) for k in ("n", "L1", "L2", "ell1", "ell2", "alpha")},
             "t": self.params.t_exponent,
             "mode": self.mode,
             "conditioning": self.conditioning,
@@ -132,14 +129,10 @@ class LeakageReport:
             **{k: repr(v) for k, v in self.leakages.items()},
             "reliability_error": self.reliability_error,
             "state_count": self.state_count,
+            "required_states": self.required_states,
+            "budget": self.budget,
             "wall_time_s": self.wall_time_s,
         }
-
-
-def _bitstrings(length: int, cache: dict[int, list[BitString]]) -> list[BitString]:
-    if length not in cache:
-        cache[length] = [BitString.from_int(v, length) for v in range(2**length)]
-    return cache[length]
 
 
 def _public_of(t: Transcript) -> tuple:
@@ -147,79 +140,19 @@ def _public_of(t: Transcript) -> tuple:
     if t.aborted:
         return (True, t.abort_reason, None), None, None, t.leaked_selection
     s = t.selection_sets
-    sets = (
-        False,
-        None,
-        (s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2),
-    )
+    sets = (False, None, (s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2))
     return sets, (t.m11, t.m12), (t.m21, t.m22), t.leaked_selection
 
 
-def _estimate_two_file(params: ProtocolParams) -> int:
-    bits = 2 * params.n + params.L1 * params.ell1 + params.L2 * params.ell2
-    return (2**bits) * params.L1 * params.L2
-
-
-def _estimate_multifile(params: ProtocolParams) -> int:
-    L1, L2 = params.L1, params.L2
-    K = (L1 - 1) * (L2 - 1)
-    len1 = params.ell1 * (L2 - 1)
-    len2 = params.ell2 * (L1 - 1)
-    bits = (
-        2 * params.n * K
-        + L1 * len1
-        + L2 * len2
-        + (L1 - 2) * (L2 - 1) * params.ell1
-        + (L2 - 2) * (L1 - 1) * params.ell2
-    )
-    return (2**bits) * L1 * L2
-
-
-def enumerate_protocol(
-    params: ProtocolParams,
-    mode: str = "two_file",
-    *,
-    abort_disabled: bool = False,
-    mutation: Optional[str] = None,
-    exact: bool = False,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> JointDistribution:
-    """Exact joint distribution of one protocol instance.
-
-    Variables: selection pair, file tuples, mask tuples, per-server channel
-    inputs, observed sums, the entire public communication, the abort flag,
-    the recovery flag, and the tuple of unselected files.
-    """
-    params.validate()
-    if mode == "two_file":
-        required = _estimate_two_file(params)
-        if required > state_budget:
-            raise StateBudgetExceeded(required, state_budget)
-        return _enumerate_two_file(params, abort_disabled, mutation, exact)
-    if mode == "multifile":
-        required = _estimate_multifile(params)
-        if required > state_budget:
-            raise StateBudgetExceeded(required, state_budget)
-        return _enumerate_multifile(params, abort_disabled, mutation, exact)
-    raise ConfigurationError(f"unknown enumeration mode {mode!r}")
-
-
-def _round_choices(
-    x1: BitString, x2: BitString, params: ProtocolParams, abort_disabled: bool
-):
-    """Abort verdict and the client's equally likely partitions for one block.
-
-    Returns (y_bytes, abort_reason_or_None, choices_or_None).
-    """
-    y = transmit(x1, x2).y
-    good, bad = classify_indices(y)
+def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_disabled: bool):
+    """The client's equally likely partitions for one block, or None if it aborts."""
+    good, bad = classify_indices(transmit(x1, x2).y)
     if not abort_disabled and not abort_check(len(good), params.n, params.t_exponent):
-        return y.tobytes(), "size-deviation", None
+        return None
     try:
-        choices = partition_choices(good, bad, params.alpha, params.ell1, params.ell2)
+        return partition_choices(good, bad, params.alpha, params.ell1, params.ell2)
     except CapacityShortfall:
-        return y.tobytes(), "capacity-shortfall", None
-    return y.tobytes(), None, choices
+        return None
 
 
 def _part_key(part) -> tuple:
@@ -237,176 +170,322 @@ def _preset_partitioner(part):
     return partitioner
 
 
-def _enumerate_two_file(params, abort_disabled, mutation, exact) -> JointDistribution:
-    n, ell1, ell2 = params.n, params.ell1, params.ell2
-    cache: dict[int, list[BitString]] = {}
-    xs = _bitstrings(n, cache)
-    fs1 = _bitstrings(ell1, cache)
-    fs2 = _bitstrings(ell2, cache)
-    total = _estimate_two_file(params)
-    base = Fraction(1, total) if exact else 1.0 / total
-
-    table: dict[tuple, float | Fraction] = {}
-    for x1 in xs:
-        for x2 in xs:
-            y_bytes, reason, choices = _round_choices(x1, x2, params, abort_disabled)
-            if choices is None:
-                parts = [None]
-                weight = base
-            else:
-                parts = choices
-                weight = base / len(choices)
-            for part in parts:
-                for f11, f12 in itertools.product(fs1, repeat=2):
-                    files1 = FileStore(1, (f11, f12))
-                    for f21, f22 in itertools.product(fs2, repeat=2):
-                        files2 = FileStore(2, (f21, f22))
-                        for z1, z2 in itertools.product((1, 2), repeat=2):
-                            t = execute_session(
-                                params,
-                                files1,
-                                files2,
-                                Selection(z1, z2),
-                                x1,
-                                x2,
-                                abort_disabled=abort_disabled,
-                                mutation=mutation,
-                                partitioner=_preset_partitioner(part),
-                            )
-                            sets_v, msgs1_v, msgs2_v, leak_v = _public_of(t)
-                            key = (
-                                z1,
-                                z2,
-                                (f11, f12),
-                                (f21, f22),
-                                (),
-                                (),
-                                x1,
-                                x2,
-                                y_bytes,
-                                sets_v,
-                                msgs1_v,
-                                msgs2_v,
-                                leak_v,
-                                t.aborted,
-                                t.recovery_ok,
-                                ((f11, f12)[2 - z1], (f21, f22)[2 - z2]),
-                                None if part is None else _part_key(part),
-                            )
-                            table[key] = table.get(key, 0) + weight
-    return JointDistribution(VARIABLES, table)
+def _mask(width: int) -> int:
+    return (1 << width) - 1
 
 
-def _enumerate_multifile(params, abort_disabled, mutation, exact) -> JointDistribution:
-    L1, L2 = params.L1, params.L2
-    K = (L1 - 1) * (L2 - 1)
-    p1, p2 = params.ell1, params.ell2
-    len1, len2 = p1 * (L2 - 1), p2 * (L1 - 1)
-    n_masks1 = (L1 - 2) * (L2 - 1)
-    n_masks2 = (L2 - 2) * (L1 - 1)
-    cache: dict[int, list[BitString]] = {}
-    xs = _bitstrings(params.n, cache)
-    total = _estimate_multifile(params)
-    weight_base = Fraction(1, total) if exact else 1.0 / total
+def _unpack(code, widths: list[int]) -> list:
+    """Fields of the given widths packed in ``code`` (int or int64 array), first highest."""
+    shift = sum(widths)
+    fields = []
+    for w in widths:
+        shift -= w
+        fields.append((code >> shift) & _mask(w))
+    return fields
 
-    def mask_groups(flat: tuple[BitString, ...], per_part: int, parts: int):
-        return tuple(flat[i * per_part : (i + 1) * per_part] for i in range(parts))
 
-    base_params = ProtocolParams(
-        n=params.n, t_exponent=params.t_exponent, alpha=params.alpha, ell1=p1, ell2=p2
-    )
+def _pack(fields, widths: list[int]):
+    """Inverse of :func:`_unpack`."""
+    code = 0
+    for f, w in zip(fields, widths):
+        code = (code << w) | f
+    return code
 
-    table: dict[tuple, float | Fraction] = {}
-    for x_flat in itertools.product(xs, repeat=2 * K):
-        x_rounds = [(x_flat[2 * k], x_flat[2 * k + 1]) for k in range(K)]
-        # Per-round verdicts; the first aborting round truncates the session,
-        # so the client draws partitions only for the rounds before it.
-        verdicts = [
-            _round_choices(x1, x2, base_params, abort_disabled) for x1, x2 in x_rounds
-        ]
-        first_abort = next(
-            (k for k, (_y, reason, _c) in enumerate(verdicts) if reason is not None), K
+
+def _bitstrings(code: int, count: int, width: int) -> tuple[BitString, ...]:
+    return tuple(BitString.from_int(f, width) for f in _unpack(code, [width] * count))
+
+
+class _Layout:
+    """Shapes of one instance; ``fields`` is (count, width) per ``_FREE`` name."""
+
+    def __init__(self, params: ProtocolParams):
+        self.n, self.L1, self.L2 = params.n, params.L1, params.L2
+        self.K = (self.L1 - 1) * (self.L2 - 1)
+        self.p1, self.p2 = params.ell1, params.ell2
+        self.len1, self.len2 = self.p1 * (self.L2 - 1), self.p2 * (self.L1 - 1)
+        self.fields = (
+            (self.L1, self.len1),
+            (self.L2, self.len2),
+            ((self.L1 - 2) * (self.L2 - 1), self.p1),
+            ((self.L2 - 2) * (self.L1 - 1), self.p2),
         )
-        live = verdicts[:first_abort]
-        combos = itertools.product(*(choices for (_y, _r, choices) in live))
-        n_combos = 1
-        for _y, _r, choices in live:
-            n_combos *= len(choices)
-        weight = weight_base / n_combos
-        for parts_combo in combos:
-            partitioners = [_preset_partitioner(p) for p in parts_combo] + [
-                _preset_partitioner(None)
-            ] * (K - first_abort)
-            u0 = tuple(_part_key(p) for p in parts_combo)
-            for files1_t in itertools.product(_bitstrings(len1, cache), repeat=L1):
-                files1 = FileStore(1, files1_t)
-                for files2_t in itertools.product(_bitstrings(len2, cache), repeat=L2):
-                    files2 = FileStore(2, files2_t)
-                    for masks1_t in itertools.product(
-                        _bitstrings(p1, cache), repeat=n_masks1
-                    ):
-                        masks1 = mask_groups(masks1_t, L1 - 2, L2 - 1)
-                        for masks2_t in itertools.product(
-                            _bitstrings(p2, cache), repeat=n_masks2
-                        ):
-                            masks2 = mask_groups(masks2_t, L2 - 2, L1 - 1)
-                            for z1 in range(1, L1 + 1):
-                                for z2 in range(1, L2 + 1):
-                                    mt = execute_multifile(
-                                        params,
-                                        files1,
-                                        files2,
-                                        Selection(z1, z2),
-                                        x_rounds,
-                                        masks1,
-                                        masks2,
-                                        abort_disabled=abort_disabled,
-                                        mutation=mutation,
-                                        partitioners=partitioners,
-                                    )
-                                    executed = mt.transcripts
-                                    pub = [_public_of(t) for t in executed]
-                                    key = (
-                                        z1,
-                                        z2,
-                                        files1_t,
-                                        files2_t,
-                                        masks1_t,
-                                        masks2_t,
-                                        tuple(
-                                            x_rounds[i][0] for i in range(len(executed))
-                                        ),
-                                        tuple(
-                                            x_rounds[i][1] for i in range(len(executed))
-                                        ),
-                                        tuple(t.y.tobytes() for t in executed),
-                                        tuple(p[0] for p in pub),
-                                        tuple(p[1] for p in pub),
-                                        tuple(p[2] for p in pub),
-                                        tuple(p[3] for p in pub),
-                                        mt.aborted,
-                                        None
-                                        if mt.aborted
-                                        else (
-                                            mt.recovered[0] == files1.file(z1)
-                                            and mt.recovered[1] == files2.file(z2)
-                                        ),
-                                        (
-                                            tuple(
-                                                f
-                                                for l, f in enumerate(files1_t, 1)
-                                                if l != z1
-                                            ),
-                                            tuple(
-                                                f
-                                                for l, f in enumerate(files2_t, 1)
-                                                if l != z2
-                                            ),
-                                        ),
-                                        u0,
-                                    )
-                                    table[key] = table.get(key, 0) + weight
-    return JointDistribution(VARIABLES, table)
+        self.free_bits = sum(c * w for c, w in self.fields)
+
+    def split(self, a) -> list:
+        """Codes of the ``_FREE`` fields of packed assignments ``a``."""
+        return _unpack(a, [c * w for c, w in self.fields])
+
+    def assignment(self, a: int) -> tuple:
+        """FileStores and per-part mask groups of one packed assignment."""
+        f1, f2, m1, m2 = (_bitstrings(v, *f) for v, f in zip(self.split(a), self.fields))
+        g1, g2 = self.L1 - 2, self.L2 - 2
+        return (
+            FileStore(1, f1),
+            FileStore(2, f2),
+            tuple(m1[i * g1 : (i + 1) * g1] for i in range(self.L2 - 1)),
+            tuple(m2[j * g2 : (j + 1) * g2] for j in range(self.L1 - 1)),
+        )
+
+
+def required_states(params: ProtocolParams, abort_disabled: bool = False) -> int:
+    """Exact number of rows :func:`enumerate_protocol` generates.
+
+    One row per (channel inputs of each executed round, partition of each
+    round that did not abort, selection, free file and mask bits).  Per
+    round, C(n, g) 2^n input pairs have g decodable positions; such a pair
+    either aborts, which ends the sequence, or continues under each of its
+    C(g, ell1) C(g - ell1, ell2) C(n - g, ell1) C(n - g - ell1, ell2)
+    equally likely partitions.
+    """
+    params.validate()
+    n, a, b = params.n, params.ell1, params.ell2
+    aborting = continuing = 0
+    for g in range(n + 1):
+        pairs = math.comb(n, g) * 2**n
+        if (not abort_disabled and not abort_check(g, n, params.t_exponent)) or not shares_fit(
+            min(g, n - g), params.alpha, a, b
+        ):
+            aborting += pairs
+        else:
+            continuing += pairs * math.comb(g, a) * math.comb(g - a, b) * math.comb(n - g, a) * math.comb(n - g - a, b)
+    layout = _Layout(params)
+    sequences = sum(continuing**k * aborting for k in range(layout.K)) + continuing**layout.K
+    return sequences * params.L1 * params.L2 * 2**layout.free_bits
+
+
+def enumerate_protocol(
+    params: ProtocolParams,
+    mode: str = "two_file",
+    *,
+    abort_disabled: bool = False,
+    mutation: Optional[str] = None,
+    exact: bool = False,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> JointDistribution:
+    """Exact joint distribution of one protocol instance.
+
+    Variables: selection pair, file tuples, mask tuples, per-server channel
+    inputs, observed sums, the entire public communication, the abort flag,
+    the recovery flag, and the tuple of unselected files.  "multifile" mode
+    gives per-round values as tuples over the executed rounds; "two_file"
+    mode (L1 = L2 = 2, one round) unwraps them.
+    """
+    params.validate()
+    if mode not in ("two_file", "multifile") or (mode == "two_file" and (params.L1, params.L2) != (2, 2)):
+        raise ConfigurationError(f"unknown enumeration mode {mode!r} for L1={params.L1}, L2={params.L2}")
+    required = required_states(params, abort_disabled)
+    if required > state_budget:
+        raise StateBudgetExceeded(required, state_budget)
+    return _Enumeration(params, abort_disabled, mutation).distribution(exact, mode == "two_file")
+
+
+class _Enumeration:
+    """Skeleton replays of one instance and their numpy expansion."""
+
+    def __init__(self, params: ProtocolParams, abort_disabled: bool, mutation: Optional[str]):
+        self.params, self.abort_disabled, self.mutation = params, abort_disabled, mutation
+        self.layout = lay = _Layout(params)
+        if lay.free_bits + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
+            raise ConfigurationError(f"{lay.free_bits} free file and mask bits are too many to enumerate")
+        self.assignments: dict[int, tuple] = {}
+        # (z1, z2, executed rounds, aborted) -> per free bit, LSB first, its
+        # XOR effect on the packed (msgs1, msgs2, recovered) outputs.
+        self.linear: dict[tuple, list[tuple[int, int, int]]] = {}
+
+    def sequences(self):
+        """Channel-input sequences, truncated at the first aborting round,
+        with one partition per round that did not abort.
+
+        Yields (x pairs, partitions, number of partition combinations).
+        """
+        xs = [BitString.from_int(v, self.layout.n) for v in range(2**self.layout.n)]
+        verdicts = [((x1, x2), _round_choices(x1, x2, self.params, self.abort_disabled)) for x1 in xs for x2 in xs]
+        prefixes = [((), (), 1)]
+        for _round in range(self.layout.K):
+            grown = []
+            for pairs, parts, combos in prefixes:
+                for pair, choices in verdicts:
+                    if choices is None:
+                        yield pairs + (pair,), parts, combos
+                    else:
+                        grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in choices)
+            prefixes = grown
+        yield from prefixes
+
+    def replay(self, a: int, sel: Selection, x_rounds, partitioners) -> tuple:
+        """Run the protocol on the free-bit assignment ``a``.
+
+        Returns the outputs that must not depend on ``a`` (per executed
+        round y, sets and leak; the abort flag) and the packed affine ones
+        (msgs1, msgs2, recovered files).
+        """
+        if a not in self.assignments:
+            self.assignments[a] = self.layout.assignment(a)
+        files1, files2, masks1, masks2 = self.assignments[a]
+        mt = execute_multifile(
+            self.params, files1, files2, sel, x_rounds, masks1, masks2,
+            abort_disabled=self.abort_disabled, mutation=self.mutation, partitioners=partitioners,
+        )
+        lay = self.layout
+        sent = [t for t in mt.transcripts if not t.aborted]
+        outputs = (
+            _pack([m.to_int() for t in sent for m in (t.m11, t.m12)], [lay.p1] * 2 * len(sent)),
+            _pack([m.to_int() for t in sent for m in (t.m21, t.m22)], [lay.p2] * 2 * len(sent)),
+            0 if mt.aborted else _pack([r.to_int() for r in mt.recovered], [lay.len1, lay.len2]),
+        )
+        public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
+        return (public, mt.aborted), outputs
+
+    def skeletons(self):
+        """Replay and check every skeleton.
+
+        Yields (z1, z2, aborted), the values of ``_INTERNED``, the packed
+        affine offsets, the linear-part key and the partition combination
+        count.
+        """
+        lay = self.layout
+        ones = _mask(lay.free_bits)
+        pad = (BitString.zeros(lay.n),) * 2
+        for pairs, parts, combos in self.sequences():
+            executed, aborted = len(pairs), len(parts) < len(pairs)
+            x_rounds = pairs + (pad,) * (lay.K - executed)
+            partitioners = [_preset_partitioner(p) for p in parts]
+            partitioners += [_preset_partitioner(None)] * (lay.K - len(parts))
+            for z1, z2 in itertools.product(range(1, lay.L1 + 1), range(1, lay.L2 + 1)):
+                sel = Selection(z1, z2)
+                public, offset = self.replay(0, sel, x_rounds, partitioners)
+                if public[1] != aborted or len(public[0]) != executed:
+                    raise RuntimeError("replay disagrees with the enumerated channel verdicts")
+                key = (z1, z2, executed, aborted)
+                if key not in self.linear:
+                    self.linear[key] = [
+                        _xor(offset, self._same_public(public, 1 << j, sel, x_rounds, partitioners))
+                        for j in range(lay.free_bits)
+                    ]
+                expected = functools.reduce(_xor, self.linear[key], offset)
+                if ones and self._same_public(public, ones, sel, x_rounds, partitioners) != expected:
+                    raise RuntimeError("replay outputs are not affine in the file and mask bits")
+                values = (
+                    tuple(x for x, _ in pairs), tuple(x for _, x in pairs),
+                    *(tuple(r[i] for r in public[0]) for i in range(3)),
+                    tuple(_part_key(p) for p in parts),
+                )
+                yield (z1, z2, int(aborted)), values, offset, key, combos
+
+    def _same_public(self, public, a, sel, x_rounds, partitioners) -> tuple:
+        """Affine outputs of assignment ``a``, whose other outputs must equal ``public``."""
+        other, outputs = self.replay(a, sel, x_rounds, partitioners)
+        if other != public:
+            raise RuntimeError("y, sets, leak or abort changed with the file and mask bits")
+        return outputs
+
+    def distribution(self, exact: bool, single: bool) -> JointDistribution:
+        lay = self.layout
+        N = 2**lay.free_bits
+        interned: dict[str, dict] = {name: {} for name in _INTERNED}
+        keys: dict[tuple, int] = {}
+        rows = []
+        for direct, values, offset, key, combos in self.skeletons():
+            tag = 2 * key[2] + key[3]  # executed rounds, aborted
+            rows.append((
+                *direct,
+                *(interned[name].setdefault(v, len(interned[name])) for name, v in zip(_INTERNED, values)),
+                (tag << 2 * lay.p1 * lay.K) | offset[0],
+                (tag << 2 * lay.p2 * lay.K) | offset[1],
+                offset[2], keys.setdefault(key, len(keys)), key[2], combos,
+            ))
+        names = ("z1", "z2", "abort", *_INTERNED)
+        table = np.array(rows, dtype=np.int64).reshape(-1, len(names) + 6).T
+        S = table.shape[1]
+        columns = {name: np.repeat(col, N) for name, col in zip(names, table)}
+        *offsets, key_id, executed, combos = table[len(names):]
+
+        # Affine outputs: each skeleton's offset XOR the span of its linear part.
+        msgs1, msgs2, recovered = (
+            np.repeat(off, N) ^ np.stack([_span([c[i] for c in self.linear[k]]) for k in keys])[key_id].ravel()
+            for i, off in enumerate(offsets)
+        )
+        free = lay.split(np.arange(N, dtype=np.int64))
+        sel_id = (table[0] - 1) * lay.L2 + table[1] - 1
+        unsel, wanted = (t[sel_id].ravel() for t in _selection_tables(lay, free[0], free[1]))
+        columns.update(
+            {name: np.tile(code, S) for name, code in zip(_FREE, free)},
+            msgs1=msgs1, msgs2=msgs2, unsel=unsel,
+            ok=np.where(columns["abort"] == 1, 2, recovered == wanted),
+        )
+        codes = np.column_stack([columns[name] for name in VARIABLES])
+
+        # Row probability: 2^(-2n) per executed round, 1 / combos for the
+        # partitions, 1 / (L1 L2) for the selection, 2^-B for the free bits.
+        scale = lay.L1 * lay.L2 * N
+        pairs = list(zip(executed.tolist(), combos.tolist()))
+        if exact:
+            lcm = math.lcm(*(c for _k, c in pairs))
+            denominator = 2 ** (2 * lay.n * lay.K) * lcm * scale
+            weights = np.array(
+                [2 ** (2 * lay.n * (lay.K - k)) * lcm // c for k, c in pairs],
+                dtype=np.int64 if denominator < 2**62 else object,
+            )
+        else:
+            denominator = None
+            weights = np.array([1.0 / (2 ** (2 * lay.n * k) * scale) / c for k, c in pairs])
+
+        decoders = {name: list(ids).__getitem__ for name, ids in interned.items()}
+        decoders.update(
+            z1=int, z2=int, abort=bool,
+            msgs1=functools.partial(self._messages, width=lay.p1),
+            msgs2=functools.partial(self._messages, width=lay.p2),
+            unsel=self._unselected,
+            ok=(False, True, None).__getitem__,
+        )
+        for name, (count, width) in zip(_FREE, lay.fields):
+            decoders[name] = functools.partial(_bitstrings, count=count, width=width)
+        if single:
+            for name in ("x1", "x2", "y", "sets", "msgs1", "msgs2", "leak"):
+                decoders[name] = lambda c, d=decoders[name]: d(c)[0]
+            decoders["unsel"] = lambda c, d=decoders["unsel"]: tuple(u[0] for u in d(c))
+            decoders["u0"] = lambda c, d=decoders["u0"]: (d(c) or (None,))[0]
+        return JointDistribution.from_codes(
+            VARIABLES, codes, np.repeat(weights, N), [decoders[v] for v in VARIABLES], denominator=denominator
+        )
+
+    def _messages(self, code: int, width: int) -> tuple:
+        """Per executed round (m1, m2), or None for the round that aborted."""
+        bits = 2 * width * self.layout.K
+        executed, aborted = divmod(code >> bits, 2)
+        sent = _bitstrings(code & _mask(bits), 2 * (executed - aborted), width)
+        return tuple(zip(sent[::2], sent[1::2])) + ((None,) if aborted else ())
+
+    def _unselected(self, code: int) -> tuple:
+        lay = self.layout
+        unsel1, unsel2 = _unpack(code, [(lay.L1 - 1) * lay.len1, (lay.L2 - 1) * lay.len2])
+        return _bitstrings(unsel1, lay.L1 - 1, lay.len1), _bitstrings(unsel2, lay.L2 - 1, lay.len2)
+
+
+def _xor(a: tuple, b: tuple) -> tuple:
+    return tuple(u ^ v for u, v in zip(a, b))
+
+
+def _span(columns: list[int]) -> np.ndarray:
+    """XOR of ``columns[j]`` over the set bits j of every index in [0, 2^len)."""
+    table = np.zeros(1, dtype=np.int64)
+    for col in columns:
+        table = np.concatenate([table, table ^ col])
+    return table
+
+
+def _selection_tables(lay: _Layout, files1: np.ndarray, files2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per selection (row (z1 - 1) L2 + z2 - 1): the packed unselected and
+    the packed requested files of every assignment."""
+    f1, f2 = _unpack(files1, [lay.len1] * lay.L1), _unpack(files2, [lay.len2] * lay.L2)
+    unsel, wanted = [], []
+    for z1, z2 in itertools.product(range(lay.L1), range(lay.L2)):
+        kept1 = _pack(f1[:z1] + f1[z1 + 1 :], [lay.len1] * (lay.L1 - 1))
+        kept2 = _pack(f2[:z2] + f2[z2 + 1 :], [lay.len2] * (lay.L2 - 1))
+        unsel.append(_pack([kept1, kept2], [0, (lay.L2 - 1) * lay.len2]))
+        wanted.append(_pack([f1[z1], f2[z2]], [0, lay.len2]))
+    return np.stack(unsel), np.stack(wanted)
 
 
 SERVER1_VIEW = ("files1", "masks1", "x1", "sets", "msgs1", "leak")
@@ -426,121 +505,35 @@ def audit(
 ) -> LeakageReport:
     """Compute all six audited quantities on the exact distribution."""
     start = time.perf_counter()
+    required = required_states(params, abort_disabled)
     dist = enumerate_protocol(
-        params,
-        mode,
-        abort_disabled=abort_disabled,
-        mutation=mutation,
-        exact=exact,
-        state_budget=state_budget,
+        params, mode, abort_disabled=abort_disabled, mutation=mutation, exact=exact, state_budget=state_budget
     )
-    state_count = len(dist)
+    enumerated = time.perf_counter()
     work = dist.to_float()
 
-    nonabort_mass = math.fsum(
-        p for k, p in work.table.items() if not k[VARIABLES.index("abort")]
-    )
-    fail_mass = math.fsum(
-        p for k, p in work.table.items() if k[VARIABLES.index("ok")] is False
-    )
+    nonabort_mass = work.probability("abort", False)
+    fail_mass = work.probability("ok", False)
     reliability_error = fail_mass / nonabort_mass if nonabort_mass > 0 else 0.0
 
     if condition_nonabort:
+        if nonabort_mass == 0:
+            raise ConfigurationError("every session aborts: no non-abort event to condition on")
         work = work.condition("abort", False)
         conditioning = "non-abort"
     else:
         conditioning = "unconditioned"
 
-    report = LeakageReport(
-        params=params,
-        mode=mode,
-        conditioning=conditioning,
+    leakages = dict(
         client_privacy_s1=work.mutual_information(SERVER1_VIEW, ("z1", "z2")),
         client_privacy_s2=work.mutual_information(SERVER2_VIEW, ("z1", "z2")),
         server2_vs_server1=work.mutual_information(SERVER1_VIEW, ("files2",)),
         server1_vs_server2=work.mutual_information(SERVER2_VIEW, ("files1",)),
         servers_vs_client=work.mutual_information(CLIENT_VIEW, ("unsel",)),
-        reliability_error=reliability_error,
-        state_count=state_count,
-        wall_time_s=time.perf_counter() - start,
-        mutation=mutation,
     )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# One-time-pad lemma checking
-
-
-@dataclass(frozen=True)
-class OtpLemmaReport:
-    pad_width: int
-    entries: int
-    max_masking_slack: float
-    max_hiding_slack: float
-
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_masking_slack <= tol and self.max_hiding_slack <= tol
-
-    def to_record(self) -> dict:
-        return {
-            "record": "otp-lemma-report",
-            "pad_width": self.pad_width,
-            "entries": self.entries,
-            "max_masking_slack": self.max_masking_slack,
-            "max_hiding_slack": self.max_hiding_slack,
-        }
-
-
-def _mi_pairs(atoms: list[tuple]) -> float:
-    """I(A; B) from equally weighted (a, b) atoms."""
-    w = 1.0 / len(atoms)
-    joint: dict[tuple, float] = {}
-    pa: dict = {}
-    pb: dict = {}
-    for a, b in atoms:
-        joint[(a, b)] = joint.get((a, b), 0.0) + w
-        pa[a] = pa.get(a, 0.0) + w
-        pb[b] = pb.get(b, 0.0) + w
-    return math.fsum(
-        p * math.log2(p / (pa[a] * pb[b])) for (a, b), p in joint.items()
+    end = time.perf_counter()
+    return LeakageReport(
+        params, mode, conditioning, **leakages, reliability_error=reliability_error, state_count=len(dist),
+        required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
+        enumeration_s=enumerated - start, information_s=end - enumerated,
     )
-
-
-def otp_lemma_check(pad_width: int = 1) -> OtpLemmaReport:
-    """Exhaustively verify that a fresh uniform XOR pad adds no information.
-
-    Catalog: a uniform 2-bit seed R, with A and B ranging over all binary
-    functions of R and C over all ``pad_width``-bit functions of R; D is a
-    fresh uniform pad of the same width.  Checks, by exact computation:
-
-    * masking:  I(A; B, C xor D) equals I(A; B), and
-    * hiding:   I(A, C xor D; C) equals 0 whenever I(A; C) = 0.
-    """
-    if not 1 <= pad_width <= 3:
-        raise ValueError("pad_width must be in [1, 3]")
-    seeds = range(4)
-    bin_funcs = list(itertools.product((0, 1), repeat=4))
-    pad_vals = range(2**pad_width)
-    pad_funcs = list(itertools.product(pad_vals, repeat=4))
-
-    entries = 0
-    max_masking = 0.0
-    max_hiding = 0.0
-    for f in bin_funcs:
-        for h in pad_funcs:
-            i_ac = _mi_pairs([(f[r], h[r]) for r in seeds])
-            independent_ac = abs(i_ac) <= 1e-12
-            if independent_ac:
-                slack = abs(
-                    _mi_pairs([((f[r], h[r] ^ d), h[r]) for r in seeds for d in pad_vals])
-                )
-                max_hiding = max(max_hiding, slack)
-            for g in bin_funcs:
-                entries += 1
-                i_ab = _mi_pairs([(f[r], g[r]) for r in seeds])
-                i_a_bcd = _mi_pairs(
-                    [(f[r], (g[r], h[r] ^ d)) for r in seeds for d in pad_vals]
-                )
-                max_masking = max(max_masking, abs(i_a_bcd - i_ab))
-    return OtpLemmaReport(pad_width, entries, max_masking, max_hiding)

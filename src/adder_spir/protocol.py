@@ -42,6 +42,7 @@ __all__ = [
     "partition",
     "sample_partition",
     "partition_choices",
+    "shares_fit",
     "client_partitioner",
     "build_selection_sets",
     "server_mask",
@@ -190,11 +191,16 @@ def partition(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int)
     )
 
 
+def shares_fit(m: int, alpha: float, ell1: int, ell2: int) -> bool:
+    """True iff shares of M = min(|good|, |bad|) = m carry the requested lengths."""
+    return ell1 <= _share_floor(alpha * m) and ell2 <= _share_floor((1.0 - alpha) * m)
+
+
 def _check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> int:
     if set(good) & set(bad):
         raise ValueError("good and bad index sets must be disjoint")
     m = min(len(good), len(bad))
-    if ell1 > _share_floor(alpha * m) or ell2 > _share_floor((1.0 - alpha) * m):
+    if not shares_fit(m, alpha, ell1, ell2):
         raise CapacityShortfall(
             f"requested lengths ({ell1}, {ell2}) exceed shares of M={m} at alpha={alpha}"
         )

@@ -35,7 +35,8 @@ from adder_spir.multifile import (
     run_multifile,
     sample_masks,
 )
-from adder_spir.oracle import audit, otp_lemma_check
+from adder_spir.infotheory import otp_lemma_check
+from adder_spir.oracle import audit
 from adder_spir.protocol import (
     client_partitioner,
     partition,

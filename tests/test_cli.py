@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from adder_spir import cli
 from adder_spir.cli import main
 
 
@@ -78,7 +79,7 @@ def test_sweep(tmp_path):
     assert cell["chebyshev_bound"] == 256 ** (2 * 0.4 - 1) / 4
 
 
-def test_audit_honest_exit_zero(tmp_path):
+def test_audit_honest_exit_zero(tmp_path, capsys):
     out = tmp_path / "audit.jsonl"
     code = main(
         ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0", "--out", str(out)]
@@ -86,6 +87,11 @@ def test_audit_honest_exit_zero(tmp_path):
     assert code == 0
     report = [r for r in _read_records(out) if r["record"] == "leakage-report"][0]
     assert report["reliability_error"] == 0.0
+    assert report["state_count"] == report["required_states"] == 1792
+    assert report["budget"] == 2**28
+    # Phase timings go to stderr only; wall_time_s is the body's one timing.
+    assert "enumerated in" in capsys.readouterr().err
+    assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 
 def test_audit_mutated_exit_one(tmp_path):
@@ -107,6 +113,33 @@ def test_audit_budget_exit_three(tmp_path):
         ]
     )
     assert code == 3
+
+
+def test_audit_budget_counts_partition_choices(tmp_path):
+    code = main(["audit", "--n", "8", "--ell1", "1", "--ell2", "1", "--out", str(tmp_path / "b.jsonl")])
+    assert code == 3
+
+
+def test_audit_conditioning_on_impossible_event_exit_two(tmp_path):
+    # n=1 can never carry a file bit, so every session aborts.
+    code = main(
+        ["audit", "--n", "1", "--ell1", "1", "--ell2", "1", "--condition-nonabort", "--out", str(tmp_path / "c")]
+    )
+    assert code == 2
+
+
+def test_internal_error_exit_four(monkeypatch, capsys):
+    def broken(_args):
+        raise ValueError("invariant violated")
+
+    monkeypatch.setitem(cli._COMMANDS, "capacity", broken)
+    assert main(["capacity"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: invariant violated" in err
+
+
+def test_otp_check_bad_width_exit_two(tmp_path):
+    assert main(["otp-check", "--pad-width", "4", "--out", str(tmp_path / "o")]) == 2
 
 
 def test_config_error_exit_two(tmp_path):

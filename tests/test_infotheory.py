@@ -99,3 +99,22 @@ def test_fraction_mode():
     assert c.table[(0, 0)] == Fraction(1, 2)
     f = d.to_float()
     assert isinstance(next(iter(f.table.values())), float)
+
+
+def test_from_codes_merges_equal_rows():
+    codes = np.array([[0, 1], [0, 1], [1, 0]])
+    d = JointDistribution.from_codes(("a", "b"), codes, np.array([0.25, 0.25, 0.5]), [bool, str])
+    assert len(d) == len(d.table) == 2
+    assert d.table == {(False, "1"): 0.5, (True, "0"): 0.5}
+    assert d.probability("a", True) == 0.5
+
+
+def test_fraction_mode_beyond_int64():
+    # A common denominator above 2**62 keeps exact Python-int numerators.
+    p = Fraction(1, 3**45)
+    d = JointDistribution(("a", "b"), {(0, 0): p, (0, 1): p, (1, 0): 1 - 2 * p})
+    assert d.total_mass() == 1
+    assert d.probability("a", 0) == 2 * p
+    assert d.marginal(("a",)).table == {(0,): 2 * p, (1,): 1 - 2 * p}
+    assert d.condition("a", 0).table == {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+    assert math.isclose(d.mutual_information(("a",), ("b",)), d.to_float().mutual_information(("a",), ("b",)))

@@ -2,15 +2,20 @@ import math
 
 import pytest
 
+from adder_spir.infotheory import otp_lemma_check
 from adder_spir.model import ConfigurationError, ProtocolParams
 from adder_spir.oracle import (
+    DEFAULT_STATE_BUDGET,
     StateBudgetExceeded,
     audit,
     enumerate_protocol,
-    otp_lemma_check,
+    required_states,
 )
 
 _TINY = ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0)
+# Smallest feasible multi-file instance: a three-file chain at server 1,
+# zero-length per-round files at server 2.
+_MULTI = ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0)
 
 
 def test_enumeration_channel_marginal():
@@ -34,6 +39,20 @@ def test_state_budget_guard():
     with pytest.raises(StateBudgetExceeded) as exc:
         enumerate_protocol(_TINY, state_budget=16)
     assert exc.value.required > exc.value.budget == 16
+
+
+def test_required_states_counts_partition_choices():
+    # 4 selections x 16 file assignments x (4,608 aborting channel-input pairs
+    # + 6,881,280 (pair, partition) choices): over the default budget.
+    params = ProtocolParams(n=8, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
+    assert required_states(params) == 440_696_832 > DEFAULT_STATE_BUDGET
+    with pytest.raises(StateBudgetExceeded):
+        enumerate_protocol(params)
+
+
+def test_two_file_mode_needs_two_files_per_server():
+    with pytest.raises(ConfigurationError):
+        enumerate_protocol(_MULTI, "two_file")
 
 
 def test_honest_audit_is_exactly_private():
@@ -74,12 +93,7 @@ def test_unmasked_messages_mutation_detected():
 
 
 def test_multifile_honest_audit():
-    # Smallest feasible multi-file instance: a three-file chain at server 1,
-    # zero-length per-round files at server 2.
-    params = ProtocolParams(
-        n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0
-    )
-    report = audit(params, "multifile")
+    report = audit(_MULTI, "multifile")
     assert report.all_zero(1e-9)
     assert report.reliability_error == 0.0
     assert report.mode == "multifile"
