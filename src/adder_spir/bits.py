@@ -101,9 +101,9 @@ class BitString:
         j = index - 1
         return (self._packed[j // 8] >> (7 - j % 8)) & 1
 
-    def subselect(self, indices: Sequence[int]) -> "BitString":
+    def subselect(self, indices: np.ndarray | Sequence[int]) -> "BitString":
         """Bits at the given 1-based indices, in increasing index order."""
-        idx = np.asarray(sorted(indices), dtype=np.int64)
+        idx = np.sort(np.asarray(indices, dtype=np.int64), kind="stable")
         if idx.size == 0:
             return BitString(b"", 0)
         if idx[0] < 1 or idx[-1] > self._length:

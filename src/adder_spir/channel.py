@@ -15,7 +15,8 @@ from .bits import BitString
 
 __all__ = ["ChannelRound", "transmit", "classify_indices", "ternary_to_string", "string_to_ternary"]
 
-IndexSet = tuple[int, ...]
+# Sorted 1-based positions as an int64 array.
+IndexSet = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,11 @@ def classify_indices(y: np.ndarray | Sequence[int]) -> tuple[IndexSet, IndexSet]
     if arr.size and (arr.min() < 0 or arr.max() > 2):
         raise ValueError("channel outputs must lie in {0, 1, 2}")
     hidden = arr == 1
-    good = tuple(int(i) + 1 for i in np.nonzero(~hidden)[0])
-    bad = tuple(int(i) + 1 for i in np.nonzero(hidden)[0])
-    return good, bad
+    return np.flatnonzero(~hidden) + 1, np.flatnonzero(hidden) + 1
 
 
 def ternary_to_string(y: np.ndarray) -> str:
-    return "".join(str(int(v)) for v in y)
+    return (np.asarray(y, dtype=np.uint8) + 48).tobytes().decode("ascii")
 
 
 def string_to_ternary(s: str) -> np.ndarray:

@@ -140,8 +140,13 @@ def _public_of(t: Transcript) -> tuple:
     if t.aborted:
         return (True, t.abort_reason, None), None, None, t.leaked_selection
     s = t.selection_sets
-    sets = (False, None, (s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2))
+    sets = (False, None, _tuples(s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2))
     return sets, (t.m11, t.m12), (t.m21, t.m22), t.leaked_selection
+
+
+def _tuples(*index_sets) -> tuple:
+    """Index-set arrays as hashable tuples of ints."""
+    return tuple(tuple(s.tolist()) for s in index_sets)
 
 
 def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_disabled: bool):
@@ -156,7 +161,7 @@ def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_d
 
 
 def _part_key(part) -> tuple:
-    return (part.g1, part.g2, part.b1, part.b2)
+    return _tuples(part.g1, part.g2, part.b1, part.b2)
 
 
 def _preset_partitioner(part):

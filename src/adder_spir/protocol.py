@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitString, sample_uniform
-from .channel import ChannelRound, classify_indices, ternary_to_string, transmit
+from .channel import ChannelRound, IndexSet, classify_indices, ternary_to_string, transmit
 from .model import (
     CapacityShortfall,
     ConfigurationError,
@@ -52,8 +52,6 @@ __all__ = [
     "run_session_adaptive",
     "MUTATIONS",
 ]
-
-IndexSet = tuple[int, ...]
 
 # Deliberately broken protocol variants, used to demonstrate that the
 # leakage oracle detects violations.  All tamper with server 1 / z1.
@@ -145,8 +143,8 @@ class Transcript:
         if not self.aborted:
             sets = self.selection_sets
             rec["sets"] = {
-                "server1": [list(sets.s1_for_server1), list(sets.s2_for_server1)],
-                "server2": [list(sets.s1_for_server2), list(sets.s2_for_server2)],
+                "server1": [sets.s1_for_server1.tolist(), sets.s2_for_server1.tolist()],
+                "server2": [sets.s1_for_server2.tolist(), sets.s2_for_server2.tolist()],
             }
             rec["messages"] = {
                 "m11": self.m11.to_hex(),
@@ -169,6 +167,11 @@ def abort_check(g_size: int, n: int, t: float) -> bool:
     return abs(g_size / n - 0.5) <= n ** (-t)
 
 
+def _index_set(indices) -> IndexSet:
+    """Any sequence of positions as a sorted int64 array."""
+    return np.sort(np.asarray(indices, dtype=np.int64), kind="stable")
+
+
 def partition(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> IndexPartition:
     """Carve per-server shares out of the decodable and hidden sets.
 
@@ -177,9 +180,8 @@ def partition(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int)
     block cannot carry the requested lengths (the session driver treats
     that as an abort).
     """
+    good, bad = _index_set(good), _index_set(bad)
     m = _check_shares(good, bad, alpha, ell1, ell2)
-    good = tuple(sorted(good))
-    bad = tuple(sorted(bad))
     return IndexPartition(
         good=good,
         bad=bad,
@@ -197,9 +199,14 @@ def shares_fit(m: int, alpha: float, ell1: int, ell2: int) -> bool:
 
 
 def _check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> int:
-    if set(good) & set(bad):
-        raise ValueError("good and bad index sets must be disjoint")
-    m = min(len(good), len(bad))
+    """M = min(|good|, |bad|) of two sorted sets, once they are disjoint and carry the lengths."""
+    if good.size and bad.size:
+        lo = min(good[0], bad[0])
+        seen = np.zeros(max(good[-1], bad[-1]) - lo + 1, dtype=bool)
+        seen[good - lo] = True
+        if seen[bad - lo].any():
+            raise ValueError("good and bad index sets must be disjoint")
+    m = min(good.size, bad.size)
     if not shares_fit(m, alpha, ell1, ell2):
         raise CapacityShortfall(
             f"requested lengths ({ell1}, {ell2}) exceed shares of M={m} at alpha={alpha}"
@@ -208,12 +215,7 @@ def _check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: 
 
 
 def sample_partition(
-    good: IndexSet,
-    bad: IndexSet,
-    alpha: float,
-    ell1: int,
-    ell2: int,
-    stream: np.random.Generator,
+    good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int, stream: np.random.Generator
 ) -> IndexPartition:
     """Draw the shares uniformly at random with the client's local randomness.
 
@@ -223,18 +225,17 @@ def sample_partition(
     deterministic :func:`partition` remains available for worked examples
     and sizing checks only.
     """
+    good, bad = _index_set(good), _index_set(bad)
     m = _check_shares(good, bad, alpha, ell1, ell2)
-    good = tuple(sorted(good))
-    bad = tuple(sorted(bad))
-    pg = stream.permutation(len(good))
-    pb = stream.permutation(len(bad))
+    pg = stream.permutation(good.size)
+    pb = stream.permutation(bad.size)
     return IndexPartition(
         good=good,
         bad=bad,
-        g1=tuple(sorted(good[i] for i in pg[:ell1])),
-        g2=tuple(sorted(good[i] for i in pg[ell1 : ell1 + ell2])),
-        b1=tuple(sorted(bad[i] for i in pb[:ell1])),
-        b2=tuple(sorted(bad[i] for i in pb[ell1 : ell1 + ell2])),
+        g1=np.sort(good[pg[:ell1]]),
+        g2=np.sort(good[pg[ell1 : ell1 + ell2]]),
+        b1=np.sort(bad[pb[:ell1]]),
+        b2=np.sort(bad[pb[ell1 : ell1 + ell2]]),
         m=m,
     )
 
@@ -244,18 +245,18 @@ def partition_choices(
 ) -> list[IndexPartition]:
     """All equally likely partitions, for exhaustive averaging over the
     client's share randomness."""
+    good, bad = _index_set(good), _index_set(bad)
     m = _check_shares(good, bad, alpha, ell1, ell2)
-    good = tuple(sorted(good))
-    bad = tuple(sorted(bad))
-    out = []
-    for g1 in itertools.combinations(good, ell1):
-        rest_g = [i for i in good if i not in g1]
-        for g2 in itertools.combinations(rest_g, ell2):
-            for b1 in itertools.combinations(bad, ell1):
-                rest_b = [i for i in bad if i not in b1]
-                for b2 in itertools.combinations(rest_b, ell2):
-                    out.append(IndexPartition(good, bad, g1, g2, b1, b2, m))
-    return out
+
+    def shares(indices: IndexSet) -> list[tuple[IndexSet, IndexSet]]:
+        pool = indices.tolist()
+        return [
+            (np.array(first, dtype=np.int64), np.array(second, dtype=np.int64))
+            for first in itertools.combinations(pool, ell1)
+            for second in itertools.combinations([i for i in pool if i not in first], ell2)
+        ]
+
+    return [IndexPartition(good, bad, g1, g2, b1, b2, m) for g1, g2 in shares(good) for b1, b2 in shares(bad)]
 
 
 def build_selection_sets(z1: int, z2: int, part: IndexPartition) -> SelectionSets:
@@ -429,8 +430,8 @@ def run_session_adaptive(
     params.validate()
     x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, 1)))
     x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
-    good, _bad = classify_indices(transmit(x1, x2).y)
-    m = min(len(good), params.n - len(good))
+    g = np.count_nonzero(transmit(x1, x2).y != 1)
+    m = min(g, params.n - g)
     ell1 = _share_floor(params.alpha * m)
     ell2 = _share_floor((1.0 - params.alpha) * m)
     sized = ProtocolParams(

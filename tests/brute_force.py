@@ -1,9 +1,12 @@
-"""Brute-force reference for the exact leakage oracle.
+"""Brute-force references for the exact leakage oracle and the index sets.
 
-These enumerators replay the full protocol once for every channel input,
+The enumerators replay the full protocol once for every channel input,
 partition, file, mask and selection assignment and key a dict by the
-resulting value tuples.  They are slow, and kept only so that tests can
-compare the vectorized oracle in ``adder_spir.oracle`` against them.
+resulting value tuples.  ``tuple_classify_indices`` and
+``tuple_sample_partition`` build index sets as tuples of Python ints, the
+way the package did before its index sets became int64 arrays.  All of
+them are slow, and kept only so that tests can compare the package
+against them.
 """
 
 from __future__ import annotations
@@ -11,13 +14,68 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from adder_spir.bits import BitString
 from adder_spir.channel import classify_indices, transmit
 from adder_spir.infotheory import JointDistribution
 from adder_spir.model import CapacityShortfall, FileStore, ProtocolParams, Selection
 from adder_spir.multifile import execute_multifile
 from adder_spir.oracle import VARIABLES, _part_key, _preset_partitioner, _public_of
-from adder_spir.protocol import abort_check, execute_session, partition_choices
+from adder_spir.protocol import IndexPartition, abort_check, execute_session, partition_choices, shares_fit
+
+IndexSet = tuple[int, ...]
+
+
+def tuple_classify_indices(y) -> tuple[IndexSet, IndexSet]:
+    """Split positions (1-based) into decodable and hidden sets.
+
+    An output of 0 or 2 pins both inputs (0 means both sent 0, 2 means both
+    sent 1); an output of 1 leaves the input pair ambiguous.
+    """
+    arr = np.asarray(y, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() > 2):
+        raise ValueError("channel outputs must lie in {0, 1, 2}")
+    hidden = arr == 1
+    good = tuple(int(i) + 1 for i in np.nonzero(~hidden)[0])
+    bad = tuple(int(i) + 1 for i in np.nonzero(hidden)[0])
+    return good, bad
+
+
+def _tuple_check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> int:
+    if set(good) & set(bad):
+        raise ValueError("good and bad index sets must be disjoint")
+    m = min(len(good), len(bad))
+    if not shares_fit(m, alpha, ell1, ell2):
+        raise CapacityShortfall(
+            f"requested lengths ({ell1}, {ell2}) exceed shares of M={m} at alpha={alpha}"
+        )
+    return m
+
+
+def tuple_sample_partition(
+    good: IndexSet,
+    bad: IndexSet,
+    alpha: float,
+    ell1: int,
+    ell2: int,
+    stream: np.random.Generator,
+) -> IndexPartition:
+    """Draw the shares uniformly at random with the client's local randomness."""
+    m = _tuple_check_shares(good, bad, alpha, ell1, ell2)
+    good = tuple(sorted(good))
+    bad = tuple(sorted(bad))
+    pg = stream.permutation(len(good))
+    pb = stream.permutation(len(bad))
+    return IndexPartition(
+        good=good,
+        bad=bad,
+        g1=tuple(sorted(good[i] for i in pg[:ell1])),
+        g2=tuple(sorted(good[i] for i in pg[ell1 : ell1 + ell2])),
+        b1=tuple(sorted(bad[i] for i in pb[:ell1])),
+        b2=tuple(sorted(bad[i] for i in pb[ell1 : ell1 + ell2])),
+        m=m,
+    )
 
 
 def reference_enumeration(params, mode="two_file", *, abort_disabled=False, mutation=None, exact=False):

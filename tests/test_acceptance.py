@@ -158,12 +158,12 @@ def test_criterion_02_worked_partition_example():
     part = partition(good, bad, 1 / 3, 2, 4)
     elapsed = time.perf_counter() - start
     assert part.m == 6
-    assert good == (2, 3, 4, 6, 7, 10)
-    assert bad == (1, 5, 8, 9, 11, 12)
-    assert part.g1 == (2, 3)
-    assert part.g2 == (4, 6, 7, 10)
-    assert part.b1 == (1, 5)
-    assert part.b2 == (8, 9, 11, 12)
+    assert tuple(good) == (2, 3, 4, 6, 7, 10)
+    assert tuple(bad) == (1, 5, 8, 9, 11, 12)
+    assert tuple(part.g1) == (2, 3)
+    assert tuple(part.g2) == (4, 6, 7, 10)
+    assert tuple(part.b1) == (1, 5)
+    assert tuple(part.b2) == (8, 9, 11, 12)
     assert elapsed < 1e-3
 
 

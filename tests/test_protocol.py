@@ -64,12 +64,12 @@ def test_partition_worked_example():
     good, bad = classify_indices(string_to_ternary("102012011211"))
     part = partition(good, bad, 1 / 3, 2, 4)
     assert part.m == 6
-    assert part.good == (2, 3, 4, 6, 7, 10)
-    assert part.bad == (1, 5, 8, 9, 11, 12)
-    assert part.g1 == (2, 3)
-    assert part.g2 == (4, 6, 7, 10)
-    assert part.b1 == (1, 5)
-    assert part.b2 == (8, 9, 11, 12)
+    assert tuple(part.good) == (2, 3, 4, 6, 7, 10)
+    assert tuple(part.bad) == (1, 5, 8, 9, 11, 12)
+    assert tuple(part.g1) == (2, 3)
+    assert tuple(part.g2) == (4, 6, 7, 10)
+    assert tuple(part.b1) == (1, 5)
+    assert tuple(part.b2) == (8, 9, 11, 12)
 
 
 def test_partition_share_floor_is_robust():
@@ -100,8 +100,8 @@ def test_sample_partition_shape():
         assert len(part.b1) == 3 and len(part.b2) == 4
         assert set(part.g1).isdisjoint(part.g2)
         assert set(part.b1).isdisjoint(part.b2)
-        assert set(part.g1 + part.g2) <= set(good)
-        assert set(part.b1 + part.b2) <= set(bad)
+        assert set(np.concatenate([part.g1, part.g2])) <= set(good)
+        assert set(np.concatenate([part.b1, part.b2])) <= set(bad)
 
 
 def test_partition_choices_count():
@@ -110,7 +110,7 @@ def test_partition_choices_count():
     choices = partition_choices(good, bad, 0.5, 1, 1)
     # C(3,1)*C(2,1) per side.
     assert len(choices) == 6 * 6
-    assert len(set((p.g1, p.g2, p.b1, p.b2) for p in choices)) == 36
+    assert len(set((tuple(p.g1), tuple(p.g2), tuple(p.b1), tuple(p.b2)) for p in choices)) == 36
 
 
 def test_client_partitioner_reproducible():
@@ -118,7 +118,9 @@ def test_client_partitioner_reproducible():
     bad = tuple(range(7, 13))
     a = client_partitioner(99, 1)(good, bad, 0.5, 2, 2)
     b = client_partitioner(99, 1)(good, bad, 0.5, 2, 2)
-    assert a == b
+    fields = ("good", "bad", "g1", "g2", "b1", "b2")
+    assert [getattr(a, f).tolist() for f in fields] == [getattr(b, f).tolist() for f in fields]
+    assert a.m == b.m
 
 
 # ---------------------------------------------------------------------------
