@@ -236,8 +236,10 @@ def _sweep_cell(args: tuple) -> dict:
     failures = 0
     r1s: list[float] = []
     r2s: list[float] = []
+    # Keyed by n and alpha's exact bits, so no two cells share streams.
+    cell = np.random.SeedSequence(master_seed, spawn_key=(n, int(np.float64(alpha).view(np.uint64))))
     for trial in range(1, trials + 1):
-        rnd = trial_seeds((master_seed << 20) ^ (n * 1013 + int(alpha * 1000)), trial)
+        rnd = trial_seeds(cell, trial)
         client = party_stream(rnd.client_seed, ())
         sel = Selection(int(client.integers(1, 3)), int(client.integers(1, 3)))
         transcript, sized = run_session_adaptive(params, sel, rnd)

@@ -137,7 +137,14 @@ def sample_filestore(server_id: int, count: int, length: int, seed: int) -> File
     return FileStore(server_id, tuple(sample_uniform(length, stream) for _ in range(count)))
 
 
-def trial_seeds(master_seed: int, trial: int) -> PartyRandomness:
-    """Per-trial party seeds derived from a master seed by trial index."""
-    state = np.random.SeedSequence(master_seed, spawn_key=(trial,)).generate_state(3, np.uint64)
+def trial_seeds(master_seed: int | np.random.SeedSequence, trial: int) -> PartyRandomness:
+    """Per-trial party seeds derived from a master seed by trial index.
+
+    A ``SeedSequence`` master (a sweep cell's) gets the trial index appended
+    to its spawn key.
+    """
+    if not isinstance(master_seed, np.random.SeedSequence):
+        master_seed = np.random.SeedSequence(master_seed)
+    key = (*master_seed.spawn_key, trial)
+    state = np.random.SeedSequence(master_seed.entropy, spawn_key=key).generate_state(3, np.uint64)
     return PartyRandomness(int(state[0]), int(state[1]), int(state[2]))

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from adder_spir import cli
 from adder_spir.cli import main
+from adder_spir.model import PartyRandomness
 
 
 def _read_records(path):
@@ -77,6 +79,42 @@ def test_sweep(tmp_path):
     cell = cells[0]
     assert cell["failures"] == 0
     assert cell["chebyshev_bound"] == 256 ** (2 * 0.4 - 1) / 4
+
+
+class _Captured(Exception):
+    pass
+
+
+def _cell_randomness(monkeypatch, master_seed, n, alpha):
+    """Party seeds of trial 1 of one sweep cell."""
+
+    def capture(_params, _sel, rnd):
+        raise _Captured(rnd)
+
+    monkeypatch.setattr(cli, "run_session_adaptive", capture)
+    with pytest.raises(_Captured) as info:
+        cli._sweep_cell((n, alpha, 0.4, master_seed, 1))
+    return info.value.args[0]
+
+
+def test_sweep_cell_seeds_do_not_collide(monkeypatch):
+    # Alphas that agree to three decimals.
+    assert _cell_randomness(monkeypatch, 0, 1024, 0.5) != _cell_randomness(monkeypatch, 0, 1024, 0.5004)
+    # n * 1013 reaching into the master-seed bits: 1 << 20 ^ (1013 + 500) == 1036 * 1013 + 621.
+    assert _cell_randomness(monkeypatch, 1, 1, 0.5) != _cell_randomness(monkeypatch, 0, 1036, 0.621)
+
+
+def test_sweep_cell_seed_derivation(monkeypatch):
+    alpha_bits = int(np.float64(0.3).view(np.uint64))
+    state = np.random.SeedSequence(7, spawn_key=(256, alpha_bits, 1)).generate_state(3, np.uint64)
+    assert _cell_randomness(monkeypatch, 7, 256, 0.3) == PartyRandomness(*map(int, state))
+
+
+def test_sweep_cell_independent_of_other_cells(tmp_path):
+    args = ["sweep", "--alpha", "0.5", "--trials", "3", "--seed", "2"]
+    assert main([*args, "--n", "256", "--out", str(tmp_path / "a")]) == 0
+    assert main([*args, "--n", "64,256", "--out", str(tmp_path / "b")]) == 0
+    assert _read_records(tmp_path / "a")[1] == _read_records(tmp_path / "b")[2]
 
 
 def test_audit_honest_exit_zero(tmp_path, capsys):

@@ -39,7 +39,7 @@ CASES = {
     "sweep": (
         ("sweep", "--n", "256,1024", "--alpha", "0.5,0.3", "--trials", "20", "--seed", "4"),
         0,
-        "b7c767b5311012639e18aa500102e6d382daf5b38ffecd657c91239050417e9b",
+        "d1a37e2805e23e45e798dbeda9a267f2a178f557eb528f482a0da172d4a66da8",
     ),
     "audit-honest": (_AUDIT_N3, 0, "5c4f610882a7408a5d30942b23c2dc2c5c65e231ba0ad41827762df3b498f52e"),
     "audit-reuse-pad": ((*_AUDIT_N3, "--mutate", "reuse-pad"), 1, "a7d299194cfdb7dddcf309676b815bed20459afbfaf7f1d7879498a4b6d2a38d"),
