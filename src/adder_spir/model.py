@@ -14,7 +14,6 @@ alone.  Spawn-key conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -138,13 +137,7 @@ def sample_filestore(server_id: int, count: int, length: int, seed: int) -> File
 
 
 def trial_seeds(master_seed: int | np.random.SeedSequence, trial: int) -> PartyRandomness:
-    """Per-trial party seeds derived from a master seed by trial index.
-
-    A ``SeedSequence`` master (a sweep cell's) gets the trial index appended
-    to its spawn key.
-    """
-    if not isinstance(master_seed, np.random.SeedSequence):
-        master_seed = np.random.SeedSequence(master_seed)
-    key = (*master_seed.spawn_key, trial)
-    state = np.random.SeedSequence(master_seed.entropy, spawn_key=key).generate_state(3, np.uint64)
+    """Per-trial party seeds: the trial index appended to the master's spawn key."""
+    seq = master_seed if isinstance(master_seed, np.random.SeedSequence) else np.random.SeedSequence(master_seed)
+    state = np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, trial)).generate_state(3, np.uint64)
     return PartyRandomness(int(state[0]), int(state[1]), int(state[2]))

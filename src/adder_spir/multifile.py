@@ -34,7 +34,6 @@ from .model import (
 from .protocol import Transcript, client_partitioner, execute_session
 
 __all__ = [
-    "FileSplit",
     "MultifileTranscript",
     "build_chain",
     "round_selection",
@@ -48,18 +47,6 @@ __all__ = [
 
 Symbol = tuple[str, int, int]  # ("file" | "mask", chain index, part index)
 SymbolSet = frozenset[Symbol]
-
-
-@dataclass(frozen=True)
-class FileSplit:
-    """A file cut into equal-length parts whose concatenation restores it."""
-
-    original_length: int
-    parts: tuple[BitString, ...]
-
-    @property
-    def part_count(self) -> int:
-        return len(self.parts)
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,8 @@ def reconstruct(Z: int, L: int, chosen: Sequence[BitString]) -> BitString:
     return acc
 
 
-def _split_stores(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tuple[list[FileSplit], list[FileSplit], int, int]:
+def _split_stores(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tuple[list, list, int, int]:
+    """Per file its tuple of equal parts (L2 - 1 at server 1, L1 - 1 at server 2), and the part lengths."""
     if files1.file_count != L1 or files2.file_count != L2:
         raise ConfigurationError("file store sizes must match (L1, L2)")
     if files1.file_length % (L2 - 1):
@@ -176,8 +164,8 @@ def _split_stores(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tup
         raise ConfigurationError(
             f"server-2 file length {files2.file_length} not divisible by {L1 - 1}"
         )
-    splits1 = [FileSplit(files1.file_length, tuple(f.split(L2 - 1))) for f in files1.files]
-    splits2 = [FileSplit(files2.file_length, tuple(f.split(L1 - 1))) for f in files2.files]
+    splits1 = [tuple(f.split(L2 - 1)) for f in files1.files]
+    splits2 = [tuple(f.split(L1 - 1)) for f in files2.files]
     return splits1, splits2, files1.file_length // (L2 - 1), files2.file_length // (L1 - 1)
 
 
@@ -223,11 +211,11 @@ def execute_multifile(
         )
 
     chains1 = [
-        build_chain([splits1[l].parts[i] for l in range(L1)], masks1[i])
+        build_chain([splits1[l][i] for l in range(L1)], masks1[i])
         for i in range(L2 - 1)
     ]
     chains2 = [
-        build_chain([splits2[l].parts[j] for l in range(L2)], masks2[j])
+        build_chain([splits2[l][j] for l in range(L2)], masks2[j])
         for j in range(L1 - 1)
     ]
     z1_rounds = round_selection(sel.z1, L1)

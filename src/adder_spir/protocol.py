@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitString, sample_uniform
-from .channel import ChannelRound, IndexSet, classify_indices, ternary_to_string, transmit
+from .channel import IndexSet, classify_indices, ternary_to_string, transmit
 from .model import (
     CapacityShortfall,
     ConfigurationError,
