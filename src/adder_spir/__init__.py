@@ -7,6 +7,8 @@ its information leakage exactly on tiny instances, and numerically verifies
 the rate-region characterization.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bits import BitString, sample_uniform
 from .capacity import (
     MonotoneCertificate,
@@ -66,57 +68,6 @@ from .protocol import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitString",
-    "sample_uniform",
-    "ChannelRound",
-    "classify_indices",
-    "transmit",
-    "JointDistribution",
-    "CapacityShortfall",
-    "ConfigurationError",
-    "FileStore",
-    "PartyRandomness",
-    "ProtocolParams",
-    "Selection",
-    "party_stream",
-    "sample_filestore",
-    "trial_seeds",
-    "IndexPartition",
-    "SelectionSets",
-    "Transcript",
-    "MUTATIONS",
-    "abort_check",
-    "partition",
-    "build_selection_sets",
-    "server_mask",
-    "client_recover",
-    "execute_session",
-    "run_session",
-    "run_session_adaptive",
-    "MultifileTranscript",
-    "build_chain",
-    "round_selection",
-    "flatten_rounds",
-    "reconstruct",
-    "request_schedule",
-    "execute_multifile",
-    "run_multifile",
-    "LeakageReport",
-    "OtpLemmaReport",
-    "StateBudgetExceeded",
-    "audit",
-    "enumerate_protocol",
-    "otp_lemma_check",
-    "MonotoneCertificate",
-    "RateReport",
-    "achieved_rates",
-    "brute_conditional_entropy",
-    "conditional_entropy_f",
-    "diagonal_slice",
-    "f_gradient",
-    "maximize_f",
-    "region_check",
-    "verify_g_monotone",
-    "__version__",
-]
+# The imports above are the list of public names.
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

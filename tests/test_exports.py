@@ -1,0 +1,27 @@
+import adder_spir
+
+PUBLIC_NAMES = [
+    "BitString", "CapacityShortfall", "ChannelRound", "ConfigurationError", "FileStore",
+    "IndexPartition", "JointDistribution", "LeakageReport", "MUTATIONS", "MonotoneCertificate",
+    "MultifileTranscript", "OtpLemmaReport", "PartyRandomness", "ProtocolParams", "RateReport",
+    "Selection", "SelectionSets", "StateBudgetExceeded", "Transcript", "__version__",
+    "abort_check", "achieved_rates", "audit", "brute_conditional_entropy", "build_chain",
+    "build_selection_sets", "classify_indices", "client_recover", "conditional_entropy_f",
+    "diagonal_slice", "enumerate_protocol", "execute_multifile", "execute_session", "f_gradient",
+    "flatten_rounds", "maximize_f", "otp_lemma_check", "partition", "party_stream", "reconstruct",
+    "region_check", "request_schedule", "round_selection", "run_multifile", "run_session",
+    "run_session_adaptive", "sample_filestore", "sample_uniform", "server_mask", "transmit",
+    "trial_seeds", "verify_g_monotone",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(adder_spir.__all__) == PUBLIC_NAMES
+    assert len(set(adder_spir.__all__)) == len(adder_spir.__all__)
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from adder_spir import *", namespace)
+    for name in PUBLIC_NAMES:
+        assert getattr(adder_spir, name) is namespace[name]
