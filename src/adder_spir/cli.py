@@ -62,6 +62,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",") if part]
 
@@ -82,7 +89,7 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="master seed; trials split deterministically")
+    p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed; trials split deterministically")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--workers", type=_positive_int, default=None)
 
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="exhaustive leakage audit of a tiny instance")
     _add_param_flags(p_audit)
-    p_audit.add_argument("--seed", type=int, default=0)
+    p_audit.add_argument("--seed", type=_nonnegative_int, default=0)
     p_audit.add_argument("--out", default="-")
     p_audit.add_argument("--no-abort", action="store_true")
     p_audit.add_argument("--condition-nonabort", action="store_true")

@@ -211,3 +211,21 @@ def test_otp_check_command(tmp_path):
     assert main(["otp-check", "--pad-width", "1", "--out", str(out)]) == 0
     report = [r for r in _read_records(out) if r["record"] == "otp-lemma-report"][0]
     assert report["max_masking_slack"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "64", "--ell1", "2", "--ell2", "2", "--seed", "-1"],
+        ["sweep", "--n", "64", "--seed", "-1"],
+        ["audit", "--n", "2", "--ell1", "1", "--ell2", "1", "--seed", "-3"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--seed" in errors[0] and argv[-1] in errors[0]
+    assert "Traceback" not in err and "internal error" not in err
