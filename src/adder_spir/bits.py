@@ -113,7 +113,8 @@ class BitString:
 
     def subselect(self, indices: np.ndarray | Sequence[int]) -> "BitString":
         """Bits at the given 1-based indices, in increasing index order."""
-        idx = np.sort(np.asarray(indices, dtype=np.int64), kind="stable")
+        idx = np.array(indices, dtype=np.int64)
+        idx.sort(kind="stable")  # linear on the already sorted sets the protocol passes
         if idx.size == 0:
             return BitString._of(0, 0)
         if idx[0] < 1 or idx[-1] > self._length:

@@ -48,7 +48,7 @@ def classify_indices(y: np.ndarray | Sequence[int]) -> tuple[IndexSet, IndexSet]
     if arr.size and (arr.min() < 0 or arr.max() > 2):
         raise ValueError("channel outputs must lie in {0, 1, 2}")
     hidden = arr == 1
-    return np.flatnonzero(~hidden) + 1, np.flatnonzero(hidden) + 1
+    return (~hidden).nonzero()[0] + 1, hidden.nonzero()[0] + 1
 
 
 def ternary_to_string(y: np.ndarray) -> str:

@@ -19,6 +19,7 @@ so that each round consumes one pair from each server.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -99,8 +100,7 @@ def build_chain(entries: Sequence[BitString], masks: Sequence[BitString]) -> tup
         raise ValueError("a chain needs at least two values")
     if len(masks) != L - 2:
         raise ValueError(f"expected {L - 2} masks for {L} values, got {len(masks)}")
-    lengths = {len(v) for v in entries} | {len(s) for s in masks}
-    if len(lengths) != 1:
+    if len({len(v) for v in (*entries, *masks)}) != 1:
         raise ValueError("all chain values and masks must have equal length")
     if L == 2:
         return ((entries[0], entries[1]),)
@@ -111,6 +111,7 @@ def build_chain(entries: Sequence[BitString], masks: Sequence[BitString]) -> tup
     return tuple(pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def round_selection(Z: int, L: int) -> tuple[int, ...]:
     """Per-round branch choices: branch 2 strictly before the target, else 1."""
     if not 1 <= Z <= L:
@@ -118,6 +119,7 @@ def round_selection(Z: int, L: int) -> tuple[int, ...]:
     return tuple(2 if t < Z else 1 for t in range(1, L))
 
 
+@functools.lru_cache(maxsize=None)
 def flatten_rounds(L1: int, L2: int) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
     """Canonical pairing of server-1 (t, i) with server-2 (t', j) per round."""
     if L1 < 2 or L2 < 2:
@@ -152,8 +154,8 @@ def reconstruct(Z: int, L: int, chosen: Sequence[BitString]) -> BitString:
     return acc
 
 
-def _split_stores(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tuple[list, list, int, int]:
-    """Per file its tuple of equal parts (L2 - 1 at server 1, L1 - 1 at server 2), and the part lengths."""
+def _part_lengths(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tuple[int, int]:
+    """Lengths of the equal parts each file splits into (L2 - 1 at server 1, L1 - 1 at server 2)."""
     if files1.file_count != L1 or files2.file_count != L2:
         raise ConfigurationError("file store sizes must match (L1, L2)")
     if files1.file_length % (L2 - 1):
@@ -164,9 +166,7 @@ def _split_stores(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tup
         raise ConfigurationError(
             f"server-2 file length {files2.file_length} not divisible by {L1 - 1}"
         )
-    splits1 = [tuple(f.split(L2 - 1)) for f in files1.files]
-    splits2 = [tuple(f.split(L1 - 1)) for f in files2.files]
-    return splits1, splits2, files1.file_length // (L2 - 1), files2.file_length // (L1 - 1)
+    return files1.file_length // (L2 - 1), files2.file_length // (L1 - 1)
 
 
 def sample_masks(L_own: int, n_parts: int, length: int, seed: int) -> tuple[tuple[BitString, ...], ...]:
@@ -204,49 +204,43 @@ def execute_multifile(
     params.validate()
     L1, L2 = params.L1, params.L2
     sel.validate(L1, L2)
-    splits1, splits2, p1, p2 = _split_stores(files1, files2, L1, L2)
+    p1, p2 = _part_lengths(files1, files2, L1, L2)
     if p1 != params.ell1 or p2 != params.ell2:
         raise ConfigurationError(
             f"per-round lengths ({p1}, {p2}) disagree with params ({params.ell1}, {params.ell2})"
         )
 
-    chains1 = [
-        build_chain([splits1[l][i] for l in range(L1)], masks1[i])
-        for i in range(L2 - 1)
-    ]
-    chains2 = [
-        build_chain([splits2[l][j] for l in range(L2)], masks2[j])
-        for j in range(L1 - 1)
-    ]
+    splits1 = [f.split(L2 - 1) for f in files1.files]
+    splits2 = [f.split(L1 - 1) for f in files2.files]
+    chains1 = [build_chain([parts[i] for parts in splits1], masks1[i]) for i in range(L2 - 1)]
+    chains2 = [build_chain([parts[j] for parts in splits2], masks2[j]) for j in range(L1 - 1)]
     z1_rounds = round_selection(sel.z1, L1)
     z2_rounds = round_selection(sel.z2, L2)
     pairing = flatten_rounds(L1, L2)
     if len(x_rounds) != len(pairing):
         raise ConfigurationError(f"expected channel inputs for {len(pairing)} rounds")
 
-    base_params = ProtocolParams(
+    # Every round is a two-file session at the per-round lengths, which
+    # with two files per server are the params themselves.
+    base_params = params if (L1, L2) == (2, 2) else ProtocolParams(
         n=params.n, t_exponent=params.t_exponent, alpha=params.alpha, ell1=p1, ell2=p2
     )
+    session_kwargs = {"abort_disabled": abort_disabled, "mutation": mutation}
     transcripts: list[Transcript] = []
     selections: list[tuple[int, int]] = []
     chosen1: dict[tuple[int, int], BitString] = {}
     chosen2: dict[tuple[int, int], BitString] = {}
-    for k, ((t1, i), (t2, j)) in enumerate(pairing, start=1):
-        pair1 = chains1[i - 1][t1 - 1]
-        pair2 = chains2[j - 1][t2 - 1]
-        round_sel = Selection(z1_rounds[t1 - 1], z2_rounds[t2 - 1])
-        selections.append((round_sel.z1, round_sel.z2))
-        x1, x2 = x_rounds[k - 1]
-        session_kwargs = {"abort_disabled": abort_disabled, "mutation": mutation}
+    for k, ((t1, i), (t2, j)) in enumerate(pairing):
+        round_sel = (z1_rounds[t1 - 1], z2_rounds[t2 - 1])
+        selections.append(round_sel)
         if partitioners is not None:
-            session_kwargs["partitioner"] = partitioners[k - 1]
+            session_kwargs["partitioner"] = partitioners[k]
         transcript = execute_session(
             base_params,
-            FileStore(1, pair1),
-            FileStore(2, pair2),
-            round_sel,
-            x1,
-            x2,
+            FileStore(1, chains1[i - 1][t1 - 1]),
+            FileStore(2, chains2[j - 1][t2 - 1]),
+            Selection(*round_sel),
+            *x_rounds[k],
             **session_kwargs,
         )
         transcripts.append(transcript)
@@ -295,7 +289,7 @@ def run_multifile(
     """
     params.validate()
     L1, L2 = params.L1, params.L2
-    _s1, _s2, p1, p2 = _split_stores(files1, files2, L1, L2)
+    p1, p2 = _part_lengths(files1, files2, L1, L2)
     K = (L1 - 1) * (L2 - 1)
     masks1 = sample_masks(L1, L2 - 1, p1, rnd.server1_seed)
     masks2 = sample_masks(L2, L1 - 1, p2, rnd.server2_seed)

@@ -284,11 +284,10 @@ def client_recover(z: int, y: np.ndarray, s_z: IndexSet, m_z: BitString) -> BitS
     At a decodable position the sum determines both inputs, so each server's
     input there is simply half the sum.
     """
-    idx = np.asarray(s_z, dtype=np.int64) - 1
-    vals = np.asarray(y, dtype=np.uint8)[idx]
-    if np.any(vals == 1):
+    vals = np.asarray(y, dtype=np.uint8)[np.asarray(s_z, dtype=np.int64) - 1]
+    if np.count_nonzero(vals == 1):
         raise RuntimeError("hidden position inside a decodable selection set")
-    return BitString.from_array(vals // 2) ^ m_z
+    return BitString.from_array(vals >> 1) ^ m_z
 
 
 def _aborted(params: ProtocolParams, y: np.ndarray, reason: str) -> Transcript:
@@ -338,17 +337,17 @@ def execute_session(
         return _aborted(params, round_.y, "capacity-shortfall")
 
     sets = build_selection_sets(sel.z1, sel.z2, part)
+    s1_sets, s2_sets = sets.for_server(1), sets.for_server(2)
+    (f11, f12), (f21, f22) = files1.files, files2.files
 
-    m11, m12 = server_mask(x1, sets.for_server(1), files1.file(1), files1.file(2))
-    m21, m22 = server_mask(x2, sets.for_server(2), files2.file(1), files2.file(2))
+    m11, m12 = server_mask(x1, s1_sets, f11, f12)
+    m21, m22 = server_mask(x2, s2_sets, f21, f22)
     if mutation == "reuse-pad":
         # Server 1 pads its second message with the inputs of the first set.
-        m12 = x1.subselect(sets.s1_for_server1) ^ files1.file(2)
+        m12 = x1.subselect(sets.s1_for_server1) ^ f12
     elif mutation == "unmasked-messages":
-        m11, m12 = files1.file(1), files1.file(2)
+        m11, m12 = f11, f12
 
-    s1_sets = sets.for_server(1)
-    s2_sets = sets.for_server(2)
     rec1 = client_recover(sel.z1, round_.y, s1_sets[sel.z1 - 1], (m11, m12)[sel.z1 - 1])
     rec2 = client_recover(sel.z2, round_.y, s2_sets[sel.z2 - 1], (m21, m22)[sel.z2 - 1])
 
@@ -363,7 +362,7 @@ def execute_session(
         m21=m21,
         m22=m22,
         recovered=(rec1, rec2),
-        recovery_ok=(rec1 == files1.file(sel.z1) and rec2 == files2.file(sel.z2)),
+        recovery_ok=(rec1 == (f11, f12)[sel.z1 - 1] and rec2 == (f21, f22)[sel.z2 - 1]),
         leaked_selection=sel.z1 if mutation == "leak-selection" else None,
         part=part,
     )
