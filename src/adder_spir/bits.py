@@ -13,6 +13,7 @@ happens only inside this module.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,9 +21,12 @@ import numpy as np
 __all__ = ["BitString", "sample_uniform"]
 
 
-def _check_length(length: int) -> None:
+def _check_length(length: int) -> int:
+    """``length`` as a Python int (numpy integers would overflow the value's shifts)."""
+    length = operator.index(length)
     if length < 0:
         raise ValueError("bit length must be nonnegative")
+    return length
 
 
 class BitString:
@@ -31,7 +35,7 @@ class BitString:
     __slots__ = ("_value", "_length", "_bits")
 
     def __init__(self, packed: bytes, length: int):
-        _check_length(length)
+        length = _check_length(length)
         nbytes = (length + 7) // 8
         if len(packed) != nbytes:
             raise ValueError(f"expected {nbytes} bytes for {length} bits, got {len(packed)}")
@@ -66,12 +70,12 @@ class BitString:
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
-        _check_length(length)
+        length = _check_length(length)
         return cls._of(0, length)
 
     @classmethod
     def ones(cls, length: int) -> "BitString":
-        _check_length(length)
+        length = _check_length(length)
         return cls._of((1 << length) - 1, length)
 
     @classmethod
@@ -81,7 +85,7 @@ class BitString:
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
         """Build from an integer whose MSB is bit 1 of the string."""
-        _check_length(length)
+        length = _check_length(length)
         if value < 0 or value >> length:
             raise ValueError("value out of range for length")
         return cls._of(value, length)
@@ -173,4 +177,5 @@ def sample_uniform(length: int, stream: np.random.Generator) -> BitString:
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
+    length = operator.index(length)
     return BitString._of(int.from_bytes(stream.bytes((length + 7) // 8), "big") >> (-length % 8), length)

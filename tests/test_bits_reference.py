@@ -64,6 +64,16 @@ def test_zeros_ones(bits):
     assert BitString.zeros(n) == BitString.from_bits([0] * n)
 
 
+@given(bit_lists)
+def test_numpy_integer_lengths(bits):
+    n, wide = len(bits), np.int64(len(bits))
+    assert BitString.ones(wide) == BitString.ones(n)
+    assert BitString.zeros(wide) == BitString.zeros(n)
+    assert BitString.from_int(ref_int(bits), wide) == BitString.from_bits(bits)
+    assert BitString(ref_packed(bits), wide) == BitString.from_bits(bits)
+    assert sample_uniform(wide, party_stream(3, (1, 1))) == sample_uniform(n, party_stream(3, (1, 1)))
+
+
 @given(same_length_pair())
 def test_xor_matches_reference(pair):
     xs, ys = pair
