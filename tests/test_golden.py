@@ -41,9 +41,21 @@ CASES = {
         0,
         "d1a37e2805e23e45e798dbeda9a267f2a178f557eb528f482a0da172d4a66da8",
     ),
+    # Abort check off: 6 capacity-shortfall aborts among 20 trials.
+    "run-no-abort": (
+        ("run", "--n", "10", "--ell1", "2", "--ell2", "2", "--trials", "20", "--seed", "2", "--no-abort"),
+        0,
+        "455e1fcc4cb8853fa17e93d70762fb0e98c605d593202f1f651dbcd4c7e59a71",
+    ),
     "audit-honest": (_AUDIT_N3, 0, "5c4f610882a7408a5d30942b23c2dc2c5c65e231ba0ad41827762df3b498f52e"),
     "audit-reuse-pad": ((*_AUDIT_N3, "--mutate", "reuse-pad"), 1, "a7d299194cfdb7dddcf309676b815bed20459afbfaf7f1d7879498a4b6d2a38d"),
     "audit-exact": ((*_AUDIT_N3, "--exact-rational"), 0, "5c4f610882a7408a5d30942b23c2dc2c5c65e231ba0ad41827762df3b498f52e"),
+    # Multi-file audit, 384 states.
+    "audit-multifile": (
+        ("audit", "--n", "1", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0"),
+        0,
+        "b5ea17138eb378d440c75caab180b8a6a80aad392d723cd7ec1f0a5c2a121b94",
+    ),
 }
 
 
