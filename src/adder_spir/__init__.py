@@ -61,7 +61,6 @@ from .protocol import (
     client_recover,
     execute_session,
     partition,
-    run_session,
     run_session_adaptive,
     server_mask,
 )

@@ -44,8 +44,11 @@ def classify_indices(y: np.ndarray | Sequence[int]) -> tuple[IndexSet, IndexSet]
     An output of 0 or 2 pins both inputs (0 means both sent 0, 2 means both
     sent 1); an output of 1 leaves the input pair ambiguous.
     """
-    arr = np.asarray(y, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() > 2):
+    arr = np.asarray(y)
+    # The uint8 outputs of transmit are checked in place; they cannot be negative.
+    if arr.dtype != np.uint8:
+        arr = np.asarray(arr, dtype=np.int64)
+    if arr.size and (arr.max() > 2 or (arr.dtype != np.uint8 and arr.min() < 0)):
         raise ValueError("channel outputs must lie in {0, 1, 2}")
     hidden = arr == 1
     return (~hidden).nonzero()[0] + 1, hidden.nonzero()[0] + 1

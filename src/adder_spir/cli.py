@@ -32,7 +32,7 @@ from .model import (
 )
 from .multifile import run_multifile
 from .oracle import StateBudgetExceeded, audit, DEFAULT_STATE_BUDGET
-from .protocol import run_session, run_session_adaptive
+from .protocol import run_session_adaptive
 
 __all__ = ["main", "build_parser"]
 
@@ -159,47 +159,19 @@ def _run_one_trial(args: tuple) -> dict:
     sel = Selection(
         int(client.integers(1, params.L1 + 1)), int(client.integers(1, params.L2 + 1))
     )
-    if params.L1 == 2 and params.L2 == 2:
-        files1 = sample_filestore(1, 2, params.ell1, rnd.server1_seed)
-        files2 = sample_filestore(2, 2, params.ell2, rnd.server2_seed)
-        transcript = run_session(
-            params, files1, files2, sel, rnd, abort_disabled=abort_disabled
-        )
-        rec = transcript.to_record()
-        aborted, ok = transcript.aborted, transcript.recovery_ok
-        bits1 = 0 if aborted else transcript.public_bits_from_server(1)
-        bits2 = 0 if aborted else transcript.public_bits_from_server(2)
-        recovered = (params.ell1, params.ell2)
-        rounds = 1
-    else:
-        files1 = sample_filestore(1, params.L1, params.ell1 * (params.L2 - 1), rnd.server1_seed)
-        files2 = sample_filestore(2, params.L2, params.ell2 * (params.L1 - 1), rnd.server2_seed)
-        transcript = run_multifile(
-            params, files1, files2, sel, rnd, abort_disabled=abort_disabled
-        )
-        rec = transcript.to_record()
-        aborted = transcript.aborted
-        ok = (
-            None
-            if aborted
-            else (
-                transcript.recovered[0] == files1.file(sel.z1)
-                and transcript.recovered[1] == files2.file(sel.z2)
-            )
-        )
-        rec["recovery_ok"] = ok
-        bits1 = transcript.public_bits_from_server(1)
-        bits2 = transcript.public_bits_from_server(2)
-        recovered = (files1.file_length, files2.file_length)
-        rounds = transcript.round_count
+    files1 = sample_filestore(1, params.L1, params.ell1 * (params.L2 - 1), rnd.server1_seed)
+    files2 = sample_filestore(2, params.L2, params.ell2 * (params.L1 - 1), rnd.server2_seed)
+    transcript = run_multifile(params, files1, files2, sel, rnd, abort_disabled=abort_disabled)
+    rec = transcript.to_record()
     rec["trial"] = trial
     rec["selection"] = [sel.z1, sel.z2]
-    if not aborted:
-        per_bit1 = bits1 / recovered[0] if recovered[0] else 0.0
-        per_bit2 = bits2 / recovered[1] if recovered[1] else 0.0
-        rec["download_bits_per_file_bit"] = [per_bit1, per_bit2]
+    if not transcript.aborted:
+        len1, len2 = files1.file_length, files2.file_length
+        bits1 = transcript.public_bits_from_server(1)
+        bits2 = transcript.public_bits_from_server(2)
+        rec["download_bits_per_file_bit"] = [bits1 / len1 if len1 else 0.0, bits2 / len2 if len2 else 0.0]
         rates = cap.achieved_rates(
-            recovered[0], recovered[1], params.n, rounds, params.L1 - 1, params.L2 - 1, (bits1, bits2)
+            len1, len2, params.n, transcript.round_count, params.L1 - 1, params.L2 - 1, (bits1, bits2)
         )
         rec["rates"] = [rates.rate1, rates.rate2]
         rec["region_ok"] = cap.region_check(rates.rate1, rates.rate2, params.L1, params.L2)
@@ -309,10 +281,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         ell2=args.ell2,
     )
     params.validate()
-    mode = "two_file" if (params.L1 == 2 and params.L2 == 2) else "multifile"
     report = audit(
         params,
-        mode,
         abort_disabled=args.no_abort,
         condition_nonabort=args.condition_nonabort,
         mutation=args.mutate,

@@ -67,9 +67,6 @@ class PartyRandomness:
     server1_seed: int
     server2_seed: int
 
-    def server_seed(self, server_id: int) -> int:
-        return self.server1_seed if server_id == 1 else self.server2_seed
-
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -138,6 +135,9 @@ def sample_filestore(server_id: int, count: int, length: int, seed: int) -> File
 
 def trial_seeds(master_seed: int | np.random.SeedSequence, trial: int) -> PartyRandomness:
     """Per-trial party seeds: the trial index appended to the master's spawn key."""
-    seq = master_seed if isinstance(master_seed, np.random.SeedSequence) else np.random.SeedSequence(master_seed)
-    state = np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, trial)).generate_state(3, np.uint64)
+    if isinstance(master_seed, np.random.SeedSequence):
+        entropy, key = master_seed.entropy, (*master_seed.spawn_key, trial)
+    else:
+        entropy, key = master_seed, (trial,)
+    state = np.random.SeedSequence(entropy, spawn_key=key).generate_state(3, np.uint64)
     return PartyRandomness(int(state[0]), int(state[1]), int(state[2]))

@@ -32,7 +32,7 @@ from .model import (
     Selection,
     party_stream,
 )
-from .protocol import Transcript, client_partitioner, execute_session
+from .protocol import Transcript, client_partitioner, execute_session, partition
 
 __all__ = [
     "MultifileTranscript",
@@ -63,6 +63,8 @@ class MultifileTranscript:
     transcripts: tuple[Transcript, ...]
     aborted: bool
     recovered: Optional[tuple[BitString, BitString]] = None
+    # Whether the recovered files are the requested ones; None on abort.
+    recovery_ok: Optional[bool] = None
 
     @property
     def round_count(self) -> int:
@@ -72,6 +74,9 @@ class MultifileTranscript:
         return sum(t.public_bits_from_server(server_id) for t in self.transcripts)
 
     def to_record(self) -> dict:
+        """The public record; with two files per server, its one round's record."""
+        if (self.L1, self.L2) == (2, 2):
+            return self.transcripts[0].to_record()
         return {
             "record": "multifile-transcript",
             "L1": self.L1,
@@ -85,6 +90,7 @@ class MultifileTranscript:
             "recovered": None
             if self.recovered is None
             else [self.recovered[0].to_hex(), self.recovered[1].to_hex()],
+            "recovery_ok": self.recovery_ok,
         }
 
 
@@ -154,32 +160,26 @@ def reconstruct(Z: int, L: int, chosen: Sequence[BitString]) -> BitString:
     return acc
 
 
-def _part_lengths(files1: FileStore, files2: FileStore, L1: int, L2: int) -> tuple[int, int]:
-    """Lengths of the equal parts each file splits into (L2 - 1 at server 1, L1 - 1 at server 2)."""
-    if files1.file_count != L1 or files2.file_count != L2:
-        raise ConfigurationError("file store sizes must match (L1, L2)")
-    if files1.file_length % (L2 - 1):
-        raise ConfigurationError(
-            f"server-1 file length {files1.file_length} not divisible by {L2 - 1}"
-        )
-    if files2.file_length % (L1 - 1):
-        raise ConfigurationError(
-            f"server-2 file length {files2.file_length} not divisible by {L1 - 1}"
-        )
-    return files1.file_length // (L2 - 1), files2.file_length // (L1 - 1)
-
-
 def sample_masks(L_own: int, n_parts: int, length: int, seed: int) -> tuple[tuple[BitString, ...], ...]:
     """Fresh chaining masks, one tuple of L_own - 2 masks per part index.
 
     Sampling order is part-index outer, chain-index inner, from the
-    server's mask stream; masks are never reused across parts.
+    server's mask stream; masks are never reused across parts.  With two
+    files there are no masks and no stream is built.
     """
+    if L_own == 2:
+        return ((),) * n_parts
     stream = party_stream(seed, (2,))
     return tuple(
         tuple(sample_uniform(length, stream) for _t in range(L_own - 2))
         for _i in range(n_parts)
     )
+
+
+def _chains(store: FileStore, n_parts: int, masks: Sequence[Sequence[BitString]]) -> list:
+    """Per part index, the chain of that part of every file, padded with its masks."""
+    parts = zip(*[f.split(n_parts) for f in store.files])
+    return [build_chain(entries, m) for entries, m in zip(parts, masks, strict=True)]
 
 
 def execute_multifile(
@@ -204,61 +204,51 @@ def execute_multifile(
     params.validate()
     L1, L2 = params.L1, params.L2
     sel.validate(L1, L2)
-    p1, p2 = _part_lengths(files1, files2, L1, L2)
+    if files1.file_count != L1 or files2.file_count != L2:
+        raise ConfigurationError("file store sizes must match (L1, L2)")
+    len1, len2 = files1.file_length, files2.file_length
+    if len1 % (L2 - 1):
+        raise ConfigurationError(f"server-1 file length {len1} not divisible by {L2 - 1}")
+    if len2 % (L1 - 1):
+        raise ConfigurationError(f"server-2 file length {len2} not divisible by {L1 - 1}")
+    p1, p2 = len1 // (L2 - 1), len2 // (L1 - 1)
     if p1 != params.ell1 or p2 != params.ell2:
         raise ConfigurationError(
             f"per-round lengths ({p1}, {p2}) disagree with params ({params.ell1}, {params.ell2})"
         )
-
-    splits1 = [f.split(L2 - 1) for f in files1.files]
-    splits2 = [f.split(L1 - 1) for f in files2.files]
-    chains1 = [build_chain([parts[i] for parts in splits1], masks1[i]) for i in range(L2 - 1)]
-    chains2 = [build_chain([parts[j] for parts in splits2], masks2[j]) for j in range(L1 - 1)]
-    z1_rounds = round_selection(sel.z1, L1)
-    z2_rounds = round_selection(sel.z2, L2)
     pairing = flatten_rounds(L1, L2)
     if len(x_rounds) != len(pairing):
         raise ConfigurationError(f"expected channel inputs for {len(pairing)} rounds")
+
+    chains1 = _chains(files1, L2 - 1, masks1)
+    chains2 = _chains(files2, L1 - 1, masks2)
+    slots, selections, order1, order2 = _round_plan(L1, L2, sel.z1, sel.z2)
 
     # Every round is a two-file session at the per-round lengths, which
     # with two files per server are the params themselves.
     base_params = params if (L1, L2) == (2, 2) else ProtocolParams(
         n=params.n, t_exponent=params.t_exponent, alpha=params.alpha, ell1=p1, ell2=p2
     )
-    session_kwargs = {"abort_disabled": abort_disabled, "mutation": mutation}
     transcripts: list[Transcript] = []
-    selections: list[tuple[int, int]] = []
-    chosen1: dict[tuple[int, int], BitString] = {}
-    chosen2: dict[tuple[int, int], BitString] = {}
-    for k, ((t1, i), (t2, j)) in enumerate(pairing):
-        round_sel = (z1_rounds[t1 - 1], z2_rounds[t2 - 1])
-        selections.append(round_sel)
-        if partitioners is not None:
-            session_kwargs["partitioner"] = partitioners[k]
+    for k, (i, t1, j, t2, round_sel) in enumerate(slots):
         transcript = execute_session(
             base_params,
-            FileStore(1, chains1[i - 1][t1 - 1]),
-            FileStore(2, chains2[j - 1][t2 - 1]),
-            Selection(*round_sel),
+            FileStore(1, chains1[i][t1]),
+            FileStore(2, chains2[j][t2]),
+            round_sel,
             *x_rounds[k],
-            **session_kwargs,
+            abort_disabled=abort_disabled,
+            mutation=mutation,
+            partitioner=partition if partitioners is None else partitioners[k],
         )
         transcripts.append(transcript)
         if transcript.aborted:
             return MultifileTranscript(
-                L1, L2, p1, p2, pairing, tuple(selections), tuple(transcripts), aborted=True
+                L1, L2, p1, p2, pairing, selections[: k + 1], tuple(transcripts), aborted=True
             )
-        chosen1[(t1, i)] = transcript.recovered[0]
-        chosen2[(t2, j)] = transcript.recovered[1]
 
-    parts1 = [
-        reconstruct(sel.z1, L1, [chosen1[(t, i)] for t in range(1, L1)])
-        for i in range(1, L2)
-    ]
-    parts2 = [
-        reconstruct(sel.z2, L2, [chosen2[(t, j)] for t in range(1, L2)])
-        for j in range(1, L1)
-    ]
+    parts1 = [reconstruct(sel.z1, L1, [transcripts[k].recovered[0] for k in ks]) for ks in order1]
+    parts2 = [reconstruct(sel.z2, L2, [transcripts[k].recovered[1] for k in ks]) for ks in order2]
     recovered = (BitString.join(parts1), BitString.join(parts2))
     return MultifileTranscript(
         L1,
@@ -266,11 +256,36 @@ def execute_multifile(
         p1,
         p2,
         pairing,
-        tuple(selections),
+        selections,
         tuple(transcripts),
         aborted=False,
         recovered=recovered,
+        recovery_ok=recovered == (files1.file(sel.z1), files2.file(sel.z2)),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _round_plan(L1: int, L2: int, z1: int, z2: int) -> tuple:
+    """The per-call structure of one shape and selection.
+
+    Per round, the 0-based (part, chain position) slots it serves at each
+    server and its branch choices as a :class:`Selection`; the branch
+    choices as pairs; per part index of each server, the rounds whose
+    recovered values reconstruct it, in chain order.
+    """
+    z1_rounds = round_selection(z1, L1)
+    z2_rounds = round_selection(z2, L2)
+    pairing = flatten_rounds(L1, L2)
+    selections = tuple((z1_rounds[t1 - 1], z2_rounds[t2 - 1]) for (t1, _i), (t2, _j) in pairing)
+    slots = tuple(
+        (i - 1, t1 - 1, j - 1, t2 - 1, Selection(*round_sel))
+        for ((t1, i), (t2, j)), round_sel in zip(pairing, selections)
+    )
+    round_of1 = {pair1: k for k, (pair1, _pair2) in enumerate(pairing)}
+    round_of2 = {pair2: k for k, (_pair1, pair2) in enumerate(pairing)}
+    order1 = tuple(tuple(round_of1[(t, i)] for t in range(1, L1)) for i in range(1, L2))
+    order2 = tuple(tuple(round_of2[(t, j)] for t in range(1, L2)) for j in range(1, L1))
+    return slots, selections, order1, order2
 
 
 def run_multifile(
@@ -285,14 +300,14 @@ def run_multifile(
     """Run the reduction with masks and per-round channel inputs from party streams.
 
     Each round uses a fresh channel block of n uses with fresh uniform
-    inputs (sub-stream keyed by the round index).
+    inputs (sub-stream keyed by the round index).  Two files per server is
+    the one-round case.  Masks are drawn at the per-round lengths of
+    ``params``; :func:`execute_multifile` checks them against the files.
     """
-    params.validate()
     L1, L2 = params.L1, params.L2
-    p1, p2 = _part_lengths(files1, files2, L1, L2)
     K = (L1 - 1) * (L2 - 1)
-    masks1 = sample_masks(L1, L2 - 1, p1, rnd.server1_seed)
-    masks2 = sample_masks(L2, L1 - 1, p2, rnd.server2_seed)
+    masks1 = sample_masks(L1, L2 - 1, params.ell1, rnd.server1_seed)
+    masks2 = sample_masks(L2, L1 - 1, params.ell2, rnd.server2_seed)
     x_rounds = [
         (
             sample_uniform(params.n, party_stream(rnd.server1_seed, (1, k))),

@@ -16,7 +16,9 @@ recovered files are affine over GF(2) in the B free file and mask bits: a
 replay with all of them zero gives the offset, one replay per bit (cached
 per selection and round pattern) the linear part, a replay with all of
 them set checks the two, and numpy expands the 2^B assignments by XOR.
-Two files per server is the L1 = L2 = 2 case of the multi-file reduction.
+Two files per server is the L1 = L2 = 2 case of the multi-file reduction,
+replayed the same way; only its decoded per-round values are unwrapped
+from their one-round tuples.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ class LeakageReport:
     """
 
     params: ProtocolParams
-    mode: str
     conditioning: str
     client_privacy_s1: float
     client_privacy_s2: float
@@ -104,6 +105,10 @@ class LeakageReport:
     mutation: Optional[str] = None
     enumeration_s: float = 0.0
     information_s: float = 0.0
+
+    @property
+    def mode(self) -> str:
+        return "two_file" if (self.params.L1, self.params.L2) == (2, 2) else "multifile"
 
     @property
     def leakages(self) -> dict[str, float]:
@@ -261,7 +266,6 @@ def required_states(params: ProtocolParams, abort_disabled: bool = False) -> int
 
 def enumerate_protocol(
     params: ProtocolParams,
-    mode: str = "two_file",
     *,
     abort_disabled: bool = False,
     mutation: Optional[str] = None,
@@ -272,17 +276,15 @@ def enumerate_protocol(
 
     Variables: selection pair, file tuples, mask tuples, per-server channel
     inputs, observed sums, the entire public communication, the abort flag,
-    the recovery flag, and the tuple of unselected files.  "multifile" mode
-    gives per-round values as tuples over the executed rounds; "two_file"
-    mode (L1 = L2 = 2, one round) unwraps them.
+    the recovery flag, and the tuple of unselected files.  Per-round values
+    are tuples over the executed rounds, except with two files per server
+    (L1 = L2 = 2, one round), where they are unwrapped.
     """
-    params.validate()
-    if mode not in ("two_file", "multifile") or (mode == "two_file" and (params.L1, params.L2) != (2, 2)):
-        raise ConfigurationError(f"unknown enumeration mode {mode!r} for L1={params.L1}, L2={params.L2}")
     required = required_states(params, abort_disabled)
     if required > state_budget:
         raise StateBudgetExceeded(required, state_budget)
-    return _Enumeration(params, abort_disabled, mutation).distribution(exact, mode == "two_file")
+    single = (params.L1, params.L2) == (2, 2)
+    return _Enumeration(params, abort_disabled, mutation).distribution(exact, single)
 
 
 class _Enumeration:
@@ -500,7 +502,6 @@ CLIENT_VIEW = ("z1", "z2", "y", "u0", "sets", "msgs1", "msgs2", "leak")
 
 def audit(
     params: ProtocolParams,
-    mode: str = "two_file",
     *,
     abort_disabled: bool = False,
     condition_nonabort: bool = False,
@@ -512,7 +513,7 @@ def audit(
     start = time.perf_counter()
     required = required_states(params, abort_disabled)
     dist = enumerate_protocol(
-        params, mode, abort_disabled=abort_disabled, mutation=mutation, exact=exact, state_budget=state_budget
+        params, abort_disabled=abort_disabled, mutation=mutation, exact=exact, state_budget=state_budget
     )
     enumerated = time.perf_counter()
     work = dist.to_float()
@@ -538,7 +539,7 @@ def audit(
     )
     end = time.perf_counter()
     return LeakageReport(
-        params, mode, conditioning, **leakages, reliability_error=reliability_error, state_count=len(dist),
+        params, conditioning, **leakages, reliability_error=reliability_error, state_count=len(dist),
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=enumerated - start, information_s=end - enumerated,
     )

@@ -8,9 +8,11 @@ requested file is decodable.  Each server one-time-pads its channel inputs
 over both published sets with its two files; the client unmasks the
 requested file on the decodable side.
 
-``execute_session`` is the deterministic core (explicit channel inputs, used
-directly by the exhaustive leakage oracle and by the deliberately broken
-variants); ``run_session`` samples the inputs from party streams.
+``execute_session`` is the deterministic core of one session (explicit
+channel inputs).  Seeded runs reach it through ``multifile.run_multifile``,
+whose one-round case is two files per server, and the leakage oracle
+through ``multifile.execute_multifile``; ``run_session_adaptive`` sizes the
+files to the realized block for rate sweeps.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "server_mask",
     "client_recover",
     "execute_session",
-    "run_session",
     "run_session_adaptive",
     "MUTATIONS",
 ]
@@ -116,10 +117,6 @@ class Transcript:
     # Client-private: the share partition actually used.  Never serialized
     # into the public record; exposed for the leakage oracle's client view.
     part: Optional[IndexPartition] = None
-
-    @property
-    def messages(self) -> tuple[Optional[BitString], ...]:
-        return (self.m11, self.m12, self.m21, self.m22)
 
     def public_bits_from_server(self, server_id: int) -> int:
         """Total public message bits sent by one server in this session."""
@@ -261,12 +258,8 @@ def partition_choices(
 
 def build_selection_sets(z1: int, z2: int, part: IndexPartition) -> SelectionSets:
     """Publish the decodable share in slot z_i and the hidden share in the other."""
-    per_server = []
-    for server_id, z in ((1, z1), (2, z2)):
-        g = part.g1 if server_id == 1 else part.g2
-        b = part.b1 if server_id == 1 else part.b2
-        per_server.append((g, b) if z == 1 else (b, g))
-    (s11, s21), (s12, s22) = per_server
+    s11, s21 = (part.g1, part.b1) if z1 == 1 else (part.b1, part.g1)
+    s12, s22 = (part.g2, part.b2) if z2 == 1 else (part.b2, part.g2)
     return SelectionSets(s11, s21, s12, s22)
 
 
@@ -365,44 +358,6 @@ def execute_session(
         recovery_ok=(rec1 == (f11, f12)[sel.z1 - 1] and rec2 == (f21, f22)[sel.z2 - 1]),
         leaked_selection=sel.z1 if mutation == "leak-selection" else None,
         part=part,
-    )
-
-
-def run_session(
-    params: ProtocolParams,
-    files1: FileStore,
-    files2: FileStore,
-    sel: Selection,
-    rnd: PartyRandomness,
-    *,
-    round_index: int = 1,
-    abort_disabled: bool = False,
-    forced_y: Optional[np.ndarray] = None,
-) -> Transcript:
-    """Run one session with channel inputs drawn from the server streams.
-
-    ``forced_y`` is a test hook that injects a fixed channel realization
-    (inputs are then derived as a consistent pair) to reach abort branches
-    deterministically; it must not be used in measurement runs.
-    """
-    if forced_y is not None:
-        y = np.asarray(forced_y, dtype=np.uint8)
-        if y.size != params.n:
-            raise ConfigurationError("forced realization must have length n")
-        x1 = BitString.from_array((y >= 1).astype(np.uint8))
-        x2 = BitString.from_array((y == 2).astype(np.uint8))
-    else:
-        x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, round_index)))
-        x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, round_index)))
-    return execute_session(
-        params,
-        files1,
-        files2,
-        sel,
-        x1,
-        x2,
-        abort_disabled=abort_disabled,
-        partitioner=client_partitioner(rnd.client_seed, round_index),
     )
 
 

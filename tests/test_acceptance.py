@@ -40,7 +40,6 @@ from adder_spir.oracle import audit
 from adder_spir.protocol import (
     client_partitioner,
     partition,
-    run_session,
     run_session_adaptive,
 )
 from adder_spir.bits import sample_uniform
@@ -62,7 +61,7 @@ def two_file_sweep():
         files1 = sample_filestore(1, 2, 900, rnd.server1_seed)
         files2 = sample_filestore(2, 2, 900, rnd.server2_seed)
         sel = Selection(1 + (trial % 2), 1 + ((trial // 2) % 2))
-        t = run_session(params, files1, files2, sel, rnd)
+        t = run_multifile(params, files1, files2, sel, rnd)
         ok = None if t.aborted else (
             t.recovered[0] == files1.file(sel.z1) and t.recovered[1] == files2.file(sel.z2)
         )

@@ -47,6 +47,11 @@ def test_classify_empty_and_extremes():
 def test_classify_rejects_out_of_range():
     with pytest.raises(ValueError):
         classify_indices([0, 3])
+    with pytest.raises(ValueError):
+        classify_indices(np.array([1, 3, 0], dtype=np.uint8))
+    for negative in ([0, -1, 2], np.array([2, -1], dtype=np.int64), np.array([-3], dtype=np.int8)):
+        with pytest.raises(ValueError):
+            classify_indices(negative)
 
 
 def test_ternary_string_roundtrip():

@@ -70,6 +70,24 @@ def test_run_byte_deterministic(tmp_path):
     assert body_a == body_b
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ("--n", "256", "--ell1", "20", "--ell2", "20", "--trials", "6", "--seed", "3"),
+        ("--n", "64", "--L1", "3", "--L2", "3", "--ell1", "2", "--ell2", "2", "--trials", "5", "--seed", "4"),
+    ],
+    ids=["two-file", "multi-file"],
+)
+def test_run_workers_match_serial(tmp_path, shape):
+    bodies = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.jsonl"
+        assert main(["run", *shape, "--workers", workers, "--out", str(out)]) == 0
+        bodies.append(out.read_text().splitlines()[1:])
+    assert len(bodies[0]) == int(shape[shape.index("--trials") + 1])
+    assert bodies[0] == bodies[1]
+
+
 def test_sweep(tmp_path):
     out = tmp_path / "sweep.jsonl"
     code = main(["sweep", "--n", "256", "--alpha", "0.5", "--trials", "4", "--seed", "2", "--out", str(out)])

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "build_selection_sets", "classify_indices", "client_recover", "conditional_entropy_f",
     "diagonal_slice", "enumerate_protocol", "execute_multifile", "execute_session", "f_gradient",
     "flatten_rounds", "maximize_f", "otp_lemma_check", "partition", "party_stream", "reconstruct",
-    "region_check", "request_schedule", "round_selection", "run_multifile", "run_session",
+    "region_check", "request_schedule", "round_selection", "run_multifile",
     "run_session_adaptive", "sample_filestore", "sample_uniform", "server_mask", "transmit",
     "trial_seeds", "verify_g_monotone",
 ]

@@ -13,6 +13,7 @@ from adder_spir.model import (
     Selection,
     party_stream,
     sample_filestore,
+    trial_seeds,
 )
 from adder_spir.multifile import (
     build_chain,
@@ -22,6 +23,7 @@ from adder_spir.multifile import (
     request_schedule,
     round_selection,
     run_multifile,
+    sample_masks,
 )
 
 
@@ -198,3 +200,56 @@ def test_run_multifile_round_selections_follow_schedule():
     z2_rounds = round_selection(sel.z2, 3)
     for ((t1, _i), (t2, _j)), (r1, r2) in zip(mt.pairing, mt.round_selections):
         assert (r1, r2) == (z1_rounds[t1 - 1], z2_rounds[t2 - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L1=st.sampled_from([2, 3, 4]),
+    L2=st.sampled_from([2, 3, 4]),
+    n=st.integers(8, 48),
+    part_len=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_sessions_follow_request_schedule(L1, L2, n, part_len, seed, data):
+    """Every executed round recovers the XOR of its scheduled atoms.
+
+    The atoms are evaluated on the real file parts and on the masks
+    ``sample_masks`` draws from the same server seeds.
+    """
+    z1 = data.draw(st.integers(1, L1), label="z1")
+    z2 = data.draw(st.integers(1, L2), label="z2")
+    params = ProtocolParams(n=n, t_exponent=0.45, alpha=0.5, L1=L1, L2=L2, ell1=part_len, ell2=part_len)
+    rnd = trial_seeds(seed, 1)
+    files = (
+        sample_filestore(1, L1, part_len * (L2 - 1), rnd.server1_seed),
+        sample_filestore(2, L2, part_len * (L1 - 1), rnd.server2_seed),
+    )
+    masks = (
+        sample_masks(L1, L2 - 1, part_len, rnd.server1_seed),
+        sample_masks(L2, L1 - 1, part_len, rnd.server2_seed),
+    )
+    parts = tuple([f.split(L - 1) for f in store.files] for store, L in zip(files, (L2, L1)))
+
+    def value(server: int, atoms) -> BitString:
+        acc = BitString.zeros(part_len)
+        for kind, index, part in atoms:
+            if kind == "file":
+                acc ^= parts[server][index - 1][part - 1]
+            else:
+                acc ^= masks[server][part - 1][index - 1]
+        return acc
+
+    mt = run_multifile(params, *files, Selection(z1, z2), rnd)
+    schedule = request_schedule(L1, L2, z1, z2)
+    for transcript, requested in zip(mt.transcripts, schedule):
+        if transcript.aborted:
+            break
+        assert transcript.recovered == (value(0, requested[0]), value(1, requested[1]))
+    assert mt.aborted == any(t.aborted for t in mt.transcripts)
+    if not mt.aborted:
+        assert len(mt.transcripts) == len(schedule)
+        assert mt.recovery_ok is True
+        assert mt.recovered == (files[0].file(z1), files[1].file(z2))
+    else:
+        assert mt.recovery_ok is None

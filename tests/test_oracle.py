@@ -3,7 +3,7 @@ import math
 import pytest
 
 from adder_spir.infotheory import otp_lemma_check
-from adder_spir.model import ConfigurationError, ProtocolParams
+from adder_spir.model import ProtocolParams
 from adder_spir.oracle import (
     DEFAULT_STATE_BUDGET,
     StateBudgetExceeded,
@@ -30,11 +30,6 @@ def test_enumeration_channel_marginal():
     assert abs(float(dist.total_mass()) - 1.0) < 1e-12
 
 
-def test_enumeration_rejects_unknown_mode():
-    with pytest.raises(ConfigurationError):
-        enumerate_protocol(_TINY, "bogus")
-
-
 def test_state_budget_guard():
     with pytest.raises(StateBudgetExceeded) as exc:
         enumerate_protocol(_TINY, state_budget=16)
@@ -48,11 +43,6 @@ def test_required_states_counts_partition_choices():
     assert required_states(params) == 440_696_832 > DEFAULT_STATE_BUDGET
     with pytest.raises(StateBudgetExceeded):
         enumerate_protocol(params)
-
-
-def test_two_file_mode_needs_two_files_per_server():
-    with pytest.raises(ConfigurationError):
-        enumerate_protocol(_MULTI, "two_file")
 
 
 def test_honest_audit_is_exactly_private():
@@ -93,7 +83,7 @@ def test_unmasked_messages_mutation_detected():
 
 
 def test_multifile_honest_audit():
-    report = audit(_MULTI, "multifile")
+    report = audit(_MULTI)
     assert report.all_zero(1e-9)
     assert report.reliability_error == 0.0
     assert report.mode == "multifile"

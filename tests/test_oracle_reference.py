@@ -89,7 +89,7 @@ class _Reference:
         return self._audits[condition_nonabort]
 
 
-def _audit_and_table(params, mode, dist=None, **kwargs):
+def _audit_and_table(params, dist=None, **kwargs):
     """Run ``audit``; return its report, the distribution it audited and the
     number of rows the enumerator generated before equal rows merged.
 
@@ -111,14 +111,14 @@ def _audit_and_table(params, mode, dist=None, **kwargs):
     with mock.patch.object(oracle, "enumerate_protocol", spy_enumerate), mock.patch.object(
         JointDistribution, "from_codes", spy_codes
     ):
-        report = oracle.audit(params, mode, **kwargs)
+        report = oracle.audit(params, **kwargs)
     return report, seen[0], rows[0] if rows else None
 
 
-def _cross_check(params, mode, reference, *, conditionings=(False, True), exact_reliability=True, **kwargs):
+def _cross_check(params, reference, *, conditionings=(False, True), exact_reliability=True, **kwargs):
     dist = None
     for condition_nonabort in conditionings:
-        report, audited, rows = _audit_and_table(params, mode, dist, condition_nonabort=condition_nonabort, **kwargs)
+        report, audited, rows = _audit_and_table(params, dist, condition_nonabort=condition_nonabort, **kwargs)
         assert report.state_count == len(reference.table)
         if dist is None:
             dist = audited
@@ -145,22 +145,22 @@ def n4_reference():
 
 @pytest.mark.parametrize("kwargs", [{}, {"exact": True}] + [{"mutation": m} for m in MUTATIONS])
 def test_tiny_two_file_matches_reference(kwargs):
-    _cross_check(TINY, "two_file", _Reference(TINY, **kwargs), **kwargs)
+    _cross_check(TINY, _Reference(TINY, **kwargs), **kwargs)
 
 
 def test_n4_two_file_matches_reference(n4_reference):
-    _cross_check(N4, "two_file", n4_reference)
+    _cross_check(N4, n4_reference)
 
 
 def test_n4_abort_disabled_matches_reference(n4_reference):
     # At n=4, t=0.4 no decodable count fails the size check, so disabling it
     # leaves the distribution, and the brute-force reference, unchanged.
     assert all(abort_check(g, 4, 0.4) for g in range(5))
-    _cross_check(N4, "two_file", n4_reference, conditionings=(False,), abort_disabled=True)
+    _cross_check(N4, n4_reference, conditionings=(False,), abort_disabled=True)
 
 
 def test_multifile_matches_reference():
-    _cross_check(MULTI, "multifile", _Reference(MULTI, "multifile", dict_mi=False), conditionings=(False,))
+    _cross_check(MULTI, _Reference(MULTI, "multifile", dict_mi=False), conditionings=(False,))
 
 
 @st.composite
@@ -192,5 +192,5 @@ def _instances(draw):
 def test_random_tiny_instances_match_reference(instance):
     params, mode, kwargs = instance
     reference = _Reference(params, mode, **kwargs)
-    _cross_check(params, mode, reference, conditionings=(False,), exact_reliability=False, **kwargs)
+    _cross_check(params, reference, conditionings=(False,), exact_reliability=False, **kwargs)
 

@@ -17,6 +17,7 @@ from adder_spir.model import (
     party_stream,
     sample_filestore,
 )
+from adder_spir.multifile import run_multifile
 from adder_spir.protocol import (
     MUTATIONS,
     abort_check,
@@ -26,7 +27,6 @@ from adder_spir.protocol import (
     execute_session,
     partition,
     partition_choices,
-    run_session,
     run_session_adaptive,
     sample_partition,
 )
@@ -166,23 +166,23 @@ def test_execute_session_recovers_exactly(z1, z2):
     assert t.recovered[1] == files2.file(z2)
 
 
-def test_run_session_deterministic():
+def test_two_file_run_deterministic():
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=0.5, ell1=4, ell2=4)
     files1 = sample_filestore(1, 2, 4, 5)
     files2 = sample_filestore(2, 2, 4, 6)
     rnd = PartyRandomness(1, 2, 3)
-    a = run_session(params, files1, files2, Selection(1, 2), rnd)
-    b = run_session(params, files1, files2, Selection(1, 2), rnd)
+    a = run_multifile(params, files1, files2, Selection(1, 2), rnd)
+    b = run_multifile(params, files1, files2, Selection(1, 2), rnd)
     assert a.to_record() == b.to_record()
 
 
-def test_run_session_forced_abort():
+def test_size_deviation_aborts_session():
     params = ProtocolParams(n=8, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
     files1 = sample_filestore(1, 2, 1, 5)
     files2 = sample_filestore(2, 2, 1, 6)
-    rnd = PartyRandomness(1, 2, 3)
-    t = run_session(
-        params, files1, files2, Selection(1, 1), rnd, forced_y=np.zeros(8, dtype=np.uint8)
+    # All-zero inputs: every position is decodable.
+    t = execute_session(
+        params, files1, files2, Selection(1, 1), BitString.zeros(8), BitString.zeros(8)
     )
     assert t.aborted and t.abort_reason == "size-deviation"
 
