@@ -159,14 +159,14 @@ def _run_one_trial(args: tuple) -> dict:
     sel = Selection(
         int(client.integers(1, params.L1 + 1)), int(client.integers(1, params.L2 + 1))
     )
-    files1 = sample_filestore(1, params.L1, params.ell1 * (params.L2 - 1), rnd.server1_seed)
-    files2 = sample_filestore(2, params.L2, params.ell2 * (params.L1 - 1), rnd.server2_seed)
+    len1, len2 = params.ell1 * (params.L2 - 1), params.ell2 * (params.L1 - 1)
+    files1 = sample_filestore(1, params.L1, len1, rnd.server1_seed)
+    files2 = sample_filestore(2, params.L2, len2, rnd.server2_seed)
     transcript = run_multifile(params, files1, files2, sel, rnd, abort_disabled=abort_disabled)
     rec = transcript.to_record()
     rec["trial"] = trial
     rec["selection"] = [sel.z1, sel.z2]
     if not transcript.aborted:
-        len1, len2 = files1.file_length, files2.file_length
         bits1 = transcript.public_bits_from_server(1)
         bits2 = transcript.public_bits_from_server(2)
         rec["download_bits_per_file_bit"] = [bits1 / len1 if len1 else 0.0, bits2 / len2 if len2 else 0.0]

@@ -258,8 +258,12 @@ def partition_choices(
 
 def build_selection_sets(z1: int, z2: int, part: IndexPartition) -> SelectionSets:
     """Publish the decodable share in slot z_i and the hidden share in the other."""
-    s11, s21 = (part.g1, part.b1) if z1 == 1 else (part.b1, part.g1)
-    s12, s22 = (part.g2, part.b2) if z2 == 1 else (part.b2, part.g2)
+    per_server = []
+    for server_id, z in ((1, z1), (2, z2)):
+        g = part.g1 if server_id == 1 else part.g2
+        b = part.b1 if server_id == 1 else part.b2
+        per_server.append((g, b) if z == 1 else (b, g))
+    (s11, s21), (s12, s22) = per_server
     return SelectionSets(s11, s21, s12, s22)
 
 
