@@ -110,8 +110,7 @@ class FileStore:
             raise ConfigurationError("server_id must be 1 or 2")
         if len(self.files) < 2:
             raise ConfigurationError("a file store needs at least two files")
-        lengths = {len(f) for f in self.files}
-        if len(lengths) != 1:
+        if len(set(map(len, self.files))) != 1:
             raise ConfigurationError("all files in a store must have equal length")
 
     @property

@@ -106,7 +106,7 @@ def build_chain(entries: Sequence[BitString], masks: Sequence[BitString]) -> tup
         raise ValueError("a chain needs at least two values")
     if len(masks) != L - 2:
         raise ValueError(f"expected {L - 2} masks for {L} values, got {len(masks)}")
-    if len({len(v) for v in (*entries, *masks)}) != 1:
+    if len(set(map(len, (*entries, *masks)))) != 1:
         raise ValueError("all chain values and masks must have equal length")
     if L == 2:
         return ((entries[0], entries[1]),)

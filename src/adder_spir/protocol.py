@@ -165,8 +165,10 @@ def abort_check(g_size: int, n: int, t: float) -> bool:
 
 
 def _index_set(indices) -> IndexSet:
-    """Any sequence of positions as a sorted int64 array."""
-    return np.sort(np.asarray(indices, dtype=np.int64), kind="stable")
+    """Any sequence of positions as a sorted int64 array (a copy)."""
+    arr = np.array(indices, dtype=np.int64)
+    arr.sort(kind="stable")
+    return arr
 
 
 def partition(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> IndexPartition:
@@ -224,17 +226,12 @@ def sample_partition(
     """
     good, bad = _index_set(good), _index_set(bad)
     m = _check_shares(good, bad, alpha, ell1, ell2)
-    pg = stream.permutation(good.size)
-    pb = stream.permutation(bad.size)
-    return IndexPartition(
-        good=good,
-        bad=bad,
-        g1=np.sort(good[pg[:ell1]]),
-        g2=np.sort(good[pg[ell1 : ell1 + ell2]]),
-        b1=np.sort(bad[pb[:ell1]]),
-        b2=np.sort(bad[pb[ell1 : ell1 + ell2]]),
-        m=m,
-    )
+    g = good[stream.permutation(good.size)[: ell1 + ell2]]
+    b = bad[stream.permutation(bad.size)[: ell1 + ell2]]
+    g1, g2, b1, b2 = g[:ell1], g[ell1:], b[:ell1], b[ell1:]
+    for share in (g1, g2, b1, b2):
+        share.sort()  # in place: each share is its own slice of a fresh array
+    return IndexPartition(good=good, bad=bad, g1=g1, g2=g2, b1=b1, b2=b2, m=m)
 
 
 def partition_choices(
@@ -258,12 +255,8 @@ def partition_choices(
 
 def build_selection_sets(z1: int, z2: int, part: IndexPartition) -> SelectionSets:
     """Publish the decodable share in slot z_i and the hidden share in the other."""
-    per_server = []
-    for server_id, z in ((1, z1), (2, z2)):
-        g = part.g1 if server_id == 1 else part.g2
-        b = part.b1 if server_id == 1 else part.b2
-        per_server.append((g, b) if z == 1 else (b, g))
-    (s11, s21), (s12, s22) = per_server
+    s11, s21 = (part.g1, part.b1) if z1 == 1 else (part.b1, part.g1)
+    s12, s22 = (part.g2, part.b2) if z2 == 1 else (part.b2, part.g2)
     return SelectionSets(s11, s21, s12, s22)
 
 
