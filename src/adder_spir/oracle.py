@@ -108,6 +108,7 @@ class LeakageReport:
 
     @property
     def mode(self) -> str:
+        """The record's shape label, derived from (L1, L2)."""
         return "two_file" if (self.params.L1, self.params.L2) == (2, 2) else "multifile"
 
     @property
