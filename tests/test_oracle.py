@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 
+from adder_spir import multifile, protocol
+from adder_spir.bits import BitString
 from adder_spir.infotheory import otp_lemma_check
 from adder_spir.model import ProtocolParams
 from adder_spir.oracle import (
@@ -95,6 +98,37 @@ def test_report_record_shape():
     assert rec["record"] == "leakage-report"
     assert rec["mode"] == "two_file"
     assert set(report.leakages) <= set(rec)
+
+
+def test_nonaffine_message_is_rejected(monkeypatch):
+    # Server 1's first message carries the AND of its two file bits: the
+    # outputs stop being affine in the file bits, so no expansion may run.
+    server_mask = protocol.server_mask
+
+    def and_mask(x, sets, f1, f2):
+        m1, m2 = server_mask(x, sets, f1, f2)
+        if len(f1) == 0:
+            return m1, m2
+        product = f1.bit(1) & f2.bit(1)
+        return m1 ^ BitString.from_int(product << (len(f1) - 1), len(f1)), m2
+
+    monkeypatch.setattr(protocol, "server_mask", and_mask)
+    with pytest.raises(RuntimeError):
+        enumerate_protocol(_TINY)
+
+
+def test_file_dependent_leak_is_rejected(monkeypatch):
+    # The published leak is read from a file's value, so a public output
+    # depends on the file bits and the skeleton would not be constant.
+    execute_session = multifile.execute_session
+
+    def leaky(params, files1, *args, **kwargs):
+        t = execute_session(params, files1, *args, **kwargs)
+        return t if t.aborted else dataclasses.replace(t, leaked_selection=files1.file(1).to_int())
+
+    monkeypatch.setattr(multifile, "execute_session", leaky)
+    with pytest.raises(RuntimeError):
+        enumerate_protocol(_TINY)
 
 
 def test_otp_lemma_width_one():
