@@ -77,6 +77,16 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+# The ProtocolParams fields that _add_param_flags sets, by their dest names.
+_PARAM_FIELDS = ("n", "t_exponent", "alpha", "L1", "L2", "ell1", "ell2")
+
+
+def _params(args: argparse.Namespace) -> ProtocolParams:
+    params = ProtocolParams(**{k: getattr(args, k) for k in _PARAM_FIELDS})
+    params.validate()
+    return params
+
+
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_positive_int, default=4096, help="channel uses per sub-protocol")
     p.add_argument("--t", type=float, default=0.4, dest="t_exponent", help="abort exponent in (0, 1/2)")
@@ -189,20 +199,11 @@ def _map_trials(fn, jobs: list[tuple], workers: int) -> list[dict]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    params = ProtocolParams(
-        n=args.n,
-        t_exponent=args.t_exponent,
-        alpha=args.alpha,
-        L1=args.L1,
-        L2=args.L2,
-        ell1=args.ell1,
-        ell2=args.ell2,
-    )
-    params.validate()
+    params = _params(args)
     workers = args.workers if args.workers is not None else _default_workers()
     jobs = [(params, args.seed, trial, args.no_abort) for trial in range(1, args.trials + 1)]
     records = _map_trials(_run_one_trial, jobs, workers)
-    config = {k: getattr(args, k) for k in ("n", "t_exponent", "alpha", "L1", "L2", "ell1", "ell2", "trials", "seed")}
+    config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "trials", "seed")}
     _emit([_header("run", config), *records], args.out)
     failed = [r for r in records if not r["aborted"] and not r.get("recovery_ok")]
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -271,34 +272,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    params = ProtocolParams(
-        n=args.n,
-        t_exponent=args.t_exponent,
-        alpha=args.alpha,
-        L1=args.L1,
-        L2=args.L2,
-        ell1=args.ell1,
-        ell2=args.ell2,
-    )
-    params.validate()
     report = audit(
-        params,
-        abort_disabled=args.no_abort,
-        condition_nonabort=args.condition_nonabort,
-        mutation=args.mutate,
-        exact=args.exact_rational,
-        state_budget=args.budget,
+        _params(args), abort_disabled=args.no_abort, condition_nonabort=args.condition_nonabort,
+        mutation=args.mutate, exact=args.exact_rational, state_budget=args.budget,
     )
-    config = {k: getattr(args, k) for k in ("n", "t_exponent", "alpha", "L1", "L2", "ell1", "ell2")}
-    config.update(
-        mutate=args.mutate,
-        no_abort=args.no_abort,
-        condition_nonabort=args.condition_nonabort,
-        exact_rational=args.exact_rational,
-    )
+    config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "mutate", "no_abort", "condition_nonabort", "exact_rational")}
     _emit([_header("audit", config), report.to_record()], args.out)
     print(
-        f"audit: {report.state_count} states, enumerated in {report.enumeration_s:.3f} s; "
+        f"audit: {report.state_count} states from {report.replays} replays, "
+        f"enumerated in {report.enumeration_s:.3f} s; "
         f"mutual information in {report.information_s:.3f} s",
         file=sys.stderr,
     )

@@ -42,7 +42,6 @@ __all__ = [
     "reconstruct",
     "run_multifile",
     "execute_multifile",
-    "chain_symbols",
     "request_schedule",
 ]
 
@@ -249,17 +248,10 @@ def execute_multifile(
 
     parts1 = [reconstruct(sel.z1, L1, [transcripts[k].recovered[0] for k in ks]) for ks in order1]
     parts2 = [reconstruct(sel.z2, L2, [transcripts[k].recovered[1] for k in ks]) for ks in order2]
-    recovered = (BitString.join(parts1), BitString.join(parts2))
+    # Joined by the parts' own type, which the oracle's symbolic values override.
+    recovered = (type(parts1[0]).join(parts1), type(parts2[0]).join(parts2))
     return MultifileTranscript(
-        L1,
-        L2,
-        p1,
-        p2,
-        pairing,
-        selections,
-        tuple(transcripts),
-        aborted=False,
-        recovered=recovered,
+        L1, L2, p1, p2, pairing, selections, tuple(transcripts), aborted=False, recovered=recovered,
         recovery_ok=recovered == (files1.file(sel.z1), files2.file(sel.z2)),
     )
 
@@ -328,35 +320,17 @@ def run_multifile(
     )
 
 
-def chain_symbols(L: int, part: int) -> tuple[tuple[SymbolSet, SymbolSet], ...]:
-    """Symbolic chain contents for one part index, as XOR-sets of atoms.
-
-    Atoms are ("file", l, part) and ("mask", t, part); each branch value is
-    the XOR (symmetric difference) of its atoms.  Used to audit request
-    schedules without inspecting bit contents.
-    """
-    def f(l: int) -> SymbolSet:
-        return frozenset({("file", l, part)})
-
-    def s(t: int) -> SymbolSet:
-        return frozenset({("mask", t, part)})
-
-    if L == 2:
-        return ((f(1), f(2)),)
-    pairs = [(f(1), s(1))]
-    for t in range(2, L - 1):
-        pairs.append((f(t) ^ s(t - 1), s(t - 1) ^ s(t)))
-    pairs.append((f(L - 1) ^ s(L - 2), s(L - 2) ^ f(L)))
-    return tuple(pairs)
-
-
 def request_schedule(L1: int, L2: int, z1: int, z2: int) -> tuple[tuple[SymbolSet, SymbolSet], ...]:
-    """Per round, the symbolic value the client requests from each server."""
-    z1_rounds = round_selection(z1, L1)
-    z2_rounds = round_selection(z2, L2)
-    schedule = []
-    for (t1, i), (t2, j) in flatten_rounds(L1, L2):
-        pair1 = chain_symbols(L1, i)[t1 - 1]
-        pair2 = chain_symbols(L2, j)[t2 - 1]
-        schedule.append((pair1[z1_rounds[t1 - 1] - 1], pair2[z2_rounds[t2 - 1] - 1]))
-    return tuple(schedule)
+    """Per round, the symbolic value the client requests from each server.
+
+    Each value is a XOR-set (frozenset) of atoms ("file", l, part) and
+    ("mask", t, part), chained by :func:`build_chain` as the bits would be.
+    """
+    def chain(L: int, part: int) -> tuple:
+        files = [frozenset({("file", l, part)}) for l in range(1, L + 1)]
+        return build_chain(files, [frozenset({("mask", t, part)}) for t in range(1, L - 1)])
+
+    chains1 = [chain(L1, i) for i in range(1, L2)]
+    chains2 = [chain(L2, j) for j in range(1, L1)]
+    slots = _round_plan(L1, L2, z1, z2)[0]
+    return tuple((chains1[i][t1][s.z1 - 1], chains2[j][t2][s.z2 - 1]) for i, t1, j, t2, s in slots)

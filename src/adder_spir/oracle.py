@@ -10,15 +10,17 @@ estimation are involved, so a secure instance must audit to exact zeros
 
 The real protocol is the thing audited, but it is not replayed for every
 assignment.  A *skeleton* fixes the channel inputs of every executed round,
-one partition per round that did not abort, and the selection.  Within a
-skeleton all other public values are constant, and the messages and the
-recovered files are affine over GF(2) in the B free file and mask bits: a
-replay with all of them zero gives the offset, one replay per bit (cached
-per selection and round pattern) the linear part, a replay with all of
-them set checks the two, and numpy expands the 2^B assignments by XOR.
-Two files per server is the L1 = L2 = 2 case of the multi-file reduction,
-replayed the same way; only its decoded per-round values are unwrapped
-from their one-round tuples.
+one partition per round that did not abort, and the selection.  The B free
+file and mask bits enter the session code as :class:`AffineBits`, values
+that carry their GF(2)-affine form in those bits, so one replay per
+skeleton returns the messages and the recovered files as an offset plus
+one column per free bit, and numpy expands the 2^B assignments by XOR.
+Every other public value (y, sets, leak, abort) must come out concrete:
+a session step that reads a file or mask bit as a value, or combines such
+bits other than by XOR, raises ``TypeError`` at that step.  Two files per
+server is the L1 = L2 = 2 case of the multi-file reduction, replayed the
+same way; only its decoded per-round values are unwrapped from their
+one-round tuples.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .multifile import execute_multifile
 from .protocol import Transcript, abort_check, execute_session, partition_choices, shares_fit  # noqa: F401
 
 __all__ = [
+    "AffineBits",
     "StateBudgetExceeded",
     "LeakageReport",
     "enumerate_protocol",
@@ -74,6 +78,80 @@ _FREE = ("files1", "files2", "masks1", "masks2")
 _MAX_CODE_BITS = 62
 
 
+class AffineBits(BitString):
+    """A bit string that is a GF(2)-affine function of B free bits.
+
+    It holds an offset and one column per free bit, ints in the bit order of
+    :class:`BitString` values: at an assignment (free bit j is bit j of an
+    int) its value is the offset XOR the columns of the set bits.  ``^``
+    (with a :class:`BitString` on either side), :meth:`split`, :meth:`join`,
+    ``len`` and ``==`` (equality as affine maps) act on every column;
+    whatever needs a concrete value raises ``TypeError``.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, offset: int, linear: Sequence[int], length: int):
+        self._value, self._length, self._bits, self._cols = None, length, None, (offset, *linear)
+        if length < 0 or any(c < 0 or c >> length for c in self._cols):
+            raise ValueError("offset and columns must fit the nonnegative length")
+
+    @classmethod
+    def _new(cls, cols: tuple, length: int) -> "AffineBits":
+        s = object.__new__(cls)
+        s._value, s._length, s._bits, s._cols = None, length, None, cols
+        return s
+
+    def evaluate(self, assignment: int) -> BitString:
+        """The concrete value at one assignment of the free bits."""
+        terms = (c for j, c in enumerate(self._cols[1:]) if assignment >> j & 1)
+        return BitString._of(functools.reduce(operator.xor, terms, self._cols[0]), self._length)
+
+    def __xor__(self, other: BitString) -> "AffineBits":
+        if self._length != other._length:
+            raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
+        if not isinstance(other, AffineBits):
+            return AffineBits._new((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
+        if len(other._cols) != len(self._cols):
+            raise ValueError("affine bit strings over different free bits")
+        return AffineBits._new(tuple(map(operator.xor, self._cols, other._cols)), self._length)
+
+    __rxor__ = __xor__
+
+    def split(self, count: int) -> list["AffineBits"]:
+        if count == 1:
+            return [self]
+        if count <= 0 or self._length % count:
+            raise ValueError(f"cannot split length {self._length} into {count} equal parts")
+        step = self._length // count
+        mask = (1 << step) - 1
+        return [AffineBits._new(tuple(c >> step * i & mask for c in self._cols), step) for i in range(count - 1, -1, -1)]
+
+    @classmethod
+    def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
+        cols, length = parts[0]._cols, parts[0]._length
+        for p in parts[1:]:
+            cols = tuple((c << p._length) | d for c, d in zip(cols, p._cols))
+            length += p._length
+        return cls._new(cols, length)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitString):
+            return NotImplemented
+        cols = other._cols if isinstance(other, AffineBits) else (other._value,) + (0,) * (len(self._cols) - 1)
+        return self._length == other._length and self._cols == cols
+
+    def _concrete(self, *_args):
+        raise TypeError("an affine bit string has no concrete value")
+
+    to_int = bit = subselect = concat = to_hex = _concrete
+    bits = packed = property(_concrete)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"AffineBits({self._cols[0]}, {list(self._cols[1:])}, {self._length})"
+
+
 class StateBudgetExceeded(Exception):
     def __init__(self, required: int, budget: int):
         super().__init__(f"enumeration needs {required} rows, budget is {budget}")
@@ -88,6 +166,8 @@ class LeakageReport:
     ``enumeration_s`` and ``information_s`` split ``wall_time_s`` into the
     enumeration and the mutual-information passes; like it, they are
     timings and stay out of the deterministic part of the record.
+    ``replays`` is the number of protocol replays of the enumeration, one
+    per skeleton row; it stays out of the record too.
     """
 
     params: ProtocolParams
@@ -105,6 +185,7 @@ class LeakageReport:
     mutation: Optional[str] = None
     enumeration_s: float = 0.0
     information_s: float = 0.0
+    replays: int = 0
 
     @property
     def mode(self) -> str:
@@ -227,13 +308,19 @@ class _Layout:
         """Codes of the ``_FREE`` fields of packed assignments ``a``."""
         return _unpack(a, [c * w for c, w in self.fields])
 
-    def assignment(self, a: int) -> tuple:
-        """FileStores and per-part mask groups of one packed assignment."""
-        f1, f2, m1, m2 = (_bitstrings(v, *f) for v, f in zip(self.split(a), self.fields))
+    def symbols(self) -> tuple:
+        """FileStores and per-part mask groups as :class:`AffineBits` of the
+        free bits that :meth:`split` reads them from."""
+        shift, values = self.free_bits, []
+        for count, width in self.fields:
+            for _ in range(count):
+                shift -= width
+                values.append(AffineBits(0, [(1 << j >> shift) & _mask(width) for j in range(self.free_bits)], width))
+        groups = iter(values)
+        f1, f2, m1, m2 = (tuple(itertools.islice(groups, count)) for count, _width in self.fields)
         g1, g2 = self.L1 - 2, self.L2 - 2
         return (
-            FileStore(1, f1),
-            FileStore(2, f2),
+            FileStore(1, f1), FileStore(2, f2),
             tuple(m1[i * g1 : (i + 1) * g1] for i in range(self.L2 - 1)),
             tuple(m2[j * g2 : (j + 1) * g2] for j in range(self.L1 - 1)),
         )
@@ -296,10 +383,7 @@ class _Enumeration:
         self.layout = lay = _Layout(params)
         if lay.free_bits + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
             raise ConfigurationError(f"{lay.free_bits} free file and mask bits are too many to enumerate")
-        self.assignments: dict[int, tuple] = {}
-        # (z1, z2, executed rounds, aborted) -> per free bit, LSB first, its
-        # XOR effect on the packed (msgs1, msgs2, recovered) outputs.
-        self.linear: dict[tuple, list[tuple[int, int, int]]] = {}
+        self.symbols = lay.symbols()
 
     def sequences(self):
         """Channel-input sequences, truncated at the first aborting round,
@@ -321,97 +405,74 @@ class _Enumeration:
             prefixes = grown
         yield from prefixes
 
-    def replay(self, a: int, sel: Selection, x_rounds, partitioners) -> tuple:
-        """Run the protocol on the free-bit assignment ``a``.
-
-        Returns the outputs that must not depend on ``a`` (per executed
-        round y, sets and leak; the abort flag) and the packed affine ones
-        (msgs1, msgs2, recovered files).
-        """
-        if a not in self.assignments:
-            self.assignments[a] = self.layout.assignment(a)
-        files1, files2, masks1, masks2 = self.assignments[a]
+    def replay(self, sel: Selection, x_rounds, partitioners) -> tuple:
+        """Run the protocol once on the symbolic files and masks: the concrete
+        outputs (per executed round y, sets and leak; the abort flag) and the
+        packed offset and columns of msgs1, msgs2 and the recovered files."""
+        files1, files2, masks1, masks2 = self.symbols
         mt = execute_multifile(
             self.params, files1, files2, sel, x_rounds, masks1, masks2,
             abort_disabled=self.abort_disabled, mutation=self.mutation, partitioners=partitioners,
         )
-        lay = self.layout
         sent = [t for t in mt.transcripts if not t.aborted]
         outputs = (
-            _pack([m.to_int() for t in sent for m in (t.m11, t.m12)], [lay.p1] * 2 * len(sent)),
-            _pack([m.to_int() for t in sent for m in (t.m21, t.m22)], [lay.p2] * 2 * len(sent)),
-            0 if mt.aborted else _pack([r.to_int() for r in mt.recovered], [lay.len1, lay.len2]),
+            self._columns([m for t in sent for m in (t.m11, t.m12)]),
+            self._columns([m for t in sent for m in (t.m21, t.m22)]),
+            self._columns([] if mt.aborted else mt.recovered),
         )
         public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
         return (public, mt.aborted), outputs
 
-    def skeletons(self):
-        """Replay and check every skeleton.
+    def _columns(self, values) -> tuple[int, ...]:
+        """Offset and per-free-bit columns of the affine ``values`` packed together."""
+        return AffineBits.join(values)._cols if values else (0,) * (self.layout.free_bits + 1)
 
-        Yields (z1, z2, aborted), the values of ``_INTERNED``, the packed
-        affine offsets, the linear-part key and the partition combination
-        count.
-        """
+    def skeletons(self):
+        """Replay every skeleton once.  Yields (z1, z2, aborted), the values
+        of ``_INTERNED``, the executed rounds, the packed offset and columns
+        of each affine output, and the partition combination count."""
         lay = self.layout
-        ones = _mask(lay.free_bits)
         pad = (BitString.zeros(lay.n),) * 2
+        selections = [Selection(z1, z2) for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
         for pairs, parts, combos in self.sequences():
             executed, aborted = len(pairs), len(parts) < len(pairs)
             x_rounds = pairs + (pad,) * (lay.K - executed)
             partitioners = [_preset_partitioner(p) for p in parts]
             partitioners += [_preset_partitioner(None)] * (lay.K - len(parts))
-            for z1, z2 in itertools.product(range(1, lay.L1 + 1), range(1, lay.L2 + 1)):
-                sel = Selection(z1, z2)
-                public, offset = self.replay(0, sel, x_rounds, partitioners)
-                if public[1] != aborted or len(public[0]) != executed:
+            inputs = tuple(x for x, _ in pairs), tuple(x for _, x in pairs)
+            part_keys = tuple(_part_key(p) for p in parts)
+            for sel in selections:
+                (public, replayed_abort), outputs = self.replay(sel, x_rounds, partitioners)
+                if replayed_abort != aborted or len(public) != executed:
                     raise RuntimeError("replay disagrees with the enumerated channel verdicts")
-                key = (z1, z2, executed, aborted)
-                if key not in self.linear:
-                    self.linear[key] = [
-                        _xor(offset, self._same_public(public, 1 << j, sel, x_rounds, partitioners))
-                        for j in range(lay.free_bits)
-                    ]
-                expected = functools.reduce(_xor, self.linear[key], offset)
-                if ones and self._same_public(public, ones, sel, x_rounds, partitioners) != expected:
-                    raise RuntimeError("replay outputs are not affine in the file and mask bits")
-                values = (
-                    tuple(x for x, _ in pairs), tuple(x for _, x in pairs),
-                    *(tuple(r[i] for r in public[0]) for i in range(3)),
-                    tuple(_part_key(p) for p in parts),
-                )
-                yield (z1, z2, int(aborted)), values, offset, key, combos
-
-    def _same_public(self, public, a, sel, x_rounds, partitioners) -> tuple:
-        """Affine outputs of assignment ``a``, whose other outputs must equal ``public``."""
-        other, outputs = self.replay(a, sel, x_rounds, partitioners)
-        if other != public:
-            raise RuntimeError("y, sets, leak or abort changed with the file and mask bits")
-        return outputs
+                values = (*inputs, *(tuple(r[i] for r in public) for i in range(3)), part_keys)
+                yield (sel.z1, sel.z2, int(aborted)), values, executed, outputs, combos
 
     def distribution(self, exact: bool, single: bool) -> JointDistribution:
         lay = self.layout
         N = 2**lay.free_bits
         interned: dict[str, dict] = {name: {} for name in _INTERNED}
-        keys: dict[tuple, int] = {}
+        # Distinct linear parts: per affine output, one column per free bit.
+        linear: dict[tuple, int] = {}
         rows = []
-        for direct, values, offset, key, combos in self.skeletons():
-            tag = 2 * key[2] + key[3]  # executed rounds, aborted
+        for direct, values, executed, outputs, combos in self.skeletons():
+            tag = 2 * executed + direct[2]
             rows.append((
                 *direct,
                 *(interned[name].setdefault(v, len(interned[name])) for name, v in zip(_INTERNED, values)),
-                (tag << 2 * lay.p1 * lay.K) | offset[0],
-                (tag << 2 * lay.p2 * lay.K) | offset[1],
-                offset[2], keys.setdefault(key, len(keys)), key[2], combos,
+                (tag << 2 * lay.p1 * lay.K) | outputs[0][0],
+                (tag << 2 * lay.p2 * lay.K) | outputs[1][0],
+                outputs[2][0], linear.setdefault(tuple(o[1:] for o in outputs), len(linear)), executed, combos,
             ))
         names = ("z1", "z2", "abort", *_INTERNED)
         table = np.array(rows, dtype=np.int64).reshape(-1, len(names) + 6).T
         S = table.shape[1]
         columns = {name: np.repeat(col, N) for name, col in zip(names, table)}
-        *offsets, key_id, executed, combos = table[len(names):]
+        *offsets, linear_id, executed, combos = table[len(names):]
 
-        # Affine outputs: each skeleton's offset XOR the span of its linear part.
+        # Affine outputs: each skeleton's offset XOR the span of its columns.
         msgs1, msgs2, recovered = (
-            np.repeat(off, N) ^ np.stack([_span([c[i] for c in self.linear[k]]) for k in keys])[key_id].ravel()
+            np.repeat(off, N) ^ np.stack([_span(cols[i]) for cols in linear])[linear_id].ravel()
             for i, off in enumerate(offsets)
         )
         free = lay.split(np.arange(N, dtype=np.int64))
@@ -471,11 +532,7 @@ class _Enumeration:
         return _bitstrings(unsel1, lay.L1 - 1, lay.len1), _bitstrings(unsel2, lay.L2 - 1, lay.len2)
 
 
-def _xor(a: tuple, b: tuple) -> tuple:
-    return tuple(u ^ v for u, v in zip(a, b))
-
-
-def _span(columns: list[int]) -> np.ndarray:
+def _span(columns: Sequence[int]) -> np.ndarray:
     """XOR of ``columns[j]`` over the set bits j of every index in [0, 2^len)."""
     table = np.zeros(1, dtype=np.int64)
     for col in columns:
@@ -543,4 +600,5 @@ def audit(
         params, conditioning, **leakages, reliability_error=reliability_error, state_count=len(dist),
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=enumerated - start, information_s=end - enumerated,
+        replays=required // 2 ** _Layout(params).free_bits,
     )

@@ -27,7 +27,6 @@ from adder_spir.model import (
 )
 from adder_spir.multifile import (
     build_chain,
-    chain_symbols,
     execute_multifile,
     flatten_rounds,
     request_schedule,
@@ -221,7 +220,7 @@ def test_criterion_08_multifile_reconstruction(multifile_sweep):
     # Three-file chain schedule: the per-round requests for each selection.
     f = lambda l: frozenset({("file", l, 1)})
     s = lambda t: frozenset({("mask", t, 1)})
-    pairs = chain_symbols(3, 1)
+    pairs = build_chain([f(1), f(2), f(3)], [s(1)])
     assert pairs == ((f(1), s(1)), (f(2) ^ s(1), s(1) ^ f(3)))
     requested = {
         Z: tuple(pairs[t - 1][b - 1] for t, b in zip((1, 2), round_selection(Z, 3)))

@@ -146,7 +146,7 @@ def test_audit_honest_exit_zero(tmp_path, capsys):
     assert report["state_count"] == report["required_states"] == 1792
     assert report["budget"] == 2**28
     # Phase timings go to stderr only; wall_time_s is the body's one timing.
-    assert "enumerated in" in capsys.readouterr().err
+    assert "audit: 1792 states from 448 replays, enumerated in" in capsys.readouterr().err
     assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 

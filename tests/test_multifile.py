@@ -17,7 +17,6 @@ from adder_spir.model import (
 )
 from adder_spir.multifile import (
     build_chain,
-    chain_symbols,
     flatten_rounds,
     reconstruct,
     request_schedule,
@@ -109,10 +108,11 @@ def test_flatten_rounds_covers_all_pairs():
 
 
 def test_chain_symbols_frozen_three():
+    # build_chain over XOR-sets of atoms: the symbolic chain contents.
     f = lambda l: frozenset({("file", l, 1)})
     s = lambda t: frozenset({("mask", t, 1)})
-    assert chain_symbols(3, 1) == ((f(1), s(1)), (f(2) ^ s(1), s(1) ^ f(3)))
-    assert chain_symbols(2, 1) == ((f(1), f(2)),)
+    assert build_chain([f(1), f(2), f(3)], [s(1)]) == ((f(1), s(1)), (f(2) ^ s(1), s(1) ^ f(3)))
+    assert build_chain([f(1), f(2)], []) == ((f(1), f(2)),)
 
 
 def _sym_reconstruct(Z, L, chosen):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from adder_spir import multifile, protocol
+from adder_spir import multifile, oracle, protocol
 from adder_spir.bits import BitString
 from adder_spir.infotheory import otp_lemma_check
 from adder_spir.model import ProtocolParams
@@ -113,7 +113,7 @@ def test_nonaffine_message_is_rejected(monkeypatch):
         return m1 ^ BitString.from_int(product << (len(f1) - 1), len(f1)), m2
 
     monkeypatch.setattr(protocol, "server_mask", and_mask)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(TypeError):
         enumerate_protocol(_TINY)
 
 
@@ -127,8 +127,27 @@ def test_file_dependent_leak_is_rejected(monkeypatch):
         return t if t.aborted else dataclasses.replace(t, leaked_selection=files1.file(1).to_int())
 
     monkeypatch.setattr(multifile, "execute_session", leaky)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(TypeError):
         enumerate_protocol(_TINY)
+
+
+@pytest.mark.parametrize(
+    "params, replays",
+    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 2176), (_MULTI, 816)],
+    ids=["n4-two-file", "L3x2"],
+)
+def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
+    calls = []
+    execute_multifile = oracle.execute_multifile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return execute_multifile(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "execute_multifile", counted)
+    report = audit(params)
+    free_bits = oracle._Layout(params).free_bits
+    assert len(calls) == required_states(params) // 2**free_bits == replays == report.replays
 
 
 def test_otp_lemma_width_one():
