@@ -85,8 +85,9 @@ class AffineBits(BitString):
     :class:`BitString` values: at an assignment (free bit j is bit j of an
     int) its value is the offset XOR the columns of the set bits.  ``^``
     (with a :class:`BitString` on either side), :meth:`split`, :meth:`join`,
-    ``len`` and ``==`` (equality as affine maps) act on every column;
-    whatever needs a concrete value raises ``TypeError``.
+    ``len`` and ``==`` act on every column.  ``==`` raises ``TypeError``
+    unless the two differ by a constant, as does whatever needs a concrete
+    value.
     """
 
     __slots__ = ("_cols",)
@@ -138,8 +139,12 @@ class AffineBits(BitString):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        cols = other._cols if isinstance(other, AffineBits) else (other._value,) + (0,) * (len(self._cols) - 1)
-        return self._length == other._length and self._cols == cols
+        if self._length != other._length:
+            return False
+        diff = (self ^ other)._cols
+        if any(diff[1:]):
+            raise TypeError("affine bit strings whose equality depends on the free bits")
+        return diff[0] == 0
 
     def _concrete(self, *_args):
         raise TypeError("an affine bit string has no concrete value")
@@ -164,10 +169,8 @@ class LeakageReport:
     """All six audited quantities for one instance, in bits.
 
     ``enumeration_s`` and ``information_s`` split ``wall_time_s`` into the
-    enumeration and the mutual-information passes; like it, they are
-    timings and stay out of the deterministic part of the record.
-    ``replays`` is the number of protocol replays of the enumeration, one
-    per skeleton row; it stays out of the record too.
+    enumeration and the mutual-information passes; they and ``replays`` (one
+    protocol replay per skeleton row) stay out of the record.
     """
 
     params: ProtocolParams
@@ -437,8 +440,7 @@ class _Enumeration:
         for pairs, parts, combos in self.sequences():
             executed, aborted = len(pairs), len(parts) < len(pairs)
             x_rounds = pairs + (pad,) * (lay.K - executed)
-            partitioners = [_preset_partitioner(p) for p in parts]
-            partitioners += [_preset_partitioner(None)] * (lay.K - len(parts))
+            partitioners = [_preset_partitioner(p) for p in parts + (None,) * (lay.K - len(parts))]
             inputs = tuple(x for x, _ in pairs), tuple(x for _, x in pairs)
             part_keys = tuple(_part_key(p) for p in parts)
             for sel in selections:

@@ -61,12 +61,17 @@ def test_op_chains_match_concrete_values(data):
             pool.append(value)
             concrete.append(expected)
 
-    # == is equality as affine maps: the values agree at every assignment.
+    # == answers only for values that differ by a constant.
     i = pick()
     j = pick(len(pool[i]))
-    everywhere = all(pool[i].evaluate(a) == pool[j].evaluate(a) for a in range(2**free))
-    assert (pool[i] == pool[j]) == everywhere
+    differences = {(pool[i] ^ pool[j]).evaluate(a) for a in range(2**free)}
+    if len(differences) == 1:
+        assert (pool[i] == pool[j]) == (differences.pop() == BitString.zeros(len(pool[i])))
+    else:
+        with pytest.raises(TypeError):
+            pool[i] == pool[j]
     assert pool[i] ^ pool[i] == BitString.zeros(len(pool[i]))
+    assert pool[i] != BitString.zeros(len(pool[i]) + 1)
 
 
 def test_concrete_views_raise_type_error():

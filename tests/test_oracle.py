@@ -131,6 +131,22 @@ def test_file_dependent_leak_is_rejected(monkeypatch):
         enumerate_protocol(_TINY)
 
 
+def test_file_dependent_abort_is_rejected(monkeypatch):
+    # The session aborts when server 1's first file is all zeros, so the
+    # abort flag depends on the file bits.
+    execute_session = multifile.execute_session
+
+    def picky(params, files1, *args, **kwargs):
+        t = execute_session(params, files1, *args, **kwargs)
+        if t.aborted or files1.file(1) != BitString.zeros(files1.file_length):
+            return t
+        return dataclasses.replace(t, aborted=True, abort_reason="size-deviation", selection_sets=None)
+
+    monkeypatch.setattr(multifile, "execute_session", picky)
+    with pytest.raises(TypeError):
+        enumerate_protocol(_TINY)
+
+
 @pytest.mark.parametrize(
     "params, replays",
     [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 2176), (_MULTI, 816)],
