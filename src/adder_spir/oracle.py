@@ -85,37 +85,22 @@ class AffineBits(BitString):
     :class:`BitString` values: at an assignment (free bit j is bit j of an
     int) its value is the offset XOR the columns of the set bits.  ``^``
     (with a :class:`BitString` on either side), :meth:`split`, :meth:`join`,
-    ``len`` and ``==`` act on every column.  ``==`` raises ``TypeError``
-    unless the two differ by a constant, as does whatever needs a concrete
-    value.
+    ``len`` and ``==`` act on every column; ``==`` unless the two differ by
+    a constant, and whatever needs a concrete value, raise ``TypeError``.
     """
 
     __slots__ = ("_cols",)
 
-    def __init__(self, offset: int, linear: Sequence[int], length: int):
-        self._value, self._length, self._bits, self._cols = None, length, None, (offset, *linear)
-        if length < 0 or any(c < 0 or c >> length for c in self._cols):
-            raise ValueError("offset and columns must fit the nonnegative length")
-
-    @classmethod
-    def _new(cls, cols: tuple, length: int) -> "AffineBits":
-        s = object.__new__(cls)
-        s._value, s._length, s._bits, s._cols = None, length, None, cols
-        return s
-
-    def evaluate(self, assignment: int) -> BitString:
-        """The concrete value at one assignment of the free bits."""
-        terms = (c for j, c in enumerate(self._cols[1:]) if assignment >> j & 1)
-        return BitString._of(functools.reduce(operator.xor, terms, self._cols[0]), self._length)
+    def __init__(self, cols: tuple[int, ...], length: int):
+        """``cols`` is the offset, then the column of each free bit, all below 2^length."""
+        self._value, self._length, self._bits, self._cols = None, length, None, cols
 
     def __xor__(self, other: BitString) -> "AffineBits":
         if self._length != other._length:
             raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
         if not isinstance(other, AffineBits):
-            return AffineBits._new((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
-        if len(other._cols) != len(self._cols):
-            raise ValueError("affine bit strings over different free bits")
-        return AffineBits._new(tuple(map(operator.xor, self._cols, other._cols)), self._length)
+            return AffineBits((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
+        return AffineBits(tuple(map(operator.xor, self._cols, other._cols)), self._length)
 
     __rxor__ = __xor__
 
@@ -126,7 +111,7 @@ class AffineBits(BitString):
             raise ValueError(f"cannot split length {self._length} into {count} equal parts")
         step = self._length // count
         mask = (1 << step) - 1
-        return [AffineBits._new(tuple(c >> step * i & mask for c in self._cols), step) for i in range(count - 1, -1, -1)]
+        return [AffineBits(tuple(c >> step * i & mask for c in self._cols), step) for i in range(count - 1, -1, -1)]
 
     @classmethod
     def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
@@ -134,7 +119,7 @@ class AffineBits(BitString):
         for p in parts[1:]:
             cols = tuple((c << p._length) | d for c, d in zip(cols, p._cols))
             length += p._length
-        return cls._new(cols, length)
+        return cls(cols, length)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
@@ -154,7 +139,7 @@ class AffineBits(BitString):
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"AffineBits({self._cols[0]}, {list(self._cols[1:])}, {self._length})"
+        return f"AffineBits({self._cols}, {self._length})"
 
 
 class StateBudgetExceeded(Exception):
@@ -314,13 +299,12 @@ class _Layout:
     def symbols(self) -> tuple:
         """FileStores and per-part mask groups as :class:`AffineBits` of the
         free bits that :meth:`split` reads them from."""
-        shift, values = self.free_bits, []
+        shift, groups = self.free_bits, []
         for count, width in self.fields:
-            for _ in range(count):
-                shift -= width
-                values.append(AffineBits(0, [(1 << j >> shift) & _mask(width) for j in range(self.free_bits)], width))
-        groups = iter(values)
-        f1, f2, m1, m2 = (tuple(itertools.islice(groups, count)) for count, _width in self.fields)
+            shift -= count * width
+            linear = [(1 << j >> shift) & _mask(count * width) for j in range(self.free_bits)]
+            groups.append(tuple(AffineBits((0, *linear), count * width).split(count)) if count else ())
+        f1, f2, m1, m2 = groups
         g1, g2 = self.L1 - 2, self.L2 - 2
         return (
             FileStore(1, f1), FileStore(2, f2),

@@ -385,10 +385,26 @@ def run_session_adaptive(
     m = min(g, params.n - g)
     ell1 = _share_floor(params.alpha * m)
     ell2 = _share_floor((1.0 - params.alpha) * m)
-    sized = ProtocolParams(n=params.n, t_exponent=params.t_exponent, alpha=params.alpha, ell1=ell1, ell2=ell2)
+    sized = ProtocolParams(
+        n=params.n,
+        t_exponent=params.t_exponent,
+        alpha=params.alpha,
+        ell1=ell1,
+        ell2=ell2,
+    )
     g1 = party_stream(rnd.server1_seed, (0,))
     g2 = party_stream(rnd.server2_seed, (0,))
     files1 = FileStore(1, (sample_uniform(ell1, g1), sample_uniform(ell1, g1)))
     files2 = FileStore(2, (sample_uniform(ell2, g2), sample_uniform(ell2, g2)))
-    transcript = execute_session(sized, files1, files2, sel, x1, x2, partitioner=client_partitioner(rnd.client_seed))
-    return transcript, sized
+    return (
+        execute_session(
+            sized,
+            files1,
+            files2,
+            sel,
+            x1,
+            x2,
+            partitioner=client_partitioner(rnd.client_seed),
+        ),
+        sized,
+    )
