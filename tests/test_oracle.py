@@ -147,6 +147,33 @@ def test_file_dependent_abort_is_rejected(monkeypatch):
         enumerate_protocol(_TINY)
 
 
+@pytest.mark.parametrize("params", [_TINY, _MULTI], ids=["two-file", "L3x2"])
+def test_wrong_recovery_is_reported(monkeypatch, params):
+    # Every recovered file comes back complemented: recovery fails on every
+    # session that does not abort.
+    reconstruct = multifile.reconstruct
+
+    def complemented(Z, L, chosen):
+        value = reconstruct(Z, L, chosen)
+        return value ^ BitString.ones(len(value))
+
+    monkeypatch.setattr(multifile, "reconstruct", complemented)
+    assert audit(params).reliability_error == 1.0
+
+
+def test_recovery_of_another_file_is_rejected(monkeypatch):
+    # The client reconstructs a file it did not request: whether recovery
+    # succeeded depends on the file bits, so no expansion may run.
+    reconstruct = multifile.reconstruct
+
+    def misdirected(Z, L, chosen):
+        return reconstruct(1 if Z > 1 else 2, L, chosen)
+
+    monkeypatch.setattr(multifile, "reconstruct", misdirected)
+    with pytest.raises(TypeError):
+        audit(_MULTI)
+
+
 @pytest.mark.parametrize(
     "params, replays",
     [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 2176), (_MULTI, 816)],
