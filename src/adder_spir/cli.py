@@ -177,12 +177,9 @@ def _run_one_trial(args: tuple) -> dict:
     rec["trial"] = trial
     rec["selection"] = [sel.z1, sel.z2]
     if not transcript.aborted:
-        bits1 = transcript.public_bits_from_server(1)
-        bits2 = transcript.public_bits_from_server(2)
-        rec["download_bits_per_file_bit"] = [bits1 / len1 if len1 else 0.0, bits2 / len2 if len2 else 0.0]
-        rates = cap.achieved_rates(
-            len1, len2, params.n, transcript.round_count, params.L1 - 1, params.L2 - 1, (bits1, bits2)
-        )
+        bits = transcript.public_bits_from_server(1), transcript.public_bits_from_server(2)
+        rates = cap.achieved_rates(len1, len2, params.n, transcript.round_count, params.L1 - 1, params.L2 - 1, bits)
+        rec["download_bits_per_file_bit"] = list(rates.download_per_recovered_bit((len1, len2)))
         rec["rates"] = [rates.rate1, rates.rate2]
         rec["region_ok"] = cap.region_check(rates.rate1, rates.rate2, params.L1, params.L2)
     return rec

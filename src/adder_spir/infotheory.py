@@ -69,13 +69,7 @@ class _DecodedTable(Mapping):
 class JointDistribution:
     """Exact joint distribution over named finite-alphabet variables."""
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        table: Mapping[tuple, float | Fraction],
-        *,
-        normalized_check: bool = True,
-    ):
+    def __init__(self, names: Sequence[str], table: Mapping[tuple, float | Fraction]):
         """Build from a {value tuple: probability} mapping."""
         keys = list(table)
         probs = list(table.values())
@@ -93,8 +87,7 @@ class JointDistribution:
             numerators = [f.numerator * (den // f.denominator) for f in fracs]
             weights = np.array(numerators, dtype=np.int64 if den < _INT64_SAFE else object)
         self._setup(names, codes, weights, decoders, den)
-        if normalized_check:
-            self._check_normalized()
+        self._check_normalized()
 
     @classmethod
     def from_codes(

@@ -13,11 +13,12 @@ assignment.  A *skeleton* fixes the channel inputs of every executed round,
 one partition per round that did not abort, and the selection.  The B free
 file and mask bits enter the session code as :class:`AffineBits`, values
 that carry their GF(2)-affine form in those bits, so one replay per
-skeleton returns the messages and the recovered files as an offset plus
-one column per free bit, and numpy expands the 2^B assignments by XOR.
-Every other public value (y, sets, leak, abort) must come out concrete:
-a session step that reads a file or mask bit as a value, or combines such
-bits other than by XOR, raises ``TypeError`` at that step.  Two files per
+skeleton returns the messages, and each selection fixes the unselected
+files, as an offset plus one column per free bit; numpy expands the 2^B
+assignments by XOR.  Every other value (y, sets, leak, abort, and whether
+the requested files came back, checked once per skeleton) must come out
+concrete: a session step that reads a file or mask bit as a value, or
+combines such bits other than by XOR, raises ``TypeError``.  Two files per
 server is the L1 = L2 = 2 case of the multi-file reduction, replayed the
 same way; only its decoded per-round values are unwrapped from their
 one-round tuples.
@@ -26,7 +27,6 @@ one-round tuples.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import time
@@ -264,14 +264,6 @@ def _unpack(code, widths: list[int]) -> list:
     return fields
 
 
-def _pack(fields, widths: list[int]):
-    """Inverse of :func:`_unpack`."""
-    code = 0
-    for f, w in zip(fields, widths):
-        code = (code << w) | f
-    return code
-
-
 def _bitstrings(code: int, count: int, width: int) -> tuple[BitString, ...]:
     return tuple(BitString.from_int(f, width) for f in _unpack(code, [width] * count))
 
@@ -394,45 +386,49 @@ class _Enumeration:
 
     def replay(self, sel: Selection, x_rounds, partitioners) -> tuple:
         """Run the protocol once on the symbolic files and masks: the concrete
-        outputs (per executed round y, sets and leak; the abort flag) and the
-        packed offset and columns of msgs1, msgs2 and the recovered files."""
+        outputs (per executed round y, sets and leak; the abort flag; ok, 2 on
+        abort, else whether the recovered files equal the oracle's own symbolic
+        requested ones, never the audited session's ``recovery_ok``) and the
+        packed offset and columns of msgs1 and msgs2."""
         files1, files2, masks1, masks2 = self.symbols
         mt = execute_multifile(
             self.params, files1, files2, sel, x_rounds, masks1, masks2,
             abort_disabled=self.abort_disabled, mutation=self.mutation, partitioners=partitioners,
         )
         sent = [t for t in mt.transcripts if not t.aborted]
-        outputs = (
+        msgs = (
             self._columns([m for t in sent for m in (t.m11, t.m12)]),
             self._columns([m for t in sent for m in (t.m21, t.m22)]),
-            self._columns([] if mt.aborted else mt.recovered),
         )
+        ok = 2 if mt.aborted else int(mt.recovered == (files1.file(sel.z1), files2.file(sel.z2)))
         public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
-        return (public, mt.aborted), outputs
+        return (public, mt.aborted, ok), msgs
 
     def _columns(self, values) -> tuple[int, ...]:
         """Offset and per-free-bit columns of the affine ``values`` packed together."""
         return AffineBits.join(values)._cols if values else (0,) * (self.layout.free_bits + 1)
 
     def skeletons(self):
-        """Replay every skeleton once.  Yields (z1, z2, aborted), the values
-        of ``_INTERNED``, the executed rounds, the packed offset and columns
-        of each affine output, and the partition combination count."""
+        """Replay every skeleton once.  Yields (z1, z2, aborted, ok), the
+        values of ``_INTERNED``, the executed rounds, the packed offset and
+        columns of msgs1, msgs2 and unsel, and the partition combination count."""
         lay = self.layout
         pad = (BitString.zeros(lay.n),) * 2
-        selections = [Selection(z1, z2) for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
+        f1, f2 = self.symbols[0].files, self.symbols[1].files
+        selections = [(Selection(z1, z2), self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
+                      for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
         for pairs, parts, combos in self.sequences():
             executed, aborted = len(pairs), len(parts) < len(pairs)
             x_rounds = pairs + (pad,) * (lay.K - executed)
             partitioners = [_preset_partitioner(p) for p in parts + (None,) * (lay.K - len(parts))]
             inputs = tuple(x for x, _ in pairs), tuple(x for _, x in pairs)
             part_keys = tuple(_part_key(p) for p in parts)
-            for sel in selections:
-                (public, replayed_abort), outputs = self.replay(sel, x_rounds, partitioners)
+            for sel, unsel in selections:
+                (public, replayed_abort, ok), msgs = self.replay(sel, x_rounds, partitioners)
                 if replayed_abort != aborted or len(public) != executed:
                     raise RuntimeError("replay disagrees with the enumerated channel verdicts")
                 values = (*inputs, *(tuple(r[i] for r in public) for i in range(3)), part_keys)
-                yield (sel.z1, sel.z2, int(aborted)), values, executed, outputs, combos
+                yield (sel.z1, sel.z2, int(aborted), ok), values, executed, (*msgs, unsel), combos
 
     def distribution(self, exact: bool, single: bool) -> JointDistribution:
         lay = self.layout
@@ -450,24 +446,20 @@ class _Enumeration:
                 (tag << 2 * lay.p2 * lay.K) | outputs[1][0],
                 outputs[2][0], linear.setdefault(tuple(o[1:] for o in outputs), len(linear)), executed, combos,
             ))
-        names = ("z1", "z2", "abort", *_INTERNED)
+        names = ("z1", "z2", "abort", "ok", *_INTERNED)
         table = np.array(rows, dtype=np.int64).reshape(-1, len(names) + 6).T
         S = table.shape[1]
         columns = {name: np.repeat(col, N) for name, col in zip(names, table)}
         *offsets, linear_id, executed, combos = table[len(names):]
 
         # Affine outputs: each skeleton's offset XOR the span of its columns.
-        msgs1, msgs2, recovered = (
+        msgs1, msgs2, unsel = (
             np.repeat(off, N) ^ np.stack([_span(cols[i]) for cols in linear])[linear_id].ravel()
             for i, off in enumerate(offsets)
         )
-        free = lay.split(np.arange(N, dtype=np.int64))
-        sel_id = (table[0] - 1) * lay.L2 + table[1] - 1
-        unsel, wanted = (t[sel_id].ravel() for t in _selection_tables(lay, free[0], free[1]))
         columns.update(
-            {name: np.tile(code, S) for name, code in zip(_FREE, free)},
+            {name: np.tile(code, S) for name, code in zip(_FREE, lay.split(np.arange(N, dtype=np.int64)))},
             msgs1=msgs1, msgs2=msgs2, unsel=unsel,
-            ok=np.where(columns["abort"] == 1, 2, recovered == wanted),
         )
         codes = np.column_stack([columns[name] for name in VARIABLES])
 
@@ -524,19 +516,6 @@ def _span(columns: Sequence[int]) -> np.ndarray:
     for col in columns:
         table = np.concatenate([table, table ^ col])
     return table
-
-
-def _selection_tables(lay: _Layout, files1: np.ndarray, files2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per selection (row (z1 - 1) L2 + z2 - 1): the packed unselected and
-    the packed requested files of every assignment."""
-    f1, f2 = _unpack(files1, [lay.len1] * lay.L1), _unpack(files2, [lay.len2] * lay.L2)
-    unsel, wanted = [], []
-    for z1, z2 in itertools.product(range(lay.L1), range(lay.L2)):
-        kept1 = _pack(f1[:z1] + f1[z1 + 1 :], [lay.len1] * (lay.L1 - 1))
-        kept2 = _pack(f2[:z2] + f2[z2 + 1 :], [lay.len2] * (lay.L2 - 1))
-        unsel.append(_pack([kept1, kept2], [0, (lay.L2 - 1) * lay.len2]))
-        wanted.append(_pack([f1[z1], f2[z2]], [0, lay.len2]))
-    return np.stack(unsel), np.stack(wanted)
 
 
 SERVER1_VIEW = ("files1", "masks1", "x1", "sets", "msgs1", "leak")

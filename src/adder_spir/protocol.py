@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,6 +34,7 @@ from .model import (
     ProtocolParams,
     Selection,
     party_stream,
+    sample_filestore,
 )
 
 __all__ = [
@@ -114,9 +115,6 @@ class Transcript:
     recovered: Optional[tuple[BitString, BitString]] = None
     recovery_ok: Optional[bool] = None
     leaked_selection: Optional[int] = None
-    # Client-private: the share partition actually used.  Never serialized
-    # into the public record; exposed for the leakage oracle's client view.
-    part: Optional[IndexPartition] = None
 
     def public_bits_from_server(self, server_id: int) -> int:
         """Total public message bits sent by one server in this session."""
@@ -354,7 +352,6 @@ def execute_session(
         recovered=(rec1, rec2),
         recovery_ok=(rec1 == (f11, f12)[sel.z1 - 1] and rec2 == (f21, f22)[sel.z2 - 1]),
         leaked_selection=sel.z1 if mutation == "leak-selection" else None,
-        part=part,
     )
 
 
@@ -383,19 +380,11 @@ def run_session_adaptive(
     x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
     g = np.count_nonzero(transmit(x1, x2).y != 1)
     m = min(g, params.n - g)
-    ell1 = _share_floor(params.alpha * m)
-    ell2 = _share_floor((1.0 - params.alpha) * m)
-    sized = ProtocolParams(
-        n=params.n,
-        t_exponent=params.t_exponent,
-        alpha=params.alpha,
-        ell1=ell1,
-        ell2=ell2,
+    sized = replace(
+        params, ell1=_share_floor(params.alpha * m), ell2=_share_floor((1.0 - params.alpha) * m)
     )
-    g1 = party_stream(rnd.server1_seed, (0,))
-    g2 = party_stream(rnd.server2_seed, (0,))
-    files1 = FileStore(1, (sample_uniform(ell1, g1), sample_uniform(ell1, g1)))
-    files2 = FileStore(2, (sample_uniform(ell2, g2), sample_uniform(ell2, g2)))
+    files1 = sample_filestore(1, 2, sized.ell1, rnd.server1_seed)
+    files2 = sample_filestore(2, 2, sized.ell2, rnd.server2_seed)
     return (
         execute_session(
             sized,

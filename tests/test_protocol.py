@@ -235,7 +235,6 @@ def test_transcript_record_excludes_private_partition():
     files2 = sample_filestore(2, 2, 3, 6)
     x1, x2 = _session_inputs(9, 64)
     t = execute_session(params, files1, files2, Selection(1, 1), x1, x2)
-    assert t.part is not None
     rec = t.to_record()
     assert "part" not in rec and "g1" not in str(rec.keys())
 
