@@ -8,7 +8,10 @@ byte, most significant bit first within each byte) is derived on demand;
 the unpacked uint8 view is computed once and cached read-only.  All index
 sets handed to :meth:`BitString.subselect` are 1-based, matching the
 protocol's index conventions; conversion to Python's 0-based indexing
-happens only inside this module.
+happens only inside this module.  :class:`AffineBits` is the symbolic
+subclass the leakage oracle runs the session code on: each value is a
+GF(2)-affine function of free bits, and whatever needs a concrete value
+raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["BitString", "sample_uniform"]
+__all__ = ["AffineBits", "BitString", "sample_uniform"]
 
 
 def _check_length(length: int) -> int:
@@ -125,6 +128,10 @@ class BitString:
             raise IndexError(f"indices must lie in [1, {self._length}]")
         return BitString.from_array(self.bits[idx - 1])
 
+    def sums(self, other: "BitString") -> np.ndarray:
+        """Per-position integer sums with an equal-length string, as uint8."""
+        return self.bits + other.bits
+
     def concat(self, other: "BitString") -> "BitString":
         return BitString._of((self._value << other._length) | other._value, self._length + other._length)
 
@@ -168,6 +175,91 @@ class BitString:
         if self._length <= 64:
             return f"BitString('{''.join(map(str, self.bits))}')"
         return f"BitString(len={self._length}, hex={self.to_hex()[:16]}...)"
+
+
+class AffineBits(BitString):
+    """A bit string that is a GF(2)-affine function of free bits.
+
+    The leakage oracle runs the session code on these.  One holds an offset
+    and one column per free bit, ints in the bit order of :class:`BitString`
+    values: at an assignment (free bit j is bit j of an int) its value is the
+    offset XOR the columns of the set bits.  ``^`` (with a
+    :class:`BitString` on either side), :meth:`split`, :meth:`join`,
+    :meth:`subselect`, ``len`` and ``==`` act on every column; ``==`` unless
+    the two differ by a constant, :meth:`sums` unless the sums are constant,
+    and whatever needs a concrete value, raise ``TypeError``.
+    """
+
+    __slots__ = ("_cols",)
+
+    def __init__(self, cols: tuple[int, ...], length: int):
+        """``cols`` is the offset, then the column of each free bit, all below 2^length."""
+        self._value, self._length, self._bits, self._cols = None, length, None, cols
+
+    def __xor__(self, other: BitString) -> "AffineBits":
+        if self._length != other._length:
+            raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
+        if not isinstance(other, AffineBits):
+            return AffineBits((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
+        return AffineBits(tuple(map(operator.xor, self._cols, other._cols)), self._length)
+
+    __rxor__ = __xor__
+
+    def split(self, count: int) -> list["AffineBits"]:
+        if count == 1:
+            return [self]
+        if count <= 0 or self._length % count:
+            raise ValueError(f"cannot split length {self._length} into {count} equal parts")
+        step = self._length // count
+        mask = (1 << step) - 1
+        return [AffineBits(tuple(c >> step * i & mask for c in self._cols), step) for i in range(count - 1, -1, -1)]
+
+    @classmethod
+    def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
+        cols, length = parts[0]._cols, parts[0]._length
+        for p in parts[1:]:
+            cols = tuple((c << p._length) | d for c, d in zip(cols, p._cols))
+            length += p._length
+        return cls(cols, length)
+
+    def subselect(self, indices: np.ndarray | Sequence[int]) -> "AffineBits":
+        shifts = [self._length - i for i in sorted(map(int, indices))]
+        if shifts and (shifts[0] >= self._length or shifts[-1] < 0):
+            raise IndexError(f"indices must lie in [1, {self._length}]")
+        cols = []
+        for c in self._cols:
+            value = 0
+            for s in shifts:
+                value = value << 1 | c >> s & 1
+            cols.append(value)
+        return AffineBits(tuple(cols), len(shifts))
+
+    def sums(self, other: BitString) -> np.ndarray:
+        odd = (self ^ other)._cols
+        if any(odd[1:]) or any(c & ~odd[0] for c in self._cols[1:]):
+            raise TypeError("a channel sum that depends on the free bits")
+        both = BitString._of(self._cols[0] & ~odd[0], self._length)
+        return BitString._of(odd[0], self._length).bits + 2 * both.bits
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitString):
+            return NotImplemented
+        if self._length != other._length:
+            return False
+        diff = (self ^ other)._cols
+        if any(diff[1:]):
+            raise TypeError("affine bit strings whose equality depends on the free bits")
+        return diff[0] == 0
+
+    def _concrete(self, *_args):
+        raise TypeError("an affine bit string has no concrete value")
+
+    to_int = bit = concat = to_hex = _concrete
+    bits = packed = property(_concrete)
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"AffineBits({self._cols}, {self._length})"
 
 
 def sample_uniform(length: int, stream: np.random.Generator) -> BitString:

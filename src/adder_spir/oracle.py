@@ -9,33 +9,34 @@ estimation are involved, so a secure instance must audit to exact zeros
 (up to float accumulation, well below 1e-10).
 
 The real protocol is the thing audited, but it is not replayed for every
-assignment.  A *skeleton* fixes the channel inputs of every executed round,
-one partition per round that did not abort, and the selection.  The B free
-file and mask bits enter the session code as :class:`AffineBits`, values
-that carry their GF(2)-affine form in those bits, so one replay per
-skeleton returns the messages, and each selection fixes the unselected
-files, as an offset plus one column per free bit; numpy expands the 2^B
-assignments by XOR.  Every other value (y, sets, leak, abort, and whether
-the requested files came back, checked once per skeleton) must come out
-concrete: a session step that reads a file or mask bit as a value, or
-combines such bits other than by XOR, raises ``TypeError``.  Two files per
-server is the L1 = L2 = 2 case of the multi-file reduction, replayed the
-same way; only its decoded per-round values are unwrapped from their
-one-round tuples.
+assignment.  A *skeleton* fixes the channel outputs y of every executed
+round, one partition per round that did not abort, and the selection.  Its
+free bits are the B file and mask bits and the U channel bits, one per
+hidden position (y = 1), where server 1 sends a bit u and server 2 sends
+1 XOR u.  They enter the session code as
+:class:`~adder_spir.bits.AffineBits`, so one replay per skeleton returns
+the channel inputs, the messages and the unselected files as an offset
+plus one column per free bit; numpy expands the 2^(B+U) assignments by XOR.
+Every other value (y, sets, leak, abort, and whether the requested files
+came back) must come out concrete: a session step that reads a file or
+mask bit as a value, or combines such bits other than by XOR, raises
+``TypeError``.  A skeleton whose replay reads a channel bit that way is
+replayed once per value of its channel bits instead.  Two files per server
+is the L1 = L2 = 2 case of the multi-file reduction, replayed the same way;
+only its decoded per-round values are unwrapped from their one-round tuples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .bits import BitString
+from .bits import AffineBits, BitString
 from .channel import classify_indices, transmit
 from .infotheory import JointDistribution
 from .model import CapacityShortfall, ConfigurationError, FileStore, ProtocolParams, Selection
@@ -46,7 +47,6 @@ from .multifile import execute_multifile
 from .protocol import Transcript, abort_check, execute_session, partition_choices, shares_fit  # noqa: F401
 
 __all__ = [
-    "AffineBits",
     "StateBudgetExceeded",
     "LeakageReport",
     "enumerate_protocol",
@@ -71,75 +71,12 @@ VARIABLES = (
     "sets", "msgs1", "msgs2", "leak", "abort", "ok", "unsel", "u0",
 )
 # Skeleton constants coded by interned ids.
-_INTERNED = ("x1", "x2", "y", "sets", "leak", "u0")
-# Free bits of an assignment, packed in this order from the most significant end.
+_INTERNED = ("y", "sets", "leak", "u0")
+# Free file and mask bits of an assignment, packed in this order from the
+# most significant end; the channel bits sit above them.
 _FREE = ("files1", "files2", "masks1", "masks2")
 # Packed codes (free bits plus a round-pattern tag) must fit an int64.
 _MAX_CODE_BITS = 62
-
-
-class AffineBits(BitString):
-    """A bit string that is a GF(2)-affine function of B free bits.
-
-    It holds an offset and one column per free bit, ints in the bit order of
-    :class:`BitString` values: at an assignment (free bit j is bit j of an
-    int) its value is the offset XOR the columns of the set bits.  ``^``
-    (with a :class:`BitString` on either side), :meth:`split`, :meth:`join`,
-    ``len`` and ``==`` act on every column; ``==`` unless the two differ by
-    a constant, and whatever needs a concrete value, raise ``TypeError``.
-    """
-
-    __slots__ = ("_cols",)
-
-    def __init__(self, cols: tuple[int, ...], length: int):
-        """``cols`` is the offset, then the column of each free bit, all below 2^length."""
-        self._value, self._length, self._bits, self._cols = None, length, None, cols
-
-    def __xor__(self, other: BitString) -> "AffineBits":
-        if self._length != other._length:
-            raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
-        if not isinstance(other, AffineBits):
-            return AffineBits((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
-        return AffineBits(tuple(map(operator.xor, self._cols, other._cols)), self._length)
-
-    __rxor__ = __xor__
-
-    def split(self, count: int) -> list["AffineBits"]:
-        if count == 1:
-            return [self]
-        if count <= 0 or self._length % count:
-            raise ValueError(f"cannot split length {self._length} into {count} equal parts")
-        step = self._length // count
-        mask = (1 << step) - 1
-        return [AffineBits(tuple(c >> step * i & mask for c in self._cols), step) for i in range(count - 1, -1, -1)]
-
-    @classmethod
-    def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
-        cols, length = parts[0]._cols, parts[0]._length
-        for p in parts[1:]:
-            cols = tuple((c << p._length) | d for c, d in zip(cols, p._cols))
-            length += p._length
-        return cls(cols, length)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        if self._length != other._length:
-            return False
-        diff = (self ^ other)._cols
-        if any(diff[1:]):
-            raise TypeError("affine bit strings whose equality depends on the free bits")
-        return diff[0] == 0
-
-    def _concrete(self, *_args):
-        raise TypeError("an affine bit string has no concrete value")
-
-    to_int = bit = subselect = concat = to_hex = _concrete
-    bits = packed = property(_concrete)
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"AffineBits({self._cols}, {self._length})"
 
 
 class StateBudgetExceeded(Exception):
@@ -154,8 +91,8 @@ class LeakageReport:
     """All six audited quantities for one instance, in bits.
 
     ``enumeration_s`` and ``information_s`` split ``wall_time_s`` into the
-    enumeration and the mutual-information passes; they and ``replays`` (one
-    protocol replay per skeleton row) stay out of the record.
+    enumeration and the mutual-information passes; they and ``replays`` (the
+    protocol replays the enumeration ran) stay out of the record.
     """
 
     params: ProtocolParams
@@ -288,13 +225,15 @@ class _Layout:
         """Codes of the ``_FREE`` fields of packed assignments ``a``."""
         return _unpack(a, [c * w for c, w in self.fields])
 
-    def symbols(self) -> tuple:
+    def symbols(self, channel_bits: int = 0) -> tuple:
         """FileStores and per-part mask groups as :class:`AffineBits` of the
-        free bits that :meth:`split` reads them from."""
+        free bits that :meth:`split` reads them from, with ``channel_bits``
+        more free bits above those."""
         shift, groups = self.free_bits, []
         for count, width in self.fields:
             shift -= count * width
             linear = [(1 << j >> shift) & _mask(count * width) for j in range(self.free_bits)]
+            linear += [0] * channel_bits
             groups.append(tuple(AffineBits((0, *linear), count * width).split(count)) if count else ())
         f1, f2, m1, m2 = groups
         g1, g2 = self.L1 - 2, self.L2 - 2
@@ -338,6 +277,7 @@ def enumerate_protocol(
     mutation: Optional[str] = None,
     exact: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
+    stats: Optional[dict] = None,
 ) -> JointDistribution:
     """Exact joint distribution of one protocol instance.
 
@@ -345,13 +285,17 @@ def enumerate_protocol(
     inputs, observed sums, the entire public communication, the abort flag,
     the recovery flag, and the tuple of unselected files.  Per-round values
     are tuples over the executed rounds, except with two files per server
-    (L1 = L2 = 2, one round), where they are unwrapped.
+    (L1 = L2 = 2, one round), where they are unwrapped.  A given ``stats``
+    dict receives the number of protocol replays under ``"replays"``.
     """
     required = required_states(params, abort_disabled)
     if required > state_budget:
         raise StateBudgetExceeded(required, state_budget)
-    single = (params.L1, params.L2) == (2, 2)
-    return _Enumeration(params, abort_disabled, mutation).distribution(exact, single)
+    enumeration = _Enumeration(params, abort_disabled, mutation)
+    dist = enumeration.distribution(exact, single=(params.L1, params.L2) == (2, 2))
+    if stats is not None:
+        stats["replays"] = enumeration.replays
+    return dist
 
 
 class _Enumeration:
@@ -360,18 +304,25 @@ class _Enumeration:
     def __init__(self, params: ProtocolParams, abort_disabled: bool, mutation: Optional[str]):
         self.params, self.abort_disabled, self.mutation = params, abort_disabled, mutation
         self.layout = lay = _Layout(params)
-        if lay.free_bits + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
-            raise ConfigurationError(f"{lay.free_bits} free file and mask bits are too many to enumerate")
-        self.symbols = lay.symbols()
+        B, U = lay.free_bits, lay.n * lay.K
+        if B + U + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
+            raise ConfigurationError(f"{B} file and mask bits and {U} channel bits are too many to enumerate")
+        self.symbols = [lay.symbols(u) for u in range(U + 1)]
+        self.replays = 0
 
     def sequences(self):
-        """Channel-input sequences, truncated at the first aborting round,
-        with one partition per round that did not abort.
+        """Canonical channel-input sequences, truncated at the first aborting
+        round, with one partition per round that did not abort.
 
-        Yields (x pairs, partitions, number of partition combinations).
+        A canonical pair (ints) has x1 = 0 and x2 = 1 at every hidden
+        position; it stands for every pair with the same sums.  Yields (pairs,
+        (index, partition) per live round, number of partition combinations).
         """
-        xs = [BitString.from_int(v, self.layout.n) for v in range(2**self.layout.n)]
-        verdicts = [((x1, x2), _round_choices(x1, x2, self.params, self.abort_disabled)) for x1 in xs for x2 in xs]
+        n = self.layout.n
+        verdicts = [
+            ((v1, v2), _round_choices(*(BitString.from_int(v, n) for v in (v1, v2)), self.params, self.abort_disabled))
+            for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2
+        ]
         prefixes = [((), (), 1)]
         for _round in range(self.layout.K):
             grown = []
@@ -380,107 +331,135 @@ class _Enumeration:
                     if choices is None:
                         yield pairs + (pair,), parts, combos
                     else:
-                        grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in choices)
+                        grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in enumerate(choices))
             prefixes = grown
         yield from prefixes
 
-    def replay(self, sel: Selection, x_rounds, partitioners) -> tuple:
-        """Run the protocol once on the symbolic files and masks: the concrete
-        outputs (per executed round y, sets and leak; the abort flag; ok, 2 on
-        abort, else whether the recovered files equal the oracle's own symbolic
-        requested ones, never the audited session's ``recovery_ok``) and the
-        packed offset and columns of msgs1 and msgs2."""
-        files1, files2, masks1, masks2 = self.symbols
-        mt = execute_multifile(
-            self.params, files1, files2, sel, x_rounds, masks1, masks2,
-            abort_disabled=self.abort_disabled, mutation=self.mutation, partitioners=partitioners,
-        )
-        sent = [t for t in mt.transcripts if not t.aborted]
-        msgs = (
-            self._columns([m for t in sent for m in (t.m11, t.m12)]),
-            self._columns([m for t in sent for m in (t.m21, t.m22)]),
-        )
-        ok = 2 if mt.aborted else int(mt.recovered == (files1.file(sel.z1), files2.file(sel.z2)))
-        public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
-        return (public, mt.aborted, ok), msgs
-
-    def _columns(self, values) -> tuple[int, ...]:
-        """Offset and per-free-bit columns of the affine ``values`` packed together."""
-        return AffineBits.join(values)._cols if values else (0,) * (self.layout.free_bits + 1)
-
     def skeletons(self):
-        """Replay every skeleton once.  Yields (z1, z2, aborted, ok), the
-        values of ``_INTERNED``, the executed rounds, the packed offset and
-        columns of msgs1, msgs2 and unsel, and the partition combination count."""
+        """Replay every skeleton.  Yields per replay (z1, z2, aborted, ok), the
+        values of ``_INTERNED``, the offset and columns of x1, x2, msgs1,
+        msgs2 and unsel, and (free channel bits, selection index, executed
+        rounds, partition combinations, partition index per round)."""
         lay = self.layout
-        pad = (BitString.zeros(lay.n),) * 2
-        f1, f2 = self.symbols[0].files, self.symbols[1].files
-        selections = [(Selection(z1, z2), self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
+        f1, f2 = self.symbols[0][0].files, self.symbols[0][1].files
+        selections = [(Selection(z1, z2), _columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
                       for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
         for pairs, parts, combos in self.sequences():
             executed, aborted = len(pairs), len(parts) < len(pairs)
-            x_rounds = pairs + (pad,) * (lay.K - executed)
-            partitioners = [_preset_partitioner(p) for p in parts + (None,) * (lay.K - len(parts))]
-            inputs = tuple(x for x, _ in pairs), tuple(x for _, x in pairs)
-            part_keys = tuple(_part_key(p) for p in parts)
-            for sel, unsel in selections:
-                (public, replayed_abort, ok), msgs = self.replay(sel, x_rounds, partitioners)
-                if replayed_abort != aborted or len(public) != executed:
-                    raise RuntimeError("replay disagrees with the enumerated channel verdicts")
-                values = (*inputs, *(tuple(r[i] for r in public) for i in range(3)), part_keys)
-                yield (sel.z1, sel.z2, int(aborted), ok), values, executed, (*msgs, unsel), combos
+            live = [p for _i, p in parts]
+            partitioners = [_preset_partitioner(p) for p in live + [None] * (lay.K - len(live))]
+            # One free channel bit per hidden position: (round, its column).
+            channel = [(r, 1 << s) for r, (v1, v2) in enumerate(pairs)
+                       for s in range(lay.n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
+            shape = (executed, combos, *[i for i, _p in parts], *[0] * (lay.K - len(live)))
+            part_keys = tuple(map(_part_key, live))
+            for index, (sel, unsel) in enumerate(selections):
+                try:
+                    replays = [self.replay(sel, pairs, channel, partitioners, unsel)]
+                except TypeError:
+                    # The session reads a channel bit as a value: replay each assignment of them.
+                    replays = [self.replay(sel, _fixed(pairs, channel, u), [], partitioners, unsel)
+                               for u in range(2 ** len(channel))]
+                for (public, replayed_abort, ok), outputs, free in replays:
+                    if replayed_abort != aborted or len(public) != executed:
+                        raise RuntimeError("replay disagrees with the enumerated channel verdicts")
+                    values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
+                    yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, index, *shape)
+
+    def replay(self, sel: Selection, pairs, channel, partitioners, unsel) -> tuple:
+        """Run the protocol once on the symbolic files and masks and the
+        channel-input ``pairs`` XOR the ``channel`` bits, free above the file
+        and mask bits: the concrete outputs (per executed round y, sets and
+        leak; the abort flag; ok, 2 on abort, else whether the recovered files
+        equal the oracle's own symbolic requested ones, never the session's
+        ``recovery_ok``), the offset and columns of x1, x2, msgs1, msgs2 and
+        unsel (given) and the number of free channel bits."""
+        self.replays += 1
+        lay, free = self.layout, len(channel)
+        x_rounds = []
+        for r, pair in enumerate(pairs):
+            linear = [0] * lay.free_bits + [c if k == r else 0 for k, c in channel]
+            x_rounds.append(tuple(AffineBits((v, *linear), lay.n) for v in pair))
+        files1, files2, masks1, masks2 = self.symbols[free]
+        mt = execute_multifile(
+            self.params, files1, files2, sel, x_rounds + [(BitString.zeros(lay.n),) * 2] * (lay.K - len(pairs)),
+            masks1, masks2, abort_disabled=self.abort_disabled, mutation=self.mutation, partitioners=partitioners,
+        )
+        sent = [t for t in mt.transcripts if not t.aborted]
+        outputs = (
+            *(_columns([x[i] for x in x_rounds]) for i in (0, 1)),
+            _columns([m for t in sent for m in (t.m11, t.m12)]),
+            _columns([m for t in sent for m in (t.m21, t.m22)]),
+            unsel,
+        )
+        ok = 2 if mt.aborted else int(mt.recovered == (files1.file(sel.z1), files2.file(sel.z2)))
+        public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
+        return (public, mt.aborted, ok), outputs, free
 
     def distribution(self, exact: bool, single: bool) -> JointDistribution:
         lay = self.layout
-        N = 2**lay.free_bits
+        n, K, B = lay.n, lay.K, lay.free_bits
+        F = B + n * K  # the most free bits of any skeleton
         interned: dict[str, dict] = {name: {} for name in _INTERNED}
-        # Distinct linear parts: per affine output, one column per free bit.
-        linear: dict[tuple, int] = {}
-        rows = []
-        for direct, values, executed, outputs, combos in self.skeletons():
-            tag = 2 * executed + direct[2]
-            rows.append((
-                *direct,
-                *(interned[name].setdefault(v, len(interned[name])) for name, v in zip(_INTERNED, values)),
-                (tag << 2 * lay.p1 * lay.K) | outputs[0][0],
-                (tag << 2 * lay.p2 * lay.K) | outputs[1][0],
-                outputs[2][0], linear.setdefault(tuple(o[1:] for o in outputs), len(linear)), executed, combos,
-            ))
+        rows, affine = [], []
+        for direct, values, outputs, shape in self.skeletons():
+            ids = (interned[name].setdefault(v, len(interned[name])) for name, v in zip(_INTERNED, values))
+            rows.append((*direct, *ids, *shape))
+            affine.append([o + (0,) * (F + 1 - len(o)) for o in outputs])
         names = ("z1", "z2", "abort", "ok", *_INTERNED)
-        table = np.array(rows, dtype=np.int64).reshape(-1, len(names) + 6).T
-        S = table.shape[1]
-        columns = {name: np.repeat(col, N) for name, col in zip(names, table)}
-        *offsets, linear_id, executed, combos = table[len(names):]
+        table = np.array(rows, dtype=np.int64).T
+        affine = np.array(affine, dtype=np.int64)
+        free, sel_index, executed, combos, *part_index = table[len(names):]
 
-        # Affine outputs: each skeleton's offset XOR the span of its columns.
-        msgs1, msgs2, unsel = (
-            np.repeat(off, N) ^ np.stack([_span(cols[i]) for cols in linear])[linear_id].ravel()
-            for i, off in enumerate(offsets)
-        )
-        columns.update(
-            {name: np.tile(code, S) for name, code in zip(_FREE, lay.split(np.arange(N, dtype=np.int64)))},
-            msgs1=msgs1, msgs2=msgs2, unsel=unsel,
-        )
-        codes = np.column_stack([columns[name] for name in VARIABLES])
+        # Skeleton s expands to one row per assignment a of its free bits:
+        # file and mask bits below, its channel bits above.
+        counts = np.left_shift(1, B + free)
+        skel = np.repeat(np.arange(len(counts)), counts)
+        a = np.arange(len(skel)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+        # The rows go in the order of an enumeration of every channel-input
+        # sequence (by abort round, then per round x1, x2 and partition), then
+        # selection, then file and mask bits: the float sums over rows follow it.
+        x1, x2 = (_expand(affine[:, i], skel, a) for i in range(2))
+        rounds, aborted = executed[skel], table[2][skel]
+        keys = [a & _mask(B), sel_index[skel]]
+        left = [x << n * (K - rounds) for x in (x2, x1)]
+        for r in range(K - 1, -1, -1):
+            keys += [part_index[r][skel], *(x >> n * (K - 1 - r) & _mask(n) for x in left)]
+        order = np.lexsort([*keys, rounds + 1 - aborted])
+        skel, a, x1, x2, rounds, aborted = (v[order] for v in (skel, a, x1, x2, rounds, aborted))
+
+        codes = np.empty((len(skel), len(VARIABLES)), dtype=np.int64)
+        columns = dict(zip(VARIABLES, codes.T))
+        for name, col in zip(names, table):
+            columns[name][:] = col[skel]
+        for name, col in zip(_FREE, lay.split(a & _mask(B))):
+            columns[name][:] = col
+        tag = 2 * rounds + aborted
+        columns["x1"][:], columns["x2"][:] = (rounds << n * K) | x1, (rounds << n * K) | x2
+        columns["msgs1"][:] = (tag << 2 * lay.p1 * K) | _expand(affine[:, 2], skel, a)
+        columns["msgs2"][:] = (tag << 2 * lay.p2 * K) | _expand(affine[:, 3], skel, a)
+        columns["unsel"][:] = _expand(affine[:, 4], skel, a)
 
         # Row probability: 2^(-2n) per executed round, 1 / combos for the
-        # partitions, 1 / (L1 L2) for the selection, 2^-B for the free bits.
-        scale = lay.L1 * lay.L2 * N
+        # partitions, 1 / (L1 L2) for the selection, 2^-B for the file and
+        # mask bits.
+        scale = lay.L1 * lay.L2 * 2**B
         pairs = list(zip(executed.tolist(), combos.tolist()))
         if exact:
             lcm = math.lcm(*(c for _k, c in pairs))
-            denominator = 2 ** (2 * lay.n * lay.K) * lcm * scale
+            denominator = 2 ** (2 * n * K) * lcm * scale
             weights = np.array(
-                [2 ** (2 * lay.n * (lay.K - k)) * lcm // c for k, c in pairs],
+                [2 ** (2 * n * (K - k)) * lcm // c for k, c in pairs],
                 dtype=np.int64 if denominator < 2**62 else object,
             )
         else:
             denominator = None
-            weights = np.array([1.0 / (2 ** (2 * lay.n * k) * scale) / c for k, c in pairs])
+            weights = np.array([1.0 / (2 ** (2 * n * k) * scale) / c for k, c in pairs])
 
         decoders = {name: list(ids).__getitem__ for name, ids in interned.items()}
         decoders.update(
-            z1=int, z2=int, abort=bool,
+            z1=int, z2=int, abort=bool, x1=self._inputs, x2=self._inputs,
             msgs1=functools.partial(self._messages, width=lay.p1),
             msgs2=functools.partial(self._messages, width=lay.p2),
             unsel=self._unselected,
@@ -494,8 +473,13 @@ class _Enumeration:
             decoders["unsel"] = lambda c, d=decoders["unsel"]: tuple(u[0] for u in d(c))
             decoders["u0"] = lambda c, d=decoders["u0"]: (d(c) or (None,))[0]
         return JointDistribution.from_codes(
-            VARIABLES, codes, np.repeat(weights, N), [decoders[v] for v in VARIABLES], denominator=denominator
+            VARIABLES, codes, weights[skel], [decoders[v] for v in VARIABLES], denominator=denominator
         )
+
+    def _inputs(self, code: int) -> tuple:
+        """One server's channel input per executed round."""
+        bits = self.layout.n * self.layout.K
+        return _bitstrings(code & _mask(bits), code >> bits, self.layout.n)
 
     def _messages(self, code: int, width: int) -> tuple:
         """Per executed round (m1, m2), or None for the round that aborted."""
@@ -510,12 +494,27 @@ class _Enumeration:
         return _bitstrings(unsel1, lay.L1 - 1, lay.len1), _bitstrings(unsel2, lay.L2 - 1, lay.len2)
 
 
-def _span(columns: Sequence[int]) -> np.ndarray:
-    """XOR of ``columns[j]`` over the set bits j of every index in [0, 2^len)."""
-    table = np.zeros(1, dtype=np.int64)
-    for col in columns:
-        table = np.concatenate([table, table ^ col])
-    return table
+def _columns(values) -> tuple[int, ...]:
+    """Offset and per-free-bit columns of the affine ``values`` packed
+    together; a lone zero offset for no values (missing columns are zero)."""
+    return AffineBits.join(values)._cols if values else (0,)
+
+
+def _expand(affine: np.ndarray, skel: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """An affine output at every row: the offset of its skeleton XOR the
+    columns of the set bits of its assignment ``a``."""
+    value = affine[skel, 0]
+    for j in np.flatnonzero(affine[:, 1:].any(axis=0)).tolist():
+        value ^= np.where(a >> j & 1, affine[skel, j + 1], 0)
+    return value
+
+
+def _fixed(pairs, channel, u: int) -> list:
+    """The channel-input ``pairs`` with the ``channel`` bits set to the bits of ``u``."""
+    flips = [0] * len(pairs)
+    for j, (r, col) in enumerate(channel):
+        flips[r] ^= col * (u >> j & 1)
+    return [(v1 ^ f, v2 ^ f) for (v1, v2), f in zip(pairs, flips)]
 
 
 SERVER1_VIEW = ("files1", "masks1", "x1", "sets", "msgs1", "leak")
@@ -535,8 +534,9 @@ def audit(
     """Compute all six audited quantities on the exact distribution."""
     start = time.perf_counter()
     required = required_states(params, abort_disabled)
+    stats: dict = {}
     dist = enumerate_protocol(
-        params, abort_disabled=abort_disabled, mutation=mutation, exact=exact, state_budget=state_budget
+        params, abort_disabled=abort_disabled, mutation=mutation, exact=exact, state_budget=state_budget, stats=stats
     )
     enumerated = time.perf_counter()
     work = dist.to_float()
@@ -565,5 +565,5 @@ def audit(
         params, conditioning, **leakages, reliability_error=reliability_error, state_count=len(dist),
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=enumerated - start, information_s=end - enumerated,
-        replays=required // 2 ** _Layout(params).free_bits,
+        replays=stats.get("replays", 0),
     )

@@ -3,15 +3,17 @@
 A random chain of ``^``, ``split`` and ``join`` runs once on AffineBits and
 once on the concrete values at each of a few assignments of the free bits;
 every intermediate value must evaluate to its concrete counterpart.
+``subselect`` and the channel's ``transmit`` are checked the same way.
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adder_spir.bits import BitString
+from adder_spir.bits import AffineBits, BitString
+from adder_spir.channel import transmit
 from adder_spir.model import ProtocolParams
-from adder_spir.oracle import AffineBits, _bitstrings, _Layout
+from adder_spir.oracle import _bitstrings, _Layout
 
 MAX_FREE = 6
 LENGTHS = (0, 1, 2, 3, 4, 6, 12)
@@ -19,6 +21,8 @@ LENGTHS = (0, 1, 2, 3, 4, 6, 12)
 
 def evaluate(v, assignment):
     """The concrete value of ``v`` with free bit j set to bit j of ``assignment``."""
+    if not isinstance(v, AffineBits):
+        return v
     value = v._cols[0]
     for j, col in enumerate(v._cols[1:]):
         if assignment >> j & 1:
@@ -82,9 +86,64 @@ def test_op_chains_match_concrete_values(data):
     assert pool[i] != BitString.zeros(len(pool[i]) + 1)
 
 
+@given(st.data())
+def test_subselect_matches_concrete_values(data):
+    free = data.draw(st.integers(0, MAX_FREE), label="free bits")
+    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
+    v = random_affine(data, free, length)
+    # Sorted, unsorted and repeated indices alike.
+    indices = data.draw(st.lists(st.integers(1, length), max_size=2 * length), label="indices")
+    picked = v.subselect(indices)
+    assert type(picked) is AffineBits and len(picked) == len(indices)
+    for a in data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=4)):
+        assert evaluate(picked, a) == evaluate(v, a).subselect(indices)
+    for outside in (0, length + 1):
+        with pytest.raises(IndexError):
+            v.subselect([*indices, outside])
+
+
+def constant_sum_pair(data, free, length, concrete_x2=False):
+    """x1 and x2 whose sum does not depend on the free bits: x1 ^ x2 is a
+    constant d, and x1 has free columns only where d is 1 (nowhere if x2
+    is to be a concrete BitString)."""
+    d = data.draw(st.integers(0, 2**length - 1), label="x1 ^ x2")
+    x1 = random_affine(data, free, length)
+    x1 = AffineBits((x1._cols[0], *(0 if concrete_x2 else c & d for c in x1._cols[1:])), length)
+    x2 = x1 ^ BitString.from_int(d, length)
+    return x1, evaluate(x2, 0) if concrete_x2 else x2
+
+
+@given(st.data())
+def test_transmit_matches_concrete_sums(data):
+    free = data.draw(st.integers(0, MAX_FREE), label="free bits")
+    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
+    x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
+    y = transmit(x1, x2).y
+    assert y.dtype == "uint8"
+    for a in data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=4)):
+        assert y.tolist() == transmit(evaluate(x1, a), evaluate(x2, a)).y.tolist()
+
+
+@given(st.data())
+def test_transmit_rejects_sums_that_depend_on_free_bits(data):
+    free = data.draw(st.integers(1, MAX_FREE), label="free bits")
+    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
+    x1, x2 = constant_sum_pair(data, free, length)
+    # One free bit enters one input at one position, or both inputs at a
+    # position where they are equal (the sum is then 0 or 2).
+    equal = [p for p in range(length) if not (evaluate(x1 ^ x2, 0).to_int() >> p & 1)]
+    target = data.draw(st.sampled_from(["x1", "x2", "both"] if equal else ["x1", "x2"]), label="bumped")
+    shift = data.draw(st.sampled_from(equal if target == "both" else range(length)), label="position")
+    j = data.draw(st.integers(1, free), label="column")
+    bump = AffineBits((0, *(1 << shift if k == j else 0 for k in range(1, free + 1))), length)
+    x1, x2 = (x1 ^ bump if target != "x2" else x1), (x2 ^ bump if target != "x1" else x2)
+    with pytest.raises(TypeError):
+        transmit(x1, x2)
+
+
 def test_concrete_views_raise_type_error():
     v = AffineBits((1, 2, 0), 2)
-    for view in (v.to_int, lambda: v.bits, lambda: v.packed, lambda: v.subselect([1]),
+    for view in (v.to_int, lambda: v.bits, lambda: v.packed,
                  lambda: v.bit(1), lambda: v.concat(v), v.to_hex, lambda: hash(v)):
         with pytest.raises(TypeError):
             view()

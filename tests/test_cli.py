@@ -5,7 +5,8 @@ import pytest
 
 from adder_spir import cli
 from adder_spir.cli import main
-from adder_spir.model import PartyRandomness
+from adder_spir.model import PartyRandomness, ProtocolParams
+from adder_spir.oracle import required_states
 
 
 def _read_records(path):
@@ -146,7 +147,7 @@ def test_audit_honest_exit_zero(tmp_path, capsys):
     assert report["state_count"] == report["required_states"] == 1792
     assert report["budget"] == 2**28
     # Phase timings go to stderr only; wall_time_s is the body's one timing.
-    assert "audit: 1792 states from 448 replays, enumerated in" in capsys.readouterr().err
+    assert "audit: 1792 states from 180 replays, enumerated in" in capsys.readouterr().err
     assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 
@@ -174,6 +175,15 @@ def test_audit_budget_exit_three(tmp_path):
 def test_audit_budget_counts_partition_choices(tmp_path):
     code = main(["audit", "--n", "8", "--ell1", "1", "--ell2", "1", "--out", str(tmp_path / "b.jsonl")])
     assert code == 3
+
+
+def test_audit_codes_wider_than_int64_exit_two(tmp_path, capsys):
+    # 31 positions in each of 2 rounds: 62 channel bits plus a round tag do
+    # not fit an int64 code, even with a budget that admits every row.
+    args = ["audit", "--n", "31", "--L1", "3", "--L2", "2", "--ell1", "0", "--ell2", "0"]
+    budget = str(required_states(ProtocolParams(n=31, t_exponent=0.4, alpha=0.5, L1=3, L2=2, ell1=0, ell2=0)))
+    assert main([*args, "--budget", budget, "--out", str(tmp_path / "w.jsonl")]) == 2
+    assert "62 channel bits are too many to enumerate" in capsys.readouterr().err
 
 
 def test_audit_conditioning_on_impossible_event_exit_two(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from adder_spir import multifile, oracle, protocol
 from adder_spir.bits import BitString
 from adder_spir.infotheory import otp_lemma_check
-from adder_spir.model import ProtocolParams
+from adder_spir.model import ConfigurationError, ProtocolParams
 from adder_spir.oracle import (
     DEFAULT_STATE_BUDGET,
     StateBudgetExceeded,
@@ -46,6 +46,18 @@ def test_required_states_counts_partition_choices():
     assert required_states(params) == 440_696_832 > DEFAULT_STATE_BUDGET
     with pytest.raises(StateBudgetExceeded):
         enumerate_protocol(params)
+
+
+def test_codes_wider_than_int64_are_a_configuration_error():
+    # A packed channel input holds n K bits plus a round tag (3 bits at
+    # K = 2): n = 29 fits the 62-bit code width, n = 30 does not.  The
+    # check runs before any replay, whatever the budget.
+    def shape(n):
+        return ProtocolParams(n=n, t_exponent=0.4, alpha=0.5, L1=3, L2=2, ell1=0, ell2=0)
+
+    oracle._Enumeration(shape(29), False, None)
+    with pytest.raises(ConfigurationError, match="60 channel bits"):
+        enumerate_protocol(shape(30), state_budget=required_states(shape(30)))
 
 
 def test_honest_audit_is_exactly_private():
@@ -176,10 +188,13 @@ def test_recovery_of_another_file_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize(
     "params, replays",
-    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 2176), (_MULTI, 816)],
+    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 612), (_MULTI, 246)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
+    # A skeleton fixes the sums, not the channel inputs: one replay stands
+    # for every input pair with the same sums (153 of 544 at n=4 per
+    # selection, 41 of 136 at L=3x2).
     calls = []
     execute_multifile = oracle.execute_multifile
 
@@ -189,8 +204,7 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
     monkeypatch.setattr(oracle, "execute_multifile", counted)
     report = audit(params)
-    free_bits = oracle._Layout(params).free_bits
-    assert len(calls) == required_states(params) // 2**free_bits == replays == report.replays
+    assert len(calls) == replays == report.replays
 
 
 def test_otp_lemma_width_one():
