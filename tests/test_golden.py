@@ -5,6 +5,10 @@ after the header, with the audit report's ``wall_time_s`` (its only timing)
 dropped.  A change that is meant to keep behaviour must leave every hash
 unchanged.  Re-record a hash only for an intended change of the output:
 ``python tests/test_golden.py`` prints the current digests.
+
+The published selection sets of the ``run`` cases have digests of their
+own, recorded from format 1 of the records, where the sets were int lists:
+a change of how records encode the sets must keep the sets themselves.
 """
 
 import hashlib
@@ -67,6 +71,35 @@ CASES = {
 }
 
 
+# name -> sha256 of the published sets, one line per (record, round, server, set).
+FORMAT1_SETS = {
+    "run-2file": "5b38d3a880f4e16f3c22927fc7c353a5a6c69a9d400946126f9d2c3d77eb57cc",
+    "run-multifile": "702a8f75cc7401f77a078f0b58b7ae5290123b23b0db7ca6a7187222a4467b7d",
+    "run-aborts": "39f0774ffe07d23f66327e59cd00771ff952485b0c50c539da61c997fc0b6b82",
+    "run-no-abort": "643eea6a88e29abc23db79426e30cfa425817d8e41cd9c99a795a237f7945d67",
+}
+
+
+def published_sets(record: dict):
+    """(round, server, set, positions) of every published set of one run record."""
+    rounds = record["rounds"] if record["record"] == "multifile-transcript" else [record]
+    for r, rnd in enumerate(rounds):
+        if "sets" in rnd:
+            for s, server in enumerate(("server1", "server2"), 1):
+                for k, positions in enumerate(rnd["sets"][server], 1):
+                    yield r, s, k, positions
+
+
+def sets_digest(argv, out: Path) -> str:
+    """The sha256 of the published sets of one run command, in their canonical form."""
+    main([*argv, "--out", str(out)])
+    digest = hashlib.sha256()
+    for i, line in enumerate(out.read_text().splitlines()[1:]):
+        for r, s, k, positions in published_sets(json.loads(line)):
+            digest.update(f"{i} {r} {s} {k} {','.join(map(str, positions))}\n".encode())
+    return digest.hexdigest()
+
+
 def body_digest(argv, out: Path) -> tuple[int, str]:
     """Exit code of one command and the sha256 of its output body."""
     code = main([*argv, "--out", str(out)])
@@ -84,8 +117,15 @@ def test_golden_body(name, tmp_path):
     assert body_digest(argv, tmp_path / "out.jsonl") == (code, expected)
 
 
+@pytest.mark.parametrize("name", sorted(FORMAT1_SETS))
+def test_published_sets_match_format1(name, tmp_path):
+    assert sets_digest(CASES[name][0], tmp_path / "out.jsonl") == FORMAT1_SETS[name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, _code, _digest) in CASES.items():
             code, digest = body_digest(argv, Path(tmp) / "out.jsonl")
             print(f"{name}: exit {code} sha256 {digest}")
+        for name in FORMAT1_SETS:
+            print(f"{name} sets: sha256 {sets_digest(CASES[name][0], Path(tmp) / 'out.jsonl')}")
