@@ -3,7 +3,8 @@
 A random chain of ``^``, ``split`` and ``join`` runs once on AffineBits and
 once on the concrete values at each of a few assignments of the free bits;
 every intermediate value must evaluate to its concrete counterpart.
-``subselect`` and the channel's ``transmit`` are checked the same way.
+``subselect`` and the channel's ``transmit`` (in both argument orders) are
+checked the same way.
 """
 
 import pytest
@@ -118,17 +119,20 @@ def test_transmit_matches_concrete_sums(data):
     free = data.draw(st.integers(0, MAX_FREE), label="free bits")
     length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
     x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
-    y = transmit(x1, x2).y
-    assert y.dtype == "uint8"
-    for a in data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=4)):
-        assert y.tolist() == transmit(evaluate(x1, a), evaluate(x2, a)).y.tolist()
+    assignments = data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=4))
+    # Either argument may be the concrete one.
+    for first, second in ((x1, x2), (x2, x1)):
+        y = transmit(first, second).y
+        assert y.dtype == "uint8"
+        for a in assignments:
+            assert y.tolist() == transmit(evaluate(first, a), evaluate(second, a)).y.tolist()
 
 
 @given(st.data())
 def test_transmit_rejects_sums_that_depend_on_free_bits(data):
     free = data.draw(st.integers(1, MAX_FREE), label="free bits")
     length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
-    x1, x2 = constant_sum_pair(data, free, length)
+    x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
     # One free bit enters one input at one position, or both inputs at a
     # position where they are equal (the sum is then 0 or 2).
     equal = [p for p in range(length) if not (evaluate(x1 ^ x2, 0).to_int() >> p & 1)]
@@ -137,8 +141,9 @@ def test_transmit_rejects_sums_that_depend_on_free_bits(data):
     j = data.draw(st.integers(1, free), label="column")
     bump = AffineBits((0, *(1 << shift if k == j else 0 for k in range(1, free + 1))), length)
     x1, x2 = (x1 ^ bump if target != "x2" else x1), (x2 ^ bump if target != "x1" else x2)
-    with pytest.raises(TypeError):
-        transmit(x1, x2)
+    for first, second in ((x1, x2), (x2, x1)):
+        with pytest.raises(TypeError):
+            transmit(first, second)
 
 
 def test_concrete_views_raise_type_error():
