@@ -130,6 +130,8 @@ class BitString:
 
     def sums(self, other: "BitString") -> np.ndarray:
         """Per-position integer sums with an equal-length string, as uint8."""
+        if isinstance(other, AffineBits):
+            return other.sums(self)
         return self.bits + other.bits
 
     def concat(self, other: "BitString") -> "BitString":
