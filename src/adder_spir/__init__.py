@@ -59,6 +59,7 @@ from .protocol import (
     abort_check,
     build_selection_sets,
     client_recover,
+    decode_sets,
     execute_session,
     partition,
     run_session_adaptive,

@@ -36,7 +36,7 @@ from .protocol import run_session_adaptive
 
 __all__ = ["main", "build_parser"]
 
-FORMAT_VERSION = "adder-spir/1"
+FORMAT_VERSION = "adder-spir/2"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1

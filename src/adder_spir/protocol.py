@@ -48,6 +48,7 @@ __all__ = [
     "shares_fit",
     "client_partitioner",
     "build_selection_sets",
+    "decode_sets",
     "server_mask",
     "client_recover",
     "execute_session",
@@ -99,6 +100,19 @@ class SelectionSets:
         return self.s1_for_server2, self.s2_for_server2
 
 
+# Labels of a record's ``sets`` string: no set, then the four in SelectionSets field order.
+_LABELS = np.frombuffer(b".abcd", dtype=np.uint8)
+_NO_SET = _LABELS[0]
+
+
+def decode_sets(labels: str) -> SelectionSets:
+    """The four published index sets of a record's ``sets`` label string."""
+    codes = np.frombuffer(labels.encode("ascii"), dtype=np.uint8)
+    if np.isin(codes, _LABELS, invert=True).any():
+        raise ValueError("set labels may only contain '.', 'a', 'b', 'c', 'd'")
+    return SelectionSets(*((codes == code).nonzero()[0] + 1 for code in _LABELS[1:]))
+
+
 @dataclass(frozen=True)
 class Transcript:
     """Complete public record of one session."""
@@ -136,11 +150,17 @@ class Transcript:
             "y": ternary_to_string(self.y),
         }
         if not self.aborted:
-            sets = self.selection_sets
-            rec["sets"] = {
-                "server1": [sets.s1_for_server1.tolist(), sets.s2_for_server1.tolist()],
-                "server2": [sets.s1_for_server2.tolist(), sets.s2_for_server2.tolist()],
-            }
+            # One label per position: the set in published order ('a'-'d') or '.' for none.
+            s = self.selection_sets
+            shares = (s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2)
+            positions = np.concatenate(shares)
+            if positions.size and (positions.min() < 1 or positions.max() > self.params.n):
+                raise ValueError("selection sets must lie in [1, n]")
+            labels = np.full(self.params.n, _NO_SET, dtype=np.uint8)
+            labels[positions - 1] = np.repeat(_LABELS[1:], [a.size for a in shares])
+            if np.count_nonzero(labels != _NO_SET) != positions.size:
+                raise ValueError("selection sets must be pairwise disjoint")
+            rec["sets"] = labels.tobytes().decode("ascii")
             rec["messages"] = {
                 "m11": self.m11.to_hex(),
                 "m12": self.m12.to_hex(),

@@ -26,7 +26,7 @@ def test_run_two_file(tmp_path):
     assert code == 0
     records = _read_records(out)
     assert records[0]["record"] == "header"
-    assert records[0]["format"] == "adder-spir/1"
+    assert records[0]["format"] == cli.FORMAT_VERSION == "adder-spir/2"
     trials = [r for r in records if r["record"] == "transcript"]
     assert len(trials) == 3
     for r in trials:
@@ -87,6 +87,30 @@ def test_run_workers_match_serial(tmp_path, shape):
         bodies.append(out.read_text().splitlines()[1:])
     assert len(bodies[0]) == int(shape[shape.index("--trials") + 1])
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ("--n", "64", "--ell1", "4", "--ell2", "3", "--trials", "4", "--seed", "1"),
+        ("--n", "64", "--L1", "3", "--L2", "4", "--ell1", "3", "--ell2", "2", "--trials", "3", "--seed", "7"),
+    ],
+    ids=["two-file", "multi-file"],
+)
+def test_run_sets_are_one_label_per_position(tmp_path, shape):
+    out = tmp_path / "run.jsonl"
+    assert main(["run", *shape, "--out", str(out)]) == 0
+    n, ell1, ell2 = (int(shape[shape.index(flag) + 1]) for flag in ("--n", "--ell1", "--ell2"))
+    published = 0
+    for record in _read_records(out)[1:]:
+        for rnd in record.get("rounds", [record]):
+            if rnd["aborted"]:
+                continue
+            labels = rnd["sets"]
+            assert isinstance(labels, str) and len(labels) == n
+            assert [labels.count(c) for c in ".abcd"] == [n - 2 * (ell1 + ell2), ell1, ell1, ell2, ell2]
+            published += 1
+    assert published
 
 
 def test_sweep(tmp_path):

@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "Selection", "SelectionSets", "StateBudgetExceeded", "Transcript", "__version__",
     "abort_check", "achieved_rates", "audit", "brute_conditional_entropy", "build_chain",
     "build_selection_sets", "classify_indices", "client_recover", "conditional_entropy_f",
-    "diagonal_slice", "enumerate_protocol", "execute_multifile", "execute_session", "f_gradient",
+    "decode_sets", "diagonal_slice", "enumerate_protocol", "execute_multifile", "execute_session", "f_gradient",
     "flatten_rounds", "maximize_f", "otp_lemma_check", "partition", "party_stream", "reconstruct",
     "region_check", "request_schedule", "round_selection", "run_multifile",
     "run_session_adaptive", "sample_filestore", "sample_uniform", "server_mask", "transmit",

@@ -7,8 +7,8 @@ unchanged.  Re-record a hash only for an intended change of the output:
 ``python tests/test_golden.py`` prints the current digests.
 
 The published selection sets of the ``run`` cases have digests of their
-own, recorded from format 1 of the records, where the sets were int lists:
-a change of how records encode the sets must keep the sets themselves.
+own, recorded from format 1 of the records, where the sets were int lists.
+Format 2's label strings must decode to the same sets.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from adder_spir.cli import main
+from adder_spir.protocol import decode_sets
 
 _AUDIT_N3 = ("audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0")
 
@@ -27,18 +28,18 @@ CASES = {
     "run-2file": (
         ("run", "--n", "4096", "--ell1", "900", "--ell2", "900", "--trials", "3", "--seed", "11"),
         0,
-        "badf61e0b9a0a93a20fe3eab5c8fb44abe7c67c4f978f92d633c1bf4df95c2c0",
+        "f4c45429fea5da3051048ccce8912bada4092ff209555cb4fc966c4314467e0e",
     ),
     "run-multifile": (
         ("run", "--n", "1024", "--L1", "4", "--L2", "4", "--ell1", "60", "--ell2", "60", "--trials", "2", "--seed", "5"),
         0,
-        "9ffa6d29da6c29ace336b45cf11f2adc5c1afe11122581c6b8c4e1d969f1c65c",
+        "59dd2f0278252397d16b3de78a640ed8b8b24547f3208f6113a962f7fecc80af",
     ),
     # Both abort reasons occur: 2 size-deviation, 4 capacity-shortfall.
     "run-aborts": (
         ("run", "--n", "12", "--t", "0.45", "--ell1", "2", "--ell2", "2", "--trials", "40", "--seed", "3"),
         0,
-        "dc3028bb80010b8648004f0390d8dca602b728ddb8506cb049b27e832ea67d02",
+        "8cf39177feb897c8bee3dd5990cd5b03bc45c3ddf02cd62c1aa1cfb51864465d",
     ),
     "sweep": (
         ("sweep", "--n", "256,1024", "--alpha", "0.5,0.3", "--trials", "20", "--seed", "4"),
@@ -49,7 +50,7 @@ CASES = {
     "run-no-abort": (
         ("run", "--n", "10", "--ell1", "2", "--ell2", "2", "--trials", "20", "--seed", "2", "--no-abort"),
         0,
-        "455e1fcc4cb8853fa17e93d70762fb0e98c605d593202f1f651dbcd4c7e59a71",
+        "b8cb3712d5a02e90ad49a75040818352882952a8fb02ae02a3147d6637ba2da3",
     ),
     "audit-honest": (_AUDIT_N3, 0, "5c4f610882a7408a5d30942b23c2dc2c5c65e231ba0ad41827762df3b498f52e"),
     "audit-reuse-pad": ((*_AUDIT_N3, "--mutate", "reuse-pad"), 1, "a7d299194cfdb7dddcf309676b815bed20459afbfaf7f1d7879498a4b6d2a38d"),
@@ -85,9 +86,10 @@ def published_sets(record: dict):
     rounds = record["rounds"] if record["record"] == "multifile-transcript" else [record]
     for r, rnd in enumerate(rounds):
         if "sets" in rnd:
-            for s, server in enumerate(("server1", "server2"), 1):
-                for k, positions in enumerate(rnd["sets"][server], 1):
-                    yield r, s, k, positions
+            sets = decode_sets(rnd["sets"])
+            for s in (1, 2):
+                for k, positions in enumerate(sets.for_server(s), 1):
+                    yield r, s, k, positions.tolist()
 
 
 def sets_digest(argv, out: Path) -> str:
