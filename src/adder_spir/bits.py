@@ -267,9 +267,26 @@ class AffineBits(BitString):
 def sample_uniform(length: int, stream: np.random.Generator) -> BitString:
     """Draw ``length`` independent uniform bits from ``stream``.
 
-    Deterministic given the generator state; consumes ceil(length / 8) bytes.
+    The bits are those of ``stream.bytes(ceil(length / 8))``, and the stream
+    is left where ``bytes`` leaves it.  ``bytes`` takes ceil(length / 32)
+    words, but at least one, from the PCG64 uint32 stream: the low half of
+    each raw 64-bit output, then its high half, which waits in a one-word
+    buffer when a draw ends there.  The buffered word and an odd last word
+    go through numpy's own uint32 path; the rest is read raw.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     length = operator.index(length)
-    return BitString._of(int.from_bytes(stream.bytes((length + 7) // 8), "big") >> (-length % 8), length)
+    bitgen = stream.bit_generator
+    buffered = bitgen.state["has_uint32"]
+    words = ((length + 31) // 32 or 1) - buffered
+    head = _word(stream) if buffered else b""
+    body = bitgen.random_raw(words // 2).astype("<u8").tobytes()
+    tail = _word(stream) if words % 2 else b""
+    packed = (head + body + tail)[: (length + 7) // 8]
+    return BitString._of(int.from_bytes(packed, "big") >> (-length % 8), length)
+
+
+def _word(stream: np.random.Generator) -> bytes:
+    """The next word of ``stream``'s uint32 stream, as ``bytes`` lays it out."""
+    return int(stream.integers(1 << 32, dtype=np.uint32)).to_bytes(4, "little")

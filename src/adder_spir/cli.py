@@ -1,10 +1,11 @@
 """Batch experiment harness: seeded runs, sweeps, audits, capacity checks.
 
-Output is line-delimited JSON: one versioned header record (its
-``generated_at`` field is the only non-deterministic value, so golden
-comparisons skip the header line) followed by one record per session,
-sweep cell, or report.  Exit codes: 0 all checks pass, 1 check failure,
-2 configuration error, 3 resource/budget error, 4 internal error.
+Output is line-delimited JSON: one versioned header record (its ``env``
+names the package, Python and numpy versions, since seeded bytes rest on
+numpy's PCG64; its ``generated_at`` is the only value that differs between
+runs, so golden comparisons skip the header) followed by one record per
+session, sweep cell, or report.  Exit codes: 0 all checks pass, 1 check
+failure, 2 configuration error, 3 resource/budget error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import capacity as cap
+from . import __version__, capacity as cap
 from .infotheory import MAX_PAD_WIDTH, otp_lemma_check
 from .model import (
     ConfigurationError,
@@ -158,6 +159,7 @@ def _header(command: str, config: dict) -> dict:
         "format": FORMAT_VERSION,
         "command": command,
         "config": config,
+        "env": {"adder_spir": __version__, "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__},
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 

@@ -1,9 +1,13 @@
 """Shared domain types, seeded randomness, and error classes.
 
-Randomness scheme: each party owns one 64-bit seed.  Sub-streams are derived
-with ``numpy.random.SeedSequence(seed, spawn_key=key)`` feeding a PCG64
-generator, so a session is reproducible bit for bit from the seed triple
-alone.  Spawn-key conventions:
+Randomness scheme: each party owns one 64-bit seed, and a sub-stream is the
+PCG64 generator of ``numpy.random.SeedSequence(seed, spawn_key=key)``, so a
+session is reproducible bit for bit from the seed triple alone.  That
+sequence hashes only its assembled entropy: the seed's little-endian uint32
+words, zero-padded to the pool size (4) when the key is non-empty, then each
+key element's words.  A ``SeedSequence`` of those words as one uint32 array
+has the same pool and state and is cheaper to build, so it is the one built
+here.  Spawn-key conventions:
 
 * ``(0,)``       file sampling for a server's library
 * ``(1, k)``     channel inputs for sub-protocol round ``k`` (1-based)
@@ -13,6 +17,7 @@ alone.  Spawn-key conventions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +45,25 @@ class CapacityShortfall(Exception):
     """The realized channel block cannot carry the requested file lengths."""
 
 
+def _uint32_words(x: int) -> bytes:
+    """A nonnegative int as little-endian uint32 words, at least one, as ``SeedSequence`` reads it."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("seeds and spawn-key elements must be nonnegative")
+    return x.to_bytes(-(-x.bit_length() // 32) * 4 or 4, "little")
+
+
+def _seed_sequence(entropy: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    """``SeedSequence(entropy, spawn_key=key)``, built from its assembled entropy words."""
+    words = _uint32_words(entropy)
+    if key:
+        words = words.ljust(16, b"\0") + b"".join(map(_uint32_words, key))
+    return np.random.SeedSequence(np.frombuffer(words, "<u4"))
+
+
 def party_stream(seed: int, key: tuple[int, ...] = ()) -> np.random.Generator:
     """Deterministic PCG64 stream for one party, split by spawn key."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
 
 
 @dataclass(frozen=True)
@@ -138,5 +159,5 @@ def trial_seeds(master_seed: int | np.random.SeedSequence, trial: int) -> PartyR
         entropy, key = master_seed.entropy, (*master_seed.spawn_key, trial)
     else:
         entropy, key = master_seed, (trial,)
-    state = np.random.SeedSequence(entropy, spawn_key=key).generate_state(3, np.uint64)
+    state = _seed_sequence(entropy, key).generate_state(3, np.uint64)
     return PartyRandomness(int(state[0]), int(state[1]), int(state[2]))

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import adder_spir
 from adder_spir import cli
 from adder_spir.cli import main
 from adder_spir.model import PartyRandomness, ProtocolParams
@@ -27,6 +29,12 @@ def test_run_two_file(tmp_path):
     records = _read_records(out)
     assert records[0]["record"] == "header"
     assert records[0]["format"] == cli.FORMAT_VERSION == "adder-spir/2"
+    # Seeded bytes rest on numpy's PCG64, so the header names the versions; not the worker count.
+    assert records[0]["env"] == {
+        "adder_spir": adder_spir.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+    }
     trials = [r for r in records if r["record"] == "transcript"]
     assert len(trials) == 3
     for r in trials:
