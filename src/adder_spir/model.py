@@ -159,5 +159,4 @@ def trial_seeds(master_seed: int | np.random.SeedSequence, trial: int) -> PartyR
         entropy, key = master_seed.entropy, (*master_seed.spawn_key, trial)
     else:
         entropy, key = master_seed, (trial,)
-    state = _seed_sequence(entropy, key).generate_state(3, np.uint64)
-    return PartyRandomness(int(state[0]), int(state[1]), int(state[2]))
+    return PartyRandomness(*_seed_sequence(entropy, key).generate_state(3, np.uint64).tolist())
