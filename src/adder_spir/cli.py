@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--no-abort", action="store_true")
     p_audit.add_argument("--condition-nonabort", action="store_true")
     p_audit.add_argument("--mutate", default=None, help="audit a deliberately broken variant")
-    p_audit.add_argument("--exact-rational", action="store_true", help="exact-arithmetic cross-check mode")
+    p_audit.add_argument("--exact-rational", action="store_true", help="no effect: audits are always exact; kept for old command lines")
     p_audit.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET)
 
     p_cap = sub.add_parser("capacity", help="entropy maximization and region checks")
@@ -273,7 +273,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     report = audit(
         _params(args), abort_disabled=args.no_abort, condition_nonabort=args.condition_nonabort,
-        mutation=args.mutate, exact=args.exact_rational, state_budget=args.budget,
+        mutation=args.mutate, state_budget=args.budget,
     )
     config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "mutate", "no_abort", "condition_nonabort", "exact_rational")}
     _emit([_header("audit", config), report.to_record()], args.out)
@@ -283,7 +283,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         f"mutual information in {report.information_s:.3f} s",
         file=sys.stderr,
     )
-    return EXIT_OK if report.all_zero(1e-9) else EXIT_CHECK_FAILED
+    return EXIT_OK if report.all_zero() else EXIT_CHECK_FAILED
 
 
 def cmd_capacity(args: argparse.Namespace) -> int:

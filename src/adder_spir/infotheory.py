@@ -1,14 +1,15 @@
 """Exact probability tables over finite tuples of discrete variables.
 
 A distribution is stored as a code matrix (one int64 code per row and
-variable) plus a weight vector, and a decoder per variable that turns a
-code back into its value.  Rows are distinct.  Probabilities are floats by
-default, with an exact-rational mode (integer numerators over one common
-denominator, read back as ``fractions.Fraction``) for cross-checks on tiny
-instances.  Marginals, entropies and mutual informations group rows by
-factorized code ids with ``np.unique`` and ``np.bincount``.  All
-information quantities are in bits; final summations go through
-``math.fsum`` so that 1e-10 tolerances are meaningful.
+variable), one positive integer numerator per row over one common
+denominator, and a decoder per variable that turns a code back into its
+value.  Rows are distinct, and the numerators sum to the denominator exactly.  Probabilities
+read back as ``fractions.Fraction``.  Marginals, entropies and mutual
+informations group rows by factorized code ids with ``np.unique`` and sum
+their numerators as integers.  A mutual information is exactly 0.0 when the
+grouped integer masses factor, decided by integer cross-multiplication;
+only a non-zero value is computed in floats.  All information quantities
+are in bits.
 
 Also houses the one-time-pad lemma checker: an exhaustive catalog of small
 dependent/independent variable constructions verifying that XOR with a
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +38,15 @@ _SUM_TOL = 1e-12
 MAX_PAD_WIDTH = 3
 # Exact numerators stay in int64 while every partial sum is below this.
 _INT64_SAFE = 2**62
+# Products of two masses stay in int64 while the denominator is below this.
+_PRODUCT_SAFE = 2**31
 
 Decoder = Callable[[int], Hashable]
+
+
+def _numerators(values, denominator: int) -> np.ndarray:
+    """Integer numerators over ``denominator``: int64 when every partial sum fits."""
+    return np.array(values, dtype=np.int64 if denominator < _INT64_SAFE else object)
 
 
 class _DecodedTable(Mapping):
@@ -51,12 +60,12 @@ class _DecodedTable(Mapping):
         self._dist = dist
 
     @cached_property
-    def _items(self) -> dict[tuple, float | Fraction]:
+    def _items(self) -> dict[tuple, Fraction]:
         d = self._dist
         columns = [d._decoded_column(j) for j in range(len(d.names))]
         return dict(zip(zip(*columns), d._probabilities()))
 
-    def __getitem__(self, key: tuple) -> float | Fraction:
+    def __getitem__(self, key: tuple) -> Fraction:
         return self._items[key]
 
     def __iter__(self):
@@ -70,24 +79,26 @@ class JointDistribution:
     """Exact joint distribution over named finite-alphabet variables."""
 
     def __init__(self, names: Sequence[str], table: Mapping[tuple, float | Fraction]):
-        """Build from a {value tuple: probability} mapping."""
-        keys = list(table)
-        probs = list(table.values())
+        """Build from a {value tuple: probability} mapping.
+
+        Float probabilities are read exactly (``Fraction(p)``).  They must
+        sum to 1 within ``_SUM_TOL``; the table is then normalised by its
+        exact total.  Zero-probability entries are dropped.
+        """
+        keys = [key for key, p in table.items() if p != 0]
+        probs = [Fraction(table[key]) for key in keys]
         codes = np.zeros((len(keys), len(names)), dtype=np.int64)
         decoders: list[Decoder] = []
         for j in range(len(names)):
             ids: dict = {}
             codes[:, j] = [ids.setdefault(key[j], len(ids)) for key in keys]
             decoders.append(list(ids).__getitem__)
-        den = None
-        weights = np.array(probs, dtype=np.float64)
-        if any(isinstance(p, Fraction) for p in probs):
-            fracs = [Fraction(p) for p in probs]
-            den = math.lcm(*(f.denominator for f in fracs))
-            numerators = [f.numerator * (den // f.denominator) for f in fracs]
-            weights = np.array(numerators, dtype=np.int64 if den < _INT64_SAFE else object)
-        self._setup(names, codes, weights, decoders, den)
-        self._check_normalized()
+        den = math.lcm(*(f.denominator for f in probs))
+        numerators = [f.numerator * (den // f.denominator) for f in probs]
+        total = sum(numerators)
+        if abs(total / den - 1.0) > _SUM_TOL:
+            raise ValueError(f"probabilities sum to {total / den}, not 1")
+        self._setup(names, codes, _numerators(numerators, total), decoders, total)
 
     @classmethod
     def from_codes(
@@ -97,19 +108,17 @@ class JointDistribution:
         weights: np.ndarray,
         decoders: Sequence[Decoder],
         *,
-        denominator: int | None = None,
+        denominator: int,
     ) -> "JointDistribution":
-        """Build from a code matrix, merging rows with equal codes.
+        """Build from a code matrix whose rows are distinct.
 
-        ``weights`` are float probabilities, or integer numerators over
-        ``denominator`` in exact mode.  Each decoder maps its column's
-        codes one-to-one onto values.
+        ``weights`` are positive integer numerators over ``denominator`` and
+        must sum to it.  Rows with equal codes are not merged.  Each decoder maps its
+        column's codes one-to-one onto values.
         """
         dist = cls._new(names, codes, weights, decoders, denominator)
-        ids, first = dist._group(range(len(dist.names)))
-        if len(first) < len(dist):
-            dist = cls._new(names, codes[first], dist._group_sum(ids, len(first)), decoders, denominator)
-        dist._check_normalized()
+        if dist._total() != denominator:
+            raise ValueError(f"numerators sum to {dist._total()}, not the denominator {denominator}")
         return dist
 
     @classmethod
@@ -126,23 +135,15 @@ class JointDistribution:
         self._den = denominator
         self._columns: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _check_normalized(self) -> None:
-        total = self.total_mass()
-        if abs(float(total) - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {float(total)}, not 1")
-
     @cached_property
-    def table(self) -> Mapping[tuple, float | Fraction]:
+    def table(self) -> Mapping[tuple, Fraction]:
         return _DecodedTable(self)
 
-    @property
-    def _exact(self) -> bool:
-        return self._den is not None
+    def _total(self, rows=slice(None)) -> int:
+        return int(self._weights[rows].sum())
 
-    def total_mass(self) -> float | Fraction:
-        if self._exact:
-            return Fraction(int(self._weights.sum()), self._den)
-        return math.fsum(self._weights.tolist())
+    def total_mass(self) -> Fraction:
+        return Fraction(self._total(), self._den)
 
     def _indices(self, names: Iterable[str]) -> list[int]:
         pos = {name: i for i, name in enumerate(self.names)}
@@ -178,28 +179,17 @@ class JointDistribution:
         return ids, first
 
     def _group_sum(self, ids: np.ndarray, count: int) -> np.ndarray:
-        """Weights summed per group id: floats, or exact numerators."""
-        if not self._exact:
-            return np.bincount(ids, weights=self._weights, minlength=count)
+        """Numerators summed per group id, exactly."""
         out = np.zeros(count, dtype=self._weights.dtype)
         np.add.at(out, ids, self._weights)
         return out
 
-    def _as_float(self, weights: np.ndarray) -> np.ndarray:
-        if not self._exact:
-            return weights
-        if self._den < 2**53 and weights.dtype != object:
-            return weights / self._den
-        return np.array([int(w) / self._den for w in weights], dtype=np.float64)
+    def _probabilities(self) -> list[Fraction]:
+        return [Fraction(w, self._den) for w in self._weights.tolist()]
 
-    def _probabilities(self) -> list[float | Fraction]:
-        if self._exact:
-            return [Fraction(int(w), self._den) for w in self._weights]
-        return self._weights.tolist()
-
-    def _grouped_probabilities(self, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _grouped_masses(self, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         ids, first = self._group(idx)
-        return ids, self._as_float(self._group_sum(ids, len(first)))
+        return ids, self._group_sum(ids, len(first))
 
     def _rows_where(self, name: str, value: Hashable) -> np.ndarray:
         (j,) = self._indices([name])
@@ -207,12 +197,9 @@ class JointDistribution:
         hit = np.array([self._decoders[j](c) == value for c in uniq.tolist()], dtype=bool)
         return hit[inverse]
 
-    def probability(self, name: str, value: Hashable) -> float | Fraction:
+    def probability(self, name: str, value: Hashable) -> Fraction:
         """P(name = value), summed exactly over the matching rows."""
-        w = self._weights[self._rows_where(name, value)]
-        if self._exact:
-            return Fraction(int(w.sum()), self._den)
-        return math.fsum(w.tolist())
+        return Fraction(self._total(self._rows_where(name, value)), self._den)
 
     def marginal(self, names: Sequence[str]) -> "JointDistribution":
         idx = self._indices(names)
@@ -228,32 +215,26 @@ class JointDistribution:
     def condition(self, name: str, value: Hashable) -> "JointDistribution":
         """Distribution conditioned on one variable taking one value."""
         kept = self._rows_where(name, value)
-        weights = self._weights[kept]
-        mass = int(weights.sum()) if self._exact else math.fsum(weights.tolist())
+        mass = self._total(kept)
         if mass <= 0:
             raise ValueError(f"conditioning event {name}={value!r} has zero probability")
-        if self._exact:
-            # Numerators over the event's own mass: p / P(event) exactly.
-            return self._new(self.names, self._codes[kept], weights, self._decoders, mass)
-        return self._new(self.names, self._codes[kept], weights / mass, self._decoders, None)
+        # Numerators over the event's own mass: p / P(event) exactly.
+        return self._new(self.names, self._codes[kept], self._weights[kept], self._decoders, mass)
 
     def entropy(self, names: Sequence[str]) -> float:
-        _ids, p = self._grouped_probabilities(self._indices(names))
-        p = p[p > 0]
+        _ids, c = self._grouped_masses(self._indices(names))
+        p = np.asarray(c, dtype=np.float64) / self._den
         return -math.fsum((p * np.log2(p)).tolist())
 
     def mutual_information(self, group_a: Sequence[str], group_b: Sequence[str]) -> float:
         """I(A; B) in bits, computed exactly over the table."""
         if set(group_a) & set(group_b):
             raise ValueError("variable groups must be disjoint")
-        ida, pa = self._grouped_probabilities(self._indices(group_a))
-        idb, pb = self._grouped_probabilities(self._indices(group_b))
-        pairs, joint = np.unique(ida * len(pb) + idb, return_inverse=True)
-        pab = self._as_float(self._group_sum(joint, len(pairs)))
-        live = pab > 0
-        pab, pairs = pab[live], pairs[live]
-        terms = pab * np.log2(pab / (pa[pairs // len(pb)] * pb[pairs % len(pb)]))
-        return math.fsum(terms.tolist())
+        ida, ca = self._grouped_masses(self._indices(group_a))
+        idb, cb = self._grouped_masses(self._indices(group_b))
+        pairs, joint = np.unique(ida * len(cb) + idb, return_inverse=True)
+        cab = self._group_sum(joint, len(pairs))
+        return _mutual_information(cab, ca[pairs // len(cb)], cb[pairs % len(cb)], self._den, len(ca) * len(cb))
 
     def conditional_mutual_information(
         self, group_a: Sequence[str], group_b: Sequence[str], group_c: Sequence[str]
@@ -262,12 +243,37 @@ class JointDistribution:
         return self.mutual_information(group_a, list(group_b) + list(group_c)) - self.mutual_information(group_a, group_c)
 
     def to_float(self) -> "JointDistribution":
-        out = self._new(self.names, self._codes, self._as_float(self._weights), self._decoders, None)
-        out._columns = self._columns
-        return out
+        """This distribution: there is no separate float representation."""
+        return self
 
     def __len__(self) -> int:
         return len(self._codes)
+
+
+def _mutual_information(cab: np.ndarray, ca: np.ndarray, cb: np.ndarray, den: int, cells: int) -> float:
+    """I(A; B) in bits from integer masses over ``den``.
+
+    ``cab`` holds the mass of each (a, b) pair that occurs, ``ca`` and
+    ``cb`` the masses of its a and its b, and ``cells`` is the number of
+    values of A times that of B.  The value is exactly 0.0 iff every (a, b)
+    pair occurs and c_ab D == c_a c_b for each, compared as integers;
+    otherwise it is fsum(c_ab log2(c_ab D / (c_a c_b))) / D, and never below
+    Pinsker's bound ||P_AB - P_A P_B||_1^2 / (2 ln 2), whose L1 distance is
+    exact: a dependence too small for the rounded log ratios stays positive.
+    """
+    if den >= _PRODUCT_SAFE:
+        cab, ca, cb = (x.astype(object) for x in (cab, ca, cb))
+    joint, product = cab * den, ca * cb
+    excess = joint - product
+    if len(cab) == cells and not excess.any():
+        return 0.0
+    # log2(1 + excess / product); near 1, log1p of the exact excess keeps its digits.
+    rel = np.asarray(excess / product, dtype=np.float64)
+    log_ratio = np.where(abs(rel) < 0.5, np.log1p(rel) / math.log(2), np.log2(1 + rel))
+    value = math.fsum((cab * log_ratio).tolist()) / den
+    # The pairs that do not occur carry the product mass D^2 - sum(c_a c_b).
+    distance = int(abs(excess).sum()) + den * den - int(product.sum())
+    return max(value, (distance / (den * den)) ** 2 / (2 * math.log(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,19 +300,20 @@ class OtpLemmaReport:
         }
 
 
-def _mi_pairs(atoms: list[tuple]) -> float:
-    """I(A; B) from equally weighted (a, b) atoms."""
-    w = 1.0 / len(atoms)
-    joint: dict[tuple, float] = {}
-    pa: dict = {}
-    pb: dict = {}
-    for a, b in atoms:
-        joint[(a, b)] = joint.get((a, b), 0.0) + w
-        pa[a] = pa.get(a, 0.0) + w
-        pb[b] = pb.get(b, 0.0) + w
-    return math.fsum(
-        p * math.log2(p / (pa[a] * pb[b])) for (a, b), p in joint.items()
-    )
+def _mi_pairs(atoms: list[tuple], memo: dict) -> float:
+    """I(A; B) from equally weighted (a, b) atoms, counted as integers.
+
+    The value depends only on the multiset of (c_ab, c_a, c_b), so ``memo``
+    keeps one value per multiset.
+    """
+    joint = Counter(atoms)
+    ca = Counter(a for a, _b in atoms)
+    cb = Counter(b for _a, b in atoms)
+    key = tuple(sorted((c, ca[a], cb[b]) for (a, b), c in joint.items())), len(atoms), len(ca) * len(cb)
+    if key not in memo:
+        masses, den, cells = key
+        memo[key] = _mutual_information(*np.array(masses).T, den, cells)
+    return memo[key]
 
 
 def otp_lemma_check(pad_width: int = 1) -> OtpLemmaReport:
@@ -327,22 +334,21 @@ def otp_lemma_check(pad_width: int = 1) -> OtpLemmaReport:
     pad_funcs = list(itertools.product(pad_vals, repeat=4))
 
     entries = 0
+    memo: dict = {}
     max_masking = 0.0
     max_hiding = 0.0
     for f in bin_funcs:
+        # I(A; B) does not depend on the pad function h.
+        i_abs = [_mi_pairs([(f[r], g[r]) for r in seeds], memo) for g in bin_funcs]
         for h in pad_funcs:
-            i_ac = _mi_pairs([(f[r], h[r]) for r in seeds])
-            independent_ac = abs(i_ac) <= 1e-12
-            if independent_ac:
+            i_ac = _mi_pairs([(f[r], h[r]) for r in seeds], memo)
+            if i_ac == 0.0:
                 slack = abs(
-                    _mi_pairs([((f[r], h[r] ^ d), h[r]) for r in seeds for d in pad_vals])
+                    _mi_pairs([((f[r], h[r] ^ d), h[r]) for r in seeds for d in pad_vals], memo)
                 )
                 max_hiding = max(max_hiding, slack)
-            for g in bin_funcs:
+            for g, i_ab in zip(bin_funcs, i_abs):
                 entries += 1
-                i_ab = _mi_pairs([(f[r], g[r]) for r in seeds])
-                i_a_bcd = _mi_pairs(
-                    [(f[r], (g[r], h[r] ^ d)) for r in seeds for d in pad_vals]
-                )
+                i_a_bcd = _mi_pairs([(f[r], (g[r], h[r] ^ d)) for r in seeds for d in pad_vals], memo)
                 max_masking = max(max_masking, abs(i_a_bcd - i_ab))
     return OtpLemmaReport(pad_width, entries, max_masking, max_hiding)

@@ -5,8 +5,9 @@ partitions, files, chaining masks, and the selection pair) is enumerated
 with its exact probability, yielding the exact joint distribution of
 everything any party ever sees.  Leakage is then a plain
 mutual-information computation on that table; no sampling and no
-estimation are involved, so a secure instance must audit to exact zeros
-(up to float accumulation, well below 1e-10).
+estimation are involved.  Probabilities are integer numerators over one
+denominator, and a leakage is exactly 0.0 when its grouped integer masses
+factor, so a secure instance audits to exact zeros.
 
 The real protocol is the thing audited, but it is not replayed for every
 assignment.  A *skeleton* fixes the channel outputs y of every executed
@@ -38,7 +39,7 @@ import numpy as np
 
 from .bits import AffineBits, BitString
 from .channel import classify_indices, transmit
-from .infotheory import JointDistribution
+from .infotheory import JointDistribution, _numerators
 from .model import CapacityShortfall, ConfigurationError, FileStore, ProtocolParams, Selection
 from .multifile import execute_multifile
 # The oracle looks its protocol entry points up in this namespace at call
@@ -127,8 +128,8 @@ class LeakageReport:
             "servers_vs_client": self.servers_vs_client,
         }
 
-    def all_zero(self, tol: float = 1e-9) -> bool:
-        return all(v <= tol for v in self.leakages.values()) and self.reliability_error == 0.0
+    def all_zero(self) -> bool:
+        return all(v == 0.0 for v in self.leakages.values()) and self.reliability_error == 0.0
 
     def to_record(self) -> dict:
         return {
@@ -275,7 +276,6 @@ def enumerate_protocol(
     *,
     abort_disabled: bool = False,
     mutation: Optional[str] = None,
-    exact: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
     stats: Optional[dict] = None,
 ) -> JointDistribution:
@@ -292,7 +292,7 @@ def enumerate_protocol(
     if required > state_budget:
         raise StateBudgetExceeded(required, state_budget)
     enumeration = _Enumeration(params, abort_disabled, mutation)
-    dist = enumeration.distribution(exact, single=(params.L1, params.L2) == (2, 2))
+    dist = enumeration.distribution(single=(params.L1, params.L2) == (2, 2))
     if stats is not None:
         stats["replays"] = enumeration.replays
     return dist
@@ -316,7 +316,7 @@ class _Enumeration:
 
         A canonical pair (ints) has x1 = 0 and x2 = 1 at every hidden
         position; it stands for every pair with the same sums.  Yields (pairs,
-        (index, partition) per live round, number of partition combinations).
+        partition per live round, number of partition combinations).
         """
         n = self.layout.n
         verdicts = [
@@ -331,29 +331,27 @@ class _Enumeration:
                     if choices is None:
                         yield pairs + (pair,), parts, combos
                     else:
-                        grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in enumerate(choices))
+                        grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in choices)
             prefixes = grown
         yield from prefixes
 
     def skeletons(self):
         """Replay every skeleton.  Yields per replay (z1, z2, aborted, ok), the
         values of ``_INTERNED``, the offset and columns of x1, x2, msgs1,
-        msgs2 and unsel, and (free channel bits, selection index, executed
-        rounds, partition combinations, partition index per round)."""
+        msgs2 and unsel, and (free channel bits, executed rounds, partition
+        combinations)."""
         lay = self.layout
         f1, f2 = self.symbols[0][0].files, self.symbols[0][1].files
         selections = [(Selection(z1, z2), _columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
                       for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
         for pairs, parts, combos in self.sequences():
             executed, aborted = len(pairs), len(parts) < len(pairs)
-            live = [p for _i, p in parts]
-            partitioners = [_preset_partitioner(p) for p in live + [None] * (lay.K - len(live))]
+            partitioners = [_preset_partitioner(p) for p in parts + (None,) * (lay.K - len(parts))]
             # One free channel bit per hidden position: (round, its column).
             channel = [(r, 1 << s) for r, (v1, v2) in enumerate(pairs)
                        for s in range(lay.n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
-            shape = (executed, combos, *[i for i, _p in parts], *[0] * (lay.K - len(live)))
-            part_keys = tuple(map(_part_key, live))
-            for index, (sel, unsel) in enumerate(selections):
+            part_keys = tuple(map(_part_key, parts))
+            for sel, unsel in selections:
                 try:
                     replays = [self.replay(sel, pairs, channel, partitioners, unsel)]
                 except TypeError:
@@ -364,7 +362,7 @@ class _Enumeration:
                     if replayed_abort != aborted or len(public) != executed:
                         raise RuntimeError("replay disagrees with the enumerated channel verdicts")
                     values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
-                    yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, index, *shape)
+                    yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, executed, combos)
 
     def replay(self, sel: Selection, pairs, channel, partitioners, unsel) -> tuple:
         """Run the protocol once on the symbolic files and masks and the
@@ -396,7 +394,7 @@ class _Enumeration:
         public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
         return (public, mt.aborted, ok), outputs, free
 
-    def distribution(self, exact: bool, single: bool) -> JointDistribution:
+    def distribution(self, single: bool) -> JointDistribution:
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
         F = B + n * K  # the most free bits of any skeleton
@@ -409,25 +407,14 @@ class _Enumeration:
         names = ("z1", "z2", "abort", "ok", *_INTERNED)
         table = np.array(rows, dtype=np.int64).T
         affine = np.array(affine, dtype=np.int64)
-        free, sel_index, executed, combos, *part_index = table[len(names):]
+        free, executed, combos = table[len(names):]
 
         # Skeleton s expands to one row per assignment a of its free bits:
         # file and mask bits below, its channel bits above.
         counts = np.left_shift(1, B + free)
         skel = np.repeat(np.arange(len(counts)), counts)
         a = np.arange(len(skel)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-        # The rows go in the order of an enumeration of every channel-input
-        # sequence (by abort round, then per round x1, x2 and partition), then
-        # selection, then file and mask bits: the float sums over rows follow it.
-        x1, x2 = (_expand(affine[:, i], skel, a) for i in range(2))
         rounds, aborted = executed[skel], table[2][skel]
-        keys = [a & _mask(B), sel_index[skel]]
-        left = [x << n * (K - rounds) for x in (x2, x1)]
-        for r in range(K - 1, -1, -1):
-            keys += [part_index[r][skel], *(x >> n * (K - 1 - r) & _mask(n) for x in left)]
-        order = np.lexsort([*keys, rounds + 1 - aborted])
-        skel, a, x1, x2, rounds, aborted = (v[order] for v in (skel, a, x1, x2, rounds, aborted))
 
         codes = np.empty((len(skel), len(VARIABLES)), dtype=np.int64)
         columns = dict(zip(VARIABLES, codes.T))
@@ -436,7 +423,8 @@ class _Enumeration:
         for name, col in zip(_FREE, lay.split(a & _mask(B))):
             columns[name][:] = col
         tag = 2 * rounds + aborted
-        columns["x1"][:], columns["x2"][:] = (rounds << n * K) | x1, (rounds << n * K) | x2
+        for i, name in enumerate(("x1", "x2")):
+            columns[name][:] = (rounds << n * K) | _expand(affine[:, i], skel, a)
         columns["msgs1"][:] = (tag << 2 * lay.p1 * K) | _expand(affine[:, 2], skel, a)
         columns["msgs2"][:] = (tag << 2 * lay.p2 * K) | _expand(affine[:, 3], skel, a)
         columns["unsel"][:] = _expand(affine[:, 4], skel, a)
@@ -446,16 +434,9 @@ class _Enumeration:
         # mask bits.
         scale = lay.L1 * lay.L2 * 2**B
         pairs = list(zip(executed.tolist(), combos.tolist()))
-        if exact:
-            lcm = math.lcm(*(c for _k, c in pairs))
-            denominator = 2 ** (2 * n * K) * lcm * scale
-            weights = np.array(
-                [2 ** (2 * n * (K - k)) * lcm // c for k, c in pairs],
-                dtype=np.int64 if denominator < 2**62 else object,
-            )
-        else:
-            denominator = None
-            weights = np.array([1.0 / (2 ** (2 * n * k) * scale) / c for k, c in pairs])
+        lcm = math.lcm(*(c for _k, c in pairs))
+        denominator = 2 ** (2 * n * K) * lcm * scale
+        weights = _numerators([2 ** (2 * n * (K - k)) * lcm // c for k, c in pairs], denominator)
 
         decoders = {name: list(ids).__getitem__ for name, ids in interned.items()}
         decoders.update(
@@ -528,7 +509,6 @@ def audit(
     abort_disabled: bool = False,
     condition_nonabort: bool = False,
     mutation: Optional[str] = None,
-    exact: bool = False,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> LeakageReport:
     """Compute all six audited quantities on the exact distribution."""
@@ -536,15 +516,15 @@ def audit(
     required = required_states(params, abort_disabled)
     stats: dict = {}
     dist = enumerate_protocol(
-        params, abort_disabled=abort_disabled, mutation=mutation, exact=exact, state_budget=state_budget, stats=stats
+        params, abort_disabled=abort_disabled, mutation=mutation, state_budget=state_budget, stats=stats
     )
     enumerated = time.perf_counter()
-    work = dist.to_float()
 
-    nonabort_mass = work.probability("abort", False)
-    fail_mass = work.probability("ok", False)
-    reliability_error = fail_mass / nonabort_mass if nonabort_mass > 0 else 0.0
+    nonabort_mass = dist.probability("abort", False)
+    fail_mass = dist.probability("ok", False)
+    reliability_error = float(fail_mass / nonabort_mass) if nonabort_mass > 0 else 0.0
 
+    work = dist
     if condition_nonabort:
         if nonabort_mass == 0:
             raise ConfigurationError("every session aborts: no non-abort event to condition on")

@@ -7,10 +7,15 @@ probabilities, so some carry float residues (around 1e-13) where the exact
 value is a round number or zero; the tolerance absorbs them.
 
 The cases are the golden audits and the three mutations at n=3, at n=4
-conditioned on non-abort, and on the multi-file instance L=3x2 at n=2.
+conditioned on non-abort, and on the multi-file instance L=3x2 at n=2.  The
+exact oracle also prints exact zeros for honest instances, exact round
+values for reuse-pad, and never a negative leakage.
 """
 
+import functools
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -68,16 +73,53 @@ PINS = {
 }
 
 
-def audit_record(flags, out) -> tuple[int, dict]:
+@functools.cache
+def audit_record(flags: tuple[str, ...]) -> tuple[int, dict]:
     """Exit code and leakage-report record of one ``audit`` command."""
-    code = main(["audit", *flags, "--out", str(out)])
-    return code, json.loads(out.read_text().splitlines()[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.jsonl"
+        code = main(["audit", *flags, "--out", str(out)])
+        return code, json.loads(out.read_text().splitlines()[1])
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_audit_values_pinned(name, tmp_path):
+def test_audit_values_pinned(name):
     flags, code, expected = PINS[name]
-    got_code, record = audit_record(flags, tmp_path / "out.jsonl")
+    got_code, record = audit_record(flags)
     assert got_code == code
     for field, value in zip(FIELDS, expected):
         assert abs(float(record[field]) - value) <= 1e-12, field
+
+
+# Honest instances audit to exact zeros: n=3, the benchmark's two audits and
+# the smallest multi-file instance.
+HONEST = {
+    "n3": N3,
+    "n4-nonabort": N4,
+    "L3x2-n1": L32_N1,
+    "L3x2-n2": L32_N2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HONEST))
+def test_honest_audits_print_exact_zeros(name):
+    code, record = audit_record(HONEST[name])
+    assert code == 0
+    assert [record[field] for field in FIELDS[:5]] == ["0.0"] * 5
+    assert record["reliability_error"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [((*L32_N2, "--mutate", "reuse-pad"), "0.25"), ((*N4, "--mutate", "reuse-pad"), "0.5")],
+    ids=["L3x2-n2", "n4-nonabort"],
+)
+def test_reuse_pad_prints_exact_leak(flags, expected):
+    _code, record = audit_record(flags)
+    assert record["servers_vs_client"] == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_no_leakage_is_negative(name):
+    _code, record = audit_record(PINS[name][0])
+    assert all(float(record[field]) >= 0.0 for field in FIELDS)

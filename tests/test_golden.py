@@ -59,15 +59,15 @@ CASES = {
     "audit-multifile": (
         ("audit", "--n", "1", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0"),
         0,
-        "b5ea17138eb378d440c75caab180b8a6a80aad392d723cd7ec1f0a5c2a121b94",
+        "c1e7984df8b59606f950e12dabbb36fa320c2df14edba58097b17bc36c487186",
     ),
     # The benchmark's multi-file audit, 13,056 states.  Its leakages are
-    # float residues around 1e-13, whose last digits depend on the order in
-    # which the rows reach the distribution.
+    # exact zeros, whatever the order in which the rows reach the
+    # distribution.
     "audit-multifile-n2": (
         ("audit", "--n", "2", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0"),
         0,
-        "75590a857ca06dbd529d2c4bdbc85b290e890e5c361a5bd5b198c87530817d28",
+        "5d0ed439b7fbd80c00d8a1852d2ac5e1cd6ebfce7ea4b48f17acc87068eff863",
     ),
 }
 

@@ -97,16 +97,42 @@ def test_fraction_mode():
     assert d.total_mass() == Fraction(1)
     c = d.condition("a", 0)
     assert c.table[(0, 0)] == Fraction(1, 2)
-    f = d.to_float()
-    assert isinstance(next(iter(f.table.values())), float)
+    # One representation: float tables read back as the same Fractions.
+    assert d.to_float() is d
+    f = JointDistribution(("a", "b"), {k: float(p) for k, p in table.items()})
+    assert f.table == table
+    assert all(isinstance(p, Fraction) for p in f.table.values())
 
 
-def test_from_codes_merges_equal_rows():
-    codes = np.array([[0, 1], [0, 1], [1, 0]])
-    d = JointDistribution.from_codes(("a", "b"), codes, np.array([0.25, 0.25, 0.5]), [bool, str])
-    assert len(d) == len(d.table) == 2
-    assert d.table == {(False, "1"): 0.5, (True, "0"): 0.5}
-    assert d.probability("a", True) == 0.5
+def test_float_table_is_normalised_exactly():
+    # 0.1 + 0.2 + 0.7 is not 1 in binary; the table is scaled by its exact total.
+    d = JointDistribution(("a",), {(0,): 0.1, (1,): 0.2, (2,): 0.7})
+    assert d.total_mass() == 1
+    total = Fraction(0.1) + Fraction(0.2) + Fraction(0.7)
+    assert d.probability("a", 0) == Fraction(0.1) / total
+
+
+def test_from_codes_checks_the_denominator():
+    codes = np.array([[0, 1], [1, 0]])
+    d = JointDistribution.from_codes(("a", "b"), codes, np.array([1, 3]), [bool, str], denominator=4)
+    assert d.table == {(False, "1"): Fraction(1, 4), (True, "0"): Fraction(3, 4)}
+    assert d.probability("a", True) == Fraction(3, 4)
+    with pytest.raises(ValueError):
+        JointDistribution.from_codes(("a", "b"), codes, np.array([1, 2]), [bool, str], denominator=4)
+
+
+def test_zero_mutual_information_is_exact():
+    # Independent masses that float sums would not cancel exactly.
+    pa, pb = Fraction(1, 3), Fraction(1, 7)
+    table = {(a, b): (pa if a else 1 - pa) * (pb if b else 1 - pb) for a in (0, 1) for b in (0, 1)}
+    d = JointDistribution(("a", "b"), table)
+    assert d.mutual_information(("a",), ("b",)) == 0.0
+    # Dependence only in the last place of a large denominator is still seen.
+    eps = Fraction(1, 3**45)
+    skewed = dict(table)
+    skewed[(0, 0)] += eps
+    skewed[(0, 1)] -= eps
+    assert JointDistribution(("a", "b"), skewed).mutual_information(("a",), ("b",)) > 0.0
 
 
 def test_fraction_mode_beyond_int64():
@@ -117,4 +143,8 @@ def test_fraction_mode_beyond_int64():
     assert d.probability("a", 0) == 2 * p
     assert d.marginal(("a",)).table == {(0,): 2 * p, (1,): 1 - 2 * p}
     assert d.condition("a", 0).table == {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
-    assert math.isclose(d.mutual_information(("a",), ("b",)), d.to_float().mutual_information(("a",), ("b",)))
+    # P(b = 1) = p; each term is p_ab log2(p_ab / (p_a p_b)).
+    q = float(p)
+    log2_1mq = math.log1p(-q) / math.log(2)
+    expected = q * (-1 - log2_1mq) + q * math.log2(1 / (2 * q)) - (1 - 2 * q) * log2_1mq
+    assert math.isclose(d.mutual_information(("a",), ("b",)), expected, rel_tol=1e-12)

@@ -81,7 +81,7 @@ class _Reference:
                     work = {k: p / mass for k, p in kept.items()}
                 leakages = {name: _dict_mi(work, a, b) for name, (a, b) in VIEWS.items()}
             else:
-                dist = self.dist.to_float()
+                dist = self.dist
                 if condition_nonabort:
                     dist = dist.condition("abort", False)
                 leakages = {name: dist.mutual_information(a, b) for name, (a, b) in VIEWS.items()}
@@ -91,7 +91,7 @@ class _Reference:
 
 def _audit_and_table(params, dist=None, **kwargs):
     """Run ``audit``; return its report, the distribution it audited and the
-    number of rows the enumerator generated before equal rows merged.
+    number of rows the enumerator passed to ``from_codes``.
 
     A given ``dist`` stands in for the enumeration, which does not depend on
     the conditioning.
@@ -115,7 +115,9 @@ def _audit_and_table(params, dist=None, **kwargs):
     return report, seen[0], rows[0] if rows else None
 
 
-def _cross_check(params, reference, *, conditionings=(False, True), exact_reliability=True, **kwargs):
+def _cross_check(params, reference, *, conditionings=(False, True), exact_reliability=True, exact=False, **kwargs):
+    """Audit ``params`` under each conditioning against ``reference``, built
+    with Fraction probabilities if ``exact`` (the oracle's are always exact)."""
     dist = None
     for condition_nonabort in conditionings:
         report, audited, rows = _audit_and_table(params, dist, condition_nonabort=condition_nonabort, **kwargs)
@@ -126,8 +128,8 @@ def _cross_check(params, reference, *, conditionings=(False, True), exact_reliab
             table = dict(dist.table.items())
             assert table.keys() == reference.table.keys()
             assert max(abs(float(table[k]) - float(p)) for k, p in reference.table.items()) <= 1e-15
-            if kwargs.get("exact"):
-                assert all(isinstance(p, Fraction) for p in table.values())
+            assert all(isinstance(p, Fraction) for p in table.values())
+            if exact:
                 assert table == reference.table
         reliability, leakages = reference.audit(condition_nonabort)
         if exact_reliability:
