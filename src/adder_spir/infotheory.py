@@ -3,13 +3,13 @@
 A distribution is stored as a code matrix (one int64 code per row and
 variable), one positive integer numerator per row over one common
 denominator, and a decoder per variable that turns a code back into its
-value.  Rows are distinct, and the numerators sum to the denominator exactly.  Probabilities
-read back as ``fractions.Fraction``.  Marginals, entropies and mutual
-informations group rows by factorized code ids with ``np.unique`` and sum
-their numerators as integers.  A mutual information is exactly 0.0 when the
-grouped integer masses factor, decided by integer cross-multiplication;
-only a non-zero value is computed in floats.  All information quantities
-are in bits.
+value.  Rows are distinct, and the numerators sum to the denominator
+exactly.  Probabilities read back as ``fractions.Fraction``.  Marginals,
+entropies and mutual informations group rows by factorized code ids with
+``np.unique`` and sum their numerators as integers.  A mutual information
+is exactly 0.0 when the grouped integer masses factor, decided by integer
+cross-multiplication; only a non-zero value is computed in floats.  All
+information quantities are in bits.
 
 Also houses the one-time-pad lemma checker: an exhaustive catalog of small
 dependent/independent variable constructions verifying that XOR with a
@@ -113,8 +113,8 @@ class JointDistribution:
         """Build from a code matrix whose rows are distinct.
 
         ``weights`` are positive integer numerators over ``denominator`` and
-        must sum to it.  Rows with equal codes are not merged.  Each decoder maps its
-        column's codes one-to-one onto values.
+        must sum to it.  Rows with equal codes are not merged.  Each decoder
+        maps its column's codes one-to-one onto values.
         """
         dist = cls._new(names, codes, weights, decoders, denominator)
         if dist._total() != denominator:

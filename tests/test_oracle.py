@@ -81,7 +81,8 @@ def test_exact_rational_flag_changes_nothing(tmp_path):
     # Audits are always exact; the flag is accepted and only echoed.
     def body(*flags):
         out = tmp_path / "out.jsonl"
-        code = main(["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--mutate", "reuse-pad", *flags, "--out", str(out)])
+        argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--mutate", "reuse-pad", *flags]
+        code = main([*argv, "--out", str(out)])
         header, *records = out.read_text().splitlines()
         report = json.loads(records[0])
         report.pop("wall_time_s")
