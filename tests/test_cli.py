@@ -254,6 +254,22 @@ def test_bad_flag_value_exits_via_argparse():
     assert exc.value.code == 2
 
 
+def test_run_reads_alpha_as_an_exact_fraction(tmp_path):
+    out = tmp_path / "third.jsonl"
+    argv = ["run", "--n", "64", "--alpha", "1/3", "--ell1", "4", "--ell2", "8", "--trials", "5", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    records = _read_records(out)
+    assert records[0]["config"]["alpha"] == 0.3333333333333333
+    assert all(r["alpha"] == 0.3333333333333333 for r in records[1:])
+    assert '"alpha": 0.3333333333333333' in out.read_text()
+
+
+def test_run_ignores_the_workers_environment_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("ADDER_SPIR_WORKERS", "abc")
+    argv = ["run", "--n", "64", "--ell1", "2", "--ell2", "2", "--trials", "2", "--out", str(tmp_path / "w")]
+    assert main(argv) == 0
+
+
 def test_capacity_command(tmp_path):
     out = tmp_path / "cap.jsonl"
     assert main(["capacity", "--out", str(out)]) == 0

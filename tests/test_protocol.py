@@ -1,8 +1,10 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adder_spir.bits import BitString, sample_uniform
@@ -29,6 +31,7 @@ from adder_spir.protocol import (
     partition_choices,
     run_session_adaptive,
     sample_partition,
+    shares_fit,
 )
 
 
@@ -83,6 +86,39 @@ def test_partition_share_floor_is_robust():
 def test_partition_capacity_shortfall():
     with pytest.raises(CapacityShortfall):
         partition((1, 2), (3, 4), 0.5, 2, 0)
+
+
+def test_shares_fit_does_not_overdraw_alpha_m():
+    # alpha * m = 0.9999999995 < 1: there is no room for a one-bit share.
+    assert not shares_fit(1, 0.9999999995, 1, 0)
+
+
+def test_shares_fit_reads_a_float_as_the_decimal_it_prints():
+    # Fraction 1/3 of M = 6 is exactly 2; float 1/3 prints as 0.3333333333333333.
+    assert shares_fit(6, Fraction(1, 3), 2, 4)
+    assert not shares_fit(6, 1 / 3, 2, 4)
+
+
+def _largest_share(m, alpha, first: bool) -> int:
+    """The largest length ``shares_fit`` admits for one server, the other at 0."""
+    lengths = range(m + 2)
+    fits = (lambda k: shares_fit(m, alpha, k, 0)) if first else (lambda k: shares_fit(m, alpha, 0, k))
+    return bisect.bisect_left(lengths, True, key=lambda k: not fits(k)) - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.one_of(st.fractions(0, 1), st.floats(0, 1)),
+    m=st.integers(0, 10**6),
+)
+@example(alpha=0.9999999995, m=1)
+@example(alpha=Fraction(19_999_999_999, 20_000_000_000), m=1)
+def test_shares_never_exceed_alpha_m(alpha, m):
+    # A float stands for the decimal it prints as.
+    a = alpha if isinstance(alpha, Fraction) else Fraction(repr(alpha))
+    s1, s2 = _largest_share(m, alpha, True), _largest_share(m, alpha, False)
+    assert s1 <= a * m and s2 <= (1 - a) * m
+    assert s1 + s2 <= m
 
 
 def test_partition_rejects_overlap():
