@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 import traceback
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,16 +46,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _default_workers() -> int:
-    env = os.environ.get("ADDER_SPIR_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"ADDER_SPIR_WORKERS must be an integer, got {env!r}")
-    return 1
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -74,8 +64,16 @@ def _int_list(text: str) -> list[int]:
     return [_positive_int(part) for part in text.split(",") if part]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
+def _fraction(text: str) -> Fraction:
+    """``p/q`` or a decimal, read exactly."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text}")
+
+
+def _fraction_list(text: str) -> list[Fraction]:
+    return [_fraction(part) for part in text.split(",") if part]
 
 
 # The ProtocolParams fields that _add_param_flags sets, by their dest names.
@@ -91,7 +89,7 @@ def _params(args: argparse.Namespace) -> ProtocolParams:
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_positive_int, default=4096, help="channel uses per sub-protocol")
     p.add_argument("--t", type=float, default=0.4, dest="t_exponent", help="abort exponent in (0, 1/2)")
-    p.add_argument("--alpha", type=float, default=0.5, help="share split in [0, 1]")
+    p.add_argument("--alpha", type=_fraction, default=Fraction(1, 2), help="share split in [0, 1], as p/q or a decimal")
     p.add_argument("--L1", type=_positive_int, default=2, help="files at server 1")
     p.add_argument("--L2", type=_positive_int, default=2, help="files at server 2")
     p.add_argument("--ell1", type=int, default=0, help="per-round file bits from server 1")
@@ -102,7 +100,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed; trials split deterministically")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo abort-rate and rate sweep")
     p_sweep.add_argument("--n", type=_int_list, default=[1024, 4096, 16384], help="comma-separated block lengths")
-    p_sweep.add_argument("--alpha", type=_float_list, default=[0.5], help="comma-separated share splits")
+    p_sweep.add_argument("--alpha", type=_fraction_list, default=[Fraction(1, 2)], help="comma-separated share splits")
     p_sweep.add_argument("--t", type=float, default=0.4, dest="t_exponent")
     _add_common_flags(p_sweep)
 
@@ -199,10 +197,10 @@ def _map_trials(fn, jobs: list[tuple], workers: int) -> list[dict]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     params = _params(args)
-    workers = args.workers if args.workers is not None else _default_workers()
     jobs = [(params, args.seed, trial, args.no_abort) for trial in range(1, args.trials + 1)]
-    records = _map_trials(_run_one_trial, jobs, workers)
+    records = _map_trials(_run_one_trial, jobs, args.workers)
     config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "trials", "seed")}
+    config["alpha"] = float(args.alpha)
     _emit([_header("run", config), *records], args.out)
     failed = [r for r in records if not r["aborted"] and not r.get("recovery_ok")]
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -234,15 +232,15 @@ def _sweep_cell(args: tuple) -> dict:
     return {
         "record": "sweep-cell",
         "n": n,
-        "alpha": alpha,
+        "alpha": float(alpha),
         "t": t_exponent,
         "trials": trials,
         "abort_rate": aborts / trials,
         "chebyshev_bound": n ** (2 * t_exponent - 1) / 4,
         "mean_r1": mean_r1,
         "mean_r2": mean_r2,
-        "target_r1": alpha / 2,
-        "target_r2": (1 - alpha) / 2,
+        "target_r1": float(alpha) / 2,
+        "target_r2": (1 - float(alpha)) / 2,
         "region_margin": 0.5 - (mean_r1 + mean_r2),
         "failures": failures,
     }
@@ -251,14 +249,14 @@ def _sweep_cell(args: tuple) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 0 < args.t_exponent < 0.5:
         raise ConfigurationError("t must lie in (0, 1/2)")
-    workers = args.workers if args.workers is not None else _default_workers()
     jobs = [
         (n, alpha, args.t_exponent, args.seed, args.trials)
         for n in args.n
         for alpha in args.alpha
     ]
-    cells = _map_trials(_sweep_cell, jobs, workers)
-    config = {"n": args.n, "alpha": args.alpha, "t_exponent": args.t_exponent, "trials": args.trials, "seed": args.seed}
+    cells = _map_trials(_sweep_cell, jobs, args.workers)
+    alphas = [float(a) for a in args.alpha]
+    config = {"n": args.n, "alpha": alphas, "t_exponent": args.t_exponent, "trials": args.trials, "seed": args.seed}
     _emit([_header("sweep", config), *cells], args.out)
     bad = [
         c
@@ -276,6 +274,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         mutation=args.mutate, state_budget=args.budget,
     )
     config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "mutate", "no_abort", "condition_nonabort", "exact_rational")}
+    config["alpha"] = float(args.alpha)
     _emit([_header("audit", config), report.to_record()], args.out)
     print(
         f"audit: {report.state_count} states from {report.replays} replays, "

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,12 +96,12 @@ class ProtocolParams:
 
     ``ell1`` and ``ell2`` are the per-sub-protocol file lengths in bits; in
     the multi-file reduction each of the K rounds carries files of exactly
-    these lengths.
+    these lengths.  ``alpha`` is a float, an int or a ``Fraction``.
     """
 
     n: int
     t_exponent: float
-    alpha: float
+    alpha: float | Fraction
     L1: int = 2
     L2: int = 2
     ell1: int = 0
@@ -111,7 +112,8 @@ class ProtocolParams:
             raise ConfigurationError("n must be a positive integer")
         if not 0.0 < self.t_exponent < 0.5:
             raise ConfigurationError("t_exponent must lie in (0, 1/2)")
-        if not 0.0 <= self.alpha <= 1.0:
+        # Integer bounds: a Fraction compares with ints several times faster than with floats.
+        if not 0 <= self.alpha <= 1:
             raise ConfigurationError("alpha must lie in [0, 1]")
         if self.L1 < 2 or self.L2 < 2:
             raise ConfigurationError("each server must hold at least two files")

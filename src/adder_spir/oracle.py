@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .bits import AffineBits, BitString
-from .channel import classify_indices, transmit
+from .channel import classify_indices, transmit  # noqa: F401  (classify_indices: bound for tracing tools)
 from .infotheory import JointDistribution, _numerators
 from .model import CapacityShortfall, ConfigurationError, FileStore, ProtocolParams, Selection
 from .multifile import execute_multifile
@@ -134,7 +134,8 @@ class LeakageReport:
     def to_record(self) -> dict:
         return {
             "record": "leakage-report",
-            **{k: getattr(self.params, k) for k in ("n", "L1", "L2", "ell1", "ell2", "alpha")},
+            **{k: getattr(self.params, k) for k in ("n", "L1", "L2", "ell1", "ell2")},
+            "alpha": float(self.params.alpha),
             "t": self.params.t_exponent,
             "mode": self.mode,
             "conditioning": self.conditioning,
@@ -164,11 +165,11 @@ def _tuples(*index_sets) -> tuple:
 
 def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_disabled: bool):
     """The client's equally likely partitions for one block, or None if it aborts."""
-    good, bad = classify_indices(transmit(x1, x2).y)
-    if not abort_disabled and not abort_check(len(good), params.n, params.t_exponent):
+    y = transmit(x1, x2).y
+    if not abort_disabled and not abort_check(np.count_nonzero(y != 1), params.n, params.t_exponent):
         return None
     try:
-        return partition_choices(good, bad, params.alpha, params.ell1, params.ell2)
+        return partition_choices(y, params.alpha, params.ell1, params.ell2)
     except CapacityShortfall:
         return None
 

@@ -1,10 +1,12 @@
 """Two-file-per-server retrieval over the adder channel, end to end.
 
 Session flow: both servers transmit uniform blocks over the adder channel;
-the client splits positions into decodable and hidden sets, checks that the
-decodable fraction is close enough to one half, partitions both sets, and
-publishes one set pair per server chosen so that the set covering the
-requested file is decodable.  Each server one-time-pads its channel inputs
+the client checks that the decodable fraction of the output y is close
+enough to one half, splits the positions of y into decodable and hidden
+sets, carves shares of the requested lengths out of both (at most
+floor(alpha M) and floor((1 - alpha) M) of M = min(|good|, |bad|), in exact
+integers), and publishes one set pair per server chosen so that the set
+covering the requested file is decodable.  Each server one-time-pads its channel inputs
 over both published sets with its two files; the client unmasks the
 requested file on the decodable side.
 
@@ -18,8 +20,8 @@ files to the realized block for rate sweeps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -62,14 +64,6 @@ __all__ = [
 #   leak-selection:     the client publishes z1 alongside the sets
 #   unmasked-messages:  server 1 sends its files without the input pad
 MUTATIONS = ("reuse-pad", "leak-selection", "unmasked-messages")
-
-# Nudge before floor() so that shares like alpha = 1/3 of M = 6 resolve to
-# the intended integer despite binary representation of alpha.
-_FLOOR_EPS = 1e-9
-
-
-def _share_floor(x: float) -> int:
-    return math.floor(x + _FLOOR_EPS)
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ class Transcript:
             "record": "transcript",
             "n": self.params.n,
             "t": self.params.t_exponent,
-            "alpha": self.params.alpha,
+            "alpha": float(self.params.alpha),
             "ell1": self.params.ell1,
             "ell2": self.params.ell2,
             "aborted": self.aborted,
@@ -182,22 +176,15 @@ def abort_check(g_size: int, n: int, t: float) -> bool:
     return abs(g_size / n - 0.5) <= n ** (-t)
 
 
-def _index_set(indices) -> IndexSet:
-    """Any sequence of positions as a sorted int64 array (a copy)."""
-    arr = np.array(indices, dtype=np.int64)
-    arr.sort(kind="stable")
-    return arr
-
-
-def partition(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> IndexPartition:
-    """Carve per-server shares out of the decodable and hidden sets.
+def partition(y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: int) -> IndexPartition:
+    """Carve per-server shares out of the decodable and hidden sets of y.
 
     Shares are the lowest-index elements, first-server first, so the choice
     is deterministic.  Raises :class:`CapacityShortfall` when the realized
     block cannot carry the requested lengths (the session driver treats
-    that as an abort).
+    that as an abort), and ``ValueError`` when y is not a channel output.
     """
-    good, bad = _index_set(good), _index_set(bad)
+    good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
     return IndexPartition(
         good=good,
@@ -210,19 +197,26 @@ def partition(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int)
     )
 
 
-def shares_fit(m: int, alpha: float, ell1: int, ell2: int) -> bool:
-    """True iff shares of M = min(|good|, |bad|) = m carry the requested lengths."""
-    return ell1 <= _share_floor(alpha * m) and ell2 <= _share_floor((1.0 - alpha) * m)
+def _share_lengths(m: int, alpha: float | Fraction) -> tuple[int, int]:
+    """(floor(alpha m), floor((1 - alpha) m)), in exact integers.
+
+    An int or a ``Fraction`` alpha is used as given; a float stands for the
+    decimal it prints as, ``Fraction(repr(alpha))``, so 0.3 is 3/10 and
+    1 / 3 is 3333333333333333 / 10**16.
+    """
+    a = alpha if isinstance(alpha, (int, Fraction)) else Fraction(repr(float(alpha)))
+    p, q, m = a.numerator, a.denominator, int(m)  # Python ints: no int64 overflow
+    return p * m // q, (q - p) * m // q
 
 
-def _check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int) -> int:
-    """M = min(|good|, |bad|) of two sorted sets, once they are disjoint and carry the lengths."""
-    if good.size and bad.size:
-        lo = min(good[0], bad[0])
-        seen = np.zeros(max(good[-1], bad[-1]) - lo + 1, dtype=bool)
-        seen[good - lo] = True
-        if seen[bad - lo].any():
-            raise ValueError("good and bad index sets must be disjoint")
+def shares_fit(m: int, alpha: float | Fraction, ell1: int, ell2: int) -> bool:
+    """True iff the shares of M = min(|good|, |bad|) = m (:func:`_share_lengths`) carry the lengths."""
+    share1, share2 = _share_lengths(m, alpha)
+    return ell1 <= share1 and ell2 <= share2
+
+
+def _check_shares(good: IndexSet, bad: IndexSet, alpha: float | Fraction, ell1: int, ell2: int) -> int:
+    """M = min(|good|, |bad|), once its shares carry the requested lengths."""
     m = min(good.size, bad.size)
     if not shares_fit(m, alpha, ell1, ell2):
         raise CapacityShortfall(
@@ -232,9 +226,11 @@ def _check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: 
 
 
 def sample_partition(
-    good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int, stream: np.random.Generator
+    y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: int, stream: np.random.Generator
 ) -> IndexPartition:
-    """Draw the shares uniformly at random with the client's local randomness.
+    """Draw the shares of y's index sets uniformly at random with the
+    client's local randomness: one permutation of the decodable set, then
+    one of the hidden set.
 
     Honest sessions must use a random partition: a deterministic share rule
     lets an observer of all four published sets reconstruct which sets are
@@ -242,7 +238,7 @@ def sample_partition(
     deterministic :func:`partition` remains available for worked examples
     and sizing checks only.
     """
-    good, bad = _index_set(good), _index_set(bad)
+    good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
     g = good[stream.permutation(good.size)[: ell1 + ell2]]
     b = bad[stream.permutation(bad.size)[: ell1 + ell2]]
@@ -252,12 +248,10 @@ def sample_partition(
     return IndexPartition(good=good, bad=bad, g1=g1, g2=g2, b1=b1, b2=b2, m=m)
 
 
-def partition_choices(
-    good: IndexSet, bad: IndexSet, alpha: float, ell1: int, ell2: int
-) -> list[IndexPartition]:
-    """All equally likely partitions, for exhaustive averaging over the
-    client's share randomness."""
-    good, bad = _index_set(good), _index_set(bad)
+def partition_choices(y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: int) -> list[IndexPartition]:
+    """All equally likely partitions of y's index sets, for exhaustive
+    averaging over the client's share randomness."""
+    good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
 
     def shares(indices: IndexSet) -> list[tuple[IndexSet, IndexSet]]:
@@ -318,7 +312,7 @@ def execute_session(
 
     ``abort_disabled`` skips the decodable-fraction check only; a capacity
     shortfall still aborts because the shares physically do not exist.
-    ``partitioner`` maps (good, bad, alpha, ell1, ell2) to the share
+    ``partitioner`` maps (y, alpha, ell1, ell2) to the share
     partition; honest drivers supply a randomized one (see
     :func:`sample_partition`), the default deterministic rule is for
     deterministic replay and worked examples.
@@ -335,12 +329,10 @@ def execute_session(
         raise ConfigurationError("channel inputs must have length n")
 
     round_ = transmit(x1, x2)
-    good, bad = classify_indices(round_.y)
-
-    if not abort_disabled and not abort_check(len(good), params.n, params.t_exponent):
+    if not abort_disabled and not abort_check(np.count_nonzero(round_.y != 1), params.n, params.t_exponent):
         return _aborted(params, round_.y, "size-deviation")
     try:
-        part = partitioner(good, bad, params.alpha, params.ell1, params.ell2)
+        part = partitioner(round_.y, params.alpha, params.ell1, params.ell2)
     except CapacityShortfall:
         return _aborted(params, round_.y, "capacity-shortfall")
 
@@ -379,8 +371,8 @@ def client_partitioner(client_seed: int, round_index: int = 1):
     """Share partitioner backed by the client's private stream, key (3, round)."""
     stream = party_stream(client_seed, (3, round_index))
 
-    def partitioner(good, bad, alpha, ell1, ell2):
-        return sample_partition(good, bad, alpha, ell1, ell2, stream)
+    def partitioner(y, alpha, ell1, ell2):
+        return sample_partition(y, alpha, ell1, ell2, stream)
 
     return partitioner
 
@@ -399,10 +391,8 @@ def run_session_adaptive(
     x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, 1)))
     x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
     g = np.count_nonzero(transmit(x1, x2).y != 1)
-    m = min(g, params.n - g)
-    sized = replace(
-        params, ell1=_share_floor(params.alpha * m), ell2=_share_floor((1.0 - params.alpha) * m)
-    )
+    ell1, ell2 = _share_lengths(min(g, params.n - g), params.alpha)
+    sized = replace(params, ell1=ell1, ell2=ell2)
     files1 = sample_filestore(1, 2, sized.ell1, rnd.server1_seed)
     files2 = sample_filestore(2, 2, sized.ell2, rnd.server2_seed)
     return (

@@ -102,7 +102,7 @@ def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_d
     if not abort_disabled and not abort_check(len(good), params.n, params.t_exponent):
         return y.tobytes(), "size-deviation", None
     try:
-        choices = partition_choices(good, bad, params.alpha, params.ell1, params.ell2)
+        choices = partition_choices(y, params.alpha, params.ell1, params.ell2)
     except CapacityShortfall:
         return y.tobytes(), "capacity-shortfall", None
     return y.tobytes(), None, choices

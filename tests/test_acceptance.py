@@ -6,6 +6,7 @@ done once in session fixtures and asserted on by the individual criteria.
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,12 +153,11 @@ def test_criterion_02_worked_partition_example():
     y = string_to_ternary("102012011211")
     classify_indices(y)  # warm-up
     start = time.perf_counter()
-    good, bad = classify_indices(y)
-    part = partition(good, bad, 1 / 3, 2, 4)
+    part = partition(y, Fraction(1, 3), 2, 4)
     elapsed = time.perf_counter() - start
     assert part.m == 6
-    assert tuple(good) == (2, 3, 4, 6, 7, 10)
-    assert tuple(bad) == (1, 5, 8, 9, 11, 12)
+    assert tuple(part.good) == (2, 3, 4, 6, 7, 10)
+    assert tuple(part.bad) == (1, 5, 8, 9, 11, 12)
     assert tuple(part.g1) == (2, 3)
     assert tuple(part.g2) == (4, 6, 7, 10)
     assert tuple(part.b1) == (1, 5)

@@ -264,6 +264,15 @@ def test_run_reads_alpha_as_an_exact_fraction(tmp_path):
     assert '"alpha": 0.3333333333333333' in out.read_text()
 
 
+@pytest.mark.parametrize("argv", [["run", "--alpha", "1/0"], ["sweep", "--alpha", "0.5,1/0"], ["audit", "--alpha", "x"]])
+def test_bad_alpha_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alpha" in err and "Traceback" not in err
+
+
 def test_run_ignores_the_workers_environment_variable(tmp_path, monkeypatch):
     monkeypatch.setenv("ADDER_SPIR_WORKERS", "abc")
     argv = ["run", "--n", "64", "--ell1", "2", "--ell2", "2", "--trials", "2", "--out", str(tmp_path / "w")]

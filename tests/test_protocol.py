@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adder_spir.bits import BitString, sample_uniform
-from adder_spir.channel import classify_indices, string_to_ternary
+from adder_spir.channel import string_to_ternary
 from adder_spir.model import (
     CapacityShortfall,
     ConfigurationError,
@@ -64,8 +64,7 @@ def test_abort_check_validation():
 
 
 def test_partition_worked_example():
-    good, bad = classify_indices(string_to_ternary("102012011211"))
-    part = partition(good, bad, 1 / 3, 2, 4)
+    part = partition(string_to_ternary("102012011211"), Fraction(1, 3), 2, 4)
     assert part.m == 6
     assert tuple(part.good) == (2, 3, 4, 6, 7, 10)
     assert tuple(part.bad) == (1, 5, 8, 9, 11, 12)
@@ -75,17 +74,15 @@ def test_partition_worked_example():
     assert tuple(part.b2) == (8, 9, 11, 12)
 
 
-def test_partition_share_floor_is_robust():
-    # alpha = 1/3 of M = 6 must resolve to 2 despite 6 * (1/3) = 1.999...
-    good = (1, 2, 3, 4, 5, 6)
-    bad = (7, 8, 9, 10, 11, 12)
-    part = partition(good, bad, 1 / 3, 2, 4)
+def test_partition_third_of_six_is_two():
+    # alpha = 1/3 of M = 6 is exactly 2: positions 1-6 decodable, 7-12 hidden.
+    part = partition(string_to_ternary("000000111111"), Fraction(1, 3), 2, 4)
     assert len(part.g1) == 2 and len(part.g2) == 4
 
 
 def test_partition_capacity_shortfall():
     with pytest.raises(CapacityShortfall):
-        partition((1, 2), (3, 4), 0.5, 2, 0)
+        partition(string_to_ternary("0011"), 0.5, 2, 0)
 
 
 def test_shares_fit_does_not_overdraw_alpha_m():
@@ -97,6 +94,13 @@ def test_shares_fit_reads_a_float_as_the_decimal_it_prints():
     # Fraction 1/3 of M = 6 is exactly 2; float 1/3 prints as 0.3333333333333333.
     assert shares_fit(6, Fraction(1, 3), 2, 4)
     assert not shares_fit(6, 1 / 3, 2, 4)
+
+
+def test_shares_fit_counts_numpy_sizes_without_overflow():
+    # 3333333333333333 * m overflows int64; the floor is 2**40 - 1, just under 2**40.
+    m = np.int64(3 * 2**40)
+    assert shares_fit(m, 1 / 3, 2**40 - 1, 0)
+    assert not shares_fit(m, 1 / 3, 2**40, 0)
 
 
 def _largest_share(m, alpha, first: bool) -> int:
@@ -121,17 +125,13 @@ def test_shares_never_exceed_alpha_m(alpha, m):
     assert s1 + s2 <= m
 
 
-def test_partition_rejects_overlap():
-    with pytest.raises(ValueError):
-        partition((1, 2), (2, 3), 0.5, 1, 1)
-
-
 def test_sample_partition_shape():
     good = tuple(range(1, 9))
     bad = tuple(range(9, 17))
+    y = string_to_ternary("0" * 8 + "1" * 8)
     stream = party_stream(3, (3, 1))
     for _ in range(20):
-        part = sample_partition(good, bad, 0.5, 3, 4, stream)
+        part = sample_partition(y, 0.5, 3, 4, stream)
         assert len(part.g1) == 3 and len(part.g2) == 4
         assert len(part.b1) == 3 and len(part.b2) == 4
         assert set(part.g1).isdisjoint(part.g2)
@@ -141,19 +141,17 @@ def test_sample_partition_shape():
 
 
 def test_partition_choices_count():
-    good = (1, 2, 3)
-    bad = (4, 5, 6)
-    choices = partition_choices(good, bad, 0.5, 1, 1)
+    # Positions 1-3 decodable, 4-6 hidden.
+    choices = partition_choices(string_to_ternary("000111"), 0.5, 1, 1)
     # C(3,1)*C(2,1) per side.
     assert len(choices) == 6 * 6
     assert len(set((tuple(p.g1), tuple(p.g2), tuple(p.b1), tuple(p.b2)) for p in choices)) == 36
 
 
 def test_client_partitioner_reproducible():
-    good = tuple(range(1, 7))
-    bad = tuple(range(7, 13))
-    a = client_partitioner(99, 1)(good, bad, 0.5, 2, 2)
-    b = client_partitioner(99, 1)(good, bad, 0.5, 2, 2)
+    y = string_to_ternary("000000111111")
+    a = client_partitioner(99, 1)(y, 0.5, 2, 2)
+    b = client_partitioner(99, 1)(y, 0.5, 2, 2)
     fields = ("good", "bad", "g1", "g2", "b1", "b2")
     assert [getattr(a, f).tolist() for f in fields] == [getattr(b, f).tolist() for f in fields]
     assert a.m == b.m
@@ -164,8 +162,7 @@ def test_client_partitioner_reproducible():
 
 
 def test_build_selection_sets_orientation():
-    good, bad = classify_indices(string_to_ternary("102012011211"))
-    part = partition(good, bad, 1 / 3, 2, 4)
+    part = partition(string_to_ternary("102012011211"), Fraction(1, 3), 2, 4)
     sets = build_selection_sets(1, 2, part)
     # z = 1 puts the decodable share in slot 1; z = 2 puts it in slot 2.
     assert sets.for_server(1) == (part.g1, part.b1)
@@ -291,6 +288,7 @@ def test_run_session_adaptive_recovers(seed):
     params = ProtocolParams(n=32, t_exponent=0.45, alpha=0.5)
     rnd = PartyRandomness(seed, seed + 1, seed + 2)
     t, sized = run_session_adaptive(params, Selection(2, 1), rnd)
+    assert type(sized.ell1) is int and type(sized.ell2) is int
     if not t.aborted:
         assert t.recovery_ok
         assert sized.ell1 <= math.floor(0.5 * min(32 // 2 + 16, 32))

@@ -7,6 +7,7 @@ overlap or leave [1, n] must be refused when the record is built.
 """
 
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adder_spir.bits import BitString
-from adder_spir.channel import classify_indices
 from adder_spir.model import ProtocolParams
 from adder_spir.protocol import (
     SelectionSets,
@@ -37,16 +37,17 @@ def record_labels(n: int, sets: SelectionSets) -> str:
 @st.composite
 def published_sets(draw) -> tuple[int, SelectionSets]:
     n = draw(st.integers(1, 64), label="n")
-    good, bad = classify_indices(np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.uint8))
-    m = min(good.size, bad.size)
+    y = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.uint8)
+    hidden = np.count_nonzero(y == 1)
+    m = min(n - hidden, hidden)
     ell1 = draw(st.integers(0, m), label="ell1")
     ell2 = draw(st.integers(0, m - ell1), label="ell2")
-    alpha = ell1 / m if m else 0.5
+    alpha = Fraction(ell1, m) if m else 0.5
     if draw(st.booleans(), label="random partition"):
         stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        part = sample_partition(good, bad, alpha, ell1, ell2, stream)
+        part = sample_partition(y, alpha, ell1, ell2, stream)
     else:
-        part = partition(good, bad, alpha, ell1, ell2)
+        part = partition(y, alpha, ell1, ell2)
     z1, z2 = draw(st.integers(1, 2), label="z1"), draw(st.integers(1, 2), label="z2")
     return n, build_selection_sets(z1, z2, part)
 
