@@ -6,9 +6,9 @@ enough to one half, splits the positions of y into decodable and hidden
 sets, carves shares of the requested lengths out of both (at most
 floor(alpha M) and floor((1 - alpha) M) of M = min(|good|, |bad|), in exact
 integers), and publishes one set pair per server chosen so that the set
-covering the requested file is decodable.  Each server one-time-pads its channel inputs
-over both published sets with its two files; the client unmasks the
-requested file on the decodable side.
+covering the requested file is decodable.  Each server one-time-pads its
+channel inputs over both published sets with its two files; the client
+unmasks the requested file on the decodable side.
 
 ``execute_session`` is the deterministic core of one session (explicit
 channel inputs).  Seeded runs reach it through ``multifile.run_multifile``,
