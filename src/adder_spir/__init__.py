@@ -36,10 +36,12 @@ from .model import (
     trial_seeds,
 )
 from .multifile import (
+    MultifilePlan,
     MultifileTranscript,
     build_chain,
     execute_multifile,
     flatten_rounds,
+    plan_multifile,
     reconstruct,
     request_schedule,
     round_selection,

@@ -11,6 +11,7 @@ failure, 2 configuration error, 3 resource/budget error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -103,6 +104,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=_positive_int, default=1)
 
 
+@functools.lru_cache(maxsize=None)  # one shared parser per process: no default is mutable
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adder-spir",
@@ -117,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--no-abort", action="store_true", help="skip the size-deviation abort check")
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo abort-rate and rate sweep")
-    p_sweep.add_argument("--n", type=_int_list, default=[1024, 4096, 16384], help="comma-separated block lengths")
-    p_sweep.add_argument("--alpha", type=_fraction_list, default=[Fraction(1, 2)], help="comma-separated share splits")
+    p_sweep.add_argument("--n", type=_int_list, default=(1024, 4096, 16384), help="comma-separated block lengths")
+    p_sweep.add_argument("--alpha", type=_fraction_list, default=(Fraction(1, 2),), help="comma-separated share splits")
     p_sweep.add_argument("--t", type=float, default=0.4, dest="t_exponent")
     _add_common_flags(p_sweep)
 

@@ -5,11 +5,11 @@ variable), one positive integer numerator per row over one common
 denominator, and a decoder per variable that turns a code back into its
 value.  Rows are distinct, and the numerators sum to the denominator
 exactly.  Probabilities read back as ``fractions.Fraction``.  Marginals,
-entropies and mutual informations group rows by factorized code ids with
-``np.unique`` and sum their numerators as integers.  A mutual information
-is exactly 0.0 when the grouped integer masses factor, decided by integer
-cross-multiplication; only a non-zero value is computed in floats.  All
-information quantities are in bits.
+entropies and mutual informations group rows by factorized code ids,
+renumbered densely in ascending order, and sum their numerators as
+integers.  A mutual information is exactly 0.0 when the grouped integer
+masses factor, decided by integer cross-multiplication; only a non-zero
+value is computed in floats.  All information quantities are in bits.
 
 Also houses the one-time-pad lemma checker: an exhaustive catalog of small
 dependent/independent variable constructions verifying that XOR with a
@@ -40,6 +40,7 @@ MAX_PAD_WIDTH = 3
 _INT64_SAFE = 2**62
 # Products of two masses stay in int64 while the denominator is below this.
 _PRODUCT_SAFE = 2**31
+_DENSE_RANGE = 4  # group ids are renumbered by a table of their range up to this many per row
 
 Decoder = Callable[[int], Hashable]
 
@@ -163,20 +164,20 @@ class JointDistribution:
         values = [self._decoders[j](c) for c in uniq.tolist()]
         return [values[i] for i in inverse.tolist()]
 
-    def _group(self, idx: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Dense group id per row of its value tuple in columns ``idx``, and
-        one row index per group."""
+    def _group(self, idx: Iterable[int]) -> tuple[np.ndarray, int]:
+        """Dense group id per row of its value tuple in columns ``idx``
+        (ascending), and the number of groups."""
         ids = np.zeros(len(self), dtype=np.int64)
         count = 1
         for j in idx:
             uniq, inverse = self._column(j)
             if count * len(uniq) >= _INT64_SAFE:
-                kept, ids = np.unique(ids, return_inverse=True)
+                kept, ids = _renumber(ids, count)
                 count = len(kept)
             ids = ids * len(uniq) + inverse
             count *= len(uniq)
-        _keys, first, ids = np.unique(ids, return_index=True, return_inverse=True)
-        return ids, first
+        keys, ids = _renumber(ids, count)
+        return ids, len(keys)
 
     def _group_sum(self, ids: np.ndarray, count: int) -> np.ndarray:
         """Numerators summed per group id, exactly."""
@@ -188,8 +189,8 @@ class JointDistribution:
         return [Fraction(w, self._den) for w in self._weights.tolist()]
 
     def _grouped_masses(self, idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        ids, first = self._group(idx)
-        return ids, self._group_sum(ids, len(first))
+        ids, count = self._group(idx)
+        return ids, self._group_sum(ids, count)
 
     def _rows_where(self, name: str, value: Hashable) -> np.ndarray:
         (j,) = self._indices([name])
@@ -203,11 +204,13 @@ class JointDistribution:
 
     def marginal(self, names: Sequence[str]) -> "JointDistribution":
         idx = self._indices(names)
-        ids, first = self._group(idx)
+        ids, count = self._group(idx)
+        first = np.empty(count, dtype=np.int64)
+        first[ids] = np.arange(len(ids))  # one row of each group
         return self._new(
             names,
             self._codes[np.ix_(first, idx)],
-            self._group_sum(ids, len(first)),
+            self._group_sum(ids, count),
             [self._decoders[j] for j in idx],
             self._den,
         )
@@ -232,7 +235,7 @@ class JointDistribution:
             raise ValueError("variable groups must be disjoint")
         ida, ca = self._grouped_masses(self._indices(group_a))
         idb, cb = self._grouped_masses(self._indices(group_b))
-        pairs, joint = np.unique(ida * len(cb) + idb, return_inverse=True)
+        pairs, joint = _renumber(ida * len(cb) + idb, len(ca) * len(cb))
         cab = self._group_sum(joint, len(pairs))
         return _mutual_information(cab, ca[pairs // len(cb)], cb[pairs % len(cb)], self._den, len(ca) * len(cb))
 
@@ -248,6 +251,16 @@ class JointDistribution:
 
     def __len__(self) -> int:
         return len(self._codes)
+
+
+def _renumber(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for ids in [0, count), by a table
+    of that range unless it spans more than ``_DENSE_RANGE`` ids per row."""
+    if count > _DENSE_RANGE * len(ids):
+        return np.unique(ids, return_inverse=True)
+    present = np.zeros(count, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
 
 
 def _mutual_information(cab: np.ndarray, ca: np.ndarray, cb: np.ndarray, den: int, cells: int) -> float:

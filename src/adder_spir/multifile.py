@@ -20,7 +20,7 @@ so that each round consumes one pair from each server.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .bits import BitString, sample_uniform
@@ -32,15 +32,17 @@ from .model import (
     Selection,
     party_stream,
 )
-from .protocol import Transcript, client_partitioner, execute_session, partition
+from .protocol import MUTATIONS, Transcript, client_partitioner, execute_session, partition
 
 __all__ = [
+    "MultifilePlan",
     "MultifileTranscript",
     "build_chain",
     "round_selection",
     "flatten_rounds",
     "reconstruct",
     "run_multifile",
+    "plan_multifile",
     "execute_multifile",
     "request_schedule",
 ]
@@ -181,25 +183,28 @@ def _chains(store: FileStore, n_parts: int, masks: Sequence[Sequence[BitString]]
     return [build_chain(entries, m) for entries, m in zip(parts, masks, strict=True)]
 
 
-def execute_multifile(
-    params: ProtocolParams,
-    files1: FileStore,
-    files2: FileStore,
-    sel: Selection,
-    x_rounds: Sequence[tuple[BitString, BitString]],
-    masks1: Sequence[Sequence[BitString]],
-    masks2: Sequence[Sequence[BitString]],
-    *,
-    abort_disabled: bool = False,
-    mutation: Optional[str] = None,
-    partitioners: Optional[Sequence] = None,
-) -> MultifileTranscript:
-    """Run the reduction with explicit channel inputs and masks.
+@dataclass(frozen=True)
+class MultifilePlan:
+    """One reduction's checked inputs, from :func:`plan_multifile`: per round
+    its two-file stores and branch choices, per part index of each server the
+    rounds that reconstruct it, and the requested files."""
 
-    Any single round abort aborts the whole session (no retry here; retries
-    are a harness-level loop with fresh seeds).  ``partitioners`` supplies
-    one share partitioner per round; honest drivers pass randomized ones.
-    """
+    params: ProtocolParams
+    round_params: ProtocolParams
+    sel: Selection
+    mutation: Optional[str]
+    rounds: tuple[tuple[FileStore, FileStore, Selection], ...]
+    selections: tuple[tuple[int, int], ...]
+    orders: tuple[tuple[tuple[int, ...], ...], ...]
+    requested: tuple[BitString, BitString]
+
+
+def plan_multifile(
+    params: ProtocolParams, files1: FileStore, files2: FileStore, sel: Selection,
+    masks1: Sequence[Sequence[BitString]], masks2: Sequence[Sequence[BitString]], *, mutation: Optional[str] = None,
+) -> MultifilePlan:
+    """Check the reduction's inputs and chain the files through the masks,
+    once for any number of :func:`execute_multifile` runs."""
     params.validate()
     L1, L2 = params.L1, params.L2
     sel.validate(L1, L2)
@@ -215,44 +220,53 @@ def execute_multifile(
         raise ConfigurationError(
             f"per-round lengths ({p1}, {p2}) disagree with params ({params.ell1}, {params.ell2})"
         )
-    pairing = flatten_rounds(L1, L2)
-    if len(x_rounds) != len(pairing):
-        raise ConfigurationError(f"expected channel inputs for {len(pairing)} rounds")
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ConfigurationError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
 
     chains1 = _chains(files1, L2 - 1, masks1)
     chains2 = _chains(files2, L1 - 1, masks2)
     slots, selections, order1, order2 = _round_plan(L1, L2, sel.z1, sel.z2)
+    rounds = tuple((FileStore(1, chains1[i][t1]), FileStore(2, chains2[j][t2]), s) for i, t1, j, t2, s in slots)
+    requested = (files1.file(sel.z1), files2.file(sel.z2))
+    # Every round is a two-file session at the per-round lengths (ell1, ell2).
+    round_params = replace(params, L1=2, L2=2)
+    return MultifilePlan(params, round_params, sel, mutation, rounds, selections, (order1, order2), requested)
 
-    # Every round is a two-file session at the per-round lengths, which
-    # with two files per server are the params themselves.
-    base_params = params if (L1, L2) == (2, 2) else ProtocolParams(
-        n=params.n, t_exponent=params.t_exponent, alpha=params.alpha, ell1=p1, ell2=p2
-    )
+
+def execute_multifile(
+    plan: MultifilePlan, x_rounds: Sequence[tuple[BitString, BitString]], *,
+    abort_disabled: bool = False, partitioners: Optional[Sequence] = None,
+) -> MultifileTranscript:
+    """Run a planned reduction with explicit channel inputs.
+
+    Any single round abort aborts the whole session (no retry here; retries
+    are a harness-level loop with fresh seeds).  ``partitioners`` supplies
+    one share partitioner per round; honest drivers pass randomized ones.
+    """
+    params, sel = plan.params, plan.sel
+    L1, L2 = params.L1, params.L2
+    shape = (L1, L2, params.ell1, params.ell2, flatten_rounds(L1, L2))
+    if len(x_rounds) != len(plan.rounds):
+        raise ConfigurationError(f"expected channel inputs for {len(plan.rounds)} rounds")
+
     transcripts: list[Transcript] = []
-    for k, (i, t1, j, t2, round_sel) in enumerate(slots):
+    for k, (store1, store2, round_sel) in enumerate(plan.rounds):
         transcript = execute_session(
-            base_params,
-            FileStore(1, chains1[i][t1]),
-            FileStore(2, chains2[j][t2]),
-            round_sel,
-            *x_rounds[k],
-            abort_disabled=abort_disabled,
-            mutation=mutation,
-            partitioner=partition if partitioners is None else partitioners[k],
+            plan.round_params, store1, store2, round_sel, *x_rounds[k], abort_disabled=abort_disabled,
+            mutation=plan.mutation, partitioner=partition if partitioners is None else partitioners[k],
         )
         transcripts.append(transcript)
         if transcript.aborted:
-            return MultifileTranscript(
-                L1, L2, p1, p2, pairing, selections[: k + 1], tuple(transcripts), aborted=True
-            )
+            return MultifileTranscript(*shape, plan.selections[: k + 1], tuple(transcripts), aborted=True)
 
+    order1, order2 = plan.orders
     parts1 = [reconstruct(sel.z1, L1, [transcripts[k].recovered[0] for k in ks]) for ks in order1]
     parts2 = [reconstruct(sel.z2, L2, [transcripts[k].recovered[1] for k in ks]) for ks in order2]
     # Joined by the parts' own type, which the oracle's symbolic values override.
     recovered = (type(parts1[0]).join(parts1), type(parts2[0]).join(parts2))
     return MultifileTranscript(
-        L1, L2, p1, p2, pairing, selections, tuple(transcripts), aborted=False, recovered=recovered,
-        recovery_ok=recovered == (files1.file(sel.z1), files2.file(sel.z2)),
+        *shape, plan.selections, tuple(transcripts), aborted=False, recovered=recovered,
+        recovery_ok=recovered == plan.requested,
     )
 
 
@@ -294,30 +308,19 @@ def run_multifile(
     Each round uses a fresh channel block of n uses with fresh uniform
     inputs (sub-stream keyed by the round index).  Two files per server is
     the one-round case.  Masks are drawn at the per-round lengths of
-    ``params``; :func:`execute_multifile` checks them against the files.
+    ``params``; :func:`plan_multifile` checks them against the files.
     """
     L1, L2 = params.L1, params.L2
     K = (L1 - 1) * (L2 - 1)
     masks1 = sample_masks(L1, L2 - 1, params.ell1, rnd.server1_seed)
     masks2 = sample_masks(L2, L1 - 1, params.ell2, rnd.server2_seed)
+    plan = plan_multifile(params, files1, files2, sel, masks1, masks2)
     x_rounds = [
-        (
-            sample_uniform(params.n, party_stream(rnd.server1_seed, (1, k))),
-            sample_uniform(params.n, party_stream(rnd.server2_seed, (1, k))),
-        )
+        tuple(sample_uniform(params.n, party_stream(seed, (1, k))) for seed in (rnd.server1_seed, rnd.server2_seed))
         for k in range(1, K + 1)
     ]
-    return execute_multifile(
-        params,
-        files1,
-        files2,
-        sel,
-        x_rounds,
-        masks1,
-        masks2,
-        abort_disabled=abort_disabled,
-        partitioners=[client_partitioner(rnd.client_seed, k) for k in range(1, K + 1)],
-    )
+    partitioners = [client_partitioner(rnd.client_seed, k) for k in range(1, K + 1)]
+    return execute_multifile(plan, x_rounds, abort_disabled=abort_disabled, partitioners=partitioners)
 
 
 def request_schedule(L1: int, L2: int, z1: int, z2: int) -> tuple[tuple[SymbolSet, SymbolSet], ...]:

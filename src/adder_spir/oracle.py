@@ -41,7 +41,7 @@ from .bits import AffineBits, BitString
 from .channel import classify_indices, transmit  # noqa: F401  (classify_indices: bound for tracing tools)
 from .infotheory import JointDistribution, _numerators
 from .model import CapacityShortfall, ConfigurationError, FileStore, ProtocolParams, Selection
-from .multifile import execute_multifile
+from .multifile import execute_multifile, plan_multifile
 # The oracle looks its protocol entry points up in this namespace at call
 # time, so tracing tools can wrap them here; execute_session, reached through
 # execute_multifile, stays bound with them.
@@ -309,6 +309,7 @@ class _Enumeration:
         if B + U + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
             raise ConfigurationError(f"{B} file and mask bits and {U} channel bits are too many to enumerate")
         self.symbols = [lay.symbols(u) for u in range(U + 1)]
+        self.plans: dict = {}  # one per (selection, number of free channel bits)
         self.replays = 0
 
     def sequences(self):
@@ -352,12 +353,13 @@ class _Enumeration:
             channel = [(r, 1 << s) for r, (v1, v2) in enumerate(pairs)
                        for s in range(lay.n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
             part_keys = tuple(map(_part_key, parts))
+            inputs = self.channel_inputs(pairs, channel)
             for sel, unsel in selections:
                 try:
-                    replays = [self.replay(sel, pairs, channel, partitioners, unsel)]
+                    replays = [self.replay(sel, inputs, partitioners, unsel)]
                 except TypeError:
                     # The session reads a channel bit as a value: replay each assignment of them.
-                    replays = [self.replay(sel, _fixed(pairs, channel, u), [], partitioners, unsel)
+                    replays = [self.replay(sel, self.channel_inputs(_fixed(pairs, channel, u), []), partitioners, unsel)
                                for u in range(2 ** len(channel))]
                 for (public, replayed_abort, ok), outputs, free in replays:
                     if replayed_abort != aborted or len(public) != executed:
@@ -365,28 +367,34 @@ class _Enumeration:
                     values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
                     yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, executed, combos)
 
-    def replay(self, sel: Selection, pairs, channel, partitioners, unsel) -> tuple:
-        """Run the protocol once on the symbolic files and masks and the
-        channel-input ``pairs`` XOR the ``channel`` bits, free above the file
-        and mask bits: the concrete outputs (per executed round y, sets and
-        leak; the abort flag; ok, 2 on abort, else whether the recovered files
-        equal the oracle's own symbolic requested ones, never the session's
-        ``recovery_ok``), the offset and columns of x1, x2, msgs1, msgs2 and
-        unsel (given) and the number of free channel bits."""
-        self.replays += 1
-        lay, free = self.layout, len(channel)
+    def channel_inputs(self, pairs, channel) -> tuple:
+        """The channel-input ``pairs`` XOR the ``channel`` bits, free above the
+        file and mask bits, as :class:`AffineBits` of every round (zeros after
+        the executed ones), the x1 and x2 columns, and the free bit count."""
+        lay = self.layout
         x_rounds = []
         for r, pair in enumerate(pairs):
             linear = [0] * lay.free_bits + [c if k == r else 0 for k, c in channel]
             x_rounds.append(tuple(AffineBits((v, *linear), lay.n) for v in pair))
+        columns = tuple(_columns([x[i] for x in x_rounds]) for i in (0, 1))
+        return x_rounds + [(BitString.zeros(lay.n),) * 2] * (lay.K - len(pairs)), columns, len(channel)
+
+    def replay(self, sel: Selection, inputs: tuple, partitioners, unsel) -> tuple:
+        """Run the protocol once on the symbolic files and masks and the
+        :meth:`channel_inputs`: the concrete outputs (per executed round y,
+        sets and leak; the abort flag; ok, 2 on abort, else whether the
+        recovered files equal the oracle's own symbolic requested ones, never
+        the session's ``recovery_ok``), the offset and columns of x1, x2,
+        msgs1, msgs2 and unsel (given) and the number of free channel bits."""
+        self.replays += 1
+        x_rounds, x_columns, free = inputs
         files1, files2, masks1, masks2 = self.symbols[free]
-        mt = execute_multifile(
-            self.params, files1, files2, sel, x_rounds + [(BitString.zeros(lay.n),) * 2] * (lay.K - len(pairs)),
-            masks1, masks2, abort_disabled=self.abort_disabled, mutation=self.mutation, partitioners=partitioners,
-        )
+        if (sel, free) not in self.plans:
+            self.plans[sel, free] = plan_multifile(self.params, files1, files2, sel, masks1, masks2, mutation=self.mutation)
+        mt = execute_multifile(self.plans[sel, free], x_rounds, abort_disabled=self.abort_disabled, partitioners=partitioners)
         sent = [t for t in mt.transcripts if not t.aborted]
         outputs = (
-            *(_columns([x[i] for x in x_rounds]) for i in (0, 1)),
+            *x_columns,
             _columns([m for t in sent for m in (t.m11, t.m12)]),
             _columns([m for t in sent for m in (t.m21, t.m22)]),
             unsel,

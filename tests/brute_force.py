@@ -20,7 +20,7 @@ from adder_spir.bits import BitString
 from adder_spir.channel import classify_indices, transmit
 from adder_spir.infotheory import JointDistribution
 from adder_spir.model import CapacityShortfall, FileStore, ProtocolParams, Selection
-from adder_spir.multifile import execute_multifile
+from adder_spir.multifile import execute_multifile, plan_multifile
 from adder_spir.oracle import VARIABLES, _part_key, _preset_partitioner, _public_of
 from adder_spir.protocol import IndexPartition, abort_check, execute_session, partition_choices, shares_fit
 
@@ -243,16 +243,19 @@ def _enumerate_multifile(params, abort_disabled, mutation, exact) -> JointDistri
                             masks2 = mask_groups(masks2_t, L2 - 2, L1 - 1)
                             for z1 in range(1, L1 + 1):
                                 for z2 in range(1, L2 + 1):
-                                    mt = execute_multifile(
+                                    plan = plan_multifile(
                                         params,
                                         files1,
                                         files2,
                                         Selection(z1, z2),
-                                        x_rounds,
                                         masks1,
                                         masks2,
-                                        abort_disabled=abort_disabled,
                                         mutation=mutation,
+                                    )
+                                    mt = execute_multifile(
+                                        plan,
+                                        x_rounds,
+                                        abort_disabled=abort_disabled,
                                         partitioners=partitioners,
                                     )
                                     executed = mt.transcripts

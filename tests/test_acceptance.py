@@ -30,6 +30,7 @@ from adder_spir.multifile import (
     build_chain,
     execute_multifile,
     flatten_rounds,
+    plan_multifile,
     request_schedule,
     round_selection,
     run_multifile,
@@ -261,13 +262,8 @@ def test_criterion_08_multifile_reconstruction(multifile_sweep):
     ]
     sel = Selection(2, 3)
     mt = execute_multifile(
-        params,
-        files1,
-        files2,
-        sel,
+        plan_multifile(params, files1, files2, sel, masks1, masks2),
         x_rounds,
-        masks1,
-        masks2,
         partitioners=[client_partitioner(37, k) for k in range(1, 7)],
     )
     assert not mt.aborted

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adder_spir import infotheory
 from adder_spir.infotheory import JointDistribution
 
 
@@ -148,3 +150,52 @@ def test_fraction_mode_beyond_int64():
     log2_1mq = math.log1p(-q) / math.log(2)
     expected = q * (-1 - log2_1mq) + q * math.log2(1 / (2 * q)) - (1 - 2 * q) * log2_1mq
     assert math.isclose(d.mutual_information(("a",), ("b",)), expected, rel_tol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 60),
+    spread=st.sampled_from([1, 2, infotheory._DENSE_RANGE, infotheory._DENSE_RANGE + 1, 50]),
+    data=st.data(),
+)
+def test_renumber_matches_unique(rows, spread, data):
+    # Both branches: a table of the id range up to _DENSE_RANGE ids per row,
+    # np.unique beyond it.  Ids, their order and the summed masses agree.
+    count = spread * rows
+    ids = np.array(data.draw(st.lists(st.integers(0, count - 1), min_size=rows, max_size=rows)), dtype=np.int64)
+    weights = np.array(data.draw(st.lists(st.integers(1, 2**40), min_size=rows, max_size=rows)), dtype=np.int64)
+    keys, dense = infotheory._renumber(ids, count)
+    ref_keys, ref_dense = np.unique(ids, return_inverse=True)
+    assert keys.tolist() == ref_keys.tolist()
+    assert dense.tolist() == ref_dense.tolist()
+    masses, ref_masses = np.zeros(len(keys), dtype=np.int64), np.zeros(len(ref_keys), dtype=np.int64)
+    np.add.at(masses, dense, weights)
+    np.add.at(ref_masses, ref_dense, weights)
+    assert masses.tolist() == ref_masses.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    columns=st.lists(st.integers(1, 9), min_size=3, max_size=3),
+    rows=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(1, 50)),
+                  min_size=1, max_size=40),
+)
+def test_grouping_by_table_matches_sorting(columns, rows):
+    # Marginals and mutual informations come out identical, to the last
+    # digit, whether every grouping renumbers by a table or sorts.
+    distinct = {tuple(v % c for v, c in zip(r[:3], columns)): r[3] for r in rows}
+    codes = np.array(list(distinct), dtype=np.int64)
+    weights = np.array(list(distinct.values()), dtype=np.int64)
+    d = JointDistribution.from_codes(("a", "b", "c"), codes, weights, [int] * 3, denominator=int(weights.sum()))
+
+    def results():
+        return (
+            d.mutual_information(("a",), ("b", "c")),
+            d.mutual_information(("a", "b"), ("c",)),
+            d.entropy(("b", "c")),
+            dict(d.marginal(("c", "a")).table),
+        )
+
+    by_table = results()
+    with mock.patch.object(infotheory, "_DENSE_RANGE", -1):
+        assert results() == by_table

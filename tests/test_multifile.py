@@ -17,13 +17,16 @@ from adder_spir.model import (
 )
 from adder_spir.multifile import (
     build_chain,
+    execute_multifile,
     flatten_rounds,
+    plan_multifile,
     reconstruct,
     request_schedule,
     round_selection,
     run_multifile,
     sample_masks,
 )
+from adder_spir.protocol import client_partitioner
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +256,75 @@ def test_sessions_follow_request_schedule(L1, L2, n, part_len, seed, data):
         assert mt.recovered == (files[0].file(z1), files[1].file(z2))
     else:
         assert mt.recovery_ok is None
+
+
+# ---------------------------------------------------------------------------
+# plans: checked once, run on many channel-input draws
+
+
+def _plan_inputs(L1=3, L2=4, part_len=2, n=32, seed=50):
+    params, files1, files2 = _multifile_setup(L1, L2, seed, part_len, n)
+    masks1 = sample_masks(L1, L2 - 1, part_len, seed + 2)
+    masks2 = sample_masks(L2, L1 - 1, part_len, seed + 3)
+    return params, files1, files2, masks1, masks2
+
+
+def _x_rounds(params, seed):
+    K = (params.L1 - 1) * (params.L2 - 1)
+    return [
+        (sample_uniform(params.n, party_stream(seed, (1, k))), sample_uniform(params.n, party_stream(seed + 1, (1, k))))
+        for k in range(1, K + 1)
+    ]
+
+
+_BAD_INPUTS = {
+    "params": (dict(params=ProtocolParams(n=32, t_exponent=0.45, alpha=2, L1=3, L2=4, ell1=2, ell2=2)),
+               r"^alpha must lie in \[0, 1\]$"),
+    "store-size": (dict(files1=sample_filestore(1, 4, 6, 1)), r"^file store sizes must match \(L1, L2\)$"),
+    "divisible-1": (dict(files1=sample_filestore(1, 3, 7, 1)), r"^server-1 file length 7 not divisible by 3$"),
+    "divisible-2": (dict(files2=sample_filestore(2, 4, 5, 1)), r"^server-2 file length 5 not divisible by 2$"),
+    "round-lengths": (dict(files2=sample_filestore(2, 4, 6, 1)),
+                      r"^per-round lengths \(2, 3\) disagree with params \(2, 2\)$"),
+    "selection": (dict(sel=Selection(4, 1)), r"^z1=4 outside \[1, 3\]$"),
+    "mutation": (dict(mutation="nope"), r"^unknown mutation 'nope'; choose from \("),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_INPUTS))
+def test_plan_rejects_bad_inputs(bad):
+    params, files1, files2, masks1, masks2 = _plan_inputs()
+    args = dict(params=params, files1=files1, files2=files2, sel=Selection(1, 1), masks1=masks1, masks2=masks2)
+    override, message = _BAD_INPUTS[bad]
+    args.update(override)
+    with pytest.raises(ConfigurationError, match=message):
+        plan_multifile(**args)
+
+
+def test_execute_rejects_wrong_round_count():
+    params, *inputs = _plan_inputs()
+    plan = plan_multifile(params, *inputs[:2], Selection(1, 1), *inputs[2:])
+    with pytest.raises(ConfigurationError, match=r"^expected channel inputs for 6 rounds$"):
+        execute_multifile(plan, _x_rounds(params, 60)[:5])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3)])
+@pytest.mark.parametrize("mutation", [None, "reuse-pad"])
+def test_one_plan_runs_like_fresh_plans(shape, mutation):
+    # One plan reused over many channel-input draws, some aborting, gives the
+    # transcripts of a fresh plan per draw, and leaves the plan unchanged.
+    params, files1, files2, masks1, masks2 = _plan_inputs(*shape, n=12)
+    K = (params.L1 - 1) * (params.L2 - 1)
+    for sel in (Selection(1, 1), Selection(params.L1, 2)):
+        plan = plan_multifile(params, files1, files2, sel, masks1, masks2, mutation=mutation)
+        before = repr(plan)
+        outcomes = set()
+        for draw in range(12):
+            x_rounds = _x_rounds(params, 1000 + 10 * draw)
+            fresh = plan_multifile(params, files1, files2, sel, masks1, masks2, mutation=mutation)
+            mt = execute_multifile(plan, x_rounds, partitioners=[client_partitioner(draw, k) for k in range(1, K + 1)])
+            ref = execute_multifile(fresh, x_rounds, partitioners=[client_partitioner(draw, k) for k in range(1, K + 1)])
+            assert mt.to_record() == ref.to_record()
+            assert (mt.recovered, mt.recovery_ok) == (ref.recovered, ref.recovery_ok)
+            outcomes.add(mt.aborted)
+        assert repr(plan) == before
+        assert outcomes == {False, True}

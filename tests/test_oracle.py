@@ -217,16 +217,30 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     # A skeleton fixes the sums, not the channel inputs: one replay stands
     # for every input pair with the same sums (153 of 544 at n=4 per
     # selection, 41 of 136 at L=3x2).
-    calls = []
-    execute_multifile = oracle.execute_multifile
+    # Plans are built once per (selection, number of free channel bits).
+    calls, plans, free_counts = [], [], set()
+    execute_multifile, plan_multifile = oracle.execute_multifile, oracle.plan_multifile
+    channel_inputs = oracle._Enumeration.channel_inputs
 
     def counted(*args, **kwargs):
         calls.append(1)
         return execute_multifile(*args, **kwargs)
 
+    def inputs(*args):
+        result = channel_inputs(*args)
+        free_counts.add(result[2])
+        return result
+
+    def planned(*args, **kwargs):
+        plans.append(1)
+        return plan_multifile(*args, **kwargs)
+
     monkeypatch.setattr(oracle, "execute_multifile", counted)
+    monkeypatch.setattr(oracle, "plan_multifile", planned)
+    monkeypatch.setattr(oracle._Enumeration, "channel_inputs", inputs)
     report = audit(params)
     assert len(calls) == replays == report.replays
+    assert len(plans) <= params.L1 * params.L2 * len(free_counts)
 
 
 def test_otp_lemma_width_one():
