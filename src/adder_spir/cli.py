@@ -281,7 +281,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     print(
         f"audit: {report.state_count} states from {report.replays} replays, "
         f"enumerated in {report.enumeration_s:.3f} s; "
-        f"mutual information in {report.information_s:.3f} s",
+        f"mutual information in {report.information_s:.3f} s; "
+        f"{report.chunks} chunks, at most {report.view_pairs} distinct view pairs",
         file=sys.stderr,
     )
     return EXIT_OK if report.all_zero() else EXIT_CHECK_FAILED

@@ -25,15 +25,23 @@ mask bit as a value, or combines such bits other than by XOR, raises
 replayed once per value of its channel bits instead.  Two files per server
 is the L1 = L2 = 2 case of the multi-file reduction, replayed the same way;
 only its decoded per-round values are unwrapped from their one-round tuples.
+
+The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
+rows are expanded one at a time.  :func:`enumerate_protocol` concatenates
+the chunks into one table; :func:`audit` never holds more than a chunk of
+rows, and adds each chunk's integer masses into one tally of distinct
+(view, secret) keys per audited pair, so its memory follows the distinct
+pairs, not the rows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -71,13 +79,38 @@ VARIABLES = (
     "z1", "z2", "files1", "files2", "masks1", "masks2", "x1", "x2", "y",
     "sets", "msgs1", "msgs2", "leak", "abort", "ok", "unsel", "u0",
 )
+SERVER1_VIEW = ("files1", "masks1", "x1", "sets", "msgs1", "leak")
+SERVER2_VIEW = ("files2", "masks2", "x2", "sets", "msgs2", "leak")
+CLIENT_VIEW = ("z1", "z2", "y", "u0", "sets", "msgs1", "msgs2", "leak")
+# The audited (view, secret) pairs by report field.
+_PAIRS = {
+    "client_privacy_s1": (SERVER1_VIEW, ("z1", "z2")),
+    "client_privacy_s2": (SERVER2_VIEW, ("z1", "z2")),
+    "server2_vs_server1": (SERVER1_VIEW, ("files2",)),
+    "server1_vs_server2": (SERVER2_VIEW, ("files1",)),
+    "servers_vs_client": (CLIENT_VIEW, ("unsel",)),
+}
 # Skeleton constants coded by interned ids.
 _INTERNED = ("y", "sets", "leak", "u0")
+# Per-skeleton columns of a chunk.
+_SKELETON = ("z1", "z2", "abort", "ok", *_INTERNED, "free", "executed", "combos")
 # Free file and mask bits of an assignment, packed in this order from the
 # most significant end; the channel bits sit above them.
 _FREE = ("files1", "files2", "masks1", "masks2")
-# Packed codes (free bits plus a round-pattern tag) must fit an int64.
+# Affine outputs, expanded per row; a chunk holds x and the messages
+# without the round tags of their codes.
+_AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel")
+# Skeleton constants a packed per-round code is tagged with: its value has
+# one entry per executed round, the messages a None for a round that aborted.
+_TAGS = {"x1": ("executed",), "x2": ("executed",), "msgs1": ("executed", "abort"), "msgs2": ("executed", "abort")}
+# Packed codes (free bits plus a round-pattern tag) and audit keys must fit
+# an int64.
 _MAX_CODE_BITS = 62
+# Rows per chunk of the streamed enumeration: a chunk's 17 int64 code
+# columns come to about 2.2 MB.
+_CHUNK_ROWS = 2**14
+# Least seconds between two progress lines of an audit.
+_PROGRESS_S = 1.0
 
 
 class StateBudgetExceeded(Exception):
@@ -92,8 +125,10 @@ class LeakageReport:
     """All six audited quantities for one instance, in bits.
 
     ``enumeration_s`` and ``information_s`` split ``wall_time_s`` into the
-    enumeration and the mutual-information passes; they and ``replays`` (the
-    protocol replays the enumeration ran) stay out of the record.
+    enumeration and the tallies with the mutual-information passes; they,
+    ``replays`` (the protocol replays the enumeration ran), ``chunks`` (the
+    runs of rows it was streamed in) and ``view_pairs`` (the distinct
+    (view, secret) pairs of the largest tally) stay out of the record.
     """
 
     params: ProtocolParams
@@ -112,6 +147,8 @@ class LeakageReport:
     enumeration_s: float = 0.0
     information_s: float = 0.0
     replays: int = 0
+    chunks: int = 0
+    view_pairs: int = 0
 
     @property
     def mode(self) -> str:
@@ -222,6 +259,12 @@ class _Layout:
             ((self.L2 - 2) * (self.L1 - 1), self.p2),
         )
         self.free_bits = sum(c * w for c, w in self.fields)
+        # Bits of each row-varying code of a chunk.
+        self.widths = dict(zip(_FREE, (c * w for c, w in self.fields)))
+        self.widths.update(
+            x1=self.n * self.K, x2=self.n * self.K, msgs1=2 * self.p1 * self.K, msgs2=2 * self.p2 * self.K,
+            unsel=(self.L1 - 1) * self.len1 + (self.L2 - 1) * self.len2,
+        )
 
     def split(self, a) -> list:
         """Codes of the ``_FREE`` fields of packed assignments ``a``."""
@@ -272,13 +315,21 @@ def required_states(params: ProtocolParams, abort_disabled: bool = False) -> int
     return sequences * params.L1 * params.L2 * 2**layout.free_bits
 
 
+def _enumeration(params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], state_budget: int):
+    """The enumeration of one instance and the rows it generates, checked
+    against ``state_budget`` before anything is enumerated."""
+    required = required_states(params, abort_disabled)
+    if required > state_budget:
+        raise StateBudgetExceeded(required, state_budget)
+    return _Enumeration(params, abort_disabled, mutation), required
+
+
 def enumerate_protocol(
     params: ProtocolParams,
     *,
     abort_disabled: bool = False,
     mutation: Optional[str] = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
-    stats: Optional[dict] = None,
 ) -> JointDistribution:
     """Exact joint distribution of one protocol instance.
 
@@ -286,17 +337,24 @@ def enumerate_protocol(
     inputs, observed sums, the entire public communication, the abort flag,
     the recovery flag, and the tuple of unselected files.  Per-round values
     are tuples over the executed rounds, except with two files per server
-    (L1 = L2 = 2, one round), where they are unwrapped.  A given ``stats``
-    dict receives the number of protocol replays under ``"replays"``.
+    (L1 = L2 = 2, one round), where they are unwrapped.
     """
-    required = required_states(params, abort_disabled)
-    if required > state_budget:
-        raise StateBudgetExceeded(required, state_budget)
-    enumeration = _Enumeration(params, abort_disabled, mutation)
-    dist = enumeration.distribution(single=(params.L1, params.L2) == (2, 2))
-    if stats is not None:
-        stats["replays"] = enumeration.replays
-    return dist
+    enumeration, _required = _enumeration(params, abort_disabled, mutation, state_budget)
+    return enumeration.distribution(single=(params.L1, params.L2) == (2, 2))
+
+
+class _Chunk(NamedTuple):
+    """A run of skeletons expanded to one row per assignment of their free bits."""
+
+    table: np.ndarray  # one row of ``_SKELETON`` values per skeleton
+    weights: np.ndarray  # the numerator of each row of each skeleton
+    skel: np.ndarray  # the skeleton of each row
+    columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each row
+
+    def rows_where(self, keep: np.ndarray) -> "_Chunk":
+        """The rows of the skeletons ``keep`` selects."""
+        rows = keep[self.skel]
+        return self._replace(skel=self.skel[rows], columns={k: v[rows] for k, v in self.columns.items()})
 
 
 class _Enumeration:
@@ -310,32 +368,52 @@ class _Enumeration:
             raise ConfigurationError(f"{B} file and mask bits and {U} channel bits are too many to enumerate")
         self.symbols = [lay.symbols(u) for u in range(U + 1)]
         self.plans: dict = {}  # one per (selection, number of free channel bits)
+        self.interned: dict[str, dict] = {name: {} for name in _INTERNED}
         self.replays = 0
 
-    def sequences(self):
-        """Canonical channel-input sequences, truncated at the first aborting
-        round, with one partition per round that did not abort.
+    @functools.cached_property
+    def verdicts(self) -> list:
+        """Each canonical channel-input pair (ints) with the client's
+        partitions of its block, or None if the round aborts.
 
-        A canonical pair (ints) has x1 = 0 and x2 = 1 at every hidden
-        position; it stands for every pair with the same sums.  Yields (pairs,
-        partition per live round, number of partition combinations).
+        A canonical pair has x1 = 0 and x2 = 1 at every hidden position; it
+        stands for every pair with the same sums.
         """
         n = self.layout.n
-        verdicts = [
+        return [
             ((v1, v2), _round_choices(*(BitString.from_int(v, n) for v in (v1, v2)), self.params, self.abort_disabled))
             for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2
         ]
+
+    def sequences(self):
+        """Canonical channel-input sequences, truncated at the first aborting
+        round, with one partition per round that did not abort.  Yields
+        (pairs, partition per live round, number of partition combinations).
+        """
         prefixes = [((), (), 1)]
         for _round in range(self.layout.K):
             grown = []
             for pairs, parts, combos in prefixes:
-                for pair, choices in verdicts:
+                for pair, choices in self.verdicts:
                     if choices is None:
                         yield pairs + (pair,), parts, combos
                     else:
                         grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in choices)
             prefixes = grown
         yield from prefixes
+
+    @functools.cached_property
+    def lcm(self) -> int:
+        """Least common multiple of the partition combinations of every sequence."""
+        return math.lcm(*(combos for _pairs, _parts, combos in self.sequences()))
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator of every row probability: 2^(-2n) per
+        executed round, 1 / combos for the partitions, 1 / (L1 L2) for the
+        selection and 2^-B for the file and mask bits."""
+        lay = self.layout
+        return 2 ** (2 * lay.n * lay.K) * self.lcm * lay.L1 * lay.L2 * 2**lay.free_bits
 
     def skeletons(self):
         """Replay every skeleton.  Yields per replay (z1, z2, aborted, ok), the
@@ -403,51 +481,71 @@ class _Enumeration:
         public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
         return (public, mt.aborted, ok), outputs, free
 
-    def distribution(self, single: bool) -> JointDistribution:
+    def chunks(self):
+        """Every skeleton replayed in order, expanded in runs of about
+        ``_CHUNK_ROWS`` rows (a skeleton is never split)."""
+        B = self.layout.free_bits
+        run, rows = [], 0
+        for skeleton in self.skeletons():
+            run.append(skeleton)
+            rows += 1 << (B + skeleton[-1][0])  # its free file, mask and channel bits
+            if rows >= _CHUNK_ROWS:
+                yield self.expand(run)
+                run, rows = [], 0
+        if run:
+            yield self.expand(run)
+
+    def expand(self, run: list) -> _Chunk:
+        """One row per assignment of each skeleton's free bits: its file and
+        mask bits below, its channel bits above."""
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
         F = B + n * K  # the most free bits of any skeleton
-        interned: dict[str, dict] = {name: {} for name in _INTERNED}
-        rows, affine = [], []
-        for direct, values, outputs, shape in self.skeletons():
-            ids = (interned[name].setdefault(v, len(interned[name])) for name, v in zip(_INTERNED, values))
-            rows.append((*direct, *ids, *shape))
+        table, affine = [], []
+        for direct, values, outputs, shape in run:
+            ids = (self.interned[name].setdefault(v, len(self.interned[name])) for name, v in zip(_INTERNED, values))
+            table.append((*direct, *ids, *shape))
             affine.append([o + (0,) * (F + 1 - len(o)) for o in outputs])
-        names = ("z1", "z2", "abort", "ok", *_INTERNED)
-        table = np.array(rows, dtype=np.int64).T
+        table = np.array(table, dtype=np.int64)
         affine = np.array(affine, dtype=np.int64)
-        free, executed, combos = table[len(names):]
+        free, executed, combos = table[:, -3:].T
 
-        # Skeleton s expands to one row per assignment a of its free bits:
-        # file and mask bits below, its channel bits above.
         counts = np.left_shift(1, B + free)
         skel = np.repeat(np.arange(len(counts)), counts)
         a = np.arange(len(skel)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rounds, aborted = executed[skel], table[2][skel]
+        columns = dict(zip(_FREE, lay.split(a & _mask(B))))
+        for i, name in enumerate(_AFFINE):
+            columns[name] = _expand(affine[:, i], skel, a)
+        weights = [2 ** (2 * n * (K - k)) * self.lcm // c for k, c in zip(executed.tolist(), combos.tolist())]
+        return _Chunk(table, _numerators(weights, self.denominator), skel, columns)
 
-        codes = np.empty((len(skel), len(VARIABLES)), dtype=np.int64)
-        columns = dict(zip(VARIABLES, codes.T))
-        for name, col in zip(names, table):
-            columns[name][:] = col[skel]
-        for name, col in zip(_FREE, lay.split(a & _mask(B))):
-            columns[name][:] = col
-        tag = 2 * rounds + aborted
-        for i, name in enumerate(("x1", "x2")):
-            columns[name][:] = (rounds << n * K) | _expand(affine[:, i], skel, a)
-        columns["msgs1"][:] = (tag << 2 * lay.p1 * K) | _expand(affine[:, 2], skel, a)
-        columns["msgs2"][:] = (tag << 2 * lay.p2 * K) | _expand(affine[:, 3], skel, a)
-        columns["unsel"][:] = _expand(affine[:, 4], skel, a)
+    def codes(self, chunk: _Chunk) -> np.ndarray:
+        """The rows of ``chunk``, one code per ``VARIABLES`` entry."""
+        lay = self.layout
+        codes = np.empty((len(chunk.skel), len(VARIABLES)), dtype=np.int64)
+        out = dict(zip(VARIABLES, codes.T))
+        skeleton = {name: col[chunk.skel] for name, col in zip(_SKELETON, chunk.table.T)}
+        for name in ("z1", "z2", "abort", "ok", *_INTERNED):
+            out[name][:] = skeleton[name]
+        for name in (*_FREE, "unsel"):
+            out[name][:] = chunk.columns[name]
+        rounds = skeleton["executed"]
+        tag = 2 * rounds + skeleton["abort"]
+        for name in ("x1", "x2"):
+            out[name][:] = (rounds << lay.widths[name]) | chunk.columns[name]
+        for name in ("msgs1", "msgs2"):
+            out[name][:] = (tag << lay.widths[name]) | chunk.columns[name]
+        return codes
 
-        # Row probability: 2^(-2n) per executed round, 1 / combos for the
-        # partitions, 1 / (L1 L2) for the selection, 2^-B for the file and
-        # mask bits.
-        scale = lay.L1 * lay.L2 * 2**B
-        pairs = list(zip(executed.tolist(), combos.tolist()))
-        lcm = math.lcm(*(c for _k, c in pairs))
-        denominator = 2 ** (2 * n * K) * lcm * scale
-        weights = _numerators([2 ** (2 * n * (K - k)) * lcm // c for k, c in pairs], denominator)
+    def distribution(self, single: bool) -> JointDistribution:
+        """Every chunk's rows in one table."""
+        lay = self.layout
+        codes, weights = [], []
+        for chunk in self.chunks():
+            codes.append(self.codes(chunk))
+            weights.append(chunk.weights[chunk.skel])
 
-        decoders = {name: list(ids).__getitem__ for name, ids in interned.items()}
+        decoders = {name: list(ids).__getitem__ for name, ids in self.interned.items()}
         decoders.update(
             z1=int, z2=int, abort=bool, x1=self._inputs, x2=self._inputs,
             msgs1=functools.partial(self._messages, width=lay.p1),
@@ -463,7 +561,8 @@ class _Enumeration:
             decoders["unsel"] = lambda c, d=decoders["unsel"]: tuple(u[0] for u in d(c))
             decoders["u0"] = lambda c, d=decoders["u0"]: (d(c) or (None,))[0]
         return JointDistribution.from_codes(
-            VARIABLES, codes, weights[skel], [decoders[v] for v in VARIABLES], denominator=denominator
+            VARIABLES, np.concatenate(codes), np.concatenate(weights), [decoders[v] for v in VARIABLES],
+            denominator=self.denominator,
         )
 
     def _inputs(self, code: int) -> tuple:
@@ -507,9 +606,90 @@ def _fixed(pairs, channel, u: int) -> list:
     return [(v1 ^ f, v2 ^ f) for (v1, v2), f in zip(pairs, flips)]
 
 
-SERVER1_VIEW = ("files1", "masks1", "x1", "sets", "msgs1", "leak")
-SERVER2_VIEW = ("files2", "masks2", "x2", "sets", "msgs2", "leak")
-CLIENT_VIEW = ("z1", "z2", "y", "u0", "sets", "msgs1", "msgs2", "leak")
+class _PairKeys:
+    """One int64 key per chunk row for each audited (view, secret) pair.
+
+    A group of variables (a view or a secret) is keyed by one id for its
+    skeleton constants, with the round tags of its per-round codes,
+    interned across the enumeration and placed above its row-varying codes.
+    The ids stay below the product of the constants' value counts and below
+    the number of skeleton replays, at most ``required`` rows over 2^B.  A
+    pair's key is its view's key above its secret's, so equal keys mean
+    equal values and the masses grouped by key are the masses grouped by
+    value.
+    """
+
+    def __init__(self, layout: _Layout, required: int):
+        self.widths = layout.widths
+        values = {"z1": layout.L1, "z2": layout.L2, "executed": layout.K, "abort": 2}
+        replays = required >> layout.free_bits
+        self.groups = {}  # group -> (constants, row-varying names, key bits)
+        for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
+            constants = tuple(dict.fromkeys([v for v in group if v in _SKELETON] + [t for v in group for t in _TAGS.get(v, ())]))
+            varying = [v for v in group if v in self.widths]
+            ids = min(replays, math.prod(values.get(c, replays) for c in constants))
+            self.groups[group] = constants, varying, (ids - 1).bit_length() + sum(self.widths[v] for v in varying)
+        for name, (view, secret) in _PAIRS.items():
+            bits = self.groups[view][2] + self.groups[secret][2]
+            if bits > _MAX_CODE_BITS:
+                raise ConfigurationError(f"{name} needs {bits}-bit audit keys, more than {_MAX_CODE_BITS}")
+        self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
+
+    def secret_bits(self, name: str) -> int:
+        return self.groups[_PAIRS[name][1]][2]
+
+    def pairs(self, chunk: _Chunk) -> list[np.ndarray]:
+        """The key of every row of ``chunk`` for each pair of ``_PAIRS``."""
+        table = dict(zip(_SKELETON, chunk.table.T))
+        keys = {}
+        for group, (constants, varying, _bits) in self.groups.items():
+            key = np.zeros(len(chunk.skel), dtype=np.int64)
+            if constants:
+                ids = self.ids.setdefault(constants, {})
+                per_skeleton = [ids.setdefault(v, len(ids)) for v in zip(*(table[c].tolist() for c in constants))]
+                key = np.array(per_skeleton, dtype=np.int64)[chunk.skel]
+            for v in varying:
+                key = (key << self.widths[v]) | chunk.columns[v]
+            keys[group] = key
+        return [(keys[view] << self.groups[secret][2]) | keys[secret] for view, secret in _PAIRS.values()]
+
+
+def _reduce(keys: np.ndarray, weights: np.ndarray, kind: Optional[str] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in ascending order and the summed ``weights`` of
+    each; ``kind`` is the ``np.argsort`` algorithm ("stable" runs through the
+    sorted runs of concatenated tables in linear time)."""
+    order = np.argsort(keys, kind=kind)
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(weights[order], first)
+
+
+class _Tally:
+    """Exact integer masses of distinct int64 keys, added a chunk at a time.
+
+    Tables wait on a stack, each smaller than half the one below it; a new
+    table merges into the one below while it is at least half that size.
+    Each key then takes part in O(log rows) merges, and memory follows the
+    distinct keys, not the rows added.
+    """
+
+    def __init__(self):
+        self.tables: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        if not len(keys):
+            return
+        table = _reduce(keys, weights)
+        while self.tables and 2 * len(table[0]) >= len(self.tables[-1][0]):
+            below = self.tables.pop()
+            table = _reduce(*(np.concatenate(pair) for pair in zip(below, table)), kind="stable")
+        self.tables.append(table)
+
+    def total(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every distinct key added, ascending, with its summed weights."""
+        if len(self.tables) > 1:
+            self.tables = [_reduce(*(np.concatenate(column) for column in zip(*self.tables)), kind="stable")]
+        return self.tables[0]
 
 
 def audit(
@@ -520,39 +700,62 @@ def audit(
     mutation: Optional[str] = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> LeakageReport:
-    """Compute all six audited quantities on the exact distribution."""
+    """Compute all six audited quantities on the exact distribution.
+
+    The enumeration is streamed: each chunk adds its masses to the abort and
+    failure totals, and its rows (the non-aborted ones when conditioning)
+    to one tally of (view, secret) keys per audited pair.  A progress line
+    goes to stderr at most every ``_PROGRESS_S`` seconds, the first one
+    only after that long.
+    """
     start = time.perf_counter()
-    required = required_states(params, abort_disabled)
-    stats: dict = {}
-    dist = enumerate_protocol(
-        params, abort_disabled=abort_disabled, mutation=mutation, state_budget=state_budget, stats=stats
-    )
-    enumerated = time.perf_counter()
+    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget)
+    keys = _PairKeys(enumeration.layout, required)
+    tallies = {name: _Tally() for name in _PAIRS}
+    rows = nonabort = fail = chunks = 0
+    tallying, shown = 0.0, start
+    for chunk in enumeration.chunks():
+        tic = time.perf_counter()
+        table = dict(zip(_SKELETON, chunk.table.T))
+        mass = chunk.weights * np.left_shift(1, enumeration.layout.free_bits + table["free"])
+        nonabort += int(mass[table["abort"] == 0].sum())
+        fail += int(mass[table["ok"] == 0].sum())
+        rows += len(chunk.skel)
+        chunks += 1
+        if condition_nonabort:
+            chunk = chunk.rows_where(table["abort"] == 0)
+        weights = chunk.weights[chunk.skel]
+        for tally, key in zip(tallies.values(), keys.pairs(chunk)):
+            tally.add(key, weights)
+        now = time.perf_counter()
+        tallying += now - tic
+        if now - shown >= _PROGRESS_S:
+            print(f"audit: {rows:,} of {required:,} rows, {rows / (now - start):,.0f} rows/s", file=sys.stderr)
+            shown = now
+    streamed = time.perf_counter()
 
-    nonabort_mass = dist.probability("abort", False)
-    fail_mass = dist.probability("ok", False)
-    reliability_error = float(fail_mass / nonabort_mass) if nonabort_mass > 0 else 0.0
-
-    work = dist
+    reliability_error = fail / nonabort if nonabort > 0 else 0.0  # int division rounds correctly
     if condition_nonabort:
-        if nonabort_mass == 0:
+        if nonabort == 0:
             raise ConfigurationError("every session aborts: no non-abort event to condition on")
-        work = work.condition("abort", False)
-        conditioning = "non-abort"
+        denominator, conditioning = nonabort, "non-abort"
     else:
-        conditioning = "unconditioned"
+        denominator, conditioning = enumeration.denominator, "unconditioned"
 
-    leakages = dict(
-        client_privacy_s1=work.mutual_information(SERVER1_VIEW, ("z1", "z2")),
-        client_privacy_s2=work.mutual_information(SERVER2_VIEW, ("z1", "z2")),
-        server2_vs_server1=work.mutual_information(SERVER1_VIEW, ("files2",)),
-        server1_vs_server2=work.mutual_information(SERVER2_VIEW, ("files1",)),
-        servers_vs_client=work.mutual_information(CLIENT_VIEW, ("unsel",)),
-    )
+    leakages, view_pairs = {}, 0
+    for name, tally in tallies.items():
+        key, weights = tally.total()
+        bits = keys.secret_bits(name)
+        dist = JointDistribution.from_codes(
+            ("view", "secret"), np.column_stack((key >> bits, key & _mask(bits))), weights, (int, int),
+            denominator=denominator,
+        )
+        leakages[name] = dist.mutual_information(("view",), ("secret",))
+        view_pairs = max(view_pairs, len(dist))
     end = time.perf_counter()
     return LeakageReport(
-        params, conditioning, **leakages, reliability_error=reliability_error, state_count=len(dist),
+        params, conditioning, **leakages, reliability_error=reliability_error, state_count=rows,
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
-        enumeration_s=enumerated - start, information_s=end - enumerated,
-        replays=stats.get("replays", 0),
+        enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
+        replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
     )

@@ -12,14 +12,12 @@ seconds.
 
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adder_spir import oracle
-from adder_spir.infotheory import JointDistribution
 from adder_spir.model import ProtocolParams
 from adder_spir.protocol import MUTATIONS, abort_check
 from brute_force import _estimate_multifile, _estimate_two_file, reference_enumeration
@@ -90,29 +88,18 @@ class _Reference:
 
 
 def _audit_and_table(params, dist=None, **kwargs):
-    """Run ``audit``; return its report, the distribution it audited and the
-    number of rows the enumerator passed to ``from_codes``.
+    """Run ``audit``; return its report and the distribution
+    ``enumerate_protocol`` gives for the same instance.
 
     A given ``dist`` stands in for the enumeration, which does not depend on
-    the conditioning.
+    the conditioning.  The streamed audit never builds the table, so its
+    rows are counted against the enumerated one.
     """
-    seen, rows = [], []
-    enumerate_protocol = oracle.enumerate_protocol
-    from_codes = JointDistribution.from_codes
-
-    def spy_enumerate(*args, **kw):
-        seen.append(enumerate_protocol(*args, **kw) if dist is None else dist)
-        return seen[-1]
-
-    def spy_codes(names, codes, *args, **kw):
-        rows.append(len(codes))
-        return from_codes(names, codes, *args, **kw)
-
-    with mock.patch.object(oracle, "enumerate_protocol", spy_enumerate), mock.patch.object(
-        JointDistribution, "from_codes", spy_codes
-    ):
-        report = oracle.audit(params, **kwargs)
-    return report, seen[0], rows[0] if rows else None
+    if dist is None:
+        dist = oracle.enumerate_protocol(params, **{k: v for k, v in kwargs.items() if k != "condition_nonabort"})
+    report = oracle.audit(params, **kwargs)
+    assert report.required_states == report.state_count == len(dist)
+    return report, dist
 
 
 def _cross_check(params, reference, *, conditionings=(False, True), exact_reliability=True, exact=False, **kwargs):
@@ -120,11 +107,10 @@ def _cross_check(params, reference, *, conditionings=(False, True), exact_reliab
     with Fraction probabilities if ``exact`` (the oracle's are always exact)."""
     dist = None
     for condition_nonabort in conditionings:
-        report, audited, rows = _audit_and_table(params, dist, condition_nonabort=condition_nonabort, **kwargs)
+        report, audited = _audit_and_table(params, dist, condition_nonabort=condition_nonabort, **kwargs)
         assert report.state_count == len(reference.table)
         if dist is None:
             dist = audited
-            assert report.required_states == rows
             table = dict(dist.table.items())
             assert table.keys() == reference.table.keys()
             assert max(abs(float(table[k]) - float(p)) for k, p in reference.table.items()) <= 1e-15
