@@ -105,16 +105,17 @@ def test_tally_stack_halves():
 
 
 def test_audit_keys_wider_than_int64_are_a_configuration_error(monkeypatch):
-    # n = 29 at L = 3x2 fits the enumeration's 62-bit codes, but a server's
-    # view key needs the 58 bits of its channel inputs above a skeleton id.
-    # The guard runs before any replay.
-    params = ProtocolParams(n=29, t_exponent=0.4, alpha=0.5, L1=3, L2=2, ell1=0, ell2=0)
-    oracle._Enumeration(params, False, None)
-    replays = []
-    monkeypatch.setattr(oracle, "execute_multifile", lambda *a, **k: replays.append(1))
-    with pytest.raises(ConfigurationError, match="audit keys"):
-        oracle.audit(params, state_budget=oracle.required_states(params))
-    assert replays == []
+    # With empty files at L = 2x2, server 1's view key holds a skeleton id
+    # (below the 2^(2n) required rows) above its n channel-input bits, and
+    # the selection's 2 bits sit above that: n = 19 needs 61 bits, n = 20
+    # needs 64.  The guard runs before any replay, whatever the budget.
+    def shape(n):
+        return ProtocolParams(n=n, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)
+
+    oracle._PairKeys(oracle._Layout(shape(19)), oracle.required_states(shape(19)))
+    monkeypatch.setattr(oracle._Enumeration, "chunks", lambda self: pytest.fail("enumerated past the key check"))
+    with pytest.raises(ConfigurationError, match="client_privacy_s1 needs 64-bit audit keys"):
+        oracle.audit(shape(20), state_budget=oracle.required_states(shape(20)))
 
 
 def test_progress_goes_to_stderr_only(monkeypatch, capsys):
