@@ -490,12 +490,12 @@ class _Enumeration:
             run.append(skeleton)
             rows += 1 << (B + skeleton[-1][0])  # its free file, mask and channel bits
             if rows >= _CHUNK_ROWS:
-                yield self.expand(run)
+                yield self.chunk(run)
                 run, rows = [], 0
         if run:
-            yield self.expand(run)
+            yield self.chunk(run)
 
-    def expand(self, run: list) -> _Chunk:
+    def chunk(self, run: list) -> _Chunk:
         """One row per assignment of each skeleton's free bits: its file and
         mask bits below, its channel bits above."""
         lay = self.layout
