@@ -174,3 +174,21 @@ def test_symbols_take_their_bits_from_the_packed_assignment(params):
     for a in [0, *(1 << j for j in range(lay.free_bits)), 2**lay.free_bits - 1]:
         fields = [_bitstrings(code, *shape) for code, shape in zip(lay.split(a), lay.fields)]
         assert [tuple(evaluate(v, a) for v in group) for group in symbolic] == fields
+
+
+@pytest.mark.parametrize("wide, narrow", [
+    (AffineBits((0, 1, 2), 2), AffineBits((0, 1), 2)),
+    (AffineBits((3, 0, 0), 2), AffineBits((3, 0), 2)),
+])
+def test_column_count_mismatch_raises(wide, narrow):
+    # Values over different numbers of free bits cannot be combined: the
+    # extra column must not be dropped.
+    for a, b in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(ValueError):
+            a ^ b
+        with pytest.raises(ValueError):
+            a == b
+        with pytest.raises(ValueError):
+            AffineBits.join([a, b])
+        with pytest.raises(ValueError):
+            transmit(a, b)
