@@ -189,20 +189,28 @@ class AffineBits(BitString):
     :class:`BitString` on either side), :meth:`split`, :meth:`join`,
     :meth:`subselect`, ``len`` and ``==`` act on every column; ``==`` unless
     the two differ by a constant, :meth:`sums` unless the sums are constant,
-    and whatever needs a concrete value, raise ``TypeError``.
+    and whatever needs a concrete value, raise ``TypeError``.  Two values
+    combined by ``^``, ``==`` or :meth:`join` must have the same number of
+    free bits (``ValueError`` otherwise).
+
+    A value remembers its :meth:`sums` per other operand and its
+    :meth:`subselect` per index set, so the oracle's replays of one channel
+    sequence under each selection compute y and the pads once.
     """
 
-    __slots__ = ("_cols",)
+    __slots__ = ("_cols", "_sums", "_picks")
 
     def __init__(self, cols: tuple[int, ...], length: int):
         """``cols`` is the offset, then the column of each free bit, all below 2^length."""
         self._value, self._length, self._bits, self._cols = None, length, None, cols
+        self._sums = self._picks = None
 
     def __xor__(self, other: BitString) -> "AffineBits":
         if self._length != other._length:
             raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
         if not isinstance(other, AffineBits):
             return AffineBits((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
+        _check_columns(self, other)
         return AffineBits(tuple(map(operator.xor, self._cols, other._cols)), self._length)
 
     __rxor__ = __xor__
@@ -220,11 +228,17 @@ class AffineBits(BitString):
     def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
         cols, length = parts[0]._cols, parts[0]._length
         for p in parts[1:]:
+            _check_columns(parts[0], p)
             cols = tuple((c << p._length) | d for c, d in zip(cols, p._cols))
             length += p._length
         return cls(cols, length)
 
     def subselect(self, indices: np.ndarray | Sequence[int]) -> "AffineBits":
+        key = np.asarray(indices, dtype=np.int64).tobytes()
+        if self._picks is None:
+            self._picks = {}
+        elif key in self._picks:
+            return self._picks[key]
         shifts = [self._length - i for i in sorted(map(int, indices))]
         if shifts and (shifts[0] >= self._length or shifts[-1] < 0):
             raise IndexError(f"indices must lie in [1, {self._length}]")
@@ -234,24 +248,37 @@ class AffineBits(BitString):
             for s in shifts:
                 value = value << 1 | c >> s & 1
             cols.append(value)
-        return AffineBits(tuple(cols), len(shifts))
+        picked = self._picks[key] = AffineBits(tuple(cols), len(shifts))
+        return picked
 
     def sums(self, other: BitString) -> np.ndarray:
+        """Per-position sums, read-only; remembered per ``other`` (held, so its id stays its own)."""
+        if self._sums is None:
+            self._sums = {}
+        elif id(other) in self._sums:
+            return self._sums[id(other)][1]
         odd = (self ^ other)._cols
         if any(odd[1:]) or any(c & ~odd[0] for c in self._cols[1:]):
             raise TypeError("a channel sum that depends on the free bits")
         both = BitString._of(self._cols[0] & ~odd[0], self._length)
-        return BitString._of(odd[0], self._length).bits + 2 * both.bits
+        y = BitString._of(odd[0], self._length).bits + 2 * both.bits
+        y.flags.writeable = False
+        self._sums[id(other)] = (other, y)
+        return y
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
+        if isinstance(other, AffineBits):
+            _check_columns(self, other)
+            offset, free = other._cols[0], other._cols[1:]
+        else:
+            offset, free = other._value, (0,) * (len(self._cols) - 1)
         if self._length != other._length:
             return False
-        diff = (self ^ other)._cols
-        if any(diff[1:]):
+        if self._cols[1:] != free:
             raise TypeError("affine bit strings whose equality depends on the free bits")
-        return diff[0] == 0
+        return self._cols[0] == offset
 
     def _concrete(self, *_args):
         raise TypeError("an affine bit string has no concrete value")
@@ -262,6 +289,11 @@ class AffineBits(BitString):
 
     def __repr__(self) -> str:
         return f"AffineBits({self._cols}, {self._length})"
+
+
+def _check_columns(a: AffineBits, b: AffineBits) -> None:
+    if len(a._cols) != len(b._cols):
+        raise ValueError(f"free bit count mismatch: {len(a._cols) - 1} vs {len(b._cols) - 1}")
 
 
 def sample_uniform(length: int, stream: np.random.Generator) -> BitString:

@@ -4,9 +4,10 @@ A random chain of ``^``, ``split`` and ``join`` runs once on AffineBits and
 once on the concrete values at each of a few assignments of the free bits;
 every intermediate value must evaluate to its concrete counterpart.
 ``subselect`` and the channel's ``transmit`` (in both argument orders) are
-checked the same way.
+checked the same way, and their remembered results against a fresh copy's.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -141,9 +142,61 @@ def test_transmit_rejects_sums_that_depend_on_free_bits(data):
     j = data.draw(st.integers(1, free), label="column")
     bump = AffineBits((0, *(1 << shift if k == j else 0 for k in range(1, free + 1))), length)
     x1, x2 = (x1 ^ bump if target != "x2" else x1), (x2 ^ bump if target != "x1" else x2)
-    for first, second in ((x1, x2), (x2, x1)):
+    # Twice: a failed sum is not remembered.
+    for first, second in ((x1, x2), (x2, x1)) * 2:
         with pytest.raises(TypeError):
             transmit(first, second)
+
+
+def twin(v):
+    """A fresh copy of ``v``, with nothing remembered."""
+    if isinstance(v, AffineBits):
+        return AffineBits(v._cols, len(v))
+    return BitString.from_int(v.to_int(), len(v))
+
+
+@given(st.data())
+def test_remembered_subselect_matches_a_fresh_twin(data):
+    free = data.draw(st.integers(0, MAX_FREE), label="free bits")
+    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
+    v = random_affine(data, free, length)
+    # Sorted, unsorted and repeated indices, each set asked for more than
+    # once and as a list or an int64 array.
+    index_sets = data.draw(st.lists(st.lists(st.integers(1, length), max_size=2 * length), min_size=1, max_size=4))
+    for indices in index_sets * 2:
+        form = data.draw(st.sampled_from([list, lambda i: np.array(i, dtype=np.int64)]))
+        picked = v.subselect(form(indices))
+        fresh = twin(v).subselect(indices)
+        assert (picked._cols, len(picked)) == (fresh._cols, len(fresh))
+
+
+@given(st.data())
+def test_remembered_sums_match_a_fresh_twin(data):
+    free = data.draw(st.integers(0, MAX_FREE), label="free bits")
+    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
+    x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
+    d = evaluate(x1 ^ x2, 0).to_int()
+    # More partners of x1, each built afresh and dropped after its call: the
+    # sums are remembered per operand, never per reused id.
+    wider = data.draw(st.lists(st.integers(0, 2**length - 1), max_size=4), label="partners")
+    for _ in range(2):
+        for first, second in ((x1, x2), (x2, x1)):
+            y = transmit(first, second).y
+            assert y.tolist() == transmit(twin(first), twin(second)).y.tolist()
+            assert not y.flags.writeable
+        for extra in wider:
+            partner = x1 ^ BitString.from_int(d | extra, length)
+            expected = transmit(twin(x1), twin(partner)).y.tolist()
+            assert transmit(x1, partner).y.tolist() == expected
+
+
+def test_remembered_sums_are_read_only():
+    x1 = AffineBits((0b01, 0b10), 2)
+    x2 = x1 ^ BitString.from_int(0b10, 2)
+    y = transmit(x1, x2).y
+    with pytest.raises(ValueError):
+        y[0] = 2
+    assert transmit(x1, x2).y is y and y.tolist() == [1, 2]
 
 
 def test_concrete_views_raise_type_error():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adder_spir import multifile, oracle, protocol
-from adder_spir.bits import BitString
+from adder_spir.bits import AffineBits, BitString
 from adder_spir.cli import main
 from adder_spir.infotheory import otp_lemma_check
 from adder_spir.model import ConfigurationError, ProtocolParams
@@ -241,6 +241,37 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     report = audit(params)
     assert len(calls) == replays == report.replays
     assert len(plans) <= params.L1 * params.L2 * len(free_counts)
+
+
+@pytest.mark.parametrize(
+    "params, conditioned, replays, rounds, sums",
+    [(_N4, True, 612, 612, 153), (_MULTI, False, 246, 462, 77)],
+    ids=["n4-two-file", "L3x2"],
+)
+def test_sums_computed_once_per_sequence_round(monkeypatch, params, conditioned, replays, rounds, sums):
+    # The benchmark's two audits: every executed round of every replay still
+    # transmits (1,074 rounds in all), but a channel sequence's y is computed
+    # once for all of its selections: once per (sequence, executed round),
+    # 230 in all.  A remembered y is returned as the same array.
+    computed, sessions = [], []
+    affine_sums, execute_session = AffineBits.sums, multifile.execute_session
+
+    def kept(self, other):
+        y = affine_sums(self, other)
+        computed.append(y)  # held, so the ids below stay distinct
+        return y
+
+    def counted(*args, **kwargs):
+        sessions.append(1)
+        return execute_session(*args, **kwargs)
+
+    monkeypatch.setattr(AffineBits, "sums", kept)
+    monkeypatch.setattr(multifile, "execute_session", counted)
+    report = audit(params, condition_nonabort=conditioned)
+    sequence_rounds = sum(len(pairs) for pairs, _parts, _combos in oracle._Enumeration(params, False, None).sequences())
+    assert report.replays == replays
+    assert len(sessions) == len(computed) == rounds
+    assert len({id(y) for y in computed}) == sequence_rounds == sums
 
 
 def test_otp_lemma_width_one():
