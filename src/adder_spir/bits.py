@@ -193,7 +193,7 @@ class AffineBits(BitString):
     combined by ``^``, ``==`` or :meth:`join` must have the same number of
     free bits (``ValueError`` otherwise).
 
-    A value remembers its :meth:`sums` per other operand and its
+    A value remembers its :meth:`sums` with the last other operand and its
     :meth:`subselect` per index set, so the oracle's replays of one channel
     sequence under each selection compute y and the pads once.
     """
@@ -252,18 +252,16 @@ class AffineBits(BitString):
         return picked
 
     def sums(self, other: BitString) -> np.ndarray:
-        """Per-position sums, read-only; remembered per ``other`` (held, so its id stays its own)."""
-        if self._sums is None:
-            self._sums = {}
-        elif id(other) in self._sums:
-            return self._sums[id(other)][1]
+        """Per-position sums, read-only; remembered for the last ``other``."""
+        if self._sums is not None and self._sums[0] is other:
+            return self._sums[1]
         odd = (self ^ other)._cols
         if any(odd[1:]) or any(c & ~odd[0] for c in self._cols[1:]):
             raise TypeError("a channel sum that depends on the free bits")
         both = BitString._of(self._cols[0] & ~odd[0], self._length)
         y = BitString._of(odd[0], self._length).bits + 2 * both.bits
         y.flags.writeable = False
-        self._sums[id(other)] = (other, y)
+        self._sums = (other, y)
         return y
 
     def __eq__(self, other: object) -> bool:

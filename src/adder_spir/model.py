@@ -108,13 +108,6 @@ class ProtocolParams:
     ell2: int = 0
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` unless the parameters are valid.
-
-        A success is remembered on the instance (outside the fields, so
-        equality, hash and repr ignore it); a failure raises on every call.
-        """
-        if "_valid" in self.__dict__:
-            return
         if self.n <= 0:
             raise ConfigurationError("n must be a positive integer")
         if not 0.0 < self.t_exponent < 0.5:
@@ -126,7 +119,6 @@ class ProtocolParams:
             raise ConfigurationError("each server must hold at least two files")
         if self.ell1 < 0 or self.ell2 < 0:
             raise ConfigurationError("file lengths must be nonnegative")
-        object.__setattr__(self, "_valid", True)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ mask bit as a value, or combines such bits other than by XOR, raises
 replayed once per value of its channel bits instead.  Two files per server
 is the L1 = L2 = 2 case of the multi-file reduction, replayed the same way;
 only its decoded per-round values are unwrapped from their one-round tuples.
-A sequence's channel inputs are built once for all of its selections, and
-:class:`~adder_spir.bits.AffineBits` remembers its sums and subselections,
-so each sequence's y and published-set pads are computed once, not once per
-selection.
+A sequence's channel inputs are built once for all of its selections and
+remember their sums and subselections, so each sequence's y and
+published-set pads are computed once, not once per selection.
 
 The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
 rows are expanded one at a time.  :func:`enumerate_protocol` concatenates
@@ -435,15 +434,14 @@ class _Enumeration:
             channel = [(r, 1 << s) for r, (v1, v2) in enumerate(pairs)
                        for s in range(lay.n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
             part_keys = tuple(map(_part_key, parts))
-            inputs, fixed = self.channel_inputs(pairs, channel), None
+            inputs = self.channel_inputs(pairs, channel)
             for sel, unsel in selections:
                 try:
                     replays = [self.replay(sel, inputs, partitioners, unsel)]
                 except TypeError:
                     # The session reads a channel bit as a value: replay each assignment of them.
-                    if fixed is None:
-                        fixed = [self.channel_inputs(_fixed(pairs, channel, u), []) for u in range(2 ** len(channel))]
-                    replays = [self.replay(sel, each, partitioners, unsel) for each in fixed]
+                    replays = [self.replay(sel, self.channel_inputs(_fixed(pairs, channel, u), []), partitioners, unsel)
+                               for u in range(2 ** len(channel))]
                 for (public, replayed_abort, ok), outputs, free in replays:
                     if replayed_abort != aborted or len(public) != executed:
                         raise RuntimeError("replay disagrees with the enumerated channel verdicts")

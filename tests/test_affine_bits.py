@@ -176,8 +176,8 @@ def test_remembered_sums_match_a_fresh_twin(data):
     length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
     x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
     d = evaluate(x1 ^ x2, 0).to_int()
-    # More partners of x1, each built afresh and dropped after its call: the
-    # sums are remembered per operand, never per reused id.
+    # More partners of x1, each built afresh and dropped after its call: a
+    # sum is remembered with the operand itself, never with a reused id.
     wider = data.draw(st.lists(st.integers(0, 2**length - 1), max_size=4), label="partners")
     for _ in range(2):
         for first, second in ((x1, x2), (x2, x1)):

@@ -1,7 +1,5 @@
 import bisect
-import dataclasses
 import math
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -294,42 +292,3 @@ def test_run_session_adaptive_recovers(seed):
     if not t.aborted:
         assert t.recovery_ok
         assert sized.ell1 <= math.floor(0.5 * min(32 // 2 + 16, 32))
-
-
-# ---------------------------------------------------------------------------
-# validation is remembered on success only
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [dict(n=0), dict(t_exponent=0.5), dict(alpha=Fraction(3, 2)), dict(L1=1), dict(ell2=-1)],
-)
-def test_invalid_params_raise_on_every_call(fields):
-    params = ProtocolParams(**{**dict(n=8, t_exponent=0.4, alpha=0.5), **fields})
-    for _ in range(3):
-        with pytest.raises(ConfigurationError):
-            params.validate()
-
-
-def test_a_replaced_copy_is_validated_afresh():
-    params = ProtocolParams(n=8, t_exponent=0.4, alpha=Fraction(1, 2), ell1=1, ell2=1)
-    params.validate()
-    params.validate()
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(params, alpha=2).validate()
-    dataclasses.replace(params, L1=3).validate()
-
-
-def test_validation_leaves_equality_hash_repr_and_pickling_alone():
-    checked = ProtocolParams(n=8, t_exponent=0.4, alpha=Fraction(1, 3), L1=3, ell1=1, ell2=2)
-    unchecked = dataclasses.replace(checked)
-    before = repr(checked)
-    checked.validate()
-    assert checked == unchecked and hash(checked) == hash(unchecked)
-    assert repr(checked) == repr(unchecked) == before
-    assert dataclasses.astuple(checked) == dataclasses.astuple(unchecked)
-    for params in (checked, unchecked):
-        # As the run and sweep workers receive them.
-        copy = pickle.loads(pickle.dumps(params))
-        assert copy == params and hash(copy) == hash(params) and repr(copy) == repr(params)
-        copy.validate()
