@@ -56,6 +56,7 @@ from .oracle import (
 from .protocol import (
     MUTATIONS,
     IndexPartition,
+    RoundOpening,
     SelectionSets,
     Transcript,
     abort_check,
@@ -63,6 +64,7 @@ from .protocol import (
     client_recover,
     decode_sets,
     execute_session,
+    open_round,
     partition,
     run_session_adaptive,
     server_mask,

@@ -128,12 +128,6 @@ class BitString:
             raise IndexError(f"indices must lie in [1, {self._length}]")
         return BitString.from_array(self.bits[idx - 1])
 
-    def sums(self, other: "BitString") -> np.ndarray:
-        """Per-position integer sums with an equal-length string, as uint8."""
-        if isinstance(other, AffineBits):
-            return other.sums(self)
-        return self.bits + other.bits
-
     def concat(self, other: "BitString") -> "BitString":
         return BitString._of((self._value << other._length) | other._value, self._length + other._length)
 
@@ -188,22 +182,22 @@ class AffineBits(BitString):
     offset XOR the columns of the set bits.  ``^`` (with a
     :class:`BitString` on either side), :meth:`split`, :meth:`join`,
     :meth:`subselect`, ``len`` and ``==`` act on every column; ``==`` unless
-    the two differ by a constant, :meth:`sums` unless the sums are constant,
-    and whatever needs a concrete value, raise ``TypeError``.  Two values
-    combined by ``^``, ``==`` or :meth:`join` must have the same number of
-    free bits (``ValueError`` otherwise).
+    the two differ by a constant, and whatever needs a concrete value (such
+    as ``bits``, and so the channel's ``transmit``), raise ``TypeError``.
+    Two values combined by ``^``, ``==`` or :meth:`join` must have the same
+    number of free bits (``ValueError`` otherwise).
 
-    A value remembers its :meth:`sums` with the last other operand and its
-    :meth:`subselect` per index set, so the oracle's replays of one channel
-    sequence under each selection compute y and the pads once.
+    A value remembers its :meth:`subselect` per index set, so the oracle's
+    replays of one channel sequence under each selection compute the pads
+    once.
     """
 
-    __slots__ = ("_cols", "_sums", "_picks")
+    __slots__ = ("_cols", "_picks")
 
     def __init__(self, cols: tuple[int, ...], length: int):
         """``cols`` is the offset, then the column of each free bit, all below 2^length."""
         self._value, self._length, self._bits, self._cols = None, length, None, cols
-        self._sums = self._picks = None
+        self._picks = None
 
     def __xor__(self, other: BitString) -> "AffineBits":
         if self._length != other._length:
@@ -250,19 +244,6 @@ class AffineBits(BitString):
             cols.append(value)
         picked = self._picks[key] = AffineBits(tuple(cols), len(shifts))
         return picked
-
-    def sums(self, other: BitString) -> np.ndarray:
-        """Per-position sums, read-only; remembered for the last ``other``."""
-        if self._sums is not None and self._sums[0] is other:
-            return self._sums[1]
-        odd = (self ^ other)._cols
-        if any(odd[1:]) or any(c & ~odd[0] for c in self._cols[1:]):
-            raise TypeError("a channel sum that depends on the free bits")
-        both = BitString._of(self._cols[0] & ~odd[0], self._length)
-        y = BitString._of(odd[0], self._length).bits + 2 * both.bits
-        y.flags.writeable = False
-        self._sums = (other, y)
-        return y
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):

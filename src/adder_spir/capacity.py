@@ -5,8 +5,9 @@ channel sum, ``f(p1, p2) = H(X1 X2 | Y)`` for independent Bernoulli inputs.
 Its maximum over input biases caps the sum of weighted retrieval rates; the
 maximizer is the uniform pair and the maximum is exactly one half.  A
 closed form, a brute-force four-atom oracle, a grid-plus-golden-section
-maximizer, and a monotonicity certificate for the diagonal slice live here,
-together with the per-transcript rate bookkeeping.
+maximizer, and a sampled monotonicity check of the diagonal slice (a grid
+check, not a proof; its record keeps the name ``MonotoneCertificate``) live
+here, together with the per-transcript rate bookkeeping.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ class MonotoneCertificate:
 
 
 def verify_g_monotone(samples: int = 10_000) -> MonotoneCertificate:
-    """Certify monotonicity of the diagonal slice on (0, 1/2].
+    """Sampled check of the diagonal slice's monotonicity on (0, 1/2].
 
-    Checks the slice's forward differences on a dense grid, plus the slope
-    gate: zero at u = 1 with slope (2 - ln 2) / ln 2, nonnegative and
-    concave on [1, 100].
+    Checks the slice's forward differences on a ``samples``-point grid, plus
+    the slope gate: zero at u = 1 with slope (2 - ln 2) / ln 2, nonnegative
+    and concave on [1, 100], by finite differences on the same number of
+    points.  It is numerical evidence, not a certificate.
     """
     grid = np.linspace(1e-9, 0.5, samples)
     diffs = np.diff(diagonal_slice(grid))

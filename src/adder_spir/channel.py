@@ -32,16 +32,10 @@ class ChannelRound:
 
 
 def transmit(x1: BitString, x2: BitString) -> ChannelRound:
-    """Per-symbol integer addition of the two binary inputs.
-
-    Symbolic inputs (the leakage oracle's affine bit strings) are accepted
-    where their sum is the same for every value of their free bits; y is
-    always concrete, and a sum that depends on a free bit raises
-    ``TypeError``.
-    """
+    """Per-symbol integer addition of the two binary inputs."""
     if len(x1) != len(x2):
         raise ValueError(f"input length mismatch: {len(x1)} vs {len(x2)}")
-    return ChannelRound(x1, x2, x1.sums(x2))
+    return ChannelRound(x1, x2, x1.bits + x2.bits)
 
 
 def classify_indices(y: np.ndarray | Sequence[int]) -> tuple[IndexSet, IndexSet]:

@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--no-abort", action="store_true")
     p_audit.add_argument("--condition-nonabort", action="store_true")
     p_audit.add_argument("--mutate", default=None, help="audit a deliberately broken variant")
-    p_audit.add_argument("--exact-rational", action="store_true", help="no effect: audits are always exact; kept for old command lines")
     p_audit.add_argument("--budget", type=_positive_int, default=DEFAULT_STATE_BUDGET)
 
     p_cap = sub.add_parser("capacity", help="entropy maximization and region checks")
@@ -275,7 +274,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         _params(args), abort_disabled=args.no_abort, condition_nonabort=args.condition_nonabort,
         mutation=args.mutate, state_budget=args.budget,
     )
-    config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "mutate", "no_abort", "condition_nonabort", "exact_rational")}
+    config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "mutate", "no_abort", "condition_nonabort")}
     config["alpha"] = float(args.alpha)
     _emit([_header("audit", config), report.to_record()], args.out)
     print(

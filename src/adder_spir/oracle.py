@@ -25,9 +25,13 @@ mask bit as a value, or combines such bits other than by XOR, raises
 replayed once per value of its channel bits instead.  Two files per server
 is the L1 = L2 = 2 case of the multi-file reduction, replayed the same way;
 only its decoded per-round values are unwrapped from their one-round tuples.
-A sequence's channel inputs are built once for all of its selections and
-remember their sums and subselections, so each sequence's y and
-published-set pads are computed once, not once per selection.
+The channel phase of a round does not depend on the selection, so it runs
+once per canonical channel-input pair: :func:`~adder_spir.protocol.open_round`
+on the concrete pair, with every partition the client could draw.  A
+sequence's rounds are opened symbolically once for all of its selections:
+each keeps its pair's y and abort verdict, with the symbolic channel inputs
+and the one partition the sequence chose; the inputs remember their
+subselections, so each sequence's published-set pads are computed once.
 
 The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
 rows are expanded one at a time.  :func:`enumerate_protocol` concatenates
@@ -40,6 +44,7 @@ pairs, not the rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 import time
@@ -49,14 +54,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .bits import AffineBits, BitString
-from .channel import classify_indices, transmit  # noqa: F401  (classify_indices: bound for tracing tools)
+from .channel import classify_indices, transmit  # noqa: F401  (bound for tracing tools)
 from .infotheory import JointDistribution, _numerators
-from .model import CapacityShortfall, ConfigurationError, FileStore, ProtocolParams, Selection
+from .model import ConfigurationError, FileStore, ProtocolParams, Selection
 from .multifile import execute_multifile, plan_multifile
 # The oracle looks its protocol entry points up in this namespace at call
 # time, so tracing tools can wrap them here; execute_session, reached through
 # execute_multifile, stays bound with them.
-from .protocol import Transcript, abort_check, execute_session, partition_choices, shares_fit  # noqa: F401
+from .protocol import Transcript, abort_check, execute_session, open_round, partition_choices, shares_fit  # noqa: F401
 
 __all__ = [
     "StateBudgetExceeded",
@@ -203,30 +208,8 @@ def _tuples(*index_sets) -> tuple:
     return tuple(tuple(s.tolist()) for s in index_sets)
 
 
-def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_disabled: bool):
-    """The client's equally likely partitions for one block, or None if it aborts."""
-    y = transmit(x1, x2).y
-    if not abort_disabled and not abort_check(np.count_nonzero(y != 1), params.n, params.t_exponent):
-        return None
-    try:
-        return partition_choices(y, params.alpha, params.ell1, params.ell2)
-    except CapacityShortfall:
-        return None
-
-
 def _part_key(part) -> tuple:
     return _tuples(part.g1, part.g2, part.b1, part.b2)
-
-
-def _preset_partitioner(part):
-    """Partitioner that replays one enumerated choice (None means shortfall)."""
-
-    def partitioner(*_args):
-        if part is None:
-            raise CapacityShortfall("infeasible block replayed by the oracle")
-        return part
-
-    return partitioner
 
 
 def _mask(width: int) -> int:
@@ -376,39 +359,46 @@ class _Enumeration:
 
     @functools.cached_property
     def verdicts(self) -> list:
-        """Each canonical channel-input pair (ints) with the client's
-        partitions of its block, or None if the round aborts.
+        """Each canonical channel-input pair (ints) with its opening: the
+        abort reason, or every partition the client could draw.
 
         A canonical pair has x1 = 0 and x2 = 1 at every hidden position; it
         stands for every pair with the same sums.
         """
         n = self.layout.n
-        return [
-            ((v1, v2), _round_choices(*(BitString.from_int(v, n) for v in (v1, v2)), self.params, self.abort_disabled))
+        opened = [
+            ((v1, v2), open_round(self.params, BitString.from_int(v1, n), BitString.from_int(v2, n),
+                                  partition_choices, abort_disabled=self.abort_disabled))
             for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2
         ]
+        for _pair, verdict in opened:
+            # Every symbolic opening of the pair shares this y.
+            verdict.y.flags.writeable = False
+        return opened
 
     def sequences(self):
         """Canonical channel-input sequences, truncated at the first aborting
         round, with one partition per round that did not abort.  Yields
-        (pairs, partition per live round, number of partition combinations).
+        (verdict per executed round, partition per live round, number of
+        partition combinations).
         """
         prefixes = [((), (), 1)]
         for _round in range(self.layout.K):
             grown = []
-            for pairs, parts, combos in prefixes:
-                for pair, choices in self.verdicts:
+            for rounds, parts, combos in prefixes:
+                for verdict in self.verdicts:
+                    choices = verdict[1].partition
                     if choices is None:
-                        yield pairs + (pair,), parts, combos
+                        yield rounds + (verdict,), parts, combos
                     else:
-                        grown.extend((pairs + (pair,), parts + (c,), combos * len(choices)) for c in choices)
+                        grown.extend((rounds + (verdict,), parts + (c,), combos * len(choices)) for c in choices)
             prefixes = grown
         yield from prefixes
 
     @functools.cached_property
     def lcm(self) -> int:
         """Least common multiple of the partition combinations of every sequence."""
-        return math.lcm(*(combos for _pairs, _parts, combos in self.sequences()))
+        return math.lcm(*(combos for _rounds, _parts, combos in self.sequences()))
 
     @property
     def denominator(self) -> int:
@@ -427,20 +417,17 @@ class _Enumeration:
         f1, f2 = self.symbols[0][0].files, self.symbols[0][1].files
         selections = [(Selection(z1, z2), _columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
                       for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
-        for pairs, parts, combos in self.sequences():
-            executed, aborted = len(pairs), len(parts) < len(pairs)
-            partitioners = [_preset_partitioner(p) for p in parts + (None,) * (lay.K - len(parts))]
-            # One free channel bit per hidden position: (round, its column).
-            channel = [(r, 1 << s) for r, (v1, v2) in enumerate(pairs)
-                       for s in range(lay.n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
+        for rounds, parts, combos in self.sequences():
+            executed, aborted = len(rounds), len(parts) < len(rounds)
+            channel = _channel(rounds, lay.n)
             part_keys = tuple(map(_part_key, parts))
-            inputs = self.channel_inputs(pairs, channel)
+            opened = self.openings(rounds, parts, channel)
             for sel, unsel in selections:
                 try:
-                    replays = [self.replay(sel, inputs, partitioners, unsel)]
+                    replays = [self.replay(sel, opened, unsel)]
                 except TypeError:
                     # The session reads a channel bit as a value: replay each assignment of them.
-                    replays = [self.replay(sel, self.channel_inputs(_fixed(pairs, channel, u), []), partitioners, unsel)
+                    replays = [self.replay(sel, self.openings(_fixed(rounds, channel, u), parts, []), unsel)
                                for u in range(2 ** len(channel))]
                 for (public, replayed_abort, ok), outputs, free in replays:
                     if replayed_abort != aborted or len(public) != executed:
@@ -448,31 +435,35 @@ class _Enumeration:
                     values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
                     yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, executed, combos)
 
-    def channel_inputs(self, pairs, channel) -> tuple:
-        """The channel-input ``pairs`` XOR the ``channel`` bits, free above the
-        file and mask bits, as :class:`AffineBits` of every round (zeros after
-        the executed ones), the x1 and x2 columns, and the free bit count."""
+    def openings(self, rounds, parts, channel) -> tuple:
+        """The symbolic opening of each executed round: its verdict with the
+        channel-input pair XOR the ``channel`` bits, free above the file and
+        mask bits, as :class:`AffineBits`, and the partition ``parts`` chose
+        (None for a round that aborted); the x1 and x2 columns; and the free
+        channel bit count.  The channel bits sit at hidden positions of both
+        inputs, so every assignment of them keeps the verdict's y."""
         lay = self.layout
-        x_rounds = []
-        for r, pair in enumerate(pairs):
+        opened = []
+        for r, ((pair, verdict), part) in enumerate(itertools.zip_longest(rounds, parts)):
             linear = [0] * lay.free_bits + [c if k == r else 0 for k, c in channel]
-            x_rounds.append(tuple(AffineBits((v, *linear), lay.n) for v in pair))
-        columns = tuple(_columns([x[i] for x in x_rounds]) for i in (0, 1))
-        return x_rounds + [(BitString.zeros(lay.n),) * 2] * (lay.K - len(pairs)), columns, len(channel)
+            x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
+            opened.append(verdict._replace(x1=x1, x2=x2, partition=part))
+        columns = tuple(_columns([o[i] for o in opened]) for i in (0, 1))
+        return opened, columns, len(channel)
 
-    def replay(self, sel: Selection, inputs: tuple, partitioners, unsel) -> tuple:
+    def replay(self, sel: Selection, opened: tuple, unsel) -> tuple:
         """Run the protocol once on the symbolic files and masks and the
-        :meth:`channel_inputs`: the concrete outputs (per executed round y,
-        sets and leak; the abort flag; ok, 2 on abort, else whether the
-        recovered files equal the oracle's own symbolic requested ones, never
-        the session's ``recovery_ok``), the offset and columns of x1, x2,
-        msgs1, msgs2 and unsel (given) and the number of free channel bits."""
+        :meth:`openings`: the concrete outputs (per executed round y, sets
+        and leak; the abort flag; ok, 2 on abort, else whether the recovered
+        files equal the oracle's own symbolic requested ones, never the
+        session's ``recovery_ok``), the offset and columns of x1, x2, msgs1,
+        msgs2 and unsel (given) and the number of free channel bits."""
         self.replays += 1
-        x_rounds, x_columns, free = inputs
+        openings, x_columns, free = opened
         files1, files2, masks1, masks2 = self.symbols[free]
         if (sel, free) not in self.plans:
             self.plans[sel, free] = plan_multifile(self.params, files1, files2, sel, masks1, masks2, mutation=self.mutation)
-        mt = execute_multifile(self.plans[sel, free], x_rounds, abort_disabled=self.abort_disabled, partitioners=partitioners)
+        mt = execute_multifile(self.plans[sel, free], openings)
         sent = [t for t in mt.transcripts if not t.aborted]
         outputs = (
             *x_columns,
@@ -601,12 +592,18 @@ def _expand(affine: np.ndarray, skel: np.ndarray, a: np.ndarray) -> np.ndarray:
     return value
 
 
-def _fixed(pairs, channel, u: int) -> list:
-    """The channel-input ``pairs`` with the ``channel`` bits set to the bits of ``u``."""
-    flips = [0] * len(pairs)
+def _channel(rounds, n: int) -> list:
+    """One free channel bit per hidden position of the verdicts ``rounds``: (round, its column)."""
+    return [(r, 1 << s) for r, ((v1, v2), _opening) in enumerate(rounds)
+            for s in range(n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
+
+
+def _fixed(rounds, channel, u: int) -> list:
+    """The verdicts ``rounds`` with their pairs' ``channel`` bits set to the bits of ``u``."""
+    flips = [0] * len(rounds)
     for j, (r, col) in enumerate(channel):
         flips[r] ^= col * (u >> j & 1)
-    return [(v1 ^ f, v2 ^ f) for (v1, v2), f in zip(pairs, flips)]
+    return [((v1 ^ f, v2 ^ f), opening) for ((v1, v2), opening), f in zip(rounds, flips)]
 
 
 class _PairKeys:

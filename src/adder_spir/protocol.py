@@ -10,11 +10,14 @@ covering the requested file is decodable.  Each server one-time-pads its
 channel inputs over both published sets with its two files; the client
 unmasks the requested file on the decodable side.
 
-``execute_session`` is the deterministic core of one session (explicit
-channel inputs).  Seeded runs reach it through ``multifile.run_multifile``,
-whose one-round case is two files per server, and the leakage oracle
-through ``multifile.execute_multifile``; ``run_session_adaptive`` sizes the
-files to the realized block for rate sweeps.
+A round has two phases.  :func:`open_round` is the channel phase, which
+does not depend on the selection: the servers transmit, the client reads
+y, runs the abort check and partitions the positions.  :func:`execute_session`
+answers one opened round for one selection.  Seeded runs reach them through
+``multifile.run_multifile``, whose one-round case is two files per server,
+and the leakage oracle through ``multifile.execute_multifile``;
+``run_session_adaptive`` sizes the files to the realized block for rate
+sweeps.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,6 +44,7 @@ from .model import (
 
 __all__ = [
     "IndexPartition",
+    "RoundOpening",
     "SelectionSets",
     "Transcript",
     "abort_check",
@@ -53,6 +57,7 @@ __all__ = [
     "decode_sets",
     "server_mask",
     "client_recover",
+    "open_round",
     "execute_session",
     "run_session_adaptive",
     "MUTATIONS",
@@ -180,9 +185,12 @@ def partition(y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: int) -> I
     """Carve per-server shares out of the decodable and hidden sets of y.
 
     Shares are the lowest-index elements, first-server first, so the choice
-    is deterministic.  Raises :class:`CapacityShortfall` when the realized
-    block cannot carry the requested lengths (the session driver treats
-    that as an abort), and ``ValueError`` when y is not a channel output.
+    is deterministic.  Honest sessions must not use it (see
+    :func:`sample_partition`); it is for worked examples, sizing checks and
+    deterministic replays that pass it to :func:`open_round` explicitly.
+    Raises :class:`CapacityShortfall` when the realized block cannot carry
+    the requested lengths (:func:`open_round` treats that as an abort), and
+    ``ValueError`` when y is not a channel output.
     """
     good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
@@ -234,9 +242,7 @@ def sample_partition(
 
     Honest sessions must use a random partition: a deterministic share rule
     lets an observer of all four published sets reconstruct which sets are
-    decodable and break both selection privacy and server privacy.  The
-    deterministic :func:`partition` remains available for worked examples
-    and sizing checks only.
+    decodable and break both selection privacy and server privacy.
     """
     good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
@@ -292,8 +298,39 @@ def client_recover(z: int, y: np.ndarray, s_z: IndexSet, m_z: BitString) -> BitS
     return BitString.from_array(vals >> 1) ^ m_z
 
 
-def _aborted(params: ProtocolParams, y: np.ndarray, reason: str) -> Transcript:
-    return Transcript(params=params, aborted=True, abort_reason=reason, y=y)
+class RoundOpening(NamedTuple):
+    """The channel phase of one round, from :func:`open_round`.
+
+    ``abort_reason`` is None unless the round aborted; ``partition`` is
+    whatever the partitioner returned, None on abort.
+    """
+
+    x1: BitString
+    x2: BitString
+    y: np.ndarray
+    abort_reason: Optional[str]
+    partition: object
+
+
+def open_round(
+    params: ProtocolParams, x1: BitString, x2: BitString, partitioner, *, abort_disabled: bool = False
+) -> RoundOpening:
+    """Transmit one block, run the abort check and partition its positions.
+
+    ``partitioner`` maps (y, alpha, ell1, ell2) to the share partition;
+    honest drivers supply a randomized one (:func:`client_partitioner`).
+    ``abort_disabled`` skips the decodable-fraction check only; a capacity
+    shortfall still aborts because the shares physically do not exist.
+    """
+    if len(x1) != params.n or len(x2) != params.n:
+        raise ConfigurationError("channel inputs must have length n")
+    y = transmit(x1, x2).y
+    if not abort_disabled and not abort_check(np.count_nonzero(y != 1), params.n, params.t_exponent):
+        return RoundOpening(x1, x2, y, "size-deviation", None)
+    try:
+        return RoundOpening(x1, x2, y, None, partitioner(y, params.alpha, params.ell1, params.ell2))
+    except CapacityShortfall:
+        return RoundOpening(x1, x2, y, "capacity-shortfall", None)
 
 
 def execute_session(
@@ -301,22 +338,11 @@ def execute_session(
     files1: FileStore,
     files2: FileStore,
     sel: Selection,
-    x1: BitString,
-    x2: BitString,
+    opening: RoundOpening,
     *,
-    abort_disabled: bool = False,
     mutation: Optional[str] = None,
-    partitioner=partition,
 ) -> Transcript:
-    """Run one session with explicit channel inputs.
-
-    ``abort_disabled`` skips the decodable-fraction check only; a capacity
-    shortfall still aborts because the shares physically do not exist.
-    ``partitioner`` maps (y, alpha, ell1, ell2) to the share
-    partition; honest drivers supply a randomized one (see
-    :func:`sample_partition`), the default deterministic rule is for
-    deterministic replay and worked examples.
-    """
+    """Answer one opened round (:func:`open_round`) for one selection."""
     params.validate()
     sel.validate(2, 2)
     if mutation is not None and mutation not in MUTATIONS:
@@ -325,16 +351,9 @@ def execute_session(
         raise ConfigurationError("two-file sessions need exactly two files per server")
     if files1.file_length != params.ell1 or files2.file_length != params.ell2:
         raise ConfigurationError("file lengths must match (ell1, ell2)")
-    if len(x1) != params.n or len(x2) != params.n:
-        raise ConfigurationError("channel inputs must have length n")
-
-    round_ = transmit(x1, x2)
-    if not abort_disabled and not abort_check(np.count_nonzero(round_.y != 1), params.n, params.t_exponent):
-        return _aborted(params, round_.y, "size-deviation")
-    try:
-        part = partitioner(round_.y, params.alpha, params.ell1, params.ell2)
-    except CapacityShortfall:
-        return _aborted(params, round_.y, "capacity-shortfall")
+    x1, x2, y, abort_reason, part = opening
+    if abort_reason is not None:
+        return Transcript(params=params, aborted=True, abort_reason=abort_reason, y=y)
 
     sets = build_selection_sets(sel.z1, sel.z2, part)
     s1_sets, s2_sets = sets.for_server(1), sets.for_server(2)
@@ -348,14 +367,14 @@ def execute_session(
     elif mutation == "unmasked-messages":
         m11, m12 = f11, f12
 
-    rec1 = client_recover(sel.z1, round_.y, s1_sets[sel.z1 - 1], (m11, m12)[sel.z1 - 1])
-    rec2 = client_recover(sel.z2, round_.y, s2_sets[sel.z2 - 1], (m21, m22)[sel.z2 - 1])
+    rec1 = client_recover(sel.z1, y, s1_sets[sel.z1 - 1], (m11, m12)[sel.z1 - 1])
+    rec2 = client_recover(sel.z2, y, s2_sets[sel.z2 - 1], (m21, m22)[sel.z2 - 1])
 
     return Transcript(
         params=params,
         aborted=False,
         abort_reason=None,
-        y=round_.y,
+        y=y,
         selection_sets=sets,
         m11=m11,
         m12=m12,
@@ -390,20 +409,16 @@ def run_session_adaptive(
     params.validate()
     x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, 1)))
     x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
-    g = np.count_nonzero(transmit(x1, x2).y != 1)
-    ell1, ell2 = _share_lengths(min(g, params.n - g), params.alpha)
+    client = client_partitioner(rnd.client_seed)
+    opening = open_round(params, x1, x2, lambda y, alpha, *_lengths: client(y, alpha, *_fitting(y, alpha)))
+    ell1, ell2 = _fitting(opening.y, params.alpha)
     sized = replace(params, ell1=ell1, ell2=ell2)
-    files1 = sample_filestore(1, 2, sized.ell1, rnd.server1_seed)
-    files2 = sample_filestore(2, 2, sized.ell2, rnd.server2_seed)
-    return (
-        execute_session(
-            sized,
-            files1,
-            files2,
-            sel,
-            x1,
-            x2,
-            partitioner=client_partitioner(rnd.client_seed),
-        ),
-        sized,
-    )
+    files1 = sample_filestore(1, 2, ell1, rnd.server1_seed)
+    files2 = sample_filestore(2, 2, ell2, rnd.server2_seed)
+    return execute_session(sized, files1, files2, sel, opening), sized
+
+
+def _fitting(y: np.ndarray, alpha: float | Fraction) -> tuple[int, int]:
+    """The largest lengths the shares of y carry."""
+    g = np.count_nonzero(y != 1)
+    return _share_lengths(min(g, y.size - g), alpha)

@@ -21,8 +21,10 @@ from adder_spir.channel import classify_indices, transmit
 from adder_spir.infotheory import JointDistribution
 from adder_spir.model import CapacityShortfall, FileStore, ProtocolParams, Selection
 from adder_spir.multifile import execute_multifile, plan_multifile
-from adder_spir.oracle import VARIABLES, _part_key, _preset_partitioner, _public_of
-from adder_spir.protocol import IndexPartition, abort_check, execute_session, partition_choices, shares_fit
+from adder_spir.oracle import VARIABLES, _part_key, _public_of
+from adder_spir.protocol import (
+    IndexPartition, abort_check, execute_session, open_round, partition_choices, shares_fit,
+)
 
 IndexSet = tuple[int, ...]
 
@@ -92,6 +94,17 @@ def _bitstrings(length: int, cache: dict[int, list[BitString]]) -> list[BitStrin
     return cache[length]
 
 
+def _preset_partitioner(part):
+    """Partitioner that replays one enumerated choice (None means shortfall)."""
+
+    def partitioner(*_args):
+        if part is None:
+            raise CapacityShortfall("infeasible block replayed by the reference")
+        return part
+
+    return partitioner
+
+
 def _round_choices(x1: BitString, x2: BitString, params: ProtocolParams, abort_disabled: bool):
     """Abort verdict and the client's equally likely partitions for one block.
 
@@ -148,21 +161,14 @@ def _enumerate_two_file(params, abort_disabled, mutation, exact) -> JointDistrib
                 parts = choices
                 weight = base / len(choices)
             for part in parts:
+                opening = open_round(params, x1, x2, _preset_partitioner(part), abort_disabled=abort_disabled)
                 for f11, f12 in itertools.product(fs1, repeat=2):
                     files1 = FileStore(1, (f11, f12))
                     for f21, f22 in itertools.product(fs2, repeat=2):
                         files2 = FileStore(2, (f21, f22))
                         for z1, z2 in itertools.product((1, 2), repeat=2):
                             t = execute_session(
-                                params,
-                                files1,
-                                files2,
-                                Selection(z1, z2),
-                                x1,
-                                x2,
-                                abort_disabled=abort_disabled,
-                                mutation=mutation,
-                                partitioner=_preset_partitioner(part),
+                                params, files1, files2, Selection(z1, z2), opening, mutation=mutation
                             )
                             sets_v, msgs1_v, msgs2_v, leak_v = _public_of(t)
                             key = (
@@ -225,9 +231,12 @@ def _enumerate_multifile(params, abort_disabled, mutation, exact) -> JointDistri
             n_combos *= len(choices)
         weight = weight_base / n_combos
         for parts_combo in combos:
-            partitioners = [_preset_partitioner(p) for p in parts_combo] + [
-                _preset_partitioner(None)
-            ] * (K - first_abort)
+            # The live rounds, then the aborting one if any (its partitioner
+            # is reached only on a capacity shortfall).
+            openings = [
+                open_round(base_params, *x_rounds[k], _preset_partitioner(p), abort_disabled=abort_disabled)
+                for k, p in zip(range(K), (*parts_combo, None))
+            ]
             u0 = tuple(_part_key(p) for p in parts_combo)
             for files1_t in itertools.product(_bitstrings(len1, cache), repeat=L1):
                 files1 = FileStore(1, files1_t)
@@ -252,12 +261,7 @@ def _enumerate_multifile(params, abort_disabled, mutation, exact) -> JointDistri
                                         masks2,
                                         mutation=mutation,
                                     )
-                                    mt = execute_multifile(
-                                        plan,
-                                        x_rounds,
-                                        abort_disabled=abort_disabled,
-                                        partitioners=partitioners,
-                                    )
+                                    mt = execute_multifile(plan, openings)
                                     executed = mt.transcripts
                                     pub = [_public_of(t) for t in executed]
                                     key = (

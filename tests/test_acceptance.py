@@ -40,6 +40,7 @@ from adder_spir.infotheory import otp_lemma_check
 from adder_spir.oracle import audit
 from adder_spir.protocol import (
     client_partitioner,
+    open_round,
     partition,
     run_session_adaptive,
 )
@@ -253,19 +254,17 @@ def test_criterion_08_multifile_reconstruction(multifile_sweep):
         build_chain([files2.file(l).split(2)[j] for l in (1, 2, 3, 4)], masks2[j])
         for j in range(2)
     ]
-    x_rounds = [
-        (
+    openings = [
+        open_round(
+            params,
             sample_uniform(64, party_stream(35, (1, k))),
             sample_uniform(64, party_stream(36, (1, k))),
+            client_partitioner(37, k),
         )
         for k in range(1, 7)
     ]
     sel = Selection(2, 3)
-    mt = execute_multifile(
-        plan_multifile(params, files1, files2, sel, masks1, masks2),
-        x_rounds,
-        partitioners=[client_partitioner(37, k) for k in range(1, 7)],
-    )
+    mt = execute_multifile(plan_multifile(params, files1, files2, sel, masks1, masks2), openings)
     assert not mt.aborted
     z1_rounds = round_selection(sel.z1, 3)
     z2_rounds = round_selection(sel.z2, 4)

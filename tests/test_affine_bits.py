@@ -3,19 +3,24 @@
 A random chain of ``^``, ``split`` and ``join`` runs once on AffineBits and
 once on the concrete values at each of a few assignments of the free bits;
 every intermediate value must evaluate to its concrete counterpart.
-``subselect`` and the channel's ``transmit`` (in both argument orders) are
-checked the same way, and their remembered results against a fresh copy's.
+``subselect`` is checked the same way, and its remembered results against
+a fresh copy's.  ``transmit`` on concrete values must give their
+per-position sums.  The oracle's symbolic round openings must transmit, at
+every assignment of their free bits, to the y they carry, which is the
+read-only y remembered for their canonical pair.
 """
+
+import functools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adder_spir.bits import AffineBits, BitString
 from adder_spir.channel import transmit
 from adder_spir.model import ProtocolParams
-from adder_spir.oracle import _bitstrings, _Layout
+from adder_spir.oracle import _bitstrings, _channel, _Enumeration, _fixed, _Layout
 
 MAX_FREE = 6
 LENGTHS = (0, 1, 2, 3, 4, 6, 12)
@@ -104,50 +109,6 @@ def test_subselect_matches_concrete_values(data):
             v.subselect([*indices, outside])
 
 
-def constant_sum_pair(data, free, length, concrete_x2=False):
-    """x1 and x2 whose sum does not depend on the free bits: x1 ^ x2 is a
-    constant d, and x1 has free columns only where d is 1 (nowhere if x2
-    is to be a concrete BitString)."""
-    d = data.draw(st.integers(0, 2**length - 1), label="x1 ^ x2")
-    x1 = random_affine(data, free, length)
-    x1 = AffineBits((x1._cols[0], *(0 if concrete_x2 else c & d for c in x1._cols[1:])), length)
-    x2 = x1 ^ BitString.from_int(d, length)
-    return x1, evaluate(x2, 0) if concrete_x2 else x2
-
-
-@given(st.data())
-def test_transmit_matches_concrete_sums(data):
-    free = data.draw(st.integers(0, MAX_FREE), label="free bits")
-    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
-    x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
-    assignments = data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=4))
-    # Either argument may be the concrete one.
-    for first, second in ((x1, x2), (x2, x1)):
-        y = transmit(first, second).y
-        assert y.dtype == "uint8"
-        for a in assignments:
-            assert y.tolist() == transmit(evaluate(first, a), evaluate(second, a)).y.tolist()
-
-
-@given(st.data())
-def test_transmit_rejects_sums_that_depend_on_free_bits(data):
-    free = data.draw(st.integers(1, MAX_FREE), label="free bits")
-    length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
-    x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
-    # One free bit enters one input at one position, or both inputs at a
-    # position where they are equal (the sum is then 0 or 2).
-    equal = [p for p in range(length) if not (evaluate(x1 ^ x2, 0).to_int() >> p & 1)]
-    target = data.draw(st.sampled_from(["x1", "x2", "both"] if equal else ["x1", "x2"]), label="bumped")
-    shift = data.draw(st.sampled_from(equal if target == "both" else range(length)), label="position")
-    j = data.draw(st.integers(1, free), label="column")
-    bump = AffineBits((0, *(1 << shift if k == j else 0 for k in range(1, free + 1))), length)
-    x1, x2 = (x1 ^ bump if target != "x2" else x1), (x2 ^ bump if target != "x1" else x2)
-    # Twice: a failed sum is not remembered.
-    for first, second in ((x1, x2), (x2, x1)) * 2:
-        with pytest.raises(TypeError):
-            transmit(first, second)
-
-
 def twin(v):
     """A fresh copy of ``v``, with nothing remembered."""
     if isinstance(v, AffineBits):
@@ -170,38 +131,67 @@ def test_remembered_subselect_matches_a_fresh_twin(data):
         assert (picked._cols, len(picked)) == (fresh._cols, len(fresh))
 
 
+@functools.cache
+def enumeration(params: ProtocolParams) -> tuple:
+    """The oracle's enumeration of ``params`` and its list of sequences."""
+    e = _Enumeration(params, False, None)
+    return e, list(e.sequences())
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0),
+        ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0),
+        ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0),
+    ],
+    ids=["n2", "n3", "L3x2-n2"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_symbolic_openings_transmit_to_their_y(params, data):
+    # A sequence's rounds are opened once, symbolically, with the y of their
+    # concrete canonical pair; every assignment of the free bits must
+    # transmit to that y, also with the channel bits fixed (the fallback).
+    e, sequences = enumeration(params)
+    rounds, parts, _combos = data.draw(st.sampled_from(sequences), label="sequence")
+    channel = _channel(rounds, params.n)
+    u = data.draw(st.integers(0, 2 ** len(channel) - 1), label="fixed channel bits")
+    for opened, _columns, free in (e.openings(rounds, parts, channel), e.openings(_fixed(rounds, channel, u), parts, [])):
+        assert len(opened) == len(rounds) and free in (0, len(channel))
+        bits = e.layout.free_bits + free
+        for a in data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=4), label="assignments"):
+            for (_pair, verdict), o in zip(rounds, opened):
+                assert o.y is verdict.y and o.abort_reason == verdict.abort_reason
+                assert transmit(evaluate(o.x1, a), evaluate(o.x2, a)).y.tolist() == o.y.tolist()
+
+
 @given(st.data())
-def test_remembered_sums_match_a_fresh_twin(data):
-    free = data.draw(st.integers(0, MAX_FREE), label="free bits")
+def test_transmit_matches_concrete_sums(data):
     length = data.draw(st.sampled_from(LENGTHS[1:]), label="length")
-    x1, x2 = constant_sum_pair(data, free, length, data.draw(st.booleans(), label="concrete x2"))
-    d = evaluate(x1 ^ x2, 0).to_int()
-    # More partners of x1, each built afresh and dropped after its call: a
-    # sum is remembered with the operand itself, never with a reused id.
-    wider = data.draw(st.lists(st.integers(0, 2**length - 1), max_size=4), label="partners")
-    for _ in range(2):
-        for first, second in ((x1, x2), (x2, x1)):
-            y = transmit(first, second).y
-            assert y.tolist() == transmit(twin(first), twin(second)).y.tolist()
-            assert not y.flags.writeable
-        for extra in wider:
-            partner = x1 ^ BitString.from_int(d | extra, length)
-            expected = transmit(twin(x1), twin(partner)).y.tolist()
-            assert transmit(x1, partner).y.tolist() == expected
+    v1, v2 = (data.draw(st.integers(0, 2**length - 1)) for _ in range(2))
+    x1, x2 = BitString.from_int(v1, length), BitString.from_int(v2, length)
+    sums = [(v1 >> p & 1) + (v2 >> p & 1) for p in reversed(range(length))]
+    for first, second in ((x1, x2), (x2, x1)):
+        y = transmit(first, second).y
+        assert y.dtype == "uint8" and y.tolist() == sums
 
 
 def test_remembered_sums_are_read_only():
-    x1 = AffineBits((0b01, 0b10), 2)
-    x2 = x1 ^ BitString.from_int(0b10, 2)
-    y = transmit(x1, x2).y
-    with pytest.raises(ValueError):
-        y[0] = 2
-    assert transmit(x1, x2).y is y and y.tolist() == [1, 2]
+    # The oracle remembers one y per canonical pair and every symbolic
+    # opening of that pair shares it, so no caller may write to it.
+    e, sequences = enumeration(ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0))
+    for _pair, verdict in e.verdicts:
+        with pytest.raises(ValueError):
+            verdict.y[0] = 2
+    for rounds, parts, _combos in sequences:
+        opened, _columns, _free = e.openings(rounds, parts, _channel(rounds, 2))
+        assert all(o.y is verdict.y for (_pair, verdict), o in zip(rounds, opened))
 
 
 def test_concrete_views_raise_type_error():
     v = AffineBits((1, 2, 0), 2)
-    for view in (v.to_int, lambda: v.bits, lambda: v.packed,
+    for view in (v.to_int, lambda: v.bits, lambda: v.packed, lambda: transmit(v, v),
                  lambda: v.bit(1), lambda: v.concat(v), v.to_hex, lambda: hash(v)):
         with pytest.raises(TypeError):
             view()
@@ -243,5 +233,3 @@ def test_column_count_mismatch_raises(wide, narrow):
             a == b
         with pytest.raises(ValueError):
             AffineBits.join([a, b])
-        with pytest.raises(ValueError):
-            transmit(a, b)

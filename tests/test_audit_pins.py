@@ -7,7 +7,8 @@ probabilities, so some carry float residues (around 1e-13) where the exact
 value is a round number or zero; the tolerance absorbs them.
 
 The cases are the golden audits and the three mutations at n=3, at n=4
-conditioned on non-abort, and on the multi-file instance L=3x2 at n=2.  The
+conditioned on non-abort, and on the multi-file instance L=3x2 at n=2, and
+an honest n=4 audit with a two-bit file at server 1 (ell1 = 2).  The
 exact oracle also prints exact zeros for honest instances, exact round
 values for reuse-pad, and never a negative leakage.
 """
@@ -25,6 +26,8 @@ N3 = ("--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0")
 N4 = ("--n", "4", "--ell1", "1", "--ell2", "1", "--condition-nonabort")
 L32_N1 = ("--n", "1", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0")
 L32_N2 = ("--n", "2", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0")
+# The one shape here whose published sets hold two positions each.
+ELL2_N4 = ("--n", "4", "--ell1", "2", "--ell2", "0", "--alpha", "1")
 
 FIELDS = (
     "client_privacy_s1", "client_privacy_s2", "server2_vs_server1",
@@ -34,7 +37,7 @@ FIELDS = (
 # name -> (audit flags, exit code, values of FIELDS)
 PINS = {
     "honest-n3": (N3, 0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
-    "exact-n3": ((*N3, "--exact-rational"), 0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
+    "honest-ell2-n4": (ELL2_N4, 0, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)),
     "honest-L3x2-n1": (L32_N1, 0, (
         6.406853007629834e-16, -3.043255178624176e-15, 8.328908909918762e-15,
         -5.445825056485368e-15, 2.2423985526704403e-15, 0.0,
@@ -91,10 +94,11 @@ def test_audit_values_pinned(name):
         assert abs(float(record[field]) - value) <= 1e-12, field
 
 
-# Honest instances audit to exact zeros: n=3, the benchmark's two audits and
-# the smallest multi-file instance.
+# Honest instances audit to exact zeros: n=3, the benchmark's two audits,
+# the smallest multi-file instance and ell1 = 2.
 HONEST = {
     "n3": N3,
+    "ell2-n4": ELL2_N4,
     "n4-nonabort": N4,
     "L3x2-n1": L32_N1,
     "L3x2-n2": L32_N2,
@@ -123,3 +127,8 @@ def test_reuse_pad_prints_exact_leak(flags, expected):
 def test_no_leakage_is_negative(name):
     _code, record = audit_record(PINS[name][0])
     assert all(float(record[field]) >= 0.0 for field in FIELDS)
+
+
+def test_ell2_audit_counts_every_row():
+    _code, record = audit_record(ELL2_N4)
+    assert record["state_count"] == record["required_states"] == 16384

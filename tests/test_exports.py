@@ -4,11 +4,11 @@ PUBLIC_NAMES = [
     "BitString", "CapacityShortfall", "ChannelRound", "ConfigurationError", "FileStore",
     "IndexPartition", "JointDistribution", "LeakageReport", "MUTATIONS", "MonotoneCertificate",
     "MultifilePlan", "MultifileTranscript", "OtpLemmaReport", "PartyRandomness", "ProtocolParams", "RateReport",
-    "Selection", "SelectionSets", "StateBudgetExceeded", "Transcript", "__version__",
+    "RoundOpening", "Selection", "SelectionSets", "StateBudgetExceeded", "Transcript", "__version__",
     "abort_check", "achieved_rates", "audit", "brute_conditional_entropy", "build_chain",
     "build_selection_sets", "classify_indices", "client_recover", "conditional_entropy_f",
     "decode_sets", "diagonal_slice", "enumerate_protocol", "execute_multifile", "execute_session", "f_gradient",
-    "flatten_rounds", "maximize_f", "otp_lemma_check", "partition", "party_stream", "plan_multifile", "reconstruct",
+    "flatten_rounds", "maximize_f", "open_round", "otp_lemma_check", "partition", "party_stream", "plan_multifile", "reconstruct",
     "region_check", "request_schedule", "round_selection", "run_multifile",
     "run_session_adaptive", "sample_filestore", "sample_uniform", "server_mask", "transmit",
     "trial_seeds", "verify_g_monotone",

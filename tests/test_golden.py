@@ -54,7 +54,6 @@ CASES = {
     ),
     "audit-honest": (_AUDIT_N3, 0, "5c4f610882a7408a5d30942b23c2dc2c5c65e231ba0ad41827762df3b498f52e"),
     "audit-reuse-pad": ((*_AUDIT_N3, "--mutate", "reuse-pad"), 1, "a7d299194cfdb7dddcf309676b815bed20459afbfaf7f1d7879498a4b6d2a38d"),
-    "audit-exact": ((*_AUDIT_N3, "--exact-rational"), 0, "5c4f610882a7408a5d30942b23c2dc2c5c65e231ba0ad41827762df3b498f52e"),
     # Multi-file audit, 384 states.
     "audit-multifile": (
         ("audit", "--n", "1", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0"),

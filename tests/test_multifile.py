@@ -26,7 +26,8 @@ from adder_spir.multifile import (
     run_multifile,
     sample_masks,
 )
-from adder_spir.protocol import client_partitioner
+from adder_spir import multifile
+from adder_spir.protocol import client_partitioner, open_round
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +270,14 @@ def _plan_inputs(L1=3, L2=4, part_len=2, n=32, seed=50):
     return params, files1, files2, masks1, masks2
 
 
-def _x_rounds(params, seed):
+def _openings(params, seed, client_seed=0):
+    """Every round of one reduction opened, also those after an abort."""
     K = (params.L1 - 1) * (params.L2 - 1)
     return [
-        (sample_uniform(params.n, party_stream(seed, (1, k))), sample_uniform(params.n, party_stream(seed + 1, (1, k))))
+        open_round(
+            params, sample_uniform(params.n, party_stream(seed, (1, k))),
+            sample_uniform(params.n, party_stream(seed + 1, (1, k))), client_partitioner(client_seed, k),
+        )
         for k in range(1, K + 1)
     ]
 
@@ -303,8 +308,11 @@ def test_plan_rejects_bad_inputs(bad):
 def test_execute_rejects_wrong_round_count():
     params, *inputs = _plan_inputs()
     plan = plan_multifile(params, *inputs[:2], Selection(1, 1), *inputs[2:])
-    with pytest.raises(ConfigurationError, match=r"^expected channel inputs for 6 rounds$"):
-        execute_multifile(plan, _x_rounds(params, 60)[:5])
+    openings = _openings(params, 60)
+    assert not any(o.abort_reason for o in openings)
+    for count in (5, 7):
+        with pytest.raises(ConfigurationError, match=r"^expected openings of 6 rounds$"):
+            execute_multifile(plan, (openings * 2)[:count])
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3)])
@@ -313,18 +321,40 @@ def test_one_plan_runs_like_fresh_plans(shape, mutation):
     # One plan reused over many channel-input draws, some aborting, gives the
     # transcripts of a fresh plan per draw, and leaves the plan unchanged.
     params, files1, files2, masks1, masks2 = _plan_inputs(*shape, n=12)
-    K = (params.L1 - 1) * (params.L2 - 1)
     for sel in (Selection(1, 1), Selection(params.L1, 2)):
         plan = plan_multifile(params, files1, files2, sel, masks1, masks2, mutation=mutation)
         before = repr(plan)
         outcomes = set()
         for draw in range(12):
-            x_rounds = _x_rounds(params, 1000 + 10 * draw)
+            openings = _openings(params, 1000 + 10 * draw, draw)
             fresh = plan_multifile(params, files1, files2, sel, masks1, masks2, mutation=mutation)
-            mt = execute_multifile(plan, x_rounds, partitioners=[client_partitioner(draw, k) for k in range(1, K + 1)])
-            ref = execute_multifile(fresh, x_rounds, partitioners=[client_partitioner(draw, k) for k in range(1, K + 1)])
+            mt = execute_multifile(plan, openings)
+            ref = execute_multifile(fresh, openings)
             assert mt.to_record() == ref.to_record()
             assert (mt.recovered, mt.recovery_ok) == (ref.recovered, ref.recovery_ok)
             outcomes.add(mt.aborted)
         assert repr(plan) == before
         assert outcomes == {False, True}
+
+
+def test_run_multifile_opens_no_round_after_an_abort(monkeypatch):
+    # Rounds are opened one at a time: a session that aborts in round k
+    # opened k rounds, and their verdicts are the transcripts' own.
+    opened = []
+    open_round = multifile.open_round
+
+    def counted(*args, **kwargs):
+        opened.append(open_round(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(multifile, "open_round", counted)
+    params = ProtocolParams(n=12, t_exponent=0.45, alpha=0.5, L1=3, L2=3, ell1=2, ell2=2)
+    files1, files2 = sample_filestore(1, 3, 4, 1), sample_filestore(2, 3, 4, 2)
+    early = 0
+    for trial in range(1, 41):
+        opened.clear()
+        mt = run_multifile(params, files1, files2, Selection(1, 1), trial_seeds(7, trial))
+        assert len(opened) == len(mt.transcripts)
+        assert [o.abort_reason for o in opened] == [t.abort_reason for t in mt.transcripts]
+        early += mt.aborted and len(mt.transcripts) < mt.round_count
+    assert early

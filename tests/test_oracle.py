@@ -1,12 +1,11 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
 import pytest
 
 from adder_spir import multifile, oracle, protocol
-from adder_spir.bits import AffineBits, BitString
+from adder_spir.bits import BitString
 from adder_spir.cli import main
 from adder_spir.infotheory import otp_lemma_check
 from adder_spir.model import ConfigurationError, ProtocolParams
@@ -77,20 +76,14 @@ def test_honest_audit_conditioned():
     assert report.conditioning == "non-abort"
 
 
-def test_exact_rational_flag_changes_nothing(tmp_path):
-    # Audits are always exact; the flag is accepted and only echoed.
-    def body(*flags):
-        out = tmp_path / "out.jsonl"
-        argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--mutate", "reuse-pad", *flags]
-        code = main([*argv, "--out", str(out)])
-        header, *records = out.read_text().splitlines()
-        report = json.loads(records[0])
-        report.pop("wall_time_s")
-        return code, json.loads(header)["config"]["exact_rational"], report
-
-    plain, exact = body(), body("--exact-rational")
-    assert (plain[1], exact[1]) == (False, True)
-    assert plain[::2] == exact[::2]
+def test_exact_rational_flag_exits_two(tmp_path):
+    # The flag had no effect (audits are always exact) and is gone: the
+    # parser rejects it as an unknown argument.
+    argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--exact-rational", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_leak_selection_mutation_detected():
@@ -220,14 +213,14 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     # Plans are built once per (selection, number of free channel bits).
     calls, plans, free_counts = [], [], set()
     execute_multifile, plan_multifile = oracle.execute_multifile, oracle.plan_multifile
-    channel_inputs = oracle._Enumeration.channel_inputs
+    openings = oracle._Enumeration.openings
 
     def counted(*args, **kwargs):
         calls.append(1)
         return execute_multifile(*args, **kwargs)
 
-    def inputs(*args):
-        result = channel_inputs(*args)
+    def opened(*args):
+        result = openings(*args)
         free_counts.add(result[2])
         return result
 
@@ -237,41 +230,38 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
     monkeypatch.setattr(oracle, "execute_multifile", counted)
     monkeypatch.setattr(oracle, "plan_multifile", planned)
-    monkeypatch.setattr(oracle._Enumeration, "channel_inputs", inputs)
+    monkeypatch.setattr(oracle._Enumeration, "openings", opened)
     report = audit(params)
     assert len(calls) == replays == report.replays
     assert len(plans) <= params.L1 * params.L2 * len(free_counts)
 
 
 @pytest.mark.parametrize(
-    "params, conditioned, replays, rounds, sums",
-    [(_N4, True, 612, 612, 153), (_MULTI, False, 246, 462, 77)],
+    "params, conditioned, replays, rounds, pairs",
+    [(_N4, True, 612, 612, 81), (_MULTI, False, 246, 462, 9)],
     ids=["n4-two-file", "L3x2"],
 )
-def test_sums_computed_once_per_sequence_round(monkeypatch, params, conditioned, replays, rounds, sums):
-    # The benchmark's two audits: every executed round of every replay still
-    # transmits (1,074 rounds in all), but a channel sequence's y is computed
-    # once for all of its selections: once per (sequence, executed round),
-    # 230 in all.  A remembered y is returned as the same array.
-    computed, sessions = [], []
-    affine_sums, execute_session = AffineBits.sums, multifile.execute_session
+def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, replays, rounds, pairs):
+    # The benchmark's two audits: every executed round of every replay is
+    # answered (1,074 rounds in all), but the channel transmits only while
+    # the canonical pairs are opened, 3^n of them: 90 transmits in all.
+    transmitted, sessions = [], []
+    transmit, execute_session = protocol.transmit, multifile.execute_session
 
-    def kept(self, other):
-        y = affine_sums(self, other)
-        computed.append(y)  # held, so the ids below stay distinct
-        return y
+    def counted_transmit(x1, x2):
+        transmitted.append((x1.to_int(), x2.to_int()))
+        return transmit(x1, x2)
 
-    def counted(*args, **kwargs):
+    def counted_session(*args, **kwargs):
         sessions.append(1)
         return execute_session(*args, **kwargs)
 
-    monkeypatch.setattr(AffineBits, "sums", kept)
-    monkeypatch.setattr(multifile, "execute_session", counted)
+    monkeypatch.setattr(protocol, "transmit", counted_transmit)
+    monkeypatch.setattr(multifile, "execute_session", counted_session)
     report = audit(params, condition_nonabort=conditioned)
-    sequence_rounds = sum(len(pairs) for pairs, _parts, _combos in oracle._Enumeration(params, False, None).sequences())
     assert report.replays == replays
-    assert len(sessions) == len(computed) == rounds
-    assert len({id(y) for y in computed}) == sequence_rounds == sums
+    assert len(sessions) == rounds
+    assert len(transmitted) == len(set(transmitted)) == pairs == 3**params.n
 
 
 def test_otp_lemma_width_one():

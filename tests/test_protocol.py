@@ -27,6 +27,7 @@ from adder_spir.protocol import (
     client_partitioner,
     client_recover,
     execute_session,
+    open_round,
     partition,
     partition_choices,
     run_session_adaptive,
@@ -192,7 +193,7 @@ def test_execute_session_recovers_exactly(z1, z2):
     files1 = sample_filestore(1, 2, 5, 11)
     files2 = sample_filestore(2, 2, 5, 12)
     x1, x2 = _session_inputs(21, 64)
-    t = execute_session(params, files1, files2, Selection(z1, z2), x1, x2)
+    t = execute_session(params, files1, files2, Selection(z1, z2), open_round(params, x1, x2, partition))
     assert not t.aborted
     assert t.recovery_ok
     assert t.recovered[0] == files1.file(z1)
@@ -215,7 +216,7 @@ def test_size_deviation_aborts_session():
     files2 = sample_filestore(2, 2, 1, 6)
     # All-zero inputs: every position is decodable.
     t = execute_session(
-        params, files1, files2, Selection(1, 1), BitString.zeros(8), BitString.zeros(8)
+        params, files1, files2, Selection(1, 1), open_round(params, BitString.zeros(8), BitString.zeros(8), partition)
     )
     assert t.aborted and t.abort_reason == "size-deviation"
 
@@ -226,8 +227,8 @@ def test_capacity_shortfall_aborts_session():
     files2 = sample_filestore(2, 2, 2, 6)
     # All-zero inputs: no hidden positions at all, so M = 0.
     t = execute_session(
-        params, files1, files2, Selection(1, 1), BitString.zeros(4), BitString.zeros(4),
-        abort_disabled=True,
+        params, files1, files2, Selection(1, 1),
+        open_round(params, BitString.zeros(4), BitString.zeros(4), partition, abort_disabled=True),
     )
     assert t.aborted and t.abort_reason == "capacity-shortfall"
 
@@ -237,13 +238,16 @@ def test_execute_session_validation():
     files1 = sample_filestore(1, 2, 1, 5)
     files2 = sample_filestore(2, 2, 1, 6)
     x1, x2 = _session_inputs(3, 8)
+    opening = open_round(params, x1, x2, partition)
     with pytest.raises(ConfigurationError):
-        execute_session(params, files1, files2, Selection(1, 1), x1, x2, mutation="bogus")
+        execute_session(params, files1, files2, Selection(1, 1), opening, mutation="bogus")
     with pytest.raises(ConfigurationError):
-        execute_session(params, files1, files2, Selection(3, 1), x1, x2)
+        execute_session(params, files1, files2, Selection(3, 1), opening)
     bad_files = sample_filestore(1, 2, 2, 5)
     with pytest.raises(ConfigurationError):
-        execute_session(params, bad_files, files2, Selection(1, 1), x1, x2)
+        execute_session(params, bad_files, files2, Selection(1, 1), opening)
+    with pytest.raises(ConfigurationError, match="^channel inputs must have length n$"):
+        open_round(params, x1, BitString.zeros(7), partition)
 
 
 def test_mutations_tuple():
@@ -256,7 +260,7 @@ def test_leak_selection_mutation_marks_transcript():
     files2 = sample_filestore(2, 2, 3, 6)
     x1, x2 = _session_inputs(9, 64)
     t = execute_session(
-        params, files1, files2, Selection(2, 1), x1, x2, mutation="leak-selection"
+        params, files1, files2, Selection(2, 1), open_round(params, x1, x2, partition), mutation="leak-selection"
     )
     assert t.leaked_selection == 2
     assert t.to_record()["leaked_selection"] == 2
@@ -267,7 +271,7 @@ def test_transcript_record_excludes_private_partition():
     files1 = sample_filestore(1, 2, 3, 5)
     files2 = sample_filestore(2, 2, 3, 6)
     x1, x2 = _session_inputs(9, 64)
-    t = execute_session(params, files1, files2, Selection(1, 1), x1, x2)
+    t = execute_session(params, files1, files2, Selection(1, 1), open_round(params, x1, x2, partition))
     rec = t.to_record()
     assert "part" not in rec and "g1" not in str(rec.keys())
 
@@ -277,7 +281,7 @@ def test_public_bits_accounting():
     files1 = sample_filestore(1, 2, 3, 5)
     files2 = sample_filestore(2, 2, 5, 6)
     x1, x2 = _session_inputs(13, 64)
-    t = execute_session(params, files1, files2, Selection(1, 2), x1, x2)
+    t = execute_session(params, files1, files2, Selection(1, 2), open_round(params, x1, x2, partition))
     assert t.public_bits_from_server(1) == 6
     assert t.public_bits_from_server(2) == 10
 

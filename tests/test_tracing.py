@@ -1,22 +1,63 @@
-"""The benchmark's per-layer tracer still finds every binding it rebinds."""
+"""The benchmark's per-layer tracer still finds every binding it rebinds,
+and its count hooks still see the calls they count."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from adder_spir import cli
+
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+# The benchmark's two audits.
+_AUDITS = (
+    ("--n", "4", "--ell1", "1", "--ell2", "1", "--condition-nonabort"),
+    ("--n", "2", "--L1", "3", "--L2", "2", "--ell1", "1", "--ell2", "0", "--alpha", "1.0"),
+)
 
 
-def test_tracer_installs_and_uninstalls():
+def _new_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    from adder_spir import cli
+    return tracing.Tracer()
 
+
+@pytest.fixture
+def tracer():
+    tracer = _new_tracer()
+    try:
+        tracer.install()
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def test_tracer_installs_and_uninstalls():
     original = cli.run_session_adaptive
-    tracer = tracing.Tracer()
+    tracer = _new_tracer()
     try:
         tracer.install()
         assert cli.run_session_adaptive is not original
     finally:
         tracer.uninstall()
     assert cli.run_session_adaptive is original
+
+
+def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path):
+    # The channel transmits only while the 3^4 + 3^2 = 90 canonical pairs
+    # are opened: 81 * 4 + 9 * 2 = 342 positions.
+    for flags in _AUDITS:
+        assert cli.main(["audit", *flags, "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 0
+    counts = tracer.counts
+    assert counts["oracle.replays"] == 858
+    assert counts["protocol.execute_session.calls"] == counts["multifile.rounds"] == 1074
+    assert counts["channel.positions"] == 342
+
+
+def test_traced_run_counts_rounds_and_masked_bits(tracer, tmp_path):
+    argv = ["run", "--n", "64", "--L1", "3", "--L2", "3", "--ell1", "2", "--ell2", "2", "--trials", "3", "--seed", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 0
+    counts = tracer.counts
+    assert counts["protocol.execute_session.calls"] == counts["multifile.rounds"] > 0
+    assert counts["protocol.masked_bits"] > 0
