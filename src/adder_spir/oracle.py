@@ -39,6 +39,26 @@ the chunks into one table; :func:`audit` never holds more than a chunk of
 rows, and adds each chunk's integer masses into one tally of distinct
 (view, secret) keys per audited pair, so its memory follows the distinct
 pairs, not the rows.
+
+:func:`audit` enumerates one skeleton per orbit of a group of position
+permutations.  Permuting the n positions of a round keeps the channel
+inputs uniform, maps the client's partitions onto equally likely ones and
+fixes every secret (the selection, the files, the unselected files).  When
+every published set holds at most one position (ell1, ell2 <= 1), each
+message bit belongs to one position, so such a permutation also maps each
+view onto a view of equal probability, and the group is S_n acting on each
+executed round separately.  Then I(V; S) = I(canon(V); S), where
+canon(V) keeps V's non-positional parts and, per round, its per-position
+labels sorted; the same holds for the integer factoring test behind exact
+zeros.  So the audit opens one channel-input pair per orbit (its counts of
+0-, 2- and hidden positions) and one partition per orbit of the
+permutations that fix its y, weights each row by the number of rows its
+orbit stands for, and keys every view by its canonical form.  With ell >= 2
+the file bit XORed into a message bit depends on its position's rank
+inside its set, so the group is trivial and every skeleton is replayed.
+:func:`enumerate_protocol` always uses the trivial group.  ``state_count``
+and ``required_states`` count the full table; the state budget counts the
+rows actually enumerated.
 """
 
 from __future__ import annotations
@@ -119,12 +139,33 @@ _MAX_CODE_BITS = 62
 _CHUNK_ROWS = 2**14
 # Least seconds between two progress lines of an audit.
 _PROGRESS_S = 1.0
+# The groups of position permutations an enumeration can reduce by.
+TRIVIAL = "trivial"
+POSITIONS = "S_n per round"
+# Variables that name positions of a round, bit by bit or as index sets: the
+# position group acts on them and on nothing else.
+_POSITIONAL = ("x1", "x2", "y", "sets", "u0", "msgs1", "msgs2")
+# The per-position labels of each view under the position group: components
+# fixed by the skeleton (a channel output sum, the position's share role and
+# published set role), then components that vary by row (a channel input
+# bit, the message bit of the position's set: one server's, or either's).
+_LABELS = {
+    SERVER1_VIEW: (("set",), ("x1", "m1")),
+    SERVER2_VIEW: (("set",), ("x2", "m2")),
+    CLIENT_VIEW: (("y", "share", "set"), ("m",)),
+}
+
+
+def _group(params: ProtocolParams) -> str:
+    """The position group an audit of ``params`` reduces by."""
+    return POSITIONS if max(params.ell1, params.ell2) <= 1 else TRIVIAL
 
 
 class StateBudgetExceeded(Exception):
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} rows, budget is {budget}")
+    def __init__(self, required: int, budget: int, enumerated: int):
+        super().__init__(f"enumeration needs {enumerated} rows standing for {required}, budget is {budget}")
         self.required = required
+        self.enumerated = enumerated
         self.budget = budget
 
 
@@ -132,11 +173,14 @@ class StateBudgetExceeded(Exception):
 class LeakageReport:
     """All six audited quantities for one instance, in bits.
 
-    ``enumeration_s`` and ``information_s`` split ``wall_time_s`` into the
-    enumeration and the tallies with the mutual-information passes; they,
-    ``replays`` (the protocol replays the enumeration ran), ``chunks`` (the
-    runs of rows it was streamed in) and ``view_pairs`` (the distinct
-    (view, secret) pairs of the largest tally) stay out of the record.
+    ``state_count`` is the rows of the full table the enumerated rows stand
+    for.  ``enumeration_s`` and ``information_s`` split ``wall_time_s``
+    into the enumeration and the tallies with the mutual-information passes;
+    they, ``replays`` (the protocol replays the enumeration ran), ``chunks``
+    (the runs of rows it was streamed in), ``view_pairs`` (the distinct
+    (view, secret) pairs of the largest tally), ``group`` (the position
+    group it reduced by), ``orbit_sequences`` (the channel-input sequences
+    it enumerated) and ``enumerated_rows`` stay out of the record.
     """
 
     params: ProtocolParams
@@ -157,6 +201,9 @@ class LeakageReport:
     replays: int = 0
     chunks: int = 0
     view_pairs: int = 0
+    group: str = TRIVIAL
+    orbit_sequences: int = 0
+    enumerated_rows: int = 0
 
     @property
     def mode(self) -> str:
@@ -296,18 +343,26 @@ def required_states(params: ProtocolParams, abort_disabled: bool = False) -> int
             aborting += pairs
         else:
             continuing += pairs * math.comb(g, a) * math.comb(g - a, b) * math.comb(n - g, a) * math.comb(n - g - a, b)
-    layout = _Layout(params)
+    return _rows(_Layout(params), continuing, aborting)
+
+
+def _rows(layout: "_Layout", continuing: int, aborting: int) -> int:
+    """Rows of the sequences of up to K rounds, where ``continuing`` and
+    ``aborting`` weigh one round's choices that go on and that abort."""
     sequences = sum(continuing**k * aborting for k in range(layout.K)) + continuing**layout.K
-    return sequences * params.L1 * params.L2 * 2**layout.free_bits
+    return sequences * layout.L1 * layout.L2 * 2**layout.free_bits
 
 
-def _enumeration(params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], state_budget: int):
-    """The enumeration of one instance and the rows it generates, checked
-    against ``state_budget`` before anything is enumerated."""
+def _enumeration(params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], state_budget: int,
+                 group: str = TRIVIAL):
+    """The enumeration of one instance under ``group`` and the rows of the
+    full table, with the rows it enumerates checked against
+    ``state_budget`` before anything is replayed."""
     required = required_states(params, abort_disabled)
-    if required > state_budget:
-        raise StateBudgetExceeded(required, state_budget)
-    return _Enumeration(params, abort_disabled, mutation), required
+    enumeration = _Enumeration(params, abort_disabled, mutation, group)
+    if enumeration.rows > state_budget:
+        raise StateBudgetExceeded(required, state_budget, enumeration.rows)
+    return enumeration, required
 
 
 def enumerate_protocol(
@@ -336,6 +391,7 @@ class _Chunk(NamedTuple):
     weights: np.ndarray  # the numerator of each row of each skeleton
     skel: np.ndarray  # the skeleton of each row
     columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each row
+    states: int  # the rows of the full table these rows stand for
 
     def rows_where(self, keep: np.ndarray) -> "_Chunk":
         """The rows of the skeletons ``keep`` selects."""
@@ -344,10 +400,11 @@ class _Chunk(NamedTuple):
 
 
 class _Enumeration:
-    """Skeleton replays of one instance and their numpy expansion."""
+    """Skeleton replays of one instance, one per orbit of ``group`` (one of
+    ``TRIVIAL`` and ``POSITIONS``), and their numpy expansion."""
 
-    def __init__(self, params: ProtocolParams, abort_disabled: bool, mutation: Optional[str]):
-        self.params, self.abort_disabled, self.mutation = params, abort_disabled, mutation
+    def __init__(self, params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], group: str = TRIVIAL):
+        self.params, self.abort_disabled, self.mutation, self.group = params, abort_disabled, mutation, group
         self.layout = lay = _Layout(params)
         B, U = lay.free_bits, lay.n * lay.K
         if B + U + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
@@ -355,50 +412,95 @@ class _Enumeration:
         self.symbols = [lay.symbols(u) for u in range(U + 1)]
         self.plans: dict = {}  # one per (selection, number of free channel bits)
         self.interned: dict[str, dict] = {name: {} for name in _INTERNED}
-        self.replays = 0
+        self.replays = self.sequence_count = 0
 
     @functools.cached_property
     def verdicts(self) -> list:
-        """Each canonical channel-input pair (ints) with its opening: the
-        abort reason, or every partition the client could draw.
+        """Each channel-input pair the group keeps (ints) with its opening
+        and the number of canonical pairs it stands for.  The opening's
+        partition is None on abort, else a list of (partition, number of
+        partitions it stands for).
 
         A canonical pair has x1 = 0 and x2 = 1 at every hidden position; it
-        stands for every pair with the same sums.
+        stands for every pair with the same sums.  The trivial group keeps
+        every canonical pair and every partition the client could draw.
+        Under ``POSITIONS`` one pair stands for every canonical pair with
+        its counts of 0-, 2- and hidden positions, and one partition for
+        every partition whose shares hold the same sums.
         """
         n = self.layout.n
-        opened = [
-            ((v1, v2), open_round(self.params, BitString.from_int(v1, n), BitString.from_int(v2, n),
-                                  partition_choices, abort_disabled=self.abort_disabled))
-            for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2
-        ]
-        for _pair, verdict in opened:
+        if self.group == TRIVIAL:
+            pairs = [(v1, v2, 1) for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2]
+        else:
+            # Positions 1..zeros sum to 0, then twos positions to 2, and the rest are hidden.
+            pairs = [
+                (((1 << twos) - 1) << hidden, (1 << (twos + hidden)) - 1, math.comb(n, twos) * math.comb(n - twos, hidden))
+                for twos in range(n + 1) for hidden in range(n + 1 - twos)
+            ]
+        opened = []
+        for v1, v2, size in pairs:
+            verdict = open_round(self.params, BitString.from_int(v1, n), BitString.from_int(v2, n),
+                                 self._partitions, abort_disabled=self.abort_disabled)
             # Every symbolic opening of the pair shares this y.
             verdict.y.flags.writeable = False
+            opened.append(((v1, v2), verdict, size))
         return opened
 
+    def _partitions(self, y: np.ndarray, *shape) -> list:
+        """The partitions of y the group keeps, each with the number of
+        :func:`partition_choices` it stands for: the partitions whose shares
+        hold the same multisets of sums form one orbit of the permutations
+        that fix y."""
+        choices = partition_choices(y, *shape)
+        if self.group == TRIVIAL:
+            return [(part, 1) for part in choices]
+        orbits: dict = {}
+        for part in choices:
+            sums = tuple(tuple(sorted(y[share - 1].tolist())) for share in (part.g1, part.g2, part.b1, part.b2))
+            orbits.setdefault(sums, [part, 0])[1] += 1
+        return [tuple(orbit) for orbit in orbits.values()]
+
     def sequences(self):
-        """Canonical channel-input sequences, truncated at the first aborting
-        round, with one partition per round that did not abort.  Yields
-        (verdict per executed round, partition per live round, number of
-        partition combinations).
+        """Channel-input sequences of the kept pairs, truncated at the first
+        aborting round, with one kept partition per round that did not
+        abort.  Yields (verdict per executed round, partition per live
+        round, number of partition combinations, number of canonical
+        sequences it stands for).
         """
-        prefixes = [((), (), 1)]
+        verdicts = [((pair, verdict), size, verdict.partition, sum(c for _p, c in verdict.partition or ()))
+                    for pair, verdict, size in self.verdicts]
+        prefixes = [((), (), 1, 1)]
         for _round in range(self.layout.K):
             grown = []
-            for rounds, parts, combos in prefixes:
-                for verdict in self.verdicts:
-                    choices = verdict[1].partition
+            for rounds, parts, combos, orbit in prefixes:
+                for opened, size, choices, total in verdicts:
                     if choices is None:
-                        yield rounds + (verdict,), parts, combos
+                        yield rounds + (opened,), parts, combos, orbit * size
                     else:
-                        grown.extend((rounds + (verdict,), parts + (c,), combos * len(choices)) for c in choices)
+                        grown.extend((rounds + (opened,), parts + (part,), combos * total, orbit * size * count)
+                                     for part, count in choices)
             prefixes = grown
         yield from prefixes
 
     @functools.cached_property
+    def rows(self) -> int:
+        """The rows the enumeration expands, counted before any replay: the
+        full table's under the trivial group, which needs no pair opened."""
+        if self.group == TRIVIAL:
+            return required_states(self.params, self.abort_disabled)
+        continuing = aborting = 0
+        for (v1, v2), verdict, _size in self.verdicts:
+            rows = 1 << bin(v1 ^ v2).count("1")  # one per value of the channel bits
+            if verdict.partition is None:
+                aborting += rows
+            else:
+                continuing += rows * len(verdict.partition)
+        return _rows(self.layout, continuing, aborting)
+
+    @functools.cached_property
     def lcm(self) -> int:
         """Least common multiple of the partition combinations of every sequence."""
-        return math.lcm(*(combos for _rounds, _parts, combos in self.sequences()))
+        return math.lcm(*(combos for _rounds, _parts, combos, _orbit in self.sequences()))
 
     @property
     def denominator(self) -> int:
@@ -411,13 +513,14 @@ class _Enumeration:
     def skeletons(self):
         """Replay every skeleton.  Yields per replay (z1, z2, aborted, ok), the
         values of ``_INTERNED``, the offset and columns of x1, x2, msgs1,
-        msgs2 and unsel, and (free channel bits, executed rounds, partition
-        combinations)."""
+        msgs2 and unsel, (free channel bits, executed rounds, partition
+        combinations) and the number of skeletons it stands for."""
         lay = self.layout
         f1, f2 = self.symbols[0][0].files, self.symbols[0][1].files
         selections = [(Selection(z1, z2), _columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
                       for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
-        for rounds, parts, combos in self.sequences():
+        for rounds, parts, combos, orbit in self.sequences():
+            self.sequence_count += 1
             executed, aborted = len(rounds), len(parts) < len(rounds)
             channel = _channel(rounds, lay.n)
             part_keys = tuple(map(_part_key, parts))
@@ -433,7 +536,7 @@ class _Enumeration:
                     if replayed_abort != aborted or len(public) != executed:
                         raise RuntimeError("replay disagrees with the enumerated channel verdicts")
                     values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
-                    yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, executed, combos)
+                    yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, executed, combos), orbit
 
     def openings(self, rounds, parts, channel) -> tuple:
         """The symbolic opening of each executed round: its verdict with the
@@ -482,7 +585,7 @@ class _Enumeration:
         run, rows = [], 0
         for skeleton in self.skeletons():
             run.append(skeleton)
-            rows += 1 << (B + skeleton[-1][0])  # its free file, mask and channel bits
+            rows += 1 << (B + skeleton[3][0])  # its free file, mask and channel bits
             if rows >= _CHUNK_ROWS:
                 yield self.chunk(run)
                 run, rows = [], 0
@@ -491,15 +594,17 @@ class _Enumeration:
 
     def chunk(self, run: list) -> _Chunk:
         """One row per assignment of each skeleton's free bits: its file and
-        mask bits below, its channel bits above."""
+        mask bits below, its channel bits above.  A row's weight is its
+        probability times the number of skeletons its skeleton stands for."""
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
         F = B + n * K  # the most free bits of any skeleton
-        table, affine = [], []
-        for direct, values, outputs, shape in run:
+        table, affine, orbits = [], [], []
+        for direct, values, outputs, shape, orbit in run:
             ids = (self.interned[name].setdefault(v, len(self.interned[name])) for name, v in zip(_INTERNED, values))
             table.append((*direct, *ids, *shape))
             affine.append([o + (0,) * (F + 1 - len(o)) for o in outputs])
+            orbits.append(orbit)
         table = np.array(table, dtype=np.int64)
         affine = np.array(affine, dtype=np.int64)
         free, executed, combos = table[:, -3:].T
@@ -510,8 +615,9 @@ class _Enumeration:
         columns = dict(zip(_FREE, lay.split(a & _mask(B))))
         for i, name in enumerate(_AFFINE):
             columns[name] = _expand(affine[:, i], skel, a)
-        weights = [2 ** (2 * n * (K - k)) * self.lcm // c for k, c in zip(executed.tolist(), combos.tolist())]
-        return _Chunk(table, _numerators(weights, self.denominator), skel, columns)
+        weights = [2 ** (2 * n * (K - k)) * self.lcm // c * o for k, c, o in zip(executed.tolist(), combos.tolist(), orbits)]
+        states = sum(o << (B + f) for o, f in zip(orbits, free.tolist()))
+        return _Chunk(table, _numerators(weights, self.denominator), skel, columns, states)
 
     def codes(self, chunk: _Chunk) -> np.ndarray:
         """The rows of ``chunk``, one code per ``VARIABLES`` entry."""
@@ -613,45 +719,168 @@ class _PairKeys:
     skeleton constants, with the round tags of its per-round codes,
     interned across the enumeration and placed above its row-varying codes.
     The ids stay below the product of the constants' value counts and below
-    the number of skeleton replays, at most ``required`` rows over 2^B.  A
+    the number of skeletons, at most ``rows`` enumerated rows over 2^B.  A
     pair's key is its view's key above its secret's, so equal keys mean
     equal values and the masses grouped by key are the masses grouped by
     value.
+
+    Under ``POSITIONS`` a view is keyed by its canonical form instead: each
+    round's per-position ``_LABELS`` sorted along the positions.  Its
+    constants are its non-positional ones, the verdict of each executed
+    round (whether it aborted, and why) and the sorted skeleton components
+    of its labels, so its ids stay below the number of skeletons only; its
+    row-varying codes are its files and masks, then the row components of
+    its sorted labels.  Equal keys then mean views in one orbit.
     """
 
-    def __init__(self, layout: _Layout, required: int):
-        self.widths = layout.widths
-        values = {"z1": layout.L1, "z2": layout.L2, "executed": layout.K, "abort": 2}
-        replays = required >> layout.free_bits
-        self.groups = {}  # group -> (constants, row-varying names, key bits)
+    def __init__(self, enumeration: _Enumeration, rows: int):
+        lay = self.layout = enumeration.layout
+        self.widths = lay.widths
+        self.interned = enumeration.interned
+        self.symmetric = enumeration.group == POSITIONS
+        values = {"z1": lay.L1, "z2": lay.L2, "executed": lay.K, "abort": 2}
+        skeletons = rows >> lay.free_bits
+        # Share slots: the published sets a, b, c, d and the client's g1, g2, b1, b2.
+        self.set_codes = _role_codes((lay.p1, lay.p1, lay.p2, lay.p2))
+        self.share_codes = _role_codes((lay.p1, lay.p2, lay.p1, lay.p2))
+        roles = 1 + max(self.set_codes)
+        radix = {"y": 3, "share": roles, "set": roles, "x1": 2, "x2": 2,
+                 "m1": 1 + bool(lay.p1), "m2": 1 + bool(lay.p2), "m": 1 + bool(lay.p1 or lay.p2)}
+        self.groups = {}  # group -> (constants, row-varying names, label radices, key bits)
         for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
-            constants = tuple(dict.fromkeys([v for v in group if v in _SKELETON] + [t for v in group for t in _TAGS.get(v, ())]))
-            varying = [v for v in group if v in self.widths]
-            ids = min(replays, math.prod(values.get(c, replays) for c in constants))
-            self.groups[group] = constants, varying, (ids - 1).bit_length() + sum(self.widths[v] for v in varying)
+            labels = _LABELS.get(group) if self.symmetric else None
+            members = [v for v in group if v not in _POSITIONAL] if labels else group
+            constants = [v for v in members if v in _SKELETON]
+            if labels:
+                constants.append("verdicts")
+            else:
+                constants += [t for v in group for t in _TAGS.get(v, ())]
+            constants = tuple(dict.fromkeys(constants))
+            varying = [v for v in members if v in self.widths]
+            ids = skeletons if labels else min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
+            bits = (ids - 1).bit_length() + sum(self.widths[v] for v in varying)
+            if labels:
+                labels = tuple({name: radix[name] for name in part} for part in labels)
+                bits += lay.K * lay.n * _digit_bits(labels[1])
+            self.groups[group] = constants, varying, labels, bits
         for name, (view, secret) in _PAIRS.items():
-            bits = self.groups[view][2] + self.groups[secret][2]
+            bits = self.groups[view][3] + self.groups[secret][3]
             if bits > _MAX_CODE_BITS:
                 raise ConfigurationError(f"{name} needs {bits}-bit audit keys, more than {_MAX_CODE_BITS}")
         self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
+        self.decoded = {name: [] for name in ("y", "sets", "u0")}  # labels per interned value
+        self.stacked: dict[str, np.ndarray] = {}
+        self.verdicts: dict[tuple, int] = {}  # verdicts of a sets value -> id
+        self.verdict_ids: list[int] = []  # per interned sets value
 
     def secret_bits(self, name: str) -> int:
-        return self.groups[_PAIRS[name][1]][2]
+        return self.groups[_PAIRS[name][1]][3]
 
     def pairs(self, chunk: _Chunk) -> list[np.ndarray]:
         """The key of every row of ``chunk`` for each pair of ``_PAIRS``."""
         table = dict(zip(_SKELETON, chunk.table.T))
+        labels = self._labels(chunk, table) if self.symmetric else {}
         keys = {}
-        for group, (constants, varying, _bits) in self.groups.items():
+        for group, (constants, varying, radices, _bits) in self.groups.items():
             key = np.zeros(len(chunk.skel), dtype=np.int64)
-            if constants:
-                ids = self.ids.setdefault(constants, {})
-                per_skeleton = [ids.setdefault(v, len(ids)) for v in zip(*(table[c].tolist() for c in constants))]
+            columns = [table[c].tolist() for c in constants]
+            if radices:
+                fixed, digits = self._canonical(chunk, radices, labels)
+                columns.append(fixed)
+            if columns:
+                ids = self.ids.setdefault((constants, tuple(radices[0]) if radices else ()), {})
+                per_skeleton = [ids.setdefault(v, len(ids)) for v in zip(*columns)]
                 key = np.array(per_skeleton, dtype=np.int64)[chunk.skel]
             for v in varying:
                 key = (key << self.widths[v]) | chunk.columns[v]
+            if radices:
+                width = _digit_bits(radices[1])
+                for column in digits.T:
+                    key = (key << width) | column
             keys[group] = key
-        return [(keys[view] << self.groups[secret][2]) | keys[secret] for view, secret in _PAIRS.values()]
+        return [(keys[view] << self.groups[secret][3]) | keys[secret] for view, secret in _PAIRS.values()]
+
+    def _canonical(self, chunk: _Chunk, radices: tuple, labels: dict) -> tuple[list, np.ndarray]:
+        """Each round's labels of a view sorted along the positions: per
+        skeleton its sorted skeleton components (bytes), and per row the
+        row components in that order (one column per round and position)."""
+        fixed, varying = (_mixed_radix(part, labels) for part in radices)
+        base = math.prod(radices[1].values())
+        label = np.sort(fixed[chunk.skel] * base + varying, axis=-1)
+        fixed.sort(axis=-1)
+        return [row.tobytes() for row in fixed], (label % base).reshape(len(label), self.layout.K * self.layout.n)
+
+    def _labels(self, chunk: _Chunk, table: dict) -> dict:
+        """Each label component of ``chunk``: a skeleton component per
+        (skeleton, round, position), a row component per (row, round,
+        position).  Adds each skeleton's round verdicts to ``table``."""
+        lay = self.layout
+        n, K = lay.n, lay.K
+        self._decode()
+        table["verdicts"] = np.array(self.verdict_ids, dtype=np.int64)[table["sets"]]
+        labels = {label: self.stacked[name][table[name]] for label, name in (("y", "y"), ("set", "sets"), ("share", "u0"))}
+        skel, rounds = chunk.skel, np.arange(K)
+        executed = table["executed"][skel]
+        # Bit i of round r of a channel input sits at shift (executed - 1 - r) n + n - 1 - i.
+        shift = ((executed[:, None] - 1 - rounds) * n)[:, :, None] + np.arange(n - 1, -1, -1)
+        for name in ("x1", "x2"):
+            labels[name] = np.where(shift >= 0, chunk.columns[name][:, None, None] >> np.maximum(shift, 0) & 1, 0)
+        # Message j of live round r, one bit, sits at shift 2 (live - 1 - r) + 1 - j.
+        base = 2 * ((executed - table["abort"][skel])[:, None] - 1 - rounds)
+        sets = labels["set"][skel]
+        for label, name, slots in (("m1", "msgs1", (0, 1)), ("m2", "msgs2", (2, 3))):
+            bits = np.zeros_like(sets)
+            for j, slot in enumerate(slots):
+                if self.set_codes[slot]:
+                    message = np.where(base >= 0, chunk.columns[name][:, None] >> np.maximum(base + 1 - j, 0) & 1, 0)
+                    bits += (sets == self.set_codes[slot]) * message[:, :, None]
+            labels[label] = bits
+        labels["m"] = labels["m1"] + labels["m2"]
+        return labels
+
+    def _decode(self) -> None:
+        """Per-position labels of each interned y, sets and u0 value not yet decoded."""
+        K, n = self.layout.K, self.layout.n
+        for name, done in self.decoded.items():
+            values = self.interned[name]
+            if len(done) == len(values):
+                continue
+            for value in itertools.islice(values, len(done), None):
+                labels = np.zeros((K, n), dtype=np.int64)
+                if name == "y":
+                    for r, y in enumerate(value):
+                        labels[r] = np.frombuffer(y, dtype=np.uint8)
+                else:
+                    if name == "sets":
+                        verdict = tuple(published[:2] for published in value)
+                        self.verdict_ids.append(self.verdicts.setdefault(verdict, len(self.verdicts)))
+                        value, codes = [published[2] for published in value], self.set_codes
+                    else:
+                        codes = self.share_codes
+                    for r, shares in enumerate(value):
+                        for code, share in zip(codes, shares or ()):
+                            labels[r, np.asarray(share, dtype=np.int64) - 1] = code
+                done.append(labels)
+            self.stacked[name] = np.array(done)
+
+
+def _role_codes(sizes) -> list[int]:
+    """A label per share slot: 1, 2, ... over the slots of nonzero size, in
+    order, and 0 for an empty slot."""
+    return [count if size else 0 for size, count in zip(sizes, itertools.accumulate(bool(s) for s in sizes))]
+
+
+def _mixed_radix(radices: dict, labels: dict) -> np.ndarray:
+    """The label components named by ``radices`` as one new label array, the first component lowest."""
+    label = np.zeros(1, dtype=np.int64)
+    for name, radix in reversed(radices.items()):
+        label = label * radix + labels[name]
+    return label
+
+
+def _digit_bits(radices: dict) -> int:
+    """Bits of one position's row components."""
+    return (math.prod(radices.values()) - 1).bit_length()
 
 
 def _reduce(keys: np.ndarray, weights: np.ndarray, kind: Optional[str] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -702,17 +931,19 @@ def audit(
 ) -> LeakageReport:
     """Compute all six audited quantities on the exact distribution.
 
-    The enumeration is streamed: each chunk adds its masses to the abort and
-    failure totals, and its rows (the non-aborted ones when conditioning)
-    to one tally of (view, secret) keys per audited pair.  A progress line
-    goes to stderr at most every ``_PROGRESS_S`` seconds, the first one
-    only after that long.
+    The enumeration reduces by the position group of ``params`` and is
+    streamed: each chunk adds its masses to the abort and failure totals,
+    and its rows (the non-aborted ones when conditioning) to one tally of
+    (view, secret) keys per audited pair.  ``state_budget`` bounds the rows
+    enumerated.  A progress line goes to stderr at most every
+    ``_PROGRESS_S`` seconds, the first one only after that long.
     """
     start = time.perf_counter()
-    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget)
-    keys = _PairKeys(enumeration.layout, required)
+    group = _group(params)
+    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, group)
+    keys = _PairKeys(enumeration, enumeration.rows)
     tallies = {name: _Tally() for name in _PAIRS}
-    rows = nonabort = fail = chunks = 0
+    rows = states = nonabort = fail = chunks = 0
     tallying, shown = 0.0, start
     for chunk in enumeration.chunks():
         tic = time.perf_counter()
@@ -721,6 +952,7 @@ def audit(
         nonabort += int(mass[table["abort"] == 0].sum())
         fail += int(mass[table["ok"] == 0].sum())
         rows += len(chunk.skel)
+        states += chunk.states
         chunks += 1
         if condition_nonabort:
             chunk = chunk.rows_where(table["abort"] == 0)
@@ -730,9 +962,15 @@ def audit(
         now = time.perf_counter()
         tallying += now - tic
         if now - shown >= _PROGRESS_S:
-            print(f"audit: {rows:,} of {required:,} rows, {rows / (now - start):,.0f} rows/s", file=sys.stderr)
+            print(
+                f"audit: {rows:,} of {enumeration.rows:,} rows, standing for {states:,} of {required:,}; "
+                f"{enumeration.sequence_count:,} orbit sequences under {group}; {rows / (now - start):,.0f} rows/s",
+                file=sys.stderr,
+            )
             shown = now
     streamed = time.perf_counter()
+    if (rows, states) != (enumeration.rows, required):
+        raise RuntimeError(f"enumerated {rows} rows standing for {states}, not {enumeration.rows} for {required}")
 
     reliability_error = fail / nonabort if nonabort > 0 else 0.0  # int division rounds correctly
     if condition_nonabort:
@@ -754,8 +992,9 @@ def audit(
         view_pairs = max(view_pairs, len(dist))
     end = time.perf_counter()
     return LeakageReport(
-        params, conditioning, **leakages, reliability_error=reliability_error, state_count=rows,
+        params, conditioning, **leakages, reliability_error=reliability_error, state_count=states,
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
+        group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows,
     )

@@ -154,7 +154,7 @@ def test_symbolic_openings_transmit_to_their_y(params, data):
     # concrete canonical pair; every assignment of the free bits must
     # transmit to that y, also with the channel bits fixed (the fallback).
     e, sequences = enumeration(params)
-    rounds, parts, _combos = data.draw(st.sampled_from(sequences), label="sequence")
+    rounds, parts, _combos, _orbit = data.draw(st.sampled_from(sequences), label="sequence")
     channel = _channel(rounds, params.n)
     u = data.draw(st.integers(0, 2 ** len(channel) - 1), label="fixed channel bits")
     for opened, _columns, free in (e.openings(rounds, parts, channel), e.openings(_fixed(rounds, channel, u), parts, [])):
@@ -181,10 +181,10 @@ def test_remembered_sums_are_read_only():
     # The oracle remembers one y per canonical pair and every symbolic
     # opening of that pair shares it, so no caller may write to it.
     e, sequences = enumeration(ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0))
-    for _pair, verdict in e.verdicts:
+    for _pair, verdict, _size in e.verdicts:
         with pytest.raises(ValueError):
             verdict.y[0] = 2
-    for rounds, parts, _combos in sequences:
+    for rounds, parts, _combos, _orbit in sequences:
         opened, _columns, _free = e.openings(rounds, parts, _channel(rounds, 2))
         assert all(o.y is verdict.y for (_pair, verdict), o in zip(rounds, opened))
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from adder_spir import oracle
 from adder_spir.cli import main
 
 N3 = ("--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0")
@@ -79,6 +80,10 @@ PINS = {
 @functools.cache
 def audit_record(flags: tuple[str, ...]) -> tuple[int, dict]:
     """Exit code and leakage-report record of one ``audit`` command."""
+    return _audit(flags)
+
+
+def _audit(flags: tuple[str, ...]) -> tuple[int, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.jsonl"
         code = main(["audit", *flags, "--out", str(out)])
@@ -127,6 +132,16 @@ def test_reuse_pad_prints_exact_leak(flags, expected):
 def test_no_leakage_is_negative(name):
     _code, record = audit_record(PINS[name][0])
     assert all(float(record[field]) >= 0.0 for field in FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_trivial_group_prints_the_same_record(monkeypatch, name):
+    # Every pinned audit but ell1 = 2 reduces by S_n per round; replayed on
+    # the trivial group, each prints the same record.
+    code, record = audit_record(PINS[name][0])
+    monkeypatch.setattr(oracle, "_group", lambda params: oracle.TRIVIAL)
+    trivial_code, trivial = _audit(PINS[name][0])
+    assert (trivial_code, {**trivial, "wall_time_s": 0}) == (code, {**record, "wall_time_s": 0})
 
 
 def test_ell2_audit_counts_every_row():

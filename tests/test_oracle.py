@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adder_spir import multifile, oracle, protocol
 from adder_spir.bits import BitString
@@ -49,6 +51,54 @@ def test_required_states_counts_partition_choices():
     assert required_states(params) == 440_696_832 > DEFAULT_STATE_BUDGET
     with pytest.raises(StateBudgetExceeded):
         enumerate_protocol(params)
+
+
+def test_budget_counts_the_enumerated_rows():
+    # The n=4 audit enumerates 3,904 rows standing for the full table's
+    # 34,816: a budget between the two runs it, and the record keeps the
+    # full count.  Two-bit files keep the trivial group, which enumerates
+    # and checks the full table.
+    report = audit(_N4, state_budget=3904)
+    assert report.group == oracle.POSITIONS
+    assert report.enumerated_rows == 3904 < report.state_count == report.required_states == 34816
+    with pytest.raises(StateBudgetExceeded, match="needs 3904 rows standing for 34816, budget is 3903") as exc:
+        audit(_N4, state_budget=3903)
+    assert (exc.value.enumerated, exc.value.required, exc.value.budget) == (3904, 34816, 3903)
+    ell2 = ProtocolParams(n=4, t_exponent=0.4, alpha=1.0, ell1=2, ell2=0)
+    assert audit(ell2, state_budget=16384).group == oracle.TRIVIAL
+    with pytest.raises(StateBudgetExceeded) as exc:
+        audit(ell2, state_budget=16383)
+    assert exc.value.enumerated == exc.value.required == required_states(ell2) == 16384
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.integers(0, 1), st.integers(0, 1),
+    st.sampled_from([0.0, 0.5, 1.0]), st.booleans(),
+)
+def test_orbits_stand_for_every_sequence(n, shape, ell1, ell2, alpha, abort_disabled):
+    # The kept sequences' orbit sizes add up to the trivial group's
+    # sequence count (counted from its openings, per round), the rows they
+    # expand to are the rows counted before any replay, and their weighted
+    # masses add up to the denominator and stand for every required row.
+    L1, L2 = shape
+    assume(n < 3 or shape != (3, 3))  # four rounds of 3 positions take too long to replay here
+    params = ProtocolParams(n=n, t_exponent=0.4, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
+    full = oracle._Enumeration(params, abort_disabled, None)
+    reduced = oracle._Enumeration(params, abort_disabled, None, oracle.POSITIONS)
+    continuing = sum(len(v.partition) for _pair, v, _size in full.verdicts if v.partition is not None)
+    aborting = sum(v.partition is None for _pair, v, _size in full.verdicts)
+    K = full.layout.K
+    sequences = sum(continuing**k * aborting for k in range(K)) + continuing**K
+    kept = list(reduced.sequences())
+    assert sum(orbit for *_sequence, orbit in kept) == sequences
+    assert reduced.lcm == full.lcm and reduced.denominator == full.denominator
+    rows = mass = states = 0
+    for chunk in reduced.chunks():
+        rows += len(chunk.skel)
+        mass += int(chunk.weights[chunk.skel].sum())
+        states += chunk.states
+    assert rows == reduced.rows and (states, mass) == (required_states(params, abort_disabled), reduced.denominator)
 
 
 def test_codes_wider_than_int64_are_a_configuration_error():
@@ -203,13 +253,14 @@ def test_recovery_of_another_file_is_rejected(monkeypatch):
 
 @pytest.mark.parametrize(
     "params, replays",
-    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 612), (_MULTI, 246)],
+    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 64), (_MULTI, 96)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
-    # A skeleton fixes the sums, not the channel inputs: one replay stands
-    # for every input pair with the same sums (153 of 544 at n=4 per
-    # selection, 41 of 136 at L=3x2).
+    # A skeleton fixes the sums, not the channel inputs, and the audit
+    # keeps one skeleton per orbit of the position group: one replay per
+    # selection stands for 16 of the 153 sequences of canonical pairs at
+    # n=4 (544 input pairs), and for 16 of 41 at L=3x2 (136).
     # Plans are built once per (selection, number of free channel bits).
     calls, plans, free_counts = [], [], set()
     execute_multifile, plan_multifile = oracle.execute_multifile, oracle.plan_multifile
@@ -238,13 +289,14 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
 @pytest.mark.parametrize(
     "params, conditioned, replays, rounds, pairs",
-    [(_N4, True, 612, 612, 81), (_MULTI, False, 246, 462, 9)],
+    [(_N4, True, 64, 64, 15), (_MULTI, False, 96, 168, 6)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, replays, rounds, pairs):
     # The benchmark's two audits: every executed round of every replay is
-    # answered (1,074 rounds in all), but the channel transmits only while
-    # the canonical pairs are opened, 3^n of them: 90 transmits in all.
+    # answered (232 rounds in all), but the channel transmits only while
+    # the kept canonical pairs are opened, one per count of 0-, 2- and
+    # hidden positions, C(n + 2, 2) of them: 21 transmits in all.
     transmitted, sessions = [], []
     transmit, execute_session = protocol.transmit, multifile.execute_session
 
@@ -261,7 +313,7 @@ def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, rep
     report = audit(params, condition_nonabort=conditioned)
     assert report.replays == replays
     assert len(sessions) == rounds
-    assert len(transmitted) == len(set(transmitted)) == pairs == 3**params.n
+    assert len(transmitted) == len(set(transmitted)) == pairs == math.comb(params.n + 2, 2)
 
 
 def test_otp_lemma_width_one():

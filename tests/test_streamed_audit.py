@@ -1,8 +1,11 @@
-"""The streamed audit: chunking, tallies, key widths and progress.
+"""The streamed audit: chunking, tallies, key widths, progress and the
+position group.
 
 ``audit`` replays the enumeration in chunks of about ``_CHUNK_ROWS`` rows
 and adds each chunk into one tally per audited (view, secret) pair, so no
-chunk size may change a record or the enumerated table.
+chunk size may change a record or the enumerated table.  It enumerates one
+skeleton per orbit of the position group, so neither may the group: the
+trivial group must print the same records.
 """
 
 import functools
@@ -42,9 +45,12 @@ def _records(params) -> list[str]:
 
 @functools.cache
 def _one_chunk(name: str) -> tuple[list[str], int]:
-    """The records of one instance streamed as one chunk, and its rows."""
+    """The records of one instance streamed as one chunk, and the rows it
+    enumerates (fewer than the full table's: one skeleton per orbit)."""
     params = INSTANCES[name]
-    rows = oracle.required_states(params)
+    report = oracle.audit(params)
+    rows = report.enumerated_rows
+    assert report.group == oracle.POSITIONS and rows < report.state_count == oracle.required_states(params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", rows)
         assert oracle.audit(params).chunks == 1
@@ -57,6 +63,18 @@ def test_chunking_changes_no_record(monkeypatch, name, chunking):
     expected, rows = _one_chunk(name)
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows // 3 if chunking == "thirds" else 1)
     assert oracle.audit(INSTANCES[name]).chunks >= 3
+    assert _records(INSTANCES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_position_group_changes_no_record(monkeypatch, name):
+    # Every audit of the instance (honest and each mutation, under each of
+    # CONDITIONS) replayed on the trivial group: exact zeros, non-zero
+    # leakages, reliability errors and state counts all equal.
+    expected, _rows = _one_chunk(name)
+    monkeypatch.setattr(oracle, "_group", lambda params: oracle.TRIVIAL)
+    report = oracle.audit(INSTANCES[name])
+    assert report.group == oracle.TRIVIAL and report.enumerated_rows == report.state_count
     assert _records(INSTANCES[name]) == expected
 
 
@@ -105,17 +123,21 @@ def test_tally_stack_halves():
 
 
 def test_audit_keys_wider_than_int64_are_a_configuration_error(monkeypatch):
-    # With empty files at L = 2x2, server 1's view key holds a skeleton id
-    # (below the 2^(2n) required rows) above its n channel-input bits, and
-    # the selection's 2 bits sit above that: n = 19 needs 61 bits, n = 20
-    # needs 64.  The guard runs before any replay, whatever the budget.
-    def shape(n):
-        return ProtocolParams(n=n, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)
+    # With empty files at L = 2x2 the audit reduces by S_n.  Server 1's
+    # canonical view key holds a skeleton id (below the rows enumerated,
+    # 2^32 at n = 28 and 2^33 at n = 29) above its n sorted channel-input
+    # bits, and the selection's 2 bits sit below it: n = 28 needs 62 bits,
+    # n = 29 needs 64.  The guard runs before any replay, whatever the budget.
+    def enumeration(n):
+        params = ProtocolParams(n=n, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)
+        return params, oracle._Enumeration(params, False, None, oracle._group(params))
 
-    oracle._PairKeys(oracle._Layout(shape(19)), oracle.required_states(shape(19)))
+    fits, wide = enumeration(28), enumeration(29)
+    assert fits[1].group == wide[1].group == oracle.POSITIONS
+    oracle._PairKeys(fits[1], fits[1].rows)
     monkeypatch.setattr(oracle._Enumeration, "chunks", lambda self: pytest.fail("enumerated past the key check"))
     with pytest.raises(ConfigurationError, match="client_privacy_s1 needs 64-bit audit keys"):
-        oracle.audit(shape(20), state_budget=oracle.required_states(shape(20)))
+        oracle.audit(wide[0], state_budget=wide[1].rows)
 
 
 def test_progress_goes_to_stderr_only(monkeypatch, capsys):
@@ -132,11 +154,12 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     quiet = body()
     assert "rows/s" not in quiet[2]
     assert "1 chunks, at most " in quiet[2]
+    assert "1792 states from 448 rows of 11 orbit sequences under S_n per round" in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 600)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 150)
     loud = body()
     assert loud[:2] == quiet[:2]
     progress = [line for line in loud[2].splitlines() if line.endswith("rows/s")]
     assert len(progress) == 3
-    assert progress[-1].startswith("audit: 1,792 of 1,792 rows, ")
+    assert progress[-1].startswith("audit: 448 of 448 rows, standing for 1,792 of 1,792; 11 orbit sequences under S_n per round; ")
     assert "3 chunks, at most " in loud[2]

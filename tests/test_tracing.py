@@ -45,14 +45,15 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path):
-    # The channel transmits only while the 3^4 + 3^2 = 90 canonical pairs
-    # are opened: 81 * 4 + 9 * 2 = 342 positions.
+    # The channel transmits only while the C(4 + 2, 2) + C(2 + 2, 2) = 21
+    # kept canonical pairs (one per orbit of the position group) are
+    # opened: 15 * 4 + 6 * 2 = 72 positions.
     for flags in _AUDITS:
         assert cli.main(["audit", *flags, "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 0
     counts = tracer.counts
-    assert counts["oracle.replays"] == 858
-    assert counts["protocol.execute_session.calls"] == counts["multifile.rounds"] == 1074
-    assert counts["channel.positions"] == 342
+    assert counts["oracle.replays"] == 160
+    assert counts["protocol.execute_session.calls"] == counts["multifile.rounds"] == 232
+    assert counts["channel.positions"] == 72
 
 
 def test_traced_run_counts_rounds_and_masked_bits(tracer, tmp_path):
