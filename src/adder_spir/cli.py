@@ -279,7 +279,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     _emit([_header("audit", config), report.to_record()], args.out)
     print(
         f"audit: {report.state_count} states from {report.enumerated_rows} rows of "
-        f"{report.orbit_sequences} orbit sequences under {report.group}, {report.replays} replays, "
+        f"{report.orbit_sequences} orbit sequences under {report.group}, {report.replays} replays "
+        f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
         f"mutual information in {report.information_s:.3f} s; "
         f"{report.chunks} chunks, at most {report.view_pairs} distinct view pairs",

@@ -20,7 +20,7 @@ so that each round consumes one pair from each server.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .bits import BitString, sample_uniform
@@ -187,7 +187,15 @@ def _chains(store: FileStore, n_parts: int, masks: Sequence[Sequence[BitString]]
 class MultifilePlan:
     """One reduction's checked inputs, from :func:`plan_multifile`: per round
     its two-file stores and branch choices, per part index of each server the
-    rounds that reconstruct it, and the requested files."""
+    rounds that reconstruct it, and the requested files.
+
+    ``answers`` holds every round the plan has answered, keyed by the round
+    index and the identity of its opening, with that opening, so a run that
+    passes the same opening object for a round again reuses its transcript.
+    A plan run on fresh openings keeps every one of them, so a long loop of
+    runs whose openings never repeat makes a plan per run, as
+    :func:`run_multifile` does.
+    """
 
     params: ProtocolParams
     round_params: ProtocolParams
@@ -197,6 +205,7 @@ class MultifilePlan:
     selections: tuple[tuple[int, int], ...]
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     requested: tuple[BitString, BitString]
+    answers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def plan_multifile(
@@ -238,7 +247,9 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
 
     The openings are read one round at a time, and none after a round that
     aborts: any single round abort aborts the whole session (no retry here;
-    retries are a harness-level loop with fresh seeds).
+    retries are a harness-level loop with fresh seeds).  A round whose
+    opening object the plan has answered at that round before is not
+    answered again (:class:`MultifilePlan`).
     """
     params, sel = plan.params, plan.sel
     L1, L2 = params.L1, params.L2
@@ -250,7 +261,12 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
         opening = next(openings, None)
         if opening is None:
             break
-        transcript = execute_session(plan.round_params, store1, store2, round_sel, opening, mutation=plan.mutation)
+        answered = plan.answers.get((k, id(opening)))
+        if answered is None:
+            transcript = execute_session(plan.round_params, store1, store2, round_sel, opening, mutation=plan.mutation)
+            plan.answers[k, id(opening)] = opening, transcript
+        else:
+            transcript = answered[1]
         transcripts.append(transcript)
         if transcript.aborted:
             return MultifileTranscript(*shape, plan.selections[: k + 1], tuple(transcripts), aborted=True)

@@ -27,11 +27,18 @@ is the L1 = L2 = 2 case of the multi-file reduction, replayed the same way;
 only its decoded per-round values are unwrapped from their one-round tuples.
 The channel phase of a round does not depend on the selection, so it runs
 once per canonical channel-input pair: :func:`~adder_spir.protocol.open_round`
-on the concrete pair, with every partition the client could draw.  A
-sequence's rounds are opened symbolically once for all of its selections:
-each keeps its pair's y and abort verdict, with the symbolic channel inputs
-and the one partition the sequence chose; the inputs remember their
-subselections, so each sequence's published-set pads are computed once.
+on the concrete pair, with every partition the client could draw.  The
+sequences are replayed as a tree of rounds.  Every symbolic value carries
+all B + n K free-bit columns, each round's channel bits after those of the
+rounds before it, so there is one plan per selection.  A round's symbolic
+opening keeps its pair's y and abort verdict, with the symbolic channel
+inputs and the partition the sequence chose; it depends only on the round
+index, the column of its first channel bit, the pair and the partition, and
+is built once under that key for every sequence and every fixed-channel-bit
+replay that reaches it.  Each plan answers each opening once, so sequences
+that share their leading rounds answer them once per selection; the inputs
+remember their subselections, so each opening's published-set pads are
+computed once.
 
 The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
 rows are expanded one at a time.  :func:`enumerate_protocol` concatenates
@@ -180,7 +187,9 @@ class LeakageReport:
     (the runs of rows it was streamed in), ``view_pairs`` (the distinct
     (view, secret) pairs of the largest tally), ``group`` (the position
     group it reduced by), ``orbit_sequences`` (the channel-input sequences
-    it enumerated) and ``enumerated_rows`` stay out of the record.
+    it enumerated), ``enumerated_rows`` and ``answered_rounds`` (the rounds
+    the replays answered, each opening once per selection) stay out of the
+    record.
     """
 
     params: ProtocolParams
@@ -204,6 +213,7 @@ class LeakageReport:
     group: str = TRIVIAL
     orbit_sequences: int = 0
     enumerated_rows: int = 0
+    answered_rounds: int = 0
 
     @property
     def mode(self) -> str:
@@ -409,8 +419,9 @@ class _Enumeration:
         B, U = lay.free_bits, lay.n * lay.K
         if B + U + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
             raise ConfigurationError(f"{B} file and mask bits and {U} channel bits are too many to enumerate")
-        self.symbols = [lay.symbols(u) for u in range(U + 1)]
-        self.plans: dict = {}  # one per (selection, number of free channel bits)
+        self.symbols = lay.symbols(U)
+        self.plans: dict = {}  # one per selection
+        self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, pair, partition)
         self.interned: dict[str, dict] = {name: {} for name in _INTERNED}
         self.replays = self.sequence_count = 0
 
@@ -516,7 +527,7 @@ class _Enumeration:
         msgs2 and unsel, (free channel bits, executed rounds, partition
         combinations) and the number of skeletons it stands for."""
         lay = self.layout
-        f1, f2 = self.symbols[0][0].files, self.symbols[0][1].files
+        f1, f2 = self.symbols[0].files, self.symbols[1].files
         selections = [(Selection(z1, z2), _columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
                       for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
         for rounds, parts, combos, orbit in self.sequences():
@@ -544,13 +555,27 @@ class _Enumeration:
         mask bits, as :class:`AffineBits`, and the partition ``parts`` chose
         (None for a round that aborted); the x1 and x2 columns; and the free
         channel bit count.  The channel bits sit at hidden positions of both
-        inputs, so every assignment of them keeps the verdict's y."""
+        inputs, so every assignment of them keeps the verdict's y.
+
+        A round's opening depends only on its index, the column of its first
+        channel bit (the hidden positions of the rounds before it), its pair
+        and its partition, so every sequence that reaches it, and every
+        replay with fixed channel bits (no ``channel``), shares one object,
+        which each plan answers once (:class:`~adder_spir.multifile.MultifilePlan`)."""
         lay = self.layout
-        opened = []
+        U = lay.n * lay.K
+        opened, offset = [], 0
         for r, ((pair, verdict), part) in enumerate(itertools.zip_longest(rounds, parts)):
-            linear = [0] * lay.free_bits + [c if k == r else 0 for k, c in channel]
-            x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
-            opened.append(verdict._replace(x1=x1, x2=x2, partition=part))
+            columns = [c for k, c in channel if k == r]
+            # A round without channel bits has no column; the opening holds
+            # its partition, so the partition's id is not reused.
+            key = (r, offset if columns else -1, pair, id(part))
+            if key not in self.opened:
+                linear = [0] * (lay.free_bits + offset) + columns + [0] * (U - offset - len(columns))
+                x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
+                self.opened[key] = verdict._replace(x1=x1, x2=x2, partition=part)
+            opened.append(self.opened[key])
+            offset += len(columns)
         columns = tuple(_columns([o[i] for o in opened]) for i in (0, 1))
         return opened, columns, len(channel)
 
@@ -560,13 +585,16 @@ class _Enumeration:
         and leak; the abort flag; ok, 2 on abort, else whether the recovered
         files equal the oracle's own symbolic requested ones, never the
         session's ``recovery_ok``), the offset and columns of x1, x2, msgs1,
-        msgs2 and unsel (given) and the number of free channel bits."""
+        msgs2 and unsel (given) and the number of free channel bits.  The
+        plan of ``sel`` is built once and answers each opening once
+        (:class:`~adder_spir.multifile.MultifilePlan`), so a replay runs the
+        session only on the rounds no earlier replay reached."""
         self.replays += 1
         openings, x_columns, free = opened
-        files1, files2, masks1, masks2 = self.symbols[free]
-        if (sel, free) not in self.plans:
-            self.plans[sel, free] = plan_multifile(self.params, files1, files2, sel, masks1, masks2, mutation=self.mutation)
-        mt = execute_multifile(self.plans[sel, free], openings)
+        files1, files2, masks1, masks2 = self.symbols
+        if sel not in self.plans:
+            self.plans[sel] = plan_multifile(self.params, files1, files2, sel, masks1, masks2, mutation=self.mutation)
+        mt = execute_multifile(self.plans[sel], openings)
         sent = [t for t in mt.transcripts if not t.aborted]
         outputs = (
             *x_columns,
@@ -997,4 +1025,5 @@ def audit(
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
         group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows,
+        answered_rounds=sum(len(plan.answers) for plan in enumeration.plans.values()),
     )

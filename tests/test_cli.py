@@ -179,7 +179,7 @@ def test_audit_honest_exit_zero(tmp_path, capsys):
     assert report["state_count"] == report["required_states"] == 1792
     assert report["budget"] == 2**28
     # Phase timings go to stderr only; wall_time_s is the body's one timing.
-    assert "audit: 1792 states from 448 rows of 11 orbit sequences under S_n per round, 44 replays, enumerated in" in capsys.readouterr().err
+    assert "audit: 1792 states from 448 rows of 11 orbit sequences under S_n per round, 44 replays answering 44 rounds, enumerated in" in capsys.readouterr().err
     assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 

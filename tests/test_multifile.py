@@ -337,6 +337,51 @@ def test_one_plan_runs_like_fresh_plans(shape, mutation):
         assert outcomes == {False, True}
 
 
+def _counted_sessions(monkeypatch) -> list:
+    """The calls ``execute_multifile`` makes to ``execute_session`` from now on."""
+    calls = []
+    execute_session = multifile.execute_session
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return execute_session(*args, **kwargs)
+
+    monkeypatch.setattr(multifile, "execute_session", counted)
+    return calls
+
+
+def test_a_plan_answers_each_opening_once(monkeypatch):
+    # The same opening objects run twice on one plan: each round is answered
+    # once, and the second run returns the first run's transcripts.
+    params, *inputs = _plan_inputs()
+    plan = plan_multifile(params, *inputs[:2], Selection(2, 3), *inputs[2:])
+    openings = _openings(params, 60)
+    calls = _counted_sessions(monkeypatch)
+    first = execute_multifile(plan, openings)
+    again = execute_multifile(plan, openings)
+    assert len(calls) == len(openings) == 6
+    assert again.to_record() == first.to_record()
+    assert (again.recovered, again.recovery_ok) == (first.recovered, first.recovery_ok) != (None, None)
+    assert all(a is b for a, b in zip(again.transcripts, first.transcripts))
+
+
+def test_a_plan_answers_distinct_openings_again(monkeypatch):
+    # Openings equal in value but distinct objects are answered again, and
+    # one opening object passed for every round is answered at each round.
+    params, *inputs = _plan_inputs()
+    sel = Selection(2, 3)
+    plan = plan_multifile(params, *inputs[:2], sel, *inputs[2:])
+    calls = _counted_sessions(monkeypatch)
+    first = execute_multifile(plan, _openings(params, 60))
+    again = execute_multifile(plan, _openings(params, 60))
+    assert len(calls) == 12
+    assert again.to_record() == first.to_record()
+    repeated = [_openings(params, 60)[0]] * 6
+    fresh = plan_multifile(params, *inputs[:2], sel, *inputs[2:])
+    assert execute_multifile(plan, repeated).to_record() == execute_multifile(fresh, repeated).to_record()
+    assert len(calls) == 24
+
+
 def test_run_multifile_opens_no_round_after_an_abort(monkeypatch):
     # Rounds are opened one at a time: a session that aborts in round k
     # opened k rounds, and their verdicts are the transcripts' own.

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adder_spir import multifile, oracle, protocol
@@ -99,6 +100,36 @@ def test_orbits_stand_for_every_sequence(n, shape, ell1, ell2, alpha, abort_disa
         mass += int(chunk.weights[chunk.skel].sum())
         states += chunk.states
     assert rows == reduced.rows and (states, mass) == (required_states(params, abort_disabled), reduced.denominator)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3), st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.integers(0, 1), st.integers(0, 1),
+    st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([None, *protocol.MUTATIONS]), st.booleans(), st.randoms(),
+)
+# reuse-pad with ell = (1, 0) reads a channel bit as a value, so some of its
+# skeletons fall back to one replay per assignment of the channel bits.
+@example(3, (2, 2), 1, 0, 1.0, "reuse-pad", False, random.Random(0))
+@example(2, (3, 2), 1, 0, 1.0, "reuse-pad", False, random.Random(0))
+@example(2, (3, 3), 1, 0, 1.0, "reuse-pad", False, random.Random(0))
+def test_shared_openings_replay_like_one_sequence_alone(n, shape, ell1, ell2, alpha, mutation, abort_disabled, rng):
+    # One enumeration shares each round opening between its sequences and
+    # answers it once per plan; each sequence's skeletons equal those of a
+    # fresh enumeration that replays that sequence alone.
+    L1, L2 = shape
+    assume(n < 3 or shape == (2, 2))
+    params = ProtocolParams(n=n, t_exponent=0.4, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
+    group = oracle._group(params)
+    shared = oracle._Enumeration(params, abort_disabled, mutation, group)
+    sequences = list(shared.sequences())
+    skeletons = []
+    for sequence in sequences:
+        shared.sequences = lambda sequence=sequence: iter([sequence])
+        skeletons.append(list(shared.skeletons()))
+    for i in sorted(rng.sample(range(len(sequences)), min(len(sequences), 40))):
+        alone = oracle._Enumeration(params, abort_disabled, mutation, group)
+        alone.sequences = lambda: iter([sequences[i]])
+        assert list(alone.skeletons()) == skeletons[i]
 
 
 def test_codes_wider_than_int64_are_a_configuration_error():
@@ -261,19 +292,13 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     # keeps one skeleton per orbit of the position group: one replay per
     # selection stands for 16 of the 153 sequences of canonical pairs at
     # n=4 (544 input pairs), and for 16 of 41 at L=3x2 (136).
-    # Plans are built once per (selection, number of free channel bits).
-    calls, plans, free_counts = [], [], set()
+    # One plan is built per selection, whatever the free channel bits.
+    calls, plans = [], []
     execute_multifile, plan_multifile = oracle.execute_multifile, oracle.plan_multifile
-    openings = oracle._Enumeration.openings
 
     def counted(*args, **kwargs):
         calls.append(1)
         return execute_multifile(*args, **kwargs)
-
-    def opened(*args):
-        result = openings(*args)
-        free_counts.add(result[2])
-        return result
 
     def planned(*args, **kwargs):
         plans.append(1)
@@ -281,22 +306,22 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
     monkeypatch.setattr(oracle, "execute_multifile", counted)
     monkeypatch.setattr(oracle, "plan_multifile", planned)
-    monkeypatch.setattr(oracle._Enumeration, "openings", opened)
     report = audit(params)
     assert len(calls) == replays == report.replays
-    assert len(plans) <= params.L1 * params.L2 * len(free_counts)
+    assert len(plans) == params.L1 * params.L2
 
 
 @pytest.mark.parametrize(
     "params, conditioned, replays, rounds, pairs",
-    [(_N4, True, 64, 64, 15), (_MULTI, False, 96, 168, 6)],
+    [(_N4, True, 64, 64, 15), (_MULTI, False, 96, 72, 6)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, replays, rounds, pairs):
-    # The benchmark's two audits: every executed round of every replay is
-    # answered (232 rounds in all), but the channel transmits only while
-    # the kept canonical pairs are opened, one per count of 0-, 2- and
-    # hidden positions, C(n + 2, 2) of them: 21 transmits in all.
+    # The benchmark's two audits: each plan answers each shared round
+    # opening once (136 of the 232 rounds the replays run; the L=3x2
+    # sequences share their first rounds), and the channel transmits only
+    # while the kept canonical pairs are opened, one per count of 0-, 2-
+    # and hidden positions, C(n + 2, 2) of them: 21 transmits in all.
     transmitted, sessions = [], []
     transmit, execute_session = protocol.transmit, multifile.execute_session
 
@@ -312,7 +337,7 @@ def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, rep
     monkeypatch.setattr(multifile, "execute_session", counted_session)
     report = audit(params, condition_nonabort=conditioned)
     assert report.replays == replays
-    assert len(sessions) == rounds
+    assert len(sessions) == rounds == report.answered_rounds
     assert len(transmitted) == len(set(transmitted)) == pairs == math.comb(params.n + 2, 2)
 
 

@@ -44,19 +44,26 @@ def test_tracer_installs_and_uninstalls():
     assert cli.run_session_adaptive is original
 
 
-def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path):
+def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path, capsys):
     # The channel transmits only while the C(4 + 2, 2) + C(2 + 2, 2) = 21
     # kept canonical pairs (one per orbit of the position group) are
-    # opened: 15 * 4 + 6 * 2 = 72 positions.
+    # opened: 15 * 4 + 6 * 2 = 72 positions.  The replays run 232 rounds,
+    # but each plan answers each shared opening once: 64 two-file rounds,
+    # and 72 of the 168 rounds of the L=3x2 audit.
     for flags in _AUDITS:
         assert cli.main(["audit", *flags, "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 0
     counts = tracer.counts
     assert counts["oracle.replays"] == 160
-    assert counts["protocol.execute_session.calls"] == counts["multifile.rounds"] == 232
+    assert counts["multifile.rounds"] == 232
+    assert counts["protocol.execute_session.calls"] == 136
     assert counts["channel.positions"] == 72
+    summary = capsys.readouterr().err
+    assert "64 replays answering 64 rounds" in summary and "96 replays answering 72 rounds" in summary
 
 
 def test_traced_run_counts_rounds_and_masked_bits(tracer, tmp_path):
+    # Each trial makes a fresh plan and fresh openings, so every round run
+    # is answered.
     argv = ["run", "--n", "64", "--L1", "3", "--L2", "3", "--ell1", "2", "--ell2", "2", "--trials", "3", "--seed", "1"]
     assert cli.main([*argv, "--out", str(tmp_path / "r.jsonl")]) == 0
     counts = tracer.counts
