@@ -64,8 +64,12 @@ class MultifileTranscript:
     transcripts: tuple[Transcript, ...]
     aborted: bool
     recovered: Optional[tuple[BitString, BitString]] = None
-    # Whether the recovered files are the requested ones; None on abort.
-    recovery_ok: Optional[bool] = None
+    requested: Optional[tuple[BitString, BitString]] = None
+
+    @property
+    def recovery_ok(self) -> Optional[bool]:
+        """Whether the recovered files are the requested ones; None on abort."""
+        return None if self.aborted else self.recovered == self.requested
 
     @property
     def round_count(self) -> int:
@@ -279,8 +283,7 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
     # Joined by the parts' own type, which the oracle's symbolic values override.
     recovered = (type(parts1[0]).join(parts1), type(parts2[0]).join(parts2))
     return MultifileTranscript(
-        *shape, plan.selections, tuple(transcripts), aborted=False, recovered=recovered,
-        recovery_ok=recovered == plan.requested,
+        *shape, plan.selections, tuple(transcripts), aborted=False, recovered=recovered, requested=plan.requested,
     )
 
 

@@ -16,29 +16,29 @@ free bits are the B file and mask bits and the U channel bits, one per
 hidden position (y = 1), where server 1 sends a bit u and server 2 sends
 1 XOR u.  They enter the session code as
 :class:`~adder_spir.bits.AffineBits`, so one replay per skeleton returns
-the channel inputs, the messages and the unselected files as an offset
-plus one column per free bit; numpy expands the 2^(B+U) assignments by XOR.
-Every other value (y, sets, leak, abort, and whether the requested files
-came back) must come out concrete: a session step that reads a file or
-mask bit as a value, or combines such bits other than by XOR, raises
-``TypeError``.  A skeleton whose replay reads a channel bit that way is
-replayed once per value of its channel bits instead.  Two files per server
-is the L1 = L2 = 2 case of the multi-file reduction, replayed the same way;
-only its decoded per-round values are unwrapped from their one-round tuples.
-The channel phase of a round does not depend on the selection, so it runs
-once per canonical channel-input pair: :func:`~adder_spir.protocol.open_round`
-on the concrete pair, with every partition the client could draw.  The
-sequences are replayed as a tree of rounds.  Every symbolic value carries
-all B + n K free-bit columns, each round's channel bits after those of the
+the channel inputs, the messages, the unselected files and the recovered
+files XOR the requested ones as an offset plus one column per free bit;
+numpy expands the 2^(B+U) assignments by XOR, and a row recovered its
+files when that XOR is zero.  Every other value (y, sets, leak, abort)
+must come out concrete: a session step that reads a free bit as a value,
+or combines such bits other than by XOR, raises ``TypeError``.  So each
+skeleton is replayed exactly once, and the skeletons are counted before
+any replay.  Two files per server is the L1 = L2 = 2 case of the
+multi-file reduction, replayed the same way; only its decoded per-round
+values are unwrapped from their one-round tuples.  The channel phase of a
+round does not depend on the selection, so it runs once per canonical
+channel-input pair: :func:`~adder_spir.protocol.open_round` on the
+concrete pair, with every partition the client could draw.  The sequences
+are replayed as a tree of rounds.  Every symbolic value carries all
+B + n K free-bit columns, each round's channel bits after those of the
 rounds before it, so there is one plan per selection.  A round's symbolic
 opening keeps its pair's y and abort verdict, with the symbolic channel
 inputs and the partition the sequence chose; it depends only on the round
 index, the column of its first channel bit, the pair and the partition, and
-is built once under that key for every sequence and every fixed-channel-bit
-replay that reaches it.  Each plan answers each opening once, so sequences
-that share their leading rounds answer them once per selection; the inputs
-remember their subselections, so each opening's published-set pads are
-computed once.
+is built once under that key for every sequence that reaches it.  Each
+plan answers each opening once, so sequences that share their leading
+rounds answer them once per selection; the inputs remember their
+subselections, so each opening's published-set pads are computed once.
 
 The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
 rows are expanded one at a time.  :func:`enumerate_protocol` concatenates
@@ -128,13 +128,14 @@ _PAIRS = {
 # Skeleton constants coded by interned ids.
 _INTERNED = ("y", "sets", "leak", "u0")
 # Per-skeleton columns of a chunk.
-_SKELETON = ("z1", "z2", "abort", "ok", *_INTERNED, "free", "executed", "combos")
+_SKELETON = ("z1", "z2", "abort", *_INTERNED, "free", "executed", "combos")
 # Free file and mask bits of an assignment, packed in this order from the
 # most significant end; the channel bits sit above them.
 _FREE = ("files1", "files2", "masks1", "masks2")
 # Affine outputs, expanded per row; a chunk holds x and the messages
-# without the round tags of their codes.
-_AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel")
+# without the round tags of their codes, and ``ok`` in place of ``miss``
+# (the recovered files XOR the requested ones).
+_AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel", "miss")
 # Skeleton constants a packed per-round code is tagged with: its value has
 # one entry per executed round, the messages a None for a round that aborted.
 _TAGS = {"x1": ("executed",), "x2": ("executed",), "msgs1": ("executed", "abort"), "msgs2": ("executed", "abort")}
@@ -400,7 +401,7 @@ class _Chunk(NamedTuple):
     table: np.ndarray  # one row of ``_SKELETON`` values per skeleton
     weights: np.ndarray  # the numerator of each row of each skeleton
     skel: np.ndarray  # the skeleton of each row
-    columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each row
+    columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each row, ``ok`` for ``miss``
     states: int  # the rows of the full table these rows stand for
 
     def rows_where(self, keep: np.ndarray) -> "_Chunk":
@@ -509,9 +510,19 @@ class _Enumeration:
         return _rows(self.layout, continuing, aborting)
 
     @functools.cached_property
+    def combos(self) -> list[int]:
+        """The partition combinations of each sequence, from one walk before any replay."""
+        return [combos for _rounds, _parts, combos, _orbit in self.sequences()]
+
+    @functools.cached_property
     def lcm(self) -> int:
         """Least common multiple of the partition combinations of every sequence."""
-        return math.lcm(*(combos for _rounds, _parts, combos, _orbit in self.sequences()))
+        return math.lcm(*self.combos)
+
+    @property
+    def skeleton_count(self) -> int:
+        """The skeletons replayed, one per (sequence, selection), counted before any replay."""
+        return len(self.combos) * self.layout.L1 * self.layout.L2
 
     @property
     def denominator(self) -> int:
@@ -522,9 +533,9 @@ class _Enumeration:
         return 2 ** (2 * lay.n * lay.K) * self.lcm * lay.L1 * lay.L2 * 2**lay.free_bits
 
     def skeletons(self):
-        """Replay every skeleton.  Yields per replay (z1, z2, aborted, ok), the
-        values of ``_INTERNED``, the offset and columns of x1, x2, msgs1,
-        msgs2 and unsel, (free channel bits, executed rounds, partition
+        """Replay every skeleton once.  Yields per replay (z1, z2, aborted),
+        the values of ``_INTERNED``, the offset and columns of each
+        ``_AFFINE`` output, (free channel bits, executed rounds, partition
         combinations) and the number of skeletons it stands for."""
         lay = self.layout
         f1, f2 = self.symbols[0].files, self.symbols[1].files
@@ -533,67 +544,59 @@ class _Enumeration:
         for rounds, parts, combos, orbit in self.sequences():
             self.sequence_count += 1
             executed, aborted = len(rounds), len(parts) < len(rounds)
-            channel = _channel(rounds, lay.n)
             part_keys = tuple(map(_part_key, parts))
-            opened = self.openings(rounds, parts, channel)
+            opened, x_columns, free = self.openings(rounds, parts)
             for sel, unsel in selections:
-                try:
-                    replays = [self.replay(sel, opened, unsel)]
-                except TypeError:
-                    # The session reads a channel bit as a value: replay each assignment of them.
-                    replays = [self.replay(sel, self.openings(_fixed(rounds, channel, u), parts, []), unsel)
-                               for u in range(2 ** len(channel))]
-                for (public, replayed_abort, ok), outputs, free in replays:
-                    if replayed_abort != aborted or len(public) != executed:
-                        raise RuntimeError("replay disagrees with the enumerated channel verdicts")
-                    values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
-                    yield (sel.z1, sel.z2, int(aborted), ok), values, outputs, (free, executed, combos), orbit
+                public, replayed_abort, outputs = self.replay(sel, opened, x_columns, unsel)
+                if replayed_abort != aborted or len(public) != executed:
+                    raise RuntimeError("replay disagrees with the enumerated channel verdicts")
+                values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
+                yield (sel.z1, sel.z2, int(aborted)), values, outputs, (free, executed, combos), orbit
 
-    def openings(self, rounds, parts, channel) -> tuple:
+    def openings(self, rounds, parts) -> tuple:
         """The symbolic opening of each executed round: its verdict with the
-        channel-input pair XOR the ``channel`` bits, free above the file and
-        mask bits, as :class:`AffineBits`, and the partition ``parts`` chose
-        (None for a round that aborted); the x1 and x2 columns; and the free
-        channel bit count.  The channel bits sit at hidden positions of both
-        inputs, so every assignment of them keeps the verdict's y.
+        channel-input pair XOR one free channel bit per hidden position,
+        above the file and mask bits, as :class:`AffineBits`, and the
+        partition ``parts`` chose (None for a round that aborted); the x1 and
+        x2 columns; and the free channel bit count.  The channel bits sit at
+        hidden positions of both inputs, so every assignment of them keeps
+        the verdict's y.
 
         A round's opening depends only on its index, the column of its first
         channel bit (the hidden positions of the rounds before it), its pair
-        and its partition, so every sequence that reaches it, and every
-        replay with fixed channel bits (no ``channel``), shares one object,
-        which each plan answers once (:class:`~adder_spir.multifile.MultifilePlan`)."""
+        and its partition, so every sequence that reaches it shares one
+        object, which each plan answers once
+        (:class:`~adder_spir.multifile.MultifilePlan`)."""
         lay = self.layout
         U = lay.n * lay.K
         opened, offset = [], 0
         for r, ((pair, verdict), part) in enumerate(itertools.zip_longest(rounds, parts)):
-            columns = [c for k, c in channel if k == r]
+            # The column of each hidden position's channel bit, first position first.
+            channel = [1 << s for s in range(lay.n - 1, -1, -1) if (pair[0] ^ pair[1]) >> s & 1]
             # A round without channel bits has no column; the opening holds
             # its partition, so the partition's id is not reused.
-            key = (r, offset if columns else -1, pair, id(part))
+            key = (r, offset if channel else -1, pair, id(part))
             if key not in self.opened:
-                linear = [0] * (lay.free_bits + offset) + columns + [0] * (U - offset - len(columns))
+                linear = [0] * (lay.free_bits + offset) + channel + [0] * (U - offset - len(channel))
                 x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
                 self.opened[key] = verdict._replace(x1=x1, x2=x2, partition=part)
             opened.append(self.opened[key])
-            offset += len(columns)
+            offset += len(channel)
         columns = tuple(_columns([o[i] for o in opened]) for i in (0, 1))
-        return opened, columns, len(channel)
+        return opened, columns, offset
 
-    def replay(self, sel: Selection, opened: tuple, unsel) -> tuple:
+    def replay(self, sel: Selection, openings: list, x_columns: tuple, unsel) -> tuple:
         """Run the protocol once on the symbolic files and masks and the
         :meth:`openings`: the concrete outputs (per executed round y, sets
-        and leak; the abort flag; ok, 2 on abort, else whether the recovered
-        files equal the oracle's own symbolic requested ones, never the
-        session's ``recovery_ok``), the offset and columns of x1, x2, msgs1,
-        msgs2 and unsel (given) and the number of free channel bits.  The
-        plan of ``sel`` is built once and answers each opening once
+        and leak; the abort flag) and the offset and columns of x1, x2
+        (given), msgs1, msgs2, unsel (given) and miss, the recovered files
+        XOR the plan's requested ones (nothing on abort).  The plan of
+        ``sel`` is built once and answers each opening once
         (:class:`~adder_spir.multifile.MultifilePlan`), so a replay runs the
         session only on the rounds no earlier replay reached."""
         self.replays += 1
-        openings, x_columns, free = opened
-        files1, files2, masks1, masks2 = self.symbols
         if sel not in self.plans:
-            self.plans[sel] = plan_multifile(self.params, files1, files2, sel, masks1, masks2, mutation=self.mutation)
+            self.plans[sel] = plan_multifile(self.params, *self.symbols[:2], sel, *self.symbols[2:], mutation=self.mutation)
         mt = execute_multifile(self.plans[sel], openings)
         sent = [t for t in mt.transcripts if not t.aborted]
         outputs = (
@@ -601,10 +604,10 @@ class _Enumeration:
             _columns([m for t in sent for m in (t.m11, t.m12)]),
             _columns([m for t in sent for m in (t.m21, t.m22)]),
             unsel,
+            _columns([] if mt.aborted else [r ^ q for r, q in zip(mt.recovered, mt.requested)]),
         )
-        ok = 2 if mt.aborted else int(mt.recovered == (files1.file(sel.z1), files2.file(sel.z2)))
         public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
-        return (public, mt.aborted, ok), outputs, free
+        return public, mt.aborted, outputs
 
     def chunks(self):
         """Every skeleton replayed in order, expanded in runs of about
@@ -623,7 +626,8 @@ class _Enumeration:
     def chunk(self, run: list) -> _Chunk:
         """One row per assignment of each skeleton's free bits: its file and
         mask bits below, its channel bits above.  A row's weight is its
-        probability times the number of skeletons its skeleton stands for."""
+        probability times the number of skeletons its skeleton stands for;
+        its ok is 2 on abort, else whether its miss is zero."""
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
         F = B + n * K  # the most free bits of any skeleton
@@ -643,6 +647,7 @@ class _Enumeration:
         columns = dict(zip(_FREE, lay.split(a & _mask(B))))
         for i, name in enumerate(_AFFINE):
             columns[name] = _expand(affine[:, i], skel, a)
+        columns["ok"] = np.where(table[skel, _SKELETON.index("abort")] == 1, 2, columns.pop("miss") == 0)
         weights = [2 ** (2 * n * (K - k)) * self.lcm // c * o for k, c, o in zip(executed.tolist(), combos.tolist(), orbits)]
         states = sum(o << (B + f) for o, f in zip(orbits, free.tolist()))
         return _Chunk(table, _numerators(weights, self.denominator), skel, columns, states)
@@ -653,9 +658,9 @@ class _Enumeration:
         codes = np.empty((len(chunk.skel), len(VARIABLES)), dtype=np.int64)
         out = dict(zip(VARIABLES, codes.T))
         skeleton = {name: col[chunk.skel] for name, col in zip(_SKELETON, chunk.table.T)}
-        for name in ("z1", "z2", "abort", "ok", *_INTERNED):
+        for name in ("z1", "z2", "abort", *_INTERNED):
             out[name][:] = skeleton[name]
-        for name in (*_FREE, "unsel"):
+        for name in (*_FREE, "unsel", "ok"):
             out[name][:] = chunk.columns[name]
         rounds = skeleton["executed"]
         tag = 2 * rounds + skeleton["abort"]
@@ -726,20 +731,6 @@ def _expand(affine: np.ndarray, skel: np.ndarray, a: np.ndarray) -> np.ndarray:
     return value
 
 
-def _channel(rounds, n: int) -> list:
-    """One free channel bit per hidden position of the verdicts ``rounds``: (round, its column)."""
-    return [(r, 1 << s) for r, ((v1, v2), _opening) in enumerate(rounds)
-            for s in range(n - 1, -1, -1) if (v1 ^ v2) >> s & 1]
-
-
-def _fixed(rounds, channel, u: int) -> list:
-    """The verdicts ``rounds`` with their pairs' ``channel`` bits set to the bits of ``u``."""
-    flips = [0] * len(rounds)
-    for j, (r, col) in enumerate(channel):
-        flips[r] ^= col * (u >> j & 1)
-    return [((v1 ^ f, v2 ^ f), opening) for ((v1, v2), opening), f in zip(rounds, flips)]
-
-
 class _PairKeys:
     """One int64 key per chunk row for each audited (view, secret) pair.
 
@@ -747,7 +738,7 @@ class _PairKeys:
     skeleton constants, with the round tags of its per-round codes,
     interned across the enumeration and placed above its row-varying codes.
     The ids stay below the product of the constants' value counts and below
-    the number of skeletons, at most ``rows`` enumerated rows over 2^B.  A
+    the number of skeletons, counted before any replay.  A
     pair's key is its view's key above its secret's, so equal keys mean
     equal values and the masses grouped by key are the masses grouped by
     value.
@@ -761,13 +752,13 @@ class _PairKeys:
     its sorted labels.  Equal keys then mean views in one orbit.
     """
 
-    def __init__(self, enumeration: _Enumeration, rows: int):
+    def __init__(self, enumeration: _Enumeration):
         lay = self.layout = enumeration.layout
         self.widths = lay.widths
         self.interned = enumeration.interned
         self.symmetric = enumeration.group == POSITIONS
         values = {"z1": lay.L1, "z2": lay.L2, "executed": lay.K, "abort": 2}
-        skeletons = rows >> lay.free_bits
+        skeletons = enumeration.skeleton_count
         # Share slots: the published sets a, b, c, d and the client's g1, g2, b1, b2.
         self.set_codes = _role_codes((lay.p1, lay.p1, lay.p2, lay.p2))
         self.share_codes = _role_codes((lay.p1, lay.p2, lay.p1, lay.p2))
@@ -969,7 +960,7 @@ def audit(
     start = time.perf_counter()
     group = _group(params)
     enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, group)
-    keys = _PairKeys(enumeration, enumeration.rows)
+    keys = _PairKeys(enumeration)
     tallies = {name: _Tally() for name in _PAIRS}
     rows = states = nonabort = fail = chunks = 0
     tallying, shown = 0.0, start
@@ -978,13 +969,13 @@ def audit(
         table = dict(zip(_SKELETON, chunk.table.T))
         mass = chunk.weights * np.left_shift(1, enumeration.layout.free_bits + table["free"])
         nonabort += int(mass[table["abort"] == 0].sum())
-        fail += int(mass[table["ok"] == 0].sum())
         rows += len(chunk.skel)
         states += chunk.states
         chunks += 1
         if condition_nonabort:
             chunk = chunk.rows_where(table["abort"] == 0)
         weights = chunk.weights[chunk.skel]
+        fail += int(weights[chunk.columns["ok"] == 0].sum())  # aborted rows have ok = 2
         for tally, key in zip(tallies.values(), keys.pairs(chunk)):
             tally.add(key, weights)
         now = time.perf_counter()

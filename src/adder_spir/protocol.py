@@ -126,8 +126,13 @@ class Transcript:
     m21: Optional[BitString] = None
     m22: Optional[BitString] = None
     recovered: Optional[tuple[BitString, BitString]] = None
-    recovery_ok: Optional[bool] = None
+    requested: Optional[tuple[BitString, BitString]] = None
     leaked_selection: Optional[int] = None
+
+    @property
+    def recovery_ok(self) -> Optional[bool]:
+        """Whether the recovered files are the requested ones; None on abort."""
+        return None if self.aborted else self.recovered == self.requested
 
     def public_bits_from_server(self, server_id: int) -> int:
         """Total public message bits sent by one server in this session."""
@@ -381,7 +386,7 @@ def execute_session(
         m21=m21,
         m22=m22,
         recovered=(rec1, rec2),
-        recovery_ok=(rec1 == (f11, f12)[sel.z1 - 1] and rec2 == (f21, f22)[sel.z2 - 1]),
+        requested=((f11, f12)[sel.z1 - 1], (f21, f22)[sel.z2 - 1]),
         leaked_selection=sel.z1 if mutation == "leak-selection" else None,
     )
 

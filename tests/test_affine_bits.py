@@ -7,7 +7,9 @@ every intermediate value must evaluate to its concrete counterpart.
 a fresh copy's.  ``transmit`` on concrete values must give their
 per-position sums.  The oracle's symbolic round openings must transmit, at
 every assignment of their free bits, to the y they carry, which is the
-read-only y remembered for their canonical pair.
+read-only y remembered for their canonical pair.  A session on symbolic
+inputs returns its transcript even when its recovery depends on a free bit;
+only reading ``recovery_ok`` compares the symbolic values.
 """
 
 import functools
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 
 from adder_spir.bits import AffineBits, BitString
 from adder_spir.channel import transmit
-from adder_spir.model import ProtocolParams
-from adder_spir.oracle import _bitstrings, _channel, _Enumeration, _fixed, _Layout
+from adder_spir.model import ProtocolParams, Selection
+from adder_spir.multifile import execute_multifile, plan_multifile
+from adder_spir.oracle import _bitstrings, _Enumeration, _Layout
 
 MAX_FREE = 6
 LENGTHS = (0, 1, 2, 3, 4, 6, 12)
@@ -152,18 +155,16 @@ def enumeration(params: ProtocolParams) -> tuple:
 def test_symbolic_openings_transmit_to_their_y(params, data):
     # A sequence's rounds are opened once, symbolically, with the y of their
     # concrete canonical pair; every assignment of the free bits must
-    # transmit to that y, also with the channel bits fixed (the fallback).
+    # transmit to that y.
     e, sequences = enumeration(params)
     rounds, parts, _combos, _orbit = data.draw(st.sampled_from(sequences), label="sequence")
-    channel = _channel(rounds, params.n)
-    u = data.draw(st.integers(0, 2 ** len(channel) - 1), label="fixed channel bits")
-    for opened, _columns, free in (e.openings(rounds, parts, channel), e.openings(_fixed(rounds, channel, u), parts, [])):
-        assert len(opened) == len(rounds) and free in (0, len(channel))
-        bits = e.layout.free_bits + free
-        for a in data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=4), label="assignments"):
-            for (_pair, verdict), o in zip(rounds, opened):
-                assert o.y is verdict.y and o.abort_reason == verdict.abort_reason
-                assert transmit(evaluate(o.x1, a), evaluate(o.x2, a)).y.tolist() == o.y.tolist()
+    opened, _columns, free = e.openings(rounds, parts)
+    assert len(opened) == len(rounds) and free == sum(bin(v1 ^ v2).count("1") for (v1, v2), _verdict in rounds)
+    bits = e.layout.free_bits + free
+    for a in data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=4), label="assignments"):
+        for (_pair, verdict), o in zip(rounds, opened):
+            assert o.y is verdict.y and o.abort_reason == verdict.abort_reason
+            assert transmit(evaluate(o.x1, a), evaluate(o.x2, a)).y.tolist() == o.y.tolist()
 
 
 @given(st.data())
@@ -185,8 +186,30 @@ def test_remembered_sums_are_read_only():
         with pytest.raises(ValueError):
             verdict.y[0] = 2
     for rounds, parts, _combos, _orbit in sequences:
-        opened, _columns, _free = e.openings(rounds, parts, _channel(rounds, 2))
+        opened, _columns, _free = e.openings(rounds, parts)
         assert all(o.y is verdict.y for (_pair, verdict), o in zip(rounds, opened))
+
+
+def test_symbolic_recovery_is_compared_only_when_read():
+    # Under reuse-pad server 1 pads its second message with its inputs on
+    # the first published set, which is hidden for z1 = 2, so the recovered
+    # file depends on a channel bit.  The session still returns every
+    # transcript; reading recovery_ok raises, or is None on abort.
+    params = ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0)
+    e = _Enumeration(params, False, "reuse-pad")
+    files1, files2, masks1, masks2 = e.symbols  # _Layout.symbols with every channel bit
+    plan = plan_multifile(params, files1, files2, Selection(2, 1), masks1, masks2, mutation="reuse-pad")
+    aborts = set()
+    for rounds, parts, _combos, _orbit in e.sequences():
+        mt = execute_multifile(plan, e.openings(rounds, parts)[0])
+        aborts.add(mt.aborted)
+        if mt.aborted:
+            assert mt.recovery_ok is None and mt.transcripts[0].recovery_ok is None
+            continue
+        for transcript in (mt, mt.transcripts[0]):
+            with pytest.raises(TypeError):
+                transcript.recovery_ok
+    assert aborts == {False, True}
 
 
 def test_concrete_views_raise_type_error():

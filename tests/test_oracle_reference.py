@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from adder_spir import oracle
+from adder_spir import multifile, oracle
 from adder_spir.model import ProtocolParams
 from adder_spir.protocol import MUTATIONS, abort_check
 from brute_force import _estimate_multifile, _estimate_two_file, reference_enumeration
@@ -149,6 +149,21 @@ def test_n4_abort_disabled_matches_reference(n4_reference):
 
 def test_multifile_matches_reference():
     _cross_check(MULTI, _Reference(MULTI, "multifile", dict_mi=False), conditionings=(False,))
+
+
+def test_recovery_of_another_file_matches_reference(monkeypatch):
+    # The client reconstructs a file it did not request, so whether recovery
+    # succeeded depends on the file bits: the oracle checks it row by row
+    # and must report the reference's reliability error, exactly one half.
+    reconstruct = multifile.reconstruct
+
+    def misdirected(Z, L, chosen):
+        return reconstruct(1 if Z > 1 else 2, L, chosen)
+
+    monkeypatch.setattr(multifile, "reconstruct", misdirected)
+    reference = _Reference(MULTI, "multifile", dict_mi=False)
+    assert reference.audit(False)[0] == 0.5
+    _cross_check(MULTI, reference, conditionings=(False,))
 
 
 @st.composite

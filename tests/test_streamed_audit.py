@@ -10,6 +10,7 @@ trivial group must print the same records.
 
 import functools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,19 +125,22 @@ def test_tally_stack_halves():
 
 def test_audit_keys_wider_than_int64_are_a_configuration_error(monkeypatch):
     # With empty files at L = 2x2 the audit reduces by S_n.  Server 1's
-    # canonical view key holds a skeleton id (below the rows enumerated,
-    # 2^32 at n = 28 and 2^33 at n = 29) above its n sorted channel-input
-    # bits, and the selection's 2 bits sit below it: n = 28 needs 62 bits,
-    # n = 29 needs 64.  The guard runs before any replay, whatever the budget.
+    # canonical view key holds a skeleton id (below the skeletons, one
+    # opened pair per count of 0-, 2- and hidden positions times 4
+    # selections: 4,704 at n = 47 and 4,900 at n = 48, 13 bits) above its n
+    # sorted channel-input bits, and the selection's 2 bits sit below it:
+    # n = 47 needs 62 bits, n = 48 needs 63.  The guard counts the skeletons
+    # before any replay and runs whatever the budget.
     def enumeration(n):
         params = ProtocolParams(n=n, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)
         return params, oracle._Enumeration(params, False, None, oracle._group(params))
 
-    fits, wide = enumeration(28), enumeration(29)
+    fits, wide = enumeration(47), enumeration(48)
     assert fits[1].group == wide[1].group == oracle.POSITIONS
-    oracle._PairKeys(fits[1], fits[1].rows)
+    oracle._PairKeys(fits[1])
+    assert (fits[1].skeleton_count, fits[1].replays) == (4 * math.comb(49, 2), 0)
     monkeypatch.setattr(oracle._Enumeration, "chunks", lambda self: pytest.fail("enumerated past the key check"))
-    with pytest.raises(ConfigurationError, match="client_privacy_s1 needs 64-bit audit keys"):
+    with pytest.raises(ConfigurationError, match="client_privacy_s1 needs 63-bit audit keys"):
         oracle.audit(wide[0], state_budget=wide[1].rows)
 
 
