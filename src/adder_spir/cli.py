@@ -33,7 +33,7 @@ from .model import (
     trial_seeds,
 )
 from .multifile import run_multifile
-from .oracle import StateBudgetExceeded, audit, DEFAULT_STATE_BUDGET
+from .oracle import StateBudgetExceeded, audit, DEFAULT_STATE_BUDGET, _MAX_CODE_BITS
 from .protocol import run_session_adaptive
 
 __all__ = ["main", "build_parser"]
@@ -283,7 +283,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
         f"mutual information in {report.information_s:.3f} s; "
-        f"{report.chunks} chunks, at most {report.view_pairs} distinct view pairs",
+        f"{report.chunks} chunks, at most {report.view_pairs} distinct view pairs; "
+        f"audit keys up to {report.key_bits} of {_MAX_CODE_BITS} bits",
         file=sys.stderr,
     )
     return EXIT_OK if report.all_zero() else EXIT_CHECK_FAILED

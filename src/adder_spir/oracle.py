@@ -54,11 +54,16 @@ fixes every secret (the selection, the files, the unselected files).  When
 every published set holds at most one position (ell1, ell2 <= 1), each
 message bit belongs to one position, so such a permutation also maps each
 view onto a view of equal probability, and the group is S_n acting on each
-executed round separately.  Then I(V; S) = I(canon(V); S), where
-canon(V) keeps V's non-positional parts and, per round, its per-position
-labels sorted; the same holds for the integer factoring test behind exact
-zeros.  So the audit opens one channel-input pair per orbit (its counts of
-0-, 2- and hidden positions) and one partition per orbit of the
+executed round separately.  Then I(V; S) = I(canon(V); S) for any canon
+that maps exactly the views of one orbit together; the same holds for the
+integer factoring test behind exact zeros.  Each position of a published
+set is named by its set, and every other position carries message bit 0,
+so canon(V) keeps V's non-positional parts (its messages among them) and
+each round's verdict; a server's also keeps, per round, its input bits at
+the published sets and its count of ones at the other positions, and the
+client's each round's (sum, share role, set role) labels sorted along the
+positions.  So the audit opens one channel-input pair per orbit (its counts
+of 0-, 2- and hidden positions) and one partition per orbit of the
 permutations that fix its y, weights each row by the number of rows its
 orbit stands for, and keys every view by its canonical form.  With ell >= 2
 the file bit XORed into a message bit depends on its position's rank
@@ -152,16 +157,7 @@ TRIVIAL = "trivial"
 POSITIONS = "S_n per round"
 # Variables that name positions of a round, bit by bit or as index sets: the
 # position group acts on them and on nothing else.
-_POSITIONAL = ("x1", "x2", "y", "sets", "u0", "msgs1", "msgs2")
-# The per-position labels of each view under the position group: components
-# fixed by the skeleton (a channel output sum, the position's share role and
-# published set role), then components that vary by row (a channel input
-# bit, the message bit of the position's set: one server's, or either's).
-_LABELS = {
-    SERVER1_VIEW: (("set",), ("x1", "m1")),
-    SERVER2_VIEW: (("set",), ("x2", "m2")),
-    CLIENT_VIEW: (("y", "share", "set"), ("m",)),
-}
+_POSITIONAL = ("x1", "x2", "y", "sets", "u0")
 
 
 def _group(params: ProtocolParams) -> str:
@@ -188,9 +184,9 @@ class LeakageReport:
     (the runs of rows it was streamed in), ``view_pairs`` (the distinct
     (view, secret) pairs of the largest tally), ``group`` (the position
     group it reduced by), ``orbit_sequences`` (the channel-input sequences
-    it enumerated), ``enumerated_rows`` and ``answered_rounds`` (the rounds
-    the replays answered, each opening once per selection) stay out of the
-    record.
+    it enumerated), ``enumerated_rows``, ``answered_rounds`` (the rounds
+    the replays answered, each opening once per selection) and ``key_bits``
+    (the bits of the widest audited pair's keys) stay out of the record.
     """
 
     params: ProtocolParams
@@ -215,6 +211,7 @@ class LeakageReport:
     orbit_sequences: int = 0
     enumerated_rows: int = 0
     answered_rounds: int = 0
+    key_bits: int = 0
 
     @property
     def mode(self) -> str:
@@ -743,13 +740,20 @@ class _PairKeys:
     equal values and the masses grouped by key are the masses grouped by
     value.
 
-    Under ``POSITIONS`` a view is keyed by its canonical form instead: each
-    round's per-position ``_LABELS`` sorted along the positions.  Its
-    constants are its non-positional ones, the verdict of each executed
-    round (whether it aborted, and why) and the sorted skeleton components
-    of its labels, so its ids stay below the number of skeletons only; its
-    row-varying codes are its files and masks, then the row components of
-    its sorted labels.  Equal keys then mean views in one orbit.
+    Under ``POSITIONS`` every published set holds at most one position, and
+    a view is keyed by its canonical form instead.  Its constants are its
+    non-positional ones and the verdict of each executed round (whether it
+    aborted, and why), which stand in for the round tags; the client's also
+    hold each round's (sum, share role, set role) labels sorted along the
+    positions.  Its row-varying codes are its files, masks and messages,
+    and a server's view ends with one digit per round: its channel-input
+    bits at the S non-empty published sets, in a, b, c, d order, times
+    n - S + 1, plus its count of ones at the other positions.  A live round
+    publishes sets of the same sizes whatever its partition, so the verdicts
+    also fix the server's set labels.  Each set position is named by its
+    set, and every other position carries message bit 0 and, in a server's
+    view, only its input bit, so equal keys mean views in one orbit.  The
+    ids stay below the number of skeletons only.
     """
 
     def __init__(self, enumeration: _Enumeration):
@@ -762,30 +766,31 @@ class _PairKeys:
         # Share slots: the published sets a, b, c, d and the client's g1, g2, b1, b2.
         self.set_codes = _role_codes((lay.p1, lay.p1, lay.p2, lay.p2))
         self.share_codes = _role_codes((lay.p1, lay.p2, lay.p1, lay.p2))
-        roles = 1 + max(self.set_codes)
-        radix = {"y": 3, "share": roles, "set": roles, "x1": 2, "x2": 2,
-                 "m1": 1 + bool(lay.p1), "m2": 1 + bool(lay.p2), "m": 1 + bool(lay.p1 or lay.p2)}
-        self.groups = {}  # group -> (constants, row-varying names, label radices, key bits)
+        # S, the non-empty published sets.  A live round's digit is below
+        # 2^S (n - S + 1); an aborted round's is at most n.
+        self.published = S = max(self.set_codes)
+        self.digit_bits = max(2**S * (lay.n - S + 1) - 1, lay.n).bit_length()
+        views = {view for view, _secret in _PAIRS.values()}
+        self.groups = {}  # group -> (constants, row-varying codes, digitised channel inputs, key bits)
         for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
-            labels = _LABELS.get(group) if self.symmetric else None
-            members = [v for v in group if v not in _POSITIONAL] if labels else group
+            canonical = self.symmetric and group in views
+            members = [v for v in group if v not in _POSITIONAL] if canonical else group
             constants = [v for v in members if v in _SKELETON]
-            if labels:
-                constants.append("verdicts")
+            if canonical:
+                constants += ["verdicts", "labels"] if group == CLIENT_VIEW else ["verdicts"]
             else:
                 constants += [t for v in group for t in _TAGS.get(v, ())]
             constants = tuple(dict.fromkeys(constants))
             varying = [v for v in members if v in self.widths]
-            ids = skeletons if labels else min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
-            bits = (ids - 1).bit_length() + sum(self.widths[v] for v in varying)
-            if labels:
-                labels = tuple({name: radix[name] for name in part} for part in labels)
-                bits += lay.K * lay.n * _digit_bits(labels[1])
-            self.groups[group] = constants, varying, labels, bits
-        for name, (view, secret) in _PAIRS.items():
-            bits = self.groups[view][3] + self.groups[secret][3]
+            inputs = [v for v in group if v in ("x1", "x2")] if canonical else []
+            ids = skeletons if canonical else min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
+            bits = (ids - 1).bit_length() + sum(self.widths[v] for v in varying) + len(inputs) * lay.K * self.digit_bits
+            self.groups[group] = constants, varying, inputs, bits
+        widths = {name: self.groups[view][3] + self.groups[secret][3] for name, (view, secret) in _PAIRS.items()}
+        for name, bits in widths.items():
             if bits > _MAX_CODE_BITS:
                 raise ConfigurationError(f"{name} needs {bits}-bit audit keys, more than {_MAX_CODE_BITS}")
+        self.key_bits = max(widths.values())
         self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
         self.decoded = {name: [] for name in ("y", "sets", "u0")}  # labels per interned value
         self.stacked: dict[str, np.ndarray] = {}
@@ -798,67 +803,60 @@ class _PairKeys:
     def pairs(self, chunk: _Chunk) -> list[np.ndarray]:
         """The key of every row of ``chunk`` for each pair of ``_PAIRS``."""
         table = dict(zip(_SKELETON, chunk.table.T))
-        labels = self._labels(chunk, table) if self.symmetric else {}
+        constants = {name: column.tolist() for name, column in table.items()}
+        if self.symmetric:
+            self._decode()
+            constants["verdicts"] = [self.verdict_ids[s] for s in constants["sets"]]
+            roles = 1 + self.published
+            labels = self.stacked["y"][table["y"]] * roles + self.stacked["u0"][table["u0"]]
+            labels = labels * roles + self.stacked["sets"][table["sets"]]
+            labels.sort(axis=-1)
+            constants["labels"] = [row.tobytes() for row in labels]
         keys = {}
-        for group, (constants, varying, radices, _bits) in self.groups.items():
+        for group, (names, varying, inputs, _bits) in self.groups.items():
             key = np.zeros(len(chunk.skel), dtype=np.int64)
-            columns = [table[c].tolist() for c in constants]
-            if radices:
-                fixed, digits = self._canonical(chunk, radices, labels)
-                columns.append(fixed)
-            if columns:
-                ids = self.ids.setdefault((constants, tuple(radices[0]) if radices else ()), {})
-                per_skeleton = [ids.setdefault(v, len(ids)) for v in zip(*columns)]
+            if names:
+                ids = self.ids.setdefault(names, {})
+                per_skeleton = [ids.setdefault(v, len(ids)) for v in zip(*(constants[c] for c in names))]
                 key = np.array(per_skeleton, dtype=np.int64)[chunk.skel]
             for v in varying:
                 key = (key << self.widths[v]) | chunk.columns[v]
-            if radices:
-                width = _digit_bits(radices[1])
-                for column in digits.T:
-                    key = (key << width) | column
+            for v in inputs:
+                for digit in self._digits(chunk, table, v):
+                    key = (key << self.digit_bits) | digit
             keys[group] = key
         return [(keys[view] << self.groups[secret][3]) | keys[secret] for view, secret in _PAIRS.values()]
 
-    def _canonical(self, chunk: _Chunk, radices: tuple, labels: dict) -> tuple[list, np.ndarray]:
-        """Each round's labels of a view sorted along the positions: per
-        skeleton its sorted skeleton components (bytes), and per row the
-        row components in that order (one column per round and position)."""
-        fixed, varying = (_mixed_radix(part, labels) for part in radices)
-        base = math.prod(radices[1].values())
-        label = np.sort(fixed[chunk.skel] * base + varying, axis=-1)
-        fixed.sort(axis=-1)
-        return [row.tobytes() for row in fixed], (label % base).reshape(len(label), self.layout.K * self.layout.n)
-
-    def _labels(self, chunk: _Chunk, table: dict) -> dict:
-        """Each label component of ``chunk``: a skeleton component per
-        (skeleton, round, position), a row component per (row, round,
-        position).  Adds each skeleton's round verdicts to ``table``."""
-        lay = self.layout
-        n, K = lay.n, lay.K
-        self._decode()
-        table["verdicts"] = np.array(self.verdict_ids, dtype=np.int64)[table["sets"]]
-        labels = {label: self.stacked[name][table[name]] for label, name in (("y", "y"), ("set", "sets"), ("share", "u0"))}
-        skel, rounds = chunk.skel, np.arange(K)
+    def _digits(self, chunk: _Chunk, table: dict, name: str):
+        """Per round, first round first, one digit per row of the channel
+        input ``name``: its bits at the S non-empty published sets, in a, b,
+        c, d order, times n - S + 1, plus its count of ones at the other
+        positions.  A round that aborted publishes no set, and a round not
+        executed has no bits."""
+        n, S = self.layout.n, self.published
+        # Per skeleton, round and non-empty set, its position's shift in the
+        # round's n bits; n, which reads a 0 bit, where the round publishes none.
+        roles = self.stacked["sets"][table["sets"]]
+        shifts = np.full((*roles.shape[:2], S), n)
+        s, r, p = np.nonzero(roles)
+        shifts[s, r, roles[s, r, p] - 1] = n - 1 - p
+        skel = chunk.skel
         executed = table["executed"][skel]
-        # Bit i of round r of a channel input sits at shift (executed - 1 - r) n + n - 1 - i.
-        shift = ((executed[:, None] - 1 - rounds) * n)[:, :, None] + np.arange(n - 1, -1, -1)
-        for name in ("x1", "x2"):
-            labels[name] = np.where(shift >= 0, chunk.columns[name][:, None, None] >> np.maximum(shift, 0) & 1, 0)
-        # Message j of live round r, one bit, sits at shift 2 (live - 1 - r) + 1 - j.
-        base = 2 * ((executed - table["abort"][skel])[:, None] - 1 - rounds)
-        sets = labels["set"][skel]
-        for label, name, slots in (("m1", "msgs1", (0, 1)), ("m2", "msgs2", (2, 3))):
-            bits = np.zeros_like(sets)
-            for j, slot in enumerate(slots):
-                if self.set_codes[slot]:
-                    message = np.where(base >= 0, chunk.columns[name][:, None] >> np.maximum(base + 1 - j, 0) & 1, 0)
-                    bits += (sets == self.set_codes[slot]) * message[:, :, None]
-            labels[label] = bits
-        labels["m"] = labels["m1"] + labels["m2"]
-        return labels
+        for r in range(self.layout.K):
+            # Round r's n bits sit at shift (executed - 1 - r) n.
+            at = (executed - 1 - r) * n
+            word = np.where(at >= 0, chunk.columns[name] >> np.maximum(at, 0) & _mask(n), 0)
+            ones = sum(word >> i & 1 for i in range(n))
+            bits = np.zeros_like(word)
+            for j in range(S):
+                bit = word >> shifts[skel, r, j] & 1
+                bits = bits << 1 | bit
+                ones = ones - bit
+            yield bits * (n - S + 1) + ones
 
     def _decode(self) -> None:
-        """Per-position labels of each interned y, sets and u0 value not yet decoded."""
+        """Per-position labels of each interned y, sets and u0 value not yet
+        decoded, and the id of each sets value's round verdicts."""
         K, n = self.layout.K, self.layout.n
         for name, done in self.decoded.items():
             values = self.interned[name]
@@ -887,19 +885,6 @@ def _role_codes(sizes) -> list[int]:
     """A label per share slot: 1, 2, ... over the slots of nonzero size, in
     order, and 0 for an empty slot."""
     return [count if size else 0 for size, count in zip(sizes, itertools.accumulate(bool(s) for s in sizes))]
-
-
-def _mixed_radix(radices: dict, labels: dict) -> np.ndarray:
-    """The label components named by ``radices`` as one new label array, the first component lowest."""
-    label = np.zeros(1, dtype=np.int64)
-    for name, radix in reversed(radices.items()):
-        label = label * radix + labels[name]
-    return label
-
-
-def _digit_bits(radices: dict) -> int:
-    """Bits of one position's row components."""
-    return (math.prod(radices.values()) - 1).bit_length()
 
 
 def _reduce(keys: np.ndarray, weights: np.ndarray, kind: Optional[str] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -1016,5 +1001,5 @@ def audit(
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
         group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows,
-        answered_rounds=sum(len(plan.answers) for plan in enumeration.plans.values()),
+        answered_rounds=sum(len(plan.answers) for plan in enumeration.plans.values()), key_bits=keys.key_bits,
     )

@@ -5,12 +5,15 @@ position group.
 and adds each chunk into one tally per audited (view, secret) pair, so no
 chunk size may change a record or the enumerated table.  It enumerates one
 skeleton per orbit of the position group, so neither may the group: the
-trivial group must print the same records.
+trivial group must print the same records.  It keys each view by a
+canonical form, which must give two enumerated views one key exactly when
+a brute-force search over the permutations of each round's positions maps
+one onto the other.
 """
 
 import functools
+import itertools
 import json
-import math
 
 import numpy as np
 import pytest
@@ -25,6 +28,9 @@ from adder_spir.protocol import MUTATIONS
 N4 = ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
 L3X2 = ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0)
 INSTANCES = {"n4": N4, "L3x2": L3X2}
+# Server 1 publishes no set position, so the set role codes start at set c.
+L2X3 = ProtocolParams(n=2, t_exponent=0.4, alpha=0, L1=2, L2=3, ell1=0, ell2=1)
+GROUP_INSTANCES = {**INSTANCES, "L2x3": L2X3}
 # (condition_nonabort, abort_disabled)
 CONDITIONS = [(False, False), (True, False), (False, True)]
 
@@ -48,7 +54,7 @@ def _records(params) -> list[str]:
 def _one_chunk(name: str) -> tuple[list[str], int]:
     """The records of one instance streamed as one chunk, and the rows it
     enumerates (fewer than the full table's: one skeleton per orbit)."""
-    params = INSTANCES[name]
+    params = GROUP_INSTANCES[name]
     report = oracle.audit(params)
     rows = report.enumerated_rows
     assert report.group == oracle.POSITIONS and rows < report.state_count == oracle.required_states(params)
@@ -67,16 +73,68 @@ def test_chunking_changes_no_record(monkeypatch, name, chunking):
     assert _records(INSTANCES[name]) == expected
 
 
-@pytest.mark.parametrize("name", sorted(INSTANCES))
+@pytest.mark.parametrize("name", sorted(GROUP_INSTANCES))
 def test_position_group_changes_no_record(monkeypatch, name):
     # Every audit of the instance (honest and each mutation, under each of
     # CONDITIONS) replayed on the trivial group: exact zeros, non-zero
     # leakages, reliability errors and state counts all equal.
     expected, _rows = _one_chunk(name)
     monkeypatch.setattr(oracle, "_group", lambda params: oracle.TRIVIAL)
-    report = oracle.audit(INSTANCES[name])
+    report = oracle.audit(GROUP_INSTANCES[name])
     assert report.group == oracle.TRIVIAL and report.enumerated_rows == report.state_count
-    assert _records(INSTANCES[name]) == expected
+    assert _records(GROUP_INSTANCES[name]) == expected
+
+
+@functools.cache
+def _least_image(values: tuple, shares: tuple) -> tuple:
+    """The least image of one round's per-position ``values`` and 1-based
+    index sets ``shares`` under every permutation of its positions."""
+    images = []
+    for perm in itertools.permutations(range(len(values))):
+        moved = [0] * len(values)
+        for p, q in enumerate(perm):
+            moved[q] = values[p]
+        images.append((tuple(moved), tuple(tuple(sorted(perm[p - 1] + 1 for p in s)) for s in shares)))
+    return min(images)
+
+
+def _orbit(enumeration, interned: dict, codes: dict, row: int, view) -> tuple:
+    """A view of one row with each round replaced by its verdict and least
+    image: equal for exactly the views of one orbit of the position group."""
+    published = interned["sets"][codes["sets"][row]]
+    if view == oracle.CLIENT_VIEW:
+        values = [tuple(y) for y in interned["y"][codes["y"][row]]]
+        parts = interned["u0"][codes["u0"][row]]
+        shares = [
+            (sets or ()) + (parts[r] if r < len(parts) else ())
+            for r, (_aborted, _reason, sets) in enumerate(published)
+        ]
+    else:
+        values = [tuple(x.bits.tolist()) for x in enumeration._inputs(codes[view[2]][row])]
+        shares = [sets or () for _aborted, _reason, sets in published]
+    rounds = tuple(
+        (aborted, reason, _least_image(v, s)) for (aborted, reason, _sets), v, s in zip(published, values, shares)
+    )
+    return tuple(codes[name][row] for name in view if name not in ("x1", "x2", "y", "u0", "sets")) + rounds
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_INSTANCES))
+def test_canonical_keys_are_orbits(name):
+    # Two enumerated views get one key exactly when a permutation of each
+    # round's positions carries one onto the other.
+    enumeration = oracle._Enumeration(GROUP_INSTANCES[name], False, None, oracle.POSITIONS)
+    keys = oracle._PairKeys(enumeration)
+    seen = {pair: set() for pair in ("client_privacy_s1", "client_privacy_s2", "servers_vs_client")}
+    for chunk in enumeration.chunks():
+        codes = dict(zip(oracle.VARIABLES, enumeration.codes(chunk).T.tolist()))
+        interned = {var: list(values) for var, values in enumeration.interned.items()}
+        pairs = dict(zip(oracle._PAIRS, keys.pairs(chunk)))
+        for pair, found in seen.items():
+            view = oracle._PAIRS[pair][0]
+            view_keys = (pairs[pair] >> keys.secret_bits(pair)).tolist()
+            found.update((key, _orbit(enumeration, interned, codes, row, view)) for row, key in enumerate(view_keys))
+    for found in seen.values():
+        assert len(found) == len({key for key, _image in found}) == len({image for _key, image in found})
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -123,25 +181,37 @@ def test_tally_stack_halves():
     assert len(tally.total()[0]) == 1001
 
 
-def test_audit_keys_wider_than_int64_are_a_configuration_error(monkeypatch):
-    # With empty files at L = 2x2 the audit reduces by S_n.  Server 1's
-    # canonical view key holds a skeleton id (below the skeletons, one
-    # opened pair per count of 0-, 2- and hidden positions times 4
-    # selections: 4,704 at n = 47 and 4,900 at n = 48, 13 bits) above its n
-    # sorted channel-input bits, and the selection's 2 bits sit below it:
-    # n = 47 needs 62 bits, n = 48 needs 63.  The guard counts the skeletons
-    # before any replay and runs whatever the budget.
-    def enumeration(n):
-        params = ProtocolParams(n=n, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)
-        return params, oracle._Enumeration(params, False, None, oracle._group(params))
+@pytest.mark.parametrize(
+    "shape, n, ell, bits",
+    [
+        # Empty files at L = 2x2: a skeleton id below 4 C(n + 2, 2) skeletons
+        # (13 bits at both n), one 6-bit digit (the count of ones) per round
+        # and the selection's 2 bits.
+        ((2, 2), 47, (0, 0), 21),
+        ((2, 2), 48, (0, 0), 21),
+        # Nine rounds at n = 1, where every round aborts: one 1-bit digit
+        # per round and each server's two reserved message bits per round.
+        ((4, 4), 1, (1, 0), 55),
+        ((3, 3), 2, (1, 0), 38),
+    ],
+    ids=["2x2-n47", "2x2-n48", "4x4-n1", "3x3-n2"],
+)
+def test_widest_audit_keys(shape, n, ell, bits):
+    params = ProtocolParams(n=n, t_exponent=0.4, alpha=1, L1=shape[0], L2=shape[1], ell1=ell[0], ell2=ell[1])
+    enumeration = oracle._Enumeration(params, False, None, oracle._group(params))
+    assert enumeration.group == oracle.POSITIONS
+    assert oracle._PairKeys(enumeration).key_bits == bits
+    assert enumeration.replays == 0
 
-    fits, wide = enumeration(47), enumeration(48)
-    assert fits[1].group == wide[1].group == oracle.POSITIONS
-    oracle._PairKeys(fits[1])
-    assert (fits[1].skeleton_count, fits[1].replays) == (4 * math.comb(49, 2), 0)
+
+def test_audit_keys_wider_than_the_bound_are_a_configuration_error(monkeypatch):
+    # N4's codes need 10 bits and its widest keys 16.  The key guard runs
+    # before any replay.
+    assert oracle._PairKeys(oracle._Enumeration(N4, False, None, oracle.POSITIONS)).key_bits == 16
+    monkeypatch.setattr(oracle, "_MAX_CODE_BITS", 15)
     monkeypatch.setattr(oracle._Enumeration, "chunks", lambda self: pytest.fail("enumerated past the key check"))
-    with pytest.raises(ConfigurationError, match="client_privacy_s1 needs 63-bit audit keys"):
-        oracle.audit(wide[0], state_budget=wide[1].rows)
+    with pytest.raises(ConfigurationError, match="^client_privacy_s1 needs 16-bit audit keys, more than 15$"):
+        oracle.audit(N4)
 
 
 def test_progress_goes_to_stderr_only(monkeypatch, capsys):
@@ -158,6 +228,7 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     quiet = body()
     assert "rows/s" not in quiet[2]
     assert "1 chunks, at most " in quiet[2]
+    assert quiet[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
     assert "1792 states from 448 rows of 11 orbit sequences under S_n per round" in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", 150)
@@ -167,3 +238,4 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     assert len(progress) == 3
     assert progress[-1].startswith("audit: 448 of 448 rows, standing for 1,792 of 1,792; 11 orbit sequences under S_n per round; ")
     assert "3 chunks, at most " in loud[2]
+    assert loud[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
