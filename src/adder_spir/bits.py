@@ -204,7 +204,8 @@ class AffineBits(BitString):
             raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
         if not isinstance(other, AffineBits):
             return AffineBits((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
-        _check_columns(self, other)
+        if len(self._cols) != len(other._cols):
+            _check_columns(self, other)
         return AffineBits(tuple(map(operator.xor, self._cols, other._cols)), self._length)
 
     __rxor__ = __xor__
@@ -220,10 +221,13 @@ class AffineBits(BitString):
 
     @classmethod
     def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
+        if len(parts) == 1:
+            return parts[0]
         cols, length = parts[0]._cols, parts[0]._length
         for p in parts[1:]:
-            _check_columns(parts[0], p)
-            cols = tuple((c << p._length) | d for c, d in zip(cols, p._cols))
+            if len(p._cols) != len(cols):
+                _check_columns(parts[0], p)
+            cols = tuple(map(operator.or_, map(operator.lshift, cols, [p._length] * len(cols)), p._cols))
             length += p._length
         return cls(cols, length)
 
@@ -271,6 +275,7 @@ class AffineBits(BitString):
 
 
 def _check_columns(a: AffineBits, b: AffineBits) -> None:
+    """Raise unless ``a`` and ``b`` have the same number of free bits."""
     if len(a._cols) != len(b._cols):
         raise ValueError(f"free bit count mismatch: {len(a._cols) - 1} vs {len(b._cols) - 1}")
 

@@ -277,8 +277,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "mutate", "no_abort", "condition_nonabort")}
     config["alpha"] = float(args.alpha)
     _emit([_header("audit", config), report.to_record()], args.out)
+    expanded = f" ({report.expanded_rows} expanded)" if report.expanded_rows != report.enumerated_rows else ""
     print(
-        f"audit: {report.state_count} states from {report.enumerated_rows} rows of "
+        f"audit: {report.state_count} states from {report.enumerated_rows} rows{expanded} of "
         f"{report.orbit_sequences} orbit sequences under {report.group}, {report.replays} replays "
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "

@@ -154,9 +154,15 @@ class JointDistribution:
         return [pos[n] for n in names]
 
     def _column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct codes, dense id of each row) of column ``j``."""
+        """(distinct codes, dense id of each row) of column ``j``; an
+        ascending column is read as runs, without a sort."""
         if j not in self._columns:
-            self._columns[j] = np.unique(self._codes[:, j], return_inverse=True)
+            column = self._codes[:, j]
+            if column.size and (column[1:] >= column[:-1]).all():
+                first = np.concatenate(([True], column[1:] != column[:-1]))
+                self._columns[j] = column[first], np.cumsum(first) - 1
+            else:
+                self._columns[j] = np.unique(column, return_inverse=True)
         return self._columns[j]
 
     def _decoded_column(self, j: int) -> list:
@@ -164,9 +170,12 @@ class JointDistribution:
         values = [self._decoders[j](c) for c in uniq.tolist()]
         return [values[i] for i in inverse.tolist()]
 
-    def _group(self, idx: Iterable[int]) -> tuple[np.ndarray, int]:
+    def _group(self, idx: Sequence[int]) -> tuple[np.ndarray, int]:
         """Dense group id per row of its value tuple in columns ``idx``
         (ascending), and the number of groups."""
+        if len(idx) == 1:
+            uniq, inverse = self._column(idx[0])
+            return inverse, len(uniq)
         ids = np.zeros(len(self), dtype=np.int64)
         count = 1
         for j in idx:
@@ -230,14 +239,21 @@ class JointDistribution:
         return -math.fsum((p * np.log2(p)).tolist())
 
     def mutual_information(self, group_a: Sequence[str], group_b: Sequence[str]) -> float:
-        """I(A; B) in bits, computed exactly over the table."""
+        """I(A; B) in bits, computed exactly over the table.
+
+        When A and B together name every variable, each row is its own
+        (a, b) pair, since rows are distinct, and its numerator is that
+        pair's mass."""
         if set(group_a) & set(group_b):
             raise ValueError("variable groups must be disjoint")
         ida, ca = self._grouped_masses(self._indices(group_a))
         idb, cb = self._grouped_masses(self._indices(group_b))
-        pairs, joint = _renumber(ida * len(cb) + idb, len(ca) * len(cb))
+        cells = len(ca) * len(cb)
+        if set(group_a) | set(group_b) == set(self.names):
+            return _mutual_information(self._weights, ca[ida], cb[idb], self._den, cells)
+        pairs, joint = _renumber(ida * len(cb) + idb, cells)
         cab = self._group_sum(joint, len(pairs))
-        return _mutual_information(cab, ca[pairs // len(cb)], cb[pairs % len(cb)], self._den, len(ca) * len(cb))
+        return _mutual_information(cab, ca[pairs // len(cb)], cb[pairs % len(cb)], self._den, cells)
 
     def conditional_mutual_information(
         self, group_a: Sequence[str], group_b: Sequence[str], group_c: Sequence[str]

@@ -191,7 +191,8 @@ def _chains(store: FileStore, n_parts: int, masks: Sequence[Sequence[BitString]]
 class MultifilePlan:
     """One reduction's checked inputs, from :func:`plan_multifile`: per round
     its two-file stores and branch choices, per part index of each server the
-    rounds that reconstruct it, and the requested files.
+    rounds that reconstruct it, the requested files, and ``shape``, the
+    (L1, L2, part lengths, pairing) header of every transcript it returns.
 
     ``answers`` holds every round the plan has answered, keyed by the round
     index and the identity of its opening, with that opening, so a run that
@@ -209,6 +210,7 @@ class MultifilePlan:
     selections: tuple[tuple[int, int], ...]
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     requested: tuple[BitString, BitString]
+    shape: tuple
     answers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -243,7 +245,8 @@ def plan_multifile(
     requested = (files1.file(sel.z1), files2.file(sel.z2))
     # Every round is a two-file session at the per-round lengths (ell1, ell2).
     round_params = replace(params, L1=2, L2=2)
-    return MultifilePlan(params, round_params, sel, mutation, rounds, selections, (order1, order2), requested)
+    shape = (L1, L2, params.ell1, params.ell2, flatten_rounds(L1, L2))
+    return MultifilePlan(params, round_params, sel, mutation, rounds, selections, (order1, order2), requested, shape)
 
 
 def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> MultifileTranscript:
@@ -255,35 +258,33 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
     opening object the plan has answered at that round before is not
     answered again (:class:`MultifilePlan`).
     """
-    params, sel = plan.params, plan.sel
-    L1, L2 = params.L1, params.L2
-    shape = (L1, L2, params.ell1, params.ell2, flatten_rounds(L1, L2))
     openings = iter(openings)
-
+    answers = plan.answers
     transcripts: list[Transcript] = []
     for k, (store1, store2, round_sel) in enumerate(plan.rounds):
         opening = next(openings, None)
         if opening is None:
             break
-        answered = plan.answers.get((k, id(opening)))
+        answered = answers.get((k, id(opening)))
         if answered is None:
             transcript = execute_session(plan.round_params, store1, store2, round_sel, opening, mutation=plan.mutation)
-            plan.answers[k, id(opening)] = opening, transcript
+            answers[k, id(opening)] = opening, transcript
         else:
             transcript = answered[1]
         transcripts.append(transcript)
         if transcript.aborted:
-            return MultifileTranscript(*shape, plan.selections[: k + 1], tuple(transcripts), aborted=True)
+            return MultifileTranscript(*plan.shape, plan.selections[: k + 1], tuple(transcripts), aborted=True)
     if len(transcripts) < len(plan.rounds) or next(openings, None) is not None:
         raise ConfigurationError(f"expected openings of {len(plan.rounds)} rounds")
 
-    order1, order2 = plan.orders
+    sel, (order1, order2) = plan.sel, plan.orders
+    L1, L2 = plan.shape[:2]
     parts1 = [reconstruct(sel.z1, L1, [transcripts[k].recovered[0] for k in ks]) for ks in order1]
     parts2 = [reconstruct(sel.z2, L2, [transcripts[k].recovered[1] for k in ks]) for ks in order2]
     # Joined by the parts' own type, which the oracle's symbolic values override.
     recovered = (type(parts1[0]).join(parts1), type(parts2[0]).join(parts2))
     return MultifileTranscript(
-        *shape, plan.selections, tuple(transcripts), aborted=False, recovered=recovered, requested=plan.requested,
+        *plan.shape, plan.selections, tuple(transcripts), aborted=False, recovered=recovered, requested=plan.requested,
     )
 
 

@@ -38,14 +38,26 @@ index, the column of its first channel bit, the pair and the partition, and
 is built once under that key for every sequence that reaches it.  Each
 plan answers each opening once, so sequences that share their leading
 rounds answer them once per selection; the inputs remember their
-subselections, so each opening's published-set pads are computed once.
+subselections, so each opening's published-set pads are computed once, and
+the oracle reads each answer's public entry and messages once, however
+many replays share it.
 
 The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
-rows are expanded one at a time.  :func:`enumerate_protocol` concatenates
-the chunks into one table; :func:`audit` never holds more than a chunk of
-rows, and adds each chunk's integer masses into one tally of distinct
-(view, secret) keys per audited pair, so its memory follows the distinct
-pairs, not the rows.
+rows are expanded one at a time, each affine output one free bit at a
+time.  :func:`enumerate_protocol` concatenates the chunks into one table.
+:func:`audit` never holds more than a chunk of rows, and adds each chunk's
+integer masses into one tally of distinct (view, secret) keys per audited
+pair, so its memory follows the distinct pairs, not the rows.  Conditioned
+on non-abort it expands only the rows of the skeletons that did not abort;
+the state budget, ``state_count`` and the non-abort mass still count every
+row, from the skeleton table.
+
+A tally's total holds its distinct keys in ascending order, each its view
+above its secret, so the views are runs of adjacent keys.  Each leakage is
+:meth:`JointDistribution.mutual_information` on the two columns (view,
+secret) of one tally: an ascending column is grouped by its runs without a
+sort, and since the keys are distinct each one's mass is its (view,
+secret) pair's mass.  Only the secrets are sorted.
 
 :func:`audit` enumerates one skeleton per orbit of a group of position
 permutations.  Permuting the n positions of a round keeps the channel
@@ -184,7 +196,9 @@ class LeakageReport:
     (the runs of rows it was streamed in), ``view_pairs`` (the distinct
     (view, secret) pairs of the largest tally), ``group`` (the position
     group it reduced by), ``orbit_sequences`` (the channel-input sequences
-    it enumerated), ``enumerated_rows``, ``answered_rounds`` (the rounds
+    it enumerated), ``enumerated_rows``, ``expanded_rows`` (the rows it
+    expanded: under non-abort conditioning, only those of skeletons that did
+    not abort), ``answered_rounds`` (the rounds
     the replays answered, each opening once per selection) and ``key_bits``
     (the bits of the widest audited pair's keys) stay out of the record.
     """
@@ -210,6 +224,7 @@ class LeakageReport:
     group: str = TRIVIAL
     orbit_sequences: int = 0
     enumerated_rows: int = 0
+    expanded_rows: int = 0
     answered_rounds: int = 0
     key_bits: int = 0
 
@@ -260,7 +275,7 @@ def _public_of(t: Transcript) -> tuple:
 
 def _tuples(*index_sets) -> tuple:
     """Index-set arrays as hashable tuples of ints."""
-    return tuple(tuple(s.tolist()) for s in index_sets)
+    return tuple(map(tuple, map(np.ndarray.tolist, index_sets)))
 
 
 def _part_key(part) -> tuple:
@@ -393,18 +408,15 @@ def enumerate_protocol(
 
 
 class _Chunk(NamedTuple):
-    """A run of skeletons expanded to one row per assignment of their free bits."""
+    """A run of skeletons expanded to one row per assignment of their free
+    bits, or of the free bits of its skeletons that did not abort."""
 
     table: np.ndarray  # one row of ``_SKELETON`` values per skeleton
     weights: np.ndarray  # the numerator of each row of each skeleton
-    skel: np.ndarray  # the skeleton of each row
-    columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each row, ``ok`` for ``miss``
+    skel: np.ndarray  # the skeleton of each expanded row
+    columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each expanded row, ``ok`` for ``miss``
+    rows: int  # the rows of every skeleton, expanded or not
     states: int  # the rows of the full table these rows stand for
-
-    def rows_where(self, keep: np.ndarray) -> "_Chunk":
-        """The rows of the skeletons ``keep`` selects."""
-        rows = keep[self.skel]
-        return self._replace(skel=self.skel[rows], columns={k: v[rows] for k, v in self.columns.items()})
 
 
 class _Enumeration:
@@ -421,6 +433,10 @@ class _Enumeration:
         self.plans: dict = {}  # one per selection
         self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, pair, partition)
         self.interned: dict[str, dict] = {name: {} for name in _INTERNED}
+        # Per answered transcript (kept alive by its plan), its public entry
+        # and each server's two messages joined.
+        self.answered: dict[int, tuple] = {}
+        self.zeros = (0,) * (B + U + 1)  # the offset and columns of no affine value
         self.replays = self.sequence_count = 0
 
     @functools.cached_property
@@ -536,19 +552,27 @@ class _Enumeration:
         combinations) and the number of skeletons it stands for."""
         lay = self.layout
         f1, f2 = self.symbols[0].files, self.symbols[1].files
-        selections = [(Selection(z1, z2), _columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:]))
-                      for z1 in range(1, lay.L1 + 1) for z2 in range(1, lay.L2 + 1)]
+        selections = []
+        for z1 in range(1, lay.L1 + 1):
+            for z2 in range(1, lay.L2 + 1):
+                sel = Selection(z1, z2)
+                if sel not in self.plans:
+                    plan = plan_multifile(self.params, *self.symbols[:2], sel, *self.symbols[2:], mutation=self.mutation)
+                    self.plans[sel] = plan, AffineBits.join(plan.requested)
+                unsel = self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:])
+                selections.append((sel, unsel, *self.plans[sel]))
         for rounds, parts, combos, orbit in self.sequences():
             self.sequence_count += 1
             executed, aborted = len(rounds), len(parts) < len(rounds)
             part_keys = tuple(map(_part_key, parts))
             opened, x_columns, free = self.openings(rounds, parts)
-            for sel, unsel in selections:
-                public, replayed_abort, outputs = self.replay(sel, opened, x_columns, unsel)
-                if replayed_abort != aborted or len(public) != executed:
+            shape = (free, executed, combos)
+            for sel, unsel, plan, requested in selections:
+                (ys, sets, leaks), replayed_abort, (msgs1, msgs2, miss) = self.replay(plan, requested, opened)
+                if replayed_abort != aborted or len(ys) != executed:
                     raise RuntimeError("replay disagrees with the enumerated channel verdicts")
-                values = (*(tuple(r[i] for r in public) for i in range(3)), part_keys)
-                yield (sel.z1, sel.z2, int(aborted)), values, outputs, (free, executed, combos), orbit
+                yield ((sel.z1, sel.z2, int(aborted)), (ys, sets, leaks, part_keys),
+                       (*x_columns, msgs1, msgs2, unsel, miss), shape, orbit)
 
     def openings(self, rounds, parts) -> tuple:
         """The symbolic opening of each executed round: its verdict with the
@@ -579,75 +603,87 @@ class _Enumeration:
                 self.opened[key] = verdict._replace(x1=x1, x2=x2, partition=part)
             opened.append(self.opened[key])
             offset += len(channel)
-        columns = tuple(_columns([o[i] for o in opened]) for i in (0, 1))
-        return opened, columns, offset
+        return opened, (self._columns([o.x1 for o in opened]), self._columns([o.x2 for o in opened])), offset
 
-    def replay(self, sel: Selection, openings: list, x_columns: tuple, unsel) -> tuple:
+    def replay(self, plan, requested: AffineBits, openings: list) -> tuple:
         """Run the protocol once on the symbolic files and masks and the
-        :meth:`openings`: the concrete outputs (per executed round y, sets
-        and leak; the abort flag) and the offset and columns of x1, x2
-        (given), msgs1, msgs2, unsel (given) and miss, the recovered files
-        XOR the plan's requested ones (nothing on abort).  The plan of
-        ``sel`` is built once and answers each opening once
-        (:class:`~adder_spir.multifile.MultifilePlan`), so a replay runs the
-        session only on the rounds no earlier replay reached."""
+        :meth:`openings`: the concrete outputs (y, sets and leak, each per
+        executed round; the abort flag) and the offset and columns of msgs1,
+        msgs2 and miss, the recovered files XOR the ``requested`` ones
+        (zero on abort).  Each selection's plan is built once and answers
+        each opening once (:class:`~adder_spir.multifile.MultifilePlan`), so
+        a replay runs the session only on the rounds no earlier replay
+        reached, and each answer's public entry and messages are read once."""
         self.replays += 1
-        if sel not in self.plans:
-            self.plans[sel] = plan_multifile(self.params, *self.symbols[:2], sel, *self.symbols[2:], mutation=self.mutation)
-        mt = execute_multifile(self.plans[sel], openings)
-        sent = [t for t in mt.transcripts if not t.aborted]
-        outputs = (
-            *x_columns,
-            _columns([m for t in sent for m in (t.m11, t.m12)]),
-            _columns([m for t in sent for m in (t.m21, t.m22)]),
-            unsel,
-            _columns([] if mt.aborted else [r ^ q for r, q in zip(mt.recovered, mt.requested)]),
-        )
-        public = tuple((t.y.tobytes(), *_public_of(t)[::3]) for t in mt.transcripts)
-        return public, mt.aborted, outputs
+        mt = execute_multifile(plan, openings)
+        answered = self.answered
+        entries = []
+        for t in mt.transcripts:
+            entry = answered.get(id(t))
+            if entry is None:
+                sets, msgs1, msgs2, leak = _public_of(t)
+                entry = answered[id(t)] = (t.y.tobytes(), sets, leak, msgs1 and AffineBits.join(msgs1),
+                                           msgs2 and AffineBits.join(msgs2))
+            entries.append(entry)
+        ys, sets, leaks, msgs1, msgs2 = zip(*entries)
+        if mt.aborted:
+            msgs1, msgs2, miss = msgs1[:-1], msgs2[:-1], self.zeros
+        else:
+            miss = (AffineBits.join(mt.recovered) ^ requested)._cols
+        return (ys, sets, leaks), mt.aborted, (self._columns(msgs1), self._columns(msgs2), miss)
 
-    def chunks(self):
+    def _columns(self, values) -> tuple[int, ...]:
+        """Offset and per-free-bit columns of the affine ``values`` packed
+        together; zeros for no values."""
+        return AffineBits.join(values)._cols if values else self.zeros
+
+    def chunks(self, live_only: bool = False):
         """Every skeleton replayed in order, expanded in runs of about
-        ``_CHUNK_ROWS`` rows (a skeleton is never split)."""
+        ``_CHUNK_ROWS`` rows (a skeleton is never split); with
+        ``live_only``, the skeletons that abort are not expanded."""
         B = self.layout.free_bits
         run, rows = [], 0
         for skeleton in self.skeletons():
             run.append(skeleton)
             rows += 1 << (B + skeleton[3][0])  # its free file, mask and channel bits
             if rows >= _CHUNK_ROWS:
-                yield self.chunk(run)
+                yield self.chunk(run, live_only)
                 run, rows = [], 0
         if run:
-            yield self.chunk(run)
+            yield self.chunk(run, live_only)
 
-    def chunk(self, run: list) -> _Chunk:
-        """One row per assignment of each skeleton's free bits: its file and
+    def chunk(self, run: list, live_only: bool = False) -> _Chunk:
+        """One row per assignment of each skeleton's free bits (with
+        ``live_only``, of each skeleton that did not abort): its file and
         mask bits below, its channel bits above.  A row's weight is its
         probability times the number of skeletons its skeleton stands for;
         its ok is 2 on abort, else whether its miss is zero."""
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
-        F = B + n * K  # the most free bits of any skeleton
-        table, affine, orbits = [], [], []
-        for direct, values, outputs, shape, orbit in run:
-            ids = (self.interned[name].setdefault(v, len(self.interned[name])) for name, v in zip(_INTERNED, values))
-            table.append((*direct, *ids, *shape))
-            affine.append([o + (0,) * (F + 1 - len(o)) for o in outputs])
-            orbits.append(orbit)
-        table = np.array(table, dtype=np.int64)
-        affine = np.array(affine, dtype=np.int64)
-        free, executed, combos = table[:, -3:].T
+        direct, values, outputs, shapes, orbits = zip(*run)
+        table = list(zip(*direct))
+        for name, column in zip(_INTERNED, zip(*values)):
+            seen = self.interned[name]
+            table.append([seen.setdefault(value, len(seen)) for value in column])
+        table.extend(zip(*shapes))
+        table = np.array(table, dtype=np.int64).T
+        # Every output holds the offset and all B + n K columns.
+        chain = itertools.chain.from_iterable
+        affine = np.fromiter(chain(chain(outputs)), dtype=np.int64).reshape(len(run), len(_AFFINE), -1)
+        skeleton = dict(zip(_SKELETON, table.T))
+        aborted, free, executed, combos = (skeleton[name] for name in ("abort", "free", "executed", "combos"))
 
         counts = np.left_shift(1, B + free)
-        skel = np.repeat(np.arange(len(counts)), counts)
-        a = np.arange(len(skel)) - np.repeat(np.cumsum(counts) - counts, counts)
+        expanded = np.where(aborted == 1, 0, counts) if live_only else counts
+        skel = np.repeat(np.arange(len(counts)), expanded)
+        a = np.arange(len(skel)) - np.repeat(np.cumsum(expanded) - expanded, expanded)
         columns = dict(zip(_FREE, lay.split(a & _mask(B))))
-        for i, name in enumerate(_AFFINE):
-            columns[name] = _expand(affine[:, i], skel, a)
-        columns["ok"] = np.where(table[skel, _SKELETON.index("abort")] == 1, 2, columns.pop("miss") == 0)
+        columns.update(zip(_AFFINE, _expand(affine, expanded, a)))
+        columns["ok"] = np.where(aborted[skel] == 1, 2, columns.pop("miss") == 0)
         weights = [2 ** (2 * n * (K - k)) * self.lcm // c * o for k, c, o in zip(executed.tolist(), combos.tolist(), orbits)]
-        states = sum(o << (B + f) for o, f in zip(orbits, free.tolist()))
-        return _Chunk(table, _numerators(weights, self.denominator), skel, columns, states)
+        # Each skeleton stands for its orbit times its 2^(B + free) rows.
+        states = sum(map(int.__lshift__, orbits, (B + free).tolist()))
+        return _Chunk(table, _numerators(weights, self.denominator), skel, columns, int(counts.sum()), states)
 
     def codes(self, chunk: _Chunk) -> np.ndarray:
         """The rows of ``chunk``, one code per ``VARIABLES`` entry."""
@@ -713,19 +749,18 @@ class _Enumeration:
         return _bitstrings(unsel1, lay.L1 - 1, lay.len1), _bitstrings(unsel2, lay.L2 - 1, lay.len2)
 
 
-def _columns(values) -> tuple[int, ...]:
-    """Offset and per-free-bit columns of the affine ``values`` packed
-    together; a lone zero offset for no values (missing columns are zero)."""
-    return AffineBits.join(values)._cols if values else (0,)
-
-
-def _expand(affine: np.ndarray, skel: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """An affine output at every row: the offset of its skeleton XOR the
-    columns of the set bits of its assignment ``a``."""
-    value = affine[skel, 0]
-    for j in np.flatnonzero(affine[:, 1:].any(axis=0)).tolist():
-        value ^= np.where(a >> j & 1, affine[skel, j + 1], 0)
-    return value
+def _expand(affine: np.ndarray, counts: np.ndarray, a: np.ndarray) -> list[np.ndarray]:
+    """Each affine output (``affine`` holds, per skeleton and output, its
+    offset and columns) at every row: ``counts`` rows per skeleton, each
+    its skeleton's offset XOR the columns of the set bits of its
+    assignment ``a``."""
+    values = [np.repeat(offset, counts) for offset in affine[:, :, 0].T]
+    read = affine[:, :, 1:].any(axis=0)  # (output, free bit)
+    for j in np.flatnonzero(read.any(axis=0)).tolist():
+        bit = -(a >> j & 1)  # all ones where free bit j is set
+        for i in np.flatnonzero(read[:, j]).tolist():
+            values[i] ^= np.repeat(affine[:, i, j + 1], counts) & bit
+    return values
 
 
 class _PairKeys:
@@ -754,11 +789,22 @@ class _PairKeys:
     set, and every other position carries message bit 0 and, in a server's
     view, only its input bit, so equal keys mean views in one orbit.  The
     ids stay below the number of skeletons only.
+
+    The per-round fields cover only the rounds a sequence can reach: when
+    no opened pair goes on, every sequence aborts at its first round, so
+    the messages take no bits and the channel inputs one round's.
     """
 
     def __init__(self, enumeration: _Enumeration):
         lay = self.layout = enumeration.layout
-        self.widths = lay.widths
+        # The rounds a key holds: unless some opened pair goes on, every
+        # sequence aborts at its first round and no round sends messages.
+        live = lay.K if any(verdict.partition is not None for _pair, verdict, _size in enumeration.verdicts) else 0
+        self.executed = live or 1
+        self.widths = {
+            **lay.widths, "x1": lay.n * self.executed, "x2": lay.n * self.executed,
+            "msgs1": 2 * lay.p1 * live, "msgs2": 2 * lay.p2 * live,
+        }
         self.interned = enumeration.interned
         self.symmetric = enumeration.group == POSITIONS
         values = {"z1": lay.L1, "z2": lay.L2, "executed": lay.K, "abort": 2}
@@ -769,7 +815,7 @@ class _PairKeys:
         # S, the non-empty published sets.  A live round's digit is below
         # 2^S (n - S + 1); an aborted round's is at most n.
         self.published = S = max(self.set_codes)
-        self.digit_bits = max(2**S * (lay.n - S + 1) - 1, lay.n).bit_length()
+        self.digit_bits = max(2**S * (lay.n - S + 1) - 1 if live else 0, lay.n).bit_length()
         views = {view for view, _secret in _PAIRS.values()}
         self.groups = {}  # group -> (constants, row-varying codes, digitised channel inputs, key bits)
         for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
@@ -784,7 +830,7 @@ class _PairKeys:
             varying = [v for v in members if v in self.widths]
             inputs = [v for v in group if v in ("x1", "x2")] if canonical else []
             ids = skeletons if canonical else min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
-            bits = (ids - 1).bit_length() + sum(self.widths[v] for v in varying) + len(inputs) * lay.K * self.digit_bits
+            bits = (ids - 1).bit_length() + sum(self.widths[v] for v in varying) + len(inputs) * self.executed * self.digit_bits
             self.groups[group] = constants, varying, inputs, bits
         widths = {name: self.groups[view][3] + self.groups[secret][3] for name, (view, secret) in _PAIRS.items()}
         for name, bits in widths.items():
@@ -792,8 +838,8 @@ class _PairKeys:
                 raise ConfigurationError(f"{name} needs {bits}-bit audit keys, more than {_MAX_CODE_BITS}")
         self.key_bits = max(widths.values())
         self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
-        self.decoded = {name: [] for name in ("y", "sets", "u0")}  # labels per interned value
-        self.stacked: dict[str, np.ndarray] = {}
+        # Per-position labels of each interned y, sets and u0 value.
+        self.stacked = {name: np.zeros((0, lay.K, lay.n), dtype=np.int64) for name in ("y", "sets", "u0")}
         self.verdicts: dict[tuple, int] = {}  # verdicts of a sets value -> id
         self.verdict_ids: list[int] = []  # per interned sets value
 
@@ -812,6 +858,7 @@ class _PairKeys:
             labels = labels * roles + self.stacked["sets"][table["sets"]]
             labels.sort(axis=-1)
             constants["labels"] = [row.tobytes() for row in labels]
+            rounds = chunk.skel, table["executed"], self._shifts(table)
         keys = {}
         for group, (names, varying, inputs, _bits) in self.groups.items():
             key = np.zeros(len(chunk.skel), dtype=np.int64)
@@ -822,31 +869,37 @@ class _PairKeys:
             for v in varying:
                 key = (key << self.widths[v]) | chunk.columns[v]
             for v in inputs:
-                for digit in self._digits(chunk, table, v):
+                for digit in self._digits(chunk.columns[v], *rounds):
                     key = (key << self.digit_bits) | digit
             keys[group] = key
         return [(keys[view] << self.groups[secret][3]) | keys[secret] for view, secret in _PAIRS.values()]
 
-    def _digits(self, chunk: _Chunk, table: dict, name: str):
-        """Per round, first round first, one digit per row of the channel
-        input ``name``: its bits at the S non-empty published sets, in a, b,
-        c, d order, times n - S + 1, plus its count of ones at the other
-        positions.  A round that aborted publishes no set, and a round not
-        executed has no bits."""
-        n, S = self.layout.n, self.published
-        # Per skeleton, round and non-empty set, its position's shift in the
-        # round's n bits; n, which reads a 0 bit, where the round publishes none.
+    def _shifts(self, table: dict) -> np.ndarray:
+        """Per skeleton, round and non-empty published set, its position's
+        shift in the round's n bits; n, which reads a 0 bit, where the round
+        publishes none."""
+        n = self.layout.n
         roles = self.stacked["sets"][table["sets"]]
-        shifts = np.full((*roles.shape[:2], S), n)
+        shifts = np.full((*roles.shape[:2], self.published), n)
         s, r, p = np.nonzero(roles)
         shifts[s, r, roles[s, r, p] - 1] = n - 1 - p
-        skel = chunk.skel
-        executed = table["executed"][skel]
-        for r in range(self.layout.K):
+        return shifts
+
+    def _digits(self, inputs: np.ndarray, skel: np.ndarray, executed: np.ndarray, shifts: np.ndarray):
+        """Per round, first round first, one digit per row of the channel
+        ``inputs`` of skeleton ``skel``: its bits at the S non-empty
+        published sets (at the skeleton's :meth:`_shifts`), in a, b, c, d
+        order, times n - S + 1, plus its count of ones at the other
+        positions.  A round that aborted publishes no set, and a round the
+        skeleton did not execute (``executed`` holds each skeleton's
+        executed rounds) has no bits."""
+        n, S = self.layout.n, self.published
+        executed = executed[skel]
+        for r in range(self.executed):
             # Round r's n bits sit at shift (executed - 1 - r) n.
             at = (executed - 1 - r) * n
-            word = np.where(at >= 0, chunk.columns[name] >> np.maximum(at, 0) & _mask(n), 0)
-            ones = sum(word >> i & 1 for i in range(n))
+            word = np.where(at >= 0, inputs >> np.maximum(at, 0) & _mask(n), 0)
+            ones = sum(_ONES[word >> b & 255] for b in range(0, n, 8))
             bits = np.zeros_like(word)
             for j in range(S):
                 bit = word >> shifts[skel, r, j] & 1
@@ -858,27 +911,36 @@ class _PairKeys:
         """Per-position labels of each interned y, sets and u0 value not yet
         decoded, and the id of each sets value's round verdicts."""
         K, n = self.layout.K, self.layout.n
-        for name, done in self.decoded.items():
-            values = self.interned[name]
-            if len(done) == len(values):
+        for name, done in self.stacked.items():
+            values = list(itertools.islice(self.interned[name], len(done), None))
+            if not values:
                 continue
-            for value in itertools.islice(values, len(done), None):
-                labels = np.zeros((K, n), dtype=np.int64)
-                if name == "y":
-                    for r, y in enumerate(value):
-                        labels[r] = np.frombuffer(y, dtype=np.uint8)
-                else:
-                    if name == "sets":
+            if name == "y":
+                sums = b"".join(b"".join(value).ljust(K * n, b"\0") for value in values)
+                labels = np.frombuffer(sums, dtype=np.uint8).astype(np.int64)
+            else:
+                if name == "sets":
+                    for value in values:
                         verdict = tuple(published[:2] for published in value)
                         self.verdict_ids.append(self.verdicts.setdefault(verdict, len(self.verdicts)))
-                        value, codes = [published[2] for published in value], self.set_codes
-                    else:
-                        codes = self.share_codes
+                    values, codes = [[published[2] for published in value] for value in values], self.set_codes
+                else:
+                    codes = self.share_codes
+                # Each labelled position's index in the flat (value, round, position) array.
+                at, labelled = [], []
+                for i, value in enumerate(values):
                     for r, shares in enumerate(value):
                         for code, share in zip(codes, shares or ()):
-                            labels[r, np.asarray(share, dtype=np.int64) - 1] = code
-                done.append(labels)
-            self.stacked[name] = np.array(done)
+                            for p in share:
+                                at.append((i * K + r) * n + p - 1)
+                                labelled.append(code)
+                labels = np.zeros(len(values) * K * n, dtype=np.int64)
+                labels[at] = labelled
+            self.stacked[name] = np.concatenate((done, labels.reshape(-1, K, n)))
+
+
+# The ones in each byte value.
+_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
 def _role_codes(sizes) -> list[int]:
@@ -925,6 +987,18 @@ class _Tally:
         return self.tables[0]
 
 
+def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator: int) -> float:
+    """I(view; secret) in bits of a tally's total: its distinct keys in
+    ascending order, each its view above its ``secret_bits``-bit secret, and
+    their masses over ``denominator``.  The views are runs of adjacent keys,
+    so :class:`JointDistribution` groups them without a sort."""
+    dist = JointDistribution.from_codes(
+        ("view", "secret"), np.column_stack((key >> secret_bits, key & _mask(secret_bits))), weights, (int, int),
+        denominator=denominator,
+    )
+    return dist.mutual_information(("view",), ("secret",))
+
+
 def audit(
     params: ProtocolParams,
     *,
@@ -937,32 +1011,34 @@ def audit(
 
     The enumeration reduces by the position group of ``params`` and is
     streamed: each chunk adds its masses to the abort and failure totals,
-    and its rows (the non-aborted ones when conditioning) to one tally of
-    (view, secret) keys per audited pair.  ``state_budget`` bounds the rows
-    enumerated.  A progress line goes to stderr at most every
-    ``_PROGRESS_S`` seconds, the first one only after that long.
+    and its expanded rows (when conditioning, only those of skeletons that
+    did not abort) to one tally of (view, secret) keys per audited pair.
+    ``state_budget`` bounds the rows enumerated, expanded or not.  A
+    progress line goes to stderr at most every ``_PROGRESS_S`` seconds,
+    the first one only after that long.
     """
     start = time.perf_counter()
     group = _group(params)
     enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, group)
     keys = _PairKeys(enumeration)
     tallies = {name: _Tally() for name in _PAIRS}
-    rows = states = nonabort = fail = chunks = 0
+    rows = expanded = states = nonabort = fail = chunks = 0
     tallying, shown = 0.0, start
-    for chunk in enumeration.chunks():
+    for chunk in enumeration.chunks(live_only=condition_nonabort):
         tic = time.perf_counter()
         table = dict(zip(_SKELETON, chunk.table.T))
         mass = chunk.weights * np.left_shift(1, enumeration.layout.free_bits + table["free"])
         nonabort += int(mass[table["abort"] == 0].sum())
-        rows += len(chunk.skel)
+        rows += chunk.rows
+        expanded += len(chunk.skel)
         states += chunk.states
         chunks += 1
-        if condition_nonabort:
-            chunk = chunk.rows_where(table["abort"] == 0)
         weights = chunk.weights[chunk.skel]
         fail += int(weights[chunk.columns["ok"] == 0].sum())  # aborted rows have ok = 2
         for tally, key in zip(tallies.values(), keys.pairs(chunk)):
             tally.add(key, weights)
+        # Free this chunk's rows before the next chunk is expanded.
+        del chunk, weights, key
         now = time.perf_counter()
         tallying += now - tic
         if now - shown >= _PROGRESS_S:
@@ -987,19 +1063,15 @@ def audit(
     leakages, view_pairs = {}, 0
     for name, tally in tallies.items():
         key, weights = tally.total()
-        bits = keys.secret_bits(name)
-        dist = JointDistribution.from_codes(
-            ("view", "secret"), np.column_stack((key >> bits, key & _mask(bits))), weights, (int, int),
-            denominator=denominator,
-        )
-        leakages[name] = dist.mutual_information(("view",), ("secret",))
-        view_pairs = max(view_pairs, len(dist))
+        leakages[name] = _leakage(key, weights, keys.secret_bits(name), denominator)
+        view_pairs = max(view_pairs, len(key))
     end = time.perf_counter()
     return LeakageReport(
         params, conditioning, **leakages, reliability_error=reliability_error, state_count=states,
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
-        group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows,
-        answered_rounds=sum(len(plan.answers) for plan in enumeration.plans.values()), key_bits=keys.key_bits,
+        group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
+        answered_rounds=sum(len(plan.answers) for plan, _requested in enumeration.plans.values()),
+        key_bits=keys.key_bits,
     )

@@ -138,6 +138,35 @@ def test_canonical_keys_are_orbits(name):
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_conditioned_audit_expands_only_live_rows(name):
+    # Under non-abort conditioning a skeleton that aborts is counted (the
+    # budget, the state count, the (rows, states) check) but not expanded.
+    params = INSTANCES[name]
+    enumeration = oracle._Enumeration(params, False, None, oracle.POSITIONS)
+    abort, free = oracle._SKELETON.index("abort"), oracle._SKELETON.index("free")
+    rows = expanded = 0
+    for chunk in enumeration.chunks(live_only=True):
+        aborted = chunk.table[:, abort] == 1
+        sizes = np.left_shift(1, enumeration.layout.free_bits + chunk.table[:, free])
+        assert not aborted[chunk.skel].any()
+        assert len(chunk.skel) == sizes[~aborted].sum() and chunk.rows == sizes.sum()
+        rows += chunk.rows
+        expanded += len(chunk.skel)
+    assert rows == enumeration.rows
+    conditioned, plain = oracle.audit(params, condition_nonabort=True), oracle.audit(params)
+    assert plain.expanded_rows == plain.enumerated_rows == conditioned.enumerated_rows == rows
+    assert 0 < conditioned.expanded_rows == expanded < rows
+    assert conditioned.state_count == plain.state_count
+
+
+def test_conditioning_when_every_session_aborts_exits_two(tmp_path, capsys):
+    # n = 1 never carries a file bit: every skeleton aborts, none is expanded.
+    argv = ["audit", "--n", "1", "--ell1", "1", "--ell2", "0", "--alpha", "1.0", "--condition-nonabort"]
+    assert main([*argv, "--out", str(tmp_path / "a.jsonl")]) == 2
+    assert "every session aborts: no non-abort event to condition on" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_chunking_changes_no_table(monkeypatch, name):
     params = INSTANCES[name]
     whole = dict(oracle.enumerate_protocol(params).table.items())
@@ -189,9 +218,9 @@ def test_tally_stack_halves():
         # and the selection's 2 bits.
         ((2, 2), 47, (0, 0), 21),
         ((2, 2), 48, (0, 0), 21),
-        # Nine rounds at n = 1, where every round aborts: one 1-bit digit
-        # per round and each server's two reserved message bits per round.
-        ((4, 4), 1, (1, 0), 55),
+        # Nine rounds at n = 1, where every round aborts: no round goes on,
+        # so the keys hold one round's 1-bit digit and no message bits.
+        ((4, 4), 1, (1, 0), 29),
         ((3, 3), 2, (1, 0), 38),
     ],
     ids=["2x2-n47", "2x2-n48", "4x4-n1", "3x3-n2"],
@@ -215,21 +244,25 @@ def test_audit_keys_wider_than_the_bound_are_a_configuration_error(monkeypatch):
 
 
 def test_progress_goes_to_stderr_only(monkeypatch, capsys):
-    argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0", "--condition-nonabort"]
+    argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0"]
 
-    def body():
-        assert main(argv) == 0
+    def body(*flags):
+        assert main([*argv, *flags]) == 0
         out, err = capsys.readouterr()
         header, record = out.splitlines()
         record = json.loads(record)
         record.pop("wall_time_s")
         return json.loads(header)["record"], record, err
 
+    # Conditioned on non-abort, only the rows of the skeletons that go on
+    # are expanded; the budget and the summary still count every row.
+    assert "1792 states from 448 rows of 11 orbit sequences under S_n per round" in body()[2]
+    argv.append("--condition-nonabort")
     quiet = body()
     assert "rows/s" not in quiet[2]
     assert "1 chunks, at most " in quiet[2]
     assert quiet[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
-    assert "1792 states from 448 rows of 11 orbit sequences under S_n per round" in quiet[2]
+    assert "1792 states from 448 rows (256 expanded) of 11 orbit sequences under S_n per round" in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", 150)
     loud = body()
