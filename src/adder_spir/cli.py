@@ -250,6 +250,14 @@ def _sweep_cell(args: tuple) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 0 < args.t_exponent < 0.5:
         raise ConfigurationError("t must lie in (0, 1/2)")
+    # A cell's streams are keyed by alpha's float bits, so two entries with
+    # one float value would print two cells of one alpha from one stream.
+    floats: dict[float, Fraction] = {}
+    for alpha in args.alpha:
+        if float(alpha) in floats:
+            first = floats[float(alpha)]
+            raise ConfigurationError(f"--alpha entries {first} and {alpha} are both {float(alpha)!r} as floats")
+        floats[float(alpha)] = alpha
     jobs = [
         (n, alpha, args.t_exponent, args.seed, args.trials)
         for n in args.n

@@ -68,18 +68,23 @@ message bit belongs to one position, so such a permutation also maps each
 view onto a view of equal probability, and the group is S_n acting on each
 executed round separately.  Then I(V; S) = I(canon(V); S) for any canon
 that maps exactly the views of one orbit together; the same holds for the
-integer factoring test behind exact zeros.  Each position of a published
-set is named by its set, and every other position carries message bit 0,
-so canon(V) keeps V's non-positional parts (its messages among them) and
-each round's verdict; a server's also keeps, per round, its input bits at
-the published sets and its count of ones at the other positions, and the
-client's each round's (sum, share role, set role) labels sorted along the
-positions.  So the audit opens one channel-input pair per orbit (its counts
-of 0-, 2- and hidden positions) and one partition per orbit of the
-permutations that fix its y, weights each row by the number of rows its
-orbit stands for, and keys every view by its canonical form.  With ell >= 2
-the file bit XORed into a message bit depends on its position's rank
-inside its set, so the group is trivial and every skeleton is replayed.
+integer factoring test behind exact zeros.  So the audit opens one
+channel-input pair per orbit (its counts of 0-, 2- and hidden positions)
+and one partition per orbit of the permutations that fix its y, and
+weights each row by the number of rows its orbit stands for.  Each
+skeleton is then its orbit's representative.  The client sees every
+round's y, partition and published sets, so two of its views share an
+orbit only when they come from one skeleton, and the permutation between
+them fixes every singleton share and so every message: its view is keyed
+by its skeleton and its messages, as under the trivial group.  Only a
+server's view needs a canonical form.  Each position of a published set
+is named by its set, and every other position carries message bit 0 and
+only the server's input bit, so the form keeps the view's files, masks,
+messages and leak, each round's verdict in place of its sets, and per
+round the server's input bits at the published sets and its count of ones
+at the other positions.  With ell >= 2 the file bit XORed into a message
+bit depends on its position's rank inside its set, so the group is trivial
+and every skeleton is replayed.
 :func:`enumerate_protocol` always uses the trivial group.  ``state_count``
 and ``required_states`` count the full table; the state budget counts the
 rows actually enumerated.
@@ -142,6 +147,8 @@ _PAIRS = {
     "server1_vs_server2": (SERVER2_VIEW, ("files1",)),
     "servers_vs_client": (CLIENT_VIEW, ("unsel",)),
 }
+# The audited views, each once, in ``_PAIRS`` order.
+_VIEWS = tuple(dict.fromkeys(view for view, _secret in _PAIRS.values()))
 # Skeleton constants coded by interned ids.
 _INTERNED = ("y", "sets", "leak", "u0")
 # Per-skeleton columns of a chunk.
@@ -153,9 +160,6 @@ _FREE = ("files1", "files2", "masks1", "masks2")
 # without the round tags of their codes, and ``ok`` in place of ``miss``
 # (the recovered files XOR the requested ones).
 _AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel", "miss")
-# Skeleton constants a packed per-round code is tagged with: its value has
-# one entry per executed round, the messages a None for a round that aborted.
-_TAGS = {"x1": ("executed",), "x2": ("executed",), "msgs1": ("executed", "abort"), "msgs2": ("executed", "abort")}
 # Packed codes (free bits plus a round-pattern tag) and audit keys must fit
 # an int64.
 _MAX_CODE_BITS = 62
@@ -167,9 +171,6 @@ _PROGRESS_S = 1.0
 # The groups of position permutations an enumeration can reduce by.
 TRIVIAL = "trivial"
 POSITIONS = "S_n per round"
-# Variables that name positions of a round, bit by bit or as index sets: the
-# position group acts on them and on nothing else.
-_POSITIONAL = ("x1", "x2", "y", "sets", "u0")
 
 
 def _group(params: ProtocolParams) -> str:
@@ -764,31 +765,34 @@ def _expand(affine: np.ndarray, counts: np.ndarray, a: np.ndarray) -> list[np.nd
 
 
 class _PairKeys:
-    """One int64 key per chunk row for each audited (view, secret) pair.
+    """One int64 key per chunk row for each group of variables of ``_PAIRS``
+    (a view or a secret), and their tallies, one view at a time.
 
-    A group of variables (a view or a secret) is keyed by one id for its
-    skeleton constants, with the round tags of its per-round codes,
-    interned across the enumeration and placed above its row-varying codes.
-    The ids stay below the product of the constants' value counts and below
-    the number of skeletons, counted before any replay.  A
-    pair's key is its view's key above its secret's, so equal keys mean
-    equal values and the masses grouped by key are the masses grouped by
-    value.
+    A group is keyed by one id for its skeleton constants, interned across
+    the enumeration and placed above its row-varying codes.  The ids stay
+    below the product of the constants' value counts and below the number
+    of skeletons, counted before any replay.  Every group with a per-round
+    code holds ``sets``, whose interned value has one entry per executed
+    round and ends with the round that aborted, if one did; so the id also
+    fixes how many rounds the codes hold.  A pair's key is its view's key
+    above its secret's, so equal keys mean equal values and the masses
+    grouped by key are the masses grouped by value.
 
-    Under ``POSITIONS`` every published set holds at most one position, and
-    a view is keyed by its canonical form instead.  Its constants are its
-    non-positional ones and the verdict of each executed round (whether it
-    aborted, and why), which stand in for the round tags; the client's also
-    hold each round's (sum, share role, set role) labels sorted along the
-    positions.  Its row-varying codes are its files, masks and messages,
-    and a server's view ends with one digit per round: its channel-input
-    bits at the S non-empty published sets, in a, b, c, d order, times
-    n - S + 1, plus its count of ones at the other positions.  A live round
-    publishes sets of the same sizes whatever its partition, so the verdicts
-    also fix the server's set labels.  Each set position is named by its
-    set, and every other position carries message bit 0 and, in a server's
-    view, only its input bit, so equal keys mean views in one orbit.  The
-    ids stay below the number of skeletons only.
+    Under ``POSITIONS`` every published set holds at most one position.
+    The client's view is keyed as above: it holds every round's y, its
+    partition and the published sets, and the enumeration keeps one
+    skeleton per orbit, so two of its views share an orbit only when they
+    come from one skeleton, and the permutation between them fixes every
+    singleton share and so every message.  A server's view is keyed by a
+    canonical form: its sets become the verdict of each executed round
+    (whether it aborted, and why), and its channel inputs one digit per
+    round: its bits at the S non-empty published sets, in a, b, c, d order,
+    times n - S + 1, plus its count of ones at the other positions.  A live
+    round publishes sets of the same sizes whatever its partition, so the
+    verdicts fix the layout of the digits.  Each set position is named by
+    its set, and every other position carries message bit 0 and, in a
+    server's view, only its input bit, so equal keys mean views in one
+    orbit.
 
     The per-round fields cover only the rounds a sequence can reach: when
     no opened pair goes on, every sequence aborts at its first round, so
@@ -806,30 +810,19 @@ class _PairKeys:
             "msgs1": 2 * lay.p1 * live, "msgs2": 2 * lay.p2 * live,
         }
         self.interned = enumeration.interned
-        self.symmetric = enumeration.group == POSITIONS
-        values = {"z1": lay.L1, "z2": lay.L2, "executed": lay.K, "abort": 2}
+        symmetric = enumeration.group == POSITIONS
+        values = {"z1": lay.L1, "z2": lay.L2}
         skeletons = enumeration.skeleton_count
-        # Share slots: the published sets a, b, c, d and the client's g1, g2, b1, b2.
-        self.set_codes = _role_codes((lay.p1, lay.p1, lay.p2, lay.p2))
-        self.share_codes = _role_codes((lay.p1, lay.p2, lay.p1, lay.p2))
-        # S, the non-empty published sets.  A live round's digit is below
-        # 2^S (n - S + 1); an aborted round's is at most n.
-        self.published = S = max(self.set_codes)
+        # S, the non-empty published sets among a, b, c, d.  A live round's
+        # digit is below 2^S (n - S + 1); an aborted round's is at most n.
+        self.published = S = 2 * (lay.p1 > 0) + 2 * (lay.p2 > 0)
         self.digit_bits = max(2**S * (lay.n - S + 1) - 1 if live else 0, lay.n).bit_length()
-        views = {view for view, _secret in _PAIRS.values()}
         self.groups = {}  # group -> (constants, row-varying codes, digitised channel inputs, key bits)
         for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
-            canonical = self.symmetric and group in views
-            members = [v for v in group if v not in _POSITIONAL] if canonical else group
-            constants = [v for v in members if v in _SKELETON]
-            if canonical:
-                constants += ["verdicts", "labels"] if group == CLIENT_VIEW else ["verdicts"]
-            else:
-                constants += [t for v in group for t in _TAGS.get(v, ())]
-            constants = tuple(dict.fromkeys(constants))
-            varying = [v for v in members if v in self.widths]
-            inputs = [v for v in group if v in ("x1", "x2")] if canonical else []
-            ids = skeletons if canonical else min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
+            inputs = [v for v in group if v in ("x1", "x2")] if symmetric and group != CLIENT_VIEW else []
+            constants = tuple("verdicts" if inputs and v == "sets" else v for v in group if v in _SKELETON)
+            varying = [v for v in group if v in self.widths and v not in inputs]
+            ids = min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
             bits = (ids - 1).bit_length() + sum(self.widths[v] for v in varying) + len(inputs) * self.executed * self.digit_bits
             self.groups[group] = constants, varying, inputs, bits
         widths = {name: self.groups[view][3] + self.groups[secret][3] for name, (view, secret) in _PAIRS.items()}
@@ -838,115 +831,86 @@ class _PairKeys:
                 raise ConfigurationError(f"{name} needs {bits}-bit audit keys, more than {_MAX_CODE_BITS}")
         self.key_bits = max(widths.values())
         self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
-        # Per-position labels of each interned y, sets and u0 value.
-        self.stacked = {name: np.zeros((0, lay.K, lay.n), dtype=np.int64) for name in ("y", "sets", "u0")}
         self.verdicts: dict[tuple, int] = {}  # verdicts of a sets value -> id
-        self.verdict_ids: list[int] = []  # per interned sets value
+        # Per interned sets value, the id of its verdicts and its (K, S) set shifts.
+        self.verdict_ids: list[int] = []
+        self.shifts: list[list] = []
 
     def secret_bits(self, name: str) -> int:
         return self.groups[_PAIRS[name][1]][3]
 
-    def pairs(self, chunk: _Chunk) -> list[np.ndarray]:
-        """The key of every row of ``chunk`` for each pair of ``_PAIRS``."""
-        table = dict(zip(_SKELETON, chunk.table.T))
-        constants = {name: column.tolist() for name, column in table.items()}
-        if self.symmetric:
-            self._decode()
-            constants["verdicts"] = [self.verdict_ids[s] for s in constants["sets"]]
-            roles = 1 + self.published
-            labels = self.stacked["y"][table["y"]] * roles + self.stacked["u0"][table["u0"]]
-            labels = labels * roles + self.stacked["sets"][table["sets"]]
-            labels.sort(axis=-1)
-            constants["labels"] = [row.tobytes() for row in labels]
-            rounds = chunk.skel, table["executed"], self._shifts(table)
-        keys = {}
-        for group, (names, varying, inputs, _bits) in self.groups.items():
-            key = np.zeros(len(chunk.skel), dtype=np.int64)
-            if names:
-                ids = self.ids.setdefault(names, {})
-                per_skeleton = [ids.setdefault(v, len(ids)) for v in zip(*(constants[c] for c in names))]
-                key = np.array(per_skeleton, dtype=np.int64)[chunk.skel]
-            for v in varying:
-                key = (key << self.widths[v]) | chunk.columns[v]
-            for v in inputs:
-                for digit in self._digits(chunk.columns[v], *rounds):
-                    key = (key << self.digit_bits) | digit
-            keys[group] = key
-        return [(keys[view] << self.groups[secret][3]) | keys[secret] for view, secret in _PAIRS.values()]
+    def add(self, chunk: _Chunk, weights: np.ndarray, tallies: dict) -> None:
+        """Add every row of ``chunk``, with its ``weights``, to the tally of
+        each pair of ``_PAIRS``: each view is keyed once and combined with
+        each of its secrets in turn, so beside the chunk at most the view's
+        key, one pair key (its secret's key, completed in place) and the
+        view key shifted above it are held."""
+        for view in _VIEWS:
+            view_key = self.key(view, chunk)
+            for name, (paired, secret) in _PAIRS.items():
+                if paired == view:
+                    key = self.key(secret, chunk)
+                    key |= view_key << self.groups[secret][3]
+                    tallies[name].add(key, weights)
 
-    def _shifts(self, table: dict) -> np.ndarray:
-        """Per skeleton, round and non-empty published set, its position's
-        shift in the round's n bits; n, which reads a 0 bit, where the round
-        publishes none."""
-        n = self.layout.n
-        roles = self.stacked["sets"][table["sets"]]
-        shifts = np.full((*roles.shape[:2], self.published), n)
-        s, r, p = np.nonzero(roles)
-        shifts[s, r, roles[s, r, p] - 1] = n - 1 - p
-        return shifts
+    def key(self, group: tuple, chunk: _Chunk) -> np.ndarray:
+        """The key of ``group`` at every row of ``chunk``."""
+        names, varying, inputs, _bits = self.groups[group]
+        table = dict(zip(_SKELETON, chunk.table.T))
+        if inputs:
+            self._decode()
+            sets = table["sets"].tolist()
+            table["verdicts"] = np.array([self.verdict_ids[s] for s in sets])
+            shifts = np.array([self.shifts[s] for s in sets])
+        # A group without constants has one id, 0.
+        columns = [table[c].tolist() for c in names] or [[0] * len(chunk.table)]
+        ids = self.ids.setdefault(names, {})
+        key = np.array([ids.setdefault(v, len(ids)) for v in zip(*columns)], dtype=np.int64)[chunk.skel]
+        for v in varying:
+            key = (key << self.widths[v]) | chunk.columns[v]
+        for v in inputs:
+            for digit in self._digits(chunk.columns[v], chunk.skel, table["executed"], shifts):
+                key = (key << self.digit_bits) | digit
+        return key
 
     def _digits(self, inputs: np.ndarray, skel: np.ndarray, executed: np.ndarray, shifts: np.ndarray):
         """Per round, first round first, one digit per row of the channel
         ``inputs`` of skeleton ``skel``: its bits at the S non-empty
-        published sets (at the skeleton's :meth:`_shifts`), in a, b, c, d
-        order, times n - S + 1, plus its count of ones at the other
+        published sets (``shifts`` holds each skeleton's set shifts), in a,
+        b, c, d order, times n - S + 1, plus its count of ones at the other
         positions.  A round that aborted publishes no set, and a round the
         skeleton did not execute (``executed`` holds each skeleton's
         executed rounds) has no bits."""
         n, S = self.layout.n, self.published
-        executed = executed[skel]
         for r in range(self.executed):
-            # Round r's n bits sit at shift (executed - 1 - r) n.
+            # Round r's n bits sit at shift (executed - 1 - r) n; bit 63 of
+            # a code is 0, so an unexecuted round reads none.
             at = (executed - 1 - r) * n
-            word = np.where(at >= 0, inputs >> np.maximum(at, 0) & _mask(n), 0)
+            word = inputs >> np.where(at < 0, 63, at)[skel]
+            word &= _mask(n)
             ones = sum(_ONES[word >> b & 255] for b in range(0, n, 8))
             bits = np.zeros_like(word)
             for j in range(S):
-                bit = word >> shifts[skel, r, j] & 1
+                bit = word >> shifts[:, r, j][skel] & 1
                 bits = bits << 1 | bit
                 ones = ones - bit
             yield bits * (n - S + 1) + ones
 
     def _decode(self) -> None:
-        """Per-position labels of each interned y, sets and u0 value not yet
-        decoded, and the id of each sets value's round verdicts."""
-        K, n = self.layout.K, self.layout.n
-        for name, done in self.stacked.items():
-            values = list(itertools.islice(self.interned[name], len(done), None))
-            if not values:
-                continue
-            if name == "y":
-                sums = b"".join(b"".join(value).ljust(K * n, b"\0") for value in values)
-                labels = np.frombuffer(sums, dtype=np.uint8).astype(np.int64)
-            else:
-                if name == "sets":
-                    for value in values:
-                        verdict = tuple(published[:2] for published in value)
-                        self.verdict_ids.append(self.verdicts.setdefault(verdict, len(self.verdicts)))
-                    values, codes = [[published[2] for published in value] for value in values], self.set_codes
-                else:
-                    codes = self.share_codes
-                # Each labelled position's index in the flat (value, round, position) array.
-                at, labelled = [], []
-                for i, value in enumerate(values):
-                    for r, shares in enumerate(value):
-                        for code, share in zip(codes, shares or ()):
-                            for p in share:
-                                at.append((i * K + r) * n + p - 1)
-                                labelled.append(code)
-                labels = np.zeros(len(values) * K * n, dtype=np.int64)
-                labels[at] = labelled
-            self.stacked[name] = np.concatenate((done, labels.reshape(-1, K, n)))
+        """The verdict id and the set shifts of each interned sets value not
+        yet decoded: per round and non-empty published set, its position's
+        shift in the round's n bits, and n, which reads a 0 bit, where the
+        round publishes none."""
+        K, n, S = self.layout.K, self.layout.n, self.published
+        for value in itertools.islice(self.interned["sets"], len(self.shifts), None):
+            verdicts = tuple(published[:2] for published in value)
+            self.verdict_ids.append(self.verdicts.setdefault(verdicts, len(self.verdicts)))
+            shifts = [[n - p for (p,) in filter(None, sets)] if sets else [n] * S for _aborted, _reason, sets in value]
+            self.shifts.append(shifts + [[n] * S] * (K - len(value)))
 
 
 # The ones in each byte value.
 _ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
-
-
-def _role_codes(sizes) -> list[int]:
-    """A label per share slot: 1, 2, ... over the slots of nonzero size, in
-    order, and 0 for an empty slot."""
-    return [count if size else 0 for size, count in zip(sizes, itertools.accumulate(bool(s) for s in sizes))]
 
 
 def _reduce(keys: np.ndarray, weights: np.ndarray, kind: Optional[str] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -1035,10 +999,9 @@ def audit(
         chunks += 1
         weights = chunk.weights[chunk.skel]
         fail += int(weights[chunk.columns["ok"] == 0].sum())  # aborted rows have ok = 2
-        for tally, key in zip(tallies.values(), keys.pairs(chunk)):
-            tally.add(key, weights)
+        keys.add(chunk, weights, tallies)
         # Free this chunk's rows before the next chunk is expanded.
-        del chunk, weights, key
+        del chunk, weights
         now = time.perf_counter()
         tallying += now - tic
         if now - shown >= _PROGRESS_S:

@@ -1,0 +1,58 @@
+"""Golden digest of a matrix of small audits.
+
+Every instance below is audited under the honest protocol and each
+mutation, unconditioned and conditioned on non-abort, with the abort rule
+on and off.  Each audit contributes its record as JSON text without
+``wall_time_s`` (its only timing), or the text of the
+``ConfigurationError`` it raises (conditioning when every session
+aborts).  A change that is meant to keep every audit number must leave the
+digest unchanged; ``python tests/test_audit_matrix.py`` prints the current
+one.
+"""
+
+import hashlib
+import itertools
+import json
+from fractions import Fraction
+
+from adder_spir import oracle
+from adder_spir.model import ConfigurationError, ProtocolParams
+from adder_spir.protocol import MUTATIONS
+
+HALF = Fraction(1, 2)
+# (L1, L2, n, ell1, ell2, alpha, t)
+INSTANCES = [
+    *((2, 2, n, *ell, HALF, 0.4) for n in range(1, 5) for ell in ((1, 0), (1, 1), (0, 0), (0, 1), (2, 0))),
+    (2, 2, 3, 1, 0, HALF, 0.49),
+    (3, 2, 2, 1, 0, HALF, 0.4),
+    (2, 3, 2, 0, 1, Fraction(0), 0.4),
+    (2, 3, 3, 1, 1, HALF, 0.4),
+]
+DIGEST = "76688f037aa6cfd974173690aa8863865cd0599178e4ad094ce8b67cf78e2d9c"
+
+
+def matrix_digest() -> str:
+    """The sha256 of every audit's record or error text, one line each."""
+    digest = hashlib.sha256()
+    for (L1, L2, n, ell1, ell2, alpha, t), mutation, condition, no_abort in itertools.product(
+        INSTANCES, (None, *MUTATIONS), (False, True), (False, True)
+    ):
+        params = ProtocolParams(n=n, t_exponent=t, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
+        try:
+            record = oracle.audit(params, abort_disabled=no_abort, condition_nonabort=condition, mutation=mutation)
+        except ConfigurationError as error:
+            line = f"ConfigurationError: {error}"
+        else:
+            record = record.to_record()
+            record.pop("wall_time_s")
+            line = json.dumps(record)
+        digest.update((line + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_audit_matrix_digest():
+    assert matrix_digest() == DIGEST
+
+
+if __name__ == "__main__":
+    print(f"audit matrix: sha256 {matrix_digest()}")

@@ -168,6 +168,17 @@ def test_sweep_cell_independent_of_other_cells(tmp_path):
     assert _read_records(tmp_path / "a")[1] == _read_records(tmp_path / "b")[2]
 
 
+def test_sweep_alphas_of_one_float_value_exit_two(tmp_path, capsys):
+    # 1/3 and its 16-digit decimal read as two fractions but one float, whose
+    # bits key the cell's streams.
+    out = tmp_path / "s.jsonl"
+    argv = ["sweep", "--n", "24", "--alpha", "0.5,1/3,0.3333333333333333", "--trials", "50", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--alpha entries 1/3 and 3333333333333333/10000000000000000 are both 0.3333333333333333 as floats" in err
+    assert not out.exists()
+
+
 def test_audit_honest_exit_zero(tmp_path, capsys):
     out = tmp_path / "audit.jsonl"
     code = main(

@@ -28,7 +28,7 @@ from adder_spir.protocol import MUTATIONS
 N4 = ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
 L3X2 = ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0)
 INSTANCES = {"n4": N4, "L3x2": L3X2}
-# Server 1 publishes no set position, so the set role codes start at set c.
+# Server 1 publishes no set position, so the digits read sets c and d only.
 L2X3 = ProtocolParams(n=2, t_exponent=0.4, alpha=0, L1=2, L2=3, ell1=0, ell2=1)
 GROUP_INSTANCES = {**INSTANCES, "L2x3": L2X3}
 # (condition_nonabort, abort_disabled)
@@ -118,20 +118,31 @@ def _orbit(enumeration, interned: dict, codes: dict, row: int, view) -> tuple:
     return tuple(codes[name][row] for name in view if name not in ("x1", "x2", "y", "u0", "sets")) + rounds
 
 
-@pytest.mark.parametrize("name", sorted(GROUP_INSTANCES))
-def test_canonical_keys_are_orbits(name):
+# Two-file, n = 3, no published position (S = 0): a server's digit is its count of ones.
+ORBIT_INSTANCES = {**GROUP_INSTANCES, "ell00-n3": ProtocolParams(n=3, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)}
+# id suffix -> (abort_disabled, mutation)
+ORBIT_CASES = {"": (False, None), "-no-abort": (True, None), "-leak-selection": (False, "leak-selection"),
+               "-reuse-pad": (False, "reuse-pad")}
+
+
+@pytest.mark.parametrize(
+    "name, abort_disabled, mutation",
+    [
+        pytest.param(name, *case, id=name + suffix)
+        for name in sorted(ORBIT_INSTANCES) for suffix, case in ORBIT_CASES.items()
+    ],
+)
+def test_canonical_keys_are_orbits(name, abort_disabled, mutation):
     # Two enumerated views get one key exactly when a permutation of each
     # round's positions carries one onto the other.
-    enumeration = oracle._Enumeration(GROUP_INSTANCES[name], False, None, oracle.POSITIONS)
+    enumeration = oracle._Enumeration(ORBIT_INSTANCES[name], abort_disabled, mutation, oracle.POSITIONS)
     keys = oracle._PairKeys(enumeration)
-    seen = {pair: set() for pair in ("client_privacy_s1", "client_privacy_s2", "servers_vs_client")}
+    seen = {view: set() for view in oracle._VIEWS}
     for chunk in enumeration.chunks():
         codes = dict(zip(oracle.VARIABLES, enumeration.codes(chunk).T.tolist()))
         interned = {var: list(values) for var, values in enumeration.interned.items()}
-        pairs = dict(zip(oracle._PAIRS, keys.pairs(chunk)))
-        for pair, found in seen.items():
-            view = oracle._PAIRS[pair][0]
-            view_keys = (pairs[pair] >> keys.secret_bits(pair)).tolist()
+        for view, found in seen.items():
+            view_keys = keys.key(view, chunk).tolist()
             found.update((key, _orbit(enumeration, interned, codes, row, view)) for row, key in enumerate(view_keys))
     for found in seen.values():
         assert len(found) == len({key for key, _image in found}) == len({image for _key, image in found})
