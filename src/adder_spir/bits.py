@@ -16,6 +16,7 @@ raises ``TypeError``.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, Sequence
 
@@ -187,26 +188,52 @@ class AffineBits(BitString):
     Two values combined by ``^``, ``==`` or :meth:`join` must have the same
     number of free bits (``ValueError`` otherwise).
 
+    The offset and the columns are stored as the 64-bit words of one int,
+    the offset lowest, so ``^`` and :meth:`join` are one int operation
+    each, whatever the number of free bits, and :meth:`words` are the
+    columns as little-endian int64s.  So a value holds at most 64 bits.
+
     A value remembers its :meth:`subselect` per index set, so the oracle's
     replays of one channel sequence under each selection compute the pads
     once.
     """
 
-    __slots__ = ("_cols", "_picks")
+    __slots__ = ("_words", "_free", "_picks")
 
     def __init__(self, cols: tuple[int, ...], length: int):
         """``cols`` is the offset, then the column of each free bit, all below 2^length."""
-        self._value, self._length, self._bits, self._cols = None, length, None, cols
-        self._picks = None
+        if length > _WORD:
+            raise ValueError(f"an affine bit string holds at most {_WORD} bits, not {length}")
+        self._value, self._length, self._bits, self._picks = None, length, None, None
+        words = 0
+        for c in reversed(cols):
+            words = words << _WORD | c
+        self._words, self._free = words, len(cols) - 1
+
+    @classmethod
+    def _of_words(cls, words: int, free: int, length: int) -> "AffineBits":
+        """Wrap words already known to fit ``length`` bits each."""
+        s = object.__new__(cls)
+        s._value, s._length, s._bits, s._words, s._free, s._picks = None, length, None, words, free, None
+        return s
+
+    @property
+    def _cols(self) -> tuple[int, ...]:
+        """The offset, then the column of each free bit."""
+        return tuple(self._words >> _WORD * j & _WORD_MASK for j in range(self._free + 1))
+
+    def words(self) -> bytes:
+        """The offset and the columns as little-endian 64-bit words."""
+        return self._words.to_bytes(8 * (self._free + 1), "little")
 
     def __xor__(self, other: BitString) -> "AffineBits":
         if self._length != other._length:
             raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
         if not isinstance(other, AffineBits):
-            return AffineBits((self._cols[0] ^ other._value, *self._cols[1:]), self._length)
-        if len(self._cols) != len(other._cols):
+            return AffineBits._of_words(self._words ^ other._value, self._free, self._length)
+        if self._free != other._free:
             _check_columns(self, other)
-        return AffineBits(tuple(map(operator.xor, self._cols, other._cols)), self._length)
+        return AffineBits._of_words(self._words ^ other._words, self._free, self._length)
 
     __rxor__ = __xor__
 
@@ -216,20 +243,23 @@ class AffineBits(BitString):
         if count <= 0 or self._length % count:
             raise ValueError(f"cannot split length {self._length} into {count} equal parts")
         step = self._length // count
-        mask = (1 << step) - 1
-        return [AffineBits(tuple(c >> step * i & mask for c in self._cols), step) for i in range(count - 1, -1, -1)]
+        mask = _ones(self._free) * ((1 << step) - 1)
+        return [AffineBits._of_words(self._words >> step * i & mask, self._free, step) for i in range(count - 1, -1, -1)]
 
     @classmethod
     def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
         if len(parts) == 1:
             return parts[0]
-        cols, length = parts[0]._cols, parts[0]._length
+        first = parts[0]
+        words, length = first._words, first._length
         for p in parts[1:]:
-            if len(p._cols) != len(cols):
-                _check_columns(parts[0], p)
-            cols = tuple(map(operator.or_, map(operator.lshift, cols, [p._length] * len(cols)), p._cols))
+            if p._free != first._free:
+                _check_columns(first, p)
+            words = words << p._length | p._words
             length += p._length
-        return cls(cols, length)
+        if length > _WORD:
+            raise ValueError(f"an affine bit string holds at most {_WORD} bits, not {length}")
+        return cls._of_words(words, first._free, length)
 
     def subselect(self, indices: np.ndarray | Sequence[int]) -> "AffineBits":
         key = np.asarray(indices, dtype=np.int64).tobytes()
@@ -240,13 +270,10 @@ class AffineBits(BitString):
         shifts = [self._length - i for i in sorted(map(int, indices))]
         if shifts and (shifts[0] >= self._length or shifts[-1] < 0):
             raise IndexError(f"indices must lie in [1, {self._length}]")
-        cols = []
-        for c in self._cols:
-            value = 0
-            for s in shifts:
-                value = value << 1 | c >> s & 1
-            cols.append(value)
-        picked = self._picks[key] = AffineBits(tuple(cols), len(shifts))
+        ones, words = _ones(self._free), 0
+        for s in shifts:
+            words = words << 1 | self._words >> s & ones
+        picked = self._picks[key] = AffineBits._of_words(words, self._free, len(shifts))
         return picked
 
     def __eq__(self, other: object) -> bool:
@@ -254,14 +281,14 @@ class AffineBits(BitString):
             return NotImplemented
         if isinstance(other, AffineBits):
             _check_columns(self, other)
-            offset, free = other._cols[0], other._cols[1:]
+            difference = self._words ^ other._words
         else:
-            offset, free = other._value, (0,) * (len(self._cols) - 1)
+            difference = self._words ^ other._value
         if self._length != other._length:
             return False
-        if self._cols[1:] != free:
+        if difference >> _WORD:
             raise TypeError("affine bit strings whose equality depends on the free bits")
-        return self._cols[0] == offset
+        return not difference
 
     def _concrete(self, *_args):
         raise TypeError("an affine bit string has no concrete value")
@@ -274,10 +301,21 @@ class AffineBits(BitString):
         return f"AffineBits({self._cols}, {self._length})"
 
 
+# The word of each column of an AffineBits.
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _ones(free: int) -> int:
+    """A 1 at the lowest bit of each of the free + 1 words."""
+    return sum(1 << _WORD * j for j in range(free + 1))
+
+
 def _check_columns(a: AffineBits, b: AffineBits) -> None:
     """Raise unless ``a`` and ``b`` have the same number of free bits."""
-    if len(a._cols) != len(b._cols):
-        raise ValueError(f"free bit count mismatch: {len(a._cols) - 1} vs {len(b._cols) - 1}")
+    if a._free != b._free:
+        raise ValueError(f"free bit count mismatch: {a._free} vs {b._free}")
 
 
 def sample_uniform(length: int, stream: np.random.Generator) -> BitString:

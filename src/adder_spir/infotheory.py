@@ -40,6 +40,8 @@ MAX_PAD_WIDTH = 3
 _INT64_SAFE = 2**62
 # Products of two masses stay in int64 while the denominator is below this.
 _PRODUCT_SAFE = 2**31
+# Integers below this are exact in float64.
+_FLOAT_EXACT = 2**53
 _DENSE_RANGE = 4  # group ids are renumbered by a table of their range up to this many per row
 
 Decoder = Callable[[int], Hashable]
@@ -155,12 +157,22 @@ class JointDistribution:
 
     def _column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(distinct codes, dense id of each row) of column ``j``; an
-        ascending column is read as runs, without a sort."""
+        ascending column is read as runs, and a column of nonnegative codes
+        below ``_DENSE_RANGE`` per row is renumbered by a table, both
+        without a sort."""
         if j not in self._columns:
             column = self._codes[:, j]
-            if column.size and (column[1:] >= column[:-1]).all():
-                first = np.concatenate(([True], column[1:] != column[:-1]))
-                self._columns[j] = column[first], np.cumsum(first) - 1
+            if not column.size:
+                self._columns[j] = np.unique(column, return_inverse=True)
+            elif not np.count_nonzero(column[1:] < column[:-1]):
+                first = np.empty(column.size, dtype=bool)
+                first[0] = True
+                np.not_equal(column[1:], column[:-1], out=first[1:])
+                ids = first.cumsum()
+                ids -= 1
+                self._columns[j] = column[first], ids
+            elif column.min() >= 0:
+                self._columns[j] = _renumber(column, int(column.max()) + 1)
             else:
                 self._columns[j] = np.unique(column, return_inverse=True)
         return self._columns[j]
@@ -189,7 +201,10 @@ class JointDistribution:
         return ids, len(keys)
 
     def _group_sum(self, ids: np.ndarray, count: int) -> np.ndarray:
-        """Numerators summed per group id, exactly."""
+        """Numerators summed per group id, exactly: in float64 when every
+        partial sum, at most the denominator, is an integer float64 holds."""
+        if self._den < _FLOAT_EXACT:
+            return np.bincount(ids, weights=self._weights, minlength=count).astype(np.int64)
         out = np.zeros(count, dtype=self._weights.dtype)
         np.add.at(out, ids, self._weights)
         return out
@@ -276,7 +291,9 @@ def _renumber(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(ids, return_inverse=True)
     present = np.zeros(count, dtype=bool)
     present[ids] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
+    dense = present.cumsum()
+    dense -= 1
+    return np.flatnonzero(present), dense[ids]
 
 
 def _mutual_information(cab: np.ndarray, ca: np.ndarray, cb: np.ndarray, den: int, cells: int) -> float:
@@ -294,7 +311,7 @@ def _mutual_information(cab: np.ndarray, ca: np.ndarray, cb: np.ndarray, den: in
         cab, ca, cb = (x.astype(object) for x in (cab, ca, cb))
     joint, product = cab * den, ca * cb
     excess = joint - product
-    if len(cab) == cells and not excess.any():
+    if len(cab) == cells and not np.count_nonzero(excess):
         return 0.0
     # log2(1 + excess / product); near 1, log1p of the exact excess keeps its digits.
     rel = np.asarray(excess / product, dtype=np.float64)

@@ -51,9 +51,12 @@ Symbol = tuple[str, int, int]  # ("file" | "mask", chain index, part index)
 SymbolSet = frozenset[Symbol]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MultifileTranscript:
-    """Ordered base-session transcripts plus the reduction header."""
+    """Ordered base-session transcripts plus the reduction header.
+
+    Frozen, and built in one step like :class:`~adder_spir.protocol.Transcript`.
+    """
 
     L1: int
     L2: int
@@ -65,6 +68,14 @@ class MultifileTranscript:
     aborted: bool
     recovered: Optional[tuple[BitString, BitString]] = None
     requested: Optional[tuple[BitString, BitString]] = None
+
+    def __init__(self, L1, L2, part_length1, part_length2, pairing, round_selections, transcripts, aborted,
+                 recovered=None, requested=None):
+        self.__dict__.update(
+            L1=L1, L2=L2, part_length1=part_length1, part_length2=part_length2, pairing=pairing,
+            round_selections=round_selections, transcripts=transcripts, aborted=aborted, recovered=recovered,
+            requested=requested,
+        )
 
     @property
     def recovery_ok(self) -> Optional[bool]:

@@ -437,7 +437,7 @@ class _Enumeration:
         # Per answered transcript (kept alive by its plan), its public entry
         # and each server's two messages joined.
         self.answered: dict[int, tuple] = {}
-        self.zeros = (0,) * (B + U + 1)  # the offset and columns of no affine value
+        self.zeros = bytes(8 * (B + U + 1))  # the offset and columns of no affine value, as words
         self.replays = self.sequence_count = 0
 
     @functools.cached_property
@@ -476,13 +476,14 @@ class _Enumeration:
         """The partitions of y the group keeps, each with the number of
         :func:`partition_choices` it stands for: the partitions whose shares
         hold the same multisets of sums form one orbit of the permutations
-        that fix y."""
+        that fix y.  Under ``POSITIONS`` a share holds at most one position,
+        so the sums of the four shares in turn name its orbit."""
         choices = partition_choices(y, *shape)
         if self.group == TRIVIAL:
             return [(part, 1) for part in choices]
         orbits: dict = {}
         for part in choices:
-            sums = tuple(tuple(sorted(y[share - 1].tolist())) for share in (part.g1, part.g2, part.b1, part.b2))
+            sums = y[np.concatenate((part.g1, part.g2, part.b1, part.b2)) - 1].tobytes()
             orbits.setdefault(sums, [part, 0])[1] += 1
         return [tuple(orbit) for orbit in orbits.values()]
 
@@ -630,13 +631,13 @@ class _Enumeration:
         if mt.aborted:
             msgs1, msgs2, miss = msgs1[:-1], msgs2[:-1], self.zeros
         else:
-            miss = (AffineBits.join(mt.recovered) ^ requested)._cols
+            miss = (AffineBits.join(mt.recovered) ^ requested).words()
         return (ys, sets, leaks), mt.aborted, (self._columns(msgs1), self._columns(msgs2), miss)
 
-    def _columns(self, values) -> tuple[int, ...]:
+    def _columns(self, values) -> bytes:
         """Offset and per-free-bit columns of the affine ``values`` packed
-        together; zeros for no values."""
-        return AffineBits.join(values)._cols if values else self.zeros
+        together, as :meth:`AffineBits.words`; zeros for no values."""
+        return AffineBits.join(values).words() if values else self.zeros
 
     def chunks(self, live_only: bool = False):
         """Every skeleton replayed in order, expanded in runs of about
@@ -668,18 +669,22 @@ class _Enumeration:
             table.append([seen.setdefault(value, len(seen)) for value in column])
         table.extend(zip(*shapes))
         table = np.array(table, dtype=np.int64).T
-        # Every output holds the offset and all B + n K columns.
-        chain = itertools.chain.from_iterable
-        affine = np.fromiter(chain(chain(outputs)), dtype=np.int64).reshape(len(run), len(_AFFINE), -1)
+        # Every output holds the offset and all B + n K columns, as int64 words.
+        affine = np.frombuffer(b"".join(itertools.chain.from_iterable(outputs)), dtype="<i8")
+        affine = affine.reshape(len(run), len(_AFFINE), -1)
         skeleton = dict(zip(_SKELETON, table.T))
         aborted, free, executed, combos = (skeleton[name] for name in ("abort", "free", "executed", "combos"))
 
         counts = np.left_shift(1, B + free)
         expanded = np.where(aborted == 1, 0, counts) if live_only else counts
-        skel = np.repeat(np.arange(len(counts)), expanded)
-        a = np.arange(len(skel)) - np.repeat(np.cumsum(expanded) - expanded, expanded)
-        columns = dict(zip(_FREE, lay.split(a & _mask(B))))
-        columns.update(zip(_AFFINE, _expand(affine, expanded, a)))
+        # The expanded skeletons, most rows first, so that each one's rows
+        # start at a multiple of its row count.
+        order = np.argsort(-expanded, kind="stable")[: np.count_nonzero(expanded)]
+        skel = np.repeat(order, expanded[order])
+        # Every row count is a multiple of 2^B, so a row's file and mask
+        # bits are the low B bits of its index.
+        columns = dict(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
+        columns.update(zip(_AFFINE, _expand(affine[order], expanded[order])))
         columns["ok"] = np.where(aborted[skel] == 1, 2, columns.pop("miss") == 0)
         weights = [2 ** (2 * n * (K - k)) * self.lcm // c * o for k, c, o in zip(executed.tolist(), combos.tolist(), orbits)]
         # Each skeleton stands for its orbit times its 2^(B + free) rows.
@@ -750,18 +755,27 @@ class _Enumeration:
         return _bitstrings(unsel1, lay.L1 - 1, lay.len1), _bitstrings(unsel2, lay.L2 - 1, lay.len2)
 
 
-def _expand(affine: np.ndarray, counts: np.ndarray, a: np.ndarray) -> list[np.ndarray]:
+def _expand(affine: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each affine output (``affine`` holds, per skeleton and output, its
-    offset and columns) at every row: ``counts`` rows per skeleton, each
-    its skeleton's offset XOR the columns of the set bits of its
-    assignment ``a``."""
-    values = [np.repeat(offset, counts) for offset in affine[:, :, 0].T]
-    read = affine[:, :, 1:].any(axis=0)  # (output, free bit)
-    for j in np.flatnonzero(read.any(axis=0)).tolist():
-        bit = -(a >> j & 1)  # all ones where free bit j is set
-        for i in np.flatnonzero(read[:, j]).tolist():
-            values[i] ^= np.repeat(affine[:, i, j + 1], counts) & bit
-    return values
+    offset and columns) at every row, one output per line: ``counts`` rows
+    per skeleton, powers of two in descending order, the i-th row of a
+    skeleton its offset XOR the columns of the set bits of i.
+
+    The rows are built by doubling: a table of each skeleton's first 2^j
+    rows gains its next 2^j rows, those rows XOR column j, for every
+    skeleton with more rows, and puts the others aside."""
+    sizes = counts.tolist()
+    table = affine[:, :, :1].transpose(1, 0, 2)  # (output, skeleton, row)
+    built, k = [], len(sizes)
+    for j in range(max(sizes, default=1).bit_length() - 1):
+        while sizes[k - 1] <= 1 << j:  # keep the skeletons with free bit j
+            k -= 1
+        if k < table.shape[1]:
+            built.append(table[:, k:])
+            table = table[:, :k]
+        table = np.concatenate((table, table ^ affine[:k, :, j + 1 : j + 2].transpose(1, 0, 2)), axis=2)
+    built.append(table)
+    return np.concatenate([t.reshape(len(t), -1) for t in reversed(built)], axis=1)
 
 
 class _PairKeys:
@@ -832,9 +846,13 @@ class _PairKeys:
         self.key_bits = max(widths.values())
         self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
         self.verdicts: dict[tuple, int] = {}  # verdicts of a sets value -> id
-        # Per interned sets value, the id of its verdicts and its (K, S) set shifts.
+        # Per interned sets value, the id of its verdicts and its (K, S) set
+        # shifts, as lists and as the arrays the keys gather from.
         self.verdict_ids: list[int] = []
         self.shifts: list[list] = []
+        self.verdict_table = self.shift_table = np.zeros(0, dtype=np.int64)
+        # A set bit adds its place value in the digit and takes one from its count of ones.
+        self.place = [((lay.n - S + 1) << (S - 1 - j)) - 1 for j in range(S)]
 
     def secret_bits(self, name: str) -> int:
         return self.groups[_PAIRS[name][1]][3]
@@ -858,19 +876,18 @@ class _PairKeys:
         names, varying, inputs, _bits = self.groups[group]
         table = dict(zip(_SKELETON, chunk.table.T))
         if inputs:
-            self._decode()
-            sets = table["sets"].tolist()
-            table["verdicts"] = np.array([self.verdict_ids[s] for s in sets])
-            shifts = np.array([self.shifts[s] for s in sets])
+            table["verdicts"], shifts = self._decode(table["sets"])
         # A group without constants has one id, 0.
         columns = [table[c].tolist() for c in names] or [[0] * len(chunk.table)]
         ids = self.ids.setdefault(names, {})
         key = np.array([ids.setdefault(v, len(ids)) for v in zip(*columns)], dtype=np.int64)[chunk.skel]
         for v in varying:
-            key = (key << self.widths[v]) | chunk.columns[v]
+            key <<= self.widths[v]
+            key |= chunk.columns[v]
         for v in inputs:
             for digit in self._digits(chunk.columns[v], chunk.skel, table["executed"], shifts):
-                key = (key << self.digit_bits) | digit
+                key <<= self.digit_bits
+                key |= digit
         return key
 
     def _digits(self, inputs: np.ndarray, skel: np.ndarray, executed: np.ndarray, shifts: np.ndarray):
@@ -880,33 +897,45 @@ class _PairKeys:
         b, c, d order, times n - S + 1, plus its count of ones at the other
         positions.  A round that aborted publishes no set, and a round the
         skeleton did not execute (``executed`` holds each skeleton's
-        executed rounds) has no bits."""
-        n, S = self.layout.n, self.published
+        executed rounds) has no bits.  Each skeleton's shifts in its codes
+        are worked out before they are gathered to its rows."""
+        n = self.layout.n
         for r in range(self.executed):
             # Round r's n bits sit at shift (executed - 1 - r) n; bit 63 of
-            # a code is 0, so an unexecuted round reads none.
+            # a code is 0, so an unexecuted round, or a set it does not
+            # publish, reads none.
             at = (executed - 1 - r) * n
-            word = inputs >> np.where(at < 0, 63, at)[skel]
+            at[at < 0] = 63
+            word = inputs >> at[skel]
             word &= _mask(n)
-            ones = sum(_ONES[word >> b & 255] for b in range(0, n, 8))
-            bits = np.zeros_like(word)
-            for j in range(S):
-                bit = word >> shifts[:, r, j][skel] & 1
-                bits = bits << 1 | bit
-                ones = ones - bit
-            yield bits * (n - S + 1) + ones
+            digit = _ONES[word & 255]
+            for b in range(8, n, 8):
+                digit += _ONES[word >> b & 255]
+            # Each set's shift in the code, per skeleton.
+            shift = np.minimum(at[:, None] + shifts[:, r], 63).T
+            for j, place in enumerate(self.place):
+                bit = inputs >> shift[j][skel]
+                bit &= 1
+                bit *= place
+                digit += bit
+            yield digit
 
-    def _decode(self) -> None:
-        """The verdict id and the set shifts of each interned sets value not
-        yet decoded: per round and non-empty published set, its position's
-        shift in the round's n bits, and n, which reads a 0 bit, where the
-        round publishes none."""
+    def _decode(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The verdict id and the (K, S) set shifts of each interned sets
+        value in ``sets``, decoding the values not decoded yet: per round
+        and non-empty published set, its position's shift in the round's n
+        bits, and 63, which reads a 0 bit, where the round publishes none."""
         K, n, S = self.layout.K, self.layout.n, self.published
-        for value in itertools.islice(self.interned["sets"], len(self.shifts), None):
-            verdicts = tuple(published[:2] for published in value)
-            self.verdict_ids.append(self.verdicts.setdefault(verdicts, len(self.verdicts)))
-            shifts = [[n - p for (p,) in filter(None, sets)] if sets else [n] * S for _aborted, _reason, sets in value]
-            self.shifts.append(shifts + [[n] * S] * (K - len(value)))
+        interned = self.interned["sets"]
+        if len(self.shifts) < len(interned):
+            for value in itertools.islice(interned, len(self.shifts), None):
+                verdicts = tuple(published[:2] for published in value)
+                self.verdict_ids.append(self.verdicts.setdefault(verdicts, len(self.verdicts)))
+                shifts = [[n - p for (p,) in filter(None, sets)] if sets else [63] * S for _aborted, _reason, sets in value]
+                self.shifts.append(shifts + [[63] * S] * (K - len(value)))
+            self.verdict_table = np.array(self.verdict_ids, dtype=np.int64)
+            self.shift_table = np.array(self.shifts, dtype=np.int64)
+        return self.verdict_table[sets], self.shift_table[sets]
 
 
 # The ones in each byte value.

@@ -112,9 +112,15 @@ def decode_sets(labels: str) -> SelectionSets:
     return SelectionSets(*((codes == code).nonzero()[0] + 1 for code in _LABELS[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Transcript:
-    """Complete public record of one session."""
+    """Complete public record of one session.
+
+    Frozen, and built by an ``__init__`` that fills the instance dict in
+    one step: a frozen dataclass's generated one sets each of the twelve
+    fields through ``object.__setattr__`` and takes about three times as
+    long.  ``dataclasses.replace`` calls it like the generated one.
+    """
 
     params: ProtocolParams
     aborted: bool
@@ -128,6 +134,14 @@ class Transcript:
     recovered: Optional[tuple[BitString, BitString]] = None
     requested: Optional[tuple[BitString, BitString]] = None
     leaked_selection: Optional[int] = None
+
+    def __init__(self, params, aborted, abort_reason, y, selection_sets=None, m11=None, m12=None, m21=None, m22=None,
+                 recovered=None, requested=None, leaked_selection=None):
+        self.__dict__.update(
+            params=params, aborted=aborted, abort_reason=abort_reason, y=y, selection_sets=selection_sets,
+            m11=m11, m12=m12, m21=m21, m22=m22, recovered=recovered, requested=requested,
+            leaked_selection=leaked_selection,
+        )
 
     @property
     def recovery_ok(self) -> Optional[bool]:
@@ -300,7 +314,8 @@ def client_recover(z: int, y: np.ndarray, s_z: IndexSet, m_z: BitString) -> BitS
     vals = np.asarray(y, dtype=np.uint8)[np.asarray(s_z, dtype=np.int64) - 1]
     if np.count_nonzero(vals == 1):
         raise RuntimeError("hidden position inside a decodable selection set")
-    return BitString.from_array(vals >> 1) ^ m_z
+    # The sums left are 0 and 2, and packing reads any nonzero value as a 1.
+    return BitString.from_array(vals) ^ m_z
 
 
 class RoundOpening(NamedTuple):
