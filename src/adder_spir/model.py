@@ -123,7 +123,11 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class FileStore:
-    """Ordered library of equal-length files held by one server."""
+    """Ordered library of equal-length files held by one server.
+
+    ``file_count`` and ``file_length`` are plain attributes, set once the
+    files are checked: every session answer reads them.
+    """
 
     server_id: int
     files: tuple[BitString, ...]
@@ -133,16 +137,11 @@ class FileStore:
             raise ConfigurationError("server_id must be 1 or 2")
         if len(self.files) < 2:
             raise ConfigurationError("a file store needs at least two files")
-        if len(set(map(len, self.files))) != 1:
+        lengths = set(map(len, self.files))
+        if len(lengths) != 1:
             raise ConfigurationError("all files in a store must have equal length")
-
-    @property
-    def file_count(self) -> int:
-        return len(self.files)
-
-    @property
-    def file_length(self) -> int:
-        return len(self.files[0])
+        object.__setattr__(self, "file_count", len(self.files))
+        object.__setattr__(self, "file_length", lengths.pop())
 
     def file(self, index: int) -> BitString:
         """File at 1-based index."""

@@ -173,6 +173,14 @@ TRIVIAL = "trivial"
 POSITIONS = "S_n per round"
 
 
+class _Ids(dict):
+    """Dense ids of hashable values, each new value taking the next id when first looked up."""
+
+    def __missing__(self, value) -> int:
+        self[value] = new = len(self)
+        return new
+
+
 def _group(params: ProtocolParams) -> str:
     """The position group an audit of ``params`` reduces by."""
     return POSITIONS if max(params.ell1, params.ell2) <= 1 else TRIVIAL
@@ -433,7 +441,7 @@ class _Enumeration:
         self.symbols = lay.symbols(U)
         self.plans: dict = {}  # one per selection
         self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, pair, partition)
-        self.interned: dict[str, dict] = {name: {} for name in _INTERNED}
+        self.interned: dict[str, _Ids] = {name: _Ids() for name in _INTERNED}
         # Per answered transcript (kept alive by its plan), its public entry
         # and each server's two messages joined.
         self.answered: dict[int, tuple] = {}
@@ -665,8 +673,7 @@ class _Enumeration:
         direct, values, outputs, shapes, orbits = zip(*run)
         table = list(zip(*direct))
         for name, column in zip(_INTERNED, zip(*values)):
-            seen = self.interned[name]
-            table.append([seen.setdefault(value, len(seen)) for value in column])
+            table.append(list(map(self.interned[name].__getitem__, column)))
         table.extend(zip(*shapes))
         table = np.array(table, dtype=np.int64).T
         # Every output holds the offset and all B + n K columns, as int64 words.
@@ -765,15 +772,15 @@ def _expand(affine: np.ndarray, counts: np.ndarray) -> np.ndarray:
     rows gains its next 2^j rows, those rows XOR column j, for every
     skeleton with more rows, and puts the others aside."""
     sizes = counts.tolist()
-    table = affine[:, :, :1].transpose(1, 0, 2)  # (output, skeleton, row)
-    built, k = [], len(sizes)
-    for j in range(max(sizes, default=1).bit_length() - 1):
+    columns = affine.transpose(2, 1, 0)[:, :, :, None]  # (column, output, skeleton, row)
+    table, built, k = columns[0], [], len(sizes)
+    for j in range(sizes[0].bit_length() - 1 if sizes else 0):
         while sizes[k - 1] <= 1 << j:  # keep the skeletons with free bit j
             k -= 1
         if k < table.shape[1]:
             built.append(table[:, k:])
             table = table[:, :k]
-        table = np.concatenate((table, table ^ affine[:k, :, j + 1 : j + 2].transpose(1, 0, 2)), axis=2)
+        table = np.concatenate((table, table ^ columns[j + 1, :, :k]), axis=2)
     built.append(table)
     return np.concatenate([t.reshape(len(t), -1) for t in reversed(built)], axis=1)
 
@@ -844,8 +851,8 @@ class _PairKeys:
             if bits > _MAX_CODE_BITS:
                 raise ConfigurationError(f"{name} needs {bits}-bit audit keys, more than {_MAX_CODE_BITS}")
         self.key_bits = max(widths.values())
-        self.ids: dict[tuple, dict] = {}  # constants -> {their values: id}
-        self.verdicts: dict[tuple, int] = {}  # verdicts of a sets value -> id
+        self.ids: dict[tuple, _Ids] = {}  # constants -> {their values: id}
+        self.verdicts = _Ids()  # verdicts of a sets value -> id
         # Per interned sets value, the id of its verdicts and its (K, S) set
         # shifts, as lists and as the arrays the keys gather from.
         self.verdict_ids: list[int] = []
@@ -877,10 +884,11 @@ class _PairKeys:
         table = dict(zip(_SKELETON, chunk.table.T))
         if inputs:
             table["verdicts"], shifts = self._decode(table["sets"])
-        # A group without constants has one id, 0.
-        columns = [table[c].tolist() for c in names] or [[0] * len(chunk.table)]
-        ids = self.ids.setdefault(names, {})
-        key = np.array([ids.setdefault(v, len(ids)) for v in zip(*columns)], dtype=np.int64)[chunk.skel]
+        if names:
+            ids = self.ids.setdefault(names, _Ids())
+            key = np.array(list(map(ids.__getitem__, zip(*(table[c].tolist() for c in names)))), dtype=np.int64)[chunk.skel]
+        else:
+            key = np.zeros(len(chunk.skel), dtype=np.int64)  # a group without constants has one id, 0
         for v in varying:
             key <<= self.widths[v]
             key |= chunk.columns[v]
@@ -930,7 +938,7 @@ class _PairKeys:
         if len(self.shifts) < len(interned):
             for value in itertools.islice(interned, len(self.shifts), None):
                 verdicts = tuple(published[:2] for published in value)
-                self.verdict_ids.append(self.verdicts.setdefault(verdicts, len(self.verdicts)))
+                self.verdict_ids.append(self.verdicts[verdicts])
                 shifts = [[n - p for (p,) in filter(None, sets)] if sets else [63] * S for _aborted, _reason, sets in value]
                 self.shifts.append(shifts + [[63] * S] * (K - len(value)))
             self.verdict_table = np.array(self.verdict_ids, dtype=np.int64)
@@ -985,10 +993,11 @@ def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator
     ascending order, each its view above its ``secret_bits``-bit secret, and
     their masses over ``denominator``.  The views are runs of adjacent keys,
     so :class:`JointDistribution` groups them without a sort."""
-    dist = JointDistribution.from_codes(
-        ("view", "secret"), np.column_stack((key >> secret_bits, key & _mask(secret_bits))), weights, (int, int),
-        denominator=denominator,
-    )
+    # Column-major, so that each column is contiguous.
+    codes = np.empty((len(key), 2), dtype=np.int64, order="F")
+    np.right_shift(key, secret_bits, out=codes[:, 0])
+    np.bitwise_and(key, _mask(secret_bits), out=codes[:, 1])
+    dist = JointDistribution.from_codes(("view", "secret"), codes, weights, (int, int), denominator=denominator)
     return dist.mutual_information(("view",), ("secret",))
 
 
