@@ -250,8 +250,12 @@ def _sweep_cell(args: tuple) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 0 < args.t_exponent < 0.5:
         raise ConfigurationError("t must lie in (0, 1/2)")
-    # A cell's streams are keyed by alpha's float bits, so two entries with
-    # one float value would print two cells of one alpha from one stream.
+    # A cell's streams are keyed by n and alpha's float bits, so a repeated
+    # n, or two alphas with one float value, would print two cells from one
+    # stream.
+    for i, n in enumerate(args.n):
+        if n in args.n[:i]:
+            raise ConfigurationError(f"--n entry {n} is repeated")
     floats: dict[float, Fraction] = {}
     for alpha in args.alpha:
         if float(alpha) in floats:
@@ -292,7 +296,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
         f"mutual information in {report.information_s:.3f} s; "
-        f"{report.chunks} chunks, at most {report.view_pairs} distinct view pairs; "
+        f"{report.chunks} chunks, the largest {report.largest_chunk_rows} rows, "
+        f"at most {report.view_pairs} distinct view pairs; "
         f"audit keys up to {report.key_bits} of {_MAX_CODE_BITS} bits",
         file=sys.stderr,
     )

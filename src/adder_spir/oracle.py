@@ -42,9 +42,13 @@ subselections, so each opening's published-set pads are computed once, and
 the oracle reads each answer's public entry and messages once, however
 many replays share it.
 
-The enumeration is streamed: runs of skeletons of about ``_CHUNK_ROWS``
-rows are expanded one at a time, each affine output one free bit at a
-time.  :func:`enumerate_protocol` concatenates the chunks into one table.
+The enumeration is streamed: runs of skeletons are expanded one at a
+time, each run ending once it holds ``_CHUNK_ROWS`` rows.  A skeleton is
+never split, so a chunk can be as large as the largest skeleton, 2^(B + U)
+rows (the audit reports its largest chunk).  A chunk's skeletons are laid
+out most rows first and every affine output is expanded at once, by
+doubling over the free bits.  :func:`enumerate_protocol` concatenates the
+chunks into one table.
 :func:`audit` never holds more than a chunk of rows, and adds each chunk's
 integer masses into one tally of distinct (view, secret) keys per audited
 pair, so its memory follows the distinct pairs, not the rows.  Conditioned
@@ -163,8 +167,11 @@ _AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel", "miss")
 # Packed codes (free bits plus a round-pattern tag) and audit keys must fit
 # an int64.
 _MAX_CODE_BITS = 62
-# Rows per chunk of the streamed enumeration: a chunk's 17 int64 code
-# columns come to about 2.2 MB.
+# Rows at which a run of skeletons is expanded as one chunk.  No skeleton
+# is split, so a chunk holds up to this many rows less one, plus its last
+# skeleton's (up to 2^(B + U)), and ``LeakageReport.largest_chunk_rows``
+# reports the largest.  A chunk's columns and row weights take about 100
+# bytes a row: 1.6 MB at 2^14 rows, 52 MB for a 524,288-row skeleton.
 _CHUNK_ROWS = 2**14
 # Least seconds between two progress lines of an audit.
 _PROGRESS_S = 1.0
@@ -202,7 +209,8 @@ class LeakageReport:
     for.  ``enumeration_s`` and ``information_s`` split ``wall_time_s``
     into the enumeration and the tallies with the mutual-information passes;
     they, ``replays`` (the protocol replays the enumeration ran), ``chunks``
-    (the runs of rows it was streamed in), ``view_pairs`` (the distinct
+    (the runs of rows it was streamed in), ``largest_chunk_rows`` (the
+    most rows one chunk expanded), ``view_pairs`` (the distinct
     (view, secret) pairs of the largest tally), ``group`` (the position
     group it reduced by), ``orbit_sequences`` (the channel-input sequences
     it enumerated), ``enumerated_rows``, ``expanded_rows`` (the rows it
@@ -236,6 +244,7 @@ class LeakageReport:
     expanded_rows: int = 0
     answered_rounds: int = 0
     key_bits: int = 0
+    largest_chunk_rows: int = 0
 
     @property
     def mode(self) -> str:
@@ -648,9 +657,10 @@ class _Enumeration:
         return AffineBits.join(values).words() if values else self.zeros
 
     def chunks(self, live_only: bool = False):
-        """Every skeleton replayed in order, expanded in runs of about
-        ``_CHUNK_ROWS`` rows (a skeleton is never split); with
-        ``live_only``, the skeletons that abort are not expanded."""
+        """Every skeleton replayed in order, expanded in runs that end once
+        they hold ``_CHUNK_ROWS`` rows; a skeleton is never split, so one of
+        more rows is a chunk of its own.  With ``live_only``, the skeletons
+        that abort are not expanded."""
         B = self.layout.free_bits
         run, rows = [], 0
         for skeleton in self.skeletons():
@@ -665,7 +675,8 @@ class _Enumeration:
     def chunk(self, run: list, live_only: bool = False) -> _Chunk:
         """One row per assignment of each skeleton's free bits (with
         ``live_only``, of each skeleton that did not abort): its file and
-        mask bits below, its channel bits above.  A row's weight is its
+        mask bits below, its channel bits above.  The rows run skeleton by
+        skeleton, those with the most rows first.  A row's weight is its
         probability times the number of skeletons its skeleton stands for;
         its ok is 2 on abort, else whether its miss is zero."""
         lay = self.layout
@@ -688,10 +699,10 @@ class _Enumeration:
         # start at a multiple of its row count.
         order = np.argsort(-expanded, kind="stable")[: np.count_nonzero(expanded)]
         skel = np.repeat(order, expanded[order])
+        columns = dict(zip(_AFFINE, _expand(affine[order], expanded[order])))
         # Every row count is a multiple of 2^B, so a row's file and mask
         # bits are the low B bits of its index.
-        columns = dict(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
-        columns.update(zip(_AFFINE, _expand(affine[order], expanded[order])))
+        columns.update(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
         columns["ok"] = np.where(aborted[skel] == 1, 2, columns.pop("miss") == 0)
         weights = [2 ** (2 * n * (K - k)) * self.lcm // c * o for k, c, o in zip(executed.tolist(), combos.tolist(), orbits)]
         # Each skeleton stands for its orbit times its 2^(B + free) rows.
@@ -782,6 +793,8 @@ def _expand(affine: np.ndarray, counts: np.ndarray) -> np.ndarray:
             table = table[:, :k]
         table = np.concatenate((table, table ^ columns[j + 1, :, :k]), axis=2)
     built.append(table)
+    if len(built) == 1:
+        return table.reshape(len(table), -1)
     return np.concatenate([t.reshape(len(t), -1) for t in reversed(built)], axis=1)
 
 
@@ -1024,7 +1037,7 @@ def audit(
     enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, group)
     keys = _PairKeys(enumeration)
     tallies = {name: _Tally() for name in _PAIRS}
-    rows = expanded = states = nonabort = fail = chunks = 0
+    rows = expanded = states = nonabort = fail = chunks = largest = 0
     tallying, shown = 0.0, start
     for chunk in enumeration.chunks(live_only=condition_nonabort):
         tic = time.perf_counter()
@@ -1033,6 +1046,7 @@ def audit(
         nonabort += int(mass[table["abort"] == 0].sum())
         rows += chunk.rows
         expanded += len(chunk.skel)
+        largest = max(largest, len(chunk.skel))
         states += chunk.states
         chunks += 1
         weights = chunk.weights[chunk.skel]
@@ -1074,5 +1088,5 @@ def audit(
         replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
         group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
         answered_rounds=sum(len(plan.answers) for plan, _requested in enumeration.plans.values()),
-        key_bits=keys.key_bits,
+        key_bits=keys.key_bits, largest_chunk_rows=largest,
     )

@@ -312,7 +312,7 @@ def client_recover(z: int, y: np.ndarray, s_z: IndexSet, m_z: BitString) -> BitS
     input there is simply half the sum.
     """
     vals = np.asarray(y, dtype=np.uint8)[np.asarray(s_z, dtype=np.int64) - 1]
-    if np.count_nonzero(vals == 1):
+    if 1 in vals.tobytes():
         raise RuntimeError("hidden position inside a decodable selection set")
     # The sums left are 0 and 2, and packing reads any nonzero value as a 1.
     return BitString.from_array(vals) ^ m_z

@@ -179,6 +179,16 @@ def test_sweep_alphas_of_one_float_value_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_repeated_n_exits_two(tmp_path, capsys):
+    # A cell's streams are keyed by (n, alpha's float bits), so a repeated n
+    # would print two identical cells from one stream.
+    out = tmp_path / "s.jsonl"
+    argv = ["sweep", "--n", "24,32,24", "--alpha", "0.5", "--trials", "5", "--seed", "1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "--n entry 24 is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_honest_exit_zero(tmp_path, capsys):
     out = tmp_path / "audit.jsonl"
     code = main(

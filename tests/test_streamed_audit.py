@@ -73,6 +73,29 @@ def test_chunking_changes_no_record(monkeypatch, name, chunking):
     assert _records(INSTANCES[name]) == expected
 
 
+def test_largest_chunk_is_the_largest_skeleton(monkeypatch, capsys):
+    # A skeleton is never split: with one skeleton per chunk, the largest
+    # chunk is the skeleton whose one round hides all n = 3 positions,
+    # 2^(B + U) = 2^(2 + 3) rows.  The record does not change.
+    argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0"]
+
+    def run():
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        record = json.loads(out.splitlines()[1])
+        record.pop("wall_time_s")
+        return record, err
+
+    record, err = run()
+    assert "1 chunks, the largest 448 rows, " in err and "largest_chunk_rows" not in record
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 1)
+    report = oracle.audit(ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0))
+    assert report.largest_chunk_rows == 2 ** (2 + 3) and report.chunks == report.orbit_sequences * 4
+    one_skeleton, err = run()
+    assert one_skeleton == record
+    assert f"{report.chunks} chunks, the largest 32 rows, " in err
+
+
 @pytest.mark.parametrize("name", sorted(GROUP_INSTANCES))
 def test_position_group_changes_no_record(monkeypatch, name):
     # Every audit of the instance (honest and each mutation, under each of
@@ -271,7 +294,7 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     argv.append("--condition-nonabort")
     quiet = body()
     assert "rows/s" not in quiet[2]
-    assert "1 chunks, at most " in quiet[2]
+    assert "1 chunks, the largest 256 rows, at most " in quiet[2]
     assert quiet[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
     assert "1792 states from 448 rows (256 expanded) of 11 orbit sequences under S_n per round" in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
@@ -281,5 +304,5 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     progress = [line for line in loud[2].splitlines() if line.endswith("rows/s")]
     assert len(progress) == 3
     assert progress[-1].startswith("audit: 448 of 448 rows, standing for 1,792 of 1,792; 11 orbit sequences under S_n per round; ")
-    assert "3 chunks, at most " in loud[2]
+    assert "3 chunks, the largest 144 rows, at most " in loud[2]
     assert loud[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
