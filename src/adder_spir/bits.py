@@ -16,7 +16,6 @@ raises ``TypeError``.
 
 from __future__ import annotations
 
-import functools
 import operator
 from typing import Iterable, Sequence
 
@@ -188,52 +187,57 @@ class AffineBits(BitString):
     Two values combined by ``^``, ``==`` or :meth:`join` must have the same
     number of free bits (``ValueError`` otherwise).
 
-    The offset and the columns are stored as the 64-bit words of one int,
-    the offset lowest, so ``^`` and :meth:`join` are one int operation
-    each, whatever the number of free bits, and :meth:`words` are the
-    columns as little-endian int64s.  So a value holds at most 64 bits.
+    The offset and the columns are stored as the words of one int, the
+    offset lowest, each word 64 bits wide (as wide as the value, rounded up
+    to 64 bits, for a longer value).  So ``^`` and, on values of at most 64
+    bits, :meth:`join` and :meth:`split` are one int operation each,
+    whatever the number of free bits, and :meth:`words` are the columns as
+    little-endian int64s.
 
     A value remembers its :meth:`subselect` per index set, so the oracle's
     replays of one channel sequence under each selection compute the pads
     once.
     """
 
-    __slots__ = ("_words", "_free", "_picks")
+    __slots__ = ("_words", "_free", "_width", "_picks")
 
     def __init__(self, cols: tuple[int, ...], length: int):
         """``cols`` is the offset, then the column of each free bit, all below 2^length."""
-        if length > _WORD:
-            raise ValueError(f"an affine bit string holds at most {_WORD} bits, not {length}")
-        self._value, self._length, self._bits, self._picks = None, length, None, None
+        width = -(-max(length, 1) // _WORD) * _WORD
         words = 0
         for c in reversed(cols):
-            words = words << _WORD | c
-        self._words, self._free = words, len(cols) - 1
+            words = words << width | c
+        self._value, self._length, self._bits, self._picks = None, length, None, None
+        self._words, self._free, self._width = words, len(cols) - 1, width
 
     @classmethod
-    def _of_words(cls, words: int, free: int, length: int) -> "AffineBits":
-        """Wrap words already known to fit ``length`` bits each."""
+    def _of_words(cls, words: int, free: int, length: int, width: int = 64) -> "AffineBits":
+        """Wrap words of ``width`` bits already known to fit ``length`` bits each."""
         s = object.__new__(cls)
-        s._value, s._length, s._bits, s._words, s._free, s._picks = None, length, None, words, free, None
+        s._value, s._length, s._bits, s._picks = None, length, None, None
+        s._words, s._free, s._width = words, free, width
         return s
 
     @property
     def _cols(self) -> tuple[int, ...]:
         """The offset, then the column of each free bit."""
-        return tuple(self._words >> _WORD * j & _WORD_MASK for j in range(self._free + 1))
+        mask = (1 << self._width) - 1
+        return tuple(self._words >> self._width * j & mask for j in range(self._free + 1))
 
     def words(self) -> bytes:
         """The offset and the columns as little-endian 64-bit words."""
+        if self._width != _WORD:
+            raise ValueError(f"a value of {self._length} bits has no 64-bit words")
         return self._words.to_bytes(8 * (self._free + 1), "little")
 
     def __xor__(self, other: BitString) -> "AffineBits":
         if self._length != other._length:
             raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
         if not isinstance(other, AffineBits):
-            return AffineBits._of_words(self._words ^ other._value, self._free, self._length)
+            return AffineBits._of_words(self._words ^ other._value, self._free, self._length, self._width)
         if self._free != other._free:
             _check_columns(self, other)
-        return AffineBits._of_words(self._words ^ other._words, self._free, self._length)
+        return AffineBits._of_words(self._words ^ other._words, self._free, self._length, self._width)
 
     __rxor__ = __xor__
 
@@ -243,8 +247,12 @@ class AffineBits(BitString):
         if count <= 0 or self._length % count:
             raise ValueError(f"cannot split length {self._length} into {count} equal parts")
         step = self._length // count
-        mask = _ones(self._free) * ((1 << step) - 1)
-        return [AffineBits._of_words(self._words >> step * i & mask, self._free, step) for i in range(count - 1, -1, -1)]
+        mask = (1 << step) - 1
+        if self._width != _WORD:
+            cols = self._cols
+            return [AffineBits(tuple(c >> step * i & mask for c in cols), step) for i in range(count - 1, -1, -1)]
+        words, free, mask = self._words, self._free, _ones(self._free) * mask
+        return [AffineBits._of_words(words >> step * i & mask, free, step) for i in range(count - 1, -1, -1)]
 
     @classmethod
     def join(cls, parts: Sequence["AffineBits"]) -> "AffineBits":
@@ -257,9 +265,13 @@ class AffineBits(BitString):
                 _check_columns(first, p)
             words = words << p._length | p._words
             length += p._length
-        if length > _WORD:
-            raise ValueError(f"an affine bit string holds at most {_WORD} bits, not {length}")
-        return cls._of_words(words, first._free, length)
+        if length <= _WORD:
+            return cls._of_words(words, first._free, length)
+        # Wider words: join column by column.
+        cols = first._cols
+        for p in parts[1:]:
+            cols = tuple(c << p._length | pc for c, pc in zip(cols, p._cols))
+        return cls(cols, length)
 
     def subselect(self, indices: np.ndarray | Sequence[int]) -> "AffineBits":
         key = np.asarray(indices, dtype=np.int64).tobytes()
@@ -270,10 +282,20 @@ class AffineBits(BitString):
         shifts = [self._length - i for i in sorted(map(int, indices))]
         if shifts and (shifts[0] >= self._length or shifts[-1] < 0):
             raise IndexError(f"indices must lie in [1, {self._length}]")
-        ones, words = _ones(self._free), 0
-        for s in shifts:
-            words = words << 1 | self._words >> s & ones
-        picked = self._picks[key] = AffineBits._of_words(words, self._free, len(shifts))
+        if self._width == _WORD and len(shifts) <= _WORD:
+            ones, words = _ones(self._free), 0
+            for s in shifts:
+                words = words << 1 | self._words >> s & ones
+            picked = AffineBits._of_words(words, self._free, len(shifts))
+        else:
+            cols = []
+            for c in self._cols:
+                value = 0
+                for s in shifts:
+                    value = value << 1 | c >> s & 1
+                cols.append(value)
+            picked = AffineBits(tuple(cols), len(shifts))
+        self._picks[key] = picked
         return picked
 
     def __eq__(self, other: object) -> bool:
@@ -286,7 +308,7 @@ class AffineBits(BitString):
             difference = self._words ^ other._value
         if self._length != other._length:
             return False
-        if difference >> _WORD:
+        if difference >> self._width:
             raise TypeError("affine bit strings whose equality depends on the free bits")
         return not difference
 
@@ -301,15 +323,13 @@ class AffineBits(BitString):
         return f"AffineBits({self._cols}, {self._length})"
 
 
-# The word of each column of an AffineBits.
+# The word of each column of an AffineBits of at most this many bits.
 _WORD = 64
-_WORD_MASK = (1 << _WORD) - 1
 
 
-@functools.lru_cache(maxsize=None)
 def _ones(free: int) -> int:
-    """A 1 at the lowest bit of each of the free + 1 words."""
-    return sum(1 << _WORD * j for j in range(free + 1))
+    """A 1 at the lowest bit of each of the free + 1 64-bit words."""
+    return ((1 << _WORD * (free + 1)) - 1) // ((1 << _WORD) - 1)
 
 
 def _check_columns(a: AffineBits, b: AffineBits) -> None:

@@ -40,8 +40,6 @@ MAX_PAD_WIDTH = 3
 _INT64_SAFE = 2**62
 # Products of two masses stay in int64 while the denominator is below this.
 _PRODUCT_SAFE = 2**31
-# Integers below this are exact in float64.
-_FLOAT_EXACT = 2**53
 _DENSE_RANGE = 4  # group ids are renumbered by a table of their range up to this many per row
 
 Decoder = Callable[[int], Hashable]
@@ -162,16 +160,14 @@ class JointDistribution:
         without a sort."""
         if j not in self._columns:
             column = self._codes[:, j]
-            if not column.size:
-                self._columns[j] = np.unique(column, return_inverse=True)
-            elif not np.count_nonzero(column[1:] < column[:-1]):
+            if column.size and not np.count_nonzero(column[1:] < column[:-1]):
                 first = np.empty(column.size, dtype=bool)
                 first[0] = True
                 np.not_equal(column[1:], column[:-1], out=first[1:])
                 ids = first.cumsum()
                 ids -= 1
                 self._columns[j] = column[first], ids
-            elif column.min() >= 0:
+            elif column.size and column.min() >= 0:
                 self._columns[j] = _renumber(column, int(column.max()) + 1)
             else:
                 self._columns[j] = np.unique(column, return_inverse=True)
@@ -201,10 +197,7 @@ class JointDistribution:
         return ids, len(keys)
 
     def _group_sum(self, ids: np.ndarray, count: int) -> np.ndarray:
-        """Numerators summed per group id, exactly: in float64 when every
-        partial sum, at most the denominator, is an integer float64 holds."""
-        if self._den < _FLOAT_EXACT:
-            return np.bincount(ids, weights=self._weights, minlength=count).astype(np.int64)
+        """Numerators summed per group id, exactly."""
         out = np.zeros(count, dtype=self._weights.dtype)
         np.add.at(out, ids, self._weights)
         return out
@@ -291,9 +284,7 @@ def _renumber(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
         return np.unique(ids, return_inverse=True)
     present = np.zeros(count, dtype=bool)
     present[ids] = True
-    dense = present.cumsum()
-    dense -= 1
-    return np.flatnonzero(present), dense[ids]
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
 
 
 def _mutual_information(cab: np.ndarray, ca: np.ndarray, cb: np.ndarray, den: int, cells: int) -> float:

@@ -611,17 +611,18 @@ class _Enumeration:
         U = lay.n * lay.K
         opened, offset = [], 0
         for r, ((pair, verdict), part) in enumerate(itertools.zip_longest(rounds, parts)):
-            # The column of each hidden position's channel bit, first position first.
-            channel = [1 << s for s in range(lay.n - 1, -1, -1) if (pair[0] ^ pair[1]) >> s & 1]
+            hidden = bin(pair[0] ^ pair[1]).count("1")
             # A round without channel bits has no column; the opening holds
             # its partition, so the partition's id is not reused.
-            key = (r, offset if channel else -1, pair, id(part))
+            key = (r, offset if hidden else -1, pair, id(part))
             if key not in self.opened:
-                linear = [0] * (lay.free_bits + offset) + channel + [0] * (U - offset - len(channel))
+                # The column of each hidden position's channel bit, first position first.
+                channel = [1 << s for s in range(lay.n - 1, -1, -1) if (pair[0] ^ pair[1]) >> s & 1]
+                linear = [0] * (lay.free_bits + offset) + channel + [0] * (U - offset - hidden)
                 x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
                 self.opened[key] = verdict._replace(x1=x1, x2=x2, partition=part)
             opened.append(self.opened[key])
-            offset += len(channel)
+            offset += hidden
         return opened, (self._columns([o.x1 for o in opened]), self._columns([o.x2 for o in opened])), offset
 
     def replay(self, plan, requested: AffineBits, openings: list) -> tuple:
@@ -899,7 +900,8 @@ class _PairKeys:
             table["verdicts"], shifts = self._decode(table["sets"])
         if names:
             ids = self.ids.setdefault(names, _Ids())
-            key = np.array(list(map(ids.__getitem__, zip(*(table[c].tolist() for c in names)))), dtype=np.int64)[chunk.skel]
+            constants = zip(*(table[c].tolist() for c in names))
+            key = np.array(list(map(ids.__getitem__, constants)), dtype=np.int64)[chunk.skel]
         else:
             key = np.zeros(len(chunk.skel), dtype=np.int64)  # a group without constants has one id, 0
         for v in varying:
@@ -952,7 +954,8 @@ class _PairKeys:
             for value in itertools.islice(interned, len(self.shifts), None):
                 verdicts = tuple(published[:2] for published in value)
                 self.verdict_ids.append(self.verdicts[verdicts])
-                shifts = [[n - p for (p,) in filter(None, sets)] if sets else [63] * S for _aborted, _reason, sets in value]
+                shifts = [[n - p for (p,) in filter(None, sets)] if sets else [63] * S
+                          for _aborted, _reason, sets in value]
                 self.shifts.append(shifts + [[63] * S] * (K - len(value)))
             self.verdict_table = np.array(self.verdict_ids, dtype=np.int64)
             self.shift_table = np.array(self.shifts, dtype=np.int64)
@@ -1006,11 +1009,10 @@ def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator
     ascending order, each its view above its ``secret_bits``-bit secret, and
     their masses over ``denominator``.  The views are runs of adjacent keys,
     so :class:`JointDistribution` groups them without a sort."""
-    # Column-major, so that each column is contiguous.
-    codes = np.empty((len(key), 2), dtype=np.int64, order="F")
-    np.right_shift(key, secret_bits, out=codes[:, 0])
-    np.bitwise_and(key, _mask(secret_bits), out=codes[:, 1])
-    dist = JointDistribution.from_codes(("view", "secret"), codes, weights, (int, int), denominator=denominator)
+    dist = JointDistribution.from_codes(
+        ("view", "secret"), np.column_stack((key >> secret_bits, key & _mask(secret_bits))), weights, (int, int),
+        denominator=denominator,
+    )
     return dist.mutual_information(("view",), ("secret",))
 
 

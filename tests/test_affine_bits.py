@@ -112,6 +112,28 @@ def test_subselect_matches_concrete_values(data):
             v.subselect([*indices, outside])
 
 
+@given(st.data())
+def test_wide_values_match_concrete_values(data):
+    # A value of more than 64 bits keeps wider words: its subselect, split
+    # and join with a narrow value still evaluate to the concrete ones, and
+    # it has no 64-bit words.
+    free = data.draw(st.integers(0, 4), label="free bits")
+    v = random_affine(data, free, data.draw(st.sampled_from([65, 70, 128, 130]), label="length"))
+    narrow = random_affine(data, free, data.draw(st.sampled_from(LENGTHS[1:]), label="narrow length"))
+    assignments = data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=3))
+    indices = data.draw(st.lists(st.integers(1, len(v)), max_size=90), label="indices")
+    count = data.draw(st.sampled_from([d for d in range(1, 6) if len(v) % d == 0]), label="pieces")
+    for a in assignments:
+        concrete = evaluate(v, a)
+        assert evaluate(v.subselect(indices), a) == concrete.subselect(indices)
+        assert [evaluate(p, a) for p in v.split(count)] == concrete.split(count)
+        assert evaluate(AffineBits.join([narrow, v]), a) == BitString.join([evaluate(narrow, a), concrete])
+        assert evaluate(v ^ v.split(1)[0], a) == BitString.zeros(len(v))
+    assert v ^ v == BitString.zeros(len(v))
+    with pytest.raises(ValueError):
+        v.words()
+
+
 def twin(v):
     """A fresh copy of ``v``, with nothing remembered."""
     if isinstance(v, AffineBits):
