@@ -71,11 +71,11 @@ class MultifileTranscript:
 
     def __init__(self, L1, L2, part_length1, part_length2, pairing, round_selections, transcripts, aborted,
                  recovered=None, requested=None):
-        self.__dict__.update(
-            L1=L1, L2=L2, part_length1=part_length1, part_length2=part_length2, pairing=pairing,
-            round_selections=round_selections, transcripts=transcripts, aborted=aborted, recovered=recovered,
-            requested=requested,
-        )
+        self.__dict__.update({
+            "L1": L1, "L2": L2, "part_length1": part_length1, "part_length2": part_length2, "pairing": pairing,
+            "round_selections": round_selections, "transcripts": transcripts, "aborted": aborted,
+            "recovered": recovered, "requested": requested,
+        })
 
     @property
     def recovery_ok(self) -> Optional[bool]:

@@ -137,11 +137,11 @@ class Transcript:
 
     def __init__(self, params, aborted, abort_reason, y, selection_sets=None, m11=None, m12=None, m21=None, m22=None,
                  recovered=None, requested=None, leaked_selection=None):
-        self.__dict__.update(
-            params=params, aborted=aborted, abort_reason=abort_reason, y=y, selection_sets=selection_sets,
-            m11=m11, m12=m12, m21=m21, m22=m22, recovered=recovered, requested=requested,
-            leaked_selection=leaked_selection,
-        )
+        self.__dict__.update({
+            "params": params, "aborted": aborted, "abort_reason": abort_reason, "y": y,
+            "selection_sets": selection_sets, "m11": m11, "m12": m12, "m21": m21, "m22": m22,
+            "recovered": recovered, "requested": requested, "leaked_selection": leaked_selection,
+        })
 
     @property
     def recovery_ok(self) -> Optional[bool]:
