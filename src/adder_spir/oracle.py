@@ -972,7 +972,10 @@ def _reduce(keys: np.ndarray, weights: np.ndarray, kind: Optional[str] = None) -
     sorted runs of concatenated tables in linear time)."""
     order = np.argsort(keys, kind=kind)
     keys = keys[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
     return keys[first], np.add.reduceat(weights[order], first)
 
 
@@ -1009,10 +1012,10 @@ def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator
     ascending order, each its view above its ``secret_bits``-bit secret, and
     their masses over ``denominator``.  The views are runs of adjacent keys,
     so :class:`JointDistribution` groups them without a sort."""
-    dist = JointDistribution.from_codes(
-        ("view", "secret"), np.column_stack((key >> secret_bits, key & _mask(secret_bits))), weights, (int, int),
-        denominator=denominator,
-    )
+    codes = np.empty((len(key), 2), dtype=np.int64)
+    np.right_shift(key, secret_bits, out=codes[:, 0])
+    np.bitwise_and(key, _mask(secret_bits), out=codes[:, 1])
+    dist = JointDistribution.from_codes(("view", "secret"), codes, weights, (int, int), denominator=denominator)
     return dist.mutual_information(("view",), ("secret",))
 
 

@@ -71,9 +71,13 @@ __all__ = [
 MUTATIONS = ("reuse-pad", "leak-selection", "unmasked-messages")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IndexPartition:
-    """The decodable/hidden split and its per-server shares."""
+    """The decodable/hidden split and its per-server shares.
+
+    Frozen, and built in one step like :class:`Transcript`: the oracle
+    builds one per partition the client could draw.
+    """
 
     good: IndexSet
     bad: IndexSet
@@ -82,6 +86,9 @@ class IndexPartition:
     b1: IndexSet
     b2: IndexSet
     m: int
+
+    def __init__(self, good, bad, g1, g2, b1, b2, m):
+        self.__dict__.update({"good": good, "bad": bad, "g1": g1, "g2": g2, "b1": b1, "b2": b2, "m": m})
 
 
 @dataclass(frozen=True)
