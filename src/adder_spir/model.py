@@ -112,8 +112,11 @@ class ProtocolParams:
             raise ConfigurationError("n must be a positive integer")
         if not 0.0 < self.t_exponent < 0.5:
             raise ConfigurationError("t_exponent must lie in (0, 1/2)")
-        # Integer bounds: a Fraction compares with ints several times faster than with floats.
-        if not 0 <= self.alpha <= 1:
+        # A Fraction is bounded by its numerator and (positive) denominator,
+        # which every session answer compares faster than the Fraction.
+        alpha = self.alpha
+        low, high = (alpha.numerator, alpha.denominator) if isinstance(alpha, Fraction) else (alpha, 1)
+        if not 0 <= low <= high:
             raise ConfigurationError("alpha must lie in [0, 1]")
         if self.L1 < 2 or self.L2 < 2:
             raise ConfigurationError("each server must hold at least two files")
