@@ -125,7 +125,7 @@ class Transcript:
 
     Frozen, and built by an ``__init__`` that fills the instance dict in
     one step: a frozen dataclass's generated one sets each of the twelve
-    fields through ``object.__setattr__`` and takes about three times as
+    fields through ``object.__setattr__`` and takes two to three times as
     long.  ``dataclasses.replace`` calls it like the generated one.
     """
 
