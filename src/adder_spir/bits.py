@@ -174,7 +174,8 @@ class BitString:
 
 
 class AffineBits(BitString):
-    """A bit string that is a GF(2)-affine function of free bits.
+    """A bit string of at most 64 bits that is a GF(2)-affine function of
+    free bits.
 
     The leakage oracle runs the session code on these.  One holds an offset
     and one column per free bit, ints in the bit order of :class:`BitString`
@@ -187,57 +188,58 @@ class AffineBits(BitString):
     Two values combined by ``^``, ``==`` or :meth:`join` must have the same
     number of free bits (``ValueError`` otherwise).
 
-    The offset and the columns are stored as the words of one int, the
-    offset lowest, each word 64 bits wide (as wide as the value, rounded up
-    to 64 bits, for a longer value).  So ``^`` and, on values of at most 64
-    bits, :meth:`join` and :meth:`split` are one int operation each,
-    whatever the number of free bits, and :meth:`words` are the columns as
-    little-endian int64s.
+    The offset and the columns are stored as the 64-bit words of one int,
+    the offset lowest.  So ``^``, :meth:`join` and :meth:`split` are one int
+    operation each, whatever the number of free bits, and :meth:`words` are
+    the columns as little-endian int64s.  The constructor and :meth:`join`
+    raise ``ValueError`` past 64 bits, and the other operations cannot
+    lengthen a value (:meth:`subselect` of distinct indices).  Every value
+    the oracle builds fits: it refuses instances of more than 62 file, mask
+    and channel bits.
 
     A value remembers its :meth:`subselect` per index set, so the oracle's
     replays of one channel sequence under each selection compute the pads
     once.
     """
 
-    __slots__ = ("_words", "_free", "_width", "_picks")
+    __slots__ = ("_words", "_free", "_picks")
 
     def __init__(self, cols: tuple[int, ...], length: int):
         """``cols`` is the offset, then the column of each free bit, all below 2^length."""
-        width = -(-max(length, 1) // _WORD) * _WORD
+        if length > _WORD:
+            raise ValueError(f"an affine bit string holds at most {_WORD} bits, not {length}")
         words = 0
         for c in reversed(cols):
-            words = words << width | c
+            words = words << _WORD | c
         self._value, self._length, self._bits, self._picks = None, length, None, None
-        self._words, self._free, self._width = words, len(cols) - 1, width
+        self._words, self._free = words, len(cols) - 1
 
     @classmethod
-    def _of_words(cls, words: int, free: int, length: int, width: int = 64) -> "AffineBits":
-        """Wrap words of ``width`` bits already known to fit ``length`` bits each."""
+    def _of_words(cls, words: int, free: int, length: int) -> "AffineBits":
+        """Wrap 64-bit words already known to fit ``length`` bits each."""
         s = object.__new__(cls)
         s._value, s._length, s._bits, s._picks = None, length, None, None
-        s._words, s._free, s._width = words, free, width
+        s._words, s._free = words, free
         return s
 
     @property
     def _cols(self) -> tuple[int, ...]:
         """The offset, then the column of each free bit."""
-        mask = (1 << self._width) - 1
-        return tuple(self._words >> self._width * j & mask for j in range(self._free + 1))
+        mask = (1 << _WORD) - 1
+        return tuple(self._words >> _WORD * j & mask for j in range(self._free + 1))
 
     def words(self) -> bytes:
         """The offset and the columns as little-endian 64-bit words."""
-        if self._width != _WORD:
-            raise ValueError(f"a value of {self._length} bits has no 64-bit words")
         return self._words.to_bytes(8 * (self._free + 1), "little")
 
     def __xor__(self, other: BitString) -> "AffineBits":
         if self._length != other._length:
             raise ValueError(f"length mismatch in xor: {self._length} vs {other._length}")
         if not isinstance(other, AffineBits):
-            return AffineBits._of_words(self._words ^ other._value, self._free, self._length, self._width)
+            return AffineBits._of_words(self._words ^ other._value, self._free, self._length)
         if self._free != other._free:
             _check_columns(self, other)
-        return AffineBits._of_words(self._words ^ other._words, self._free, self._length, self._width)
+        return AffineBits._of_words(self._words ^ other._words, self._free, self._length)
 
     __rxor__ = __xor__
 
@@ -247,11 +249,7 @@ class AffineBits(BitString):
         if count <= 0 or self._length % count:
             raise ValueError(f"cannot split length {self._length} into {count} equal parts")
         step = self._length // count
-        mask = (1 << step) - 1
-        if self._width != _WORD:
-            cols = self._cols
-            return [AffineBits(tuple(c >> step * i & mask for c in cols), step) for i in range(count - 1, -1, -1)]
-        words, free, mask = self._words, self._free, _ones(self._free) * mask
+        words, free, mask = self._words, self._free, _ones(self._free) * ((1 << step) - 1)
         return [AffineBits._of_words(words >> step * i & mask, free, step) for i in range(count - 1, -1, -1)]
 
     @classmethod
@@ -265,13 +263,9 @@ class AffineBits(BitString):
                 _check_columns(first, p)
             words = words << p._length | p._words
             length += p._length
-        if length <= _WORD:
-            return cls._of_words(words, first._free, length)
-        # Wider words: join column by column.
-        cols = first._cols
-        for p in parts[1:]:
-            cols = tuple(c << p._length | pc for c, pc in zip(cols, p._cols))
-        return cls(cols, length)
+        if length > _WORD:
+            raise ValueError(f"an affine bit string holds at most {_WORD} bits, not {length}")
+        return cls._of_words(words, first._free, length)
 
     def subselect(self, indices: np.ndarray | Sequence[int]) -> "AffineBits":
         key = np.asarray(indices, dtype=np.int64).tobytes()
@@ -282,20 +276,10 @@ class AffineBits(BitString):
         shifts = [self._length - i for i in sorted(map(int, indices))]
         if shifts and (shifts[0] >= self._length or shifts[-1] < 0):
             raise IndexError(f"indices must lie in [1, {self._length}]")
-        if self._width == _WORD and len(shifts) <= _WORD:
-            ones, words = _ones(self._free), 0
-            for s in shifts:
-                words = words << 1 | self._words >> s & ones
-            picked = AffineBits._of_words(words, self._free, len(shifts))
-        else:
-            cols = []
-            for c in self._cols:
-                value = 0
-                for s in shifts:
-                    value = value << 1 | c >> s & 1
-                cols.append(value)
-            picked = AffineBits(tuple(cols), len(shifts))
-        self._picks[key] = picked
+        ones, words = _ones(self._free), 0
+        for s in shifts:
+            words = words << 1 | self._words >> s & ones
+        self._picks[key] = picked = AffineBits._of_words(words, self._free, len(shifts))
         return picked
 
     def __eq__(self, other: object) -> bool:
@@ -308,7 +292,7 @@ class AffineBits(BitString):
             difference = self._words ^ other._value
         if self._length != other._length:
             return False
-        if difference >> self._width:
+        if difference >> _WORD:
             raise TypeError("affine bit strings whose equality depends on the free bits")
         return not difference
 

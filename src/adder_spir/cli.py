@@ -61,8 +61,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _values(values: list, text: str) -> list:
+    """The values of a comma-separated list; empty entries are skipped, but
+    a list of none is refused (a sweep of no cells would check nothing)."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one comma-separated value, got {text!r}")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
-    return [_positive_int(part) for part in text.split(",") if part]
+    return _values([_positive_int(part) for part in text.split(",") if part], text)
 
 
 def _fraction(text: str) -> Fraction:
@@ -74,7 +82,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _fraction_list(text: str) -> list[Fraction]:
-    return [_fraction(part) for part in text.split(",") if part]
+    return _values([_fraction(part) for part in text.split(",") if part], text)
 
 
 # The ProtocolParams fields that _add_param_flags sets, by their dest names.

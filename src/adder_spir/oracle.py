@@ -80,15 +80,22 @@ skeleton is then its orbit's representative.  The client sees every
 round's y, partition and published sets, so two of its views share an
 orbit only when they come from one skeleton, and the permutation between
 them fixes every singleton share and so every message: its view is keyed
-by its skeleton and its messages, as under the trivial group.  Only a
-server's view needs a canonical form.  Each position of a published set
-is named by its set, and every other position carries message bit 0 and
-only the server's input bit, so the form keeps the view's files, masks,
-messages and leak, each round's verdict in place of its sets, and per
-round the server's input bits at the published sets and its count of ones
-at the other positions.  With ell >= 2 the file bit XORed into a message
-bit depends on its position's rank inside its set, so the group is trivial
-and every skeleton is replayed.
+by its skeleton and its messages, as under the trivial group.  With
+ell >= 2 the file bit XORed into a message bit depends on its position's
+rank inside its set, so S_n does not map views onto views: the group is
+trivial and every skeleton is replayed.
+
+Only a server's view needs a canonical form, and it takes one form under
+both groups and every ell.  A permutation of a round's positions that
+keeps the order inside each published set, and is arbitrary elsewhere,
+keeps a server's files, masks, messages and leak, fixes every secret and
+maps each execution onto an equally likely one, so merging the views it
+relates changes no leakage either.  Each position of a published set is
+named by its set and its rank inside it, and every other position carries
+message bit 0 and only the server's input bit, so the form keeps the
+view's files, masks, messages and leak, each round's verdict in place of
+its sets, and per round the server's input bits at the published sets'
+positions and its count of ones at the other positions.
 :func:`enumerate_protocol` always uses the trivial group.  ``state_count``
 and ``required_states`` count the full table; the state budget counts the
 rows actually enumerated.
@@ -813,21 +820,22 @@ class _PairKeys:
     above its secret's, so equal keys mean equal values and the masses
     grouped by key are the masses grouped by value.
 
-    Under ``POSITIONS`` every published set holds at most one position.
     The client's view is keyed as above: it holds every round's y, its
-    partition and the published sets, and the enumeration keeps one
-    skeleton per orbit, so two of its views share an orbit only when they
-    come from one skeleton, and the permutation between them fixes every
-    singleton share and so every message.  A server's view is keyed by a
-    canonical form: its sets become the verdict of each executed round
-    (whether it aborted, and why), and its channel inputs one digit per
-    round: its bits at the S non-empty published sets, in a, b, c, d order,
-    times n - S + 1, plus its count of ones at the other positions.  A live
-    round publishes sets of the same sizes whatever its partition, so the
-    verdicts fix the layout of the digits.  Each set position is named by
-    its set, and every other position carries message bit 0 and, in a
-    server's view, only its input bit, so equal keys mean views in one
-    orbit.
+    partition and the published sets, so two of its views share an orbit
+    of the enumeration's group only when they come from one skeleton, and
+    the permutation between them fixes every share and so every message.
+    A server's view is keyed by one canonical form under both groups and
+    every ell (the module docstring says why it changes no leakage): its
+    sets become the verdict of each executed round (whether it aborted,
+    and why), and its channel inputs one digit per round: its bits at the
+    S = 2 ell1 + 2 ell2 positions of the published sets, in a, b, c, d
+    order and rank order inside each set, times n - S + 1, plus its count
+    of ones at the other positions.  A live round publishes sets of the
+    same sizes whatever its partition, so the verdicts fix the layout of
+    the digits.  Two server views get one key exactly when a permutation
+    of each round's positions that keeps the order inside each published
+    set carries one onto the other.  A digit is never wider than the
+    round's n bits.
 
     The per-round fields cover only the rounds a sequence can reach: when
     no opened pair goes on, every sequence aborts at its first round, so
@@ -845,16 +853,15 @@ class _PairKeys:
             "msgs1": 2 * lay.p1 * live, "msgs2": 2 * lay.p2 * live,
         }
         self.interned = enumeration.interned
-        symmetric = enumeration.group == POSITIONS
         values = {"z1": lay.L1, "z2": lay.L2}
         skeletons = enumeration.skeleton_count
-        # S, the non-empty published sets among a, b, c, d.  A live round's
-        # digit is below 2^S (n - S + 1); an aborted round's is at most n.
-        self.published = S = 2 * (lay.p1 > 0) + 2 * (lay.p2 > 0)
+        # S, the positions of the published sets a, b, c, d.  A live round's
+        # digit is below 2^S (n - S + 1) <= 2^n; an aborted round's is at most n.
+        self.published = S = 2 * lay.p1 + 2 * lay.p2
         self.digit_bits = max(2**S * (lay.n - S + 1) - 1 if live else 0, lay.n).bit_length()
         self.groups = {}  # group -> (constants, row-varying codes, digitised channel inputs, key bits)
         for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
-            inputs = [v for v in group if v in ("x1", "x2")] if symmetric and group != CLIENT_VIEW else []
+            inputs = [v for v in group if v in ("x1", "x2")]
             constants = tuple("verdicts" if inputs and v == "sets" else v for v in group if v in _SKELETON)
             varying = [v for v in group if v in self.widths and v not in inputs]
             ids = min(skeletons, math.prod(values.get(c, skeletons) for c in constants))
@@ -915,13 +922,14 @@ class _PairKeys:
 
     def _digits(self, inputs: np.ndarray, skel: np.ndarray, executed: np.ndarray, shifts: np.ndarray):
         """Per round, first round first, one digit per row of the channel
-        ``inputs`` of skeleton ``skel``: its bits at the S non-empty
-        published sets (``shifts`` holds each skeleton's set shifts), in a,
-        b, c, d order, times n - S + 1, plus its count of ones at the other
-        positions.  A round that aborted publishes no set, and a round the
-        skeleton did not execute (``executed`` holds each skeleton's
-        executed rounds) has no bits.  Each skeleton's shifts in its codes
-        are worked out before they are gathered to its rows."""
+        ``inputs`` of skeleton ``skel``: its bits at the S published set
+        positions (``shifts`` holds each skeleton's set shifts), in a, b, c,
+        d order and rank order inside each set, times n - S + 1, plus its
+        count of ones at the other positions.  A round that aborted
+        publishes no set, and a round the skeleton did not execute
+        (``executed`` holds each skeleton's executed rounds) has no bits.
+        Each skeleton's shifts in its codes are worked out before they are
+        gathered to its rows."""
         n = self.layout.n
         for r in range(self.executed):
             # Round r's n bits sit at shift (executed - 1 - r) n; bit 63 of
@@ -945,16 +953,17 @@ class _PairKeys:
 
     def _decode(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The verdict id and the (K, S) set shifts of each interned sets
-        value in ``sets``, decoding the values not decoded yet: per round
-        and non-empty published set, its position's shift in the round's n
-        bits, and 63, which reads a 0 bit, where the round publishes none."""
+        value in ``sets``, decoding the values not decoded yet: per round,
+        the shift in the round's n bits of each published set position, in
+        a, b, c, d order and rank order inside each set, and 63, which reads
+        a 0 bit, where the round publishes none."""
         K, n, S = self.layout.K, self.layout.n, self.published
         interned = self.interned["sets"]
         if len(self.shifts) < len(interned):
             for value in itertools.islice(interned, len(self.shifts), None):
                 verdicts = tuple(published[:2] for published in value)
                 self.verdict_ids.append(self.verdicts[verdicts])
-                shifts = [[n - p for (p,) in filter(None, sets)] if sets else [63] * S
+                shifts = [[n - p for share in sets for p in share] if sets else [63] * S
                           for _aborted, _reason, sets in value]
                 self.shifts.append(shifts + [[63] * S] * (K - len(value)))
             self.verdict_table = np.array(self.verdict_ids, dtype=np.int64)

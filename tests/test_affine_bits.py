@@ -2,7 +2,8 @@
 
 A random chain of ``^``, ``split`` and ``join`` runs once on AffineBits and
 once on the concrete values at each of a few assignments of the free bits;
-every intermediate value must evaluate to its concrete counterpart.
+every intermediate value must evaluate to its concrete counterpart, and a
+value or a join past 64 bits must raise ``ValueError``.
 ``subselect`` is checked the same way, and its remembered results against
 a fresh copy's.  ``transmit`` on concrete values must give their
 per-position sums.  The oracle's symbolic round openings must transmit, at
@@ -74,6 +75,10 @@ def test_op_chains_match_concrete_values(data):
             results = [(p, [s[k] for s in per_assignment]) for k, p in enumerate(pieces)]
         else:
             idx = data.draw(st.lists(st.sampled_from(range(len(pool))), min_size=1, max_size=3))
+            if sum(len(pool[k]) for k in idx) > 64:
+                with pytest.raises(ValueError):
+                    type(pool[idx[0]]).join([pool[k] for k in idx])
+                continue
             joined = type(pool[idx[0]]).join([pool[k] for k in idx])
             results = [(joined, [BitString.join([concrete[k][a] for k in idx]) for a in range(len(assignments))])]
         for value, expected in results:
@@ -112,26 +117,18 @@ def test_subselect_matches_concrete_values(data):
             v.subselect([*indices, outside])
 
 
-@given(st.data())
-def test_wide_values_match_concrete_values(data):
-    # A value of more than 64 bits keeps wider words: its subselect, split
-    # and join with a narrow value still evaluate to the concrete ones, and
-    # it has no 64-bit words.
-    free = data.draw(st.integers(0, 4), label="free bits")
-    v = random_affine(data, free, data.draw(st.sampled_from([65, 70, 128, 130]), label="length"))
-    narrow = random_affine(data, free, data.draw(st.sampled_from(LENGTHS[1:]), label="narrow length"))
-    assignments = data.draw(st.lists(st.integers(0, 2**free - 1), min_size=1, max_size=3))
-    indices = data.draw(st.lists(st.integers(1, len(v)), max_size=90), label="indices")
-    count = data.draw(st.sampled_from([d for d in range(1, 6) if len(v) % d == 0]), label="pieces")
-    for a in assignments:
-        concrete = evaluate(v, a)
-        assert evaluate(v.subselect(indices), a) == concrete.subselect(indices)
-        assert [evaluate(p, a) for p in v.split(count)] == concrete.split(count)
-        assert evaluate(AffineBits.join([narrow, v]), a) == BitString.join([evaluate(narrow, a), concrete])
-        assert evaluate(v ^ v.split(1)[0], a) == BitString.zeros(len(v))
-    assert v ^ v == BitString.zeros(len(v))
-    with pytest.raises(ValueError):
-        v.words()
+@pytest.mark.parametrize("length", [65, 70, 128])
+def test_values_past_64_bits_raise(length):
+    # A value holds at most 64 bits: building a longer one, or joining
+    # values into one, raises, while 64 bits still build and join.
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        AffineBits((0, 1), length)
+    half = AffineBits((0, 1), length // 2)
+    with pytest.raises(ValueError, match="at most 64 bits"):
+        AffineBits.join([half, AffineBits((0, 1), length - length // 2)])
+    full = AffineBits.join([AffineBits((1, 2), 32), AffineBits((3, 4), 32)])
+    assert len(full) == 64 and full._cols == (1 << 32 | 3, 2 << 32 | 4)
+    assert len(AffineBits((0, 1), 64)) == 64
 
 
 def twin(v):

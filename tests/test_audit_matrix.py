@@ -6,8 +6,12 @@ on and off.  Each audit contributes its record as JSON text without
 ``wall_time_s`` (its only timing), or the text of the
 ``ConfigurationError`` it raises (conditioning when every session
 aborts).  A change that is meant to keep every audit number must leave the
-digest unchanged; ``python tests/test_audit_matrix.py`` prints the current
-one.
+digests unchanged; ``python tests/test_audit_matrix.py`` prints the current
+ones.
+
+``INSTANCES``' (2, 0) rows abort every session, so ``LIVE_SETS`` adds
+instances whose two-position published sets are live, pinned by a digest
+of their own.
 """
 
 import hashlib
@@ -29,13 +33,20 @@ INSTANCES = [
     (2, 3, 3, 1, 1, HALF, 0.4),
 ]
 DIGEST = "76688f037aa6cfd974173690aa8863865cd0599178e4ad094ce8b67cf78e2d9c"
+# Instances with sessions that go on and publish sets of two positions.
+LIVE_SETS = [
+    (2, 2, 4, 2, 0, Fraction(1), 0.4),
+    (2, 2, 4, 0, 2, Fraction(0), 0.4),
+    (2, 2, 5, 2, 0, Fraction(1), 0.4),
+]
+LIVE_SETS_DIGEST = "4156be466babe4a56fe3871a63d1aa47743e4590298ab7477f4b3d9c73a6a3a0"
 
 
-def matrix_digest() -> str:
+def matrix_digest(instances=INSTANCES) -> str:
     """The sha256 of every audit's record or error text, one line each."""
     digest = hashlib.sha256()
     for (L1, L2, n, ell1, ell2, alpha, t), mutation, condition, no_abort in itertools.product(
-        INSTANCES, (None, *MUTATIONS), (False, True), (False, True)
+        instances, (None, *MUTATIONS), (False, True), (False, True)
     ):
         params = ProtocolParams(n=n, t_exponent=t, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
         try:
@@ -54,5 +65,10 @@ def test_audit_matrix_digest():
     assert matrix_digest() == DIGEST
 
 
+def test_live_sets_digest():
+    assert matrix_digest(LIVE_SETS) == LIVE_SETS_DIGEST
+
+
 if __name__ == "__main__":
     print(f"audit matrix: sha256 {matrix_digest()}")
+    print(f"live sets: sha256 {matrix_digest(LIVE_SETS)}")

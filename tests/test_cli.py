@@ -189,6 +189,19 @@ def test_sweep_repeated_n_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [(["sweep", "--n", ","], "--n"), (["sweep", "--n", "64", "--alpha", ","], "--alpha")])
+def test_sweep_empty_list_is_a_usage_error(tmp_path, capsys, argv, flag):
+    # A sweep of no cells would print only its header and pass every check.
+    out = tmp_path / "s.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0] and "at least one" in errors[0]
+    assert not out.exists()
+
+
 def test_audit_honest_exit_zero(tmp_path, capsys):
     out = tmp_path / "audit.jsonl"
     code = main(

@@ -12,6 +12,7 @@ transcripts the sessions build must stay frozen and keep working with
 """
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -64,16 +65,20 @@ def test_client_recover_matches_per_position_reference(data):
 # ---------------------------------------------------------------------------
 # server-view digits
 
-_ALPHA = {(1, 1): Fraction(1, 2), (1, 0): Fraction(1), (0, 1): Fraction(0), (0, 0): Fraction(1, 2)}
+_ALPHA = {
+    (1, 1): Fraction(1, 2), (1, 0): Fraction(1), (0, 1): Fraction(0), (0, 0): Fraction(1, 2),
+    (2, 0): Fraction(1), (0, 2): Fraction(0), (2, 1): Fraction(2, 3), (1, 2): Fraction(1, 3),
+}
 
 
 def _reference_digit(word: int, entry, n: int) -> int:
     """One round's digit from its definition: the bits of ``word`` (bit 1 of
-    the round is its highest) at the non-empty published sets, in a, b, c,
-    d order and most significant first, times n - S + 1, plus the ones at
-    the other positions; an aborted round publishes no set."""
+    the round is its highest) at every position of the published sets, in
+    a, b, c, d order and rank order inside each set, most significant first,
+    times n - S + 1, plus the ones at the other positions; an aborted round
+    publishes no set."""
     aborted, _reason, sets = entry
-    positions = [] if aborted else [share[0] for share in sets if share]
+    positions = [] if aborted else [p for share in sets for p in sorted(share)]
     bits = [word >> (n - p) & 1 for p in positions]
     value = 0
     for b in bits:
@@ -84,10 +89,12 @@ def _reference_digit(word: int, entry, n: int) -> int:
 
 @st.composite
 def _digit_cases(draw):
-    n = draw(st.integers(1, 5), label="n")
+    n = draw(st.integers(1, 6), label="n")
     L1, L2 = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]), label="L")
     ell = draw(st.sampled_from(sorted(_ALPHA)), label="ell")
     params = ProtocolParams(n=n, t_exponent=0.4, alpha=_ALPHA[ell], L1=L1, L2=L2, ell1=ell[0], ell2=ell[1])
+    # The digits do not depend on the position group, which only sizes the
+    # ids above them; S_n keeps the multi-file enumerations small.
     enumeration = oracle._Enumeration(params, True, None, oracle.POSITIONS)
     keys = oracle._PairKeys(enumeration)
     S = keys.published
@@ -101,10 +108,8 @@ def _digit_cases(draw):
             if not live or (r == executed - 1 and draw(st.booleans())):
                 value.append((True, draw(st.sampled_from(["size-deviation", "capacity-shortfall"])), None))
                 break
-            chosen = draw(st.permutations(range(1, n + 1)))[:S]
-            shares, it = [], iter(chosen)
-            for published in (ell[0], ell[0], ell[1], ell[1]):
-                shares.append((next(it),) if published else ())
+            chosen = iter(draw(st.permutations(range(1, n + 1)))[:S])
+            shares = [tuple(sorted(itertools.islice(chosen, size))) for size in (ell[0], ell[0], ell[1], ell[1])]
             value.append((False, None, tuple(shares)))
         words = draw(st.lists(st.integers(0, 2 ** (len(value) * n) - 1), min_size=1, max_size=4))
         skeletons.append((tuple(value), words))

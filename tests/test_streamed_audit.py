@@ -8,7 +8,9 @@ skeleton per orbit of the position group, so neither may the group: the
 trivial group must print the same records.  It keys each view by a
 canonical form, which must give two enumerated views one key exactly when
 a brute-force search over the permutations of each round's positions maps
-one onto the other.
+one onto the other: for a server's view, under both groups, the
+permutations that keep the order inside each published set; for the
+client's, those of the enumeration's group.
 """
 
 import functools
@@ -111,9 +113,12 @@ def test_position_group_changes_no_record(monkeypatch, name):
 @functools.cache
 def _least_image(values: tuple, shares: tuple) -> tuple:
     """The least image of one round's per-position ``values`` and 1-based
-    index sets ``shares`` under every permutation of its positions."""
+    index sets ``shares`` under every permutation of its positions that
+    keeps the order inside each set (every permutation, for singletons)."""
     images = []
     for perm in itertools.permutations(range(len(values))):
+        if any(perm[p - 1] > perm[q - 1] for s in shares for p, q in zip(s, s[1:])):
+            continue
         moved = [0] * len(values)
         for p, q in enumerate(perm):
             moved[q] = values[p]
@@ -123,8 +128,13 @@ def _least_image(values: tuple, shares: tuple) -> tuple:
 
 def _orbit(enumeration, interned: dict, codes: dict, row: int, view) -> tuple:
     """A view of one row with each round replaced by its verdict and least
-    image: equal for exactly the views of one orbit of the position group."""
+    image: equal for exactly the views one class holds.  A server's class is
+    an orbit of the permutations that keep the order inside each published
+    set; the client's is an orbit of the enumeration's group, so under the
+    trivial group its view is its own image."""
     published = interned["sets"][codes["sets"][row]]
+    if view == oracle.CLIENT_VIEW and enumeration.group == oracle.TRIVIAL:
+        return tuple(codes[name][row] for name in view)
     if view == oracle.CLIENT_VIEW:
         values = [tuple(y) for y in interned["y"][codes["y"][row]]]
         parts = interned["u0"][codes["u0"][row]]
@@ -141,8 +151,15 @@ def _orbit(enumeration, interned: dict, codes: dict, row: int, view) -> tuple:
     return tuple(codes[name][row] for name in view if name not in ("x1", "x2", "y", "u0", "sets")) + rounds
 
 
-# Two-file, n = 3, no published position (S = 0): a server's digit is its count of ones.
-ORBIT_INSTANCES = {**GROUP_INSTANCES, "ell00-n3": ProtocolParams(n=3, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0)}
+# Two-file, n = 3, no published position (S = 0): a server's digit is its
+# count of ones.  Two-file, n = 4, live sets of two positions each, enumerated
+# on the trivial group: server 1's (ell20) or server 2's (ell02) sets.
+ORBIT_INSTANCES = {
+    **GROUP_INSTANCES,
+    "ell00-n3": ProtocolParams(n=3, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0),
+    "ell20-n4": ProtocolParams(n=4, t_exponent=0.4, alpha=1, ell1=2, ell2=0),
+    "ell02-n4": ProtocolParams(n=4, t_exponent=0.4, alpha=0, ell1=0, ell2=2),
+}
 # id suffix -> (abort_disabled, mutation)
 ORBIT_CASES = {"": (False, None), "-no-abort": (True, None), "-leak-selection": (False, "leak-selection"),
                "-reuse-pad": (False, "reuse-pad")}
@@ -157,8 +174,10 @@ ORBIT_CASES = {"": (False, None), "-no-abort": (True, None), "-leak-selection": 
 )
 def test_canonical_keys_are_orbits(name, abort_disabled, mutation):
     # Two enumerated views get one key exactly when a permutation of each
-    # round's positions carries one onto the other.
-    enumeration = oracle._Enumeration(ORBIT_INSTANCES[name], abort_disabled, mutation, oracle.POSITIONS)
+    # round's positions (for a server's view, one that keeps the order
+    # inside each published set) carries one onto the other.
+    params = ORBIT_INSTANCES[name]
+    enumeration = oracle._Enumeration(params, abort_disabled, mutation, oracle._group(params))
     keys = oracle._PairKeys(enumeration)
     seen = {view: set() for view in oracle._VIEWS}
     for chunk in enumeration.chunks():
