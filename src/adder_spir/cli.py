@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="exhaustive leakage audit of a tiny instance")
     _add_param_flags(p_audit)
-    p_audit.add_argument("--seed", type=_nonnegative_int, default=0)
+    p_audit.add_argument("--seed", type=_nonnegative_int, default=0, help="accepted, never read: the audit is exhaustive")
     p_audit.add_argument("--out", default="-")
     p_audit.add_argument("--no-abort", action="store_true")
     p_audit.add_argument("--condition-nonabort", action="store_true")
@@ -300,7 +300,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     expanded = f" ({report.expanded_rows} expanded)" if report.expanded_rows != report.enumerated_rows else ""
     print(
         f"audit: {report.state_count} states from {report.enumerated_rows} rows{expanded} of "
-        f"{report.orbit_sequences} orbit sequences under {report.group}, {report.replays} replays "
+        f"{report.orbit_sequences} orbit sequences, {report.replays} replays "
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
         f"mutual information in {report.information_s:.3f} s; "

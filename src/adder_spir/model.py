@@ -9,6 +9,7 @@ key element's words.  A ``SeedSequence`` of those words as one uint32 array
 has the same pool and state and is cheaper to build, so it is the one built
 here.  Spawn-key conventions:
 
+* ``()``         the client's selection draw (``run`` and ``sweep`` trials)
 * ``(0,)``       file sampling for a server's library
 * ``(1, k)``     channel inputs for sub-protocol round ``k`` (1-based)
 * ``(2,)``       chaining masks for the multi-file reduction

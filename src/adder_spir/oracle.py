@@ -26,18 +26,17 @@ skeleton is replayed exactly once, and the skeletons are counted before
 any replay.  Two files per server is the L1 = L2 = 2 case of the
 multi-file reduction, replayed the same way; only its decoded per-round
 values are unwrapped from their one-round tuples.  The channel phase of a
-round does not depend on the selection, so it runs once per canonical
-channel-input pair: :func:`~adder_spir.protocol.open_round` on the
-concrete pair, with every partition the client could draw.  The sequences
-are replayed as a tree of rounds.  Every symbolic value carries all
-B + n K free-bit columns, each round's channel bits after those of the
-rounds before it, so there is one plan per selection.  A round's symbolic
-opening keeps its pair's y and abort verdict, with the symbolic channel
-inputs and the partition the sequence chose; it depends only on the round
-index, the column of its first channel bit, the pair and the partition, and
-is built once under that key for every sequence that reaches it.  Each
-plan answers each opening once, so sequences that share their leading
-rounds answer them once per selection; the inputs remember their
+round does not depend on the selection, so it runs once per kept opening:
+:func:`~adder_spir.protocol.open_round` on the opening's own concrete
+channel-input pair.  The sequences are replayed as a tree of rounds.
+Every symbolic value carries all B + n K free-bit columns, each round's
+channel bits after those of the rounds before it, so there is one plan per
+selection.  A round's symbolic opening keeps its kept opening's y, abort
+verdict and partition, with the symbolic channel inputs; it depends only
+on the round index, the column of its first channel bit and the kept
+opening, and is built once under that key for every sequence that reaches
+it.  Each plan answers each opening once, so sequences that share their
+leading rounds answer them once per selection; the inputs remember their
 subselections, so each opening's published-set pads are computed once, and
 the oracle reads each answer's public entry and messages once, however
 many replays share it.
@@ -63,27 +62,32 @@ secret) of one tally: an ascending column is grouped by its runs without a
 sort, and since the keys are distinct each one's mass is its (view,
 secret) pair's mass.  Only the secrets are sorted.
 
-:func:`audit` enumerates one skeleton per orbit of a group of position
-permutations.  Permuting the n positions of a round keeps the channel
-inputs uniform, maps the client's partitions onto equally likely ones and
-fixes every secret (the selection, the files, the unselected files).  When
-every published set holds at most one position (ell1, ell2 <= 1), each
-message bit belongs to one position, so such a permutation also maps each
-view onto a view of equal probability, and the group is S_n acting on each
-executed round separately.  Then I(V; S) = I(canon(V); S) for any canon
-that maps exactly the views of one orbit together; the same holds for the
-integer factoring test behind exact zeros.  So the audit opens one
-channel-input pair per orbit (its counts of 0-, 2- and hidden positions)
-and one partition per orbit of the permutations that fix its y, and
-weights each row by the number of rows its orbit stands for.  Each
-skeleton is then its orbit's representative.  The client sees every
-round's y, partition and published sets, so two of its views share an
-orbit only when they come from one skeleton, and the permutation between
-them fixes every singleton share and so every message: its view is keyed
-by its skeleton and its messages, as under the trivial group.  With
-ell >= 2 the file bit XORed into a message bit depends on its position's
-rank inside its set, so S_n does not map views onto views: the group is
-trivial and every skeleton is replayed.
+:func:`audit` enumerates one skeleton per class of executions.  A
+permutation of a round's positions that keeps the order inside each share
+of its partition, and is arbitrary elsewhere, keeps the channel inputs
+uniform, maps the client's partitions onto equally likely ones (their
+number depends only on y's counts) and fixes every secret (the selection,
+the files, the unselected files).  A message bit pairs the r-th position
+of its set with file bit r, so such a permutation also keeps every
+message, and maps each view onto a view of equal probability; acting on
+each executed round separately, these permutations relate executions by
+an equivalence.  Then I(V; S) = I(canon(V); S) for any canon that maps
+exactly the views of one class together; the same holds for the integer
+factoring test behind exact zeros.  A class of a round's (y, partition)
+choices is fixed by the sums of each decodable share in rank order and by
+the counts of 0-, 2- and hidden positions outside every share; it stands
+for n! / (ell1!^2 ell2!^2 i0! i2! i1!) choices, where i0, i2 and i1 are
+those counts.  So the audit opens one channel-input pair per class, whose
+y lays out the shares and then the other positions, and on which the
+deterministic lowest-index partition draws those shares, and weights each
+row by the number of rows its class stands for; a count triple whose
+rounds abort keeps one pair.  With ell1, ell2 <= 1 the order inside a
+share is vacuous, and the classes are the orbits of S_n on each round.
+Each skeleton is its class's representative.  The client sees every
+round's y, partition and published sets, so two of its views share a
+class only when they come from one skeleton, and the permutation between
+them keeps the order inside every share and so every message: its view is
+keyed by its skeleton and its messages, as under the trivial group.
 
 Only a server's view needs a canonical form, and it takes one form under
 both groups and every ell.  A permutation of a round's positions that
@@ -96,7 +100,9 @@ message bit 0 and only the server's input bit, so the form keeps the
 view's files, masks, messages and leak, each round's verdict in place of
 its sets, and per round the server's input bits at the published sets'
 positions and its count of ones at the other positions.
-:func:`enumerate_protocol` always uses the trivial group.  ``state_count``
+:func:`enumerate_protocol` uses the trivial group, which keeps every
+canonical pair with each partition the client could draw, and every audit
+keeps one opening per share class (``_AUDIT_CLASSES``).  ``state_count``
 and ``required_states`` count the full table; the state budget counts the
 rows actually enumerated.
 """
@@ -121,7 +127,8 @@ from .multifile import execute_multifile, plan_multifile
 # The oracle looks its protocol entry points up in this namespace at call
 # time, so tracing tools can wrap them here; execute_session, reached through
 # execute_multifile, stays bound with them.
-from .protocol import Transcript, abort_check, execute_session, open_round, partition_choices, shares_fit  # noqa: F401
+from .protocol import (  # noqa: F401
+    Transcript, abort_check, execute_session, open_round, partition, partition_choices, shares_fit)
 
 __all__ = [
     "StateBudgetExceeded",
@@ -182,9 +189,9 @@ _MAX_CODE_BITS = 62
 _CHUNK_ROWS = 2**14
 # Least seconds between two progress lines of an audit.
 _PROGRESS_S = 1.0
-# The groups of position permutations an enumeration can reduce by.
-TRIVIAL = "trivial"
-POSITIONS = "S_n per round"
+# Whether audits keep one opening per share class, not every canonical
+# pair with every partition (the trivial group, which tests compare against).
+_AUDIT_CLASSES = True
 
 
 class _Ids(dict):
@@ -193,11 +200,6 @@ class _Ids(dict):
     def __missing__(self, value) -> int:
         self[value] = new = len(self)
         return new
-
-
-def _group(params: ProtocolParams) -> str:
-    """The position group an audit of ``params`` reduces by."""
-    return POSITIONS if max(params.ell1, params.ell2) <= 1 else TRIVIAL
 
 
 class StateBudgetExceeded(Exception):
@@ -218,11 +220,10 @@ class LeakageReport:
     they, ``replays`` (the protocol replays the enumeration ran), ``chunks``
     (the runs of rows it was streamed in), ``largest_chunk_rows`` (the
     most rows one chunk expanded), ``view_pairs`` (the distinct
-    (view, secret) pairs of the largest tally), ``group`` (the position
-    group it reduced by), ``orbit_sequences`` (the channel-input sequences
-    it enumerated), ``enumerated_rows``, ``expanded_rows`` (the rows it
-    expanded: under non-abort conditioning, only those of skeletons that did
-    not abort), ``answered_rounds`` (the rounds
+    (view, secret) pairs of the largest tally), ``orbit_sequences`` (the
+    channel-input sequences it enumerated), ``enumerated_rows``,
+    ``expanded_rows`` (the rows it expanded: under non-abort conditioning,
+    only those of skeletons that did not abort), ``answered_rounds`` (the rounds
     the replays answered, each opening once per selection) and ``key_bits``
     (the bits of the widest audited pair's keys) stay out of the record.
     """
@@ -245,7 +246,6 @@ class LeakageReport:
     replays: int = 0
     chunks: int = 0
     view_pairs: int = 0
-    group: str = TRIVIAL
     orbit_sequences: int = 0
     enumerated_rows: int = 0
     expanded_rows: int = 0
@@ -390,8 +390,18 @@ def required_states(params: ProtocolParams, abort_disabled: bool = False) -> int
         ):
             aborting += pairs
         else:
-            continuing += pairs * math.comb(g, a) * math.comb(g - a, b) * math.comb(n - g, a) * math.comb(n - g - a, b)
+            continuing += pairs * _choices(g, n - g, a, b)
     return _rows(_Layout(params), continuing, aborting)
+
+
+def _choices(g: int, h: int, ell1: int, ell2: int) -> int:
+    """The partitions the client can draw from g decodable and h hidden positions."""
+    return math.comb(g, ell1) * math.comb(g - ell1, ell2) * math.comb(h, ell1) * math.comb(h - ell1, ell2)
+
+
+def _multinomial(*counts: int) -> int:
+    """The ways to lay out ``counts[i]`` positions of kind i in one row."""
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
 def _rows(layout: "_Layout", continuing: int, aborting: int) -> int:
@@ -402,12 +412,12 @@ def _rows(layout: "_Layout", continuing: int, aborting: int) -> int:
 
 
 def _enumeration(params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], state_budget: int,
-                 group: str = TRIVIAL):
-    """The enumeration of one instance under ``group`` and the rows of the
-    full table, with the rows it enumerates checked against
-    ``state_budget`` before anything is replayed."""
+                 classes: bool = False):
+    """The enumeration of one instance (by share classes with ``classes``)
+    and the rows of the full table, with the rows it enumerates checked
+    against ``state_budget`` before anything is replayed."""
     required = required_states(params, abort_disabled)
-    enumeration = _Enumeration(params, abort_disabled, mutation, group)
+    enumeration = _Enumeration(params, abort_disabled, mutation, classes)
     if enumeration.rows > state_budget:
         raise StateBudgetExceeded(required, state_budget, enumeration.rows)
     return enumeration, required
@@ -445,18 +455,19 @@ class _Chunk(NamedTuple):
 
 
 class _Enumeration:
-    """Skeleton replays of one instance, one per orbit of ``group`` (one of
-    ``TRIVIAL`` and ``POSITIONS``), and their numpy expansion."""
+    """Skeleton replays of one instance, one per share class with
+    ``classes``, else one per canonical pair and partition (the trivial
+    group), and their numpy expansion."""
 
-    def __init__(self, params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], group: str = TRIVIAL):
-        self.params, self.abort_disabled, self.mutation, self.group = params, abort_disabled, mutation, group
+    def __init__(self, params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], classes: bool = False):
+        self.params, self.abort_disabled, self.mutation, self.classes = params, abort_disabled, mutation, classes
         self.layout = lay = _Layout(params)
         B, U = lay.free_bits, lay.n * lay.K
         if B + U + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
             raise ConfigurationError(f"{B} file and mask bits and {U} channel bits are too many to enumerate")
         self.symbols = lay.symbols(U)
         self.plans: dict = {}  # one per selection
-        self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, pair, partition)
+        self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, kept opening)
         self.interned: dict[str, _Ids] = {name: _Ids() for name in _INTERNED}
         # Per answered transcript (kept alive by its plan), its public entry
         # and each server's two messages joined.
@@ -466,70 +477,80 @@ class _Enumeration:
 
     @functools.cached_property
     def verdicts(self) -> list:
-        """Each channel-input pair the group keeps (ints) with its opening
-        and the number of canonical pairs it stands for.  The opening's
-        partition is None on abort, else a list of (partition, number of
-        partitions it stands for).
+        """Each round opening the enumeration keeps: (its channel-input pair
+        as ints, its opening with one partition, or None on abort, the
+        number of (canonical pair, partition) choices it stands for, and the
+        number of partitions its pair could draw, 1 on abort).
 
         A canonical pair has x1 = 0 and x2 = 1 at every hidden position; it
         stands for every pair with the same sums.  The trivial group keeps
-        every canonical pair and every partition the client could draw.
-        Under ``POSITIONS`` one pair stands for every canonical pair with
-        its counts of 0-, 2- and hidden positions, and one partition for
-        every partition whose shares hold the same sums.
+        every canonical pair with each partition the client could draw.
+        With ``classes`` one opening stands for each class: its pair's y
+        lays out the sums of g1 and g2 in rank order, the hidden b1 and b2,
+        then its idle 0-, 2- and hidden positions, and :func:`partition`
+        (lowest-index shares) draws exactly those shares.  A count triple
+        that aborts keeps the opening of its first class alone, for every
+        pair with its counts.
         """
         n = self.layout.n
-        if self.group == TRIVIAL:
-            pairs = [(v1, v2, 1) for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2]
-        else:
-            # Positions 1..zeros sum to 0, then twos positions to 2, and the rest are hidden.
-            pairs = [
-                (((1 << twos) - 1) << hidden, (1 << (twos + hidden)) - 1, math.comb(n, twos) * math.comb(n - twos, hidden))
-                for twos in range(n + 1) for hidden in range(n + 1 - twos)
-            ]
-        opened = []
-        for v1, v2, size in pairs:
-            verdict = open_round(self.params, BitString.from_int(v1, n), BitString.from_int(v2, n),
-                                 self._partitions, abort_disabled=self.abort_disabled)
-            # Every symbolic opening of the pair shares this y.
-            verdict.y.flags.writeable = False
-            opened.append(((v1, v2), verdict, size))
-        return opened
+        kept = []
+        if not self.classes:
+            for v1, v2 in ((v1, v2) for v1 in range(2**n) for v2 in range(2**n) if not v1 & ~v2):
+                pair, verdict = self._open(v1, v2, partition_choices)
+                parts = verdict.partition or [None]
+                kept.extend((pair, verdict._replace(partition=part), 1, len(parts)) for part in parts)
+            return kept
+        for twos in range(n + 1):
+            for hidden in range(n + 1 - twos):
+                zeros = n - twos - hidden
+                # Without a class no partition fits, and any y of the counts aborts.
+                for y, size in list(self._classes(zeros, twos, hidden)) or [("0" * zeros + "2" * twos + "1" * hidden, 0)]:
+                    # x1 is 1 at the 2s of y, x2 at its 1s and 2s.
+                    x1, x2 = int(y.replace("1", "0").replace("2", "1"), 2), int(y.replace("2", "1"), 2)
+                    pair, verdict = self._open(x1, x2, partition)
+                    if verdict.partition is None:
+                        kept.append((pair, verdict, _multinomial(zeros, twos, hidden), 1))
+                        break
+                    kept.append((pair, verdict, size, _choices(zeros + twos, hidden, self.params.ell1, self.params.ell2)))
+        return kept
 
-    def _partitions(self, y: np.ndarray, *shape) -> list:
-        """The partitions of y the group keeps, each with the number of
-        :func:`partition_choices` it stands for: the partitions whose shares
-        hold the same multisets of sums form one orbit of the permutations
-        that fix y.  Under ``POSITIONS`` a share holds at most one position,
-        so the sums of the four shares in turn name its orbit."""
-        choices = partition_choices(y, *shape)
-        if self.group == TRIVIAL:
-            return [(part, 1) for part in choices]
-        orbits: dict = {}
-        for part in choices:
-            sums = y[np.concatenate((part.g1, part.g2, part.b1, part.b2)) - 1].tobytes()
-            orbits.setdefault(sums, [part, 0])[1] += 1
-        return [tuple(orbit) for orbit in orbits.values()]
+    def _classes(self, zeros: int, twos: int, hidden: int):
+        """The classes of (y, partition) choices whose y has these counts:
+        each one's representative y, as a string of its sums, and the
+        number of choices it stands for.  A class fixes the sums of each
+        decodable share in rank order and the counts of the 0-, 2- and
+        hidden positions outside every share (its idle positions), so it
+        stands for n! / (ell1!^2 ell2!^2 i0! i2! i1!) choices."""
+        a, b = self.params.ell1, self.params.ell2
+        for sums in itertools.product("02", repeat=a + b):
+            i0, i2, i1 = zeros - sums.count("0"), twos - sums.count("2"), hidden - a - b
+            if min(i0, i2, i1) >= 0:
+                yield "".join(sums) + "1" * (a + b) + "0" * i0 + "2" * i2 + "1" * i1, _multinomial(a, b, a, b, i0, i2, i1)
+
+    def _open(self, v1: int, v2: int, partitioner) -> tuple:
+        """The concrete channel-input pair (v1, v2) and its :func:`open_round`."""
+        x1, x2 = (BitString.from_int(v, self.layout.n) for v in (v1, v2))
+        verdict = open_round(self.params, x1, x2, partitioner, abort_disabled=self.abort_disabled)
+        # Every symbolic opening of the pair shares this y.
+        verdict.y.flags.writeable = False
+        return (v1, v2), verdict
 
     def sequences(self):
-        """Channel-input sequences of the kept pairs, truncated at the first
-        aborting round, with one kept partition per round that did not
-        abort.  Yields (verdict per executed round, partition per live
-        round, number of partition combinations, number of canonical
+        """Sequences of the kept openings, truncated at the first aborting
+        round.  Yields (kept opening per executed round, number of
+        partition combinations, number of canonical (pair, partition)
         sequences it stands for).
         """
-        verdicts = [((pair, verdict), size, verdict.partition, sum(c for _p, c in verdict.partition or ()))
-                    for pair, verdict, size in self.verdicts]
-        prefixes = [((), (), 1, 1)]
+        prefixes = [((), 1, 1)]
         for _round in range(self.layout.K):
             grown = []
-            for rounds, parts, combos, orbit in prefixes:
-                for opened, size, choices, total in verdicts:
-                    if choices is None:
-                        yield rounds + (opened,), parts, combos, orbit * size
+            for rounds, combos, size in prefixes:
+                for kept in self.verdicts:
+                    _pair, verdict, stands, choices = kept
+                    if verdict.partition is None:
+                        yield rounds + (kept,), combos, size * stands
                     else:
-                        grown.extend((rounds + (opened,), parts + (part,), combos * total, orbit * size * count)
-                                     for part, count in choices)
+                        grown.append((rounds + (kept,), combos * choices, size * stands))
             prefixes = grown
         yield from prefixes
 
@@ -537,21 +558,17 @@ class _Enumeration:
     def rows(self) -> int:
         """The rows the enumeration expands, counted before any replay: the
         full table's under the trivial group, which needs no pair opened."""
-        if self.group == TRIVIAL:
+        if not self.classes:
             return required_states(self.params, self.abort_disabled)
-        continuing = aborting = 0
-        for (v1, v2), verdict, _size in self.verdicts:
-            rows = 1 << bin(v1 ^ v2).count("1")  # one per value of the channel bits
-            if verdict.partition is None:
-                aborting += rows
-            else:
-                continuing += rows * len(verdict.partition)
-        return _rows(self.layout, continuing, aborting)
+        rows = {False: 0, True: 0}  # by whether the opening aborts
+        for (v1, v2), verdict, _size, _choices in self.verdicts:
+            rows[verdict.partition is None] += 1 << bin(v1 ^ v2).count("1")  # one per value of the channel bits
+        return _rows(self.layout, rows[False], rows[True])
 
     @functools.cached_property
     def combos(self) -> list[int]:
         """The partition combinations of each sequence, from one walk before any replay."""
-        return [combos for _rounds, _parts, combos, _orbit in self.sequences()]
+        return [combos for _rounds, combos, _size in self.sequences()]
 
     @functools.cached_property
     def lcm(self) -> int:
@@ -587,47 +604,46 @@ class _Enumeration:
                     self.plans[sel] = plan, AffineBits.join(plan.requested)
                 unsel = self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:])
                 selections.append((sel, unsel, *self.plans[sel]))
-        for rounds, parts, combos, orbit in self.sequences():
+        for rounds, combos, size in self.sequences():
             self.sequence_count += 1
-            executed, aborted = len(rounds), len(parts) < len(rounds)
-            part_keys = tuple(map(_part_key, parts))
-            opened, x_columns, free = self.openings(rounds, parts)
+            executed, aborted = len(rounds), rounds[-1][1].partition is None
+            part_keys = tuple(_part_key(verdict.partition) for _pair, verdict, *_counts in rounds[: executed - aborted])
+            opened, x_columns, free = self.openings(rounds)
             shape = (free, executed, combos)
             for sel, unsel, plan, requested in selections:
                 (ys, sets, leaks), replayed_abort, (msgs1, msgs2, miss) = self.replay(plan, requested, opened)
                 if replayed_abort != aborted or len(ys) != executed:
                     raise RuntimeError("replay disagrees with the enumerated channel verdicts")
                 yield ((sel.z1, sel.z2, int(aborted)), (ys, sets, leaks, part_keys),
-                       (*x_columns, msgs1, msgs2, unsel, miss), shape, orbit)
+                       (*x_columns, msgs1, msgs2, unsel, miss), shape, size)
 
-    def openings(self, rounds, parts) -> tuple:
-        """The symbolic opening of each executed round: its verdict with the
-        channel-input pair XOR one free channel bit per hidden position,
-        above the file and mask bits, as :class:`AffineBits`, and the
-        partition ``parts`` chose (None for a round that aborted); the x1 and
-        x2 columns; and the free channel bit count.  The channel bits sit at
-        hidden positions of both inputs, so every assignment of them keeps
-        the verdict's y.
+    def openings(self, rounds) -> tuple:
+        """The symbolic opening of each executed round: its kept opening
+        with the channel-input pair XOR one free channel bit per hidden
+        position, above the file and mask bits, as :class:`AffineBits`; the
+        x1 and x2 columns; and the free channel bit count.  The channel bits
+        sit at hidden positions of both inputs, so every assignment of them
+        keeps the opening's y.
 
-        A round's opening depends only on its index, the column of its first
-        channel bit (the hidden positions of the rounds before it), its pair
-        and its partition, so every sequence that reaches it shares one
+        A round's symbolic opening depends only on its index, the column of
+        its first channel bit (the hidden positions of the rounds before it)
+        and its kept opening, so every sequence that reaches it shares one
         object, which each plan answers once
         (:class:`~adder_spir.multifile.MultifilePlan`)."""
         lay = self.layout
         U = lay.n * lay.K
         opened, offset = [], 0
-        for r, ((pair, verdict), part) in enumerate(itertools.zip_longest(rounds, parts)):
+        for r, (pair, verdict, _size, _choices) in enumerate(rounds):
             hidden = bin(pair[0] ^ pair[1]).count("1")
-            # A round without channel bits has no column; the opening holds
-            # its partition, so the partition's id is not reused.
-            key = (r, offset if hidden else -1, pair, id(part))
+            # A round without channel bits has no column; ``verdicts`` keeps
+            # the opening alive, so its id is not reused.
+            key = (r, offset if hidden else -1, id(verdict))
             if key not in self.opened:
                 # The column of each hidden position's channel bit, first position first.
                 channel = [1 << s for s in range(lay.n - 1, -1, -1) if (pair[0] ^ pair[1]) >> s & 1]
                 linear = [0] * (lay.free_bits + offset) + channel + [0] * (U - offset - hidden)
                 x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
-                self.opened[key] = verdict._replace(x1=x1, x2=x2, partition=part)
+                self.opened[key] = verdict._replace(x1=x1, x2=x2)
             opened.append(self.opened[key])
             offset += hidden
         return opened, (self._columns([o.x1 for o in opened]), self._columns([o.x2 for o in opened])), offset
@@ -689,7 +705,7 @@ class _Enumeration:
         its ok is 2 on abort, else whether its miss is zero."""
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
-        direct, values, outputs, shapes, orbits = zip(*run)
+        direct, values, outputs, shapes, sizes = zip(*run)
         table = list(zip(*direct))
         for name, column in zip(_INTERNED, zip(*values)):
             table.append(list(map(self.interned[name].__getitem__, column)))
@@ -712,9 +728,9 @@ class _Enumeration:
         # bits are the low B bits of its index.
         columns.update(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
         columns["ok"] = np.where(aborted[skel] == 1, 2, columns.pop("miss") == 0)
-        weights = [2 ** (2 * n * (K - k)) * self.lcm // c * o for k, c, o in zip(executed.tolist(), combos.tolist(), orbits)]
-        # Each skeleton stands for its orbit times its 2^(B + free) rows.
-        states = sum(map(int.__lshift__, orbits, (B + free).tolist()))
+        weights = [2 ** (2 * n * (K - k)) * self.lcm // c * s for k, c, s in zip(executed.tolist(), combos.tolist(), sizes)]
+        # Each skeleton stands for its class size times its 2^(B + free) rows.
+        states = sum(map(int.__lshift__, sizes, (B + free).tolist()))
         return _Chunk(table, _numerators(weights, self.denominator), skel, columns, int(counts.sum()), states)
 
     def codes(self, chunk: _Chunk) -> np.ndarray:
@@ -821,9 +837,10 @@ class _PairKeys:
     grouped by key are the masses grouped by value.
 
     The client's view is keyed as above: it holds every round's y, its
-    partition and the published sets, so two of its views share an orbit
-    of the enumeration's group only when they come from one skeleton, and
-    the permutation between them fixes every share and so every message.
+    partition and the published sets, so two of its views share a class
+    of the enumeration only when they come from one skeleton, and the
+    permutation between them keeps the order inside every share and so
+    every message.
     A server's view is keyed by one canonical form under both groups and
     every ell (the module docstring says why it changes no leakage): its
     sets become the verdict of each executed round (whether it aborted,
@@ -846,7 +863,7 @@ class _PairKeys:
         lay = self.layout = enumeration.layout
         # The rounds a key holds: unless some opened pair goes on, every
         # sequence aborts at its first round and no round sends messages.
-        live = lay.K if any(verdict.partition is not None for _pair, verdict, _size in enumeration.verdicts) else 0
+        live = lay.K if any(verdict.partition is not None for _pair, verdict, *_counts in enumeration.verdicts) else 0
         self.executed = live or 1
         self.widths = {
             **lay.widths, "x1": lay.n * self.executed, "x2": lay.n * self.executed,
@@ -1038,17 +1055,17 @@ def audit(
 ) -> LeakageReport:
     """Compute all six audited quantities on the exact distribution.
 
-    The enumeration reduces by the position group of ``params`` and is
-    streamed: each chunk adds its masses to the abort and failure totals,
-    and its expanded rows (when conditioning, only those of skeletons that
-    did not abort) to one tally of (view, secret) keys per audited pair.
+    The enumeration keeps one skeleton per share class (unless
+    ``_AUDIT_CLASSES`` is off) and is streamed: each chunk adds its masses
+    to the abort and failure totals, and its expanded rows (when
+    conditioning, only those of skeletons that did not abort) to one tally
+    of (view, secret) keys per audited pair.
     ``state_budget`` bounds the rows enumerated, expanded or not.  A
     progress line goes to stderr at most every ``_PROGRESS_S`` seconds,
     the first one only after that long.
     """
     start = time.perf_counter()
-    group = _group(params)
-    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, group)
+    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, _AUDIT_CLASSES)
     keys = _PairKeys(enumeration)
     tallies = {name: _Tally() for name in _PAIRS}
     rows = expanded = states = nonabort = fail = chunks = largest = 0
@@ -1073,7 +1090,7 @@ def audit(
         if now - shown >= _PROGRESS_S:
             print(
                 f"audit: {rows:,} of {enumeration.rows:,} rows, standing for {states:,} of {required:,}; "
-                f"{enumeration.sequence_count:,} orbit sequences under {group}; {rows / (now - start):,.0f} rows/s",
+                f"{enumeration.sequence_count:,} orbit sequences; {rows / (now - start):,.0f} rows/s",
                 file=sys.stderr,
             )
             shown = now
@@ -1100,7 +1117,7 @@ def audit(
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
-        group=group, orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
+        orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
         answered_rounds=sum(len(plan.answers) for plan, _requested in enumeration.plans.values()),
         key_bits=keys.key_bits, largest_chunk_rows=largest,
     )

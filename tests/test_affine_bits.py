@@ -14,6 +14,7 @@ only reading ``recovery_ok`` compares the symbolic values.
 """
 
 import functools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,35 +155,42 @@ def test_remembered_subselect_matches_a_fresh_twin(data):
 
 
 @functools.cache
-def enumeration(params: ProtocolParams) -> tuple:
-    """The oracle's enumeration of ``params`` and its list of sequences."""
-    e = _Enumeration(params, False, None)
+def enumeration(params: ProtocolParams, classes: bool = False) -> tuple:
+    """The oracle's enumeration of ``params`` (by share classes with
+    ``classes``, else on the trivial group) and its list of sequences."""
+    e = _Enumeration(params, False, None, classes)
     return e, list(e.sequences())
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0),
-        ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0),
-        ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0),
-    ],
-    ids=["n2", "n3", "L3x2-n2"],
-)
+# (params, classes): the trivial group and the share classes on one
+# position per share; the share classes on shares of two positions, at
+# n = 5 for (2, 0) and n = 6 for (2, 1).
+OPENING_CASES = {
+    "n2": (ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0), False),
+    "n3": (ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0), False),
+    "L3x2-n2": (ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0), False),
+    "classes-n3": (ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0), True),
+    "classes-L3x2-n2": (ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0), True),
+    "classes-ell20-n5": (ProtocolParams(n=5, t_exponent=0.4, alpha=1, ell1=2, ell2=0), True),
+    "classes-ell21-n6": (ProtocolParams(n=6, t_exponent=0.4, alpha=Fraction(2, 3), ell1=2, ell2=1), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPENING_CASES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_symbolic_openings_transmit_to_their_y(params, data):
+def test_symbolic_openings_transmit_to_their_y(case, data):
     # A sequence's rounds are opened once, symbolically, with the y of their
-    # concrete canonical pair; every assignment of the free bits must
-    # transmit to that y.
-    e, sequences = enumeration(params)
-    rounds, parts, _combos, _orbit = data.draw(st.sampled_from(sequences), label="sequence")
-    opened, _columns, free = e.openings(rounds, parts)
-    assert len(opened) == len(rounds) and free == sum(bin(v1 ^ v2).count("1") for (v1, v2), _verdict in rounds)
+    # kept opening's concrete canonical pair; every assignment of the free
+    # bits must transmit to that y.
+    e, sequences = enumeration(*OPENING_CASES[case])
+    rounds, _combos, _size = data.draw(st.sampled_from(sequences), label="sequence")
+    opened, _columns, free = e.openings(rounds)
+    assert len(opened) == len(rounds) and free == sum(bin(v1 ^ v2).count("1") for (v1, v2), *_kept in rounds)
     bits = e.layout.free_bits + free
     for a in data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=4), label="assignments"):
-        for (_pair, verdict), o in zip(rounds, opened):
-            assert o.y is verdict.y and o.abort_reason == verdict.abort_reason
+        for (_pair, verdict, *_counts), o in zip(rounds, opened):
+            assert o.y is verdict.y and o.abort_reason == verdict.abort_reason and o.partition is verdict.partition
             assert transmit(evaluate(o.x1, a), evaluate(o.x2, a)).y.tolist() == o.y.tolist()
 
 
@@ -198,15 +206,17 @@ def test_transmit_matches_concrete_sums(data):
 
 
 def test_remembered_sums_are_read_only():
-    # The oracle remembers one y per canonical pair and every symbolic
-    # opening of that pair shares it, so no caller may write to it.
-    e, sequences = enumeration(ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0))
-    for _pair, verdict, _size in e.verdicts:
-        with pytest.raises(ValueError):
-            verdict.y[0] = 2
-    for rounds, parts, _combos, _orbit in sequences:
-        opened, _columns, _free = e.openings(rounds, parts)
-        assert all(o.y is verdict.y for (_pair, verdict), o in zip(rounds, opened))
+    # The oracle remembers one y per kept opening and every symbolic
+    # opening of it shares it, so no caller may write to it: under the
+    # trivial group and under the share classes.
+    for case in ("n2", "classes-n3", "classes-ell20-n5"):
+        e, sequences = enumeration(*OPENING_CASES[case])
+        for _pair, verdict, _size, _choices in e.verdicts:
+            with pytest.raises(ValueError):
+                verdict.y[0] = 2
+        for rounds, _combos, _size in sequences:
+            opened, _columns, _free = e.openings(rounds)
+            assert all(o.y is verdict.y for (_pair, verdict, *_counts), o in zip(rounds, opened))
 
 
 def test_symbolic_recovery_is_compared_only_when_read():
@@ -219,8 +229,8 @@ def test_symbolic_recovery_is_compared_only_when_read():
     files1, files2, masks1, masks2 = e.symbols  # _Layout.symbols with every channel bit
     plan = plan_multifile(params, files1, files2, Selection(2, 1), masks1, masks2, mutation="reuse-pad")
     aborts = set()
-    for rounds, parts, _combos, _orbit in e.sequences():
-        mt = execute_multifile(plan, e.openings(rounds, parts)[0])
+    for rounds, _combos, _size in e.sequences():
+        mt = execute_multifile(plan, e.openings(rounds)[0])
         aborts.add(mt.aborted)
         if mt.aborted:
             assert mt.recovery_ok is None and mt.transcripts[0].recovery_ok is None

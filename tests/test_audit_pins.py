@@ -136,10 +136,11 @@ def test_no_leakage_is_negative(name):
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_trivial_group_prints_the_same_record(monkeypatch, name):
-    # Every pinned audit but ell1 = 2 reduces by S_n per round; replayed on
-    # the trivial group, each prints the same record.
+    # Every pinned audit reduces by its share classes (by S_n per round
+    # when every share holds at most one position); replayed on the trivial
+    # group, each prints the same record.
     code, record = audit_record(PINS[name][0])
-    monkeypatch.setattr(oracle, "_group", lambda params: oracle.TRIVIAL)
+    monkeypatch.setattr(oracle, "_AUDIT_CLASSES", False)
     trivial_code, trivial = _audit(PINS[name][0])
     assert (trivial_code, {**trivial, "wall_time_s": 0}) == (code, {**record, "wall_time_s": 0})
 

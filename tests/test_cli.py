@@ -213,7 +213,7 @@ def test_audit_honest_exit_zero(tmp_path, capsys):
     assert report["state_count"] == report["required_states"] == 1792
     assert report["budget"] == 2**28
     # Phase timings go to stderr only; wall_time_s is the body's one timing.
-    assert "audit: 1792 states from 448 rows of 11 orbit sequences under S_n per round, 44 replays answering 44 rounds, enumerated in" in capsys.readouterr().err
+    assert "audit: 1792 states from 448 rows of 11 orbit sequences, 44 replays answering 44 rounds, enumerated in" in capsys.readouterr().err
     assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 
@@ -238,12 +238,13 @@ def test_audit_budget_exit_three(tmp_path):
     assert code == 3
 
 
-def test_audit_budget_counts_partition_choices(tmp_path):
-    # Two-bit files keep the trivial group, which enumerates the full table:
-    # 4^10 channel-input pairs, 4 selections and 2^4 file bits fit 2^28
-    # rows, but with each pair's partition choices they do not.
-    code = main(["audit", "--n", "10", "--ell1", "2", "--ell2", "0", "--alpha", "1", "--out", str(tmp_path / "b.jsonl")])
-    assert code == 3
+def test_audit_budget_counts_partition_choices(tmp_path, capsys):
+    # The full table of 4^10 channel-input pairs, each with its partition
+    # choices, 4 selections and 2^4 file bits does not fit 2^28 rows, but
+    # one row per share class does: the budget counts the rows enumerated.
+    argv = ["audit", "--n", "10", "--ell1", "2", "--ell2", "0", "--alpha", "1", "--out", str(tmp_path / "b.jsonl")]
+    assert main([*argv, "--budget", "385983"]) == 3
+    assert "error: enumeration needs 385984 rows standing for 5286264832, budget is 385983" in capsys.readouterr().err
 
 
 def test_audit_codes_wider_than_int64_exit_two(tmp_path, capsys):

@@ -94,8 +94,8 @@ def _digit_cases(draw):
     ell = draw(st.sampled_from(sorted(_ALPHA)), label="ell")
     params = ProtocolParams(n=n, t_exponent=0.4, alpha=_ALPHA[ell], L1=L1, L2=L2, ell1=ell[0], ell2=ell[1])
     # The digits do not depend on the position group, which only sizes the
-    # ids above them; S_n keeps the multi-file enumerations small.
-    enumeration = oracle._Enumeration(params, True, None, oracle.POSITIONS)
+    # ids above them; the share classes keep the multi-file enumerations small.
+    enumeration = oracle._Enumeration(params, True, None, classes=True)
     keys = oracle._PairKeys(enumeration)
     S = keys.published
     # Live rounds exist only when some opened pair goes on and S positions fit.

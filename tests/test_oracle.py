@@ -57,42 +57,51 @@ def test_required_states_counts_partition_choices():
 def test_budget_counts_the_enumerated_rows():
     # The n=4 audit enumerates 3,904 rows standing for the full table's
     # 34,816: a budget between the two runs it, and the record keeps the
-    # full count.  Two-bit files keep the trivial group, which enumerates
-    # and checks the full table.
+    # full count.  Two-bit files reduce by their share classes too: 3,904
+    # rows standing for 16,384.
     report = audit(_N4, state_budget=3904)
-    assert report.group == oracle.POSITIONS
     assert report.enumerated_rows == 3904 < report.state_count == report.required_states == 34816
     with pytest.raises(StateBudgetExceeded, match="needs 3904 rows standing for 34816, budget is 3903") as exc:
         audit(_N4, state_budget=3903)
     assert (exc.value.enumerated, exc.value.required, exc.value.budget) == (3904, 34816, 3903)
     ell2 = ProtocolParams(n=4, t_exponent=0.4, alpha=1.0, ell1=2, ell2=0)
-    assert audit(ell2, state_budget=16384).group == oracle.TRIVIAL
-    with pytest.raises(StateBudgetExceeded) as exc:
-        audit(ell2, state_budget=16383)
-    assert exc.value.enumerated == exc.value.required == required_states(ell2) == 16384
+    report = audit(ell2, state_budget=3904)
+    assert report.enumerated_rows == 3904 < report.state_count == report.required_states == 16384
+    with pytest.raises(StateBudgetExceeded, match="needs 3904 rows standing for 16384, budget is 3903") as exc:
+        audit(ell2, state_budget=3903)
+    assert (exc.value.enumerated, exc.value.required) == (3904, required_states(ell2))
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(1, 3), st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.integers(0, 1), st.integers(0, 1),
-    st.sampled_from([0.0, 0.5, 1.0]), st.booleans(),
-)
-def test_orbits_stand_for_every_sequence(n, shape, ell1, ell2, alpha, abort_disabled):
-    # The kept sequences' orbit sizes add up to the trivial group's
+@st.composite
+def _class_instances(draw):
+    """(n, (L1, L2), ell1, ell2): ell in {0, 1} at n <= 3 on every shape,
+    or a two-position share at 2x2 and n <= 5."""
+    if draw(st.booleans(), label="ell = 2"):
+        ell1, ell2 = draw(st.sampled_from([(2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]), label="ell")
+        return draw(st.integers(1, 5), label="n"), (2, 2), ell1, ell2
+    n = draw(st.integers(1, 3), label="n")
+    shape = draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), label="L")
+    return n, shape, draw(st.integers(0, 1), label="ell1"), draw(st.integers(0, 1), label="ell2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_class_instances(), st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]), st.booleans())
+def test_orbits_stand_for_every_sequence(instance, alpha, abort_disabled):
+    # The kept sequences' class sizes add up to the trivial group's
     # sequence count (counted from its openings, per round), the rows they
     # expand to are the rows counted before any replay, and their weighted
     # masses add up to the denominator and stand for every required row.
-    L1, L2 = shape
-    assume(n < 3 or shape != (3, 3))  # four rounds of 3 positions take too long to replay here
+    n, (L1, L2), ell1, ell2 = instance
+    assume(n < 3 or (L1, L2) != (3, 3))  # four rounds of 3 positions take too long to replay here
     params = ProtocolParams(n=n, t_exponent=0.4, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
     full = oracle._Enumeration(params, abort_disabled, None)
-    reduced = oracle._Enumeration(params, abort_disabled, None, oracle.POSITIONS)
-    continuing = sum(len(v.partition) for _pair, v, _size in full.verdicts if v.partition is not None)
-    aborting = sum(v.partition is None for _pair, v, _size in full.verdicts)
+    reduced = oracle._Enumeration(params, abort_disabled, None, classes=True)
+    continuing = sum(v.partition is not None for _pair, v, *_counts in full.verdicts)
+    aborting = len(full.verdicts) - continuing
     K = full.layout.K
     sequences = sum(continuing**k * aborting for k in range(K)) + continuing**K
     kept = list(reduced.sequences())
-    assert sum(orbit for *_sequence, orbit in kept) == sequences
+    assert sum(size for *_sequence, size in kept) == sequences
     assert reduced.lcm == full.lcm and reduced.denominator == full.denominator
     rows = mass = states = 0
     for chunk in reduced.chunks():
@@ -121,8 +130,7 @@ def test_shared_openings_replay_like_one_sequence_alone(n, shape, ell1, ell2, al
     L1, L2 = shape
     assume(n < 3 or shape == (2, 2))
     params = ProtocolParams(n=n, t_exponent=0.4, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
-    group = oracle._group(params)
-    shared = oracle._Enumeration(params, abort_disabled, mutation, group)
+    shared = oracle._Enumeration(params, abort_disabled, mutation, classes=True)
     sequences = list(shared.sequences())
     counted = shared.skeleton_count
     skeletons = []
@@ -131,7 +139,7 @@ def test_shared_openings_replay_like_one_sequence_alone(n, shape, ell1, ell2, al
         skeletons.append(list(shared.skeletons()))
     assert shared.replays == shared.sequence_count * L1 * L2 == len(sequences) * L1 * L2 == counted
     for i in sorted(rng.sample(range(len(sequences)), min(len(sequences), 40))):
-        alone = oracle._Enumeration(params, abort_disabled, mutation, group)
+        alone = oracle._Enumeration(params, abort_disabled, mutation, classes=True)
         alone.sequences = lambda: iter([sequences[i]])
         assert list(alone.skeletons()) == skeletons[i]
 
@@ -280,7 +288,7 @@ def test_wrong_recovery_is_reported(monkeypatch, params):
 )
 def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     # A skeleton fixes the sums, not the channel inputs, and the audit
-    # keeps one skeleton per orbit of the position group: one replay per
+    # keeps one skeleton per class of the position group: one replay per
     # selection stands for 16 of the 153 sequences of canonical pairs at
     # n=4 (544 input pairs), and for 16 of 41 at L=3x2 (136).
     # One plan is built per selection, whatever the free channel bits.
@@ -304,15 +312,18 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
 @pytest.mark.parametrize(
     "params, conditioned, replays, rounds, pairs",
-    [(_N4, True, 64, 64, 15), (_MULTI, False, 96, 72, 6)],
+    [(_N4, True, 64, 64, 16), (_MULTI, False, 96, 72, 6)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, replays, rounds, pairs):
     # The benchmark's two audits: each plan answers each shared round
     # opening once (136 of the 232 rounds the replays run; the L=3x2
     # sequences share their first rounds), and the channel transmits only
-    # while the kept canonical pairs are opened, one per count of 0-, 2-
-    # and hidden positions, C(n + 2, 2) of them: 21 transmits in all.
+    # while the kept openings are opened, each on its own pair: one per
+    # count of 0-, 2- and hidden positions whose rounds abort, and one per
+    # class of the others.  At n = 4 the 2 + 2 split of (one 0 and one 2,
+    # two hidden) keeps classes (0, 2) and (2, 0) of the decodable shares'
+    # sums: 12 + 4 openings, against C(4 + 2, 2) = 15 count triples.
     transmitted, sessions = [], []
     transmit, execute_session = protocol.transmit, multifile.execute_session
 
@@ -329,7 +340,7 @@ def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, rep
     report = audit(params, condition_nonabort=conditioned)
     assert report.replays == replays
     assert len(sessions) == rounds == report.answered_rounds
-    assert len(transmitted) == len(set(transmitted)) == pairs == math.comb(params.n + 2, 2)
+    assert len(transmitted) == len(set(transmitted)) == pairs
 
 
 def test_otp_lemma_width_one():

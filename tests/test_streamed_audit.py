@@ -4,13 +4,14 @@ position group.
 ``audit`` replays the enumeration in chunks of about ``_CHUNK_ROWS`` rows
 and adds each chunk into one tally per audited (view, secret) pair, so no
 chunk size may change a record or the enumerated table.  It enumerates one
-skeleton per orbit of the position group, so neither may the group: the
+skeleton per class of the position group, so neither may the group: the
 trivial group must print the same records.  It keys each view by a
 canonical form, which must give two enumerated views one key exactly when
 a brute-force search over the permutations of each round's positions maps
 one onto the other: for a server's view, under both groups, the
 permutations that keep the order inside each published set; for the
-client's, those of the enumeration's group.
+client's, those of the enumeration's group (the permutations that keep the
+order inside each share and each published set, under the share classes).
 """
 
 import functools
@@ -55,11 +56,11 @@ def _records(params) -> list[str]:
 @functools.cache
 def _one_chunk(name: str) -> tuple[list[str], int]:
     """The records of one instance streamed as one chunk, and the rows it
-    enumerates (fewer than the full table's: one skeleton per orbit)."""
+    enumerates (fewer than the full table's: one skeleton per class)."""
     params = GROUP_INSTANCES[name]
     report = oracle.audit(params)
     rows = report.enumerated_rows
-    assert report.group == oracle.POSITIONS and rows < report.state_count == oracle.required_states(params)
+    assert rows < report.state_count == oracle.required_states(params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", rows)
         assert oracle.audit(params).chunks == 1
@@ -104,9 +105,9 @@ def test_position_group_changes_no_record(monkeypatch, name):
     # CONDITIONS) replayed on the trivial group: exact zeros, non-zero
     # leakages, reliability errors and state counts all equal.
     expected, _rows = _one_chunk(name)
-    monkeypatch.setattr(oracle, "_group", lambda params: oracle.TRIVIAL)
+    monkeypatch.setattr(oracle, "_AUDIT_CLASSES", False)
     report = oracle.audit(GROUP_INSTANCES[name])
-    assert report.group == oracle.TRIVIAL and report.enumerated_rows == report.state_count
+    assert report.enumerated_rows == report.state_count
     assert _records(GROUP_INSTANCES[name]) == expected
 
 
@@ -133,7 +134,7 @@ def _orbit(enumeration, interned: dict, codes: dict, row: int, view) -> tuple:
     set; the client's is an orbit of the enumeration's group, so under the
     trivial group its view is its own image."""
     published = interned["sets"][codes["sets"][row]]
-    if view == oracle.CLIENT_VIEW and enumeration.group == oracle.TRIVIAL:
+    if view == oracle.CLIENT_VIEW and not enumeration.classes:
         return tuple(codes[name][row] for name in view)
     if view == oracle.CLIENT_VIEW:
         values = [tuple(y) for y in interned["y"][codes["y"][row]]]
@@ -152,8 +153,8 @@ def _orbit(enumeration, interned: dict, codes: dict, row: int, view) -> tuple:
 
 
 # Two-file, n = 3, no published position (S = 0): a server's digit is its
-# count of ones.  Two-file, n = 4, live sets of two positions each, enumerated
-# on the trivial group: server 1's (ell20) or server 2's (ell02) sets.
+# count of ones.  Two-file, n = 4, live sets of two positions each: server
+# 1's (ell20) or server 2's (ell02) sets.
 ORBIT_INSTANCES = {
     **GROUP_INSTANCES,
     "ell00-n3": ProtocolParams(n=3, t_exponent=0.4, alpha=0.5, ell1=0, ell2=0),
@@ -177,7 +178,7 @@ def test_canonical_keys_are_orbits(name, abort_disabled, mutation):
     # round's positions (for a server's view, one that keeps the order
     # inside each published set) carries one onto the other.
     params = ORBIT_INSTANCES[name]
-    enumeration = oracle._Enumeration(params, abort_disabled, mutation, oracle._group(params))
+    enumeration = oracle._Enumeration(params, abort_disabled, mutation, classes=True)
     keys = oracle._PairKeys(enumeration)
     seen = {view: set() for view in oracle._VIEWS}
     for chunk in enumeration.chunks():
@@ -195,7 +196,7 @@ def test_conditioned_audit_expands_only_live_rows(name):
     # Under non-abort conditioning a skeleton that aborts is counted (the
     # budget, the state count, the (rows, states) check) but not expanded.
     params = INSTANCES[name]
-    enumeration = oracle._Enumeration(params, False, None, oracle.POSITIONS)
+    enumeration = oracle._Enumeration(params, False, None, classes=True)
     abort, free = oracle._SKELETON.index("abort"), oracle._SKELETON.index("free")
     rows = expanded = 0
     for chunk in enumeration.chunks(live_only=True):
@@ -280,8 +281,7 @@ def test_tally_stack_halves():
 )
 def test_widest_audit_keys(shape, n, ell, bits):
     params = ProtocolParams(n=n, t_exponent=0.4, alpha=1, L1=shape[0], L2=shape[1], ell1=ell[0], ell2=ell[1])
-    enumeration = oracle._Enumeration(params, False, None, oracle._group(params))
-    assert enumeration.group == oracle.POSITIONS
+    enumeration = oracle._Enumeration(params, False, None, classes=True)
     assert oracle._PairKeys(enumeration).key_bits == bits
     assert enumeration.replays == 0
 
@@ -289,7 +289,7 @@ def test_widest_audit_keys(shape, n, ell, bits):
 def test_audit_keys_wider_than_the_bound_are_a_configuration_error(monkeypatch):
     # N4's codes need 10 bits and its widest keys 16.  The key guard runs
     # before any replay.
-    assert oracle._PairKeys(oracle._Enumeration(N4, False, None, oracle.POSITIONS)).key_bits == 16
+    assert oracle._PairKeys(oracle._Enumeration(N4, False, None, classes=True)).key_bits == 16
     monkeypatch.setattr(oracle, "_MAX_CODE_BITS", 15)
     monkeypatch.setattr(oracle._Enumeration, "chunks", lambda self: pytest.fail("enumerated past the key check"))
     with pytest.raises(ConfigurationError, match="^client_privacy_s1 needs 16-bit audit keys, more than 15$"):
@@ -309,19 +309,19 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
 
     # Conditioned on non-abort, only the rows of the skeletons that go on
     # are expanded; the budget and the summary still count every row.
-    assert "1792 states from 448 rows of 11 orbit sequences under S_n per round" in body()[2]
+    assert "1792 states from 448 rows of 11 orbit sequences, " in body()[2]
     argv.append("--condition-nonabort")
     quiet = body()
     assert "rows/s" not in quiet[2]
     assert "1 chunks, the largest 256 rows, at most " in quiet[2]
     assert quiet[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
-    assert "1792 states from 448 rows (256 expanded) of 11 orbit sequences under S_n per round" in quiet[2]
+    assert "1792 states from 448 rows (256 expanded) of 11 orbit sequences, " in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", 150)
     loud = body()
     assert loud[:2] == quiet[:2]
     progress = [line for line in loud[2].splitlines() if line.endswith("rows/s")]
     assert len(progress) == 3
-    assert progress[-1].startswith("audit: 448 of 448 rows, standing for 1,792 of 1,792; 11 orbit sequences under S_n per round; ")
+    assert progress[-1].startswith("audit: 448 of 448 rows, standing for 1,792 of 1,792; 11 orbit sequences; ")
     assert "3 chunks, the largest 144 rows, at most " in loud[2]
     assert loud[2].rstrip().endswith("; audit keys up to 15 of 62 bits")

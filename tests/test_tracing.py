@@ -45,9 +45,9 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path, capsys):
-    # The channel transmits only while the C(4 + 2, 2) + C(2 + 2, 2) = 21
-    # kept canonical pairs (one per orbit of the position group) are
-    # opened: 15 * 4 + 6 * 2 = 72 positions.  The replays run 232 rounds,
+    # The channel transmits only while the 16 + 6 kept openings (one per
+    # class of the position group) are opened, each on its own pair:
+    # 16 * 4 + 6 * 2 = 76 positions.  The replays run 232 rounds,
     # but each plan answers each shared opening once: 64 two-file rounds,
     # and 72 of the 168 rounds of the L=3x2 audit.
     for flags in _AUDITS:
@@ -56,7 +56,7 @@ def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path, caps
     assert counts["oracle.replays"] == 160
     assert counts["multifile.rounds"] == 232
     assert counts["protocol.execute_session.calls"] == 136
-    assert counts["channel.positions"] == 72
+    assert counts["channel.positions"] == 76
     summary = capsys.readouterr().err
     assert "64 replays answering 64 rounds" in summary and "96 replays answering 72 rounds" in summary
 
