@@ -298,14 +298,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config["alpha"] = float(args.alpha)
     _emit([_header("audit", config), report.to_record()], args.out)
     expanded = f" ({report.expanded_rows} expanded)" if report.expanded_rows != report.enumerated_rows else ""
+    tallied = dict(report.tallied)
+    pairs = "; ".join([
+        f"{name} tallied over {report.expanded_rows} rows, {tallied[name]} distinct pairs" if name in tallied
+        else f"{name} certified"
+        for name in report.leakages
+    ])
     print(
         f"audit: {report.state_count} states from {report.enumerated_rows} rows{expanded} of "
         f"{report.orbit_sequences} orbit sequences, {report.replays} replays "
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
-        f"mutual information in {report.information_s:.3f} s; "
+        f"certificates, tallies and mutual information in {report.information_s:.3f} s; "
         f"{report.chunks} chunks, the largest {report.largest_chunk_rows} rows, "
-        f"at most {report.view_pairs} distinct view pairs; "
+        f"at most {report.view_pairs} distinct view pairs; {pairs}; "
         f"audit keys up to {report.key_bits} of {_MAX_CODE_BITS} bits",
         file=sys.stderr,
     )

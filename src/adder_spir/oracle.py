@@ -41,19 +41,40 @@ subselections, so each opening's published-set pads are computed once, and
 the oracle reads each answer's public entry and messages once, however
 many replays share it.
 
-The enumeration is streamed: runs of skeletons are expanded one at a
-time, each run ending once it holds ``_CHUNK_ROWS`` rows.  A skeleton is
-never split, so a chunk can be as large as the largest skeleton, 2^(B + U)
-rows (the audit reports its largest chunk).  A chunk's skeletons are laid
-out most rows first and every affine output is expanded at once, by
+Every skeleton is replayed before any row is expanded, and keeps the
+offset and columns of its affine outputs, 6 (1 + B + U) words.  The rows
+are then streamed: runs of skeletons are expanded one at a time, each run
+ending once it holds ``_CHUNK_ROWS`` rows.  A skeleton is never split, so
+a chunk can be as large as the largest skeleton, 2^(B + U) rows (the
+audit reports its largest chunk).  A chunk's skeletons are laid out most
+rows first and the affine outputs asked for are expanded at once, by
 doubling over the free bits.  :func:`enumerate_protocol` concatenates the
 chunks into one table.
 :func:`audit` never holds more than a chunk of rows, and adds each chunk's
-integer masses into one tally of distinct (view, secret) keys per audited
+integer masses into one tally of distinct (view, secret) keys per tallied
 pair, so its memory follows the distinct pairs, not the rows.  Conditioned
 on non-abort it expands only the rows of the skeletons that did not abort;
 the state budget, ``state_count`` and the non-abort mass still count every
 row, from the skeleton table.
+
+Three pairs have file bits for their secret: ``files2`` against server 1,
+``files1`` against server 2 and ``unsel`` against the client.  Before any
+row is expanded, :func:`audit` settles each of them by a GF(2) rank
+certificate when one holds (:func:`_certified`), and tallies only the
+pairs whose certificate fails, with the two selection pairs, whose secret
+is a skeleton constant.  In skeleton s the free bits u are uniform, the
+view's affine part is M_s u + m_s and the secret's N_s u + n_s.  If on
+every skeleton the audit counts (every one that did not abort, when
+conditioned) N_s is distinct unit rows and
+rank [M_s; N_s] = rank M_s + rank N_s, the secret is uniform and
+independent of (s, view), so a tally's masses would factor and print
+exactly 0.0, which is what a certified pair prints.  A server's messages
+read none of the other server's file bits under the honest protocol or any
+mutation, so both server pairs pass without a rank; the client's messages
+do read the unselected files, and are ranked once per distinct pattern.
+Certified or not, every pair's key width counts against ``_MAX_CODE_BITS``
+before any replay, so no audit moves between accepted and refused.
+``_AUDIT_CERTIFICATES`` off tallies every pair, as tests compare.
 
 A tally's total holds its distinct keys in ascending order, each its view
 above its secret, so the views are runs of adjacent keys.  Each leakage is
@@ -165,8 +186,6 @@ _PAIRS = {
     "server1_vs_server2": (SERVER2_VIEW, ("files1",)),
     "servers_vs_client": (CLIENT_VIEW, ("unsel",)),
 }
-# The audited views, each once, in ``_PAIRS`` order.
-_VIEWS = tuple(dict.fromkeys(view for view, _secret in _PAIRS.values()))
 # Skeleton constants coded by interned ids.
 _INTERNED = ("y", "sets", "leak", "u0")
 # Per-skeleton columns of a chunk.
@@ -192,6 +211,10 @@ _PROGRESS_S = 1.0
 # Whether audits keep one opening per share class, not every canonical
 # pair with every partition (the trivial group, which tests compare against).
 _AUDIT_CLASSES = True
+# Whether audits settle the pairs with a file secret by rank certificates
+# before tallying (:func:`_certified`), not tally every pair (which tests
+# compare against).
+_AUDIT_CERTIFICATES = True
 
 
 class _Ids(dict):
@@ -216,11 +239,14 @@ class LeakageReport:
 
     ``state_count`` is the rows of the full table the enumerated rows stand
     for.  ``enumeration_s`` and ``information_s`` split ``wall_time_s``
-    into the enumeration and the tallies with the mutual-information passes;
-    they, ``replays`` (the protocol replays the enumeration ran), ``chunks``
-    (the runs of rows it was streamed in), ``largest_chunk_rows`` (the
-    most rows one chunk expanded), ``view_pairs`` (the distinct
-    (view, secret) pairs of the largest tally), ``orbit_sequences`` (the
+    into the enumeration and the certificates, tallies and
+    mutual-information passes; they, ``replays`` (the protocol replays the
+    enumeration ran), ``chunks`` (the runs of rows it was streamed in),
+    ``largest_chunk_rows`` (the most rows one chunk expanded),
+    ``view_pairs`` (the distinct (view, secret) pairs of the largest
+    tallied pair), ``tallied`` (each tallied pair's name and distinct
+    (view, secret) pairs, in ``_PAIRS`` order; every other pair was
+    certified), ``orbit_sequences`` (the
     channel-input sequences it enumerated), ``enumerated_rows``,
     ``expanded_rows`` (the rows it expanded: under non-abort conditioning,
     only those of skeletons that did not abort), ``answered_rounds`` (the rounds
@@ -252,6 +278,7 @@ class LeakageReport:
     answered_rounds: int = 0
     key_bits: int = 0
     largest_chunk_rows: int = 0
+    tallied: tuple = ()
 
     @property
     def mode(self) -> str:
@@ -449,9 +476,16 @@ class _Chunk(NamedTuple):
     table: np.ndarray  # one row of ``_SKELETON`` values per skeleton
     weights: np.ndarray  # the numerator of each row of each skeleton
     skel: np.ndarray  # the skeleton of each expanded row
-    columns: dict  # the codes of ``_FREE`` and ``_AFFINE`` of each expanded row, ``ok`` for ``miss``
+    columns: dict  # per expanded row, the codes of ``_FREE`` and the expanded outputs, ``ok`` for ``miss``
     rows: int  # the rows of every skeleton, expanded or not
     states: int  # the rows of the full table these rows stand for
+
+
+class _Replayed(NamedTuple):
+    """Every skeleton of an enumeration, replayed in order."""
+
+    skeletons: list  # per skeleton, what :meth:`_Enumeration.skeletons` yields but its outputs
+    affine: np.ndarray  # per skeleton and ``_AFFINE`` output, its offset and all B + n K columns
 
 
 class _Enumeration:
@@ -680,40 +714,47 @@ class _Enumeration:
         together, as :meth:`AffineBits.words`; zeros for no values."""
         return AffineBits.join(values).words() if values else self.zeros
 
-    def chunks(self, live_only: bool = False):
-        """Every skeleton replayed in order, expanded in runs that end once
-        they hold ``_CHUNK_ROWS`` rows; a skeleton is never split, so one of
-        more rows is a chunk of its own.  With ``live_only``, the skeletons
-        that abort are not expanded."""
-        B = self.layout.free_bits
-        run, rows = [], 0
-        for skeleton in self.skeletons():
-            run.append(skeleton)
-            rows += 1 << (B + skeleton[3][0])  # its free file, mask and channel bits
-            if rows >= _CHUNK_ROWS:
-                yield self.chunk(run, live_only)
-                run, rows = [], 0
-        if run:
-            yield self.chunk(run, live_only)
+    def replay_all(self) -> "_Replayed":
+        """Every skeleton replayed, and the words of its affine outputs."""
+        skeletons, words = [], []
+        for direct, values, outputs, shape, size in self.skeletons():
+            skeletons.append((direct, values, shape, size))
+            words.extend(outputs)
+        affine = np.frombuffer(b"".join(words), dtype="<i8")
+        return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1))
 
-    def chunk(self, run: list, live_only: bool = False) -> _Chunk:
-        """One row per assignment of each skeleton's free bits (with
-        ``live_only``, of each skeleton that did not abort): its file and
-        mask bits below, its channel bits above.  The rows run skeleton by
+    def chunks(self, replayed: Optional["_Replayed"] = None, live_only: bool = False, outputs: tuple = _AFFINE):
+        """Every skeleton in order (the ``replayed`` ones, else each replayed
+        now), expanded in runs that end once they hold ``_CHUNK_ROWS`` rows;
+        a skeleton is never split, so one of more rows is a chunk of its
+        own.  With ``live_only``, the skeletons that abort are not expanded.
+        Only the ``_AFFINE`` ``outputs`` are expanded; ``miss`` among them."""
+        skeletons, affine = self.replay_all() if replayed is None else replayed
+        B = self.layout.free_bits
+        first, rows = 0, 0
+        for end, skeleton in enumerate(skeletons, 1):
+            rows += 1 << (B + skeleton[2][0])  # its free file, mask and channel bits
+            if rows >= _CHUNK_ROWS or end == len(skeletons):
+                yield self.chunk(skeletons[first:end], affine[first:end], live_only, outputs)
+                first, rows = end, 0
+
+    def chunk(self, run: list, affine: np.ndarray, live_only: bool = False, outputs: tuple = _AFFINE) -> _Chunk:
+        """One row per assignment of the free bits of each skeleton of
+        ``run`` (with ``live_only``, of each skeleton that did not abort):
+        its file and mask bits below, its channel bits above.  ``affine``
+        holds each skeleton's ``_AFFINE`` outputs (offset and columns), of
+        which only ``outputs`` are expanded.  The rows run skeleton by
         skeleton, those with the most rows first.  A row's weight is its
         probability times the number of skeletons its skeleton stands for;
         its ok is 2 on abort, else whether its miss is zero."""
         lay = self.layout
         n, K, B = lay.n, lay.K, lay.free_bits
-        direct, values, outputs, shapes, sizes = zip(*run)
+        direct, values, shapes, sizes = zip(*run)
         table = list(zip(*direct))
         for name, column in zip(_INTERNED, zip(*values)):
             table.append(list(map(self.interned[name].__getitem__, column)))
         table.extend(zip(*shapes))
         table = np.array(table, dtype=np.int64).T
-        # Every output holds the offset and all B + n K columns, as int64 words.
-        affine = np.frombuffer(b"".join(itertools.chain.from_iterable(outputs)), dtype="<i8")
-        affine = affine.reshape(len(run), len(_AFFINE), -1)
         skeleton = dict(zip(_SKELETON, table.T))
         aborted, free, executed, combos = (skeleton[name] for name in ("abort", "free", "executed", "combos"))
 
@@ -723,7 +764,8 @@ class _Enumeration:
         # start at a multiple of its row count.
         order = np.argsort(-expanded, kind="stable")[: np.count_nonzero(expanded)]
         skel = np.repeat(order, expanded[order])
-        columns = dict(zip(_AFFINE, _expand(affine[order], expanded[order])))
+        picked = [_AFFINE.index(name) for name in outputs]
+        columns = dict(zip(outputs, _expand(affine[order[:, None], picked], expanded[order])))
         # Every row count is a multiple of 2^B, so a row's file and mask
         # bits are the low B bits of its index.
         columns.update(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
@@ -824,7 +866,7 @@ def _expand(affine: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 class _PairKeys:
     """One int64 key per chunk row for each group of variables of ``_PAIRS``
-    (a view or a secret), and their tallies, one view at a time.
+    (a view or a secret), and the tallies of the pairs asked for.
 
     A group is keyed by one id for its skeleton constants, interned across
     the enumeration and placed above its row-varying codes.  The ids stay
@@ -903,18 +945,15 @@ class _PairKeys:
         return self.groups[_PAIRS[name][1]][3]
 
     def add(self, chunk: _Chunk, weights: np.ndarray, tallies: dict) -> None:
-        """Add every row of ``chunk``, with its ``weights``, to the tally of
-        each pair of ``_PAIRS``: each view is keyed once and combined with
-        each of its secrets in turn, so beside the chunk at most the view's
-        key, one pair key (its secret's key, completed in place) and the
-        view key shifted above it are held."""
-        for view in _VIEWS:
-            view_key = self.key(view, chunk)
-            for name, (paired, secret) in _PAIRS.items():
-                if paired == view:
-                    key = self.key(secret, chunk)
-                    key |= view_key << self.groups[secret][3]
-                    tallies[name].add(key, weights)
+        """Add every row of ``chunk``, with its ``weights``, to ``tallies``,
+        one per pair of ``_PAIRS`` named: a pair's key is its view's key
+        shifted, in place, above its secret's."""
+        for name, tally in tallies.items():
+            view, secret = _PAIRS[name]
+            key = self.key(view, chunk)
+            key <<= self.groups[secret][3]
+            key |= self.key(secret, chunk)
+            tally.add(key, weights)
 
     def key(self, group: tuple, chunk: _Chunk) -> np.ndarray:
         """The key of ``group`` at every row of ``chunk``."""
@@ -1045,6 +1084,104 @@ def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator
     return dist.mutual_information(("view",), ("secret",))
 
 
+def _rank(vectors, pivots: Optional[dict] = None) -> int:
+    """The GF(2) rank of ints read as bit vectors, with the vectors of
+    ``pivots`` (leading bit -> vector) before them, which gains theirs."""
+    pivots = {} if pivots is None else pivots
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_columns(fields: tuple, free: int) -> tuple:
+    """Per ``_FREE`` field of ``_Layout.fields``, its column at each of the
+    ``free`` free bits, read-only: a file or mask field reads its own bits,
+    one each."""
+    units, shift = [], sum(count * width for count, width in fields)
+    for count, width in fields:
+        shift -= count * width
+        unit = np.zeros(free, dtype=np.int64)
+        unit[shift : shift + count * width] = np.left_shift(1, np.arange(count * width))
+        unit.flags.writeable = False
+        units.append(unit)
+    return tuple(units)
+
+
+def _certified(layout: _Layout, replayed: _Replayed, live_only: bool) -> set[str]:
+    """The pairs of ``_PAIRS`` whose secret is file bits and whose leakage a
+    GF(2) rank certificate shows to be exactly 0 on the ``replayed``
+    skeletons: every one, or with ``live_only`` every one that did not
+    abort, the skeletons a tally would count.
+
+    In skeleton s the free bits u are uniform.  The affine part of a view
+    is M_s u + m_s and the secret is N_s u + n_s.  When N_s is distinct
+    unit rows, the secret is uniform whatever s; when moreover
+    rank [M_s; N_s] = rank M_s + rank N_s, it is independent of the view
+    given s, and so of (s, view), of which every view key is a function.
+    The tally's masses would then factor and print exactly 0.0.
+
+    With N_s distinct unit rows, the rank condition says that the columns
+    of M_s at the free bits the secret reads lie in the span of its other
+    columns.  A skeleton whose view reads none of those bits passes at
+    once; the others are ranked once per distinct pattern of columns.  A
+    skeleton that aborts after its first round still carries the messages
+    of the rounds before it, so it is checked like any other."""
+    F = layout.free_bits + layout.n * layout.K
+    affine = replayed.affine[:, :, 1:]
+    if live_only:
+        affine = affine[[not skeleton[0][2] for skeleton in replayed.skeletons]]
+    columns = dict(zip(_AFFINE, affine.transpose(1, 0, 2)))  # per output, (skeleton, free bit)
+    # The fields' columns are the same in every skeleton.
+    columns.update(zip(_FREE, _unit_columns(layout.fields, F)))
+    certified = set()
+    for name, (view, secret) in _PAIRS.items():
+        if len(secret) != 1 or secret[0] not in columns:
+            continue  # the selection is a skeleton constant
+        N, width = columns[secret[0]], layout.widths[secret[0]]
+        # Distinct unit rows: the columns, sorted, are F - width zeros and
+        # then each of the width bits once.
+        if (np.sort(N, axis=-1) != np.array([0] * (F - width) + [1 << j for j in range(width)])).any():
+            continue
+        names = [v for v in (*view, *secret) if v in columns]  # the view's outputs, then the secret
+        reads = ((functools.reduce(np.bitwise_or, [columns[v] for v in names[:-1]]) != 0) & (N != 0)).any(axis=-1)
+        if reads.any():
+            # One reading skeleton per distinct pattern of its affine outputs
+            # (a field's columns are the same in every skeleton).
+            rows = np.flatnonzero(reads)
+            varying = affine[rows[:, None], [_AFFINE.index(v) for v in names if v in _AFFINE]]
+            data, size = varying.tobytes(), varying[0].nbytes
+            patterns = {data[i * size : (i + 1) * size]: i for i in range(len(rows))}
+            fields = {v: columns[v].tolist() for v in names if v in _FREE}
+
+            def spanned(i: int) -> bool:
+                words = iter(varying[i].tolist())
+                lists = [fields[v] if v in fields else next(words) for v in names]
+                return _spanned(lists[:-1], lists[-1])
+
+            if not all(map(spanned, patterns.values())):
+                continue
+        certified.add(name)
+    return certified
+
+
+def _spanned(view: list, secret: list) -> bool:
+    """Whether the columns of M at the free bits the secret reads lie in
+    the span of its other columns, that is rank [M; N] = rank M + rank N
+    for N distinct unit rows.  ``view`` holds per output of M, and
+    ``secret`` for N, one int per free bit, that bit's column; each column
+    of M packs its outputs' columns."""
+    columns = functools.reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)], view)
+    pivots: dict[int, int] = {}
+    rank = _rank([c for c, n in zip(columns, secret) if not n], pivots)
+    return _rank([c for c, n in zip(columns, secret) if n], pivots) == rank
+
+
 def audit(
     params: ProtocolParams,
     *,
@@ -1056,10 +1193,12 @@ def audit(
     """Compute all six audited quantities on the exact distribution.
 
     The enumeration keeps one skeleton per share class (unless
-    ``_AUDIT_CLASSES`` is off) and is streamed: each chunk adds its masses
-    to the abort and failure totals, and its expanded rows (when
-    conditioning, only those of skeletons that did not abort) to one tally
-    of (view, secret) keys per audited pair.
+    ``_AUDIT_CLASSES`` is off).  Every skeleton is replayed first, and the
+    pairs with a file secret are settled by rank certificates where they
+    hold (unless ``_AUDIT_CERTIFICATES`` is off).  The rows are then
+    streamed: each chunk adds its masses to the abort and failure totals,
+    and its expanded rows (when conditioning, only those of skeletons that
+    did not abort) to one tally of (view, secret) keys per pair left.
     ``state_budget`` bounds the rows enumerated, expanded or not.  A
     progress line goes to stderr at most every ``_PROGRESS_S`` seconds,
     the first one only after that long.
@@ -1067,10 +1206,16 @@ def audit(
     start = time.perf_counter()
     enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, _AUDIT_CLASSES)
     keys = _PairKeys(enumeration)
-    tallies = {name: _Tally() for name in _PAIRS}
+    replayed = enumeration.replay_all()
+    tic = time.perf_counter()
+    certified = _certified(enumeration.layout, replayed, condition_nonabort) if _AUDIT_CERTIFICATES else set()
+    tallies = {name: _Tally() for name in _PAIRS if name not in certified}
+    # The outputs the tallied pairs read, and miss for the failure mass.
+    read = {v for name in tallies for group in _PAIRS[name] for v in group}
+    outputs = tuple([name for name in _AFFINE if name in read or name == "miss"])
     rows = expanded = states = nonabort = fail = chunks = largest = 0
-    tallying, shown = 0.0, start
-    for chunk in enumeration.chunks(live_only=condition_nonabort):
+    tallying, shown = time.perf_counter() - tic, start
+    for chunk in enumeration.chunks(replayed, condition_nonabort, outputs):
         tic = time.perf_counter()
         table = dict(zip(_SKELETON, chunk.table.T))
         mass = chunk.weights * np.left_shift(1, enumeration.layout.free_bits + table["free"])
@@ -1106,18 +1251,18 @@ def audit(
     else:
         denominator, conditioning = enumeration.denominator, "unconditioned"
 
-    leakages, view_pairs = {}, 0
+    leakages, tallied = dict.fromkeys(certified, 0.0), {}
     for name, tally in tallies.items():
         key, weights = tally.total()
         leakages[name] = _leakage(key, weights, keys.secret_bits(name), denominator)
-        view_pairs = max(view_pairs, len(key))
+        tallied[name] = len(key)
     end = time.perf_counter()
     return LeakageReport(
         params, conditioning, **leakages, reliability_error=reliability_error, state_count=states,
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
-        replays=enumeration.replays, chunks=chunks, view_pairs=view_pairs,
+        replays=enumeration.replays, chunks=chunks, view_pairs=max(tallied.values()),
         orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
         answered_rounds=sum(len(plan.answers) for plan, _requested in enumeration.plans.values()),
-        key_bits=keys.key_bits, largest_chunk_rows=largest,
+        key_bits=keys.key_bits, largest_chunk_rows=largest, tallied=tuple(tallied.items()),
     )

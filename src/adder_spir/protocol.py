@@ -22,6 +22,7 @@ sweeps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -238,9 +239,15 @@ def _share_lengths(m: int, alpha: float | Fraction) -> tuple[int, int]:
     decimal it prints as, ``Fraction(repr(alpha))``, so 0.3 is 3/10 and
     1 / 3 is 3333333333333333 / 10**16.
     """
-    a = alpha if isinstance(alpha, (int, Fraction)) else Fraction(repr(float(alpha)))
+    a = alpha if isinstance(alpha, (int, Fraction)) else _decimal(float(alpha))
     p, q, m = a.numerator, a.denominator, int(m)  # Python ints: no int64 overflow
     return p * m // q, (q - p) * m // q
+
+
+@functools.lru_cache(maxsize=256)
+def _decimal(alpha: float) -> Fraction:
+    """The decimal a float prints as, converted once per value."""
+    return Fraction(repr(alpha))
 
 
 def shares_fit(m: int, alpha: float | Fraction, ell1: int, ell2: int) -> bool:

@@ -22,6 +22,7 @@ from adder_spir.model import (
 from adder_spir.multifile import run_multifile
 from adder_spir.protocol import (
     MUTATIONS,
+    _share_lengths,
     abort_check,
     build_selection_sets,
     client_partitioner,
@@ -84,6 +85,18 @@ def test_partition_third_of_six_is_two():
 def test_partition_capacity_shortfall():
     with pytest.raises(CapacityShortfall):
         partition(string_to_ternary("0011"), 0.5, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "alpha, decimal", [(0.3, Fraction(3, 10)), (1 / 3, Fraction(3333333333333333, 10**16)), (0.5, Fraction(1, 2))]
+)
+def test_float_alpha_shares_are_those_of_its_decimal(alpha, decimal):
+    # A float alpha stands for the decimal it prints as, on every call
+    # (the conversion is made once per value).
+    for m in (*range(40), 10**16, 3 * 10**16 + 7):
+        assert _share_lengths(m, alpha) == _share_lengths(m, decimal) == _share_lengths(m, alpha)
+    # 1/3 as a float is just under 1/3: three positions leave no room for a one-bit first share.
+    assert _share_lengths(3, 1 / 3) == (0, 2) and _share_lengths(10, 0.3) == (3, 7)
 
 
 def test_shares_fit_does_not_overdraw_alpha_m():
