@@ -301,7 +301,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     tallied = dict(report.tallied)
     pairs = "; ".join([
         f"{name} tallied over {report.expanded_rows} rows, {tallied[name]} distinct pairs" if name in tallied
-        else f"{name} certified"
+        else f"{name} from ranks"
         for name in report.leakages
     ])
     print(
@@ -309,7 +309,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         f"{report.orbit_sequences} orbit sequences, {report.replays} replays "
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
-        f"certificates, tallies and mutual information in {report.information_s:.3f} s; "
+        f"ranks, tallies and mutual information in {report.information_s:.3f} s; "
         f"{report.chunks} chunks, the largest {report.largest_chunk_rows} rows, "
         f"at most {report.view_pairs} distinct view pairs; {pairs}; "
         f"audit keys up to {report.key_bits} of {_MAX_CODE_BITS} bits",

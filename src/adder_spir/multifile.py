@@ -32,7 +32,7 @@ from .model import (
     Selection,
     party_stream,
 )
-from .protocol import MUTATIONS, RoundOpening, Transcript, client_partitioner, execute_session, open_round
+from .protocol import RoundOpening, Transcript, check_mutation, client_partitioner, execute_session, open_round
 
 __all__ = [
     "MultifilePlan",
@@ -246,8 +246,7 @@ def plan_multifile(
         raise ConfigurationError(
             f"per-round lengths ({p1}, {p2}) disagree with params ({params.ell1}, {params.ell2})"
         )
-    if mutation is not None and mutation not in MUTATIONS:
-        raise ConfigurationError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
+    check_mutation(mutation)
 
     chains1 = _chains(files1, L2 - 1, masks1)
     chains2 = _chains(files2, L1 - 1, masks2)

@@ -57,24 +57,30 @@ on non-abort it expands only the rows of the skeletons that did not abort;
 the state budget, ``state_count`` and the non-abort mass still count every
 row, from the skeleton table.
 
-Three pairs have file bits for their secret: ``files2`` against server 1,
-``files1`` against server 2 and ``unsel`` against the client.  Before any
-row is expanded, :func:`audit` settles each of them by a GF(2) rank
-certificate when one holds (:func:`_certified`), and tallies only the
-pairs whose certificate fails, with the two selection pairs, whose secret
-is a skeleton constant.  In skeleton s the free bits u are uniform, the
-view's affine part is M_s u + m_s and the secret's N_s u + n_s.  If on
-every skeleton the audit counts (every one that did not abort, when
-conditioned) N_s is distinct unit rows and
-rank [M_s; N_s] = rank M_s + rank N_s, the secret is uniform and
-independent of (s, view), so a tally's masses would factor and print
-exactly 0.0, which is what a certified pair prints.  A server's messages
-read none of the other server's file bits under the honest protocol or any
-mutation, so both server pairs pass without a rank; the client's messages
-do read the unselected files, and are ranked once per distinct pattern.
-Certified or not, every pair's key width counts against ``_MAX_CODE_BITS``
-before any replay, so no audit moves between accepted and refused.
-``_AUDIT_CERTIFICATES`` off tallies every pair, as tests compare.
+Before any row is expanded, :func:`audit` reads every scalar it can from
+the replayed skeletons (:func:`_settle`).  In skeleton s the free bits u
+are uniform, and an affine output is C_s u + c_s, whose zeros number
+2^(F - rank C_s) of its 2^F rows when c_s lies in the span of C_s's
+columns, and none otherwise.  So each skeleton's mass and the non-abort
+mass come from the skeleton table, and the failure mass from the ranks of
+``miss``, the recovered files XOR the requested ones.  For uniform u,
+I(M u; N u) = rank M + rank N - rank [M; N].  The client's view fixes its
+skeleton and reads the free bits through its messages, M_s u + m_s, and
+the unselected files are N_s u + n_s; when N_s has full rank on every
+skeleton the audit counts (every one that did not abort, when
+conditioned), the files are uniform whatever s, and ``servers_vs_client``
+is sum_s p(s) (rank M_s + rank N_s - rank [M_s; N_s]), an exact integer
+ratio rounded once.  A server's view holds its own files and masks, and reads the
+free bits otherwise only through its channel inputs and messages; when
+those read none of the other server's file bits, that server's files are
+independent of the view and the pair prints exactly 0.0, as its tally
+would.  Ranks are taken once per distinct pattern of columns.  A pair
+settled neither way is tallied with the two selection pairs, whose secret
+is a skeleton constant; the rows are expanded only for the outputs the
+tallied pairs read.  Every pair's key width counts against
+``_MAX_CODE_BITS`` before any replay, so no audit moves between accepted
+and refused.  ``_AUDIT_CERTIFICATES`` off tallies every pair, as tests
+compare.
 
 A tally's total holds its distinct keys in ascending order, each its view
 above its secret, so the views are runs of adjacent keys.  Each leakage is
@@ -149,7 +155,7 @@ from .multifile import execute_multifile, plan_multifile
 # time, so tracing tools can wrap them here; execute_session, reached through
 # execute_multifile, stays bound with them.
 from .protocol import (  # noqa: F401
-    Transcript, abort_check, execute_session, open_round, partition, partition_choices, shares_fit)
+    Transcript, abort_check, check_mutation, execute_session, open_round, partition, partition_choices, shares_fit)
 
 __all__ = [
     "StateBudgetExceeded",
@@ -194,8 +200,8 @@ _SKELETON = ("z1", "z2", "abort", *_INTERNED, "free", "executed", "combos")
 # most significant end; the channel bits sit above them.
 _FREE = ("files1", "files2", "masks1", "masks2")
 # Affine outputs, expanded per row; a chunk holds x and the messages
-# without the round tags of their codes, and ``ok`` in place of ``miss``
-# (the recovered files XOR the requested ones).
+# without the round tags of their codes, and ``miss``, the recovered files
+# XOR the requested ones, from which :meth:`_Enumeration.codes` derives ``ok``.
 _AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel", "miss")
 # Packed codes (free bits plus a round-pattern tag) and audit keys must fit
 # an int64.
@@ -211,9 +217,9 @@ _PROGRESS_S = 1.0
 # Whether audits keep one opening per share class, not every canonical
 # pair with every partition (the trivial group, which tests compare against).
 _AUDIT_CLASSES = True
-# Whether audits settle the pairs with a file secret by rank certificates
-# before tallying (:func:`_certified`), not tally every pair (which tests
-# compare against).
+# Whether audits settle the pairs with a file secret from GF(2) ranks of the
+# replayed skeletons (:func:`_settle`) where they can, not tally every pair
+# (which tests compare against).
 _AUDIT_CERTIFICATES = True
 
 
@@ -239,14 +245,14 @@ class LeakageReport:
 
     ``state_count`` is the rows of the full table the enumerated rows stand
     for.  ``enumeration_s`` and ``information_s`` split ``wall_time_s``
-    into the enumeration and the certificates, tallies and
-    mutual-information passes; they, ``replays`` (the protocol replays the
-    enumeration ran), ``chunks`` (the runs of rows it was streamed in),
+    into the enumeration and the ranks, tallies and mutual-information
+    passes; they, ``replays`` (the protocol replays the enumeration ran),
+    ``chunks`` (the runs of rows it was streamed in),
     ``largest_chunk_rows`` (the most rows one chunk expanded),
     ``view_pairs`` (the distinct (view, secret) pairs of the largest
-    tallied pair), ``tallied`` (each tallied pair's name and distinct
-    (view, secret) pairs, in ``_PAIRS`` order; every other pair was
-    certified), ``orbit_sequences`` (the
+    tallied pair), ``tallied`` (each pair tallied over the expanded rows,
+    by name with its distinct (view, secret) pairs, in ``_PAIRS`` order;
+    every other pair was settled from ranks), ``orbit_sequences`` (the
     channel-input sequences it enumerated), ``enumerated_rows``,
     ``expanded_rows`` (the rows it expanded: under non-abort conditioning,
     only those of skeletons that did not abort), ``answered_rounds`` (the rounds
@@ -443,6 +449,7 @@ def _enumeration(params: ProtocolParams, abort_disabled: bool, mutation: Optiona
     """The enumeration of one instance (by share classes with ``classes``)
     and the rows of the full table, with the rows it enumerates checked
     against ``state_budget`` before anything is replayed."""
+    check_mutation(mutation)
     required = required_states(params, abort_disabled)
     enumeration = _Enumeration(params, abort_disabled, mutation, classes)
     if enumeration.rows > state_budget:
@@ -476,7 +483,7 @@ class _Chunk(NamedTuple):
     table: np.ndarray  # one row of ``_SKELETON`` values per skeleton
     weights: np.ndarray  # the numerator of each row of each skeleton
     skel: np.ndarray  # the skeleton of each expanded row
-    columns: dict  # per expanded row, the codes of ``_FREE`` and the expanded outputs, ``ok`` for ``miss``
+    columns: dict  # per expanded row, the codes of ``_FREE`` and of the expanded outputs
     rows: int  # the rows of every skeleton, expanded or not
     states: int  # the rows of the full table these rows stand for
 
@@ -723,12 +730,19 @@ class _Enumeration:
         affine = np.frombuffer(b"".join(words), dtype="<i8")
         return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1))
 
+    def weights(self, run: list) -> list[int]:
+        """The numerator of each row of each skeleton of ``run``, as
+        :meth:`replay_all` lists them: its probability over
+        :attr:`denominator` times the number of skeletons it stands for."""
+        n, K = self.layout.n, self.layout.K
+        return [2 ** (2 * n * (K - k)) * self.lcm // c * size for _d, _v, (_free, k, c), size in run]
+
     def chunks(self, replayed: Optional["_Replayed"] = None, live_only: bool = False, outputs: tuple = _AFFINE):
         """Every skeleton in order (the ``replayed`` ones, else each replayed
         now), expanded in runs that end once they hold ``_CHUNK_ROWS`` rows;
         a skeleton is never split, so one of more rows is a chunk of its
         own.  With ``live_only``, the skeletons that abort are not expanded.
-        Only the ``_AFFINE`` ``outputs`` are expanded; ``miss`` among them."""
+        Only the ``_AFFINE`` ``outputs`` are expanded."""
         skeletons, affine = self.replay_all() if replayed is None else replayed
         B = self.layout.free_bits
         first, rows = 0, 0
@@ -744,11 +758,10 @@ class _Enumeration:
         its file and mask bits below, its channel bits above.  ``affine``
         holds each skeleton's ``_AFFINE`` outputs (offset and columns), of
         which only ``outputs`` are expanded.  The rows run skeleton by
-        skeleton, those with the most rows first.  A row's weight is its
-        probability times the number of skeletons its skeleton stands for;
-        its ok is 2 on abort, else whether its miss is zero."""
+        skeleton, those with the most rows first, each with its skeleton's
+        :meth:`weights`."""
         lay = self.layout
-        n, K, B = lay.n, lay.K, lay.free_bits
+        B = lay.free_bits
         direct, values, shapes, sizes = zip(*run)
         table = list(zip(*direct))
         for name, column in zip(_INTERNED, zip(*values)):
@@ -756,7 +769,7 @@ class _Enumeration:
         table.extend(zip(*shapes))
         table = np.array(table, dtype=np.int64).T
         skeleton = dict(zip(_SKELETON, table.T))
-        aborted, free, executed, combos = (skeleton[name] for name in ("abort", "free", "executed", "combos"))
+        aborted, free = skeleton["abort"], skeleton["free"]
 
         counts = np.left_shift(1, B + free)
         expanded = np.where(aborted == 1, 0, counts) if live_only else counts
@@ -769,22 +782,22 @@ class _Enumeration:
         # Every row count is a multiple of 2^B, so a row's file and mask
         # bits are the low B bits of its index.
         columns.update(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
-        columns["ok"] = np.where(aborted[skel] == 1, 2, columns.pop("miss") == 0)
-        weights = [2 ** (2 * n * (K - k)) * self.lcm // c * s for k, c, s in zip(executed.tolist(), combos.tolist(), sizes)]
         # Each skeleton stands for its class size times its 2^(B + free) rows.
         states = sum(map(int.__lshift__, sizes, (B + free).tolist()))
-        return _Chunk(table, _numerators(weights, self.denominator), skel, columns, int(counts.sum()), states)
+        return _Chunk(table, _numerators(self.weights(run), self.denominator), skel, columns, int(counts.sum()), states)
 
     def codes(self, chunk: _Chunk) -> np.ndarray:
-        """The rows of ``chunk``, one code per ``VARIABLES`` entry."""
+        """The rows of ``chunk``, one code per ``VARIABLES`` entry; ``ok`` is
+        2 on abort, else whether the row's ``miss`` is zero."""
         lay = self.layout
         codes = np.empty((len(chunk.skel), len(VARIABLES)), dtype=np.int64)
         out = dict(zip(VARIABLES, codes.T))
         skeleton = {name: col[chunk.skel] for name, col in zip(_SKELETON, chunk.table.T)}
         for name in ("z1", "z2", "abort", *_INTERNED):
             out[name][:] = skeleton[name]
-        for name in (*_FREE, "unsel", "ok"):
+        for name in (*_FREE, "unsel"):
             out[name][:] = chunk.columns[name]
+        out["ok"][:] = np.where(skeleton["abort"] == 1, 2, chunk.columns["miss"] == 0)
         rounds = skeleton["executed"]
         tag = 2 * rounds + skeleton["abort"]
         for name in ("x1", "x2"):
@@ -1084,10 +1097,9 @@ def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator
     return dist.mutual_information(("view",), ("secret",))
 
 
-def _rank(vectors, pivots: Optional[dict] = None) -> int:
-    """The GF(2) rank of ints read as bit vectors, with the vectors of
-    ``pivots`` (leading bit -> vector) before them, which gains theirs."""
-    pivots = {} if pivots is None else pivots
+def _rank(vectors) -> int:
+    """The GF(2) rank of ints read as bit vectors."""
+    pivots: dict[int, int] = {}  # leading bit -> vector
     for v in vectors:
         while v:
             top = v.bit_length()
@@ -1098,88 +1110,73 @@ def _rank(vectors, pivots: Optional[dict] = None) -> int:
     return len(pivots)
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_columns(fields: tuple, free: int) -> tuple:
-    """Per ``_FREE`` field of ``_Layout.fields``, its column at each of the
-    ``free`` free bits, read-only: a file or mask field reads its own bits,
-    one each."""
-    units, shift = [], sum(count * width for count, width in fields)
-    for count, width in fields:
-        shift -= count * width
-        unit = np.zeros(free, dtype=np.int64)
-        unit[shift : shift + count * width] = np.left_shift(1, np.arange(count * width))
-        unit.flags.writeable = False
-        units.append(unit)
-    return tuple(units)
+def _information(view: list, secret: list) -> int:
+    """I(M u; N u) in bits for uniform u: rank M + rank N - rank [M; N].
+    ``view`` and ``secret`` hold one int per free bit, M's and N's column
+    there; N's columns are below 64 bits."""
+    return _rank(view) + _rank(secret) - _rank([m << 64 | n for m, n in zip(view, secret)])
 
 
-def _certified(layout: _Layout, replayed: _Replayed, live_only: bool) -> set[str]:
-    """The pairs of ``_PAIRS`` whose secret is file bits and whose leakage a
-    GF(2) rank certificate shows to be exactly 0 on the ``replayed``
-    skeletons: every one, or with ``live_only`` every one that did not
-    abort, the skeletons a tally would count.
-
-    In skeleton s the free bits u are uniform.  The affine part of a view
-    is M_s u + m_s and the secret is N_s u + n_s.  When N_s is distinct
-    unit rows, the secret is uniform whatever s; when moreover
-    rank [M_s; N_s] = rank M_s + rank N_s, it is independent of the view
-    given s, and so of (s, view), of which every view key is a function.
-    The tally's masses would then factor and print exactly 0.0.
-
-    With N_s distinct unit rows, the rank condition says that the columns
-    of M_s at the free bits the secret reads lie in the span of its other
-    columns.  A skeleton whose view reads none of those bits passes at
-    once; the others are ranked once per distinct pattern of columns.  A
-    skeleton that aborts after its first round still carries the messages
-    of the rounds before it, so it is checked like any other."""
-    F = layout.free_bits + layout.n * layout.K
-    affine = replayed.affine[:, :, 1:]
-    if live_only:
-        affine = affine[[not skeleton[0][2] for skeleton in replayed.skeletons]]
-    columns = dict(zip(_AFFINE, affine.transpose(1, 0, 2)))  # per output, (skeleton, free bit)
-    # The fields' columns are the same in every skeleton.
-    columns.update(zip(_FREE, _unit_columns(layout.fields, F)))
-    certified = set()
-    for name, (view, secret) in _PAIRS.items():
-        if len(secret) != 1 or secret[0] not in columns:
-            continue  # the selection is a skeleton constant
-        N, width = columns[secret[0]], layout.widths[secret[0]]
-        # Distinct unit rows: the columns, sorted, are F - width zeros and
-        # then each of the width bits once.
-        if (np.sort(N, axis=-1) != np.array([0] * (F - width) + [1 << j for j in range(width)])).any():
-            continue
-        names = [v for v in (*view, *secret) if v in columns]  # the view's outputs, then the secret
-        reads = ((functools.reduce(np.bitwise_or, [columns[v] for v in names[:-1]]) != 0) & (N != 0)).any(axis=-1)
-        if reads.any():
-            # One reading skeleton per distinct pattern of its affine outputs
-            # (a field's columns are the same in every skeleton).
-            rows = np.flatnonzero(reads)
-            varying = affine[rows[:, None], [_AFFINE.index(v) for v in names if v in _AFFINE]]
-            data, size = varying.tobytes(), varying[0].nbytes
-            patterns = {data[i * size : (i + 1) * size]: i for i in range(len(rows))}
-            fields = {v: columns[v].tolist() for v in names if v in _FREE}
-
-            def spanned(i: int) -> bool:
-                words = iter(varying[i].tolist())
-                lists = [fields[v] if v in fields else next(words) for v in names]
-                return _spanned(lists[:-1], lists[-1])
-
-            if not all(map(spanned, patterns.values())):
-                continue
-        certified.add(name)
-    return certified
+def _solved(columns: list, offset: int) -> Optional[int]:
+    """The rank r of ``columns`` when ``offset`` lies in their span, so that
+    2^-r of the assignments u zero C u + offset, else None (none do)."""
+    rank = _rank(columns)
+    return rank if _rank([*columns, offset]) == rank else None
 
 
-def _spanned(view: list, secret: list) -> bool:
-    """Whether the columns of M at the free bits the secret reads lie in
-    the span of its other columns, that is rank [M; N] = rank M + rank N
-    for N distinct unit rows.  ``view`` holds per output of M, and
-    ``secret`` for N, one int per free bit, that bit's column; each column
-    of M packs its outputs' columns."""
-    columns = functools.reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)], view)
-    pivots: dict[int, int] = {}
-    rank = _rank([c for c, n in zip(columns, secret) if not n], pivots)
-    return _rank([c for c, n in zip(columns, secret) if n], pivots) == rank
+def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> tuple[int, int, dict]:
+    """The non-abort mass, the failure mass and the leakage of each pair of
+    ``_PAIRS`` with a file secret that GF(2) ranks settle, read from the
+    ``replayed`` skeletons: every one, or with ``live_only`` every one that
+    did not abort, the skeletons a tally would count.  Masses are numerators
+    over :attr:`_Enumeration.denominator`.
+
+    In skeleton s the F_s free bits u are uniform and an affine output is
+    C_s u + c_s.  Its zeros number 2^(F_s - rank C_s) when c_s lies in the
+    span of C_s's columns, and none otherwise; so a live skeleton's rows
+    with miss = 0 hold 2^-rank of its mass, or none.  For the client, M_s
+    are the columns of its messages and N_s those of the unselected files:
+    where N_s has full rank on every counted skeleton, the files are uniform
+    whatever s, and since the client's view fixes s its leakage is
+    sum_s p(s) (rank M_s + rank N_s - rank [M_s; N_s]).  A server's pair is
+    0.0 where no counted skeleton's channel inputs or messages read a bit
+    of the other server's files.  Ranks are taken once per distinct pattern
+    of columns.  A skeleton that aborts after its first round still carries
+    the messages of the rounds before it, so it is counted like any other."""
+    lay = enumeration.layout
+    skeletons, affine = replayed
+    B = lay.free_bits
+    counted = [not (live_only and direct[2]) for direct, *_rest in skeletons]
+    words = affine[:, [_AFFINE.index(v) for v in ("msgs1", "msgs2", "unsel", "miss")]]
+    data, size = words.tobytes(), words[0].nbytes
+    ranks: dict = {}  # per distinct pattern of those outputs: the client's bits, rank N and miss's zeros
+    nonabort = fail = leaked = 0
+    full = True
+    for s, weight in itertools.compress(enumerate(enumeration.weights(skeletons)), counted):
+        (_z1, _z2, aborted), _values, (free, _executed, _combos), _size = skeletons[s]
+        mass = weight << (B + free)
+        pattern = data[s * size : (s + 1) * size]
+        if pattern not in ranks:
+            msgs1, msgs2, unsel, miss = words[s].tolist()
+            M = [a << 64 | b for a, b in zip(msgs1[1:], msgs2[1:])]
+            ranks[pattern] = _information(M, unsel[1:]), _rank(unsel[1:]), _solved(miss[1:], miss[0])
+        bits, rank_n, rank = ranks[pattern]
+        leaked += mass * bits
+        full = full and rank_n == lay.widths["unsel"]
+        if not aborted:
+            nonabort += mass
+            fail += mass - (mass >> rank) if rank is not None else mass
+    settled = {}
+    if full:  # int division rounds correctly
+        settled["servers_vs_client"] = leaked / (nonabort if live_only else enumeration.denominator) if leaked else 0.0
+    # Per ``_FREE`` field, non-zero at the file and mask bits it reads (free bit j is column j).
+    fields = dict(zip(_FREE, lay.split(np.left_shift(1, np.arange(B)))))
+    read = affine[np.array(counted, dtype=bool), :, 1 : B + 1]
+    for name, (view, (secret, *_rest)) in _PAIRS.items():
+        outputs = [_AFFINE.index(v) for v in view if v in _AFFINE]
+        if secret in fields and not read[:, outputs][..., fields[secret] != 0].any():
+            settled[name] = 0.0
+    return nonabort, fail, settled
 
 
 def audit(
@@ -1194,42 +1191,44 @@ def audit(
 
     The enumeration keeps one skeleton per share class (unless
     ``_AUDIT_CLASSES`` is off).  Every skeleton is replayed first, and the
-    pairs with a file secret are settled by rank certificates where they
-    hold (unless ``_AUDIT_CERTIFICATES`` is off).  The rows are then
-    streamed: each chunk adds its masses to the abort and failure totals,
-    and its expanded rows (when conditioning, only those of skeletons that
-    did not abort) to one tally of (view, secret) keys per pair left.
-    ``state_budget`` bounds the rows enumerated, expanded or not.  A
-    progress line goes to stderr at most every ``_PROGRESS_S`` seconds,
-    the first one only after that long.
+    masses, the failure mass and the pairs with a file secret are settled
+    from GF(2) ranks where they can be (:func:`_settle`; unless
+    ``_AUDIT_CERTIFICATES`` is off, every pair is tallied).  The rows are
+    then streamed: each chunk's expanded rows (when conditioning, only
+    those of skeletons that did not abort) are added to one tally of
+    (view, secret) keys per pair left.  ``state_budget`` bounds the rows
+    enumerated, expanded or not.  A progress line goes to stderr at most
+    every ``_PROGRESS_S`` seconds, the first one only after that long.
     """
     start = time.perf_counter()
     enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, _AUDIT_CLASSES)
     keys = _PairKeys(enumeration)
     replayed = enumeration.replay_all()
     tic = time.perf_counter()
-    certified = _certified(enumeration.layout, replayed, condition_nonabort) if _AUDIT_CERTIFICATES else set()
-    tallies = {name: _Tally() for name in _PAIRS if name not in certified}
-    # The outputs the tallied pairs read, and miss for the failure mass.
+    nonabort, fail, settled = _settle(enumeration, replayed, condition_nonabort)
+    reliability_error = fail / nonabort if nonabort > 0 else 0.0  # int division rounds correctly
+    if condition_nonabort:
+        if nonabort == 0:
+            raise ConfigurationError("every session aborts: no non-abort event to condition on")
+        denominator, conditioning = nonabort, "non-abort"
+    else:
+        denominator, conditioning = enumeration.denominator, "unconditioned"
+    # A tallied pair's leakage replaces any value from ranks.
+    tallies = {name: _Tally() for name in _PAIRS if not (_AUDIT_CERTIFICATES and name in settled)}
     read = {v for name in tallies for group in _PAIRS[name] for v in group}
-    outputs = tuple([name for name in _AFFINE if name in read or name == "miss"])
-    rows = expanded = states = nonabort = fail = chunks = largest = 0
+    outputs = tuple(name for name in _AFFINE if name in read)
+    rows = expanded = states = chunks = largest = 0
     tallying, shown = time.perf_counter() - tic, start
     for chunk in enumeration.chunks(replayed, condition_nonabort, outputs):
         tic = time.perf_counter()
-        table = dict(zip(_SKELETON, chunk.table.T))
-        mass = chunk.weights * np.left_shift(1, enumeration.layout.free_bits + table["free"])
-        nonabort += int(mass[table["abort"] == 0].sum())
         rows += chunk.rows
         expanded += len(chunk.skel)
         largest = max(largest, len(chunk.skel))
         states += chunk.states
         chunks += 1
-        weights = chunk.weights[chunk.skel]
-        fail += int(weights[chunk.columns["ok"] == 0].sum())  # aborted rows have ok = 2
-        keys.add(chunk, weights, tallies)
+        keys.add(chunk, chunk.weights[chunk.skel], tallies)
         # Free this chunk's rows before the next chunk is expanded.
-        del chunk, weights
+        del chunk
         now = time.perf_counter()
         tallying += now - tic
         if now - shown >= _PROGRESS_S:
@@ -1243,15 +1242,7 @@ def audit(
     if (rows, states) != (enumeration.rows, required):
         raise RuntimeError(f"enumerated {rows} rows standing for {states}, not {enumeration.rows} for {required}")
 
-    reliability_error = fail / nonabort if nonabort > 0 else 0.0  # int division rounds correctly
-    if condition_nonabort:
-        if nonabort == 0:
-            raise ConfigurationError("every session aborts: no non-abort event to condition on")
-        denominator, conditioning = nonabort, "non-abort"
-    else:
-        denominator, conditioning = enumeration.denominator, "unconditioned"
-
-    leakages, tallied = dict.fromkeys(certified, 0.0), {}
+    leakages, tallied = settled, {}
     for name, tally in tallies.items():
         key, weights = tally.total()
         leakages[name] = _leakage(key, weights, keys.secret_bits(name), denominator)

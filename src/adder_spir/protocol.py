@@ -72,6 +72,12 @@ __all__ = [
 MUTATIONS = ("reuse-pad", "leak-selection", "unmasked-messages")
 
 
+def check_mutation(mutation: Optional[str]) -> None:
+    """Refuse a ``mutation`` that is neither None nor one of ``MUTATIONS``."""
+    if mutation is not None and mutation not in MUTATIONS:
+        raise ConfigurationError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
+
+
 @dataclass(frozen=True, init=False)
 class IndexPartition:
     """The decodable/hidden split and its per-server shares.
@@ -379,8 +385,7 @@ def execute_session(
     """Answer one opened round (:func:`open_round`) for one selection."""
     params.validate()
     sel.validate(2, 2)
-    if mutation is not None and mutation not in MUTATIONS:
-        raise ConfigurationError(f"unknown mutation {mutation!r}; choose from {MUTATIONS}")
+    check_mutation(mutation)
     if files1.file_count != 2 or files2.file_count != 2:
         raise ConfigurationError("two-file sessions need exactly two files per server")
     if files1.file_length != params.ell1 or files2.file_length != params.ell2:

@@ -1,21 +1,25 @@
-"""Rank certificates against the tally path.
+"""Pairs settled from GF(2) ranks against the tally path.
 
-``audit`` settles each pair whose secret is file bits (``files2``,
-``files1``, ``unsel``) by a GF(2) rank certificate when one holds, and
-tallies only the other pairs.  ``_AUDIT_CERTIFICATES = False`` sends every
-pair through the tally, so the digests of ``tests/test_audit_matrix.py``,
-recorded before the certificates existed, must come out of both paths.
-Where a certificate fails the pair is tallied, and the client's leakage
-then has a closed form in the same ranks: with S the skeletons, M_s the
-columns of the client's messages and N_s those of the unselected files,
-I = sum_s p(s) (rank M_s + rank N_s - rank [M_s; N_s]).
+``audit`` replays every skeleton before it expands any row, and reads from
+the replayed affine outputs the failure mass and the three pairs whose
+secret is file bits (``files2``, ``files1``, ``unsel``); only the two
+selection pairs, and a pair the ranks do not settle, are tallied.
+``_AUDIT_CERTIFICATES = False`` sends every pair through the tally, so the
+digests of ``tests/test_audit_matrix.py``, recorded before the ranks
+settled any pair, must come out of both paths.  With S the skeletons, M_s
+the columns of the client's messages and N_s those of the unselected
+files, the client's leakage is I = sum_s p(s) (rank M_s + rank N_s -
+rank [M_s; N_s]); a skeleton's rows that recover the requested files hold
+2^-rank of its mass, or none.
 """
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adder_spir import oracle
@@ -25,6 +29,7 @@ from test_audit_matrix import (
 )
 
 FILE_PAIRS = ("server2_vs_server1", "server1_vs_server2", "servers_vs_client")
+SELECTION_PAIRS = ["client_privacy_s1", "client_privacy_s2"]
 N4 = ProtocolParams(n=4, t_exponent=0.4, alpha=Fraction(1, 2), ell1=1, ell2=1)
 L32 = ProtocolParams(n=2, t_exponent=0.4, alpha=Fraction(1), L1=3, L2=2, ell1=1, ell2=0)
 
@@ -39,8 +44,8 @@ L32 = ProtocolParams(n=2, t_exponent=0.4, alpha=Fraction(1), L1=3, L2=2, ell1=1,
 )
 def test_tallying_every_pair_prints_the_certified_records(monkeypatch, digest, expected):
     # Every mutation, both conditionings, the abort rule on and off: the
-    # records the certificates print (pinned by test_audit_matrix.py) are
-    # the tally path's, byte for byte.
+    # records the ranks settle (pinned by test_audit_matrix.py) are the
+    # tally path's, byte for byte.
     monkeypatch.setattr(oracle, "_AUDIT_CERTIFICATES", False)
     assert digest() == expected
 
@@ -48,20 +53,63 @@ def test_tallying_every_pair_prints_the_certified_records(monkeypatch, digest, e
 @pytest.mark.parametrize("params, condition", [(N4, True), (L32, False)], ids=["n4", "L3x2"])
 def test_honest_audits_tally_only_the_selection_pairs(params, condition):
     report = oracle.audit(params, condition_nonabort=condition)
-    assert [name for name, _pairs in report.tallied] == ["client_privacy_s1", "client_privacy_s2"]
+    assert [name for name, _pairs in report.tallied] == SELECTION_PAIRS
     assert report.view_pairs == max(pairs for _name, pairs in report.tallied)
     assert report.all_zero()
 
 
-@pytest.mark.parametrize("mutation, leak", [("reuse-pad", 0.25), ("unmasked-messages", 2 / 3)])
-def test_a_failed_client_certificate_is_tallied(monkeypatch, mutation, leak):
+@pytest.mark.parametrize("params, condition, mutation", [
+    (N4, True, None), (L32, False, None), (L32, False, "reuse-pad"), (N4, False, "unmasked-messages"),
+], ids=["n4", "L3x2", "L3x2-reuse-pad", "n4-unmasked-messages"])
+def test_audits_expand_only_what_the_selection_pairs_read(monkeypatch, params, condition, mutation):
+    # No audit asks its chunks for miss (the failure mass comes from ranks)
+    # or for the unselected files (the client pair is settled from ranks).
+    asked = []
+    chunks = oracle._Enumeration.chunks
+
+    def spy(self, replayed=None, live_only=False, outputs=oracle._AFFINE):
+        asked.append(outputs)
+        return chunks(self, replayed, live_only, outputs)
+
+    monkeypatch.setattr(oracle._Enumeration, "chunks", spy)
+    oracle.audit(params, condition_nonabort=condition, mutation=mutation)
+    assert asked == [("x1", "x2", "msgs1", "msgs2")]
+
+
+@pytest.mark.parametrize("mutation, leak", [("reuse-pad", 0.25), ("unmasked-messages", 2 / 3)],
+                         ids=["reuse-pad", "unmasked-messages"])
+def test_a_leaking_client_pair_is_settled_from_ranks(monkeypatch, mutation, leak):
+    # The client's view reads the unselected files, and its leakage is read
+    # from ranks all the same, equal to the tally path's.
     report = oracle.audit(L32, mutation=mutation)
-    assert [name for name, _pairs in report.tallied] == ["client_privacy_s1", "client_privacy_s2", "servers_vs_client"]
+    assert [name for name, _pairs in report.tallied] == SELECTION_PAIRS
     assert report.servers_vs_client == leak
     monkeypatch.setattr(oracle, "_AUDIT_CERTIFICATES", False)
     tallied = oracle.audit(L32, mutation=mutation)
     assert [name for name, _pairs in tallied.tallied] == list(tallied.leakages)
     assert tallied.to_record() | {"wall_time_s": 0} == report.to_record() | {"wall_time_s": 0}
+
+
+def test_ranks_leave_a_pair_open_where_they_cannot_settle_it():
+    # A server channel input that reads one of the other server's file bits,
+    # or unselected files of less than full rank, leaves that pair open.
+    enumeration = oracle._Enumeration(N4, False, None, classes=True)
+    lay = enumeration.layout
+    replayed = enumeration.replay_all()
+    skeletons, affine = replayed
+    assert oracle._settle(enumeration, replayed, False)[2] == dict.fromkeys(FILE_PAIRS, 0.0)
+    x1, unsel = oracle._AFFINE.index("x1"), oracle._AFFINE.index("unsel")
+    # The column of files2's lowest free bit, after the offset: files1's
+    # field holds the highest file and mask bits, files2's the next.
+    files2 = 1 + lay.free_bits - lay.widths["files1"] - lay.widths["files2"]
+    reading = affine.copy()
+    reading[0, x1, files2] = 1
+    assert set(oracle._settle(enumeration, oracle._Replayed(skeletons, reading), False)[2]) == set(FILE_PAIRS) - {
+        "server2_vs_server1"}
+    short = affine.copy()
+    short[-1, unsel, 1:] = 0
+    assert set(oracle._settle(enumeration, oracle._Replayed(skeletons, short), False)[2]) == set(FILE_PAIRS) - {
+        "servers_vs_client"}
 
 
 def rank_terms(params: ProtocolParams, mutation) -> list:
@@ -108,52 +156,72 @@ def test_client_leakage_is_its_rank_closed_form(params, mutation, expected):
     assert oracle.audit(params, mutation=mutation).servers_vs_client == float(expected)
 
 
-def _independent_by_counting(view: list, secret: list, free: int) -> bool:
-    """Whether M u and N u are independent for uniform u, from the joint
-    counts of every assignment u of ``free`` bits."""
-    def apply(columns, u):
-        value = 0
-        for j, column in enumerate(columns):
-            if u >> j & 1:
-                value ^= column
-        return value
+def _apply(columns: list, u: int, offset: int = 0) -> int:
+    """C u + offset, with ``columns`` C's column at each free bit."""
+    value = offset
+    for j, column in enumerate(columns):
+        if u >> j & 1:
+            value ^= column
+    return value
 
-    pairs = {(tuple(apply(c, u) for c in view), apply(secret, u)) for u in range(2**free)}
-    return len(pairs) == len({v for v, _s in pairs}) * len({s for _v, s in pairs})
+
+def _counted_information(view: list, secret: list, free: int, offsets=(0, 0)) -> float:
+    """I(M u + m; N u + n) in bits for uniform u, from the joint counts of
+    every assignment u of ``free`` bits."""
+    joint = Counter((_apply(view, u, offsets[0]), _apply(secret, u, offsets[1])) for u in range(2**free))
+    views, secrets = Counter(), Counter()
+    for (v, s), count in joint.items():
+        views[v] += count
+        secrets[s] += count
+    return math.fsum(c / 2**free * math.log2(c * 2**free / (views[v] * secrets[s])) for (v, s), c in joint.items())
+
+
+_COLUMNS = st.integers(1, 7).flatmap(lambda free: st.tuples(
+    st.just(free),
+    st.lists(st.integers(0, 15), min_size=free, max_size=free),
+    st.lists(st.integers(0, 7), min_size=free, max_size=free),
+    st.integers(0, 15),
+    st.integers(0, 7),
+))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda free: st.tuples(
-    st.just(free),
-    st.lists(st.lists(st.integers(0, 7), min_size=free, max_size=free), min_size=1, max_size=3),
-    st.permutations(range(free)),
-    st.integers(0, free),
-)))
-def test_span_test_is_independence(case):
-    # With N distinct unit rows (the secret is w of the free bits), the
-    # columns of M at the secret's bits lie in the span of M's other
-    # columns exactly when M u and N u are independent.
-    free, view, order, w = case
-    secret = [0] * free
-    for row, j in enumerate(order[:w]):
-        secret[j] = 1 << row
-    assert oracle._spanned(view, secret) == _independent_by_counting(view, secret, free)
+@given(_COLUMNS)
+# Free bits (f, m): a message bit f XOR m (bit 0) beside the mask m (bit 1)
+# against the file bit f: the view knows its mask, so the pad hides nothing.
+@example((2, [0b01, 0b11], [1, 0], 0, 0))
+def test_rank_formula_is_mutual_information(case):
+    # For uniform u, I(M u + m; N u + n) = rank M + rank N - rank [M; N],
+    # whatever the offsets, counted over every assignment.
+    free, view, secret, m, n = case
+    assert oracle._information(view, secret) == pytest.approx(
+        _counted_information(view, secret, free, (m, n)), abs=1e-9)
 
 
 def test_a_known_mask_does_not_hide_a_file_bit():
     # Free bits (f, m): a message bit f XOR m pads f, unless the view also
     # holds m, as a server's view holds its own masks.
     message, mask, file_bit = [1, 1], [0, 1], [1, 0]
-    assert oracle._spanned([message], file_bit)
-    assert not oracle._spanned([message, mask], file_bit)
+    assert oracle._information(message, file_bit) == 0
+    assert oracle._information([a << 1 | b for a, b in zip(message, mask)], file_bit) == 1
     assert oracle._rank([0b011, 0b101, 0b110]) == 2 and oracle._rank([]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COLUMNS)
+def test_zeros_of_an_affine_map_by_rank(case):
+    # C u + c is zero at 2^(F - rank C) assignments when c lies in the span
+    # of C's columns, and at none otherwise.
+    free, columns, _secret, offset, _n = case
+    zeros = sum(_apply(columns, u, offset) == 0 for u in range(2**free))
+    rank = oracle._solved(columns, offset)
+    assert zeros == (0 if rank is None else 2 ** (free - rank))
 
 
 def test_aborting_rounds_keep_their_earlier_messages():
     # Skeletons that abort at their second round still carry the first
     # round's messages: leaving their rank terms out reads 1/2 bit where
-    # the audit reads 2/3, and on their own they fail the client's
-    # certificate.
+    # the audit reads 2/3, and on their own they leak.
     terms = rank_terms(L32, "unmasked-messages")
     late = [i for i, (skeleton, _mass, _bits) in enumerate(terms) if skeleton[0][2] and skeleton[2][1] > 1]
     assert late
@@ -163,15 +231,34 @@ def test_aborting_rounds_keep_their_earlier_messages():
     enumeration = oracle._Enumeration(L32, False, "unmasked-messages", classes=True)
     replayed = enumeration.replay_all()
     aborting = oracle._Replayed([replayed.skeletons[i] for i in late], replayed.affine[late])
-    assert oracle._certified(enumeration.layout, aborting, False) == {"server2_vs_server1", "server1_vs_server2"}
+    nonabort, fail, settled = oracle._settle(enumeration, aborting, False)
+    assert (nonabort, fail) == (0, 0)
+    assert settled["servers_vs_client"] > 0
+    assert settled["server2_vs_server1"] == settled["server1_vs_server2"] == 0.0
 
 
 def test_every_file_pair_certified_on_honest_slices():
-    # Honest audits of the matrix certify every file pair, with and without
-    # the abort rule and conditioning.
+    # Honest audits of the matrix settle every file pair at 0.0 and recover
+    # on every live row, with and without the abort rule and conditioning.
     for (L1, L2, n, ell1, ell2, alpha, t), condition, no_abort in itertools.product(
         INSTANCES[10:16], (False, True), (False, True)
     ):
         params = ProtocolParams(n=n, t_exponent=t, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
         enumeration = oracle._Enumeration(params, no_abort, None, classes=True)
-        assert oracle._certified(enumeration.layout, enumeration.replay_all(), condition) == set(FILE_PAIRS)
+        _nonabort, fail, settled = oracle._settle(enumeration, enumeration.replay_all(), condition)
+        assert settled == dict.fromkeys(FILE_PAIRS, 0.0) and fail == 0
+
+
+@pytest.mark.parametrize("params, mutation", [(N4, None), (N4, "reuse-pad"), (L32, "reuse-pad")])
+def test_masses_from_ranks_match_the_expanded_rows(params, mutation):
+    # The non-abort and failure masses read from the skeleton table and the
+    # ranks of miss equal those counted over every expanded row's ok.
+    enumeration = oracle._Enumeration(params, False, mutation, classes=True)
+    replayed = enumeration.replay_all()
+    abort, ok = oracle.VARIABLES.index("abort"), oracle.VARIABLES.index("ok")
+    nonabort = fail = 0
+    for chunk in enumeration.chunks(replayed):
+        codes, weights = enumeration.codes(chunk), chunk.weights[chunk.skel]
+        nonabort += int(weights[codes[:, abort] == 0].sum())
+        fail += int(weights[codes[:, ok] == 0].sum())
+    assert oracle._settle(enumeration, replayed, False)[:2] == (nonabort, fail)

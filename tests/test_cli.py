@@ -247,6 +247,13 @@ def test_audit_budget_counts_partition_choices(tmp_path, capsys):
     assert "error: enumeration needs 385984 rows standing for 5286264832, budget is 385983" in capsys.readouterr().err
 
 
+def test_audit_unknown_mutation_exits_two_before_the_budget(tmp_path, capsys):
+    # A bad mutation is a configuration error even when the budget admits no row.
+    argv = ["audit", "--n", "2", "--ell1", "1", "--mutate", "bogus", "--budget", "1", "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    assert "error: unknown mutation 'bogus'; choose from " in capsys.readouterr().err
+
+
 def test_audit_codes_wider_than_int64_exit_two(tmp_path, capsys):
     # 31 positions in each of 2 rounds: 62 channel bits plus a round tag do
     # not fit an int64 code, even with a budget that admits every row.

@@ -314,9 +314,9 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     quiet = body()
     assert "rows/s" not in quiet[2]
     assert "1 chunks, the largest 256 rows, at most " in quiet[2]
-    # Each pair is tallied over the expanded rows, or settled by its certificate.
+    # Each pair is tallied over the expanded rows, or settled from ranks.
     assert "; client_privacy_s1 tallied over 256 rows, " in quiet[2]
-    assert "; server2_vs_server1 certified; server1_vs_server2 certified; servers_vs_client certified; " in quiet[2]
+    assert "; server2_vs_server1 from ranks; server1_vs_server2 from ranks; servers_vs_client from ranks; " in quiet[2]
     assert quiet[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
     assert "1792 states from 448 rows (256 expanded) of 11 orbit sequences, " in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
