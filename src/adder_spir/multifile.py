@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bits import BitString, sample_uniform
 from .model import (
@@ -35,14 +35,17 @@ from .model import (
 from .protocol import RoundOpening, Transcript, check_mutation, client_partitioner, execute_session, open_round
 
 __all__ = [
+    "MultifileChains",
     "MultifilePlan",
     "MultifileTranscript",
     "build_chain",
+    "chain_multifile",
     "round_selection",
     "flatten_rounds",
     "reconstruct",
     "run_multifile",
     "plan_multifile",
+    "plan_selection",
     "execute_multifile",
     "request_schedule",
 ]
@@ -198,12 +201,28 @@ def _chains(store: FileStore, n_parts: int, masks: Sequence[Sequence[BitString]]
     return [build_chain(entries, m) for entries, m in zip(parts, masks, strict=True)]
 
 
+class MultifileChains(NamedTuple):
+    """A reduction's checked selection-independent inputs, from
+    :func:`chain_multifile`: the params, the two-file params of every round,
+    the two file stores, ``stores``, per server and part index the two-file
+    store of each chain position, and ``shape``, the (L1, L2, part lengths,
+    pairing) header of every transcript its plans return.  Every
+    selection's plan (:func:`plan_selection`) shares them."""
+
+    params: ProtocolParams
+    round_params: ProtocolParams
+    files: tuple[FileStore, FileStore]
+    stores: tuple[list[list[FileStore]], list[list[FileStore]]]
+    shape: tuple
+
+
 @dataclass(frozen=True)
 class MultifilePlan:
-    """One reduction's checked inputs, from :func:`plan_multifile`: per round
-    its two-file stores and branch choices, per part index of each server the
-    rounds that reconstruct it, the requested files, and ``shape``, the
-    (L1, L2, part lengths, pairing) header of every transcript it returns.
+    """One reduction's checked inputs, from :func:`plan_multifile` or
+    :func:`plan_selection`: per round its two-file stores and branch
+    choices, per part index of each server the rounds that reconstruct it,
+    the requested files, and ``shape``, the (L1, L2, part lengths, pairing)
+    header of every transcript it returns.
 
     ``answers`` holds every round the plan has answered, keyed by the round
     index and the identity of its opening, with that opening, so a run that
@@ -225,15 +244,14 @@ class MultifilePlan:
     answers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def plan_multifile(
-    params: ProtocolParams, files1: FileStore, files2: FileStore, sel: Selection,
-    masks1: Sequence[Sequence[BitString]], masks2: Sequence[Sequence[BitString]], *, mutation: Optional[str] = None,
-) -> MultifilePlan:
-    """Check the reduction's inputs and chain the files through the masks,
-    once for any number of :func:`execute_multifile` runs."""
+def chain_multifile(
+    params: ProtocolParams, files1: FileStore, files2: FileStore,
+    masks1: Sequence[Sequence[BitString]], masks2: Sequence[Sequence[BitString]],
+) -> MultifileChains:
+    """Check the reduction's selection-independent inputs and chain the
+    files through the masks, once for the plans of every selection."""
     params.validate()
     L1, L2 = params.L1, params.L2
-    sel.validate(L1, L2)
     if files1.file_count != L1 or files2.file_count != L2:
         raise ConfigurationError("file store sizes must match (L1, L2)")
     len1, len2 = files1.file_length, files2.file_length
@@ -246,17 +264,41 @@ def plan_multifile(
         raise ConfigurationError(
             f"per-round lengths ({p1}, {p2}) disagree with params ({params.ell1}, {params.ell2})"
         )
-    check_mutation(mutation)
-
-    chains1 = _chains(files1, L2 - 1, masks1)
-    chains2 = _chains(files2, L1 - 1, masks2)
-    slots, selections, order1, order2 = _round_plan(L1, L2, sel.z1, sel.z2)
-    rounds = tuple((FileStore(1, chains1[i][t1]), FileStore(2, chains2[j][t2]), s) for i, t1, j, t2, s in slots)
-    requested = (files1.file(sel.z1), files2.file(sel.z2))
+    stores = (
+        [[FileStore(1, pair) for pair in chain] for chain in _chains(files1, L2 - 1, masks1)],
+        [[FileStore(2, pair) for pair in chain] for chain in _chains(files2, L1 - 1, masks2)],
+    )
     # Every round is a two-file session at the per-round lengths (ell1, ell2).
     round_params = replace(params, L1=2, L2=2)
     shape = (L1, L2, params.ell1, params.ell2, flatten_rounds(L1, L2))
-    return MultifilePlan(params, round_params, sel, mutation, rounds, selections, (order1, order2), requested, shape)
+    return MultifileChains(params, round_params, (files1, files2), stores, shape)
+
+
+def plan_selection(chains: MultifileChains, sel: Selection, *, mutation: Optional[str] = None) -> MultifilePlan:
+    """Check one selection and plan its rounds on shared ``chains``, once
+    for any number of :func:`execute_multifile` runs."""
+    L1, L2 = chains.params.L1, chains.params.L2
+    sel.validate(L1, L2)
+    check_mutation(mutation)
+    slots, selections, order1, order2 = _round_plan(L1, L2, sel.z1, sel.z2)
+    stores1, stores2 = chains.stores
+    rounds = tuple((stores1[i][t1], stores2[j][t2], s) for i, t1, j, t2, s in slots)
+    files1, files2 = chains.files
+    requested = (files1.file(sel.z1), files2.file(sel.z2))
+    return MultifilePlan(
+        chains.params, chains.round_params, sel, mutation, rounds, selections, (order1, order2), requested,
+        chains.shape,
+    )
+
+
+def plan_multifile(
+    params: ProtocolParams, files1: FileStore, files2: FileStore, sel: Selection,
+    masks1: Sequence[Sequence[BitString]], masks2: Sequence[Sequence[BitString]], *, mutation: Optional[str] = None,
+) -> MultifilePlan:
+    """Check the reduction's inputs and chain the files through the masks,
+    once for any number of :func:`execute_multifile` runs: the one plan of
+    :func:`chain_multifile`'s chains for ``sel``."""
+    return plan_selection(chain_multifile(params, files1, files2, masks1, masks2), sel, mutation=mutation)
 
 
 def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> MultifileTranscript:
@@ -269,21 +311,22 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
     answered again (:class:`MultifilePlan`).
     """
     openings = iter(openings)
-    answers = plan.answers
+    answers, round_params, mutation = plan.answers, plan.round_params, plan.mutation
     transcripts: list[Transcript] = []
     for k, (store1, store2, round_sel) in enumerate(plan.rounds):
         opening = next(openings, None)
         if opening is None:
             break
-        answered = answers.get((k, id(opening)))
+        key = k, id(opening)
+        answered = answers.get(key)
         if answered is None:
-            transcript = execute_session(plan.round_params, store1, store2, round_sel, opening, mutation=plan.mutation)
-            answers[k, id(opening)] = opening, transcript
+            transcript = execute_session(round_params, store1, store2, round_sel, opening, mutation=mutation)
+            answers[key] = opening, transcript
         else:
             transcript = answered[1]
         transcripts.append(transcript)
         if transcript.aborted:
-            return MultifileTranscript(*plan.shape, plan.selections[: k + 1], tuple(transcripts), aborted=True)
+            return MultifileTranscript(*plan.shape, plan.selections[: k + 1], tuple(transcripts), True)
     if len(transcripts) < len(plan.rounds) or next(openings, None) is not None:
         raise ConfigurationError(f"expected openings of {len(plan.rounds)} rounds")
 

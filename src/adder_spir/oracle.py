@@ -31,15 +31,19 @@ round does not depend on the selection, so it runs once per kept opening:
 channel-input pair.  The sequences are replayed as a tree of rounds.
 Every symbolic value carries all B + n K free-bit columns, each round's
 channel bits after those of the rounds before it, so there is one plan per
-selection.  A round's symbolic opening keeps its kept opening's y, abort
-verdict and partition, with the symbolic channel inputs; it depends only
-on the round index, the column of its first channel bit and the kept
-opening, and is built once under that key for every sequence that reaches
-it.  Each plan answers each opening once, so sequences that share their
-leading rounds answer them once per selection; the inputs remember their
-subselections, so each opening's published-set pads are computed once, and
-the oracle reads each answer's public entry and messages once, however
-many replays share it.
+selection.  The files and masks do not depend on the selection either:
+they are chained once per enumeration, and every selection's plan is laid
+out on those chains (:func:`~adder_spir.multifile.chain_multifile`).  A
+round's symbolic opening keeps its kept opening's y, abort verdict and
+partition, with the symbolic channel inputs; it depends only on the round
+index, the column of its first channel bit and the kept opening, and is
+built once under that key for every sequence that reaches it.  Each plan
+answers each opening once, so sequences that share their leading rounds
+answer them once per selection; the inputs remember their subselections,
+so each opening's published-set pads are computed once.  The oracle reads
+each answer's public entry and message words once, and joins the rounds
+before each sequence's last once per plan, however many replays share
+them, so a replay appends only its last round to them.
 
 Every skeleton is replayed before any row is expanded, and keeps the
 offset and columns of its affine outputs, 6 (1 + B + U) words.  The rows
@@ -74,10 +78,13 @@ ratio rounded once.  A server's view holds its own files and masks, and reads th
 free bits otherwise only through its channel inputs and messages; when
 those read none of the other server's file bits, that server's files are
 independent of the view and the pair prints exactly 0.0, as its tally
-would.  Ranks are taken once per distinct pattern of columns.  A pair
-settled neither way is tallied with the two selection pairs, whose secret
-is a skeleton constant; the rows are expanded only for the outputs the
-tallied pairs read.  Every pair's key width counts against
+would.  Each rank is taken once per distinct pattern of the columns it
+reads: rank M_s per pattern of the messages, rank N_s per pattern of the
+unselected files (one per selection), rank [M_s; N_s] per pattern of
+both, and miss's per pattern of miss.  A pair settled neither way is
+tallied with the two selection pairs, whose secret is a skeleton
+constant; the rows are expanded only for the outputs the tallied pairs
+read.  Every pair's key width counts against
 ``_MAX_CODE_BITS`` before any replay, so no audit moves between accepted
 and refused.  ``_AUDIT_CERTIFICATES`` off tallies every pair, as tests
 compare.
@@ -150,12 +157,13 @@ from .bits import AffineBits, BitString
 from .channel import classify_indices, transmit  # noqa: F401  (bound for tracing tools)
 from .infotheory import JointDistribution, _numerators
 from .model import ConfigurationError, FileStore, ProtocolParams, Selection
-from .multifile import execute_multifile, plan_multifile
+from .multifile import chain_multifile, execute_multifile, plan_selection
 # The oracle looks its protocol entry points up in this namespace at call
 # time, so tracing tools can wrap them here; execute_session, reached through
 # execute_multifile, stays bound with them.
 from .protocol import (  # noqa: F401
-    Transcript, abort_check, check_mutation, execute_session, open_round, partition, partition_choices, shares_fit)
+    RoundOpening, Transcript, abort_check, check_mutation, execute_session, open_round, partition, partition_choices,
+    shares_fit)
 
 __all__ = [
     "StateBudgetExceeded",
@@ -507,12 +515,13 @@ class _Enumeration:
         if B + U + (2 * lay.K + 1).bit_length() > _MAX_CODE_BITS:
             raise ConfigurationError(f"{B} file and mask bits and {U} channel bits are too many to enumerate")
         self.symbols = lay.symbols(U)
-        self.plans: dict = {}  # one per selection
+        # Per selection: its plan, the requested files joined and the public
+        # values of the runs of rounds it answered (:meth:`_run`).
+        self.plans: dict = {}
+        self.answered: dict[int, tuple] = {}  # per answered transcript, its public values (:meth:`_round`)
         self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, kept opening)
+        self.partitions: dict[int, tuple] = {}  # per kept opening that goes on, its partition's key
         self.interned: dict[str, _Ids] = {name: _Ids() for name in _INTERNED}
-        # Per answered transcript (kept alive by its plan), its public entry
-        # and each server's two messages joined.
-        self.answered: dict[int, tuple] = {}
         self.zeros = bytes(8 * (B + U + 1))  # the offset and columns of no affine value, as words
         self.replays = self.sequence_count = 0
 
@@ -629,11 +638,30 @@ class _Enumeration:
         lay = self.layout
         return 2 ** (2 * lay.n * lay.K) * self.lcm * lay.L1 * lay.L2 * 2**lay.free_bits
 
+    @functools.cached_property
+    def chains(self):
+        """The symbolic files chained through the symbolic masks, once for
+        every selection's plan (:func:`~adder_spir.multifile.chain_multifile`)."""
+        return chain_multifile(self.params, *self.symbols)
+
     def skeletons(self):
-        """Replay every skeleton once.  Yields per replay (z1, z2, aborted),
-        the values of ``_INTERNED``, the offset and columns of each
-        ``_AFFINE`` output, (free channel bits, executed rounds, partition
-        combinations) and the number of skeletons it stands for."""
+        """Replay every skeleton once.  Yields per sequence, for each
+        selection in turn, the row of its skeleton in the skeleton table,
+        ((z1, z2, aborted), the values of ``_INTERNED``, (free channel bits,
+        executed rounds, partition combinations), the number of skeletons it
+        stands for), and the offset and columns of each of its ``_AFFINE``
+        outputs, as one list of words.
+
+        A replay runs the protocol once on the symbolic files and masks and
+        the :meth:`openings` of its sequence.  Each selection's plan is
+        built once, on the chains every plan shares, and answers each
+        opening once (:class:`~adder_spir.multifile.MultifilePlan`), so a
+        replay runs the session only on the rounds no earlier replay
+        reached.  Each answered round's public values and message words are
+        read once (:meth:`_round`), and the rounds before a sequence's last,
+        which went on, are joined once per plan (:meth:`_run`), so a replay
+        appends only its last round to them.  ``miss``, the recovered files
+        XOR the requested ones, is zero on abort."""
         lay = self.layout
         f1, f2 = self.symbols[0].files, self.symbols[1].files
         selections = []
@@ -641,22 +669,75 @@ class _Enumeration:
             for z2 in range(1, lay.L2 + 1):
                 sel = Selection(z1, z2)
                 if sel not in self.plans:
-                    plan = plan_multifile(self.params, *self.symbols[:2], sel, *self.symbols[2:], mutation=self.mutation)
-                    self.plans[sel] = plan, AffineBits.join(plan.requested)
+                    plan = plan_selection(self.chains, sel, mutation=self.mutation)
+                    # The run of no rounds.
+                    runs = {(): ((), (), (), None, None, self.zeros, self.zeros)}
+                    self.plans[sel] = plan, AffineBits.join(plan.requested), runs
                 unsel = self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:])
-                selections.append((sel, unsel, *self.plans[sel]))
+                selections.append((((z1, z2, 0), (z1, z2, 1)), unsel, *self.plans[sel]))
+        answered, zeros = self.answered, self.zeros
         for rounds, combos, size in self.sequences():
             self.sequence_count += 1
             executed, aborted = len(rounds), rounds[-1][1].partition is None
-            part_keys = tuple(_part_key(verdict.partition) for _pair, verdict, *_counts in rounds[: executed - aborted])
-            opened, x_columns, free = self.openings(rounds)
+            opened, (x1, x2), free = self.openings(rounds)
+            values = self.part_keys(rounds[: executed - aborted])
             shape = (free, executed, combos)
-            for sel, unsel, plan, requested in selections:
-                (ys, sets, leaks), replayed_abort, (msgs1, msgs2, miss) = self.replay(plan, requested, opened)
-                if replayed_abort != aborted or len(ys) != executed:
+            # The rounds before the last, which went on, by their openings: a
+            # plan's transcripts of them are fixed by the openings.
+            head = tuple(map(id, opened[:-1]))
+            self.replays += len(selections)
+            skeletons, words = [], []
+            for direct, unsel, plan, requested, runs in selections:
+                mt = execute_multifile(plan, opened)
+                transcripts = mt.transcripts
+                if mt.aborted != aborted or len(transcripts) != executed:
                     raise RuntimeError("replay disagrees with the enumerated channel verdicts")
-                yield ((sel.z1, sel.z2, int(aborted)), (ys, sets, leaks, part_keys),
-                       (*x_columns, msgs1, msgs2, unsel, miss), shape, size)
+                run = runs.get(head) or self._run(runs, head, transcripts[:-1])
+                if aborted:
+                    # The round that aborted sends no messages.
+                    ys, sets, leaks, _msgs1, _msgs2, words1, words2 = run
+                    y, public, leak, *_sent = answered.get(id(transcripts[-1])) or self._round(transcripts[-1])
+                    ys, sets, leaks, miss = ys + (y,), sets + (public,), leaks + (leak,), zeros
+                else:
+                    ys, sets, leaks, _msgs1, _msgs2, words1, words2 = self._extend(run, transcripts[-1])
+                    miss = (AffineBits.join(mt.recovered) ^ requested).words()
+                skeletons.append((direct[aborted], (ys, sets, leaks, values), shape, size))
+                words += x1, x2, words1, words2, unsel, miss
+            yield skeletons, words
+
+    def _round(self, t: Transcript) -> tuple:
+        """The public values of one answered round, once per transcript
+        (kept alive by its plan): its y, sets and leak, and each server's
+        two messages joined, as :class:`AffineBits` and as words (None on
+        abort)."""
+        public, sent1, sent2, leak = _public_of(t)
+        if sent1 is None:
+            entry = (t.y.tobytes(), public, leak, None, None, None, None)
+        else:
+            sent1, sent2 = AffineBits.join(sent1), AffineBits.join(sent2)
+            entry = (t.y.tobytes(), public, leak, sent1, sent2, sent1.words(), sent2.words())
+        self.answered[id(t)] = entry
+        return entry
+
+    def _run(self, runs: dict, key: tuple, transcripts: tuple) -> tuple:
+        """The run of answered rounds, none of which aborted, that
+        ``transcripts`` hold, kept in ``runs`` (their plan's) under ``key``,
+        the ids of their openings (:meth:`_extend`)."""
+        run = runs.get(key)
+        if run is None:
+            run = runs[key] = self._extend(self._run(runs, key[:-1], transcripts[:-1]), transcripts[-1])
+        return run
+
+    def _extend(self, run: tuple, t: Transcript) -> tuple:
+        """A run of answered rounds followed by the round of ``t``, which did
+        not abort: per round its y, sets and leak, and each server's messages
+        joined, as :class:`AffineBits` (None for no rounds) and as words."""
+        ys, sets, leaks, msgs1, msgs2, *_words = run
+        y, public, leak, sent1, sent2, *words = self.answered.get(id(t)) or self._round(t)
+        if msgs1 is not None:
+            sent1, sent2 = AffineBits.join((msgs1, sent1)), AffineBits.join((msgs2, sent2))
+            words = sent1.words(), sent2.words()
+        return ys + (y,), sets + (public,), leaks + (leak,), sent1, sent2, *words
 
     def openings(self, rounds) -> tuple:
         """The symbolic opening of each executed round: its kept opening
@@ -672,49 +753,30 @@ class _Enumeration:
         object, which each plan answers once
         (:class:`~adder_spir.multifile.MultifilePlan`)."""
         lay = self.layout
-        U = lay.n * lay.K
         opened, offset = [], 0
         for r, (pair, verdict, _size, _choices) in enumerate(rounds):
             hidden = bin(pair[0] ^ pair[1]).count("1")
             # A round without channel bits has no column; ``verdicts`` keeps
             # the opening alive, so its id is not reused.
             key = (r, offset if hidden else -1, id(verdict))
-            if key not in self.opened:
-                # The column of each hidden position's channel bit, first position first.
+            opening = self.opened.get(key)
+            if opening is None:
+                # Free bit j is word 1 + j; each hidden position's channel
+                # bit, first position first, takes the next column.
+                first = 1 + lay.free_bits + offset
                 channel = [1 << s for s in range(lay.n - 1, -1, -1) if (pair[0] ^ pair[1]) >> s & 1]
-                linear = [0] * (lay.free_bits + offset) + channel + [0] * (U - offset - hidden)
-                x1, x2 = (AffineBits((v, *linear), lay.n) for v in pair)
-                self.opened[key] = verdict._replace(x1=x1, x2=x2)
-            opened.append(self.opened[key])
+                words = sum(c << 64 * (first + i) for i, c in enumerate(channel))
+                x1, x2 = (AffineBits._of_words(v | words, lay.free_bits + lay.n * lay.K, lay.n) for v in pair)
+                opening = self.opened[key] = RoundOpening(x1, x2, *verdict[2:])
+            opened.append(opening)
             offset += hidden
         return opened, (self._columns([o.x1 for o in opened]), self._columns([o.x2 for o in opened])), offset
 
-    def replay(self, plan, requested: AffineBits, openings: list) -> tuple:
-        """Run the protocol once on the symbolic files and masks and the
-        :meth:`openings`: the concrete outputs (y, sets and leak, each per
-        executed round; the abort flag) and the offset and columns of msgs1,
-        msgs2 and miss, the recovered files XOR the ``requested`` ones
-        (zero on abort).  Each selection's plan is built once and answers
-        each opening once (:class:`~adder_spir.multifile.MultifilePlan`), so
-        a replay runs the session only on the rounds no earlier replay
-        reached, and each answer's public entry and messages are read once."""
-        self.replays += 1
-        mt = execute_multifile(plan, openings)
-        answered = self.answered
-        entries = []
-        for t in mt.transcripts:
-            entry = answered.get(id(t))
-            if entry is None:
-                sets, msgs1, msgs2, leak = _public_of(t)
-                entry = answered[id(t)] = (t.y.tobytes(), sets, leak, msgs1 and AffineBits.join(msgs1),
-                                           msgs2 and AffineBits.join(msgs2))
-            entries.append(entry)
-        ys, sets, leaks, msgs1, msgs2 = zip(*entries)
-        if mt.aborted:
-            msgs1, msgs2, miss = msgs1[:-1], msgs2[:-1], self.zeros
-        else:
-            miss = (AffineBits.join(mt.recovered) ^ requested).words()
-        return (ys, sets, leaks), mt.aborted, (self._columns(msgs1), self._columns(msgs2), miss)
+    def part_keys(self, rounds) -> tuple:
+        """The partition of each of ``rounds``, kept openings that go on, as hashable tuples."""
+        keys = self.partitions
+        return tuple(keys.get(id(verdict)) or keys.setdefault(id(verdict), _part_key(verdict.partition))
+                     for _pair, verdict, *_counts in rounds)
 
     def _columns(self, values) -> bytes:
         """Offset and per-free-bit columns of the affine ``values`` packed
@@ -724,9 +786,9 @@ class _Enumeration:
     def replay_all(self) -> "_Replayed":
         """Every skeleton replayed, and the words of its affine outputs."""
         skeletons, words = [], []
-        for direct, values, outputs, shape, size in self.skeletons():
-            skeletons.append((direct, values, shape, size))
-            words.extend(outputs)
+        for rows, outputs in self.skeletons():
+            skeletons += rows
+            words += outputs
         affine = np.frombuffer(b"".join(words), dtype="<i8")
         return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1))
 
@@ -1110,13 +1172,6 @@ def _rank(vectors) -> int:
     return len(pivots)
 
 
-def _information(view: list, secret: list) -> int:
-    """I(M u; N u) in bits for uniform u: rank M + rank N - rank [M; N].
-    ``view`` and ``secret`` hold one int per free bit, M's and N's column
-    there; N's columns are below 64 bits."""
-    return _rank(view) + _rank(secret) - _rank([m << 64 | n for m, n in zip(view, secret)])
-
-
 def _solved(columns: list, offset: int) -> Optional[int]:
     """The rank r of ``columns`` when ``offset`` lies in their span, so that
     2^-r of the assignments u zero C u + offset, else None (none do)."""
@@ -1140,41 +1195,57 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
     whatever s, and since the client's view fixes s its leakage is
     sum_s p(s) (rank M_s + rank N_s - rank [M_s; N_s]).  A server's pair is
     0.0 where no counted skeleton's channel inputs or messages read a bit
-    of the other server's files.  Ranks are taken once per distinct pattern
-    of columns.  A skeleton that aborts after its first round still carries
-    the messages of the rounds before it, so it is counted like any other."""
+    of the other server's files.  Each rank is taken once per distinct
+    pattern of what it reads: rank M_s per pattern of the messages, rank
+    N_s per pattern of the unselected files (one per selection), rank
+    [M_s; N_s] per pattern of both, and miss's per pattern of miss.  A
+    skeleton that aborts after its first round still carries the messages
+    of the rounds before it, so it is counted like any other."""
     lay = enumeration.layout
     skeletons, affine = replayed
     B = lay.free_bits
     counted = [not (live_only and direct[2]) for direct, *_rest in skeletons]
-    words = affine[:, [_AFFINE.index(v) for v in ("msgs1", "msgs2", "unsel", "miss")]]
-    data, size = words.tobytes(), words[0].nbytes
-    ranks: dict = {}  # per distinct pattern of those outputs: the client's bits, rank N and miss's zeros
+    client = affine[:, _AFFINE.index("msgs1") : _AFFINE.index("unsel") + 1]  # msgs1, msgs2 and unsel
+    misses = affine[:, _AFFINE.index("miss")]
+    width = misses[0].nbytes  # the bytes of one output's offset and columns
+    patterns, miss_patterns = client.tobytes(), misses.tobytes()
+    ranks: dict = {}  # per pattern of the messages, or of the unselected files: its rank
+    information: dict = {}  # per pattern of both: rank M + rank N - rank [M; N], and rank N
+    solved: dict = {}  # per pattern of miss: the rank of its columns, or None when it has no zero
     nonabort = fail = leaked = 0
     full = True
     for s, weight in itertools.compress(enumerate(enumeration.weights(skeletons)), counted):
         (_z1, _z2, aborted), _values, (free, _executed, _combos), _size = skeletons[s]
         mass = weight << (B + free)
-        pattern = data[s * size : (s + 1) * size]
-        if pattern not in ranks:
-            msgs1, msgs2, unsel, miss = words[s].tolist()
-            M = [a << 64 | b for a, b in zip(msgs1[1:], msgs2[1:])]
-            ranks[pattern] = _information(M, unsel[1:]), _rank(unsel[1:]), _solved(miss[1:], miss[0])
-        bits, rank_n, rank = ranks[pattern]
+        joint = patterns[3 * width * s : 3 * width * (s + 1)]
+        if joint not in information:
+            msgs1, msgs2, N = client[s, :, 1:].tolist()
+            M = [a << 64 | b for a, b in zip(msgs1, msgs2)]
+            for pattern, columns in ((joint[: 2 * width], M), (joint[2 * width :], N)):
+                if pattern not in ranks:
+                    ranks[pattern] = _rank(columns)
+            rank_m, rank_n = ranks[joint[: 2 * width]], ranks[joint[2 * width :]]
+            information[joint] = rank_m + rank_n - _rank([m << 64 | n for m, n in zip(M, N)]), rank_n
+        bits, rank_n = information[joint]
         leaked += mass * bits
         full = full and rank_n == lay.widths["unsel"]
         if not aborted:
             nonabort += mass
+            pattern = miss_patterns[width * s : width * (s + 1)]
+            if pattern not in solved:
+                offset, *columns = misses[s].tolist()
+                solved[pattern] = _solved(columns, offset)
+            rank = solved[pattern]
             fail += mass - (mass >> rank) if rank is not None else mass
     settled = {}
     if full:  # int division rounds correctly
         settled["servers_vs_client"] = leaked / (nonabort if live_only else enumeration.denominator) if leaked else 0.0
-    # Per ``_FREE`` field, non-zero at the file and mask bits it reads (free bit j is column j).
-    fields = dict(zip(_FREE, lay.split(np.left_shift(1, np.arange(B)))))
-    read = affine[np.array(counted, dtype=bool), :, 1 : B + 1]
+    # Per affine output, the ``_FREE`` fields a counted skeleton's output
+    # reads a bit of (free bit j is column j): non-zero ones.
+    read = np.bitwise_or.reduce(affine[np.array(counted, dtype=bool), :, 1 : B + 1], axis=0).tolist()
+    fields = [dict(zip(_FREE, lay.split(sum(1 << j for j, c in enumerate(columns) if c)))) for columns in read]
     for name, (view, (secret, *_rest)) in _PAIRS.items():
-        outputs = [_AFFINE.index(v) for v in view if v in _AFFINE]
-        if secret in fields and not read[:, outputs][..., fields[secret] != 0].any():
+        if secret in _FREE and not any(fields[_AFFINE.index(v)][secret] for v in view if v in _AFFINE):
             settled[name] = 0.0
     return nonabort, fail, settled
 
@@ -1254,6 +1325,6 @@ def audit(
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=max(tallied.values()),
         orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
-        answered_rounds=sum(len(plan.answers) for plan, _requested in enumeration.plans.values()),
+        answered_rounds=sum(len(plan.answers) for plan, *_answered in enumeration.plans.values()),
         key_bits=keys.key_bits, largest_chunk_rows=largest, tallied=tuple(tallied.items()),
     )

@@ -2,7 +2,9 @@
 
 The enumerators replay the full protocol once for every channel input,
 partition, file, mask and selection assignment and key a dict by the
-resulting value tuples.  ``tuple_classify_indices`` and
+resulting value tuples.  ``joint_pattern_settle`` reads the ranks of
+replayed skeletons once per joint pattern of every output it reads, as
+the oracle's ``_settle`` once did.  ``tuple_classify_indices`` and
 ``tuple_sample_partition`` build index sets as tuples of Python ints, the
 way the package did before its index sets became int64 arrays.  All of
 them are slow, and kept only so that tests can compare the package
@@ -21,7 +23,7 @@ from adder_spir.channel import classify_indices, transmit
 from adder_spir.infotheory import JointDistribution
 from adder_spir.model import CapacityShortfall, FileStore, ProtocolParams, Selection
 from adder_spir.multifile import execute_multifile, plan_multifile
-from adder_spir.oracle import VARIABLES, _part_key, _public_of
+from adder_spir.oracle import _AFFINE, _FREE, _PAIRS, VARIABLES, _part_key, _public_of, _rank, _solved
 from adder_spir.protocol import (
     IndexPartition, abort_check, execute_session, open_round, partition_choices, shares_fit,
 )
@@ -305,3 +307,49 @@ def _enumerate_multifile(params, abort_disabled, mutation, exact) -> JointDistri
                                     )
                                     table[key] = table.get(key, 0) + weight
     return JointDistribution(VARIABLES, table)
+
+
+def information(view: list, secret: list) -> int:
+    """I(M u; N u) in bits for uniform u: rank M + rank N - rank [M; N].
+    ``view`` and ``secret`` hold one int per free bit, M's and N's column
+    there; N's columns are below 64 bits."""
+    return _rank(view) + _rank(secret) - _rank([m << 64 | n for m, n in zip(view, secret)])
+
+
+def joint_pattern_settle(enumeration, replayed, live_only: bool) -> tuple[int, int, dict]:
+    """``oracle._settle`` as it ranked every output once per distinct joint
+    pattern of the msgs1, msgs2, unsel and miss words: six ranks per
+    pattern, whatever the outputs share with other patterns."""
+    lay = enumeration.layout
+    skeletons, affine = replayed
+    B = lay.free_bits
+    counted = [not (live_only and direct[2]) for direct, *_rest in skeletons]
+    words = affine[:, [_AFFINE.index(v) for v in ("msgs1", "msgs2", "unsel", "miss")]]
+    data, size = words.tobytes(), words[0].nbytes
+    ranks: dict = {}
+    nonabort = fail = leaked = 0
+    full = True
+    for s, weight in itertools.compress(enumerate(enumeration.weights(skeletons)), counted):
+        (_z1, _z2, aborted), _values, (free, _executed, _combos), _size = skeletons[s]
+        mass = weight << (B + free)
+        pattern = data[s * size : (s + 1) * size]
+        if pattern not in ranks:
+            msgs1, msgs2, unsel, miss = words[s].tolist()
+            M = [a << 64 | b for a, b in zip(msgs1[1:], msgs2[1:])]
+            ranks[pattern] = information(M, unsel[1:]), _rank(unsel[1:]), _solved(miss[1:], miss[0])
+        bits, rank_n, rank = ranks[pattern]
+        leaked += mass * bits
+        full = full and rank_n == lay.widths["unsel"]
+        if not aborted:
+            nonabort += mass
+            fail += mass - (mass >> rank) if rank is not None else mass
+    settled = {}
+    if full:
+        settled["servers_vs_client"] = leaked / (nonabort if live_only else enumeration.denominator) if leaked else 0.0
+    fields = dict(zip(_FREE, lay.split(np.left_shift(1, np.arange(B)))))
+    read = affine[np.array(counted, dtype=bool), :, 1 : B + 1]
+    for name, (view, (secret, *_rest)) in _PAIRS.items():
+        outputs = [_AFFINE.index(v) for v in view if v in _AFFINE]
+        if secret in fields and not read[:, outputs][..., fields[secret] != 0].any():
+            settled[name] = 0.0
+    return nonabort, fail, settled

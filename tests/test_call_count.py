@@ -8,13 +8,15 @@ in frames of the ``adder_spir`` package while ``cli.main`` runs both
 audits once more after a warm-up run, and bounds it about 10% above the
 count measured when the bound was set.
 
-``python tests/test_call_count.py`` prints the current count.  Python 3.12
-and later inline comprehensions, so they count fewer calls.
+``python tests/test_call_count.py`` prints the current count, then the 15
+package functions called most, each with its calls.  Python 3.12 and later
+inline comprehensions, so they count fewer calls.
 """
 
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import adder_spir
@@ -27,22 +29,26 @@ _AUDITS = (
 )
 # Frames report the file names the modules were imported under.
 _PACKAGE = os.path.dirname(adder_spir.__file__) + os.sep
-# 6,725 calls on Python 3.11.7 when the bound was set, after the rank
-# certificates took three of the five pairs out of the tallies (6,937
-# before them; 7,356 before the second pass over the audit's fixed costs,
-# whose transcript constructors are counted here where the generated ones
-# were not; 16,857 before the replay-to-chunk path was first trimmed).
-_MAX_CALLS = 7_400
+# 6,254 calls on Python 3.11.7 when the bound was set, after the replays
+# shared one chaining per enumeration, read each answered round once and
+# took each rank once per output pattern (7,169 before, under a bound of
+# 7,400: 6,725 after the rank certificates took three of the five pairs
+# out of the tallies, then 444 more once the masses came from ranks too;
+# 6,937 before the certificates; 7,356 before the second pass over the
+# audit's fixed costs, whose transcript constructors are counted here
+# where the generated ones were not; 16,857 before the replay-to-chunk
+# path was first trimmed).
+_MAX_CALLS = 6_870
 
 
-def _calls(out: Path) -> int:
-    """Python-level calls in the package while ``cli.main`` runs both audits."""
-    count = 0
+def _calls(out: Path) -> Counter:
+    """Python-level calls in the package while ``cli.main`` runs both
+    audits, per code object (its file, first line and name)."""
+    calls: Counter = Counter()
 
     def profile(frame, event, _arg):
-        nonlocal count
         if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
-            count += 1
+            calls[frame.f_code] += 1
 
     sys.setprofile(profile)
     try:
@@ -50,12 +56,12 @@ def _calls(out: Path) -> int:
             assert cli.main(["audit", *flags, "--seed", "1", "--out", str(out)]) == 0
     finally:
         sys.setprofile(None)
-    return count
+    return calls
 
 
 def test_benchmark_audits_stay_within_their_call_count(tmp_path, capsys):
     _calls(tmp_path / "warm-up.jsonl")
-    calls = _calls(tmp_path / "audit.jsonl")
+    calls = sum(_calls(tmp_path / "audit.jsonl").values())
     capsys.readouterr()
     assert calls <= _MAX_CALLS, (
         f"the benchmark audits made {calls} Python-level calls in adder_spir, more than {_MAX_CALLS}; "
@@ -67,4 +73,8 @@ def test_benchmark_audits_stay_within_their_call_count(tmp_path, capsys):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _calls(Path(tmp) / "warm-up.jsonl")
-        print(_calls(Path(tmp) / "audit.jsonl"))
+        calls = _calls(Path(tmp) / "audit.jsonl")
+    print(sum(calls.values()))
+    for code, count in calls.most_common(15):
+        where = f"{os.path.relpath(code.co_filename, os.path.dirname(_PACKAGE))}:{code.co_firstlineno}"
+        print(f"{count:7,}  {code.co_name}  ({where})")

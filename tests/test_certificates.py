@@ -10,9 +10,12 @@ settled any pair, must come out of both paths.  With S the skeletons, M_s
 the columns of the client's messages and N_s those of the unselected
 files, the client's leakage is I = sum_s p(s) (rank M_s + rank N_s -
 rank [M_s; N_s]); a skeleton's rows that recover the requested files hold
-2^-rank of its mass, or none.
+2^-rank of its mass, or none.  ``_settle`` takes each rank once per pattern
+of what it reads; ``brute_force.joint_pattern_settle``, which ranks every
+output once per joint pattern, is its reference.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from adder_spir import oracle
 from adder_spir.model import ProtocolParams
+from brute_force import information, joint_pattern_settle
 from test_audit_matrix import (
     DIGEST, INSTANCES, LIVE_SETS, LIVE_SETS_DIGEST, WIDE_SETS, WIDE_SETS_DIGEST, cases_digest, matrix_digest,
 )
@@ -194,7 +198,7 @@ def test_rank_formula_is_mutual_information(case):
     # For uniform u, I(M u + m; N u + n) = rank M + rank N - rank [M; N],
     # whatever the offsets, counted over every assignment.
     free, view, secret, m, n = case
-    assert oracle._information(view, secret) == pytest.approx(
+    assert information(view, secret) == pytest.approx(
         _counted_information(view, secret, free, (m, n)), abs=1e-9)
 
 
@@ -202,8 +206,8 @@ def test_a_known_mask_does_not_hide_a_file_bit():
     # Free bits (f, m): a message bit f XOR m pads f, unless the view also
     # holds m, as a server's view holds its own masks.
     message, mask, file_bit = [1, 1], [0, 1], [1, 0]
-    assert oracle._information(message, file_bit) == 0
-    assert oracle._information([a << 1 | b for a, b in zip(message, mask)], file_bit) == 1
+    assert information(message, file_bit) == 0
+    assert information([a << 1 | b for a, b in zip(message, mask)], file_bit) == 1
     assert oracle._rank([0b011, 0b101, 0b110]) == 2 and oracle._rank([]) == 0
 
 
@@ -262,3 +266,84 @@ def test_masses_from_ranks_match_the_expanded_rows(params, mutation):
         nonabort += int(weights[codes[:, abort] == 0].sum())
         fail += int(weights[codes[:, ok] == 0].sum())
     assert oracle._settle(enumeration, replayed, False)[:2] == (nonabort, fail)
+
+
+@functools.cache
+def _replayed(params: ProtocolParams, mutation) -> tuple:
+    enumeration = oracle._Enumeration(params, False, mutation, classes=True)
+    return enumeration, enumeration.replay_all()
+
+
+def _words(draw, free: int, bits: int) -> list:
+    """One output's offset and ``free`` columns of ``bits`` bits, many of
+    them zero: columns often depend on each other (rank-deficient unsel)
+    and offsets often leave their span."""
+    word = st.one_of(st.just(0), st.integers(0, 2**bits - 1))
+    return draw(st.lists(word, min_size=free + 1, max_size=free + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(N4, None), (N4, "reuse-pad"), (L32, None), (L32, "unmasked-messages")]), st.booleans(),
+       st.data())
+def test_ranks_per_output_match_the_joint_pattern_reference(instance, live_only, data):
+    # Random skeleton tables over a real enumeration's skeletons: each row
+    # draws its msgs1, msgs2, unsel and miss words from small pools, so
+    # that each pattern meets several patterns of the other outputs, as
+    # one selection's unselected files meet every sequence's messages.  A
+    # pool entry is a real skeleton's words or small random ones.  The
+    # masses and every settled pair equal the reference's.
+    enumeration, (skeletons, affine) = _replayed(*instance)
+    lay = enumeration.layout
+    free = affine.shape[2] - 1
+    real = st.integers(0, len(skeletons) - 1)
+    bits = {**lay.widths, "miss": lay.len1 + lay.len2}
+
+    def pool(name: str) -> list:
+        picks = data.draw(st.lists(st.one_of(real, st.just(None)), min_size=1, max_size=3), label=name)
+        output = oracle._AFFINE.index(name)
+        return [affine[i, output].tolist() if i is not None else _words(data.draw, free, bits[name]) for i in picks]
+
+    outputs = {name: pool(name) for name in ("msgs1", "msgs2", "unsel", "miss")}
+    rows = data.draw(st.lists(st.tuples(real, *(st.integers(0, 2) for _ in outputs)), min_size=1, max_size=24),
+                     label="rows")
+    table = affine[[i for i, *_picks in rows]].copy()
+    for r, (_i, *picks) in enumerate(rows):
+        for (name, words), pick in zip(outputs.items(), picks):
+            table[r, oracle._AFFINE.index(name)] = words[pick % len(words)]
+    replayed = oracle._Replayed([skeletons[i] for i, *_picks in rows], table)
+    assert oracle._settle(enumeration, replayed, live_only) == joint_pattern_settle(enumeration, replayed, live_only)
+
+
+@pytest.mark.parametrize("params, mutation", [(N4, None), (N4, "reuse-pad"), (L32, "reuse-pad"),
+                                              (L32, "unmasked-messages"), (L32, "leak-selection")])
+def test_ranks_per_output_match_the_reference_on_whole_tables(params, mutation):
+    enumeration, replayed = _replayed(params, mutation)
+    for live_only in (False, True):
+        assert oracle._settle(enumeration, replayed, live_only) == joint_pattern_settle(
+            enumeration, replayed, live_only)
+
+
+# The mutated audits whose client pair leaks, with the leakage each prints:
+# ``audit`` flags as params and mutation, and the printed value.
+LEAKING_CLIENT = {
+    "four-round-reuse-pad": (ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=3, ell1=1, ell2=0), "reuse-pad",
+                             "0.3125"),
+    "n3-reuse-pad": (ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0), "reuse-pad", "0.375"),
+    "n4-reuse-pad": (ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), "reuse-pad", "0.1875"),
+    "n4-unmasked-messages": (ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), "unmasked-messages",
+                             "0.375"),
+    "L3x2-n4-unmasked-messages": (ProtocolParams(n=4, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0),
+                                  "unmasked-messages", "1.6041666666666667"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAKING_CLIENT))
+def test_leaking_client_pairs_print_their_pinned_floats(name):
+    # 5/16, 3/8, 3/16, 3/8 and 77/48 bits, printed as recorded before the
+    # ranks were taken per output; the reference reads the same masses and
+    # pairs from the same skeletons.
+    params, mutation, printed = LEAKING_CLIENT[name]
+    assert oracle.audit(params, mutation=mutation).to_record()["servers_vs_client"] == printed
+    enumeration = oracle._Enumeration(params, False, mutation, classes=True)
+    replayed = enumeration.replay_all()
+    assert oracle._settle(enumeration, replayed, False) == joint_pattern_settle(enumeration, replayed, False)

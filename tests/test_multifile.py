@@ -17,17 +17,20 @@ from adder_spir.model import (
 )
 from adder_spir.multifile import (
     build_chain,
+    chain_multifile,
     execute_multifile,
     flatten_rounds,
     plan_multifile,
+    plan_selection,
     reconstruct,
     request_schedule,
     round_selection,
     run_multifile,
     sample_masks,
 )
-from adder_spir import multifile
-from adder_spir.protocol import client_partitioner, open_round
+from adder_spir import multifile, oracle
+from adder_spir.bits import AffineBits
+from adder_spir.protocol import MUTATIONS, client_partitioner, open_round
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +338,75 @@ def test_one_plan_runs_like_fresh_plans(shape, mutation):
             outcomes.add(mt.aborted)
         assert repr(plan) == before
         assert outcomes == {False, True}
+
+
+def _selections(params) -> list:
+    return [Selection(z1, z2) for z1 in range(1, params.L1 + 1) for z2 in range(1, params.L2 + 1)]
+
+
+def _outcome(mt) -> tuple:
+    """What a run returns that a plan decides: the record (the public words
+    of each round, on symbolic values), the recovered files and whether
+    they are the requested ones (the ``TypeError`` it raises when that
+    depends on a free bit)."""
+    try:
+        ok = mt.recovery_ok
+    except TypeError as error:
+        ok = str(error)
+    if not any(isinstance(t.m11, AffineBits) for t in mt.transcripts):
+        return mt.to_record(), mt.recovered, ok
+    rounds = [
+        (t.aborted, t.abort_reason, t.y.tobytes(), oracle._public_of(t)[0], t.leaked_selection,
+         None if t.aborted else [m.words() for m in (t.m11, t.m12, t.m21, t.m22)])
+        for t in mt.transcripts
+    ]
+    recovered = None if mt.recovered is None else [v.words() for v in mt.recovered]
+    return (mt.L1, mt.L2, mt.pairing, mt.round_selections, mt.aborted, rounds), recovered, ok
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3)])
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_plans_on_shared_chains_run_like_fresh_plans(shape, mutation):
+    # One chaining serves every selection's plan; each runs every draw of
+    # channel inputs, some aborting, as a fresh plan_multifile does.
+    params, files1, files2, masks1, masks2 = _plan_inputs(*shape, n=12)
+    chains = chain_multifile(params, files1, files2, masks1, masks2)
+    draws = [_openings(params, 2000 + 10 * draw, draw) for draw in range(6)]
+    outcomes = set()
+    for sel in _selections(params):
+        shared = plan_selection(chains, sel, mutation=mutation)
+        fresh = plan_multifile(params, files1, files2, sel, masks1, masks2, mutation=mutation)
+        assert repr(shared) == repr(fresh)
+        for openings in draws:
+            mt = execute_multifile(shared, openings)
+            assert _outcome(mt) == _outcome(execute_multifile(fresh, openings))
+            outcomes.add(mt.aborted)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("params", [
+    ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0),
+    ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=2, ell1=1, ell2=0),
+    ProtocolParams(n=2, t_exponent=0.4, alpha=0.0, L1=2, L2=3, ell1=0, ell2=1),
+], ids=["2x2", "3x2", "2x3"])
+@pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+def test_shared_chains_of_symbolic_inputs_run_like_fresh_plans(params, mutation):
+    # The oracle's symbolic files and masks, chained once for every
+    # selection: each selection's plan runs every sequence of the
+    # enumeration's symbolic openings as a fresh plan_multifile does.
+    enumeration = oracle._Enumeration(params, False, mutation, classes=True)
+    files1, files2, masks1, masks2 = enumeration.symbols
+    chains = chain_multifile(params, files1, files2, masks1, masks2)
+    sequences = [enumeration.openings(rounds)[0] for rounds, _combos, _size in enumeration.sequences()]
+    outcomes = set()
+    for sel in _selections(params):
+        shared = plan_selection(chains, sel, mutation=mutation)
+        fresh = plan_multifile(params, files1, files2, sel, masks1, masks2, mutation=mutation)
+        for opened in sequences:
+            mt = execute_multifile(shared, opened)
+            assert _outcome(mt) == _outcome(execute_multifile(fresh, opened))
+            outcomes.add(mt.aborted)
+    assert outcomes == {False, True}
 
 
 def _counted_sessions(monkeypatch) -> list:

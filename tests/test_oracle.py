@@ -291,9 +291,11 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     # keeps one skeleton per class of the position group: one replay per
     # selection stands for 16 of the 153 sequences of canonical pairs at
     # n=4 (544 input pairs), and for 16 of 41 at L=3x2 (136).
-    # One plan is built per selection, whatever the free channel bits.
-    calls, plans = [], []
-    execute_multifile, plan_multifile = oracle.execute_multifile, oracle.plan_multifile
+    # One plan is built per selection, whatever the free channel bits, on
+    # files and masks chained once for every plan.
+    calls, plans, chains = [], [], []
+    execute_multifile, plan_selection, chain_multifile = (
+        oracle.execute_multifile, oracle.plan_selection, oracle.chain_multifile)
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -301,13 +303,19 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
     def planned(*args, **kwargs):
         plans.append(1)
-        return plan_multifile(*args, **kwargs)
+        return plan_selection(*args, **kwargs)
+
+    def chained(*args, **kwargs):
+        chains.append(1)
+        return chain_multifile(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "execute_multifile", counted)
-    monkeypatch.setattr(oracle, "plan_multifile", planned)
+    monkeypatch.setattr(oracle, "plan_selection", planned)
+    monkeypatch.setattr(oracle, "chain_multifile", chained)
     report = audit(params)
     assert len(calls) == replays == report.replays == report.orbit_sequences * params.L1 * params.L2
     assert len(plans) == params.L1 * params.L2
+    assert len(chains) == 1
 
 
 @pytest.mark.parametrize(
