@@ -298,10 +298,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
     config["alpha"] = float(args.alpha)
     _emit([_header("audit", config), report.to_record()], args.out)
     expanded = f" ({report.expanded_rows} expanded)" if report.expanded_rows != report.enumerated_rows else ""
-    tallied = dict(report.tallied)
+    tallied, keyed = dict(report.tallied), dict(report.keyed)
     pairs = "; ".join([
-        f"{name} tallied over {report.expanded_rows} rows, {tallied[name]} distinct pairs" if name in tallied
-        else f"{name} from ranks"
+        f"{name} tallied over {report.expanded_rows} rows, {tallied[name]} distinct pairs, {keyed[name]}"
+        if name in tallied else f"{name} from ranks"
         for name in report.leakages
     ])
     print(

@@ -207,13 +207,24 @@ class MultifileChains(NamedTuple):
     the two file stores, ``stores``, per server and part index the two-file
     store of each chain position, and ``shape``, the (L1, L2, part lengths,
     pairing) header of every transcript its plans return.  Every
-    selection's plan (:func:`plan_selection`) shares them."""
+    selection's plan (:func:`plan_selection`) shares them.
+
+    ``answers`` holds every round the plans have answered, with its opening.
+    A round's two-file stores come from the pairing alone, so its answer is
+    fixed by the round index, its branch choices, the mutation and the
+    identity of its opening, the key it is kept under: a plan that passes
+    the same opening object for a round again, or another plan with the
+    same branch choices there, reuses its transcript.  Chains run on fresh
+    openings keep every one of them, so a long loop of runs whose openings
+    never repeat chains once per run, as :func:`run_multifile` does.
+    """
 
     params: ProtocolParams
     round_params: ProtocolParams
     files: tuple[FileStore, FileStore]
     stores: tuple[list[list[FileStore]], list[list[FileStore]]]
     shape: tuple
+    answers: dict
 
 
 @dataclass(frozen=True)
@@ -222,14 +233,8 @@ class MultifilePlan:
     :func:`plan_selection`: per round its two-file stores and branch
     choices, per part index of each server the rounds that reconstruct it,
     the requested files, and ``shape``, the (L1, L2, part lengths, pairing)
-    header of every transcript it returns.
-
-    ``answers`` holds every round the plan has answered, keyed by the round
-    index and the identity of its opening, with that opening, so a run that
-    passes the same opening object for a round again reuses its transcript.
-    A plan run on fresh openings keeps every one of them, so a long loop of
-    runs whose openings never repeat makes a plan per run, as
-    :func:`run_multifile` does.
+    header of every transcript it returns.  ``answers`` is its chains'
+    (:class:`MultifileChains`), shared with every plan on them.
     """
 
     params: ProtocolParams
@@ -241,7 +246,7 @@ class MultifilePlan:
     orders: tuple[tuple[tuple[int, ...], ...], ...]
     requested: tuple[BitString, BitString]
     shape: tuple
-    answers: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    answers: dict = field(compare=False, repr=False)
 
 
 def chain_multifile(
@@ -271,7 +276,7 @@ def chain_multifile(
     # Every round is a two-file session at the per-round lengths (ell1, ell2).
     round_params = replace(params, L1=2, L2=2)
     shape = (L1, L2, params.ell1, params.ell2, flatten_rounds(L1, L2))
-    return MultifileChains(params, round_params, (files1, files2), stores, shape)
+    return MultifileChains(params, round_params, (files1, files2), stores, shape, {})
 
 
 def plan_selection(chains: MultifileChains, sel: Selection, *, mutation: Optional[str] = None) -> MultifilePlan:
@@ -287,7 +292,7 @@ def plan_selection(chains: MultifileChains, sel: Selection, *, mutation: Optiona
     requested = (files1.file(sel.z1), files2.file(sel.z2))
     return MultifilePlan(
         chains.params, chains.round_params, sel, mutation, rounds, selections, (order1, order2), requested,
-        chains.shape,
+        chains.shape, chains.answers,
     )
 
 
@@ -307,17 +312,18 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
     The openings are read one round at a time, and none after a round that
     aborts: any single round abort aborts the whole session (no retry here;
     retries are a harness-level loop with fresh seeds).  A round whose
-    opening object the plan has answered at that round before is not
-    answered again (:class:`MultifilePlan`).
+    opening object a plan on the same chains has answered at that round,
+    with the same branch choices, is not answered again
+    (:class:`MultifileChains`).
     """
     openings = iter(openings)
-    answers, round_params, mutation = plan.answers, plan.round_params, plan.mutation
+    answers, round_params, mutation, branches = plan.answers, plan.round_params, plan.mutation, plan.selections
     transcripts: list[Transcript] = []
     for k, (store1, store2, round_sel) in enumerate(plan.rounds):
         opening = next(openings, None)
         if opening is None:
             break
-        key = k, id(opening)
+        key = k, branches[k], mutation, id(opening)
         answered = answers.get(key)
         if answered is None:
             transcript = execute_session(round_params, store1, store2, round_sel, opening, mutation=mutation)

@@ -46,20 +46,24 @@ before each sequence's last once per plan, however many replays share
 them, so a replay appends only its last round to them.
 
 Every skeleton is replayed before any row is expanded, and keeps the
-offset and columns of its affine outputs, 6 (1 + B + U) words.  The rows
-are then streamed: runs of skeletons are expanded one at a time, each run
-ending once it holds ``_CHUNK_ROWS`` rows.  A skeleton is never split, so
-a chunk can be as large as the largest skeleton, 2^(B + U) rows (the
-audit reports its largest chunk).  A chunk's skeletons are laid out most
-rows first and the affine outputs asked for are expanded at once, by
-doubling over the free bits.  :func:`enumerate_protocol` concatenates the
-chunks into one table.
+offset and columns of its affine outputs, 6 (1 + B + U) words, and its row
+of the skeleton table.  The rows are then streamed: runs of skeletons are
+expanded one at a time, each run ending once it expands ``_CHUNK_ROWS``
+rows.  One function expands them, over every channel bit of a skeleton and
+the file and mask bits it is given, and weights each row by 2 to the file
+and mask bits left out, the rows it stands for: :func:`enumerate_protocol`
+gives it every bit, and :func:`audit` the bits its tallied pairs read.  A
+skeleton is never split, so a chunk can be as large as the largest
+skeleton's expanded rows, up to 2^(B + U) (the audit reports its largest
+chunk).  A chunk's skeletons are laid out most rows first and the affine
+outputs asked for are expanded at once, by doubling over the bits.
+:func:`enumerate_protocol` concatenates the chunks into one table.
 :func:`audit` never holds more than a chunk of rows, and adds each chunk's
 integer masses into one tally of distinct (view, secret) keys per tallied
 pair, so its memory follows the distinct pairs, not the rows.  Conditioned
 on non-abort it expands only the rows of the skeletons that did not abort;
 the state budget, ``state_count`` and the non-abort mass still count every
-row, from the skeleton table.
+row, over all its free bits, from the skeleton table.
 
 Before any row is expanded, :func:`audit` reads every scalar it can from
 the replayed skeletons (:func:`_settle`).  In skeleton s the free bits u
@@ -84,10 +88,39 @@ unselected files (one per selection), rank [M_s; N_s] per pattern of
 both, and miss's per pattern of miss.  A pair settled neither way is
 tallied with the two selection pairs, whose secret is a skeleton
 constant; the rows are expanded only for the outputs the tallied pairs
-read.  Every pair's key width counts against
+read.  Every pair's key width, over the full views, counts against
 ``_MAX_CODE_BITS`` before any replay, so no audit moves between accepted
 and refused.  ``_AUDIT_CERTIFICATES`` off tallies every pair, as tests
 compare.
+
+A selection pair is tallied without its server's own messages, files and
+masks where the server's messages follow the honest rule
+(:func:`_own_parts`).  The argument, for server 1 (server 2's is the
+same): its view is (F, X, P, M), its files and masks F, its channel inputs
+X, the published sets and leak P and its messages M, and the secret is
+Z = (z1, z2).  (1) Where, on every skeleton the tally counts, each bit of M
+is X at the position P names for it XOR a bit of F that depends only on
+the round and the message slot (its chain value), M = g(F, X, P) for one
+function g, whatever the skeleton.  Mapping (F, X, P, M) to (F, X, P) is
+then injective on the views that occur, and I(V; Z) does not change under
+an injective relabelling of V.  The rule is asserted exactly, as affine
+functions of the free bits, offset included: one rule per skeleton is not
+enough, since a bit equal to [y_p = 2] agrees with x1_p wherever p is
+decodable and is 0 where it is hidden, so it passes each skeleton whose
+p is decodable, yet no one rule of the server's view computes it.  (2) X
+reads only channel bits (asserted too), P and Z are skeleton constants,
+and F is free bits, uniform and independent of the skeleton and of the
+channel bits.  So F is independent of (X, P, Z), and
+I((F, X, P); Z) = I((X, P); Z) (Cover and Thomas, Elements of Information
+Theory, 2.9).  Merging the 2^a values of F multiplies each remaining mass
+by 2^a, and every term of the mutual-information sum, the L1 distance of
+its floor and the integer test for an exact zero scale by that power of
+two, which is exact: the printed float does not change.  So the reduced
+pair is keyed by the round verdicts, the leak and the server's canonical
+channel-input digits alone; its rows need only the channel bits, each
+standing for 2^B rows.  Where the rule fails (the ``reuse-pad`` and
+``unmasked-messages`` mutations break it for server 1), that server keeps
+its full view, and its file and mask bits are expanded too.
 
 A tally's total holds its distinct keys in ascending order, each its view
 above its secret, so the views are runs of adjacent keys.  Each leakage is
@@ -200,6 +233,12 @@ _PAIRS = {
     "server1_vs_server2": (SERVER2_VIEW, ("files1",)),
     "servers_vs_client": (CLIENT_VIEW, ("unsel",)),
 }
+# A selection pair's view without its server's own messages, files and
+# masks, keyed in its place where the server's messages follow the honest
+# rule (:func:`_own_parts`).
+_REDUCED = {"client_privacy_s1": ("x1", "sets", "leak"), "client_privacy_s2": ("x2", "sets", "leak")}
+# How a tallied pair's view was keyed, reduced or whole.
+_DROPPED, _FULL = "own messages, files and masks dropped", "full view"
 # Skeleton constants coded by interned ids.
 _INTERNED = ("y", "sets", "leak", "u0")
 # Per-skeleton columns of a chunk.
@@ -214,9 +253,9 @@ _AFFINE = ("x1", "x2", "msgs1", "msgs2", "unsel", "miss")
 # Packed codes (free bits plus a round-pattern tag) and audit keys must fit
 # an int64.
 _MAX_CODE_BITS = 62
-# Rows at which a run of skeletons is expanded as one chunk.  No skeleton
-# is split, so a chunk holds up to this many rows less one, plus its last
-# skeleton's (up to 2^(B + U)), and ``LeakageReport.largest_chunk_rows``
+# Expanded rows at which a run of skeletons is expanded as one chunk.  No
+# skeleton is split, so a chunk holds up to this many rows less one, plus
+# its last skeleton's (up to 2^(B + U)), and ``LeakageReport.largest_chunk_rows``
 # reports the largest.  A chunk's columns and row weights take about 100
 # bytes a row: 1.6 MB at 2^14 rows, 52 MB for a 524,288-row skeleton.
 _CHUNK_ROWS = 2**14
@@ -259,13 +298,21 @@ class LeakageReport:
     ``largest_chunk_rows`` (the most rows one chunk expanded),
     ``view_pairs`` (the distinct (view, secret) pairs of the largest
     tallied pair), ``tallied`` (each pair tallied over the expanded rows,
-    by name with its distinct (view, secret) pairs, in ``_PAIRS`` order;
-    every other pair was settled from ranks), ``orbit_sequences`` (the
-    channel-input sequences it enumerated), ``enumerated_rows``,
-    ``expanded_rows`` (the rows it expanded: under non-abort conditioning,
-    only those of skeletons that did not abort), ``answered_rounds`` (the rounds
-    the replays answered, each opening once per selection) and ``key_bits``
-    (the bits of the widest audited pair's keys) stay out of the record.
+    by name with its distinct (view, secret) pairs of the view it was keyed
+    by, in ``_PAIRS`` order; every other pair was settled from ranks),
+    ``keyed`` (each tallied pair by name with how its view was keyed: its
+    server's own messages, files and masks dropped, or its full view and,
+    for a selection pair, the rule its server's messages broke),
+    ``orbit_sequences`` (the channel-input sequences it enumerated),
+    ``enumerated_rows`` (every row over all its free bits),
+    ``expanded_rows`` (the rows it expanded: each skeleton's channel bits
+    and the file and mask bits the tallied pairs read, each row standing
+    for the bits left out; under non-abort conditioning only those of
+    skeletons that did not abort), ``answered_rounds`` (the distinct rounds
+    the replays answered: each opening once per round index and branch
+    choices, which the selections' plans share) and ``key_bits`` (the bits
+    of the widest audited pair's keys, over the full views) stay out of the
+    record.
     """
 
     params: ProtocolParams
@@ -293,6 +340,7 @@ class LeakageReport:
     key_bits: int = 0
     largest_chunk_rows: int = 0
     tallied: tuple = ()
+    keyed: tuple = ()
 
     @property
     def mode(self) -> str:
@@ -392,6 +440,10 @@ class _Layout:
         """Codes of the ``_FREE`` fields of packed assignments ``a``."""
         return _unpack(a, [c * w for c, w in self.fields])
 
+    def field_bits(self, name: str) -> int:
+        """The free bits of the ``_FREE`` field ``name``, free bit j as bit j."""
+        return _mask(self.widths[name]) << sum(self.widths[f] for f in _FREE[_FREE.index(name) + 1 :])
+
     def symbols(self, channel_bits: int = 0) -> tuple:
         """FileStores and per-part mask groups as :class:`AffineBits` of the
         free bits that :meth:`split` reads them from, with ``channel_bits``
@@ -485,14 +537,15 @@ def enumerate_protocol(
 
 
 class _Chunk(NamedTuple):
-    """A run of skeletons expanded to one row per assignment of their free
-    bits, or of the free bits of its skeletons that did not abort."""
+    """A run of skeletons expanded to one row per assignment of their
+    channel bits and of the file and mask bits asked for, or of those bits
+    of its skeletons that did not abort."""
 
     table: np.ndarray  # one row of ``_SKELETON`` values per skeleton
-    weights: np.ndarray  # the numerator of each row of each skeleton
+    weights: np.ndarray  # the numerator of each expanded row of each skeleton
     skel: np.ndarray  # the skeleton of each expanded row
     columns: dict  # per expanded row, the codes of ``_FREE`` and of the expanded outputs
-    rows: int  # the rows of every skeleton, expanded or not
+    rows: int  # the rows of every skeleton over all its free bits, expanded or not
     states: int  # the rows of the full table these rows stand for
 
 
@@ -501,6 +554,7 @@ class _Replayed(NamedTuple):
 
     skeletons: list  # per skeleton, what :meth:`_Enumeration.skeletons` yields but its outputs
     affine: np.ndarray  # per skeleton and ``_AFFINE`` output, its offset and all B + n K columns
+    table: np.ndarray  # one row of ``_SKELETON`` values per skeleton, its constants by interned id
 
 
 class _Enumeration:
@@ -784,13 +838,19 @@ class _Enumeration:
         return AffineBits.join(values).words() if values else self.zeros
 
     def replay_all(self) -> "_Replayed":
-        """Every skeleton replayed, and the words of its affine outputs."""
+        """Every skeleton replayed, the words of its affine outputs and its
+        row of the skeleton table."""
         skeletons, words = [], []
         for rows, outputs in self.skeletons():
             skeletons += rows
             words += outputs
         affine = np.frombuffer(b"".join(words), dtype="<i8")
-        return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1))
+        direct, values, shapes, _sizes = zip(*skeletons)
+        table = list(zip(*direct))
+        for name, column in zip(_INTERNED, zip(*values)):
+            table.append(list(map(self.interned[name].__getitem__, column)))
+        table.extend(zip(*shapes))
+        return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1), np.array(table, dtype=np.int64).T)
 
     def weights(self, run: list) -> list[int]:
         """The numerator of each row of each skeleton of ``run``, as
@@ -799,54 +859,66 @@ class _Enumeration:
         n, K = self.layout.n, self.layout.K
         return [2 ** (2 * n * (K - k)) * self.lcm // c * size for _d, _v, (_free, k, c), size in run]
 
-    def chunks(self, replayed: Optional["_Replayed"] = None, live_only: bool = False, outputs: tuple = _AFFINE):
+    def chunks(self, replayed: Optional["_Replayed"] = None, live_only: bool = False, outputs: tuple = _AFFINE,
+               bits: Optional[tuple] = None):
         """Every skeleton in order (the ``replayed`` ones, else each replayed
-        now), expanded in runs that end once they hold ``_CHUNK_ROWS`` rows;
-        a skeleton is never split, so one of more rows is a chunk of its
-        own.  With ``live_only``, the skeletons that abort are not expanded.
-        Only the ``_AFFINE`` ``outputs`` are expanded."""
-        skeletons, affine = self.replay_all() if replayed is None else replayed
-        B = self.layout.free_bits
+        now), expanded in runs that end once they expand ``_CHUNK_ROWS``
+        rows; a skeleton is never split, so one of more rows is a chunk of
+        its own.  With ``live_only``, the skeletons that abort are not
+        expanded.  Only the ``_AFFINE`` ``outputs`` are expanded, over every
+        channel bit and the file and mask ``bits`` (free bit j as j; every
+        one unless given), as :meth:`chunk` does."""
+        skeletons, affine, table = self.replay_all() if replayed is None else replayed
+        bits = tuple(range(self.layout.free_bits)) if bits is None else bits
         first, rows = 0, 0
-        for end, skeleton in enumerate(skeletons, 1):
-            rows += 1 << (B + skeleton[2][0])  # its free file, mask and channel bits
+        for end, ((_z1, _z2, aborted), _values, (free, *_counts), _size) in enumerate(skeletons, 1):
+            if not (live_only and aborted):
+                rows += 1 << (len(bits) + free)  # its rows over the bits expanded
             if rows >= _CHUNK_ROWS or end == len(skeletons):
-                yield self.chunk(skeletons[first:end], affine[first:end], live_only, outputs)
+                yield self.chunk(skeletons[first:end], table[first:end], affine[first:end], bits, live_only, outputs)
                 first, rows = end, 0
 
-    def chunk(self, run: list, affine: np.ndarray, live_only: bool = False, outputs: tuple = _AFFINE) -> _Chunk:
-        """One row per assignment of the free bits of each skeleton of
-        ``run`` (with ``live_only``, of each skeleton that did not abort):
-        its file and mask bits below, its channel bits above.  ``affine``
-        holds each skeleton's ``_AFFINE`` outputs (offset and columns), of
-        which only ``outputs`` are expanded.  The rows run skeleton by
-        skeleton, those with the most rows first, each with its skeleton's
-        :meth:`weights`."""
+    def chunk(self, run: list, table: np.ndarray, affine: np.ndarray, bits: tuple, live_only: bool = False,
+              outputs: tuple = _AFFINE) -> _Chunk:
+        """One row per assignment of the channel bits and of the file and
+        mask ``bits`` (free bit j as j) of each skeleton of ``run`` (with
+        ``live_only``, of each skeleton that did not abort): the file and
+        mask bits below, the channel bits above.  ``table`` holds each
+        skeleton's row of the skeleton table, and ``affine`` its ``_AFFINE``
+        outputs (offset and columns), of which only ``outputs`` are
+        expanded; those must read no other file or mask bit, and a
+        ``_FREE`` field reads its bits outside ``bits`` as 0.  The
+        rows run skeleton by skeleton, those with the most rows first, each
+        with its skeleton's :meth:`weights` times 2 to the file and mask
+        bits left out, the rows each one stands for."""
         lay = self.layout
-        B = lay.free_bits
-        direct, values, shapes, sizes = zip(*run)
-        table = list(zip(*direct))
-        for name, column in zip(_INTERNED, zip(*values)):
-            table.append(list(map(self.interned[name].__getitem__, column)))
-        table.extend(zip(*shapes))
-        table = np.array(table, dtype=np.int64).T
+        B, E = lay.free_bits, len(bits)
         skeleton = dict(zip(_SKELETON, table.T))
         aborted, free = skeleton["abort"], skeleton["free"]
 
-        counts = np.left_shift(1, B + free)
-        expanded = np.where(aborted == 1, 0, counts) if live_only else counts
+        expanded = np.left_shift(1, E + free)
+        if live_only:
+            expanded[aborted == 1] = 0
         # The expanded skeletons, most rows first, so that each one's rows
         # start at a multiple of its row count.
         order = np.argsort(-expanded, kind="stable")[: np.count_nonzero(expanded)]
         skel = np.repeat(order, expanded[order])
         picked = [_AFFINE.index(name) for name in outputs]
-        columns = dict(zip(outputs, _expand(affine[order[:, None], picked], expanded[order])))
-        # Every row count is a multiple of 2^B, so a row's file and mask
-        # bits are the low B bits of its index.
-        columns.update(zip(_FREE, lay.split(np.arange(len(skel)) & _mask(B))))
+        # The offset, the columns of ``bits``, then every channel column.
+        words = [0, *(1 + j for j in bits), *range(1 + B, affine.shape[2])]
+        columns = dict(zip(outputs, _expand(affine[order[:, None], picked][:, :, words], expanded[order])))
+        # Every row count is a multiple of 2^E, so a row's file and mask
+        # bits are the low E bits of its index, bit e free bit bits[e]; a
+        # run of consecutive free bits moves as one field.
+        index, packed = np.arange(len(skel)), np.zeros(len(skel), dtype=np.int64)
+        for _shift, ((e, j), *more) in itertools.groupby(enumerate(bits), lambda bit: bit[1] - bit[0]):
+            packed |= (index >> e & _mask(1 + len(more))) << j
+        columns.update(zip(_FREE, lay.split(packed)))
         # Each skeleton stands for its class size times its 2^(B + free) rows.
-        states = sum(map(int.__lshift__, sizes, (B + free).tolist()))
-        return _Chunk(table, _numerators(self.weights(run), self.denominator), skel, columns, int(counts.sum()), states)
+        states = sum(map(int.__lshift__, [size for *_skeleton, size in run], (B + free).tolist()))
+        weights = [w << (B - E) for w in self.weights(run)]
+        rows = int(np.left_shift(1, B + free).sum())
+        return _Chunk(table, _numerators(weights, self.denominator), skel, columns, rows, states)
 
     def codes(self, chunk: _Chunk) -> np.ndarray:
         """The rows of ``chunk``, one code per ``VARIABLES`` entry; ``ok`` is
@@ -974,6 +1046,10 @@ class _PairKeys:
     The per-round fields cover only the rounds a sequence can reach: when
     no opened pair goes on, every sequence aborts at its first round, so
     the messages take no bits and the channel inputs one round's.
+
+    The groups include each ``_REDUCED`` view, a server's view without its
+    own messages, files and masks, keyed the same way by its verdicts, leak
+    and digits; the key widths checked are the full views'.
     """
 
     def __init__(self, enumeration: _Enumeration):
@@ -994,7 +1070,7 @@ class _PairKeys:
         self.published = S = 2 * lay.p1 + 2 * lay.p2
         self.digit_bits = max(2**S * (lay.n - S + 1) - 1 if live else 0, lay.n).bit_length()
         self.groups = {}  # group -> (constants, row-varying codes, digitised channel inputs, key bits)
-        for group in dict.fromkeys(g for pair in _PAIRS.values() for g in pair):
+        for group in dict.fromkeys([g for pair in _PAIRS.values() for g in pair] + list(_REDUCED.values())):
             inputs = [v for v in group if v in ("x1", "x2")]
             constants = tuple("verdicts" if inputs and v == "sets" else v for v in group if v in _SKELETON)
             varying = [v for v in group if v in self.widths and v not in inputs]
@@ -1019,12 +1095,12 @@ class _PairKeys:
     def secret_bits(self, name: str) -> int:
         return self.groups[_PAIRS[name][1]][3]
 
-    def add(self, chunk: _Chunk, weights: np.ndarray, tallies: dict) -> None:
+    def add(self, chunk: _Chunk, weights: np.ndarray, tallies: dict, pairs: dict) -> None:
         """Add every row of ``chunk``, with its ``weights``, to ``tallies``,
-        one per pair of ``_PAIRS`` named: a pair's key is its view's key
-        shifted, in place, above its secret's."""
+        one per pair named, whose (view, secret) ``pairs`` holds: a pair's
+        key is its view's key shifted, in place, above its secret's."""
         for name, tally in tallies.items():
-            view, secret = _PAIRS[name]
+            view, secret = pairs[name]
             key = self.key(view, chunk)
             key <<= self.groups[secret][3]
             key |= self.key(secret, chunk)
@@ -1202,9 +1278,9 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
     skeleton that aborts after its first round still carries the messages
     of the rounds before it, so it is counted like any other."""
     lay = enumeration.layout
-    skeletons, affine = replayed
+    skeletons, affine, table = replayed
     B = lay.free_bits
-    counted = [not (live_only and direct[2]) for direct, *_rest in skeletons]
+    counted = _counted(table, live_only)
     client = affine[:, _AFFINE.index("msgs1") : _AFFINE.index("unsel") + 1]  # msgs1, msgs2 and unsel
     misses = affine[:, _AFFINE.index("miss")]
     width = misses[0].nbytes  # the bytes of one output's offset and columns
@@ -1241,13 +1317,78 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
     if full:  # int division rounds correctly
         settled["servers_vs_client"] = leaked / (nonabort if live_only else enumeration.denominator) if leaked else 0.0
     # Per affine output, the ``_FREE`` fields a counted skeleton's output
-    # reads a bit of (free bit j is column j): non-zero ones.
-    read = np.bitwise_or.reduce(affine[np.array(counted, dtype=bool), :, 1 : B + 1], axis=0).tolist()
-    fields = [dict(zip(_FREE, lay.split(sum(1 << j for j, c in enumerate(columns) if c)))) for columns in read]
+    # reads a bit of: non-zero ones.
+    fields = [dict(zip(_FREE, lay.split(read))) for read in _read(affine, counted, B)]
     for name, (view, (secret, *_rest)) in _PAIRS.items():
         if secret in _FREE and not any(fields[_AFFINE.index(v)][secret] for v in view if v in _AFFINE):
             settled[name] = 0.0
     return nonabort, fail, settled
+
+
+def _counted(table: np.ndarray, live_only: bool) -> np.ndarray:
+    """Whether a tally counts each skeleton of the skeleton ``table``: every
+    one, or with ``live_only`` every one that did not abort."""
+    return ~(live_only & (table[:, _SKELETON.index("abort")] == 1))
+
+
+def _read(affine: np.ndarray, counted: np.ndarray, B: int) -> list[int]:
+    """Per ``_AFFINE`` output, the file and mask bits (free bit j as bit j)
+    its columns read on some ``counted`` skeleton."""
+    read = np.bitwise_or.reduce(affine[counted, :, 1 : B + 1], axis=0).tolist()
+    return [sum(1 << j for j, c in enumerate(columns) if c) for columns in read]
+
+
+def _own_parts(enumeration: _Enumeration, replayed: _Replayed, counted: np.ndarray) -> dict[str, str]:
+    """The rule that failed, per selection pair whose server's view must be
+    kept whole.  Where the server's messages follow the honest rule on
+    every ``counted`` skeleton, its view may drop its own messages, files
+    and masks (``_REDUCED``), and the pair is not named.
+
+    The rule, as affine functions of the free bits, offset included: the
+    server's channel inputs read no file or mask bit, and in each round
+    that did not abort message bit r of its set a (a = 1, 2) is its input
+    at the r-th position of published set a XOR bit r of the round's chain
+    value in slot a (:func:`~adder_spir.multifile.chain_multifile`, the same
+    for every selection).  The comparison is exact, so a message that reads
+    another position, the other server's input or anything else that
+    merely agrees with the rule on some rows fails it.  Each distinct sets
+    value's positions are laid out once; the comparison is one numpy pass
+    per message bit over every skeleton."""
+    lay = enumeration.layout
+    _skeletons, affine, table = replayed
+    B, K, n = lay.free_bits, lay.K, lay.n
+    interned, ids = enumeration.interned["sets"], table[:, _SKELETON.index("sets")]
+    # Per round, its two-file stores, which every plan shares.
+    rounds = next(iter(enumeration.plans.values()))[0].rounds
+    failed = {}
+    for name, server, p in (("client_privacy_s1", 0, lay.p1), ("client_privacy_s2", 1, lay.p2)):
+        x, msgs, width = f"x{server + 1}", f"msgs{server + 1}", 2 * p
+        inputs = affine[:, _AFFINE.index(x)]
+        if inputs[counted, 1 : B + 1].any():
+            failed[name] = f"{x} reads a file or mask bit"
+            continue
+        # Per sets value: its live rounds R, and per message bit (round,
+        # set, rank) the shift of the input bit it reads and its own shift,
+        # then (63, 0), which reads a 0 bit, past its R rounds.
+        live, shifts = [], []
+        for value in interned:
+            published = [sets for _aborted, _reason, sets in value if sets]
+            executed, R = len(value), len(published)
+            live.append(R)
+            for r, sets in enumerate(published):
+                for a in (0, 1):
+                    for j, position in enumerate(sorted(sets[2 * server + a])):
+                        shifts += (executed - 1 - r) * n + n - position, (R - 1 - r) * width + (2 - a) * p - 1 - j
+            shifts += (63, 0) * (K - R) * width
+        shifts = np.array(shifts, dtype=np.int64).reshape(len(interned), width * K, 2)[ids]
+        # The chain values of the first R rounds joined, per R.
+        chain = np.frombuffer(AffineBits.join([f for stores in rounds for f in stores[server].files]).words(), "<i8")
+        expected = (chain >> width * (K - np.arange(K + 1))[:, None])[np.array(live)[ids]]
+        for b in range(width * K):
+            expected ^= (inputs >> shifts[:, b, :1] & 1) << shifts[:, b, 1:]
+        if (expected[counted] != affine[counted, _AFFINE.index(msgs)]).any():
+            failed[name] = f"{msgs} is not {x} at the published sets XOR the chain values"
+    return failed
 
 
 def audit(
@@ -1264,12 +1405,16 @@ def audit(
     ``_AUDIT_CLASSES`` is off).  Every skeleton is replayed first, and the
     masses, the failure mass and the pairs with a file secret are settled
     from GF(2) ranks where they can be (:func:`_settle`; unless
-    ``_AUDIT_CERTIFICATES`` is off, every pair is tallied).  The rows are
-    then streamed: each chunk's expanded rows (when conditioning, only
-    those of skeletons that did not abort) are added to one tally of
-    (view, secret) keys per pair left.  ``state_budget`` bounds the rows
-    enumerated, expanded or not.  A progress line goes to stderr at most
-    every ``_PROGRESS_S`` seconds, the first one only after that long.
+    ``_AUDIT_CERTIFICATES`` is off, every pair is tallied).  Each selection
+    pair whose server's messages follow the honest rule is keyed without
+    that server's own messages, files and masks (:func:`_own_parts`).  The
+    rows are then streamed, over the channel bits and the file and mask
+    bits the pairs left read: each chunk's expanded rows (when
+    conditioning, only those of skeletons that did not abort) are added to
+    one tally of (view, secret) keys per pair left.  ``state_budget``
+    bounds the rows enumerated, over all their free bits, expanded or not.
+    A progress line goes to stderr at most every ``_PROGRESS_S`` seconds,
+    the first one only after that long.
     """
     start = time.perf_counter()
     enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, _AUDIT_CLASSES)
@@ -1286,18 +1431,32 @@ def audit(
         denominator, conditioning = enumeration.denominator, "unconditioned"
     # A tallied pair's leakage replaces any value from ranks.
     tallies = {name: _Tally() for name in _PAIRS if not (_AUDIT_CERTIFICATES and name in settled)}
-    read = {v for name in tallies for group in _PAIRS[name] for v in group}
-    outputs = tuple(name for name in _AFFINE if name in read)
+    counted = _counted(replayed.table, condition_nonabort)
+    failed = _own_parts(enumeration, replayed, counted)
+    reduced = {name: (view, _PAIRS[name][1]) for name, view in _REDUCED.items() if name not in failed}
+    pairs = {**_PAIRS, **reduced}
+    keyed = tuple((name, _DROPPED if name in reduced else f"{_FULL} ({failed[name]})" if name in failed else _FULL)
+                  for name in tallies)
+    # Only the outputs the tallied pairs read are expanded, over the file and
+    # mask bits they read; each row stands for the bits left out.
+    read = {v for name in tallies for group in pairs[name] for v in group}
+    outputs = tuple(v for v in _AFFINE if v in read)
+    lay = enumeration.layout
+    free = sum(lay.field_bits(v) for v in _FREE if v in read)  # the fields are disjoint
+    for v, bits in zip(_AFFINE, _read(replayed.affine, counted, lay.free_bits)):
+        if v in read:
+            free |= bits
+    bits = tuple(j for j in range(lay.free_bits) if free >> j & 1)
     rows = expanded = states = chunks = largest = 0
     tallying, shown = time.perf_counter() - tic, start
-    for chunk in enumeration.chunks(replayed, condition_nonabort, outputs):
+    for chunk in enumeration.chunks(replayed, condition_nonabort, outputs, bits):
         tic = time.perf_counter()
         rows += chunk.rows
         expanded += len(chunk.skel)
         largest = max(largest, len(chunk.skel))
         states += chunk.states
         chunks += 1
-        keys.add(chunk, chunk.weights[chunk.skel], tallies)
+        keys.add(chunk, chunk.weights[chunk.skel], tallies, pairs)
         # Free this chunk's rows before the next chunk is expanded.
         del chunk
         now = time.perf_counter()
@@ -1325,6 +1484,6 @@ def audit(
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
         replays=enumeration.replays, chunks=chunks, view_pairs=max(tallied.values()),
         orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
-        answered_rounds=sum(len(plan.answers) for plan, *_answered in enumeration.plans.values()),
-        key_bits=keys.key_bits, largest_chunk_rows=largest, tallied=tuple(tallied.items()),
+        answered_rounds=len(enumeration.chains.answers), key_bits=keys.key_bits, largest_chunk_rows=largest,
+        tallied=tuple(tallied.items()), keyed=keyed,
     )

@@ -321,7 +321,7 @@ def joint_pattern_settle(enumeration, replayed, live_only: bool) -> tuple[int, i
     pattern of the msgs1, msgs2, unsel and miss words: six ranks per
     pattern, whatever the outputs share with other patterns."""
     lay = enumeration.layout
-    skeletons, affine = replayed
+    skeletons, affine, _table = replayed
     B = lay.free_bits
     counted = [not (live_only and direct[2]) for direct, *_rest in skeletons]
     words = affine[:, [_AFFINE.index(v) for v in ("msgs1", "msgs2", "unsel", "miss")]]

@@ -62,22 +62,29 @@ def test_honest_audits_tally_only_the_selection_pairs(params, condition):
     assert report.all_zero()
 
 
-@pytest.mark.parametrize("params, condition, mutation", [
-    (N4, True, None), (L32, False, None), (L32, False, "reuse-pad"), (N4, False, "unmasked-messages"),
+@pytest.mark.parametrize("params, condition, mutation, outputs", [
+    (N4, True, None, ("x1", "x2")), (L32, False, None, ("x1", "x2")),
+    (L32, False, "reuse-pad", ("x1", "x2", "msgs1")), (N4, False, "unmasked-messages", ("x1", "x2", "msgs1")),
 ], ids=["n4", "L3x2", "L3x2-reuse-pad", "n4-unmasked-messages"])
-def test_audits_expand_only_what_the_selection_pairs_read(monkeypatch, params, condition, mutation):
+def test_audits_expand_only_what_the_selection_pairs_read(monkeypatch, params, condition, mutation, outputs):
     # No audit asks its chunks for miss (the failure mass comes from ranks)
     # or for the unselected files (the client pair is settled from ranks).
+    # A server whose messages follow the honest rule is keyed by its
+    # channel inputs, sets and leak, so only the channel bits are expanded;
+    # server 1 under reuse-pad and unmasked-messages keeps its messages,
+    # files and masks, and the bits of its files and masks are expanded too.
     asked = []
     chunks = oracle._Enumeration.chunks
 
-    def spy(self, replayed=None, live_only=False, outputs=oracle._AFFINE):
-        asked.append(outputs)
-        return chunks(self, replayed, live_only, outputs)
+    def spy(self, replayed=None, live_only=False, outputs=oracle._AFFINE, bits=None):
+        asked.append((outputs, bits))
+        return chunks(self, replayed, live_only, outputs, bits)
 
     monkeypatch.setattr(oracle._Enumeration, "chunks", spy)
     oracle.audit(params, condition_nonabort=condition, mutation=mutation)
-    assert asked == [("x1", "x2", "msgs1", "msgs2")]
+    lay = oracle._Layout(params)
+    own = lay.field_bits("files1") | lay.field_bits("masks1") if "msgs1" in outputs else 0
+    assert asked == [(outputs, tuple(j for j in range(lay.free_bits) if own >> j & 1))]
 
 
 @pytest.mark.parametrize("mutation, leak", [("reuse-pad", 0.25), ("unmasked-messages", 2 / 3)],
@@ -100,7 +107,7 @@ def test_ranks_leave_a_pair_open_where_they_cannot_settle_it():
     enumeration = oracle._Enumeration(N4, False, None, classes=True)
     lay = enumeration.layout
     replayed = enumeration.replay_all()
-    skeletons, affine = replayed
+    skeletons, affine, table = replayed
     assert oracle._settle(enumeration, replayed, False)[2] == dict.fromkeys(FILE_PAIRS, 0.0)
     x1, unsel = oracle._AFFINE.index("x1"), oracle._AFFINE.index("unsel")
     # The column of files2's lowest free bit, after the offset: files1's
@@ -108,11 +115,11 @@ def test_ranks_leave_a_pair_open_where_they_cannot_settle_it():
     files2 = 1 + lay.free_bits - lay.widths["files1"] - lay.widths["files2"]
     reading = affine.copy()
     reading[0, x1, files2] = 1
-    assert set(oracle._settle(enumeration, oracle._Replayed(skeletons, reading), False)[2]) == set(FILE_PAIRS) - {
-        "server2_vs_server1"}
+    assert set(oracle._settle(enumeration, oracle._Replayed(skeletons, reading, table), False)[2]) == set(
+        FILE_PAIRS) - {"server2_vs_server1"}
     short = affine.copy()
     short[-1, unsel, 1:] = 0
-    assert set(oracle._settle(enumeration, oracle._Replayed(skeletons, short), False)[2]) == set(FILE_PAIRS) - {
+    assert set(oracle._settle(enumeration, oracle._Replayed(skeletons, short, table), False)[2]) == set(FILE_PAIRS) - {
         "servers_vs_client"}
 
 
@@ -234,7 +241,7 @@ def test_aborting_rounds_keep_their_earlier_messages():
     assert sum(mass * bits for _s, mass, bits in terms) / total == Fraction(2, 3)
     enumeration = oracle._Enumeration(L32, False, "unmasked-messages", classes=True)
     replayed = enumeration.replay_all()
-    aborting = oracle._Replayed([replayed.skeletons[i] for i in late], replayed.affine[late])
+    aborting = oracle._Replayed([replayed.skeletons[i] for i in late], replayed.affine[late], replayed.table[late])
     nonabort, fail, settled = oracle._settle(enumeration, aborting, False)
     assert (nonabort, fail) == (0, 0)
     assert settled["servers_vs_client"] > 0
@@ -292,7 +299,7 @@ def test_ranks_per_output_match_the_joint_pattern_reference(instance, live_only,
     # one selection's unselected files meet every sequence's messages.  A
     # pool entry is a real skeleton's words or small random ones.  The
     # masses and every settled pair equal the reference's.
-    enumeration, (skeletons, affine) = _replayed(*instance)
+    enumeration, (skeletons, affine, skeleton_table) = _replayed(*instance)
     lay = enumeration.layout
     free = affine.shape[2] - 1
     real = st.integers(0, len(skeletons) - 1)
@@ -310,7 +317,8 @@ def test_ranks_per_output_match_the_joint_pattern_reference(instance, live_only,
     for r, (_i, *picks) in enumerate(rows):
         for (name, words), pick in zip(outputs.items(), picks):
             table[r, oracle._AFFINE.index(name)] = words[pick % len(words)]
-    replayed = oracle._Replayed([skeletons[i] for i, *_picks in rows], table)
+    picked = [i for i, *_picks in rows]
+    replayed = oracle._Replayed([skeletons[i] for i in picked], table, skeleton_table[picked])
     assert oracle._settle(enumeration, replayed, live_only) == joint_pattern_settle(enumeration, replayed, live_only)
 
 

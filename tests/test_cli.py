@@ -213,7 +213,10 @@ def test_audit_honest_exit_zero(tmp_path, capsys):
     assert report["state_count"] == report["required_states"] == 1792
     assert report["budget"] == 2**28
     # Phase timings go to stderr only; wall_time_s is the body's one timing.
-    assert "audit: 1792 states from 448 rows of 11 orbit sequences, 44 replays answering 44 rounds, enumerated in" in capsys.readouterr().err
+    # The selection pairs are keyed without the servers' own messages,
+    # files and masks, so only the rows of the channel bits are expanded.
+    assert ("audit: 1792 states from 448 rows (112 expanded) of 11 orbit sequences, 44 replays answering 44 rounds, "
+            "enumerated in") in capsys.readouterr().err
     assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 

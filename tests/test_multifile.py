@@ -454,6 +454,31 @@ def test_a_plan_answers_distinct_openings_again(monkeypatch):
     assert len(calls) == 24
 
 
+def test_plans_on_shared_chains_share_the_rounds_they_choose_alike(monkeypatch):
+    # A round's two-file stores come from the pairing, not the selection,
+    # so the plans of every selection on one set of chains answer a round
+    # opening once per round index, branch choices and mutation, and each
+    # run's record is a fresh plan's.
+    params, *inputs = _plan_inputs()
+    chains = chain_multifile(params, *inputs)
+    openings = _openings(params, 60)
+    calls = _counted_sessions(monkeypatch)
+    plans = [plan_selection(chains, sel) for sel in _selections(params)]
+    runs = [execute_multifile(plan, openings) for plan in plans]
+    choices = {(k, choice) for plan in plans for k, choice in enumerate(plan.selections)}
+    assert len(calls) == len(chains.answers) == len(choices) < len(plans) * len(openings)
+    for plan, mt in zip(plans, runs):
+        assert not mt.aborted and mt.to_record() == execute_multifile(
+            plan_multifile(params, *inputs[:2], plan.sel, *inputs[2:]), openings).to_record()
+    transcripts = {}
+    for plan, mt in zip(plans, runs):
+        for k, t in enumerate(mt.transcripts):
+            assert transcripts.setdefault((k, plan.selections[k]), t) is t
+    calls.clear()
+    execute_multifile(plan_selection(chains, Selection(1, 1), mutation="reuse-pad"), openings)
+    assert len(calls) == len(openings)
+
+
 def test_run_multifile_opens_no_round_after_an_abort(monkeypatch):
     # Rounds are opened one at a time: a session that aborts in round k
     # opened k rounds, and their verdicts are the transcripts' own.

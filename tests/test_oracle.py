@@ -320,18 +320,21 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
 
 @pytest.mark.parametrize(
     "params, conditioned, replays, rounds, pairs",
-    [(_N4, True, 64, 64, 16), (_MULTI, False, 96, 72, 6)],
+    [(_N4, True, 64, 64, 16), (_MULTI, False, 96, 48, 6)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, replays, rounds, pairs):
-    # The benchmark's two audits: each plan answers each shared round
-    # opening once (136 of the 232 rounds the replays run; the L=3x2
-    # sequences share their first rounds), and the channel transmits only
-    # while the kept openings are opened, each on its own pair: one per
-    # count of 0-, 2- and hidden positions whose rounds abort, and one per
-    # class of the others.  At n = 4 the 2 + 2 split of (one 0 and one 2,
-    # two hidden) keeps classes (0, 2) and (2, 0) of the decodable shares'
-    # sums: 12 + 4 openings, against C(4 + 2, 2) = 15 count triples.
+    # The benchmark's two audits: each shared round opening is answered
+    # once per round index and branch choices, which the plans of the
+    # selections that agree there share (112 of the 232 rounds the replays
+    # run; the L=3x2 sequences share their first rounds, and its 6
+    # selections make 4 branch choices per round), and the channel
+    # transmits only while the kept openings are opened, each on its own
+    # pair: one per count of 0-, 2- and hidden positions whose rounds
+    # abort, and one per class of the others.  At n = 4 the 2 + 2 split of
+    # (one 0 and one 2, two hidden) keeps classes (0, 2) and (2, 0) of the
+    # decodable shares' sums: 12 + 4 openings, against C(4 + 2, 2) = 15
+    # count triples.
     transmitted, sessions = [], []
     transmit, execute_session = protocol.transmit, multifile.execute_session
 

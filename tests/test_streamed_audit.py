@@ -55,31 +55,34 @@ def _records(params) -> list[str]:
 
 @functools.cache
 def _one_chunk(name: str) -> tuple[list[str], int]:
-    """The records of one instance streamed as one chunk, and the rows it
-    enumerates (fewer than the full table's: one skeleton per class)."""
+    """The records of one instance streamed as one chunk, and the rows its
+    honest audit expands (fewer than it enumerates, which are fewer than
+    the full table's: one skeleton per class)."""
     params = GROUP_INSTANCES[name]
     report = oracle.audit(params)
     rows = report.enumerated_rows
-    assert rows < report.state_count == oracle.required_states(params)
+    assert report.expanded_rows < rows < report.state_count == oracle.required_states(params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_CHUNK_ROWS", rows)
         assert oracle.audit(params).chunks == 1
-        return _records(params), rows
+        return _records(params), report.expanded_rows
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 @pytest.mark.parametrize("chunking", ["thirds", "one-row"])
 def test_chunking_changes_no_record(monkeypatch, name, chunking):
-    expected, rows = _one_chunk(name)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows // 3 if chunking == "thirds" else 1)
+    # Runs are cut by the rows they expand.
+    expected, expanded = _one_chunk(name)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", expanded // 3 if chunking == "thirds" else 1)
     assert oracle.audit(INSTANCES[name]).chunks >= 3
     assert _records(INSTANCES[name]) == expected
 
 
 def test_largest_chunk_is_the_largest_skeleton(monkeypatch, capsys):
     # A skeleton is never split: with one skeleton per chunk, the largest
-    # chunk is the skeleton whose one round hides all n = 3 positions,
-    # 2^(B + U) = 2^(2 + 3) rows.  The record does not change.
+    # chunk is the skeleton whose one round hides all n = 3 positions.  The
+    # selection pairs read only the channel bits, so it expands 2^U = 2^3
+    # of its 2^(B + U) = 2^(2 + 3) rows.  The record does not change.
     argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0"]
 
     def run():
@@ -90,13 +93,13 @@ def test_largest_chunk_is_the_largest_skeleton(monkeypatch, capsys):
         return record, err
 
     record, err = run()
-    assert "1 chunks, the largest 448 rows, " in err and "largest_chunk_rows" not in record
+    assert "1 chunks, the largest 112 rows, " in err and "largest_chunk_rows" not in record
     monkeypatch.setattr(oracle, "_CHUNK_ROWS", 1)
     report = oracle.audit(ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0))
-    assert report.largest_chunk_rows == 2 ** (2 + 3) and report.chunks == report.orbit_sequences * 4
+    assert report.largest_chunk_rows == 2**3 and report.chunks == report.orbit_sequences * 4
     one_skeleton, err = run()
     assert one_skeleton == record
-    assert f"{report.chunks} chunks, the largest 32 rows, " in err
+    assert f"{report.chunks} chunks, the largest 8 rows, " in err
 
 
 @pytest.mark.parametrize("name", sorted(GROUP_INSTANCES))
@@ -195,6 +198,8 @@ def test_canonical_keys_are_orbits(name, abort_disabled, mutation):
 def test_conditioned_audit_expands_only_live_rows(name):
     # Under non-abort conditioning a skeleton that aborts is counted (the
     # budget, the state count, the (rows, states) check) but not expanded.
+    # The audit expands only the channel bits of each skeleton, 2^-B of its
+    # rows.
     params = INSTANCES[name]
     enumeration = oracle._Enumeration(params, False, None, classes=True)
     abort, free = oracle._SKELETON.index("abort"), oracle._SKELETON.index("free")
@@ -208,8 +213,10 @@ def test_conditioned_audit_expands_only_live_rows(name):
         expanded += len(chunk.skel)
     assert rows == enumeration.rows
     conditioned, plain = oracle.audit(params, condition_nonabort=True), oracle.audit(params)
-    assert plain.expanded_rows == plain.enumerated_rows == conditioned.enumerated_rows == rows
-    assert 0 < conditioned.expanded_rows == expanded < rows
+    assert plain.enumerated_rows == conditioned.enumerated_rows == rows
+    B = enumeration.layout.free_bits
+    assert B > 0 and plain.expanded_rows << B == rows
+    assert 0 < conditioned.expanded_rows << B == expanded < rows
     assert conditioned.state_count == plain.state_count
 
 
@@ -307,24 +314,28 @@ def test_progress_goes_to_stderr_only(monkeypatch, capsys):
         record.pop("wall_time_s")
         return json.loads(header)["record"], record, err
 
-    # Conditioned on non-abort, only the rows of the skeletons that go on
-    # are expanded; the budget and the summary still count every row.
-    assert "1792 states from 448 rows of 11 orbit sequences, " in body()[2]
+    # Only the channel bits are expanded, and conditioned on non-abort only
+    # those of the skeletons that go on; the budget and the summary still
+    # count every row.
+    assert "1792 states from 448 rows (112 expanded) of 11 orbit sequences, " in body()[2]
     argv.append("--condition-nonabort")
     quiet = body()
     assert "rows/s" not in quiet[2]
-    assert "1 chunks, the largest 256 rows, at most " in quiet[2]
-    # Each pair is tallied over the expanded rows, or settled from ranks.
-    assert "; client_privacy_s1 tallied over 256 rows, " in quiet[2]
+    assert "1 chunks, the largest 64 rows, at most " in quiet[2]
+    # Each pair is tallied over the expanded rows, keyed as it was, or
+    # settled from ranks.
+    dropped = "own messages, files and masks dropped"
+    assert (f"; client_privacy_s1 tallied over 64 rows, 32 distinct pairs, {dropped}; "
+            f"client_privacy_s2 tallied over 64 rows, 32 distinct pairs, {dropped}; ") in quiet[2]
     assert "; server2_vs_server1 from ranks; server1_vs_server2 from ranks; servers_vs_client from ranks; " in quiet[2]
     assert quiet[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
-    assert "1792 states from 448 rows (256 expanded) of 11 orbit sequences, " in quiet[2]
+    assert "1792 states from 448 rows (64 expanded) of 11 orbit sequences, " in quiet[2]
     monkeypatch.setattr(oracle, "_PROGRESS_S", 0.0)
-    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 150)
+    monkeypatch.setattr(oracle, "_CHUNK_ROWS", 30)
     loud = body()
     assert loud[:2] == quiet[:2]
     progress = [line for line in loud[2].splitlines() if line.endswith("rows/s")]
     assert len(progress) == 3
     assert progress[-1].startswith("audit: 448 of 448 rows, standing for 1,792 of 1,792; 11 orbit sequences; ")
-    assert "3 chunks, the largest 144 rows, at most " in loud[2]
+    assert "3 chunks, the largest 30 rows, at most " in loud[2]
     assert loud[2].rstrip().endswith("; audit keys up to 15 of 62 bits")
