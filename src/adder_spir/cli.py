@@ -306,7 +306,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     ])
     print(
         f"audit: {report.state_count} states from {report.enumerated_rows} rows{expanded} of "
-        f"{report.orbit_sequences} orbit sequences, {report.replays} replays "
+        f"{report.orbit_sequences} orbit sequences, {report.skeletons} skeletons, {report.replays} replays "
         f"answering {report.answered_rounds} rounds, "
         f"enumerated in {report.enumeration_s:.3f} s; "
         f"ranks, tallies and mutual information in {report.information_s:.3f} s; "

@@ -214,9 +214,15 @@ class MultifileChains(NamedTuple):
     fixed by the round index, its branch choices, the mutation and the
     identity of its opening, the key it is kept under: a plan that passes
     the same opening object for a round again, or another plan with the
-    same branch choices there, reuses its transcript.  Chains run on fresh
-    openings keep every one of them, so a long loop of runs whose openings
-    never repeat chains once per run, as :func:`run_multifile` does.
+    same branch choices there, reuses its transcript.  An opening that
+    aborted is kept under the round index and its identity alone: the
+    client decides to abort from the channel output before any message
+    that depends on the selection, and
+    :func:`~adder_spir.protocol.execute_session` returns its aborted
+    transcript before it reads the selection or the mutation, so every
+    plan on the chains shares it.  Chains run on fresh openings keep every
+    one of them, so a long loop of runs whose openings never repeat chains
+    once per run, as :func:`run_multifile` does.
     """
 
     params: ProtocolParams
@@ -313,8 +319,8 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
     aborts: any single round abort aborts the whole session (no retry here;
     retries are a harness-level loop with fresh seeds).  A round whose
     opening object a plan on the same chains has answered at that round,
-    with the same branch choices, is not answered again
-    (:class:`MultifileChains`).
+    with the same branch choices or, if it aborted, with any, is not
+    answered again (:class:`MultifileChains`).
     """
     openings = iter(openings)
     answers, round_params, mutation, branches = plan.answers, plan.round_params, plan.mutation, plan.selections
@@ -323,7 +329,7 @@ def execute_multifile(plan: MultifilePlan, openings: Iterable[RoundOpening]) -> 
         opening = next(openings, None)
         if opening is None:
             break
-        key = k, branches[k], mutation, id(opening)
+        key = (k, id(opening)) if opening.abort_reason is not None else (k, branches[k], mutation, id(opening))
         answered = answers.get(key)
         if answered is None:
             transcript = execute_session(round_params, store1, store2, round_sel, opening, mutation=mutation)

@@ -22,8 +22,9 @@ numpy expands the 2^(B+U) assignments by XOR, and a row recovered its
 files when that XOR is zero.  Every other value (y, sets, leak, abort)
 must come out concrete: a session step that reads a free bit as a value,
 or combines such bits other than by XOR, raises ``TypeError``.  So each
-skeleton is replayed exactly once, and the skeletons are counted before
-any replay.  Two files per server is the L1 = L2 = 2 case of the
+skeleton is replayed at most once, and the skeletons are counted before
+any replay, from the counts of the kept openings that go on and that
+abort.  Two files per server is the L1 = L2 = 2 case of the
 multi-file reduction, replayed the same way; only its decoded per-round
 values are unwrapped from their one-round tuples.  The channel phase of a
 round does not depend on the selection, so it runs once per kept opening:
@@ -43,9 +44,16 @@ answer them once per selection; the inputs remember their subselections,
 so each opening's published-set pads are computed once.  The oracle reads
 each answer's public entry and message words once, and joins the rounds
 before each sequence's last once per plan, however many replays share
-them, so a replay appends only its last round to them.
+them, so a replay appends only its last round to them.  The client
+decides to abort from y alone, before any message that depends on the
+selection, so a round that aborted publishes its y and its verdict and
+nothing else, whatever the selection, and every plan shares its answer.
+So a sequence that aborted is replayed only for the plans that have not
+yet run the rounds before its last; for every other selection, its
+skeleton is the plan's run of those rounds followed by the opening's y
+and verdict.  Every skeleton that went on is replayed.
 
-Every skeleton is replayed before any row is expanded, and keeps the
+Every skeleton is built before any row is expanded, and keeps the
 offset and columns of its affine outputs, 6 (1 + B + U) words, and its row
 of the skeleton table.  The rows are then streamed: runs of skeletons are
 expanded one at a time, each run ending once it expands ``_CHUNK_ROWS``
@@ -293,8 +301,12 @@ class LeakageReport:
     ``state_count`` is the rows of the full table the enumerated rows stand
     for.  ``enumeration_s`` and ``information_s`` split ``wall_time_s``
     into the enumeration and the ranks, tallies and mutual-information
-    passes; they, ``replays`` (the protocol replays the enumeration ran),
-    ``chunks`` (the runs of rows it was streamed in),
+    passes; they, ``skeletons`` (the skeletons it enumerated, one per
+    sequence and selection), ``replays`` (the protocol replays behind them,
+    :func:`~adder_spir.multifile.execute_multifile` runs: one per skeleton
+    that went on, and one per skeleton that aborted only where its plan had
+    not yet run the rounds before its last), ``chunks`` (the runs of rows it
+    was streamed in),
     ``largest_chunk_rows`` (the most rows one chunk expanded),
     ``view_pairs`` (the distinct (view, secret) pairs of the largest
     tallied pair), ``tallied`` (each pair tallied over the expanded rows,
@@ -310,7 +322,8 @@ class LeakageReport:
     for the bits left out; under non-abort conditioning only those of
     skeletons that did not abort), ``answered_rounds`` (the distinct rounds
     the replays answered: each opening once per round index and branch
-    choices, which the selections' plans share) and ``key_bits`` (the bits
+    choices, which the selections' plans share, and each that aborted once
+    per round index) and ``key_bits`` (the bits
     of the widest audited pair's keys, over the full views) stay out of the
     record.
     """
@@ -330,6 +343,7 @@ class LeakageReport:
     mutation: Optional[str] = None
     enumeration_s: float = 0.0
     information_s: float = 0.0
+    skeletons: int = 0
     replays: int = 0
     chunks: int = 0
     view_pairs: int = 0
@@ -497,11 +511,15 @@ def _multinomial(*counts: int) -> int:
     return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
+def _sequences(K: int, continuing: int, aborting: int) -> int:
+    """The sequences of up to K rounds, where ``continuing`` and ``aborting``
+    weigh one round's choices that go on and that abort."""
+    return sum(continuing**k * aborting for k in range(K)) + continuing**K
+
+
 def _rows(layout: "_Layout", continuing: int, aborting: int) -> int:
-    """Rows of the sequences of up to K rounds, where ``continuing`` and
-    ``aborting`` weigh one round's choices that go on and that abort."""
-    sequences = sum(continuing**k * aborting for k in range(layout.K)) + continuing**layout.K
-    return sequences * layout.L1 * layout.L2 * 2**layout.free_bits
+    """Rows of the sequences of up to K rounds, weighed as :func:`_sequences`."""
+    return _sequences(layout.K, continuing, aborting) * layout.L1 * layout.L2 * 2**layout.free_bits
 
 
 def _enumeration(params: ProtocolParams, abort_disabled: bool, mutation: Optional[str], state_budget: int,
@@ -550,7 +568,7 @@ class _Chunk(NamedTuple):
 
 
 class _Replayed(NamedTuple):
-    """Every skeleton of an enumeration, replayed in order."""
+    """Every skeleton of an enumeration, in order (:meth:`_Enumeration.skeletons`)."""
 
     skeletons: list  # per skeleton, what :meth:`_Enumeration.skeletons` yields but its outputs
     affine: np.ndarray  # per skeleton and ``_AFFINE`` output, its offset and all B + n K columns
@@ -670,19 +688,19 @@ class _Enumeration:
         return _rows(self.layout, rows[False], rows[True])
 
     @functools.cached_property
-    def combos(self) -> list[int]:
-        """The partition combinations of each sequence, from one walk before any replay."""
-        return [combos for _rounds, combos, _size in self.sequences()]
-
-    @functools.cached_property
     def lcm(self) -> int:
-        """Least common multiple of the partition combinations of every sequence."""
-        return math.lcm(*self.combos)
+        """Least common multiple of the partition combinations of every
+        sequence, before any replay.  A sequence's combinations are the
+        product of its live rounds' partition counts, and some sequence
+        goes on K times, so it is the lcm of the counts of the kept openings
+        that go on, to the K-th power (1 when none goes on)."""
+        return math.lcm(*(c for _pair, verdict, _size, c in self.verdicts if verdict.partition is not None)) ** self.layout.K
 
     @property
     def skeleton_count(self) -> int:
-        """The skeletons replayed, one per (sequence, selection), counted before any replay."""
-        return len(self.combos) * self.layout.L1 * self.layout.L2
+        """The skeletons, one per (sequence, selection), counted before any replay."""
+        live = sum(verdict.partition is not None for _pair, verdict, *_counts in self.verdicts)
+        return _sequences(self.layout.K, live, len(self.verdicts) - live) * self.layout.L1 * self.layout.L2
 
     @property
     def denominator(self) -> int:
@@ -699,7 +717,7 @@ class _Enumeration:
         return chain_multifile(self.params, *self.symbols)
 
     def skeletons(self):
-        """Replay every skeleton once.  Yields per sequence, for each
+        """Replay every skeleton at most once.  Yields per sequence, for each
         selection in turn, the row of its skeleton in the skeleton table,
         ((z1, z2, aborted), the values of ``_INTERNED``, (free channel bits,
         executed rounds, partition combinations), the number of skeletons it
@@ -714,8 +732,12 @@ class _Enumeration:
         reached.  Each answered round's public values and message words are
         read once (:meth:`_round`), and the rounds before a sequence's last,
         which went on, are joined once per plan (:meth:`_run`), so a replay
-        appends only its last round to them.  ``miss``, the recovered files
-        XOR the requested ones, is zero on abort."""
+        appends only its last round to them.  A sequence that aborted is
+        replayed only for a plan that has not yet run the rounds before its
+        last: the round that aborted publishes its opening's y and verdict
+        whatever the plan, so the skeleton is the plan's run followed by
+        them.  ``miss``, the recovered files XOR the requested ones, is zero
+        on abort."""
         lay = self.layout
         f1, f2 = self.symbols[0].files, self.symbols[1].files
         selections = []
@@ -729,7 +751,7 @@ class _Enumeration:
                     self.plans[sel] = plan, AffineBits.join(plan.requested), runs
                 unsel = self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:])
                 selections.append((((z1, z2, 0), (z1, z2, 1)), unsel, *self.plans[sel]))
-        answered, zeros = self.answered, self.zeros
+        zeros = self.zeros
         for rounds, combos, size in self.sequences():
             self.sequence_count += 1
             executed, aborted = len(rounds), rounds[-1][1].partition is None
@@ -738,20 +760,27 @@ class _Enumeration:
             shape = (free, executed, combos)
             # The rounds before the last, which went on, by their openings: a
             # plan's transcripts of them are fixed by the openings.
-            head = tuple(map(id, opened[:-1]))
-            self.replays += len(selections)
+            head, last = tuple(map(id, opened[:-1])), opened[-1]
+            if aborted:
+                # The client aborts from y alone, before any message that
+                # depends on the selection: the round publishes its y and
+                # verdict, and leaks and sends nothing, whatever the plan.
+                y, public = last.y.tobytes(), (True, last.abort_reason, None)
             skeletons, words = [], []
             for direct, unsel, plan, requested, runs in selections:
-                mt = execute_multifile(plan, opened)
-                transcripts = mt.transcripts
-                if mt.aborted != aborted or len(transcripts) != executed:
-                    raise RuntimeError("replay disagrees with the enumerated channel verdicts")
-                run = runs.get(head) or self._run(runs, head, transcripts[:-1])
+                run = runs.get(head)
+                # A sequence that aborted is replayed only for a plan that
+                # has not yet run the rounds before its last.
+                if run is None or not aborted:
+                    self.replays += 1
+                    mt = execute_multifile(plan, opened)
+                    transcripts = mt.transcripts
+                    if mt.aborted != aborted or len(transcripts) != executed:
+                        raise RuntimeError("replay disagrees with the enumerated channel verdicts")
+                    run = run or self._run(runs, head, transcripts[:-1])
                 if aborted:
-                    # The round that aborted sends no messages.
                     ys, sets, leaks, _msgs1, _msgs2, words1, words2 = run
-                    y, public, leak, *_sent = answered.get(id(transcripts[-1])) or self._round(transcripts[-1])
-                    ys, sets, leaks, miss = ys + (y,), sets + (public,), leaks + (leak,), zeros
+                    ys, sets, leaks, miss = ys + (y,), sets + (public,), leaks + (None,), zeros
                 else:
                     ys, sets, leaks, _msgs1, _msgs2, words1, words2 = self._extend(run, transcripts[-1])
                     miss = (AffineBits.join(mt.recovered) ^ requested).words()
@@ -760,17 +789,13 @@ class _Enumeration:
             yield skeletons, words
 
     def _round(self, t: Transcript) -> tuple:
-        """The public values of one answered round, once per transcript
-        (kept alive by its plan): its y, sets and leak, and each server's
-        two messages joined, as :class:`AffineBits` and as words (None on
-        abort)."""
+        """The public values of one answered round that did not abort, once
+        per transcript (kept alive by its plan): its y, sets and leak, and
+        each server's two messages joined, as :class:`AffineBits` and as
+        words."""
         public, sent1, sent2, leak = _public_of(t)
-        if sent1 is None:
-            entry = (t.y.tobytes(), public, leak, None, None, None, None)
-        else:
-            sent1, sent2 = AffineBits.join(sent1), AffineBits.join(sent2)
-            entry = (t.y.tobytes(), public, leak, sent1, sent2, sent1.words(), sent2.words())
-        self.answered[id(t)] = entry
+        sent1, sent2 = AffineBits.join(sent1), AffineBits.join(sent2)
+        entry = self.answered[id(t)] = (t.y.tobytes(), public, leak, sent1, sent2, sent1.words(), sent2.words())
         return entry
 
     def _run(self, runs: dict, key: tuple, transcripts: tuple) -> tuple:
@@ -838,8 +863,8 @@ class _Enumeration:
         return AffineBits.join(values).words() if values else self.zeros
 
     def replay_all(self) -> "_Replayed":
-        """Every skeleton replayed, the words of its affine outputs and its
-        row of the skeleton table."""
+        """Every skeleton (:meth:`skeletons`), the words of its affine outputs
+        and its row of the skeleton table."""
         skeletons, words = [], []
         for rows, outputs in self.skeletons():
             skeletons += rows
@@ -1402,10 +1427,11 @@ def audit(
     """Compute all six audited quantities on the exact distribution.
 
     The enumeration keeps one skeleton per share class (unless
-    ``_AUDIT_CLASSES`` is off).  Every skeleton is replayed first, and the
-    masses, the failure mass and the pairs with a file secret are settled
-    from GF(2) ranks where they can be (:func:`_settle`; unless
-    ``_AUDIT_CERTIFICATES`` is off, every pair is tallied).  Each selection
+    ``_AUDIT_CLASSES`` is off).  Every skeleton is built first, replayed
+    where it must be, and the masses, the failure mass and the pairs with a
+    file secret are settled from GF(2) ranks where they can be
+    (:func:`_settle`; unless ``_AUDIT_CERTIFICATES`` is off, every pair is
+    tallied).  Each selection
     pair whose server's messages follow the honest rule is keyed without
     that server's own messages, files and masks (:func:`_own_parts`).  The
     rows are then streamed, over the channel bits and the file and mask
@@ -1482,7 +1508,7 @@ def audit(
         params, conditioning, **leakages, reliability_error=reliability_error, state_count=states,
         required_states=required, budget=state_budget, wall_time_s=end - start, mutation=mutation,
         enumeration_s=streamed - start - tallying, information_s=end - streamed + tallying,
-        replays=enumeration.replays, chunks=chunks, view_pairs=max(tallied.values()),
+        skeletons=len(replayed.skeletons), replays=enumeration.replays, chunks=chunks, view_pairs=max(tallied.values()),
         orbit_sequences=enumeration.sequence_count, enumerated_rows=rows, expanded_rows=expanded,
         answered_rounds=len(enumeration.chains.answers), key_bits=keys.key_bits, largest_chunk_rows=largest,
         tallied=tuple(tallied.items()), keyed=keyed,

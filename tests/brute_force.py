@@ -4,7 +4,11 @@ The enumerators replay the full protocol once for every channel input,
 partition, file, mask and selection assignment and key a dict by the
 resulting value tuples.  ``joint_pattern_settle`` reads the ranks of
 replayed skeletons once per joint pattern of every output it reads, as
-the oracle's ``_settle`` once did.  ``tuple_classify_indices`` and
+the oracle's ``_settle`` once did.  ``listed_counts`` counts an
+enumeration's skeletons and the lcm of its partition combinations by
+listing every sequence, and ``replayed_skeletons`` replays every
+(sequence, selection) through ``execute_multifile`` on a plan of its own,
+sharing nothing between replays.  ``tuple_classify_indices`` and
 ``tuple_sample_partition`` build index sets as tuples of Python ints, the
 way the package did before its index sets became int64 arrays.  All of
 them are slow, and kept only so that tests can compare the package
@@ -14,16 +18,19 @@ against them.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from adder_spir.bits import BitString
+from adder_spir.bits import AffineBits, BitString
 from adder_spir.channel import classify_indices, transmit
 from adder_spir.infotheory import JointDistribution
 from adder_spir.model import CapacityShortfall, FileStore, ProtocolParams, Selection
 from adder_spir.multifile import execute_multifile, plan_multifile
-from adder_spir.oracle import _AFFINE, _FREE, _PAIRS, VARIABLES, _part_key, _public_of, _rank, _solved
+from adder_spir.oracle import (
+    _AFFINE, _FREE, _INTERNED, _PAIRS, _SKELETON, VARIABLES, _part_key, _public_of, _rank, _solved,
+)
 from adder_spir.protocol import (
     IndexPartition, abort_check, execute_session, open_round, partition_choices, shares_fit,
 )
@@ -353,3 +360,58 @@ def joint_pattern_settle(enumeration, replayed, live_only: bool) -> tuple[int, i
         if secret in fields and not read[:, outputs][..., fields[secret] != 0].any():
             settled[name] = 0.0
     return nonabort, fail, settled
+
+
+def listed_counts(enumeration) -> tuple[int, int]:
+    """The skeletons of ``enumeration`` (one per sequence and selection) and
+    the lcm of its sequences' partition combinations, from a walk over
+    every sequence of its kept openings."""
+    combos = [combos for _rounds, combos, _size in enumeration.sequences()]
+    return len(combos) * enumeration.layout.L1 * enumeration.layout.L2, math.lcm(*combos)
+
+
+def replayed_skeletons(enumeration) -> tuple[list, np.ndarray, np.ndarray, dict]:
+    """Every skeleton of ``enumeration`` as ``_Enumeration.replay_all``
+    returns it (its row, its affine words, its row of the skeleton table)
+    and the values of ``_INTERNED`` in id order, with every (sequence,
+    selection) replayed through ``execute_multifile`` on fresh chains and a
+    plan of its own: no answer, run of rounds or aborted round is shared
+    between replays, and every public value is read from the replay's
+    transcripts.  ``enumeration`` supplies the sequences, their symbolic
+    openings and their partitions."""
+    lay = enumeration.layout
+    files1, files2, masks1, masks2 = lay.symbols(lay.n * lay.K)
+    zeros = bytes(8 * (lay.free_bits + lay.n * lay.K + 1))
+
+    def words(values) -> bytes:
+        return AffineBits.join(values).words() if values else zeros
+
+    rows, outputs, table = [], [], []
+    interned = {name: {} for name in _INTERNED}
+    for rounds, combos, size in enumeration.sequences():
+        opened, _columns, free = enumeration.openings(rounds)
+        for z1 in range(1, lay.L1 + 1):
+            for z2 in range(1, lay.L2 + 1):
+                plan = plan_multifile(enumeration.params, files1, files2, Selection(z1, z2), masks1, masks2,
+                                      mutation=enumeration.mutation)
+                mt = execute_multifile(plan, opened)
+                sets, msgs1, msgs2, leaks = zip(*map(_public_of, mt.transcripts))
+                values = (
+                    tuple(t.y.tobytes() for t in mt.transcripts), sets, leaks,
+                    tuple(_part_key(verdict.partition) for t, (_pair, verdict, *_counts) in zip(mt.transcripts, rounds)
+                          if not t.aborted),
+                )
+                miss = zeros if mt.aborted else (AffineBits.join(mt.recovered) ^ AffineBits.join(plan.requested)).words()
+                row = ((z1, z2, int(mt.aborted)), values, (free, len(mt.transcripts), combos), size)
+                rows.append(row)
+                outputs += [
+                    words([o.x1 for o in opened]), words([o.x2 for o in opened]),
+                    words([m for sent in msgs1 if sent for m in sent]), words([m for sent in msgs2 if sent for m in sent]),
+                    words(files1.files[: z1 - 1] + files1.files[z1:] + files2.files[: z2 - 1] + files2.files[z2:]),
+                    miss,
+                ]
+                ids = {name: interned[name].setdefault(v, len(interned[name])) for name, v in zip(_INTERNED, values)}
+                columns = dict(zip(("z1", "z2", "abort"), row[0]), **ids, **dict(zip(("free", "executed", "combos"), row[2])))
+                table.append([columns[name] for name in _SKELETON])
+    affine = np.frombuffer(b"".join(outputs), dtype="<i8").reshape(len(rows), len(_AFFINE), -1)
+    return rows, affine, np.array(table, dtype=np.int64), {name: list(ids) for name, ids in interned.items()}

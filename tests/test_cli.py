@@ -215,8 +215,11 @@ def test_audit_honest_exit_zero(tmp_path, capsys):
     # Phase timings go to stderr only; wall_time_s is the body's one timing.
     # The selection pairs are keyed without the servers' own messages,
     # files and masks, so only the rows of the channel bits are expanded.
-    assert ("audit: 1792 states from 448 rows (112 expanded) of 11 orbit sequences, 44 replays answering 44 rounds, "
-            "enumerated in") in capsys.readouterr().err
+    # Of the 44 skeletons, one per sequence and selection, only the 24 of
+    # the 6 sequences that go on are replayed: the other 5 abort in their
+    # one round, which publishes its y and verdict whatever the selection.
+    assert ("audit: 1792 states from 448 rows (112 expanded) of 11 orbit sequences, 44 skeletons, "
+            "24 replays answering 24 rounds, enumerated in") in capsys.readouterr().err
     assert not [k for k in report if k.endswith("_s") and k != "wall_time_s"]
 
 

@@ -479,6 +479,33 @@ def test_plans_on_shared_chains_share_the_rounds_they_choose_alike(monkeypatch):
     assert len(calls) == len(openings)
 
 
+def test_plans_on_shared_chains_share_each_aborted_round(monkeypatch):
+    # execute_session answers an opening that aborted before it reads the
+    # selection or the mutation, so every plan on one set of chains shares
+    # one answer to it per round index, whatever its branch choices and
+    # mutation; a round that went on is still answered once per branch
+    # choices and mutation.
+    params, *inputs = _plan_inputs()
+    chains = chain_multifile(params, *inputs)
+    live = _openings(params, 60)[0]
+    # Every output decodable (all 0, then all 2): both abort.
+    zeros, ones = BitString.zeros(params.n), BitString.ones(params.n)
+    aborted = [open_round(params, x, x, client_partitioner(0)) for x in (zeros, ones)]
+    assert live.abort_reason is None and {o.abort_reason for o in aborted} == {"size-deviation"}
+    plans = [plan_selection(chains, sel, mutation=mutation) for sel in _selections(params) for mutation in (None, *MUTATIONS)]
+    calls = _counted_sessions(monkeypatch)
+    sequences = [[opening] for opening in aborted] + [[live, opening] for opening in aborted]
+    runs = [[execute_multifile(plan, openings) for plan in plans] for openings in sequences]
+    first_rounds = {(plan.selections[0], plan.mutation) for plan in plans}
+    assert len(calls) == len(chains.answers) == 4 + len(first_rounds)
+    for openings, shared in zip(sequences, runs):
+        assert shared[0].transcripts[-1].y is openings[-1].y
+        assert all(mt.aborted and mt.transcripts[-1] is shared[0].transcripts[-1] for mt in shared)
+        for plan, mt in zip(plans, shared):
+            fresh = plan_multifile(params, *inputs[:2], plan.sel, *inputs[2:], mutation=plan.mutation)
+            assert mt.to_record() == execute_multifile(fresh, openings).to_record()
+
+
 def test_run_multifile_opens_no_round_after_an_abort(monkeypatch):
     # Rounds are opened one at a time: a session that aborts in round k
     # opened k rounds, and their verdicts are the transcripts' own.

@@ -19,6 +19,7 @@ from adder_spir.oracle import (
     enumerate_protocol,
     required_states,
 )
+from brute_force import listed_counts
 
 _TINY = ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0)
 # Smallest feasible multi-file instance: a three-file chain at server 1,
@@ -111,6 +112,19 @@ def test_orbits_stand_for_every_sequence(instance, alpha, abort_disabled):
     assert rows == reduced.rows and (states, mass) == (required_states(params, abort_disabled), reduced.denominator)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_class_instances(), st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]), st.booleans(), st.booleans())
+def test_closed_form_counts_match_the_listed_sequences(instance, alpha, abort_disabled, classes):
+    # The skeletons and the lcm of the partition combinations are counted
+    # from the kept openings that go on and that abort, before any sequence
+    # is listed; listing every sequence, as the reference does, gives both.
+    n, (L1, L2), ell1, ell2 = instance
+    assume(classes or n < 3 or (L1, L2) == (2, 2))  # the trivial group lists too many sequences there
+    params = ProtocolParams(n=n, t_exponent=0.4, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
+    enumeration = oracle._Enumeration(params, abort_disabled, None, classes)
+    assert (enumeration.skeleton_count, enumeration.lcm) == listed_counts(enumeration)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(1, 3), st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.integers(0, 1), st.integers(0, 1),
@@ -124,9 +138,11 @@ def test_orbits_stand_for_every_sequence(instance, alpha, abort_disabled):
 def test_shared_openings_replay_like_one_sequence_alone(n, shape, ell1, ell2, alpha, mutation, abort_disabled, rng):
     # One enumeration shares each round opening between its sequences and
     # answers it once per plan; each sequence's skeletons equal those of a
-    # fresh enumeration that replays that sequence alone.  Each skeleton,
-    # one per (sequence, selection), is replayed exactly once, as counted
-    # before any replay; ``audit`` reports these two counters.
+    # fresh enumeration that replays that sequence alone, whose plans have
+    # run none of its rounds.  There is one skeleton per (sequence,
+    # selection), as counted before any replay.  Each one that went on is
+    # replayed once, and one that aborted at most once; ``audit`` reports
+    # both counters.
     L1, L2 = shape
     assume(n < 3 or shape == (2, 2))
     params = ProtocolParams(n=n, t_exponent=0.4, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
@@ -137,7 +153,9 @@ def test_shared_openings_replay_like_one_sequence_alone(n, shape, ell1, ell2, al
     for sequence in sequences:
         shared.sequences = lambda sequence=sequence: iter([sequence])
         skeletons.append(list(shared.skeletons()))
-    assert shared.replays == shared.sequence_count * L1 * L2 == len(sequences) * L1 * L2 == counted
+    assert sum(len(rows) for (rows, _words), in skeletons) == shared.sequence_count * L1 * L2 == counted
+    live = sum(verdict.partition is not None for (*_rounds, (_pair, verdict, *_counts)), _c, _s in sequences)
+    assert live * L1 * L2 <= shared.replays <= counted
     for i in sorted(rng.sample(range(len(sequences)), min(len(sequences), 40))):
         alone = oracle._Enumeration(params, abort_disabled, mutation, classes=True)
         alone.sequences = lambda: iter([sequences[i]])
@@ -282,15 +300,21 @@ def test_wrong_recovery_is_reported(monkeypatch, params):
 
 
 @pytest.mark.parametrize(
-    "params, replays",
-    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 64), (_MULTI, 96)],
+    "params, skeletons, replays",
+    [(ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1), 64, 16), (_MULTI, 96, 36)],
     ids=["n4-two-file", "L3x2"],
 )
-def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
+def test_one_replay_per_skeleton_row(monkeypatch, params, skeletons, replays):
     # A skeleton fixes the sums, not the channel inputs, and the audit
-    # keeps one skeleton per class of the position group: one replay per
+    # keeps one skeleton per class of the position group: one skeleton per
     # selection stands for 16 of the 153 sequences of canonical pairs at
-    # n=4 (544 input pairs), and for 16 of 41 at L=3x2 (136).
+    # n=4 (544 input pairs), and for 16 of 41 at L=3x2 (136).  Only the
+    # skeletons that went on are all replayed, one execute_multifile run
+    # each: 4 of the 16 sequences at n = 4, and 4 at L=3x2.  A skeleton that
+    # aborted is replayed only where its plan has not yet run the rounds
+    # before its last: never for the 12 + 4 sequences that abort in round
+    # 1, and at L=3x2 once per plan (6) and live first round (2) for the 8
+    # that abort in round 2.
     # One plan is built per selection, whatever the free channel bits, on
     # files and masks chained once for every plan.
     calls, plans, chains = [], [], []
@@ -313,22 +337,26 @@ def test_one_replay_per_skeleton_row(monkeypatch, params, replays):
     monkeypatch.setattr(oracle, "plan_selection", planned)
     monkeypatch.setattr(oracle, "chain_multifile", chained)
     report = audit(params)
-    assert len(calls) == replays == report.replays == report.orbit_sequences * params.L1 * params.L2
+    assert len(calls) == replays == report.replays
+    assert skeletons == report.skeletons == report.orbit_sequences * params.L1 * params.L2
     assert len(plans) == params.L1 * params.L2
     assert len(chains) == 1
 
 
 @pytest.mark.parametrize(
     "params, conditioned, replays, rounds, pairs",
-    [(_N4, True, 64, 64, 16), (_MULTI, False, 96, 48, 6)],
+    [(_N4, True, 16, 16, 16), (_MULTI, False, 36, 17, 6)],
     ids=["n4-two-file", "L3x2"],
 )
 def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, replays, rounds, pairs):
-    # The benchmark's two audits: each shared round opening is answered
-    # once per round index and branch choices, which the plans of the
-    # selections that agree there share (112 of the 232 rounds the replays
-    # run; the L=3x2 sequences share their first rounds, and its 6
-    # selections make 4 branch choices per round), and the channel
+    # The benchmark's two audits: each shared round opening that went on
+    # is answered once per round index and branch choices, which the plans
+    # of the selections that agree there share, and one that aborted once
+    # per round index, whatever the plan (33 of the 88 rounds the 52
+    # replays run).  At L=3x2 the sequences share their first rounds, its
+    # 6 selections make 4 branch choices per round, and each round's 2 live
+    # openings take 8 answers; the aborted opening that the 12 replays of
+    # sequences aborting in round 2 reach takes one.  The channel
     # transmits only while the kept openings are opened, each on its own
     # pair: one per count of 0-, 2- and hidden positions whose rounds
     # abort, and one per class of the others.  At n = 4 the 2 + 2 split of

@@ -7,12 +7,15 @@ table, state count and reliability error, leakages within 1e-12, and a
 the small tables the reference leakages come from the dict-based mutual
 information the package used before it became array-backed.  The
 brute-force n=4 and multi-file references each run once, because each takes
-seconds.
+seconds.  The skeletons ``audit`` builds, some from runs its plans share,
+are compared with a reference that replays every (sequence, selection)
+through ``execute_multifile`` alone, on every audit of the digest matrices.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 from adder_spir import multifile, oracle
 from adder_spir.model import ProtocolParams
 from adder_spir.protocol import MUTATIONS, abort_check
-from brute_force import _estimate_multifile, _estimate_two_file, reference_enumeration
+from brute_force import _estimate_multifile, _estimate_two_file, reference_enumeration, replayed_skeletons
+from test_audit_matrix import INSTANCES, LIVE_SETS, VARIANTS, WIDE_SETS
 
 TINY = ProtocolParams(n=3, t_exponent=0.4, alpha=1.0, ell1=1, ell2=0)
 N4 = ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
@@ -197,3 +201,28 @@ def test_random_tiny_instances_match_reference(instance):
     reference = _Reference(params, mode, **kwargs)
     _cross_check(params, reference, conditionings=(False,), exact_reliability=False, **kwargs)
 
+
+def test_skeletons_match_replaying_every_selection():
+    # ``replay_all`` builds a skeleton that aborted from its plan's run of
+    # the rounds before its last and the opening's y and verdict, wherever
+    # the plan has run them, and shares answers, runs and interned values
+    # between replays.  Its rows, affine words, table and interned values
+    # equal the reference's, which replays every (sequence, selection)
+    # alone, on the instances of the three digest matrices under every
+    # mutation with the abort rule on and off (as ``WIDE_SETS`` lists them
+    # there).  The conditioning is applied after the replays and does not
+    # reach them, so this holds under both; the digests, recorded when
+    # every skeleton was replayed, pin each audit under both.
+    cases = {(instance, mutation, no_abort) for instance in INSTANCES + LIVE_SETS for mutation, _c, no_abort in VARIANTS}
+    cases |= {(instance, mutation, no_abort) for instance, (mutation, _c, no_abort) in WIDE_SETS}
+    aborted_in = set()
+    for (L1, L2, n, ell1, ell2, alpha, t), mutation, no_abort in sorted(cases, key=repr):
+        params = ProtocolParams(n=n, t_exponent=t, alpha=alpha, L1=L1, L2=L2, ell1=ell1, ell2=ell2)
+        enumeration = oracle._Enumeration(params, no_abort, mutation, classes=True)
+        skeletons, affine, table = enumeration.replay_all()
+        rows, words, reference, interned = replayed_skeletons(oracle._Enumeration(params, no_abort, mutation, classes=True))
+        assert skeletons == rows, (params, mutation, no_abort)
+        assert np.array_equal(affine, words) and np.array_equal(table, reference)
+        assert {name: list(ids) for name, ids in enumeration.interned.items()} == interned
+        aborted_in |= {executed for (_z1, _z2, aborted), _values, (_free, executed, _combos), _size in rows if aborted}
+    assert aborted_in == {1, 2}

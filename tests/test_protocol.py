@@ -246,6 +246,37 @@ def test_capacity_shortfall_aborts_session():
     assert t.aborted and t.abort_reason == "capacity-shortfall"
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10), st.data(), st.integers(0, 3), st.integers(0, 3),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+    st.sampled_from([0.1, 0.3, 0.4, 0.49]), st.booleans(),
+)
+def test_an_aborted_opening_answers_every_selection_and_mutation_alike(n, data, ell1, ell2, alpha, t, abort_disabled):
+    # The client decides to abort from y alone, before any message that
+    # depends on the selection, so an opening that aborted is answered by
+    # one transcript whatever the selection and the mutation: its y and
+    # verdict and nothing else.  The plans on one set of chains share that
+    # answer, and the oracle builds aborted skeletons from it.
+    params = ProtocolParams(n=n, t_exponent=t, alpha=alpha, ell1=ell1, ell2=ell2)
+    x1, x2 = (BitString.from_int(data.draw(st.integers(0, 2**n - 1)), n) for _ in range(2))
+    opening = open_round(params, x1, x2, partition, abort_disabled=abort_disabled)
+    if opening.abort_reason is None:
+        return
+    files1, files2 = (
+        FileStore(server, tuple(BitString.from_int(data.draw(st.integers(0, 2**ell - 1)), ell) for _ in range(2)))
+        for server, ell in ((1, ell1), (2, ell2))
+    )
+    answers = [
+        execute_session(params, files1, files2, Selection(z1, z2), opening, mutation=mutation)
+        for z1 in (1, 2) for z2 in (1, 2) for mutation in (None, *MUTATIONS)
+    ]
+    first = answers[0]
+    assert first.aborted and first.abort_reason == opening.abort_reason and first.y is opening.y
+    assert all(answer == first for answer in answers)
+    assert (first.selection_sets, first.m11, first.m22, first.recovered, first.leaked_selection) == (None,) * 5
+
+
 def test_execute_session_validation():
     params = ProtocolParams(n=8, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
     files1 = sample_filestore(1, 2, 1, 5)

@@ -303,6 +303,16 @@ def test_audit_keys_wider_than_the_bound_are_a_configuration_error(monkeypatch):
         oracle.audit(N4)
 
 
+def test_wide_keys_are_refused_before_any_sequence_is_listed(monkeypatch):
+    # The skeleton count the key guard reads comes in closed form from the
+    # kept openings, so 3x3 at n = 6, about a million sequences of them,
+    # is refused without listing one.
+    params = ProtocolParams(n=6, t_exponent=0.4, alpha=1, L1=3, L2=3, ell1=1, ell2=0)
+    monkeypatch.setattr(oracle._Enumeration, "sequences", lambda self: pytest.fail("listed a sequence"))
+    with pytest.raises(ConfigurationError, match="^client_privacy_s1 needs 64-bit audit keys, more than 62$"):
+        oracle.audit(params, state_budget=10**15)
+
+
 def test_progress_goes_to_stderr_only(monkeypatch, capsys):
     argv = ["audit", "--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0"]
 

@@ -47,20 +47,26 @@ def test_tracer_installs_and_uninstalls():
 def test_traced_audits_count_replays_rounds_and_transmits(tracer, tmp_path, capsys):
     # The channel transmits only while the 16 + 6 kept openings (one per
     # class of the position group) are opened, each on its own pair:
-    # 16 * 4 + 6 * 2 = 76 positions.  The replays run 232 rounds, but
-    # each shared opening is answered once per round index and branch
-    # choices: 64 two-file rounds (one round, whose branch choices are the
-    # selection), and 48 of the 168 rounds of the L=3x2 audit (4 of the 6
+    # 16 * 4 + 6 * 2 = 76 positions.  Of the 64 + 96 skeletons, the 52
+    # replays (execute_multifile runs) are those that went on, 16 + 24,
+    # and at L=3x2 the 12 that abort in round 2 on a plan that had not yet
+    # run round 1: a skeleton that aborted is otherwise built from its
+    # plan's earlier rounds and the opening's y and verdict.  The replays
+    # run 16 + 72 rounds, but each shared opening that went on is
+    # answered once per round index and branch choices, and one that
+    # aborted once per round index: 16 two-file rounds (one round, whose
+    # branch choices are the selection), and 17 at L=3x2 (4 of the 6
     # selections' branch choices differ in each of its two rounds).
     for flags in _AUDITS:
         assert cli.main(["audit", *flags, "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 0
     counts = tracer.counts
-    assert counts["oracle.replays"] == 160
-    assert counts["multifile.rounds"] == 232
-    assert counts["protocol.execute_session.calls"] == 112
+    assert counts["oracle.replays"] == 52
+    assert counts["multifile.rounds"] == 88
+    assert counts["protocol.execute_session.calls"] == 33
     assert counts["channel.positions"] == 76
     summary = capsys.readouterr().err
-    assert "64 replays answering 64 rounds" in summary and "96 replays answering 48 rounds" in summary
+    assert "64 skeletons, 16 replays answering 16 rounds" in summary
+    assert "96 skeletons, 36 replays answering 17 rounds" in summary
 
 
 def test_traced_run_counts_rounds_and_masked_bits(tracer, tmp_path):
