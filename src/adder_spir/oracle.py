@@ -98,37 +98,47 @@ tallied with the two selection pairs, whose secret is a skeleton
 constant; the rows are expanded only for the outputs the tallied pairs
 read.  Every pair's key width, over the full views, counts against
 ``_MAX_CODE_BITS`` before any replay, so no audit moves between accepted
-and refused.  ``_AUDIT_CERTIFICATES`` off tallies every pair, as tests
-compare.
+and refused.
 
 A selection pair is tallied without its server's own messages, files and
-masks where the server's messages follow the honest rule
-(:func:`_own_parts`).  The argument, for server 1 (server 2's is the
-same): its view is (F, X, P, M), its files and masks F, its channel inputs
-X, the published sets and leak P and its messages M, and the secret is
-Z = (z1, z2).  (1) Where, on every skeleton the tally counts, each bit of M
-is X at the position P names for it XOR a bit of F that depends only on
-the round and the message slot (its chain value), M = g(F, X, P) for one
-function g, whatever the skeleton.  Mapping (F, X, P, M) to (F, X, P) is
-then injective on the views that occur, and I(V; Z) does not change under
-an injective relabelling of V.  The rule is asserted exactly, as affine
-functions of the free bits, offset included: one rule per skeleton is not
-enough, since a bit equal to [y_p = 2] agrees with x1_p wherever p is
-decodable and is 0 where it is hidden, so it passes each skeleton whose
-p is decodable, yet no one rule of the server's view computes it.  (2) X
-reads only channel bits (asserted too), P and Z are skeleton constants,
-and F is free bits, uniform and independent of the skeleton and of the
-channel bits.  So F is independent of (X, P, Z), and
-I((F, X, P); Z) = I((X, P); Z) (Cover and Thomas, Elements of Information
-Theory, 2.9).  Merging the 2^a values of F multiplies each remaining mass
-by 2^a, and every term of the mutual-information sum, the L1 distance of
-its floor and the integer test for an exact zero scale by that power of
-two, which is exact: the printed float does not change.  So the reduced
-pair is keyed by the round verdicts, the leak and the server's canonical
-channel-input digits alone; its rows need only the channel bits, each
-standing for 2^B rows.  Where the rule fails (the ``reuse-pad`` and
-``unmasked-messages`` mutations break it for server 1), that server keeps
-its full view, and its file and mask bits are expanded too.
+masks where one GF(2) solve certifies the server's messages as an affine
+map of the rest of its canonical view (:func:`_own_parts`).  The argument,
+for server 1 (server 2's is the same): its canonical view (below) is
+(F, M, V, D), its files and masks F, its messages M, V its round verdicts
+and the leak, and D its channel-input digits, which hold X_c, its inputs
+at the published positions in set and rank order; the secret is
+Z = (z1, z2).  (1) Where, for each value of V, one A_V and b_V give
+M = A_V [F; X_c] + b_V as affine functions of the free bits, offset
+included, on every skeleton the tally counts with that V, M = g(F, V, D)
+for one function g on the views that occur.  Mapping (F, M, V, D) to
+(F, V, D) is then injective on them, and I(view; Z) does not change under
+an injective relabelling of the view (Cover and Thomas, Elements of
+Information Theory, 2.9).  g may read only what the key keeps, so the
+skeletons are grouped by V and not by their raw sets: the audit keeps one
+representative per share class, whose y lays decodable shares out first,
+so a message bit equal to [y_p = 2] at set a's first position p is x1_p
+under one order of the sets and 0 under the other.  One map per raw sets
+value would pass it, yet the bit tells server 1 whether p is hidden, and
+no one map of its key computes it (unless the leak names the selection,
+and with it which set is decodable).  Such an A_V and b_V exist exactly
+when the columns (d; t) of every free bit and of the offset, over the
+group's skeletons, d the column's coefficients in (F, X_c, 1) and t its
+coefficients in M, have the GF(2) rank of their d parts alone.  Nothing in
+this knows the message format, and it passes under every mutation the
+tests run.  (2) The server's channel inputs, and so D, read only channel
+bits (asserted too), V and Z are skeleton constants, and F is free bits,
+uniform and independent of the skeleton and of the channel bits.  So F
+is independent of (V, D, Z), and
+I((F, V, D); Z) = I((V, D); Z) (ibid.).  Merging the 2^a values of F
+multiplies each remaining mass by 2^a, and every term of the
+mutual-information sum, the L1 distance of its floor and the integer test
+for an exact zero scale by that power of two, which is exact: the printed
+float does not change.  So the reduced pair is keyed by the round
+verdicts, the leak and the server's canonical channel-input digits alone;
+its rows need only the channel bits, each standing for 2^B rows.  Where
+the solve fails (a message that reads the other server's input, or
+[y_p = 2]), that server keeps its full view, and its file and mask bits
+are expanded too.
 
 A tally's total holds its distinct keys in ascending order, each its view
 above its secret, so the views are runs of adjacent keys.  Each leakage is
@@ -177,7 +187,7 @@ its sets, and per round the server's input bits at the published sets'
 positions and its count of ones at the other positions.
 :func:`enumerate_protocol` uses the trivial group, which keeps every
 canonical pair with each partition the client could draw, and every audit
-keeps one opening per share class (``_AUDIT_CLASSES``).  ``state_count``
+keeps one opening per share class.  ``state_count``
 and ``required_states`` count the full table; the state budget counts the
 rows actually enumerated.
 """
@@ -242,8 +252,8 @@ _PAIRS = {
     "servers_vs_client": (CLIENT_VIEW, ("unsel",)),
 }
 # A selection pair's view without its server's own messages, files and
-# masks, keyed in its place where the server's messages follow the honest
-# rule (:func:`_own_parts`).
+# masks, keyed in its place where the server's messages are certified as an
+# affine map of the rest of its canonical view (:func:`_own_parts`).
 _REDUCED = {"client_privacy_s1": ("x1", "sets", "leak"), "client_privacy_s2": ("x2", "sets", "leak")}
 # How a tallied pair's view was keyed, reduced or whole.
 _DROPPED, _FULL = "own messages, files and masks dropped", "full view"
@@ -269,13 +279,8 @@ _MAX_CODE_BITS = 62
 _CHUNK_ROWS = 2**14
 # Least seconds between two progress lines of an audit.
 _PROGRESS_S = 1.0
-# Whether audits keep one opening per share class, not every canonical
-# pair with every partition (the trivial group, which tests compare against).
-_AUDIT_CLASSES = True
-# Whether audits settle the pairs with a file secret from GF(2) ranks of the
-# replayed skeletons (:func:`_settle`) where they can, not tally every pair
-# (which tests compare against).
-_AUDIT_CERTIFICATES = True
+# Bits of a certificate column (:func:`_own_parts`): an int64 without its sign.
+_COLUMN_BITS = 63
 
 
 class _Ids(dict):
@@ -314,7 +319,8 @@ class LeakageReport:
     by, in ``_PAIRS`` order; every other pair was settled from ranks),
     ``keyed`` (each tallied pair by name with how its view was keyed: its
     server's own messages, files and masks dropped, or its full view and,
-    for a selection pair, the rule its server's messages broke),
+    for a selection pair, why its server's messages were not certified as
+    an affine map of the rest of its canonical view),
     ``orbit_sequences`` (the channel-input sequences it enumerated),
     ``enumerated_rows`` (every row over all its free bits),
     ``expanded_rows`` (the rows it expanded: each skeleton's channel bits
@@ -363,13 +369,7 @@ class LeakageReport:
 
     @property
     def leakages(self) -> dict[str, float]:
-        return {
-            "client_privacy_s1": self.client_privacy_s1,
-            "client_privacy_s2": self.client_privacy_s2,
-            "server2_vs_server1": self.server2_vs_server1,
-            "server1_vs_server2": self.server1_vs_server2,
-            "servers_vs_client": self.servers_vs_client,
-        }
+        return {name: getattr(self, name) for name in _PAIRS}
 
     def all_zero(self) -> bool:
         return all(v == 0.0 for v in self.leakages.values()) and self.reliability_error == 0.0
@@ -1152,30 +1152,34 @@ class _PairKeys:
                 key |= digit
         return key
 
+    def _rounds(self, executed: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per round a key holds, first round first, the shift of its n bits
+        in each skeleton's channel-input codes (``executed`` holds its
+        executed rounds), as a (rounds, skeletons) array, and the shift
+        there of each published set position, in a, b, c, d order and rank
+        order inside each set (``shifts`` holds each skeleton's set shifts,
+        from :meth:`_decode`), as a (rounds, S, skeletons) array.  Round r's
+        n bits sit at shift (executed - 1 - r) n; bit 63 of a code is 0, so
+        an unexecuted round, or a set it does not publish, reads none."""
+        at = (executed - 1 - np.arange(self.executed)[:, None]) * self.layout.n
+        at[at < 0] = 63
+        return at, np.minimum(at[:, None] + shifts[:, : self.executed].transpose(1, 2, 0), 63)
+
     def _digits(self, inputs: np.ndarray, skel: np.ndarray, executed: np.ndarray, shifts: np.ndarray):
         """Per round, first round first, one digit per row of the channel
         ``inputs`` of skeleton ``skel``: its bits at the S published set
-        positions (``shifts`` holds each skeleton's set shifts), in a, b, c,
-        d order and rank order inside each set, times n - S + 1, plus its
-        count of ones at the other positions.  A round that aborted
-        publishes no set, and a round the skeleton did not execute
-        (``executed`` holds each skeleton's executed rounds) has no bits.
-        Each skeleton's shifts in its codes are worked out before they are
-        gathered to its rows."""
+        positions (:meth:`_rounds`) times n - S + 1, plus its count of ones
+        at the other positions.  A round that aborted publishes no set, and
+        a round the skeleton did not execute has no bits.  Each skeleton's
+        shifts in its codes are worked out before they are gathered to its
+        rows."""
         n = self.layout.n
-        for r in range(self.executed):
-            # Round r's n bits sit at shift (executed - 1 - r) n; bit 63 of
-            # a code is 0, so an unexecuted round, or a set it does not
-            # publish, reads none.
-            at = (executed - 1 - r) * n
-            at[at < 0] = 63
+        for at, shift in zip(*self._rounds(executed, shifts)):
             word = inputs >> at[skel]
             word &= _mask(n)
             digit = _ONES[word & 255]
             for b in range(8, n, 8):
                 digit += _ONES[word >> b & 255]
-            # Each set's shift in the code, per skeleton.
-            shift = np.minimum(at[:, None] + shifts[:, r], 63).T
             for j, place in enumerate(self.place):
                 bit = inputs >> shift[j][skel]
                 bit &= 1
@@ -1193,8 +1197,7 @@ class _PairKeys:
         interned = self.interned["sets"]
         if len(self.shifts) < len(interned):
             for value in itertools.islice(interned, len(self.shifts), None):
-                verdicts = tuple(published[:2] for published in value)
-                self.verdict_ids.append(self.verdicts[verdicts])
+                self.verdict_ids.append(self.verdicts[tuple(published[:2] for published in value)])
                 shifts = [[n - p for share in sets for p in share] if sets else [63] * S
                           for _aborted, _reason, sets in value]
                 self.shifts.append(shifts + [[63] * S] * (K - len(value)))
@@ -1213,11 +1216,16 @@ def _reduce(keys: np.ndarray, weights: np.ndarray, kind: Optional[str] = None) -
     sorted runs of concatenated tables in linear time)."""
     order = np.argsort(keys, kind=kind)
     keys = keys[order]
+    first = _firsts(keys)
+    return keys[first], np.add.reduceat(weights[order], first)
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """The index of the first of each run of equal ``keys``, which are sorted and not empty."""
     first = np.empty(len(keys), dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return keys[first], np.add.reduceat(weights[order], first)
+    return np.flatnonzero(first)
 
 
 class _Tally:
@@ -1363,56 +1371,57 @@ def _read(affine: np.ndarray, counted: np.ndarray, B: int) -> list[int]:
     return [sum(1 << j for j, c in enumerate(columns) if c) for columns in read]
 
 
-def _own_parts(enumeration: _Enumeration, replayed: _Replayed, counted: np.ndarray) -> dict[str, str]:
-    """The rule that failed, per selection pair whose server's view must be
-    kept whole.  Where the server's messages follow the honest rule on
-    every ``counted`` skeleton, its view may drop its own messages, files
-    and masks (``_REDUCED``), and the pair is not named.
+def _own_parts(keys: _PairKeys, replayed: _Replayed, counted: np.ndarray) -> dict[str, str]:
+    """Why each selection pair whose server's view must be kept whole is
+    kept whole.  Where the server's channel inputs read no file or mask bit
+    and a GF(2) solve certifies its messages, on every ``counted``
+    skeleton, as one affine map of what its reduced key keeps, its view may
+    drop its own messages, files and masks (``_REDUCED``), and the pair is
+    not named.
 
-    The rule, as affine functions of the free bits, offset included: the
-    server's channel inputs read no file or mask bit, and in each round
-    that did not abort message bit r of its set a (a = 1, 2) is its input
-    at the r-th position of published set a XOR bit r of the round's chain
-    value in slot a (:func:`~adder_spir.multifile.chain_multifile`, the same
-    for every selection).  The comparison is exact, so a message that reads
-    another position, the other server's input or anything else that
-    merely agrees with the rule on some rows fails it.  Each distinct sets
-    value's positions are laid out once; the comparison is one numpy pass
-    per message bit over every skeleton."""
-    lay = enumeration.layout
+    The skeletons are grouped by V, their round verdicts and leak.  The map
+    M = A_V [F; X_c; 1] may read the server's files and masks F and X_c,
+    its inputs at the published positions in set and rank order
+    (:meth:`_PairKeys._rounds`), but not the raw sets (the module docstring
+    says why).  Each free bit's and the offset's column packs V, then d,
+    its coefficients in (F, X_c, 1), then t, its coefficients in the
+    messages M, into one word; A_V exists exactly when the group's distinct
+    columns have the GF(2) rank of their d parts alone.  Nothing here knows
+    the message format, so a message that reads the other server's input,
+    a raw position or anything else that merely agrees with such a map on
+    some skeletons fails.  A column wider than ``_COLUMN_BITS`` keeps the
+    full view rather than wrap."""
+    lay = keys.layout
     _skeletons, affine, table = replayed
-    B, K, n = lay.free_bits, lay.K, lay.n
-    interned, ids = enumeration.interned["sets"], table[:, _SKELETON.index("sets")]
-    # Per round, its two-file stores, which every plan shares.
-    rounds = next(iter(enumeration.plans.values()))[0].rounds
+    skeleton = dict(zip(_SKELETON, table[counted].T))
+    verdicts, shifts = keys._decode(skeleton["sets"])
+    group = verdicts * len(keys.interned["leak"]) + skeleton["leak"]
+    group_bits = int(group.max(initial=0)).bit_length()
+    # Per published position (round, set, rank), its shift in each skeleton's inputs.
+    published = keys._rounds(skeleton["executed"], shifts)[1].reshape(-1, len(group), 1)
     failed = {}
-    for name, server, p in (("client_privacy_s1", 0, lay.p1), ("client_privacy_s2", 1, lay.p2)):
-        x, msgs, width = f"x{server + 1}", f"msgs{server + 1}", 2 * p
-        inputs = affine[:, _AFFINE.index(x)]
-        if inputs[counted, 1 : B + 1].any():
-            failed[name] = f"{x} reads a file or mask bit"
-            continue
-        # Per sets value: its live rounds R, and per message bit (round,
-        # set, rank) the shift of the input bit it reads and its own shift,
-        # then (63, 0), which reads a 0 bit, past its R rounds.
-        live, shifts = [], []
-        for value in interned:
-            published = [sets for _aborted, _reason, sets in value if sets]
-            executed, R = len(value), len(published)
-            live.append(R)
-            for r, sets in enumerate(published):
-                for a in (0, 1):
-                    for j, position in enumerate(sorted(sets[2 * server + a])):
-                        shifts += (executed - 1 - r) * n + n - position, (R - 1 - r) * width + (2 - a) * p - 1 - j
-            shifts += (63, 0) * (K - R) * width
-        shifts = np.array(shifts, dtype=np.int64).reshape(len(interned), width * K, 2)[ids]
-        # The chain values of the first R rounds joined, per R.
-        chain = np.frombuffer(AffineBits.join([f for stores in rounds for f in stores[server].files]).words(), "<i8")
-        expected = (chain >> width * (K - np.arange(K + 1))[:, None])[np.array(live)[ids]]
-        for b in range(width * K):
-            expected ^= (inputs >> shifts[:, b, :1] & 1) << shifts[:, b, 1:]
-        if (expected[counted] != affine[counted, _AFFINE.index(msgs)]).any():
-            failed[name] = f"{msgs} is not {x} at the published sets XOR the chain values"
+    for name, server in (("client_privacy_s1", "1"), ("client_privacy_s2", "2")):
+        inputs, msgs = affine[counted, _AFFINE.index(f"x{server}")], f"msgs{server}"
+        own = lay.field_bits(f"files{server}") | lay.field_bits(f"masks{server}")
+        own = [1 + j for j in range(lay.free_bits) if own >> j & 1]
+        # From the top: V, F, X_c, the offset's 1, then the messages M.
+        T, X = keys.widths[msgs], len(published)
+        low = len(own) + X + 1 + T
+        if inputs[:, 1 : lay.free_bits + 1].any():
+            failed[name] = f"x{server} reads a file or mask bit"
+        elif group_bits + low > _COLUMN_BITS:
+            failed[name] = f"{msgs}'s certificate needs {group_bits + low}-bit columns"
+        elif T:  # a server that sends no message bit passes
+            columns = affine[counted, _AFFINE.index(msgs)] | (group << low)[:, None]
+            columns[:, [0, *own]] |= [1 << T, *(1 << place for place in range(low - 1, X + T, -1))]
+            for place, at in zip(range(T + X, T, -1), published):
+                columns |= (inputs >> at & 1) << place
+            columns = np.sort(columns, axis=None)
+            for v, words in itertools.groupby(columns[_firsts(columns)].tolist(), lambda word: word >> low):
+                words = [word ^ v << low for word in words]
+                if _rank(words) != _rank({word >> T for word in words}):
+                    failed[name] = f"{msgs} is no affine map of its files, masks, published inputs, verdicts and leak"
+                    break
     return failed
 
 
@@ -1426,14 +1435,13 @@ def audit(
 ) -> LeakageReport:
     """Compute all six audited quantities on the exact distribution.
 
-    The enumeration keeps one skeleton per share class (unless
-    ``_AUDIT_CLASSES`` is off).  Every skeleton is built first, replayed
-    where it must be, and the masses, the failure mass and the pairs with a
-    file secret are settled from GF(2) ranks where they can be
-    (:func:`_settle`; unless ``_AUDIT_CERTIFICATES`` is off, every pair is
-    tallied).  Each selection
-    pair whose server's messages follow the honest rule is keyed without
-    that server's own messages, files and masks (:func:`_own_parts`).  The
+    The enumeration keeps one skeleton per share class.  Every skeleton is
+    built first, replayed where it must be, and the masses, the failure
+    mass and the pairs with a file secret are settled from GF(2) ranks
+    where they can be (:func:`_settle`); only the pairs left are tallied.
+    Each selection pair whose server's messages a GF(2) solve certifies as
+    an affine map of the rest of its canonical view is keyed without that
+    server's own messages, files and masks (:func:`_own_parts`).  The
     rows are then streamed, over the channel bits and the file and mask
     bits the pairs left read: each chunk's expanded rows (when
     conditioning, only those of skeletons that did not abort) are added to
@@ -1443,7 +1451,7 @@ def audit(
     the first one only after that long.
     """
     start = time.perf_counter()
-    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, _AUDIT_CLASSES)
+    enumeration, required = _enumeration(params, abort_disabled, mutation, state_budget, classes=True)
     keys = _PairKeys(enumeration)
     replayed = enumeration.replay_all()
     tic = time.perf_counter()
@@ -1455,10 +1463,9 @@ def audit(
         denominator, conditioning = nonabort, "non-abort"
     else:
         denominator, conditioning = enumeration.denominator, "unconditioned"
-    # A tallied pair's leakage replaces any value from ranks.
-    tallies = {name: _Tally() for name in _PAIRS if not (_AUDIT_CERTIFICATES and name in settled)}
+    tallies = {name: _Tally() for name in _PAIRS if name not in settled}
     counted = _counted(replayed.table, condition_nonabort)
-    failed = _own_parts(enumeration, replayed, counted)
+    failed = _own_parts(keys, replayed, counted)
     reduced = {name: (view, _PAIRS[name][1]) for name, view in _REDUCED.items() if name not in failed}
     pairs = {**_PAIRS, **reduced}
     keyed = tuple((name, _DROPPED if name in reduced else f"{_FULL} ({failed[name]})" if name in failed else _FULL)

@@ -22,6 +22,7 @@ import pytest
 
 from adder_spir import oracle
 from adder_spir.cli import main
+from test_streamed_audit import trivial_group
 
 N3 = ("--n", "3", "--alpha", "1.0", "--ell1", "1", "--ell2", "0")
 N4 = ("--n", "4", "--ell1", "1", "--ell2", "1", "--condition-nonabort")
@@ -140,7 +141,7 @@ def test_trivial_group_prints_the_same_record(monkeypatch, name):
     # when every share holds at most one position); replayed on the trivial
     # group, each prints the same record.
     code, record = audit_record(PINS[name][0])
-    monkeypatch.setattr(oracle, "_AUDIT_CLASSES", False)
+    trivial_group(monkeypatch)
     trivial_code, trivial = _audit(PINS[name][0])
     assert (trivial_code, {**trivial, "wall_time_s": 0}) == (code, {**record, "wall_time_s": 0})
 

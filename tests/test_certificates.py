@@ -3,9 +3,9 @@
 ``audit`` replays every skeleton before it expands any row, and reads from
 the replayed affine outputs the failure mass and the three pairs whose
 secret is file bits (``files2``, ``files1``, ``unsel``); only the two
-selection pairs, and a pair the ranks do not settle, are tallied.
-``_AUDIT_CERTIFICATES = False`` sends every pair through the tally, so the
-digests of ``tests/test_audit_matrix.py``, recorded before the ranks
+selection pairs, and a pair the ranks do not settle, are tallied.  With
+``_settle`` made to settle no pair, every pair goes through the tally, so
+the digests of ``tests/test_audit_matrix.py``, recorded before the ranks
 settled any pair, must come out of both paths.  With S the skeletons, M_s
 the columns of the client's messages and N_s those of the unselected
 files, the client's leakage is I = sum_s p(s) (rank M_s + rank N_s -
@@ -38,6 +38,12 @@ N4 = ProtocolParams(n=4, t_exponent=0.4, alpha=Fraction(1, 2), ell1=1, ell2=1)
 L32 = ProtocolParams(n=2, t_exponent=0.4, alpha=Fraction(1), L1=3, L2=2, ell1=1, ell2=0)
 
 
+def _tally_every_pair(monkeypatch) -> None:
+    """Make every audit tally all five pairs: the ranks settle no pair."""
+    settle = oracle._settle
+    monkeypatch.setattr(oracle, "_settle", lambda *args: (*settle(*args)[:2], {}))
+
+
 @pytest.mark.parametrize(
     "digest, expected",
     [
@@ -50,7 +56,7 @@ def test_tallying_every_pair_prints_the_certified_records(monkeypatch, digest, e
     # Every mutation, both conditionings, the abort rule on and off: the
     # records the ranks settle (pinned by test_audit_matrix.py) are the
     # tally path's, byte for byte.
-    monkeypatch.setattr(oracle, "_AUDIT_CERTIFICATES", False)
+    _tally_every_pair(monkeypatch)
     assert digest() == expected
 
 
@@ -62,17 +68,16 @@ def test_honest_audits_tally_only_the_selection_pairs(params, condition):
     assert report.all_zero()
 
 
-@pytest.mark.parametrize("params, condition, mutation, outputs", [
-    (N4, True, None, ("x1", "x2")), (L32, False, None, ("x1", "x2")),
-    (L32, False, "reuse-pad", ("x1", "x2", "msgs1")), (N4, False, "unmasked-messages", ("x1", "x2", "msgs1")),
+@pytest.mark.parametrize("params, condition, mutation", [
+    (N4, True, None), (L32, False, None), (L32, False, "reuse-pad"), (N4, False, "unmasked-messages"),
 ], ids=["n4", "L3x2", "L3x2-reuse-pad", "n4-unmasked-messages"])
-def test_audits_expand_only_what_the_selection_pairs_read(monkeypatch, params, condition, mutation, outputs):
+def test_audits_expand_only_what_the_selection_pairs_read(monkeypatch, params, condition, mutation):
     # No audit asks its chunks for miss (the failure mass comes from ranks)
     # or for the unselected files (the client pair is settled from ranks).
-    # A server whose messages follow the honest rule is keyed by its
-    # channel inputs, sets and leak, so only the channel bits are expanded;
-    # server 1 under reuse-pad and unmasked-messages keeps its messages,
-    # files and masks, and the bits of its files and masks are expanded too.
+    # A server whose messages are certified as an affine map of its files,
+    # masks, published inputs, verdicts and leak is keyed by its channel
+    # inputs, sets and leak, so only the channel bits are expanded: server 1
+    # under reuse-pad and unmasked-messages as well as the honest servers.
     asked = []
     chunks = oracle._Enumeration.chunks
 
@@ -82,9 +87,7 @@ def test_audits_expand_only_what_the_selection_pairs_read(monkeypatch, params, c
 
     monkeypatch.setattr(oracle._Enumeration, "chunks", spy)
     oracle.audit(params, condition_nonabort=condition, mutation=mutation)
-    lay = oracle._Layout(params)
-    own = lay.field_bits("files1") | lay.field_bits("masks1") if "msgs1" in outputs else 0
-    assert asked == [(outputs, tuple(j for j in range(lay.free_bits) if own >> j & 1))]
+    assert asked == [(("x1", "x2"), ())]
 
 
 @pytest.mark.parametrize("mutation, leak", [("reuse-pad", 0.25), ("unmasked-messages", 2 / 3)],
@@ -95,7 +98,7 @@ def test_a_leaking_client_pair_is_settled_from_ranks(monkeypatch, mutation, leak
     report = oracle.audit(L32, mutation=mutation)
     assert [name for name, _pairs in report.tallied] == SELECTION_PAIRS
     assert report.servers_vs_client == leak
-    monkeypatch.setattr(oracle, "_AUDIT_CERTIFICATES", False)
+    _tally_every_pair(monkeypatch)
     tallied = oracle.audit(L32, mutation=mutation)
     assert [name for name, _pairs in tallied.tallied] == list(tallied.leakages)
     assert tallied.to_record() | {"wall_time_s": 0} == report.to_record() | {"wall_time_s": 0}

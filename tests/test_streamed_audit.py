@@ -38,6 +38,14 @@ GROUP_INSTANCES = {**INSTANCES, "L2x3": L2X3}
 CONDITIONS = [(False, False), (True, False), (False, True)]
 
 
+def trivial_group(monkeypatch) -> None:
+    """Make every audit enumerate on the trivial group: every canonical pair
+    with each partition the client could draw, not one opening per share
+    class."""
+    enumeration = oracle._enumeration
+    monkeypatch.setattr(oracle, "_enumeration", lambda *args, classes: enumeration(*args))
+
+
 def _records(params) -> list[str]:
     """Every audit record of ``params`` (honest and each mutation, under
     each of ``CONDITIONS``) without its wall time, as JSON text."""
@@ -108,7 +116,7 @@ def test_position_group_changes_no_record(monkeypatch, name):
     # CONDITIONS) replayed on the trivial group: exact zeros, non-zero
     # leakages, reliability errors and state counts all equal.
     expected, _rows = _one_chunk(name)
-    monkeypatch.setattr(oracle, "_AUDIT_CLASSES", False)
+    trivial_group(monkeypatch)
     report = oracle.audit(GROUP_INSTANCES[name])
     assert report.enumerated_rows == report.state_count
     assert _records(GROUP_INSTANCES[name]) == expected
