@@ -29,7 +29,10 @@ multi-file reduction, replayed the same way; only its decoded per-round
 values are unwrapped from their one-round tuples.  The channel phase of a
 round does not depend on the selection, so it runs once per kept opening:
 :func:`~adder_spir.protocol.open_round` on the opening's own concrete
-channel-input pair.  The sequences are replayed as a tree of rounds.
+channel-input pair, which decides both aborts from y's counts before any
+partition is drawn, and whose partition holds the client's inputs decoded
+at its decodable shares, which every answer to the opening XORs with its
+message.  The sequences are replayed as a tree of rounds.
 Every symbolic value carries all B + n K free-bit columns, each round's
 channel bits after those of the rounds before it, so there is one plan per
 selection.  The files and masks do not depend on the selection either:
@@ -595,6 +598,7 @@ class _Enumeration:
         self.partitions: dict[int, tuple] = {}  # per kept opening that goes on, its partition's key
         self.interned: dict[str, _Ids] = {name: _Ids() for name in _INTERNED}
         self.zeros = bytes(8 * (B + U + 1))  # the offset and columns of no affine value, as words
+        self.weighed: tuple = (None, [])  # the skeletons last weighed and their weights (:meth:`weights`)
         self.replays = self.sequence_count = 0
 
     @functools.cached_property
@@ -625,10 +629,9 @@ class _Enumeration:
         for twos in range(n + 1):
             for hidden in range(n + 1 - twos):
                 zeros = n - twos - hidden
-                # Without a class no partition fits, and any y of the counts aborts.
-                for y, size in list(self._classes(zeros, twos, hidden)) or [("0" * zeros + "2" * twos + "1" * hidden, 0)]:
-                    # x1 is 1 at the 2s of y, x2 at its 1s and 2s.
-                    x1, x2 = int(y.replace("1", "0").replace("2", "1"), 2), int(y.replace("2", "1"), 2)
+                # Without a class no partition fits, and any y of the counts
+                # aborts; this one's y is its 0s, its 2s, then its 1s.
+                for x1, x2, size in list(self._classes(zeros, twos, hidden)) or [(_mask(twos) << hidden, _mask(twos + hidden), 0)]:
                     pair, verdict = self._open(x1, x2, partition)
                     if verdict.partition is None:
                         kept.append((pair, verdict, _multinomial(zeros, twos, hidden), 1))
@@ -638,16 +641,21 @@ class _Enumeration:
 
     def _classes(self, zeros: int, twos: int, hidden: int):
         """The classes of (y, partition) choices whose y has these counts:
-        each one's representative y, as a string of its sums, and the
-        number of choices it stands for.  A class fixes the sums of each
-        decodable share in rank order and the counts of the 0-, 2- and
-        hidden positions outside every share (its idle positions), so it
-        stands for n! / (ell1!^2 ell2!^2 i0! i2! i1!) choices."""
+        each one's representative channel-input pair, as ints whose highest
+        bit is position 1, and the number of choices it stands for.  A class
+        fixes the sums of each decodable share in rank order and the counts
+        of the 0-, 2- and hidden positions outside every share (its idle
+        positions), so it stands for n! / (ell1!^2 ell2!^2 i0! i2! i1!)
+        choices.  Its y holds the shares' sums, then s = ell1 + ell2 1s (b1
+        and b2), i0 0s, i2 2s and i1 1s; x1 is 1 at the 2s, x2 at the 1s
+        and 2s."""
         a, b = self.params.ell1, self.params.ell2
-        for sums in itertools.product("02", repeat=a + b):
-            i0, i2, i1 = zeros - sums.count("0"), twos - sums.count("2"), hidden - a - b
+        n, s = self.layout.n, a + b
+        for sums in range(1 << s):  # the shares' sums, a 1 bit for each 2, first position highest
+            i0, i2, i1 = zeros - s + sums.bit_count(), twos - sums.bit_count(), hidden - s
             if min(i0, i2, i1) >= 0:
-                yield "".join(sums) + "1" * (a + b) + "0" * i0 + "2" * i2 + "1" * i1, _multinomial(a, b, a, b, i0, i2, i1)
+                x1 = (sums << n - s) | (_mask(i2) << i1)
+                yield x1, x1 | (_mask(s) << n - 2 * s) | _mask(i1), _multinomial(a, b, a, b, i0, i2, i1)
 
     def _open(self, v1: int, v2: int, partitioner) -> tuple:
         """The concrete channel-input pair (v1, v2) and its :func:`open_round`."""
@@ -877,12 +885,16 @@ class _Enumeration:
         table.extend(zip(*shapes))
         return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1), np.array(table, dtype=np.int64).T)
 
-    def weights(self, run: list) -> list[int]:
-        """The numerator of each row of each skeleton of ``run``, as
+    def weights(self, skeletons: list) -> list[int]:
+        """The numerator of each row of each of ``skeletons``, as
         :meth:`replay_all` lists them: its probability over
-        :attr:`denominator` times the number of skeletons it stands for."""
-        n, K = self.layout.n, self.layout.K
-        return [2 ** (2 * n * (K - k)) * self.lcm // c * size for _d, _v, (_free, k, c), size in run]
+        :attr:`denominator` times the number of skeletons it stands for.
+        The list last asked for is kept with its weights, so an audit
+        works them out once for its ranks and its chunks."""
+        if self.weighed[0] is not skeletons:
+            n, K = self.layout.n, self.layout.K
+            self.weighed = skeletons, [(self.lcm // c * size) << 2 * n * (K - k) for *_, (_f, k, c), size in skeletons]
+        return self.weighed[1]
 
     def chunks(self, replayed: Optional["_Replayed"] = None, live_only: bool = False, outputs: tuple = _AFFINE,
                bits: Optional[tuple] = None):
@@ -895,22 +907,24 @@ class _Enumeration:
         one unless given), as :meth:`chunk` does."""
         skeletons, affine, table = self.replay_all() if replayed is None else replayed
         bits = tuple(range(self.layout.free_bits)) if bits is None else bits
+        # Each skeleton's rows over the bits expanded, from the skeleton table.
+        counts = np.left_shift(1, len(bits) + table[:, _SKELETON.index("free")]) * _counted(table, live_only)
         first, rows = 0, 0
-        for end, ((_z1, _z2, aborted), _values, (free, *_counts), _size) in enumerate(skeletons, 1):
-            if not (live_only and aborted):
-                rows += 1 << (len(bits) + free)  # its rows over the bits expanded
+        for end, count in enumerate(counts.tolist(), 1):
+            rows += count
             if rows >= _CHUNK_ROWS or end == len(skeletons):
-                yield self.chunk(skeletons[first:end], table[first:end], affine[first:end], bits, live_only, outputs)
+                yield self.chunk(skeletons[first:end], table[first:end], affine[first:end],
+                                 self.weights(skeletons)[first:end], bits, live_only, outputs)
                 first, rows = end, 0
 
-    def chunk(self, run: list, table: np.ndarray, affine: np.ndarray, bits: tuple, live_only: bool = False,
-              outputs: tuple = _AFFINE) -> _Chunk:
+    def chunk(self, run: list, table: np.ndarray, affine: np.ndarray, weights: list, bits: tuple,
+              live_only: bool = False, outputs: tuple = _AFFINE) -> _Chunk:
         """One row per assignment of the channel bits and of the file and
         mask ``bits`` (free bit j as j) of each skeleton of ``run`` (with
         ``live_only``, of each skeleton that did not abort): the file and
         mask bits below, the channel bits above.  ``table`` holds each
-        skeleton's row of the skeleton table, and ``affine`` its ``_AFFINE``
-        outputs (offset and columns), of which only ``outputs`` are
+        skeleton's row of the skeleton table, ``weights`` its :meth:`weights`,
+        and ``affine`` its ``_AFFINE`` outputs (offset and columns), of which only ``outputs`` are
         expanded; those must read no other file or mask bit, and a
         ``_FREE`` field reads its bits outside ``bits`` as 0.  The
         rows run skeleton by skeleton, those with the most rows first, each
@@ -941,7 +955,7 @@ class _Enumeration:
         columns.update(zip(_FREE, lay.split(packed)))
         # Each skeleton stands for its class size times its 2^(B + free) rows.
         states = sum(map(int.__lshift__, [size for *_skeleton, size in run], (B + free).tolist()))
-        weights = [w << (B - E) for w in self.weights(run)]
+        weights = [w << (B - E) for w in weights]
         rows = int(np.left_shift(1, B + free).sum())
         return _Chunk(table, _numerators(weights, self.denominator), skel, columns, rows, states)
 
@@ -1123,12 +1137,14 @@ class _PairKeys:
     def add(self, chunk: _Chunk, weights: np.ndarray, tallies: dict, pairs: dict) -> None:
         """Add every row of ``chunk``, with its ``weights``, to ``tallies``,
         one per pair named, whose (view, secret) ``pairs`` holds: a pair's
-        key is its view's key shifted, in place, above its secret's."""
+        key is its view's key shifted, in place, above its secret's.  A
+        secret that several pairs share, the selection, is keyed once."""
+        secrets = {secret: self.key(secret, chunk) for secret in dict.fromkeys(pairs[name][1] for name in tallies)}
         for name, tally in tallies.items():
             view, secret = pairs[name]
             key = self.key(view, chunk)
             key <<= self.groups[secret][3]
-            key |= self.key(secret, chunk)
+            key |= secrets[secret]
             tally.add(key, weights)
 
     def key(self, group: tuple, chunk: _Chunk) -> np.ndarray:
@@ -1268,9 +1284,11 @@ def _leakage(key: np.ndarray, weights: np.ndarray, secret_bits: int, denominator
     return dist.mutual_information(("view",), ("secret",))
 
 
-def _rank(vectors) -> int:
-    """The GF(2) rank of ints read as bit vectors."""
-    pivots: dict[int, int] = {}  # leading bit -> vector
+def _pivots(vectors, pivots: dict) -> dict[int, int]:
+    """A GF(2) echelon basis of ints read as bit vectors, each keyed by its
+    leading bit's place (its bit length): ``pivots``, such a basis, grown
+    in place by ``vectors``.  The pivots of vectors number their rank, and
+    those that lead above a place the rank of the vectors' bits above it."""
     for v in vectors:
         while v:
             top = v.bit_length()
@@ -1278,17 +1296,23 @@ def _rank(vectors) -> int:
                 pivots[top] = v
                 break
             v ^= pivots[top]
-    return len(pivots)
+    return pivots
+
+
+def _rank(vectors) -> int:
+    """The GF(2) rank of ints read as bit vectors."""
+    return len(_pivots(vectors, {}))
 
 
 def _solved(columns: list, offset: int) -> Optional[int]:
     """The rank r of ``columns`` when ``offset`` lies in their span, so that
     2^-r of the assignments u zero C u + offset, else None (none do)."""
-    rank = _rank(columns)
-    return rank if _rank([*columns, offset]) == rank else None
+    pivots = _pivots(columns, {})
+    rank = len(pivots)
+    return rank if len(_pivots([offset], pivots)) == rank else None
 
 
-def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> tuple[int, int, dict]:
+def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool, read=None) -> tuple[int, int, dict]:
     """The non-abort mass, the failure mass and the leakage of each pair of
     ``_PAIRS`` with a file secret that GF(2) ranks settle, read from the
     ``replayed`` skeletons: every one, or with ``live_only`` every one that
@@ -1305,11 +1329,13 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
     sum_s p(s) (rank M_s + rank N_s - rank [M_s; N_s]).  A server's pair is
     0.0 where no counted skeleton's channel inputs or messages read a bit
     of the other server's files.  Each rank is taken once per distinct
-    pattern of what it reads: rank M_s per pattern of the messages, rank
-    N_s per pattern of the unselected files (one per selection), rank
-    [M_s; N_s] per pattern of both, and miss's per pattern of miss.  A
-    skeleton that aborts after its first round still carries the messages
-    of the rounds before it, so it is counted like any other."""
+    pattern of what it reads: rank N_s per pattern of the unselected files
+    (one per selection), rank M_s and rank [M_s; N_s] from one elimination
+    of [M_s; N_s] per pattern of both, M_s's bits leading, and miss's per
+    pattern of miss.  A skeleton that aborts after its first round still
+    carries the messages of the rounds before it, so it is counted like any
+    other.  ``read`` is the :func:`_read` of the counted skeletons, worked
+    out here unless given."""
     lay = enumeration.layout
     skeletons, affine, table = replayed
     B = lay.free_bits
@@ -1318,7 +1344,7 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
     misses = affine[:, _AFFINE.index("miss")]
     width = misses[0].nbytes  # the bytes of one output's offset and columns
     patterns, miss_patterns = client.tobytes(), misses.tobytes()
-    ranks: dict = {}  # per pattern of the messages, or of the unselected files: its rank
+    ranks: dict = {}  # per pattern of the unselected files: its rank
     information: dict = {}  # per pattern of both: rank M + rank N - rank [M; N], and rank N
     solved: dict = {}  # per pattern of miss: the rank of its columns, or None when it has no zero
     nonabort = fail = leaked = 0
@@ -1329,12 +1355,13 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
         joint = patterns[3 * width * s : 3 * width * (s + 1)]
         if joint not in information:
             msgs1, msgs2, N = client[s, :, 1:].tolist()
-            M = [a << 64 | b for a, b in zip(msgs1, msgs2)]
-            for pattern, columns in ((joint[: 2 * width], M), (joint[2 * width :], N)):
-                if pattern not in ranks:
-                    ranks[pattern] = _rank(columns)
-            rank_m, rank_n = ranks[joint[: 2 * width]], ranks[joint[2 * width :]]
-            information[joint] = rank_m + rank_n - _rank([m << 64 | n for m, n in zip(M, N)]), rank_n
+            pattern = joint[2 * width :]
+            if pattern not in ranks:
+                ranks[pattern] = _rank(N)
+            # Each column of [M; N] is its msgs1 bits, msgs2 bits, then N's
+            # bits, 64 places each; the pivots leading above N's number rank M.
+            pivots = _pivots([(a << 64 | b) << 64 | c for a, b, c in zip(msgs1, msgs2, N)], {})
+            information[joint] = sum(map((64).__lt__, pivots)) + ranks[pattern] - len(pivots), ranks[pattern]
         bits, rank_n = information[joint]
         leaked += mass * bits
         full = full and rank_n == lay.widths["unsel"]
@@ -1351,7 +1378,7 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool) -> 
         settled["servers_vs_client"] = leaked / (nonabort if live_only else enumeration.denominator) if leaked else 0.0
     # Per affine output, the ``_FREE`` fields a counted skeleton's output
     # reads a bit of: non-zero ones.
-    fields = [dict(zip(_FREE, lay.split(read))) for read in _read(affine, counted, B)]
+    fields = [dict(zip(_FREE, lay.split(bits))) for bits in read or _read(affine, counted, B)]
     for name, (view, (secret, *_rest)) in _PAIRS.items():
         if secret in _FREE and not any(fields[_AFFINE.index(v)][secret] for v in view if v in _AFFINE):
             settled[name] = 0.0
@@ -1455,7 +1482,10 @@ def audit(
     keys = _PairKeys(enumeration)
     replayed = enumeration.replay_all()
     tic = time.perf_counter()
-    nonabort, fail, settled = _settle(enumeration, replayed, condition_nonabort)
+    lay = enumeration.layout
+    counted = _counted(replayed.table, condition_nonabort)
+    read = _read(replayed.affine, counted, lay.free_bits)
+    nonabort, fail, settled = _settle(enumeration, replayed, condition_nonabort, read)
     reliability_error = fail / nonabort if nonabort > 0 else 0.0  # int division rounds correctly
     if condition_nonabort:
         if nonabort == 0:
@@ -1464,7 +1494,6 @@ def audit(
     else:
         denominator, conditioning = enumeration.denominator, "unconditioned"
     tallies = {name: _Tally() for name in _PAIRS if name not in settled}
-    counted = _counted(replayed.table, condition_nonabort)
     failed = _own_parts(keys, replayed, counted)
     reduced = {name: (view, _PAIRS[name][1]) for name, view in _REDUCED.items() if name not in failed}
     pairs = {**_PAIRS, **reduced}
@@ -1472,12 +1501,11 @@ def audit(
                   for name in tallies)
     # Only the outputs the tallied pairs read are expanded, over the file and
     # mask bits they read; each row stands for the bits left out.
-    read = {v for name in tallies for group in pairs[name] for v in group}
-    outputs = tuple(v for v in _AFFINE if v in read)
-    lay = enumeration.layout
-    free = sum(lay.field_bits(v) for v in _FREE if v in read)  # the fields are disjoint
-    for v, bits in zip(_AFFINE, _read(replayed.affine, counted, lay.free_bits)):
-        if v in read:
+    views = {v for name in tallies for group in pairs[name] for v in group}
+    outputs = tuple(v for v in _AFFINE if v in views)
+    free = sum(lay.field_bits(v) for v in _FREE if v in views)  # the fields are disjoint
+    for v, bits in zip(_AFFINE, read):
+        if v in views:
             free |= bits
     bits = tuple(j for j in range(lay.free_bits) if free >> j & 1)
     rows = expanded = states = chunks = largest = 0

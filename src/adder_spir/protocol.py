@@ -11,13 +11,17 @@ channel inputs over both published sets with its two files; the client
 unmasks the requested file on the decodable side.
 
 A round has two phases.  :func:`open_round` is the channel phase, which
-does not depend on the selection: the servers transmit, the client reads
-y, runs the abort check and partitions the positions.  :func:`execute_session`
-answers one opened round for one selection.  Seeded runs reach them through
-``multifile.run_multifile``, whose one-round case is two files per server,
-and the leakage oracle through ``multifile.execute_multifile``;
-``run_session_adaptive`` sizes the files to the realized block for rate
-sweeps.
+does not depend on the selection: the servers transmit, and the client
+reads y, decides both aborts (the decodable fraction, and whether the
+shares carry the lengths) from its decodable count alone, partitions the
+positions and decodes the servers' inputs at its decodable shares, y/2
+there (:class:`IndexPartition`).  :func:`execute_session` answers one
+opened round for one selection: the servers mask, and the client XORs
+each requested message with the inputs it decoded.  Seeded runs reach
+them through ``multifile.run_multifile``, whose one-round case is two
+files per server, and the leakage oracle through
+``multifile.execute_multifile``; ``run_session_adaptive`` sizes the files
+to the realized block for rate sweeps.
 """
 
 from __future__ import annotations
@@ -80,7 +84,10 @@ def check_mutation(mutation: Optional[str]) -> None:
 
 @dataclass(frozen=True, init=False)
 class IndexPartition:
-    """The decodable/hidden split and its per-server shares.
+    """The decodable/hidden split, its per-server shares, and the client's
+    decoded inputs at the decodable shares: ``decoded1`` and ``decoded2``
+    are y/2 at g1 and g2, packed, read once where the partition is built
+    (:func:`_index_partition`) for every selection that answers it.
 
     Frozen, and built in one step like :class:`Transcript`: the oracle
     builds one per partition the client could draw.
@@ -93,9 +100,26 @@ class IndexPartition:
     b1: IndexSet
     b2: IndexSet
     m: int
+    decoded1: BitString
+    decoded2: BitString
 
-    def __init__(self, good, bad, g1, g2, b1, b2, m):
-        self.__dict__.update({"good": good, "bad": bad, "g1": g1, "g2": g2, "b1": b1, "b2": b2, "m": m})
+    def __init__(self, good, bad, g1, g2, b1, b2, m, decoded1, decoded2):
+        self.__dict__.update(good=good, bad=bad, g1=g1, g2=g2, b1=b1, b2=b2, m=m, decoded1=decoded1, decoded2=decoded2)
+
+
+def _index_partition(y, good, bad, g1, g2, b1, b2, m) -> IndexPartition:
+    """The partition of y into these shares (int64 arrays), with the
+    client's inputs at g1 and g2 decoded: at a decodable position the sum
+    pins both inputs, so each server's input there is half the sum.  Every
+    partitioner builds its partitions here."""
+    y, decoded = np.asarray(y, dtype=np.uint8), []
+    for share in (g1, g2):
+        vals = y[share - 1]
+        if 1 in vals.tobytes():
+            raise RuntimeError("hidden position inside a decodable share")
+        # The sums left are 0 and 2, and packing reads any nonzero value as a 1.
+        decoded.append(BitString.from_array(vals))
+    return IndexPartition(good, bad, g1, g2, b1, b2, m, *decoded)
 
 
 @dataclass(frozen=True)
@@ -222,20 +246,13 @@ def partition(y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: int) -> I
     :func:`sample_partition`); it is for worked examples, sizing checks and
     deterministic replays that pass it to :func:`open_round` explicitly.
     Raises :class:`CapacityShortfall` when the realized block cannot carry
-    the requested lengths (:func:`open_round` treats that as an abort), and
-    ``ValueError`` when y is not a channel output.
+    the requested lengths (:func:`open_round` decides that abort before it
+    calls any partitioner), and ``ValueError`` when y is not a channel
+    output.
     """
     good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
-    return IndexPartition(
-        good=good,
-        bad=bad,
-        g1=good[:ell1],
-        g2=good[ell1 : ell1 + ell2],
-        b1=bad[:ell1],
-        b2=bad[ell1 : ell1 + ell2],
-        m=m,
-    )
+    return _index_partition(y, good, bad, good[:ell1], good[ell1 : ell1 + ell2], bad[:ell1], bad[ell1 : ell1 + ell2], m)
 
 
 def _share_lengths(m: int, alpha: float | Fraction) -> tuple[int, int]:
@@ -281,7 +298,9 @@ def sample_partition(
 
     Honest sessions must use a random partition: a deterministic share rule
     lets an observer of all four published sets reconstruct which sets are
-    decodable and break both selection privacy and server privacy.
+    decodable and break both selection privacy and server privacy.  Like
+    :func:`partition`, it raises :class:`CapacityShortfall` when the shares
+    cannot carry the lengths, before it draws from ``stream``.
     """
     good, bad = classify_indices(y)
     m = _check_shares(good, bad, alpha, ell1, ell2)
@@ -290,7 +309,7 @@ def sample_partition(
     g1, g2, b1, b2 = g[:ell1], g[ell1:], b[:ell1], b[ell1:]
     for share in (g1, g2, b1, b2):
         share.sort()  # in place: each share is its own slice of a fresh array
-    return IndexPartition(good=good, bad=bad, g1=g1, g2=g2, b1=b1, b2=b2, m=m)
+    return _index_partition(y, good, bad, g1, g2, b1, b2, m)
 
 
 def partition_choices(y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: int) -> list[IndexPartition]:
@@ -307,7 +326,7 @@ def partition_choices(y: np.ndarray, alpha: float | Fraction, ell1: int, ell2: i
             for second in itertools.combinations([i for i in pool if i not in first], ell2)
         ]
 
-    return [IndexPartition(good, bad, g1, g2, b1, b2, m) for g1, g2 in shares(good) for b1, b2 in shares(bad)]
+    return [_index_partition(y, good, bad, g1, g2, b1, b2, m) for g1, g2 in shares(good) for b1, b2 in shares(bad)]
 
 
 def build_selection_sets(z1: int, z2: int, part: IndexPartition) -> SelectionSets:
@@ -325,17 +344,12 @@ def server_mask(
     return x.subselect(s1) ^ f1, x.subselect(s2) ^ f2
 
 
-def client_recover(z: int, y: np.ndarray, s_z: IndexSet, m_z: BitString) -> BitString:
-    """Unmask the requested file from the message covering decodable positions.
-
-    At a decodable position the sum determines both inputs, so each server's
-    input there is simply half the sum.
-    """
-    vals = np.asarray(y, dtype=np.uint8)[np.asarray(s_z, dtype=np.int64) - 1]
-    if 1 in vals.tobytes():
-        raise RuntimeError("hidden position inside a decodable selection set")
-    # The sums left are 0 and 2, and packing reads any nonzero value as a 1.
-    return BitString.from_array(vals) ^ m_z
+def client_recover(decoded: BitString, m_z: BitString) -> BitString:
+    """Unmask the requested file from the message covering decodable
+    positions: ``decoded`` is the server's inputs there, which the client
+    decoded once from y where the partition was built
+    (:class:`IndexPartition`)."""
+    return decoded ^ m_z
 
 
 class RoundOpening(NamedTuple):
@@ -355,22 +369,26 @@ class RoundOpening(NamedTuple):
 def open_round(
     params: ProtocolParams, x1: BitString, x2: BitString, partitioner, *, abort_disabled: bool = False
 ) -> RoundOpening:
-    """Transmit one block, run the abort check and partition its positions.
+    """Transmit one block, run the abort checks and partition its positions.
 
-    ``partitioner`` maps (y, alpha, ell1, ell2) to the share partition;
-    honest drivers supply a randomized one (:func:`client_partitioner`).
-    ``abort_disabled`` skips the decodable-fraction check only; a capacity
-    shortfall still aborts because the shares physically do not exist.
+    Both checks read y's decodable count g alone: the decodable fraction,
+    and whether the shares of M = min(g, n - g) carry the lengths
+    (:func:`shares_fit`).  ``partitioner`` maps (y, alpha, ell1, ell2) to
+    the share partition, and is called only once both pass; honest drivers
+    supply a randomized one (:func:`client_partitioner`), whose stream a
+    round that aborts leaves as it was.  ``abort_disabled`` skips the
+    decodable-fraction check only; a capacity shortfall still aborts
+    because the shares physically do not exist.
     """
     if len(x1) != params.n or len(x2) != params.n:
         raise ConfigurationError("channel inputs must have length n")
     y = transmit(x1, x2).y
-    if not abort_disabled and not abort_check(np.count_nonzero(y != 1), params.n, params.t_exponent):
+    g = np.count_nonzero(y != 1)
+    if not abort_disabled and not abort_check(g, params.n, params.t_exponent):
         return RoundOpening(x1, x2, y, "size-deviation", None)
-    try:
-        return RoundOpening(x1, x2, y, None, partitioner(y, params.alpha, params.ell1, params.ell2))
-    except CapacityShortfall:
+    if not shares_fit(min(g, params.n - g), params.alpha, params.ell1, params.ell2):
         return RoundOpening(x1, x2, y, "capacity-shortfall", None)
+    return RoundOpening(x1, x2, y, None, partitioner(y, params.alpha, params.ell1, params.ell2))
 
 
 def execute_session(
@@ -406,8 +424,9 @@ def execute_session(
     elif mutation == "unmasked-messages":
         m11, m12 = f11, f12
 
-    rec1 = client_recover(sel.z1, y, s1_sets[sel.z1 - 1], (m11, m12)[sel.z1 - 1])
-    rec2 = client_recover(sel.z2, y, s2_sets[sel.z2 - 1], (m21, m22)[sel.z2 - 1])
+    # The set covering the requested file is g1 at server 1 and g2 at server 2, whatever the selection.
+    rec1 = client_recover(part.decoded1, (m11, m12)[sel.z1 - 1])
+    rec2 = client_recover(part.decoded2, (m21, m22)[sel.z2 - 1])
 
     return Transcript(
         params=params,
@@ -441,7 +460,8 @@ def run_session_adaptive(
     """Run one session with maximal file sizing.
 
     The file lengths are fixed only after the channel realization is known:
-    the largest lengths the realized shares can carry.  Files are then
+    the largest lengths the realized shares can carry, so the channel phase
+    runs at lengths (0, 0) and never aborts on capacity.  Files are then
     sampled uniformly from the server streams.  Used for rate measurements;
     returns the transcript and the params actually executed.
     """
@@ -449,7 +469,8 @@ def run_session_adaptive(
     x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, 1)))
     x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
     client = client_partitioner(rnd.client_seed)
-    opening = open_round(params, x1, x2, lambda y, alpha, *_lengths: client(y, alpha, *_fitting(y, alpha)))
+    unsized = replace(params, ell1=0, ell2=0) if params.ell1 or params.ell2 else params
+    opening = open_round(unsized, x1, x2, lambda y, a, *_: client(y, a, *_fitting(y, a)))
     ell1, ell2 = _fitting(opening.y, params.alpha)
     sized = replace(params, ell1=ell1, ell2=ell2)
     files1 = sample_filestore(1, 2, ell1, rnd.server1_seed)

@@ -10,7 +10,8 @@ listing every sequence, and ``replayed_skeletons`` replays every
 (sequence, selection) through ``execute_multifile`` on a plan of its own,
 sharing nothing between replays.  ``tuple_classify_indices`` and
 ``tuple_sample_partition`` build index sets as tuples of Python ints, the
-way the package did before its index sets became int64 arrays.  All of
+way the package did before its index sets became int64 arrays, and decode
+the client's inputs at the decodable shares one position at a time.  All of
 them are slow, and kept only so that tests can compare the package
 against them.
 """
@@ -65,6 +66,7 @@ def _tuple_check_shares(good: IndexSet, bad: IndexSet, alpha: float, ell1: int, 
 
 
 def tuple_sample_partition(
+    y,
     good: IndexSet,
     bad: IndexSet,
     alpha: float,
@@ -72,21 +74,19 @@ def tuple_sample_partition(
     ell2: int,
     stream: np.random.Generator,
 ) -> IndexPartition:
-    """Draw the shares uniformly at random with the client's local randomness."""
+    """Draw the shares uniformly at random with the client's local
+    randomness, and decode the client's inputs at g1 and g2 as y_p // 2."""
     m = _tuple_check_shares(good, bad, alpha, ell1, ell2)
     good = tuple(sorted(good))
     bad = tuple(sorted(bad))
     pg = stream.permutation(len(good))
     pb = stream.permutation(len(bad))
-    return IndexPartition(
-        good=good,
-        bad=bad,
-        g1=tuple(sorted(good[i] for i in pg[:ell1])),
-        g2=tuple(sorted(good[i] for i in pg[ell1 : ell1 + ell2])),
-        b1=tuple(sorted(bad[i] for i in pb[:ell1])),
-        b2=tuple(sorted(bad[i] for i in pb[ell1 : ell1 + ell2])),
-        m=m,
-    )
+    g1 = tuple(sorted(good[i] for i in pg[:ell1]))
+    g2 = tuple(sorted(good[i] for i in pg[ell1 : ell1 + ell2]))
+    b1 = tuple(sorted(bad[i] for i in pb[:ell1]))
+    b2 = tuple(sorted(bad[i] for i in pb[ell1 : ell1 + ell2]))
+    decoded = (BitString.from_bits(int(y[p - 1]) // 2 for p in share) for share in (g1, g2))
+    return IndexPartition(good, bad, g1, g2, b1, b2, m, *decoded)
 
 
 def reference_enumeration(params, mode="two_file", *, abort_disabled=False, mutation=None, exact=False):

@@ -29,13 +29,19 @@ _AUDITS = (
 )
 # Frames report the file names the modules were imported under.
 _PACKAGE = os.path.dirname(adder_spir.__file__) + os.sep
-# 5,141 calls on Python 3.11.7 when the bound was set, after the plans of
-# one enumeration shared one answer per round opening that aborted and a
-# sequence that aborted was replayed only for the plans that had not yet
-# run the rounds before its last (5,907 before, under a bound of 6,500,
-# after the plans of one enumeration shared their answers per round's
-# branch choices and the selection pairs were keyed without the servers'
-# own messages, files and masks; 6,254 before that, under a bound of
+# 5,092 calls on Python 3.11.7 when the bound was set, after each round
+# decided its capacity abort from y's counts before any partitioner ran,
+# each partition decoded the client's inputs once for every answer, and
+# the audit ranked each joint pattern by one elimination, cut its chunks
+# from the skeleton table and keyed the selection once per chunk (5,260
+# before, under a bound of 5,650, once the servers' messages were
+# certified by one GF(2) solve; 5,141 when that bound was set, after the
+# plans of one enumeration shared one answer per round opening that
+# aborted and a sequence that aborted was replayed only for the plans
+# that had not yet run the rounds before its last; 5,907 before, under a
+# bound of 6,500, after the plans of one enumeration shared their answers
+# per round's branch choices and the selection pairs were keyed without
+# the servers' own messages, files and masks; 6,254 before that, under a bound of
 # 6,870, after the replays shared one chaining per enumeration, read each
 # answered round once and took each rank once per output pattern; 7,169
 # before that, under a bound of 7,400: 6,725 after the rank certificates
@@ -44,7 +50,7 @@ _PACKAGE = os.path.dirname(adder_spir.__file__) + os.sep
 # the second pass over the audit's fixed costs, whose transcript
 # constructors are counted here where the generated ones were not; 16,857
 # before the replay-to-chunk path was first trimmed).
-_MAX_CALLS = 5_650
+_MAX_CALLS = 5_600
 
 
 def _calls(out: Path) -> Counter:

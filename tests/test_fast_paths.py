@@ -1,9 +1,9 @@
 """Fast paths of the session answers and of the oracle's server keys,
 against per-row Python references.
 
-``client_recover`` must unmask exactly the bits a per-position loop reads
-off y, for concrete and symbolic (:class:`AffineBits`) messages, and must
-refuse a hidden position inside the set.  A server view's key ends with one
+A partition's decoded inputs must be exactly the bits a per-position loop
+reads off y at its decodable shares, and ``client_recover`` must unmask
+them, for concrete and symbolic (:class:`AffineBits`) messages.  A server view's key ends with one
 digit per round of its channel inputs (``_PairKeys._digits``); on random
 words and random published sets, including aborted and unexecuted rounds,
 each digit must be what a per-row loop computes from the definition.  The
@@ -24,7 +24,8 @@ from adder_spir import oracle
 from adder_spir.bits import AffineBits, BitString
 from adder_spir.model import PartyRandomness, ProtocolParams, Selection, sample_filestore
 from adder_spir.multifile import run_multifile
-from adder_spir.protocol import client_recover
+from adder_spir.channel import classify_indices
+from adder_spir.protocol import _index_partition, client_recover
 
 # ---------------------------------------------------------------------------
 # client_recover
@@ -35,31 +36,34 @@ from adder_spir.protocol import client_recover
 def test_client_recover_matches_per_position_reference(data):
     n = data.draw(st.integers(1, 40), label="n")
     y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.uint8)
-    positions = sorted(data.draw(st.sets(st.integers(1, n), max_size=n), label="set"))
-    s_z = data.draw(st.sampled_from([np.array, tuple]))(np.array(positions, dtype=np.int64))
-    width = len(positions)
-    word = st.integers(0, 2**width - 1)
-    if data.draw(st.booleans(), label="symbolic"):
-        free = data.draw(st.integers(0, 4), label="free bits")
-        cols = tuple(data.draw(st.lists(word, min_size=free + 1, max_size=free + 1)))
-        message = AffineBits(cols, width)
-    else:
-        message = BitString.from_int(data.draw(word), width)
+    good, bad = classify_indices(y)
+    picked = data.draw(st.permutations(good.tolist()), label="decodable order")
+    split = data.draw(st.integers(0, len(picked)), label="g1 size")
+    picked = picked[: data.draw(st.integers(split, len(picked)), label="shares size")]
+    g1, g2 = (np.array(sorted(share), dtype=np.int64) for share in (picked[:split], picked[split:]))
+    empty = np.zeros(0, dtype=np.int64)
+    part = _index_partition(y, good, bad, g1, g2, empty, empty, 0)
 
-    if any(y[p - 1] == 1 for p in positions):
-        with pytest.raises(RuntimeError, match="hidden position"):
-            client_recover(1, y, s_z, message)
-        return
-    halves = 0
-    for p in positions:
-        halves = halves << 1 | int(y[p - 1]) // 2
-    got = client_recover(1, y, s_z, message)
-    assert len(got) == width
-    if isinstance(message, AffineBits):
-        assert isinstance(got, AffineBits)
-        assert got._cols == (message._cols[0] ^ halves, *message._cols[1:])
-    else:
-        assert type(got) is BitString and got.to_int() == halves ^ message.to_int()
+    for share, decoded in ((g1, part.decoded1), (g2, part.decoded2)):
+        width = len(share)
+        halves = 0
+        for p in share.tolist():
+            halves = halves << 1 | int(y[p - 1]) // 2
+        assert type(decoded) is BitString and len(decoded) == width and decoded.to_int() == halves
+        word = st.integers(0, 2**width - 1)
+        if data.draw(st.booleans(), label="symbolic"):
+            free = data.draw(st.integers(0, 4), label="free bits")
+            cols = tuple(data.draw(st.lists(word, min_size=free + 1, max_size=free + 1)))
+            message = AffineBits(cols, width)
+        else:
+            message = BitString.from_int(data.draw(word), width)
+        got = client_recover(decoded, message)
+        assert len(got) == width
+        if isinstance(message, AffineBits):
+            assert isinstance(got, AffineBits)
+            assert got._cols == (message._cols[0] ^ halves, *message._cols[1:])
+        else:
+            assert type(got) is BitString and got.to_int() == halves ^ message.to_int()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The int64-array index sets against the tuple reference in ``brute_force.py``.
 
-On random blocks and share requests the array path must give the same sets,
-raise the same errors, and leave the client's stream in the same state.
+On random blocks and share requests the array path must give the same sets
+and decoded inputs, raise the same errors, and leave the client's stream in
+the same state.
 """
 
 import numpy as np
@@ -47,9 +48,10 @@ def test_array_path_matches_tuple_reference(n, ell1, ell2, alpha, seed, bad_symb
     stream, ref_stream = party_stream(seed, (3, 1)), party_stream(seed, (3, 1))
     part, error = _outcome(sample_partition, y, alpha, ell1, ell2, stream)
     if ref_error is None:
-        ref_part, ref_error = _outcome(tuple_sample_partition, *ref_sets, alpha, ell1, ell2, ref_stream)
+        ref_part, ref_error = _outcome(tuple_sample_partition, y, *ref_sets, alpha, ell1, ell2, ref_stream)
     assert error is ref_error
     if error is None:
         assert [getattr(part, f).tolist() for f in SETS] == [list(getattr(ref_part, f)) for f in SETS]
         assert part.m == ref_part.m
+        assert (part.decoded1, part.decoded2) == (ref_part.decoded1, ref_part.decoded2)
     assert stream.integers(2**63) == ref_stream.integers(2**63)

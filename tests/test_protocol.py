@@ -22,11 +22,11 @@ from adder_spir.model import (
 from adder_spir.multifile import run_multifile
 from adder_spir.protocol import (
     MUTATIONS,
+    _index_partition,
     _share_lengths,
     abort_check,
     build_selection_sets,
     client_partitioner,
-    client_recover,
     execute_session,
     open_round,
     partition,
@@ -184,9 +184,13 @@ def test_build_selection_sets_orientation():
 
 
 def test_client_recover_rejects_hidden_positions():
+    # The client decodes its inputs where the partition is built, so a
+    # decodable share holding a hidden position is refused there.
     y = np.array([1, 0, 2], dtype=np.uint8)
-    with pytest.raises(RuntimeError):
-        client_recover(1, y, (1, 2), BitString.zeros(2))
+    good, bad, empty = np.array([2, 3]), np.array([1]), np.zeros(0, dtype=np.int64)
+    for g1, g2 in (([1, 2], [3]), ([2], [1, 3])):
+        with pytest.raises(RuntimeError, match="hidden position inside a decodable share"):
+            _index_partition(y, good, bad, np.array(g1), np.array(g2), empty, empty, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +248,75 @@ def test_capacity_shortfall_aborts_session():
         open_round(params, BitString.zeros(4), BitString.zeros(4), partition, abort_disabled=True),
     )
     assert t.aborted and t.abort_reason == "capacity-shortfall"
+
+
+# One n = 4096 block for the property below, and M = min(|good|, |bad|) of its y.
+_WIDE = [int("".join(map(str, bits)), 2) for bits in np.random.default_rng(4096).integers(0, 2, (2, 4096))]
+_WIDE_G = 4096 - bin(_WIDE[0] ^ _WIDE[1]).count("1")  # decodable where x1 = x2
+_WIDE_M = min(_WIDE_G, 4096 - _WIDE_G)
+
+
+def _partitioner(name: str, seed: int):
+    """The partitioner ``name`` as :func:`open_round` calls it, and the
+    client stream it draws from (None for a deterministic one)."""
+    if name == "sample_partition":
+        stream = party_stream(seed, (3, 1))
+        return (lambda y, alpha, ell1, ell2: sample_partition(y, alpha, ell1, ell2, stream)), stream
+    return {"partition": partition, "partition_choices": partition_choices}[name], None
+
+
+def _partition_key(part) -> tuple:
+    fields = ("good", "bad", "g1", "g2", "b1", "b2")
+    return (*(tuple(getattr(part, f).tolist()) for f in fields), part.m, part.decoded1, part.decoded2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    block=st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))),
+    ell1=st.integers(0, 6), ell2=st.integers(0, 6),
+    alpha=st.one_of(st.fractions(0, 1), st.floats(0, 1)),
+    t=st.sampled_from([0.1, 0.25, 0.4, 0.49]), abort_disabled=st.booleans(),
+    name=st.sampled_from(["partition", "sample_partition", "partition_choices"]), seed=st.integers(0, 2**32 - 1),
+)
+@example(block=(4096, *_WIDE), ell1=_WIDE_M // 2, ell2=_WIDE_M // 2, alpha=Fraction(1, 2), t=0.25,
+         abort_disabled=False, name="sample_partition", seed=1)
+@example(block=(4096, *_WIDE), ell1=_WIDE_M // 2 + 1, ell2=0, alpha=0.5, t=0.25, abort_disabled=False,
+         name="partition_choices", seed=1)
+def test_open_round_decides_capacity_from_the_counts_before_any_partitioner(
+    block, ell1, ell2, alpha, t, abort_disabled, name, seed
+):
+    # open_round says capacity-shortfall exactly when the partitioner, called
+    # directly, raises CapacityShortfall (unless the decodable fraction
+    # aborted first); on any abort it never calls the partitioner, so the
+    # client's partition stream is left as it was.
+    n, v1, v2 = block
+    x1, x2 = BitString.from_int(v1, n), BitString.from_int(v2, n)
+    params = ProtocolParams(n=n, t_exponent=t, alpha=alpha, ell1=ell1, ell2=ell2)
+    partitioner, stream = _partitioner(name, seed)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return partitioner(*args)
+
+    state = stream.bit_generator.state if stream else None
+    opening = open_round(params, x1, x2, spy, abort_disabled=abort_disabled)
+
+    y = x1.bits + x2.bits
+    try:
+        direct, shortfall = _partitioner(name, seed)[0](y, alpha, ell1, ell2), False
+    except CapacityShortfall:
+        direct, shortfall = None, True
+    deviates = not abort_disabled and not abort_check(np.count_nonzero(y != 1), n, t)
+    assert opening.abort_reason == ("size-deviation" if deviates else "capacity-shortfall" if shortfall else None)
+    if opening.abort_reason is not None:
+        assert calls == [] and opening.partition is None
+        if stream is not None:
+            assert stream.bit_generator.state == state
+    else:
+        assert len(calls) == 1
+        keys = list(map(_partition_key, opening.partition if name == "partition_choices" else [opening.partition]))
+        assert keys == list(map(_partition_key, direct if name == "partition_choices" else [direct]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -328,6 +401,18 @@ def test_public_bits_accounting():
     t = execute_session(params, files1, files2, Selection(1, 2), open_round(params, x1, x2, partition))
     assert t.public_bits_from_server(1) == 6
     assert t.public_bits_from_server(2) == 10
+
+
+def test_run_session_adaptive_ignores_the_lengths_it_is_given():
+    # The lengths are sized to the realized block, so lengths passed in the
+    # params neither abort the round on capacity nor change the session.
+    rnd = PartyRandomness(5, 6, 7)
+    runs = [
+        run_session_adaptive(ProtocolParams(n=32, t_exponent=0.45, alpha=0.5, ell1=ell, ell2=ell), Selection(2, 1), rnd)
+        for ell in (0, 1000)
+    ]
+    (t0, sized0), (t1, sized1) = runs
+    assert not t1.aborted and sized1 == sized0 and t1.to_record() == t0.to_record()
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,12 +1,14 @@
 """The benchmark's per-layer tracer still finds every binding it rebinds,
-and its count hooks still see the calls they count."""
+and its count hooks still see the calls they count; and the benchmark
+audits partition, and decode the client's inputs for, only the openings
+that go on."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from adder_spir import cli
+from adder_spir import cli, oracle, protocol
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # The benchmark's two audits.
@@ -77,3 +79,23 @@ def test_traced_run_counts_rounds_and_masked_bits(tracer, tmp_path):
     counts = tracer.counts
     assert counts["protocol.execute_session.calls"] == counts["multifile.rounds"] > 0
     assert counts["protocol.masked_bits"] > 0
+
+
+def test_audits_decode_once_per_live_opening_and_never_partition_an_aborted_one(monkeypatch, tmp_path, capsys):
+    # The two audits keep 16 + 6 openings, one per class.  The 12 + 4 that
+    # abort do so on capacity, decided from y's counts before any
+    # partitioner runs.  Each of the 4 + 2 that go on is partitioned once,
+    # and its partition decodes the client's inputs at g1 and g2 once: 12
+    # decodes, which every selection's answers share.
+    opened, partitioned, built = [], [], []
+    open_round, partition, index_partition = oracle.open_round, oracle.partition, protocol._index_partition
+    monkeypatch.setattr(oracle, "open_round", lambda *args, **kw: opened.append(open_round(*args, **kw)) or opened[-1])
+    monkeypatch.setattr(oracle, "partition", lambda *args: partitioned.append(args) or partition(*args))
+    monkeypatch.setattr(protocol, "_index_partition", lambda *args: built.append(args) or index_partition(*args))
+    for flags in _AUDITS:
+        assert cli.main(["audit", *flags, "--seed", "1", "--out", str(tmp_path / "a.jsonl")]) == 0
+    capsys.readouterr()
+    assert len(opened) == 22
+    assert [o.abort_reason for o in opened].count("capacity-shortfall") == 16
+    assert len(partitioned) == 6 == sum(o.abort_reason is None for o in opened)
+    assert 2 * len(built) == 12
