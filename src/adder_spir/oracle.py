@@ -395,22 +395,32 @@ class LeakageReport:
         }
 
 
-def _public_of(t: Transcript) -> tuple:
-    """(sets, msgs1, msgs2, leak) components of one session's public record."""
+def _public_of(t: Transcript, shares: Optional[dict] = None) -> tuple:
+    """(sets, msgs1, msgs2, leak) components of one session's public record,
+    its sets as :func:`_tuples` with ``shares``."""
     if t.aborted:
         return (True, t.abort_reason, None), None, None, t.leaked_selection
     s = t.selection_sets
-    sets = (False, None, _tuples(s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2))
+    sets = (False, None, _tuples((s.s1_for_server1, s.s2_for_server1, s.s1_for_server2, s.s2_for_server2), shares))
     return sets, (t.m11, t.m12), (t.m21, t.m22), t.leaked_selection
 
 
-def _tuples(*index_sets) -> tuple:
-    """Index-set arrays as hashable tuples of ints."""
-    return tuple(map(tuple, map(np.ndarray.tolist, index_sets)))
+def _tuples(index_sets, shares: Optional[dict] = None) -> tuple:
+    """Index-set arrays as hashable tuples of ints.  ``shares`` maps the id
+    of an array already converted to that array and its tuple; an array
+    found there by identity takes its tuple, and any other is converted."""
+    shares = shares or {}
+    return tuple([seen[1] if (seen := shares.get(id(a))) and seen[0] is a else tuple(a.tolist()) for a in index_sets])
 
 
-def _part_key(part) -> tuple:
-    return _tuples(part.g1, part.g2, part.b1, part.b2)
+def _part_key(part, shares: Optional[dict] = None) -> tuple:
+    """The shares g1, g2, b1, b2 of ``part`` as tuples, each kept in
+    ``shares`` under its array's id when given (:func:`_tuples`)."""
+    arrays = part.g1, part.g2, part.b1, part.b2
+    key = _tuples(arrays)
+    if shares is not None:
+        shares.update(zip(map(id, arrays), zip(arrays, key)))
+    return key
 
 
 def _mask(width: int) -> int:
@@ -593,11 +603,13 @@ class _Enumeration:
         # Per selection: its plan, the requested files joined and the public
         # values of the runs of rounds it answered (:meth:`_run`).
         self.plans: dict = {}
-        self.answered: dict[int, tuple] = {}  # per answered transcript, its public values (:meth:`_round`)
+        self.answered: dict[int, tuple] = {}  # per answered transcript, the run of its round alone (:meth:`_round`)
         self.opened: dict = {}  # one symbolic RoundOpening per (round, channel offset, kept opening)
         self.partitions: dict[int, tuple] = {}  # per kept opening that goes on, its partition's key
+        self.shares: dict[int, tuple] = {}  # per share array of those partitions, by id: the array and its tuple
         self.interned: dict[str, _Ids] = {name: _Ids() for name in _INTERNED}
         self.zeros = bytes(8 * (B + U + 1))  # the offset and columns of no affine value, as words
+        self.empty = ((), (), (), None, None, self.zeros, self.zeros)  # the run of no rounds, every plan's (:meth:`_run`)
         self.weighed: tuple = (None, [])  # the skeletons last weighed and their weights (:meth:`weights`)
         self.replays = self.sequence_count = 0
 
@@ -738,14 +750,16 @@ class _Enumeration:
         opening once (:class:`~adder_spir.multifile.MultifilePlan`), so a
         replay runs the session only on the rounds no earlier replay
         reached.  Each answered round's public values and message words are
-        read once (:meth:`_round`), and the rounds before a sequence's last,
-        which went on, are joined once per plan (:meth:`_run`), so a replay
-        appends only its last round to them.  A sequence that aborted is
-        replayed only for a plan that has not yet run the rounds before its
-        last: the round that aborted publishes its opening's y and verdict
-        whatever the plan, so the skeleton is the plan's run followed by
-        them.  ``miss``, the recovered files XOR the requested ones, is zero
-        on abort."""
+        read once, as the run of that round alone (:meth:`_round`), its sets
+        from the tuples of its partition's shares, and the rounds before a
+        sequence's last, which went on, are joined once per plan
+        (:meth:`_run`), so a replay appends only its last round to them.  A
+        sequence that aborted is replayed only for a plan that has not yet
+        run the rounds before its last: the round that aborted publishes its
+        opening's y and verdict whatever the plan, so the skeleton is the
+        plan's run followed by them, built once per sequence and run (every
+        plan shares the run of no rounds).  ``miss``, the recovered files
+        XOR the requested ones, is zero on abort."""
         lay = self.layout
         f1, f2 = self.symbols[0].files, self.symbols[1].files
         selections = []
@@ -754,9 +768,7 @@ class _Enumeration:
                 sel = Selection(z1, z2)
                 if sel not in self.plans:
                     plan = plan_selection(self.chains, sel, mutation=self.mutation)
-                    # The run of no rounds.
-                    runs = {(): ((), (), (), None, None, self.zeros, self.zeros)}
-                    self.plans[sel] = plan, AffineBits.join(plan.requested), runs
+                    self.plans[sel] = plan, AffineBits.join(plan.requested), {(): self.empty}
                 unsel = self._columns(f1[: z1 - 1] + f1[z1:] + f2[: z2 - 1] + f2[z2:])
                 selections.append((((z1, z2, 0), (z1, z2, 1)), unsel, *self.plans[sel]))
         zeros = self.zeros
@@ -769,11 +781,7 @@ class _Enumeration:
             # The rounds before the last, which went on, by their openings: a
             # plan's transcripts of them are fixed by the openings.
             head, last = tuple(map(id, opened[:-1])), opened[-1]
-            if aborted:
-                # The client aborts from y alone, before any message that
-                # depends on the selection: the round publishes its y and
-                # verdict, and leaks and sends nothing, whatever the plan.
-                y, public = last.y.tobytes(), (True, last.abort_reason, None)
+            ended = {}  # per run of the rounds before a last round that aborted: its skeleton's values
             skeletons, words = [], []
             for direct, unsel, plan, requested, runs in selections:
                 run = runs.get(head)
@@ -787,23 +795,31 @@ class _Enumeration:
                         raise RuntimeError("replay disagrees with the enumerated channel verdicts")
                     run = run or self._run(runs, head, transcripts[:-1])
                 if aborted:
-                    ys, sets, leaks, _msgs1, _msgs2, words1, words2 = run
-                    ys, sets, leaks, miss = ys + (y,), sets + (public,), leaks + (None,), zeros
+                    public = ended.get(id(run))
+                    if public is None:
+                        # The client aborts from y alone, before any message
+                        # that depends on the selection: the round publishes
+                        # its y and verdict, and leaks and sends nothing,
+                        # whatever the plan.
+                        public = ended[id(run)] = (run[0] + (last.y.tobytes(),), run[1] + ((True, last.abort_reason, None),),
+                                                   run[2] + (None,), values)
+                    words1, words2, miss = run[5], run[6], zeros
                 else:
                     ys, sets, leaks, _msgs1, _msgs2, words1, words2 = self._extend(run, transcripts[-1])
-                    miss = (AffineBits.join(mt.recovered) ^ requested).words()
-                skeletons.append((direct[aborted], (ys, sets, leaks, values), shape, size))
+                    public, miss = (ys, sets, leaks, values), (AffineBits.join(mt.recovered) ^ requested).words()
+                skeletons.append((direct[aborted], public, shape, size))
                 words += x1, x2, words1, words2, unsel, miss
             yield skeletons, words
 
     def _round(self, t: Transcript) -> tuple:
-        """The public values of one answered round that did not abort, once
-        per transcript (kept alive by its plan): its y, sets and leak, and
-        each server's two messages joined, as :class:`AffineBits` and as
-        words."""
-        public, sent1, sent2, leak = _public_of(t)
+        """The run of one answered round that did not abort, alone
+        (:meth:`_extend`), once per transcript (kept alive by its plan): its
+        y, sets and leak, and each server's two messages joined, as
+        :class:`AffineBits` and as words.  Its sets reuse the tuples of its
+        partition's shares (:meth:`part_keys`)."""
+        public, sent1, sent2, leak = _public_of(t, self.shares)
         sent1, sent2 = AffineBits.join(sent1), AffineBits.join(sent2)
-        entry = self.answered[id(t)] = (t.y.tobytes(), public, leak, sent1, sent2, sent1.words(), sent2.words())
+        entry = self.answered[id(t)] = ((t.y.tobytes(),), (public,), (leak,), sent1, sent2, sent1.words(), sent2.words())
         return entry
 
     def _run(self, runs: dict, key: tuple, transcripts: tuple) -> tuple:
@@ -818,13 +834,13 @@ class _Enumeration:
     def _extend(self, run: tuple, t: Transcript) -> tuple:
         """A run of answered rounds followed by the round of ``t``, which did
         not abort: per round its y, sets and leak, and each server's messages
-        joined, as :class:`AffineBits` (None for no rounds) and as words."""
-        ys, sets, leaks, msgs1, msgs2, *_words = run
-        y, public, leak, sent1, sent2, *words = self.answered.get(id(t)) or self._round(t)
-        if msgs1 is not None:
-            sent1, sent2 = AffineBits.join((msgs1, sent1)), AffineBits.join((msgs2, sent2))
-            words = sent1.words(), sent2.words()
-        return ys + (y,), sets + (public,), leaks + (leak,), sent1, sent2, *words
+        joined, as :class:`AffineBits` (None for no rounds) and as words.
+        After no rounds it is the round's own run (:meth:`_round`)."""
+        alone = self.answered.get(id(t)) or self._round(t)
+        if run[3] is None:
+            return alone
+        sent1, sent2 = AffineBits.join((run[3], alone[3])), AffineBits.join((run[4], alone[4]))
+        return run[0] + alone[0], run[1] + alone[1], run[2] + alone[2], sent1, sent2, sent1.words(), sent2.words()
 
     def openings(self, rounds) -> tuple:
         """The symbolic opening of each executed round: its kept opening
@@ -838,11 +854,12 @@ class _Enumeration:
         its first channel bit (the hidden positions of the rounds before it)
         and its kept opening, so every sequence that reaches it shares one
         object, which each plan answers once
-        (:class:`~adder_spir.multifile.MultifilePlan`)."""
+        (:class:`~adder_spir.multifile.MultifilePlan`).  A sequence of one
+        round takes its opening's own x1 and x2 columns."""
         lay = self.layout
         opened, offset = [], 0
-        for r, (pair, verdict, _size, _choices) in enumerate(rounds):
-            hidden = bin(pair[0] ^ pair[1]).count("1")
+        for r, ((v1, v2), verdict, _size, _choices) in enumerate(rounds):
+            hidden = (v1 ^ v2).bit_count()
             # A round without channel bits has no column; ``verdicts`` keeps
             # the opening alive, so its id is not reused.
             key = (r, offset if hidden else -1, id(verdict))
@@ -850,19 +867,25 @@ class _Enumeration:
             if opening is None:
                 # Free bit j is word 1 + j; each hidden position's channel
                 # bit, first position first, takes the next column.
-                first = 1 + lay.free_bits + offset
-                channel = [1 << s for s in range(lay.n - 1, -1, -1) if (pair[0] ^ pair[1]) >> s & 1]
-                words = sum(c << 64 * (first + i) for i, c in enumerate(channel))
-                x1, x2 = (AffineBits._of_words(v | words, lay.free_bits + lay.n * lay.K, lay.n) for v in pair)
-                opening = self.opened[key] = RoundOpening(x1, x2, *verdict[2:])
+                words, column = 0, 1 + lay.free_bits + offset
+                for s in range(lay.n - 1, -1, -1):
+                    if (v1 ^ v2) >> s & 1:
+                        words, column = words | 1 << s << 64 * column, column + 1
+                free = lay.free_bits + lay.n * lay.K
+                opening = self.opened[key] = RoundOpening(AffineBits._of_words(v1 | words, free, lay.n),
+                                                          AffineBits._of_words(v2 | words, free, lay.n), *verdict[2:])
             opened.append(opening)
             offset += hidden
+        if len(opened) == 1:
+            return opened, (opened[0].x1.words(), opened[0].x2.words()), offset
         return opened, (self._columns([o.x1 for o in opened]), self._columns([o.x2 for o in opened])), offset
 
     def part_keys(self, rounds) -> tuple:
-        """The partition of each of ``rounds``, kept openings that go on, as hashable tuples."""
+        """The partition of each of ``rounds``, kept openings that go on, as
+        hashable tuples; each share's tuple is kept by its array
+        (:attr:`shares`), for the sets of every answer to the opening."""
         keys = self.partitions
-        return tuple(keys.get(id(verdict)) or keys.setdefault(id(verdict), _part_key(verdict.partition))
+        return tuple(keys.get(id(verdict)) or keys.setdefault(id(verdict), _part_key(verdict.partition, self.shares))
                      for _pair, verdict, *_counts in rounds)
 
     def _columns(self, values) -> bytes:
@@ -881,7 +904,7 @@ class _Enumeration:
         direct, values, shapes, _sizes = zip(*skeletons)
         table = list(zip(*direct))
         for name, column in zip(_INTERNED, zip(*values)):
-            table.append(list(map(self.interned[name].__getitem__, column)))
+            table.append(tuple(map(self.interned[name].__getitem__, column)))
         table.extend(zip(*shapes))
         return _Replayed(skeletons, affine.reshape(len(skeletons), len(_AFFINE), -1), np.array(table, dtype=np.int64).T)
 
@@ -893,7 +916,7 @@ class _Enumeration:
         works them out once for its ranks and its chunks."""
         if self.weighed[0] is not skeletons:
             n, K = self.layout.n, self.layout.K
-            self.weighed = skeletons, [(self.lcm // c * size) << 2 * n * (K - k) for *_, (_f, k, c), size in skeletons]
+            self.weighed = skeletons, [(self.lcm // c * size) << 2 * n * (K - k) for _d, _v, (_f, k, c), size in skeletons]
         return self.weighed[1]
 
     def chunks(self, replayed: Optional["_Replayed"] = None, live_only: bool = False, outputs: tuple = _AFFINE,
@@ -954,7 +977,7 @@ class _Enumeration:
             packed |= (index >> e & _mask(1 + len(more))) << j
         columns.update(zip(_FREE, lay.split(packed)))
         # Each skeleton stands for its class size times its 2^(B + free) rows.
-        states = sum(map(int.__lshift__, [size for *_skeleton, size in run], (B + free).tolist()))
+        states = sum(map(int.__lshift__, [size for _direct, _values, _shape, size in run], (B + free).tolist()))
         weights = [w << (B - E) for w in weights]
         rows = int(np.left_shift(1, B + free).sum())
         return _Chunk(table, _numerators(weights, self.denominator), skel, columns, rows, states)
@@ -1163,34 +1186,21 @@ class _PairKeys:
             key <<= self.widths[v]
             key |= chunk.columns[v]
         for v in inputs:
-            for digit in self._digits(chunk.columns[v], chunk.skel, table["executed"], shifts):
+            for digit in self._digits(chunk.columns[v], chunk.skel, shifts):
                 key <<= self.digit_bits
                 key |= digit
         return key
 
-    def _rounds(self, executed: np.ndarray, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per round a key holds, first round first, the shift of its n bits
-        in each skeleton's channel-input codes (``executed`` holds its
-        executed rounds), as a (rounds, skeletons) array, and the shift
-        there of each published set position, in a, b, c, d order and rank
-        order inside each set (``shifts`` holds each skeleton's set shifts,
-        from :meth:`_decode`), as a (rounds, S, skeletons) array.  Round r's
-        n bits sit at shift (executed - 1 - r) n; bit 63 of a code is 0, so
-        an unexecuted round, or a set it does not publish, reads none."""
-        at = (executed - 1 - np.arange(self.executed)[:, None]) * self.layout.n
-        at[at < 0] = 63
-        return at, np.minimum(at[:, None] + shifts[:, : self.executed].transpose(1, 2, 0), 63)
-
-    def _digits(self, inputs: np.ndarray, skel: np.ndarray, executed: np.ndarray, shifts: np.ndarray):
+    def _digits(self, inputs: np.ndarray, skel: np.ndarray, shifts: np.ndarray):
         """Per round, first round first, one digit per row of the channel
         ``inputs`` of skeleton ``skel``: its bits at the S published set
-        positions (:meth:`_rounds`) times n - S + 1, plus its count of ones
-        at the other positions.  A round that aborted publishes no set, and
-        a round the skeleton did not execute has no bits.  Each skeleton's
-        shifts in its codes are worked out before they are gathered to its
-        rows."""
+        positions times n - S + 1, plus its count of ones at the other
+        positions.  ``shifts`` holds each skeleton's shifts in its codes
+        (:meth:`_decode`), which are gathered to its rows.  A round that
+        aborted publishes no set, and a round the skeleton did not execute
+        has no bits."""
         n = self.layout.n
-        for at, shift in zip(*self._rounds(executed, shifts)):
+        for at, *shift in shifts.transpose(1, 2, 0):
             word = inputs >> at[skel]
             word &= _mask(n)
             digit = _ONES[word & 255]
@@ -1204,19 +1214,22 @@ class _PairKeys:
             yield digit
 
     def _decode(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The verdict id and the (K, S) set shifts of each interned sets
-        value in ``sets``, decoding the values not decoded yet: per round,
-        the shift in the round's n bits of each published set position, in
-        a, b, c, d order and rank order inside each set, and 63, which reads
-        a 0 bit, where the round publishes none."""
-        K, n, S = self.layout.K, self.layout.n, self.published
+        """The verdict id and the shifts in the channel-input codes of each
+        interned sets value in ``sets``, decoding the values not decoded yet:
+        per round a key holds, first round first, the shift of the round's n
+        bits, then that of each published set position, in a, b, c, d order
+        and rank order inside each set, as a (rounds, 1 + S) array.  Round
+        r of e executed rounds sits at shift (e - 1 - r) n; bit 63 of a code
+        is 0, so a round not executed, or a set not published, reads none."""
+        n, S = self.layout.n, self.published
         interned = self.interned["sets"]
         if len(self.shifts) < len(interned):
             for value in itertools.islice(interned, len(self.shifts), None):
                 self.verdict_ids.append(self.verdicts[tuple(published[:2] for published in value)])
-                shifts = [[n - p for share in sets for p in share] if sets else [63] * S
-                          for _aborted, _reason, sets in value]
-                self.shifts.append(shifts + [[63] * S] * (K - len(value)))
+                rounds = [[at := (len(value) - 1 - r) * n, *([at + n - p for share in sets for p in share]
+                                                              if sets else [63] * S)]
+                          for r, (_aborted, _reason, sets) in enumerate(value)]
+                self.shifts.append(rounds + [[63] * (1 + S)] * (self.executed - len(value)))
             self.verdict_table = np.array(self.verdict_ids, dtype=np.int64)
             self.shift_table = np.array(self.shifts, dtype=np.int64)
         return self.verdict_table[sets], self.shift_table[sets]
@@ -1312,7 +1325,7 @@ def _solved(columns: list, offset: int) -> Optional[int]:
     return rank if len(_pivots([offset], pivots)) == rank else None
 
 
-def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool, read=None) -> tuple[int, int, dict]:
+def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool, counted=None) -> tuple[int, int, dict]:
     """The non-abort mass, the failure mass and the leakage of each pair of
     ``_PAIRS`` with a file secret that GF(2) ranks settle, read from the
     ``replayed`` skeletons: every one, or with ``live_only`` every one that
@@ -1328,61 +1341,61 @@ def _settle(enumeration: _Enumeration, replayed: _Replayed, live_only: bool, rea
     whatever s, and since the client's view fixes s its leakage is
     sum_s p(s) (rank M_s + rank N_s - rank [M_s; N_s]).  A server's pair is
     0.0 where no counted skeleton's channel inputs or messages read a bit
-    of the other server's files.  Each rank is taken once per distinct
-    pattern of what it reads: rank N_s per pattern of the unselected files
-    (one per selection), rank M_s and rank [M_s; N_s] from one elimination
-    of [M_s; N_s] per pattern of both, M_s's bits leading, and miss's per
-    pattern of miss.  A skeleton that aborts after its first round still
-    carries the messages of the rounds before it, so it is counted like any
-    other.  ``read`` is the :func:`_read` of the counted skeletons, worked
-    out here unless given."""
+    of the other server's files.  Each counted skeleton's pattern of what a
+    rank reads is read in one pass over the skeletons (:func:`_patterns`),
+    and each rank is taken once per pattern: rank N_s per pattern of the
+    unselected files (one per selection), rank M_s and rank [M_s; N_s] from
+    one elimination of [M_s; N_s] per pattern of the columns of both, M_s's
+    bits leading, and miss's per pattern of miss.  The masses are then
+    summed over the skeletons with each one's pattern's value.  A skeleton
+    that aborts after its first round still carries the messages of the
+    rounds before it, so it is counted like any other.  ``counted`` is the
+    :func:`_counted_skeletons` of ``replayed``, worked out here unless given."""
     lay = enumeration.layout
-    skeletons, affine, table = replayed
     B = lay.free_bits
-    counted = _counted(table, live_only)
-    client = affine[:, _AFFINE.index("msgs1") : _AFFINE.index("unsel") + 1]  # msgs1, msgs2 and unsel
-    misses = affine[:, _AFFINE.index("miss")]
-    width = misses[0].nbytes  # the bytes of one output's offset and columns
-    patterns, miss_patterns = client.tobytes(), misses.tobytes()
-    ranks: dict = {}  # per pattern of the unselected files: its rank
-    information: dict = {}  # per pattern of both: rank M + rank N - rank [M; N], and rank N
-    solved: dict = {}  # per pattern of miss: the rank of its columns, or None when it has no zero
-    nonabort = fail = leaked = 0
-    full = True
-    for s, weight in itertools.compress(enumerate(enumeration.weights(skeletons)), counted):
-        (_z1, _z2, aborted), _values, (free, _executed, _combos), _size = skeletons[s]
-        mass = weight << (B + free)
-        joint = patterns[3 * width * s : 3 * width * (s + 1)]
-        if joint not in information:
-            msgs1, msgs2, N = client[s, :, 1:].tolist()
-            pattern = joint[2 * width :]
-            if pattern not in ranks:
-                ranks[pattern] = _rank(N)
-            # Each column of [M; N] is its msgs1 bits, msgs2 bits, then N's
-            # bits, 64 places each; the pivots leading above N's number rank M.
-            pivots = _pivots([(a << 64 | b) << 64 | c for a, b, c in zip(msgs1, msgs2, N)], {})
-            information[joint] = sum(map((64).__lt__, pivots)) + ranks[pattern] - len(pivots), ranks[pattern]
-        bits, rank_n = information[joint]
-        leaked += mass * bits
-        full = full and rank_n == lay.widths["unsel"]
-        if not aborted:
-            nonabort += mass
-            pattern = miss_patterns[width * s : width * (s + 1)]
-            if pattern not in solved:
-                offset, *columns = misses[s].tolist()
-                solved[pattern] = _solved(columns, offset)
-            rank = solved[pattern]
-            fail += mass - (mass >> rank) if rank is not None else mass
+    counted, affine, table, read = counted or _counted_skeletons(replayed, live_only, B)
+    weights = enumeration.weights(replayed.skeletons)
+    masses = list(map(int.__lshift__, map(weights.__getitem__, counted.tolist()),
+                      (B + table[:, _SKELETON.index("free")]).tolist()))
+    # The columns of msgs1, msgs2 and unsel.
+    patterns, client = _patterns(affine[:, _AFFINE.index("msgs1") : _AFFINE.index("unsel") + 1, 1:])
+    ranks, bits = {}, {}  # per pattern of the unselected files its rank, of all three rank M + rank N - rank [M; N]
+    for pattern, (msgs1, msgs2, N) in zip(client, client.values()):
+        rank_n = ranks.get(unsel := tuple(N))
+        if rank_n is None:
+            rank_n = ranks[unsel] = _rank(N)
+        # Each column of [M; N] is its msgs1 bits, msgs2 bits, then N's
+        # bits, 64 places each; the pivots leading above N's number rank M.
+        pivots = _pivots([(a << 64 | b) << 64 | c for a, b, c in zip(msgs1, msgs2, N)], {})
+        bits[pattern] = sum(map((64).__lt__, pivots)) + rank_n - len(pivots)
+    leaked = sum(map(int.__mul__, masses, map(bits.__getitem__, patterns)))
+    full = all(rank == lay.widths["unsel"] for rank in ranks.values())
+    live = (table[:, _SKELETON.index("abort")] == 0).tolist()
+    masses = list(itertools.compress(masses, live))
+    nonabort = sum(masses)
+    patterns, misses = _patterns(affine[live, _AFFINE.index("miss")])
+    # Per pattern of miss, 2^-rank of its mass has miss = 0, or none (a
+    # shift past every mass).  2^rank divides every mass it has.
+    shifts = {pattern: _solved(columns, offset) for pattern, (offset, *columns) in misses.items()}
+    shifts = {pattern: nonabort.bit_length() if rank is None else rank for pattern, rank in shifts.items()}
+    fail = nonabort - sum(map(int.__rshift__, masses, map(shifts.__getitem__, patterns)))
     settled = {}
     if full:  # int division rounds correctly
         settled["servers_vs_client"] = leaked / (nonabort if live_only else enumeration.denominator) if leaked else 0.0
-    # Per affine output, the ``_FREE`` fields a counted skeleton's output
-    # reads a bit of: non-zero ones.
-    fields = [dict(zip(_FREE, lay.split(bits))) for bits in read or _read(affine, counted, B)]
     for name, (view, (secret, *_rest)) in _PAIRS.items():
-        if secret in _FREE and not any(fields[_AFFINE.index(v)][secret] for v in view if v in _AFFINE):
+        if secret in _FREE and not lay.field_bits(secret) & functools.reduce(
+                int.__or__, [read[_AFFINE.index(v)] for v in view if v in _AFFINE]):
             settled[name] = 0.0
     return nonabort, fail, settled
+
+
+def _patterns(words: np.ndarray) -> tuple[list, dict]:
+    """The pattern of each row of ``words`` (a row's bytes), and one row of
+    each distinct pattern, as lists of ints, by pattern."""
+    rows = np.ascontiguousarray(words).reshape(len(words), math.prod(words.shape[1:]))
+    patterns = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
+    where = dict(zip(patterns, range(len(patterns))))
+    return patterns, dict(zip(where, words[list(where.values())].tolist()))
 
 
 def _counted(table: np.ndarray, live_only: bool) -> np.ndarray:
@@ -1391,62 +1404,73 @@ def _counted(table: np.ndarray, live_only: bool) -> np.ndarray:
     return ~(live_only & (table[:, _SKELETON.index("abort")] == 1))
 
 
-def _read(affine: np.ndarray, counted: np.ndarray, B: int) -> list[int]:
+def _counted_skeletons(replayed: _Replayed, live_only: bool, B: int) -> tuple:
+    """The skeletons of ``replayed`` a tally counts (:func:`_counted`): their
+    indices, affine outputs and rows of the skeleton table, sliced only
+    where some are not counted, and the :func:`_read` of their outputs."""
+    counted, affine, table = np.flatnonzero(_counted(replayed.table, live_only)), replayed.affine, replayed.table
+    if len(counted) < len(table):
+        affine, table = affine[counted], table[counted]
+    return counted, affine, table, _read(affine, B)
+
+
+def _read(affine: np.ndarray, B: int) -> list[int]:
     """Per ``_AFFINE`` output, the file and mask bits (free bit j as bit j)
-    its columns read on some ``counted`` skeleton."""
-    read = np.bitwise_or.reduce(affine[counted, :, 1 : B + 1], axis=0).tolist()
-    return [sum(1 << j for j, c in enumerate(columns) if c) for columns in read]
+    its columns read on some skeleton of ``affine``."""
+    return ((np.bitwise_or.reduce(affine[:, :, 1 : B + 1], axis=0) != 0) @ (1 << np.arange(B))).tolist()
 
 
-def _own_parts(keys: _PairKeys, replayed: _Replayed, counted: np.ndarray) -> dict[str, str]:
+def _own_parts(keys: _PairKeys, affine: np.ndarray, table: np.ndarray, read: list[int]) -> dict[str, str]:
     """Why each selection pair whose server's view must be kept whole is
     kept whole.  Where the server's channel inputs read no file or mask bit
-    and a GF(2) solve certifies its messages, on every ``counted``
-    skeleton, as one affine map of what its reduced key keeps, its view may
-    drop its own messages, files and masks (``_REDUCED``), and the pair is
-    not named.
+    (``read``, :func:`_read`) and a GF(2) solve certifies its messages, on
+    every skeleton of ``affine`` and ``table`` (:func:`_counted_skeletons`), as
+    one affine map of what its reduced key keeps, its view may drop its own
+    messages, files and masks (``_REDUCED``), and the pair is not named.
 
     The skeletons are grouped by V, their round verdicts and leak.  The map
     M = A_V [F; X_c; 1] may read the server's files and masks F and X_c,
     its inputs at the published positions in set and rank order
-    (:meth:`_PairKeys._rounds`), but not the raw sets (the module docstring
+    (:meth:`_PairKeys._decode`), but not the raw sets (the module docstring
     says why).  Each free bit's and the offset's column packs V, then d,
     its coefficients in (F, X_c, 1), then t, its coefficients in the
-    messages M, into one word; A_V exists exactly when the group's distinct
-    columns have the GF(2) rank of their d parts alone.  Nothing here knows
-    the message format, so a message that reads the other server's input,
-    a raw position or anything else that merely agrees with such a map on
-    some skeletons fails.  A column wider than ``_COLUMN_BITS`` keeps the
-    full view rather than wrap."""
+    messages M, into one word; A_V exists exactly when no combination of
+    the group's distinct columns has a zero d part and a non-zero t part,
+    so when no pivot of one elimination of them leads in t.  Nothing here
+    knows the message format, so a message that reads the other server's
+    input, a raw position or anything else that merely agrees with such a
+    map on some skeletons fails.  A column wider than ``_COLUMN_BITS``
+    keeps the full view rather than wrap."""
     lay = keys.layout
-    _skeletons, affine, table = replayed
-    skeleton = dict(zip(_SKELETON, table[counted].T))
+    skeleton = dict(zip(_SKELETON, table.T))
     verdicts, shifts = keys._decode(skeleton["sets"])
     group = verdicts * len(keys.interned["leak"]) + skeleton["leak"]
     group_bits = int(group.max(initial=0)).bit_length()
     # Per published position (round, set, rank), its shift in each skeleton's inputs.
-    published = keys._rounds(skeleton["executed"], shifts)[1].reshape(-1, len(group), 1)
-    failed = {}
+    published = shifts[:, :, 1:].reshape(len(group), -1).T[:, :, None]
+    X, failed = len(published), {}
     for name, server in (("client_privacy_s1", "1"), ("client_privacy_s2", "2")):
-        inputs, msgs = affine[counted, _AFFINE.index(f"x{server}")], f"msgs{server}"
-        own = lay.field_bits(f"files{server}") | lay.field_bits(f"masks{server}")
-        own = [1 + j for j in range(lay.free_bits) if own >> j & 1]
+        msgs, own = f"msgs{server}", lay.field_bits(f"files{server}") | lay.field_bits(f"masks{server}")
         # From the top: V, F, X_c, the offset's 1, then the messages M.
-        T, X = keys.widths[msgs], len(published)
-        low = len(own) + X + 1 + T
-        if inputs[:, 1 : lay.free_bits + 1].any():
+        T = keys.widths[msgs]
+        low = own.bit_count() + X + 1 + T
+        if read[_AFFINE.index(f"x{server}")]:
             failed[name] = f"x{server} reads a file or mask bit"
         elif group_bits + low > _COLUMN_BITS:
             failed[name] = f"{msgs}'s certificate needs {group_bits + low}-bit columns"
         elif T:  # a server that sends no message bit passes
-            columns = affine[counted, _AFFINE.index(msgs)] | (group << low)[:, None]
-            columns[:, [0, *own]] |= [1 << T, *(1 << place for place in range(low - 1, X + T, -1))]
+            places = iter(range(low - 1, X + T, -1))  # F's places, the first own bit highest
+            columns = affine[:, _AFFINE.index(msgs)] | (group << low)[:, None]
+            # The offset's column holds the 1 of d, an own file or mask bit's its place in F.
+            columns[:, : 1 + lay.free_bits] |= [1 << T, *(1 << next(places) if own >> j & 1 else 0
+                                                           for j in range(lay.free_bits))]
+            # Copied whole, as the shifts by each position run fastest on one block.
+            inputs = np.ascontiguousarray(affine[:, _AFFINE.index(f"x{server}")])
             for place, at in zip(range(T + X, T, -1), published):
                 columns |= (inputs >> at & 1) << place
             columns = np.sort(columns, axis=None)
             for v, words in itertools.groupby(columns[_firsts(columns)].tolist(), lambda word: word >> low):
-                words = [word ^ v << low for word in words]
-                if _rank(words) != _rank({word >> T for word in words}):
+                if min(_pivots([word ^ v << low for word in words], {})) <= T:
                     failed[name] = f"{msgs} is no affine map of its files, masks, published inputs, verdicts and leak"
                     break
     return failed
@@ -1483,9 +1507,9 @@ def audit(
     replayed = enumeration.replay_all()
     tic = time.perf_counter()
     lay = enumeration.layout
-    counted = _counted(replayed.table, condition_nonabort)
-    read = _read(replayed.affine, counted, lay.free_bits)
-    nonabort, fail, settled = _settle(enumeration, replayed, condition_nonabort, read)
+    counted = _counted_skeletons(replayed, condition_nonabort, lay.free_bits)
+    _index, affine, table, read = counted
+    nonabort, fail, settled = _settle(enumeration, replayed, condition_nonabort, counted)
     reliability_error = fail / nonabort if nonabort > 0 else 0.0  # int division rounds correctly
     if condition_nonabort:
         if nonabort == 0:
@@ -1494,7 +1518,7 @@ def audit(
     else:
         denominator, conditioning = enumeration.denominator, "unconditioned"
     tallies = {name: _Tally() for name in _PAIRS if name not in settled}
-    failed = _own_parts(keys, replayed, counted)
+    failed = _own_parts(keys, affine, table, read)
     reduced = {name: (view, _PAIRS[name][1]) for name, view in _REDUCED.items() if name not in failed}
     pairs = {**_PAIRS, **reduced}
     keyed = tuple((name, _DROPPED if name in reduced else f"{_FULL} ({failed[name]})" if name in failed else _FULL)

@@ -461,17 +461,24 @@ def run_session_adaptive(
 
     The file lengths are fixed only after the channel realization is known:
     the largest lengths the realized shares can carry, so the channel phase
-    runs at lengths (0, 0) and never aborts on capacity.  Files are then
-    sampled uniformly from the server streams.  Used for rate measurements;
-    returns the transcript and the params actually executed.
+    runs at lengths (0, 0) and never aborts on capacity.  They are fitted
+    once from y: by the partitioner, or after a round that aborted.  Files
+    are then sampled uniformly from the server streams.  Used for rate
+    measurements; returns the transcript and the params actually executed.
     """
     params.validate()
     x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, 1)))
     x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
     client = client_partitioner(rnd.client_seed)
     unsized = replace(params, ell1=0, ell2=0) if params.ell1 or params.ell2 else params
-    opening = open_round(unsized, x1, x2, lambda y, a, *_: client(y, a, *_fitting(y, a)))
-    ell1, ell2 = _fitting(opening.y, params.alpha)
+    fitted = []  # the lengths, fitted once from y where the partitioner runs
+
+    def partitioner(y, alpha, *_lengths):
+        fitted.append(_fitting(y, alpha))
+        return client(y, alpha, *fitted[0])
+
+    opening = open_round(unsized, x1, x2, partitioner)
+    ell1, ell2 = fitted[0] if fitted else _fitting(opening.y, params.alpha)
     sized = replace(params, ell1=ell1, ell2=ell2)
     files1 = sample_filestore(1, 2, ell1, rnd.server1_seed)
     files2 = sample_filestore(2, 2, ell2, rnd.server2_seed)

@@ -382,6 +382,39 @@ def test_transmits_once_per_canonical_pair(monkeypatch, params, conditioned, rep
     assert len(transmitted) == len(set(transmitted)) == pairs
 
 
+
+@pytest.mark.parametrize(
+    "params, conditioned, mutation",
+    [
+        (_N4, True, None),
+        (_MULTI, False, None),
+        (ProtocolParams(n=2, t_exponent=0.4, alpha=1.0, L1=3, L2=3, ell1=1, ell2=0), False, "reuse-pad"),
+    ],
+    ids=["n4-two-file", "L3x2", "L3x3-reuse-pad"],
+)
+def test_published_sets_copied_from_the_partition_audit_alike(monkeypatch, params, conditioned, mutation):
+    # The replays read each answer's published sets as tuples, taking the
+    # tuple of a partition's share where a set is that very array and
+    # converting any other.  Sets built from copies of the shares take the
+    # conversion for every set: the benchmark's two audits and the
+    # four-round reuse-pad audit must print the same record and counts.
+    def counts(report):
+        return (report.to_record() | {"wall_time_s": 0}, report.skeletons, report.replays, report.answered_rounds,
+                report.expanded_rows, report.tallied, report.keyed)
+
+    expected = counts(audit(params, condition_nonabort=conditioned, mutation=mutation))
+    build, copied = protocol.build_selection_sets, []
+
+    def copies(z1, z2, part):
+        sets = build(z1, z2, part)
+        copied.append(sets)
+        return protocol.SelectionSets(*(getattr(sets, f.name).copy() for f in dataclasses.fields(sets)))
+
+    monkeypatch.setattr(protocol, "build_selection_sets", copies)
+    assert counts(audit(params, condition_nonabort=conditioned, mutation=mutation)) == expected
+    assert copied
+
+
 def test_otp_lemma_width_one():
     report = otp_lemma_check(1)
     assert report.entries == 4096
