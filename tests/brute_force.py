@@ -1,4 +1,5 @@
-"""Brute-force references for the exact leakage oracle and the index sets.
+"""Brute-force references for the exact leakage oracle, the index sets and
+the residual-entropy surface.
 
 The enumerators replay the full protocol once for every channel input,
 partition, file, mask and selection assignment and key a dict by the
@@ -11,7 +12,9 @@ listing every sequence, and ``replayed_skeletons`` replays every
 sharing nothing between replays.  ``tuple_classify_indices`` and
 ``tuple_sample_partition`` build index sets as tuples of Python ints, the
 way the package did before its index sets became int64 arrays, and decode
-the client's inputs at the decodable shares one position at a time.  All of
+the client's inputs at the decodable shares one position at a time.
+``brute_conditional_entropy`` computes H(X1 X2 | Y) from the explicit
+four-atom joint, apart from the closed form of ``capacity``.  All of
 them are slow, and kept only so that tests can compare the package
 against them.
 """
@@ -37,6 +40,22 @@ from adder_spir.protocol import (
 )
 
 IndexSet = tuple[int, ...]
+
+
+def brute_conditional_entropy(p1: float, p2: float) -> float:
+    """H(X1 X2 | Y) from the explicit four-atom joint: H(X1 X2) - H(Y)."""
+    atoms = {
+        (0, 0): (1 - p1) * (1 - p2),
+        (0, 1): (1 - p1) * p2,
+        (1, 0): p1 * (1 - p2),
+        (1, 1): p1 * p2,
+    }
+    h_inputs = -math.fsum(p * math.log2(p) for p in atoms.values() if p > 0)
+    py: dict[int, float] = {}
+    for (x1, x2), p in atoms.items():
+        py[x1 + x2] = py.get(x1 + x2, 0.0) + p
+    h_sum = -math.fsum(p * math.log2(p) for p in py.values() if p > 0)
+    return h_inputs - h_sum
 
 
 def tuple_classify_indices(y) -> tuple[IndexSet, IndexSet]:

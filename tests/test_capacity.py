@@ -1,21 +1,11 @@
 import math
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adder_spir.capacity import (
-    achieved_rates,
-    brute_conditional_entropy,
-    conditional_entropy_f,
-    diagonal_slice,
-    f_gradient,
-    maximize_f,
-    region_check,
-    slope_gate,
-    verify_g_monotone,
-)
+from adder_spir.capacity import ARGMAX, F_MAX, achieved_rates, conditional_entropy_f, region_check
+from brute_force import brute_conditional_entropy
 
 _interior = st.floats(min_value=1e-3, max_value=1 - 1e-3)
 
@@ -48,47 +38,55 @@ def test_f_vectorized():
     assert math.isclose(float(vals[2, 2]), 0.5, abs_tol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(min_value=0.05, max_value=0.95),
-    st.floats(min_value=0.05, max_value=0.95),
-)
-def test_gradient_matches_finite_differences(p1, p2):
-    h = 1e-6
-    d1, d2 = f_gradient(p1, p2)
-    fd1 = (conditional_entropy_f(p1 + h, p2) - conditional_entropy_f(p1 - h, p2)) / (2 * h)
-    fd2 = (conditional_entropy_f(p1, p2 + h) - conditional_entropy_f(p1, p2 - h)) / (2 * h)
-    assert abs(d1 - fd1) < 1e-5
-    assert abs(d2 - fd2) < 1e-5
+_unit = st.floats(min_value=0.0, max_value=1.0)
+# The proof's inequalities hold exactly; the float evaluations may overshoot
+# by a few ulps where they meet (f = 1/2 at the centre, p1 + p2 = 1 for AM-GM).
+_ROUNDING = 1e-15
 
 
-def test_gradient_vanishes_at_center():
-    d1, d2 = f_gradient(0.5, 0.5)
-    assert abs(d1) < 1e-12 and abs(d2) < 1e-12
+def _binary_entropy(q: float) -> float:
+    return -math.fsum(x * math.log2(x) for x in (q, 1.0 - q) if x > 0)
 
 
-def test_diagonal_slice_and_gate():
-    assert math.isclose(diagonal_slice(0.5), 0.5, abs_tol=1e-15)
-    assert abs(slope_gate(1.0)) < 1e-15
-    # g'(p) = 2 p * gate((1-p)/p): check against a finite difference.
-    p = 0.3
-    h = 1e-6
-    fd = (diagonal_slice(p + h) - diagonal_slice(p - h)) / (2 * h)
-    assert abs(fd - 2 * p * slope_gate((1 - p) / p)) < 1e-6
+def _split(p1: float, p2: float) -> tuple[float, float, float]:
+    a = p1 * (1.0 - p2)
+    b = (1.0 - p1) * p2
+    return a, b, a + b
 
 
-def test_monotone_certificate_passes():
-    cert = verify_g_monotone(5000)
-    assert cert.passed()
-    assert cert.min_forward_difference >= 0.0
-    assert cert.min_gate >= -1e-12
+@settings(max_examples=300, deadline=None)
+@given(_unit, _unit)
+@example(0.0, 0.0)
+@example(0.0, 1.0)
+@example(1.0, 1.0)
+@example(0.5, 0.5)
+def test_f_is_at_most_min_w_and_one_minus_w(p1, p2):
+    _a, _b, w = _split(p1, p2)
+    assert conditional_entropy_f(p1, p2) <= min(w, 1.0 - w) + _ROUNDING
 
 
-def test_maximize_f():
-    p1, p2, value = maximize_f()
-    assert abs(value - 0.5) <= 1e-9
-    assert abs(p1 - 0.5) <= 1e-6
-    assert abs(p2 - 0.5) <= 1e-6
+@settings(max_examples=300, deadline=None)
+@given(_unit)
+@example(0.0)
+@example(0.5)
+@example(1.0)
+def test_binary_entropy_is_at_most_twice_root_q_one_minus_q(q):
+    assert _binary_entropy(q) <= 2.0 * math.sqrt(q * (1.0 - q)) + _ROUNDING
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit, _unit)
+@example(0.0, 1.0)
+@example(0.25, 0.75)
+@example(0.5, 0.5)
+def test_twice_root_ab_is_at_most_one_minus_w(p1, p2):
+    a, b, _w = _split(p1, p2)
+    assert 2.0 * math.sqrt(a * b) <= p1 * p2 + (1.0 - p1) * (1.0 - p2) + _ROUNDING
+
+
+def test_f_is_exactly_the_cap_at_the_argmax():
+    assert ARGMAX == (0.5, 0.5)
+    assert conditional_entropy_f(*ARGMAX) == F_MAX == 0.5
 
 
 def test_achieved_rates_bookkeeping():

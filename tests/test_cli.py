@@ -333,12 +333,14 @@ def test_run_ignores_the_workers_environment_variable(tmp_path, monkeypatch):
 def test_capacity_command(tmp_path):
     out = tmp_path / "cap.jsonl"
     assert main(["capacity", "--out", str(out)]) == 0
-    records = _read_records(out)
-    report = [r for r in records if r["record"] == "capacity-report"][0]
-    assert report["passed"]
-    assert abs(report["max_value"] - 0.5) <= 1e-9
-    boundary = [r for r in records if r["record"] == "region-boundary"]
-    assert len(boundary) == 16
+    header, report, *boundary = _read_records(out)
+    assert header["command"] == "capacity"
+    assert report == {"record": "capacity-report", "argmax": [0.5, 0.5], "max_value": 0.5, "passed": True}
+    # Each corner is the cap 1/2 over L - 1, as the table has always printed it.
+    corner = {2: 0.5, 3: 0.25, 4: 0.16666666666666666, 5: 0.125}
+    assert [(r["record"], r["L1"], r["L2"], r["corner_r1"], r["corner_r2"]) for r in boundary] == [
+        ("region-boundary", L1, L2, corner[L1], corner[L2]) for L1 in range(2, 6) for L2 in range(2, 6)
+    ]
     assert all(r["corners_feasible"] for r in boundary)
 
 
