@@ -21,8 +21,10 @@ from .model import (
     PartyRandomness,
     ProtocolParams,
     Selection,
+    SessionStreams,
     party_stream,
     sample_filestore,
+    session_streams,
     trial_seeds,
 )
 from .multifile import (

@@ -28,8 +28,8 @@ from .model import (
     ConfigurationError,
     ProtocolParams,
     Selection,
-    party_stream,
     sample_filestore,
+    session_streams,
     trial_seeds,
 )
 from .multifile import run_multifile
@@ -173,15 +173,15 @@ def _header(command: str, config: dict) -> dict:
 
 def _run_one_trial(args: tuple) -> dict:
     params, master_seed, trial, abort_disabled = args
-    rnd = trial_seeds(master_seed, trial)
-    client = party_stream(rnd.client_seed, ())
+    streams = session_streams(trial_seeds(master_seed, trial), params.L1, params.L2)
+    client = streams.selection
     sel = Selection(
         int(client.integers(1, params.L1 + 1)), int(client.integers(1, params.L2 + 1))
     )
     len1, len2 = params.ell1 * (params.L2 - 1), params.ell2 * (params.L1 - 1)
-    files1 = sample_filestore(1, params.L1, len1, rnd.server1_seed)
-    files2 = sample_filestore(2, params.L2, len2, rnd.server2_seed)
-    transcript = run_multifile(params, files1, files2, sel, rnd, abort_disabled=abort_disabled)
+    files1 = sample_filestore(1, params.L1, len1, streams.files[0])
+    files2 = sample_filestore(2, params.L2, len2, streams.files[1])
+    transcript = run_multifile(params, files1, files2, sel, streams, abort_disabled=abort_disabled)
     rec = transcript.to_record()
     rec["trial"] = trial
     rec["selection"] = [sel.z1, sel.z2]
@@ -225,10 +225,10 @@ def _sweep_cell(args: tuple) -> dict:
     # Keyed by n and alpha's exact bits, so no two cells share streams.
     cell = np.random.SeedSequence(master_seed, spawn_key=(n, int(np.float64(alpha).view(np.uint64))))
     for trial in range(1, trials + 1):
-        rnd = trial_seeds(cell, trial)
-        client = party_stream(rnd.client_seed, ())
+        streams = session_streams(trial_seeds(cell, trial), 2, 2)
+        client = streams.selection
         sel = Selection(int(client.integers(1, 3)), int(client.integers(1, 3)))
-        transcript, sized = run_session_adaptive(params, sel, rnd)
+        transcript, sized = run_session_adaptive(params, sel, streams)
         if transcript.aborted:
             aborts += 1
             continue

@@ -23,15 +23,10 @@ import functools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .bits import BitString, sample_uniform
-from .model import (
-    ConfigurationError,
-    FileStore,
-    PartyRandomness,
-    ProtocolParams,
-    Selection,
-    party_stream,
-)
+from .model import ConfigurationError, FileStore, ProtocolParams, Selection, SessionStreams
 from .protocol import RoundOpening, Transcript, check_mutation, client_partitioner, execute_session, open_round
 
 __all__ = [
@@ -179,16 +174,18 @@ def reconstruct(Z: int, L: int, chosen: Sequence[BitString]) -> BitString:
     return acc
 
 
-def sample_masks(L_own: int, n_parts: int, length: int, seed: int) -> tuple[tuple[BitString, ...], ...]:
+def sample_masks(
+    L_own: int, n_parts: int, length: int, stream: Optional[np.random.Generator]
+) -> tuple[tuple[BitString, ...], ...]:
     """Fresh chaining masks, one tuple of L_own - 2 masks per part index.
 
     Sampling order is part-index outer, chain-index inner, from the
     server's mask stream; masks are never reused across parts.  With two
-    files there are no masks and no stream is built.
+    files there are no masks and ``stream`` (None in a session's streams)
+    is not read.
     """
     if L_own == 2:
         return ((),) * n_parts
-    stream = party_stream(seed, (2,))
     return tuple(
         tuple(sample_uniform(length, stream) for _t in range(L_own - 2))
         for _i in range(n_parts)
@@ -382,32 +379,30 @@ def run_multifile(
     files1: FileStore,
     files2: FileStore,
     sel: Selection,
-    rnd: PartyRandomness,
+    streams: SessionStreams,
     *,
     abort_disabled: bool = False,
 ) -> MultifileTranscript:
-    """Run the reduction with masks and per-round channel inputs from party streams.
+    """Run the reduction with masks and per-round channel inputs from the
+    session's party streams (:func:`~adder_spir.model.session_streams`).
 
     Each round uses a fresh channel block of n uses with fresh uniform
-    inputs and its own partition draw (sub-streams keyed (1, k) and (3, k)
-    by the round index k); a round is opened (transmitted, checked and
-    partitioned) only once the rounds before it went through.  Two files per
-    server is the one-round case.  Masks are drawn at the per-round lengths
-    of ``params``; :func:`plan_multifile` checks them against the files.
+    inputs and its own partition draw, from that round's streams; a round
+    is opened (transmitted, checked and partitioned) only once the rounds
+    before it went through.  Two files per server is the one-round case.
+    Masks are drawn at the per-round lengths of ``params``;
+    :func:`plan_multifile` checks them against the files.  Streams whose
+    round count or mask streams do not match (L1, L2) are refused.
     """
     L1, L2 = params.L1, params.L2
-    K = (L1 - 1) * (L2 - 1)
-    masks1 = sample_masks(L1, L2 - 1, params.ell1, rnd.server1_seed)
-    masks2 = sample_masks(L2, L1 - 1, params.ell2, rnd.server2_seed)
+    streams.check(L1, L2)
+    masks1 = sample_masks(L1, L2 - 1, params.ell1, streams.masks[0])
+    masks2 = sample_masks(L2, L1 - 1, params.ell2, streams.masks[1])
     plan = plan_multifile(params, files1, files2, sel, masks1, masks2)
-    # Every round's inputs and partition stream are set up before any round
-    # runs: set up between rounds, the stream set-ups ran slower and a
-    # session took 5-8% longer.  Only the opening waits for earlier rounds.
-    x_rounds = [
-        tuple(sample_uniform(params.n, party_stream(seed, (1, k))) for seed in (rnd.server1_seed, rnd.server2_seed))
-        for k in range(1, K + 1)
-    ]
-    partitioners = [client_partitioner(rnd.client_seed, k) for k in range(1, K + 1)]
+    # Every round's inputs and partitioner are set up before any round
+    # runs.  Only the opening waits for earlier rounds.
+    x_rounds = [tuple(sample_uniform(params.n, stream) for stream in pair) for pair in streams.inputs]
+    partitioners = [client_partitioner(stream) for stream in streams.partitions]
     openings = (
         open_round(plan.round_params, *x, p, abort_disabled=abort_disabled) for x, p in zip(x_rounds, partitioners)
     )

@@ -40,10 +40,9 @@ from .model import (
     CapacityShortfall,
     ConfigurationError,
     FileStore,
-    PartyRandomness,
     ProtocolParams,
     Selection,
-    party_stream,
+    SessionStreams,
     sample_filestore,
 )
 
@@ -444,9 +443,8 @@ def execute_session(
     )
 
 
-def client_partitioner(client_seed: int, round_index: int = 1):
-    """Share partitioner backed by the client's private stream, key (3, round)."""
-    stream = party_stream(client_seed, (3, round_index))
+def client_partitioner(stream: np.random.Generator):
+    """Share partitioner backed by the client's private partition stream for one round."""
 
     def partitioner(y, alpha, ell1, ell2):
         return sample_partition(y, alpha, ell1, ell2, stream)
@@ -455,7 +453,7 @@ def client_partitioner(client_seed: int, round_index: int = 1):
 
 
 def run_session_adaptive(
-    params: ProtocolParams, sel: Selection, rnd: PartyRandomness
+    params: ProtocolParams, sel: Selection, streams: SessionStreams
 ) -> tuple[Transcript, ProtocolParams]:
     """Run one session with maximal file sizing.
 
@@ -463,13 +461,17 @@ def run_session_adaptive(
     the largest lengths the realized shares can carry, so the channel phase
     runs at lengths (0, 0) and never aborts on capacity.  They are fitted
     once from y: by the partitioner, or after a round that aborted.  Files
-    are then sampled uniformly from the server streams.  Used for rate
-    measurements; returns the transcript and the params actually executed.
+    are then sampled uniformly from the server streams.  ``streams`` are
+    those of one two-file round (``session_streams(rnd, 2, 2)``); others are
+    refused.  Used for rate measurements; returns the transcript and the
+    params actually executed.
     """
     params.validate()
-    x1 = sample_uniform(params.n, party_stream(rnd.server1_seed, (1, 1)))
-    x2 = sample_uniform(params.n, party_stream(rnd.server2_seed, (1, 1)))
-    client = client_partitioner(rnd.client_seed)
+    streams.check(2, 2)
+    ((stream1, stream2),) = streams.inputs
+    x1 = sample_uniform(params.n, stream1)
+    x2 = sample_uniform(params.n, stream2)
+    client = client_partitioner(streams.partitions[0])
     unsized = replace(params, ell1=0, ell2=0) if params.ell1 or params.ell2 else params
     fitted = []  # the lengths, fitted once from y where the partitioner runs
 
@@ -480,8 +482,8 @@ def run_session_adaptive(
     opening = open_round(unsized, x1, x2, partitioner)
     ell1, ell2 = fitted[0] if fitted else _fitting(opening.y, params.alpha)
     sized = replace(params, ell1=ell1, ell2=ell2)
-    files1 = sample_filestore(1, 2, ell1, rnd.server1_seed)
-    files2 = sample_filestore(2, 2, ell2, rnd.server2_seed)
+    files1 = sample_filestore(1, 2, ell1, streams.files[0])
+    files2 = sample_filestore(2, 2, ell2, streams.files[1])
     return execute_session(sized, files1, files2, sel, opening), sized
 
 

@@ -20,6 +20,7 @@ from adder_spir.model import (
     ProtocolParams,
     Selection,
     sample_filestore,
+    session_streams,
     trial_seeds,
 )
 from adder_spir.multifile import (
@@ -56,10 +57,10 @@ def two_file_sweep():
     results = []
     for trial in range(1, 1001):
         rnd = trial_seeds(42, trial)
-        files1 = sample_filestore(1, 2, 900, rnd.server1_seed)
-        files2 = sample_filestore(2, 2, 900, rnd.server2_seed)
+        files1 = sample_filestore(1, 2, 900, party_stream(rnd.server1_seed, (0,)))
+        files2 = sample_filestore(2, 2, 900, party_stream(rnd.server2_seed, (0,)))
         sel = Selection(1 + (trial % 2), 1 + ((trial // 2) % 2))
-        t = run_multifile(params, files1, files2, sel, rnd)
+        t = run_multifile(params, files1, files2, sel, session_streams(rnd, params.L1, params.L2))
         ok = None if t.aborted else (
             t.recovered[0] == files1.file(sel.z1) and t.recovered[1] == files2.file(sel.z2)
         )
@@ -81,7 +82,7 @@ def adaptive_rates():
     for trial in range(1, 9):
         rnd = trial_seeds(7, trial)
         sel = Selection(1 + (trial % 2), 1 + ((trial // 2) % 2))
-        t, sized = run_session_adaptive(params, sel, rnd)
+        t, sized = run_session_adaptive(params, sel, session_streams(rnd, 2, 2))
         assert not t.aborted and t.recovery_ok
         rates.append((sized.ell1 / n, sized.ell2 / n))
     return {"rates": rates, "elapsed": time.perf_counter() - start}
@@ -104,9 +105,9 @@ def multifile_sweep():
             # answer to an abort is a rerun.
             for attempt in itertools.count():
                 rnd = trial_seeds(1000 * L1 + 10 * L2 + (attempt << 16), trial)
-                files1 = sample_filestore(1, L1, part_len * (L2 - 1), rnd.server1_seed)
-                files2 = sample_filestore(2, L2, part_len * (L1 - 1), rnd.server2_seed)
-                mt = run_multifile(params, files1, files2, sel, rnd)
+                files1 = sample_filestore(1, L1, part_len * (L2 - 1), party_stream(rnd.server1_seed, (0,)))
+                files2 = sample_filestore(2, L2, part_len * (L1 - 1), party_stream(rnd.server2_seed, (0,)))
+                mt = run_multifile(params, files1, files2, sel, session_streams(rnd, params.L1, params.L2))
                 if not mt.aborted:
                     break
                 assert attempt < 20
@@ -238,10 +239,10 @@ def test_criterion_08_multifile_reconstruction(multifile_sweep):
         ((2, 3), (3, 2)),
     )
     params = ProtocolParams(n=64, t_exponent=0.45, alpha=0.5, L1=3, L2=4, ell1=2, ell2=2)
-    files1 = sample_filestore(1, 3, 6, 31)
-    files2 = sample_filestore(2, 4, 4, 32)
-    masks1 = sample_masks(3, 3, 2, 33)
-    masks2 = sample_masks(4, 2, 2, 34)
+    files1 = sample_filestore(1, 3, 6, party_stream(31, (0,)))
+    files2 = sample_filestore(2, 4, 4, party_stream(32, (0,)))
+    masks1 = sample_masks(3, 3, 2, party_stream(33, (2,)))
+    masks2 = sample_masks(4, 2, 2, party_stream(34, (2,)))
     chains1 = [
         build_chain([files1.file(l).split(3)[i] for l in (1, 2, 3)], masks1[i])
         for i in range(3)
@@ -255,7 +256,7 @@ def test_criterion_08_multifile_reconstruction(multifile_sweep):
             params,
             sample_uniform(64, party_stream(35, (1, k))),
             sample_uniform(64, party_stream(36, (1, k))),
-            client_partitioner(37, k),
+            client_partitioner(party_stream(37, (3, k))),
         )
         for k in range(1, 7)
     ]

@@ -7,7 +7,7 @@ import pytest
 import adder_spir
 from adder_spir import cli
 from adder_spir.cli import main
-from adder_spir.model import PartyRandomness, ProtocolParams
+from adder_spir.model import PartyRandomness, ProtocolParams, session_streams
 from adder_spir.oracle import required_states
 
 
@@ -136,11 +136,19 @@ class _Captured(Exception):
     pass
 
 
-def _cell_randomness(monkeypatch, master_seed, n, alpha):
-    """Party seeds of trial 1 of one sweep cell."""
+def _stream_seeds(streams):
+    """Per stream of a session, in field order, the increment its PCG64
+    takes from its seed: the selection stream has been drawn from, and no
+    draw changes the increment."""
+    gens = (streams.selection, *streams.files, *streams.masks, *sum(streams.inputs, ()), *streams.partitions)
+    return tuple(None if g is None else g.bit_generator.state["state"]["inc"] for g in gens)
 
-    def capture(_params, _sel, rnd):
-        raise _Captured(rnd)
+
+def _cell_randomness(monkeypatch, master_seed, n, alpha):
+    """Party streams of trial 1 of one sweep cell, as the session receives them."""
+
+    def capture(_params, _sel, streams):
+        raise _Captured(_stream_seeds(streams))
 
     monkeypatch.setattr(cli, "run_session_adaptive", capture)
     with pytest.raises(_Captured) as info:
@@ -158,7 +166,8 @@ def test_sweep_cell_seeds_do_not_collide(monkeypatch):
 def test_sweep_cell_seed_derivation(monkeypatch):
     alpha_bits = int(np.float64(0.3).view(np.uint64))
     state = np.random.SeedSequence(7, spawn_key=(256, alpha_bits, 1)).generate_state(3, np.uint64)
-    assert _cell_randomness(monkeypatch, 7, 256, 0.3) == PartyRandomness(*map(int, state))
+    expected = session_streams(PartyRandomness(*map(int, state)), 2, 2)
+    assert _cell_randomness(monkeypatch, 7, 256, 0.3) == _stream_seeds(expected)
 
 
 def test_sweep_cell_independent_of_other_cells(tmp_path):

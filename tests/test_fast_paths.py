@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from adder_spir import oracle
 from adder_spir.bits import AffineBits, BitString
-from adder_spir.model import PartyRandomness, ProtocolParams, Selection, sample_filestore
+from adder_spir.model import PartyRandomness, ProtocolParams, Selection, party_stream, sample_filestore, session_streams
 from adder_spir.multifile import run_multifile
 from adder_spir.channel import classify_indices
 from adder_spir.protocol import _index_partition, client_recover
@@ -164,8 +164,9 @@ def test_server_digits_match_per_row_reference(case):
 def test_transcripts_stay_frozen_and_replaceable():
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=Fraction(1, 2), L1=3, L2=3, ell1=2, ell2=2)
     rnd = PartyRandomness(11, 12, 13)
-    files1, files2 = sample_filestore(1, 3, 4, 12), sample_filestore(2, 3, 4, 13)
-    mt = run_multifile(params, files1, files2, Selection(2, 3), rnd, abort_disabled=True)
+    files1 = sample_filestore(1, 3, 4, party_stream(12, (0,)))
+    files2 = sample_filestore(2, 3, 4, party_stream(13, (0,)))
+    mt = run_multifile(params, files1, files2, Selection(2, 3), session_streams(rnd, 3, 3), abort_disabled=True)
     assert not mt.aborted and mt.recovery_ok
     for t in (mt, *mt.transcripts):
         with pytest.raises(dataclasses.FrozenInstanceError):

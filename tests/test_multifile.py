@@ -13,6 +13,7 @@ from adder_spir.model import (
     Selection,
     party_stream,
     sample_filestore,
+    session_streams,
     trial_seeds,
 )
 from adder_spir.multifile import (
@@ -158,15 +159,15 @@ def _multifile_setup(L1, L2, seed, part_len=3, n=64):
     params = ProtocolParams(
         n=n, t_exponent=0.45, alpha=0.5, L1=L1, L2=L2, ell1=part_len, ell2=part_len
     )
-    files1 = sample_filestore(1, L1, part_len * (L2 - 1), seed)
-    files2 = sample_filestore(2, L2, part_len * (L1 - 1), seed + 1)
+    files1 = sample_filestore(1, L1, part_len * (L2 - 1), party_stream(seed, (0,)))
+    files2 = sample_filestore(2, L2, part_len * (L1 - 1), party_stream(seed + 1, (0,)))
     return params, files1, files2
 
 
 def test_run_multifile_recovers_3x4():
     params, files1, files2 = _multifile_setup(3, 4, 100)
     rnd = PartyRandomness(7, 8, 9)
-    mt = run_multifile(params, files1, files2, Selection(2, 3), rnd)
+    mt = run_multifile(params, files1, files2, Selection(2, 3), session_streams(rnd, params.L1, params.L2))
     assert not mt.aborted
     assert mt.recovered[0] == files1.file(2)
     assert mt.recovered[1] == files2.file(3)
@@ -176,7 +177,7 @@ def test_run_multifile_recovers_3x4():
 def test_run_multifile_download_cost():
     params, files1, files2 = _multifile_setup(3, 4, 200)
     rnd = PartyRandomness(17, 18, 19)
-    mt = run_multifile(params, files1, files2, Selection(1, 1), rnd)
+    mt = run_multifile(params, files1, files2, Selection(1, 1), session_streams(rnd, params.L1, params.L2))
     assert not mt.aborted
     assert mt.public_bits_from_server(1) / files1.file_length == 2 * (params.L1 - 1)
     assert mt.public_bits_from_server(2) / files2.file_length == 2 * (params.L2 - 1)
@@ -185,24 +186,24 @@ def test_run_multifile_download_cost():
 def test_run_multifile_deterministic():
     params, files1, files2 = _multifile_setup(2, 3, 300)
     rnd = PartyRandomness(1, 2, 3)
-    a = run_multifile(params, files1, files2, Selection(2, 1), rnd)
-    b = run_multifile(params, files1, files2, Selection(2, 1), rnd)
+    a = run_multifile(params, files1, files2, Selection(2, 1), session_streams(rnd, params.L1, params.L2))
+    b = run_multifile(params, files1, files2, Selection(2, 1), session_streams(rnd, params.L1, params.L2))
     assert a.to_record() == b.to_record()
 
 
 def test_run_multifile_validates_divisibility():
     params = ProtocolParams(n=64, t_exponent=0.45, alpha=0.5, L1=3, L2=4, ell1=3, ell2=3)
-    files1 = sample_filestore(1, 3, 7, 5)  # 7 not divisible by L2 - 1 = 3
-    files2 = sample_filestore(2, 4, 6, 6)
+    files1 = sample_filestore(1, 3, 7, party_stream(5, (0,)))  # 7 not divisible by L2 - 1 = 3
+    files2 = sample_filestore(2, 4, 6, party_stream(6, (0,)))
     with pytest.raises(ConfigurationError):
-        run_multifile(params, files1, files2, Selection(1, 1), PartyRandomness(1, 2, 3))
+        run_multifile(params, files1, files2, Selection(1, 1), session_streams(PartyRandomness(1, 2, 3), 3, 4))
 
 
 def test_run_multifile_round_selections_follow_schedule():
     params, files1, files2 = _multifile_setup(3, 3, 400)
     rnd = PartyRandomness(4, 5, 6)
     sel = Selection(3, 2)
-    mt = run_multifile(params, files1, files2, sel, rnd)
+    mt = run_multifile(params, files1, files2, sel, session_streams(rnd, params.L1, params.L2))
     z1_rounds = round_selection(sel.z1, 3)
     z2_rounds = round_selection(sel.z2, 3)
     for ((t1, _i), (t2, _j)), (r1, r2) in zip(mt.pairing, mt.round_selections):
@@ -229,12 +230,12 @@ def test_sessions_follow_request_schedule(L1, L2, n, part_len, seed, data):
     params = ProtocolParams(n=n, t_exponent=0.45, alpha=0.5, L1=L1, L2=L2, ell1=part_len, ell2=part_len)
     rnd = trial_seeds(seed, 1)
     files = (
-        sample_filestore(1, L1, part_len * (L2 - 1), rnd.server1_seed),
-        sample_filestore(2, L2, part_len * (L1 - 1), rnd.server2_seed),
+        sample_filestore(1, L1, part_len * (L2 - 1), party_stream(rnd.server1_seed, (0,))),
+        sample_filestore(2, L2, part_len * (L1 - 1), party_stream(rnd.server2_seed, (0,))),
     )
     masks = (
-        sample_masks(L1, L2 - 1, part_len, rnd.server1_seed),
-        sample_masks(L2, L1 - 1, part_len, rnd.server2_seed),
+        sample_masks(L1, L2 - 1, part_len, party_stream(rnd.server1_seed, (2,))),
+        sample_masks(L2, L1 - 1, part_len, party_stream(rnd.server2_seed, (2,))),
     )
     parts = tuple([f.split(L - 1) for f in store.files] for store, L in zip(files, (L2, L1)))
 
@@ -247,7 +248,7 @@ def test_sessions_follow_request_schedule(L1, L2, n, part_len, seed, data):
                 acc ^= masks[server][part - 1][index - 1]
         return acc
 
-    mt = run_multifile(params, *files, Selection(z1, z2), rnd)
+    mt = run_multifile(params, *files, Selection(z1, z2), session_streams(rnd, L1, L2))
     schedule = request_schedule(L1, L2, z1, z2)
     for transcript, requested in zip(mt.transcripts, schedule):
         if transcript.aborted:
@@ -268,8 +269,8 @@ def test_sessions_follow_request_schedule(L1, L2, n, part_len, seed, data):
 
 def _plan_inputs(L1=3, L2=4, part_len=2, n=32, seed=50):
     params, files1, files2 = _multifile_setup(L1, L2, seed, part_len, n)
-    masks1 = sample_masks(L1, L2 - 1, part_len, seed + 2)
-    masks2 = sample_masks(L2, L1 - 1, part_len, seed + 3)
+    masks1 = sample_masks(L1, L2 - 1, part_len, party_stream(seed + 2, (2,)))
+    masks2 = sample_masks(L2, L1 - 1, part_len, party_stream(seed + 3, (2,)))
     return params, files1, files2, masks1, masks2
 
 
@@ -279,7 +280,8 @@ def _openings(params, seed, client_seed=0):
     return [
         open_round(
             params, sample_uniform(params.n, party_stream(seed, (1, k))),
-            sample_uniform(params.n, party_stream(seed + 1, (1, k))), client_partitioner(client_seed, k),
+            sample_uniform(params.n, party_stream(seed + 1, (1, k))),
+            client_partitioner(party_stream(client_seed, (3, k))),
         )
         for k in range(1, K + 1)
     ]
@@ -288,10 +290,13 @@ def _openings(params, seed, client_seed=0):
 _BAD_INPUTS = {
     "params": (dict(params=ProtocolParams(n=32, t_exponent=0.45, alpha=2, L1=3, L2=4, ell1=2, ell2=2)),
                r"^alpha must lie in \[0, 1\]$"),
-    "store-size": (dict(files1=sample_filestore(1, 4, 6, 1)), r"^file store sizes must match \(L1, L2\)$"),
-    "divisible-1": (dict(files1=sample_filestore(1, 3, 7, 1)), r"^server-1 file length 7 not divisible by 3$"),
-    "divisible-2": (dict(files2=sample_filestore(2, 4, 5, 1)), r"^server-2 file length 5 not divisible by 2$"),
-    "round-lengths": (dict(files2=sample_filestore(2, 4, 6, 1)),
+    "store-size": (dict(files1=sample_filestore(1, 4, 6, party_stream(1, (0,)))),
+                   r"^file store sizes must match \(L1, L2\)$"),
+    "divisible-1": (dict(files1=sample_filestore(1, 3, 7, party_stream(1, (0,)))),
+                    r"^server-1 file length 7 not divisible by 3$"),
+    "divisible-2": (dict(files2=sample_filestore(2, 4, 5, party_stream(1, (0,)))),
+                    r"^server-2 file length 5 not divisible by 2$"),
+    "round-lengths": (dict(files2=sample_filestore(2, 4, 6, party_stream(1, (0,)))),
                       r"^per-round lengths \(2, 3\) disagree with params \(2, 2\)$"),
     "selection": (dict(sel=Selection(4, 1)), r"^z1=4 outside \[1, 3\]$"),
     "mutation": (dict(mutation="nope"), r"^unknown mutation 'nope'; choose from \("),
@@ -490,7 +495,7 @@ def test_plans_on_shared_chains_share_each_aborted_round(monkeypatch):
     live = _openings(params, 60)[0]
     # Every output decodable (all 0, then all 2): both abort.
     zeros, ones = BitString.zeros(params.n), BitString.ones(params.n)
-    aborted = [open_round(params, x, x, client_partitioner(0)) for x in (zeros, ones)]
+    aborted = [open_round(params, x, x, client_partitioner(party_stream(0, (3, 1)))) for x in (zeros, ones)]
     assert live.abort_reason is None and {o.abort_reason for o in aborted} == {"size-deviation"}
     plans = [plan_selection(chains, sel, mutation=mutation) for sel in _selections(params) for mutation in (None, *MUTATIONS)]
     calls = _counted_sessions(monkeypatch)
@@ -518,11 +523,11 @@ def test_run_multifile_opens_no_round_after_an_abort(monkeypatch):
 
     monkeypatch.setattr(multifile, "open_round", counted)
     params = ProtocolParams(n=12, t_exponent=0.45, alpha=0.5, L1=3, L2=3, ell1=2, ell2=2)
-    files1, files2 = sample_filestore(1, 3, 4, 1), sample_filestore(2, 3, 4, 2)
+    files1, files2 = sample_filestore(1, 3, 4, party_stream(1, (0,))), sample_filestore(2, 3, 4, party_stream(2, (0,)))
     early = 0
     for trial in range(1, 41):
         opened.clear()
-        mt = run_multifile(params, files1, files2, Selection(1, 1), trial_seeds(7, trial))
+        mt = run_multifile(params, files1, files2, Selection(1, 1), session_streams(trial_seeds(7, trial), 3, 3))
         assert len(opened) == len(mt.transcripts)
         assert [o.abort_reason for o in opened] == [t.abort_reason for t in mt.transcripts]
         early += mt.aborted and len(mt.transcripts) < mt.round_count

@@ -18,6 +18,7 @@ from adder_spir.model import (
     Selection,
     party_stream,
     sample_filestore,
+    session_streams,
 )
 from adder_spir.multifile import run_multifile
 from adder_spir.protocol import (
@@ -164,8 +165,8 @@ def test_partition_choices_count():
 
 def test_client_partitioner_reproducible():
     y = string_to_ternary("000000111111")
-    a = client_partitioner(99, 1)(y, 0.5, 2, 2)
-    b = client_partitioner(99, 1)(y, 0.5, 2, 2)
+    a = client_partitioner(party_stream(99, (3, 1)))(y, 0.5, 2, 2)
+    b = client_partitioner(party_stream(99, (3, 1)))(y, 0.5, 2, 2)
     fields = ("good", "bad", "g1", "g2", "b1", "b2")
     assert [getattr(a, f).tolist() for f in fields] == [getattr(b, f).tolist() for f in fields]
     assert a.m == b.m
@@ -207,8 +208,8 @@ def _session_inputs(seed: int, n: int):
 @pytest.mark.parametrize("z2", [1, 2])
 def test_execute_session_recovers_exactly(z1, z2):
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=0.5, ell1=5, ell2=5)
-    files1 = sample_filestore(1, 2, 5, 11)
-    files2 = sample_filestore(2, 2, 5, 12)
+    files1 = sample_filestore(1, 2, 5, party_stream(11, (0,)))
+    files2 = sample_filestore(2, 2, 5, party_stream(12, (0,)))
     x1, x2 = _session_inputs(21, 64)
     t = execute_session(params, files1, files2, Selection(z1, z2), open_round(params, x1, x2, partition))
     assert not t.aborted
@@ -219,18 +220,18 @@ def test_execute_session_recovers_exactly(z1, z2):
 
 def test_two_file_run_deterministic():
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=0.5, ell1=4, ell2=4)
-    files1 = sample_filestore(1, 2, 4, 5)
-    files2 = sample_filestore(2, 2, 4, 6)
+    files1 = sample_filestore(1, 2, 4, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 4, party_stream(6, (0,)))
     rnd = PartyRandomness(1, 2, 3)
-    a = run_multifile(params, files1, files2, Selection(1, 2), rnd)
-    b = run_multifile(params, files1, files2, Selection(1, 2), rnd)
+    a = run_multifile(params, files1, files2, Selection(1, 2), session_streams(rnd, params.L1, params.L2))
+    b = run_multifile(params, files1, files2, Selection(1, 2), session_streams(rnd, params.L1, params.L2))
     assert a.to_record() == b.to_record()
 
 
 def test_size_deviation_aborts_session():
     params = ProtocolParams(n=8, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
-    files1 = sample_filestore(1, 2, 1, 5)
-    files2 = sample_filestore(2, 2, 1, 6)
+    files1 = sample_filestore(1, 2, 1, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 1, party_stream(6, (0,)))
     # All-zero inputs: every position is decodable.
     t = execute_session(
         params, files1, files2, Selection(1, 1), open_round(params, BitString.zeros(8), BitString.zeros(8), partition)
@@ -240,8 +241,8 @@ def test_size_deviation_aborts_session():
 
 def test_capacity_shortfall_aborts_session():
     params = ProtocolParams(n=4, t_exponent=0.4, alpha=0.5, ell1=2, ell2=2)
-    files1 = sample_filestore(1, 2, 2, 5)
-    files2 = sample_filestore(2, 2, 2, 6)
+    files1 = sample_filestore(1, 2, 2, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 2, party_stream(6, (0,)))
     # All-zero inputs: no hidden positions at all, so M = 0.
     t = execute_session(
         params, files1, files2, Selection(1, 1),
@@ -352,15 +353,15 @@ def test_an_aborted_opening_answers_every_selection_and_mutation_alike(n, data, 
 
 def test_execute_session_validation():
     params = ProtocolParams(n=8, t_exponent=0.4, alpha=0.5, ell1=1, ell2=1)
-    files1 = sample_filestore(1, 2, 1, 5)
-    files2 = sample_filestore(2, 2, 1, 6)
+    files1 = sample_filestore(1, 2, 1, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 1, party_stream(6, (0,)))
     x1, x2 = _session_inputs(3, 8)
     opening = open_round(params, x1, x2, partition)
     with pytest.raises(ConfigurationError):
         execute_session(params, files1, files2, Selection(1, 1), opening, mutation="bogus")
     with pytest.raises(ConfigurationError):
         execute_session(params, files1, files2, Selection(3, 1), opening)
-    bad_files = sample_filestore(1, 2, 2, 5)
+    bad_files = sample_filestore(1, 2, 2, party_stream(5, (0,)))
     with pytest.raises(ConfigurationError):
         execute_session(params, bad_files, files2, Selection(1, 1), opening)
     with pytest.raises(ConfigurationError, match="^channel inputs must have length n$"):
@@ -373,8 +374,8 @@ def test_mutations_tuple():
 
 def test_leak_selection_mutation_marks_transcript():
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=0.5, ell1=3, ell2=3)
-    files1 = sample_filestore(1, 2, 3, 5)
-    files2 = sample_filestore(2, 2, 3, 6)
+    files1 = sample_filestore(1, 2, 3, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 3, party_stream(6, (0,)))
     x1, x2 = _session_inputs(9, 64)
     t = execute_session(
         params, files1, files2, Selection(2, 1), open_round(params, x1, x2, partition), mutation="leak-selection"
@@ -385,8 +386,8 @@ def test_leak_selection_mutation_marks_transcript():
 
 def test_transcript_record_excludes_private_partition():
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=0.5, ell1=3, ell2=3)
-    files1 = sample_filestore(1, 2, 3, 5)
-    files2 = sample_filestore(2, 2, 3, 6)
+    files1 = sample_filestore(1, 2, 3, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 3, party_stream(6, (0,)))
     x1, x2 = _session_inputs(9, 64)
     t = execute_session(params, files1, files2, Selection(1, 1), open_round(params, x1, x2, partition))
     rec = t.to_record()
@@ -395,8 +396,8 @@ def test_transcript_record_excludes_private_partition():
 
 def test_public_bits_accounting():
     params = ProtocolParams(n=64, t_exponent=0.4, alpha=0.5, ell1=3, ell2=5)
-    files1 = sample_filestore(1, 2, 3, 5)
-    files2 = sample_filestore(2, 2, 5, 6)
+    files1 = sample_filestore(1, 2, 3, party_stream(5, (0,)))
+    files2 = sample_filestore(2, 2, 5, party_stream(6, (0,)))
     x1, x2 = _session_inputs(13, 64)
     t = execute_session(params, files1, files2, Selection(1, 2), open_round(params, x1, x2, partition))
     assert t.public_bits_from_server(1) == 6
@@ -408,7 +409,11 @@ def test_run_session_adaptive_ignores_the_lengths_it_is_given():
     # params neither abort the round on capacity nor change the session.
     rnd = PartyRandomness(5, 6, 7)
     runs = [
-        run_session_adaptive(ProtocolParams(n=32, t_exponent=0.45, alpha=0.5, ell1=ell, ell2=ell), Selection(2, 1), rnd)
+        run_session_adaptive(
+            ProtocolParams(n=32, t_exponent=0.45, alpha=0.5, ell1=ell, ell2=ell),
+            Selection(2, 1),
+            session_streams(rnd, 2, 2),
+        )
         for ell in (0, 1000)
     ]
     (t0, sized0), (t1, sized1) = runs
@@ -420,7 +425,7 @@ def test_run_session_adaptive_ignores_the_lengths_it_is_given():
 def test_run_session_adaptive_recovers(seed):
     params = ProtocolParams(n=32, t_exponent=0.45, alpha=0.5)
     rnd = PartyRandomness(seed, seed + 1, seed + 2)
-    t, sized = run_session_adaptive(params, Selection(2, 1), rnd)
+    t, sized = run_session_adaptive(params, Selection(2, 1), session_streams(rnd, 2, 2))
     assert type(sized.ell1) is int and type(sized.ell2) is int
     if not t.aborted:
         assert t.recovery_ok
