@@ -18,7 +18,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from .model import (
     ConfigurationError,
     ProtocolParams,
     Selection,
+    block_streams,
     sample_filestore,
-    session_streams,
+    stream_count,
     trial_seeds,
 )
 from .multifile import run_multifile
@@ -45,6 +46,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# Party streams derived in one hash: a block of trials takes as many whole
+# sessions as fit, and at least one, so the streams alive at once stay
+# bounded whatever --trials is.
+BLOCK_STREAMS = 256
 
 
 def _positive_int(text: str) -> int:
@@ -171,30 +177,41 @@ def _header(command: str, config: dict) -> dict:
     }
 
 
-def _run_one_trial(args: tuple) -> dict:
-    params, master_seed, trial, abort_disabled = args
-    streams = session_streams(trial_seeds(master_seed, trial), params.L1, params.L2)
-    client = streams.selection
-    sel = Selection(
-        int(client.integers(1, params.L1 + 1)), int(client.integers(1, params.L2 + 1))
-    )
+def _trial_streams(master_seed: int | np.random.SeedSequence, trials: range, L1: int, L2: int) -> Iterator[tuple]:
+    """Each trial of ``trials`` with its session's party streams, derived a
+    block of at most ``BLOCK_STREAMS`` streams at a time."""
+    size = max(1, BLOCK_STREAMS // stream_count(L1, L2))
+    for start in range(0, len(trials), size):
+        block = trials[start : start + size]
+        yield from zip(block, block_streams([trial_seeds(master_seed, trial) for trial in block], L1, L2))
+
+
+def _run_trials(args: tuple) -> list[dict]:
+    params, master_seed, trials, abort_disabled = args
     len1, len2 = params.ell1 * (params.L2 - 1), params.ell2 * (params.L1 - 1)
-    files1 = sample_filestore(1, params.L1, len1, streams.files[0])
-    files2 = sample_filestore(2, params.L2, len2, streams.files[1])
-    transcript = run_multifile(params, files1, files2, sel, streams, abort_disabled=abort_disabled)
-    rec = transcript.to_record()
-    rec["trial"] = trial
-    rec["selection"] = [sel.z1, sel.z2]
-    if not transcript.aborted:
-        bits = transcript.public_bits_from_server(1), transcript.public_bits_from_server(2)
-        rates = cap.achieved_rates(len1, len2, params.n, transcript.round_count, params.L1 - 1, params.L2 - 1, bits)
-        rec["download_bits_per_file_bit"] = list(rates.download_per_recovered_bit((len1, len2)))
-        rec["rates"] = [rates.rate1, rates.rate2]
-        rec["region_ok"] = cap.region_check(rates.rate1, rates.rate2, params.L1, params.L2)
-    return rec
+    records = []
+    for trial, streams in _trial_streams(master_seed, trials, params.L1, params.L2):
+        client = streams.selection
+        sel = Selection(
+            int(client.integers(1, params.L1 + 1)), int(client.integers(1, params.L2 + 1))
+        )
+        files1 = sample_filestore(1, params.L1, len1, streams.files[0])
+        files2 = sample_filestore(2, params.L2, len2, streams.files[1])
+        transcript = run_multifile(params, files1, files2, sel, streams, abort_disabled=abort_disabled)
+        rec = transcript.to_record()
+        rec["trial"] = trial
+        rec["selection"] = [sel.z1, sel.z2]
+        if not transcript.aborted:
+            bits = transcript.public_bits_from_server(1), transcript.public_bits_from_server(2)
+            rates = cap.achieved_rates(len1, len2, params.n, transcript.round_count, params.L1 - 1, params.L2 - 1, bits)
+            rec["download_bits_per_file_bit"] = list(rates.download_per_recovered_bit((len1, len2)))
+            rec["rates"] = [rates.rate1, rates.rate2]
+            rec["region_ok"] = cap.region_check(rates.rate1, rates.rate2, params.L1, params.L2)
+        records.append(rec)
+    return records
 
 
-def _map_trials(fn, jobs: list[tuple], workers: int) -> list[dict]:
+def _map_trials(fn, jobs: list[tuple], workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     # Imported only here: the process pool is a tenth of the CLI's import time.
@@ -206,9 +223,13 @@ def _map_trials(fn, jobs: list[tuple], workers: int) -> list[dict]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     params = _params(args)
-    jobs = [(params, args.seed, trial, args.no_abort) for trial in range(1, args.trials + 1)]
-    records = _map_trials(_run_one_trial, jobs, args.workers)
-    config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "trials", "seed")}
+    # One range of trials per job: every trial with one worker, else about
+    # four ranges per worker.
+    trials = range(1, args.trials + 1)
+    size = len(trials) if args.workers <= 1 else max(1, len(trials) // (4 * args.workers))
+    jobs = [(params, args.seed, trials[i : i + size], args.no_abort) for i in range(0, len(trials), size)]
+    records = [rec for part in _map_trials(_run_trials, jobs, args.workers) for rec in part]
+    config = {k: getattr(args, k) for k in (*_PARAM_FIELDS, "trials", "seed", "no_abort")}
     config["alpha"] = float(args.alpha)
     _emit([_header("run", config), *records], args.out)
     failed = [r for r in records if not r["aborted"] and not r.get("recovery_ok")]
@@ -224,8 +245,7 @@ def _sweep_cell(args: tuple) -> dict:
     r2s: list[float] = []
     # Keyed by n and alpha's exact bits, so no two cells share streams.
     cell = np.random.SeedSequence(master_seed, spawn_key=(n, int(np.float64(alpha).view(np.uint64))))
-    for trial in range(1, trials + 1):
-        streams = session_streams(trial_seeds(cell, trial), 2, 2)
+    for _, streams in _trial_streams(cell, range(1, trials + 1), 2, 2):
         client = streams.selection
         sel = Selection(int(client.integers(1, 3)), int(client.integers(1, 3)))
         transcript, sized = run_session_adaptive(params, sel, streams)

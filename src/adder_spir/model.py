@@ -3,7 +3,7 @@
 Randomness scheme: each party owns one 64-bit seed, and a sub-stream is the
 PCG64 generator of ``numpy.random.SeedSequence(seed, spawn_key=key)``, so a
 session is reproducible bit for bit from the seed triple alone.  The spawn
-keys are this module's alone, and :func:`session_streams` lists them:
+keys are this module's alone, and :func:`_session_keys` lists them:
 
 * ``()``         the client's selection draw (``run`` and ``sweep`` trials)
 * ``(0,)``       file sampling for a server's library
@@ -15,12 +15,16 @@ Such a sequence hashes only its assembled entropy: the seed's little-endian
 uint32 words, zero-padded to the pool size (4) when the key is non-empty,
 then each key element's words.  Padding when the key is empty changes
 nothing, since the hash reads a missing pool word as 0.  Its constants
-depend only on a word's position, so :func:`session_streams` hashes every
-stream of a session at once, one stream to a 64-bit lane of a Python int,
-and hands each PCG64 the state words it computed; :func:`party_stream` is
-the batch of one.  ``tests/test_streams.py`` checks both against numpy's
-own ``SeedSequence`` over mixed seed and key widths.  :func:`trial_seeds`,
-one value per trial, builds numpy's sequence of the same words.
+depend only on a word's position, so :func:`block_streams` hashes every
+stream of a block of sessions at once, one stream to a 64-bit lane of a
+Python int, and hands each PCG64 the state words it computed.  A pass's
+fixed cost outweighs its cost per row at a two-file session's six rows, so
+a block pays it once for many sessions.  :func:`session_streams` is the
+block of one and :func:`party_stream` the batch of one stream.
+``tests/test_streams.py`` checks them against numpy's own ``SeedSequence``
+over mixed seed and key widths, and a block against each of its sessions
+alone.  :func:`trial_seeds`, one value per trial, builds numpy's sequence
+of the same words.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,9 +47,11 @@ __all__ = [
     "ProtocolParams",
     "Selection",
     "SessionStreams",
+    "block_streams",
     "party_stream",
     "sample_filestore",
     "session_streams",
+    "stream_count",
     "trial_seeds",
 ]
 
@@ -302,7 +308,7 @@ def trial_seeds(master_seed: int | np.random.SeedSequence, trial: int) -> PartyR
 
 
 class SessionStreams(NamedTuple):
-    """Every party stream of one session, from :func:`session_streams`.
+    """Every party stream of one session, from :func:`block_streams`.
 
     ``files`` and ``masks`` are per server, a mask stream None for a server
     with two files; ``inputs`` holds both servers' channel-input streams and
@@ -327,18 +333,46 @@ class SessionStreams(NamedTuple):
             raise ConfigurationError("a server has a mask stream exactly when it holds more than two files")
 
 
-def session_streams(rnd: PartyRandomness, L1: int, L2: int) -> SessionStreams:
-    """Every party stream of a session of L1 and L2 files, in one batched hash."""
+def _session_keys(L1: int, L2: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(party, spawn key) of every stream of a session of L1 and L2 files,
+    in :class:`SessionStreams` field order; party 0 is the client, 1 and 2
+    the servers."""
     if L1 < 2 or L2 < 2:
         raise ConfigurationError("each server must hold at least two files")
-    client, server1, server2 = rnd.client_seed, rnd.server1_seed, rnd.server2_seed
     rounds = range(1, (L1 - 1) * (L2 - 1) + 1)
-    pairs = [(client, ()), (server1, (0,)), (server2, (0,))]
-    pairs += [(seed, (2,)) for seed, L in ((server1, L1), (server2, L2)) if L > 2]
-    pairs += [(seed, (1, k)) for k in rounds for seed in (server1, server2)]
-    pairs += [(client, (3, k)) for k in rounds]
+    keys = [(0, ()), (1, (0,)), (2, (0,))]
+    keys += [(server, (2,)) for server, L in ((1, L1), (2, L2)) if L > 2]
+    keys += [(server, (1, k)) for k in rounds for server in (1, 2)]
+    keys += [(0, (3, k)) for k in rounds]
+    return tuple(keys)
+
+
+def stream_count(L1: int, L2: int) -> int:
+    """How many party streams a session of L1 and L2 files derives."""
+    return len(_session_keys(L1, L2))
+
+
+def block_streams(rnds: Sequence[PartyRandomness], L1: int, L2: int) -> list[SessionStreams]:
+    """Every party stream of a block of sessions of L1 and L2 files, one
+    session per entry of ``rnds``, in one batched hash."""
+    keys = _session_keys(L1, L2)
+    pairs = []
+    for rnd in rnds:
+        seeds = rnd.client_seed, rnd.server1_seed, rnd.server2_seed
+        pairs += [(seeds[party], key) for party, key in keys]
+    if not pairs:
+        return []
     streams = iter(_streams(pairs))
-    selection, files = next(streams), (next(streams), next(streams))
-    masks = tuple(next(streams) if L > 2 else None for L in (L1, L2))
-    inputs = tuple((next(streams), next(streams)) for _ in rounds)
-    return SessionStreams(selection, files, masks, inputs, tuple(streams))
+    rounds = range((L1 - 1) * (L2 - 1))
+    out = []
+    for _ in rnds:
+        selection, files = next(streams), (next(streams), next(streams))
+        masks = tuple(next(streams) if L > 2 else None for L in (L1, L2))
+        inputs = tuple((next(streams), next(streams)) for _ in rounds)
+        out.append(SessionStreams(selection, files, masks, inputs, tuple(next(streams) for _ in rounds)))
+    return out
+
+
+def session_streams(rnd: PartyRandomness, L1: int, L2: int) -> SessionStreams:
+    """Every party stream of a session of L1 and L2 files: the block of one."""
+    return block_streams([rnd], L1, L2)[0]

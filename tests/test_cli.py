@@ -84,8 +84,10 @@ def test_run_byte_deterministic(tmp_path):
     [
         ("--n", "256", "--ell1", "20", "--ell2", "20", "--trials", "6", "--seed", "3"),
         ("--n", "64", "--L1", "3", "--L2", "3", "--ell1", "2", "--ell2", "2", "--trials", "5", "--seed", "4"),
+        # 32 streams a session: each worker's range of 10 trials takes two blocks.
+        ("--n", "64", "--L1", "4", "--L2", "4", "--ell1", "2", "--ell2", "2", "--trials", "80", "--seed", "5"),
     ],
-    ids=["two-file", "multi-file"],
+    ids=["two-file", "multi-file", "past-the-cap"],
 )
 def test_run_workers_match_serial(tmp_path, shape):
     bodies = []
@@ -95,6 +97,32 @@ def test_run_workers_match_serial(tmp_path, shape):
         bodies.append(out.read_text().splitlines()[1:])
     assert len(bodies[0]) == int(shape[shape.index("--trials") + 1])
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--n", "64", "--ell1", "4", "--ell2", "4", "--trials", "7", "--seed", "2"),
+        ("run", "--n", "64", "--L1", "3", "--L2", "4", "--ell1", "2", "--ell2", "2", "--trials", "4", "--seed", "3"),
+        ("sweep", "--n", "64,256", "--alpha", "0.5", "--trials", "5", "--seed", "4"),
+    ],
+    ids=["run-two-file", "run-multi-file", "sweep"],
+)
+def test_blocks_of_one_session_match(tmp_path, monkeypatch, argv):
+    out = tmp_path / "blocks.jsonl"
+    assert main([*argv, "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "BLOCK_STREAMS", 1)
+    alone = tmp_path / "alone.jsonl"
+    assert main([*argv, "--out", str(alone)]) == 0
+    assert out.read_text().splitlines()[1:] == alone.read_text().splitlines()[1:]
+
+
+def test_run_header_records_no_abort(tmp_path):
+    args = ["run", "--n", "64", "--ell1", "4", "--ell2", "4", "--trials", "1"]
+    for flags, expected in (([], False), (["--no-abort"], True)):
+        out = tmp_path / "run.jsonl"
+        assert main([*args, *flags, "--out", str(out)]) == 0
+        assert _read_records(out)[0]["config"]["no_abort"] is expected
 
 
 @pytest.mark.parametrize(

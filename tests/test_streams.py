@@ -3,9 +3,10 @@
 ``party_stream``, every stream of one batched hash, and ``trial_seeds`` must
 give the state that ``SeedSequence(seed, spawn_key=key)`` gives; each field
 of ``session_streams`` must be the stream of the spawn key the ``model``
-docstring lists for it; and ``sample_uniform`` must return the bits of
-``Generator.bytes`` and leave the generator exactly where ``bytes`` leaves
-it, whatever was drawn from the generator before.
+docstring lists for it; a block of sessions from ``block_streams`` must be
+each session's own ``session_streams``; and ``sample_uniform`` must return
+the bits of ``Generator.bytes`` and leave the generator exactly where
+``bytes`` leaves it, whatever was drawn from the generator before.
 """
 
 import numpy as np
@@ -15,7 +16,15 @@ from hypothesis import strategies as st
 
 from adder_spir.bits import sample_uniform
 from adder_spir import model
-from adder_spir.model import PartyRandomness, party_stream, session_streams, trial_seeds
+from adder_spir.cli import BLOCK_STREAMS
+from adder_spir.model import (
+    PartyRandomness,
+    block_streams,
+    party_stream,
+    session_streams,
+    stream_count,
+    trial_seeds,
+)
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 12345]
 seeds = st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**160)
@@ -82,6 +91,42 @@ def test_session_streams_follow_the_spawn_key_table(L1, L2):
         same_stream(x1, server1, (1, k))
         same_stream(x2, server2, (1, k))
         same_stream(partition, client, (3, k))
+    assert sum(g is not None for g in session_fields(streams)) == stream_count(L1, L2)
+
+
+def session_fields(streams):
+    """Every stream of a session, in field order, mask streams None."""
+    return (streams.selection, *streams.files, *streams.masks, *sum(streams.inputs, ()), *streams.partitions)
+
+
+seeds64 = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.data())
+def test_a_block_is_each_session_on_its_own(L1, L2, data):
+    # Blocks of whole sessions on either side of the CLI's cap on streams per hash.
+    fit = max(1, BLOCK_STREAMS // stream_count(L1, L2))
+    k = data.draw(st.sampled_from([1, fit, fit + 1]) | st.integers(1, 2 * fit + 1), label="k")
+    rnd = st.builds(PartyRandomness, seeds64, seeds64, seeds64)
+    rnds = data.draw(st.lists(rnd, min_size=k, max_size=k), label="rnds")
+    block = block_streams(rnds, L1, L2)
+    assert len(block) == k
+    for rnd, streams in zip(rnds, block):
+        alone = session_fields(session_streams(rnd, L1, L2))
+        fields = session_fields(streams)
+        assert [g is None for g in fields] == [g is None for g in alone]
+        for g, twin in zip(fields, alone):
+            if g is not None:
+                assert g.bit_generator.state == twin.bit_generator.state
+                assert g.bytes(40) == twin.bytes(40)
+
+
+def test_an_empty_block_and_too_few_files():
+    assert block_streams([], 3, 2) == []
+    for L1, L2 in ((1, 2), (2, 1), (0, 5)):
+        with pytest.raises(model.ConfigurationError):
+            block_streams([PartyRandomness(1, 2, 3)], L1, L2)
 
 
 @settings(max_examples=50, deadline=None)
